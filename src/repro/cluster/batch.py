@@ -3,45 +3,27 @@
 :class:`~repro.core.kernel.SyncEngine` runs the paper's Figure 5 update for
 *one* document.  A catalog-scale system runs it for thousands of documents
 at once, and every document whose home is the same server diffuses over the
-*same* routing tree - only the load vectors differ.  :class:`BatchEngine`
-stacks those documents into ``(D, n)`` load/rate arrays over one shared
-:class:`~repro.core.kernel.FlatTree` and executes one vectorized round for
-all of them simultaneously, eliminating the per-document Python and NumPy
-dispatch overhead that dominates :class:`SyncEngine` at catalog scale.
+*same* routing tree - only the load vectors differ.  Both are the same
+array round, :class:`~repro.core.kernel.DiffusionStack`: ``SyncEngine``
+is one with a single row, and :class:`BatchEngine` is one over the
+``(D, n)`` load/rate arrays of its documents, executing one vectorized
+round for all of them and eliminating the per-document Python and NumPy
+dispatch overhead that dominates at catalog scale.
 
-Exact parity with the per-document engine is a hard contract here
-(``tests/cluster/test_batch.py`` pins it at 1e-12; in practice the
-trajectories are bit-identical):
+What this module adds on top of the shared round is document lifecycle
+only: stacking and dropping rows (:meth:`BatchEngine.add_documents`,
+:meth:`BatchEngine.remove_documents`), per-row and whole-stack rate swaps
+with the mass-conserving resettle, the ``Steppable`` state contract, and
+the ``cluster.batch.*`` telemetry counters.  Since the round is one piece
+of code, a document's trajectory in a batch is bit-identical to its
+trajectory in a ``SyncEngine`` (``tests/core/test_round_parity.py``).
+Lifecycle changes never recompute the surviving rows' forwarded-rate
+matrix ``A``: it is maintained incrementally by the round, and its low
+bits are part of the trajectory.
 
-* the per-edge transfer is computed in *clip form*,
-  ``clip(alpha * (L_p - L_c), -L_c, max(A_c, 0))``, which is
-  floating-point-identical to SyncEngine's ``down - up`` decomposition
-  because exactly one of the two sides is non-zero (negation and
-  multiplication by ``alpha`` are sign-symmetric in IEEE arithmetic);
-* the parent-side scatter uses one flat :func:`numpy.bincount` over the
-  ``D x n`` index space, which accumulates each document's child transfers
-  in ascending edge order - the same order SyncEngine's per-document
-  ``bincount`` uses;
-* the child side needs no reduction at all: every node is the child of at
-  most one edge, so the child contribution is a plain scatter.
-
-The engine keeps the forwarded-rate matrix ``A`` (the NSS caps) with the
-same incremental bookkeeping as SyncEngine - a transfer on edge ``(p, c)``
-only changes ``A_c`` - and recomputes individual *rows* from scratch only
-when that document's round clamps a load at zero (unreachable with safe
-alphas).
-
-Batched counterparts of the kernel's bottom-up passes
-(:func:`batch_subtree_accumulate`, :func:`batch_forwarded_rates`,
-:func:`batch_resettle_served`) run one ``np.add.at`` scatter per tree level
-across all documents at once.
-
-Scratch buffers for the round's intermediates are preallocated per engine
-and reused across rounds, so a steady-state tick allocates only the
-``bincount`` output.  When the tree's root is node 0 (always true for the
-pruned trees :mod:`repro.cluster.prune` builds), the ascending edge order
-makes ``edge_child == 1..n-1`` and the child-side gathers collapse into
-contiguous array views.
+The ``batch_*`` functions are the kernel's bottom-up passes under the
+cluster plane's names; those passes take leading batch axes, so one
+``np.add.at`` scatter per tree level serves all documents at once.
 """
 
 from __future__ import annotations
@@ -51,17 +33,19 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from ..core.config import EngineConfig, config_from_kwargs
-from ..core.frontier import batch_incident_edges, sorted_unique
-from ..obs.telemetry import resolve as _resolve_telemetry
 from ..core.kernel import (
+    DiffusionStack,
     FlatTree,
+    _NO_EDGES,
+    _as_matrix,
+    _require_state_kind,
+    _state_parent_map,
     degree_edge_alphas,
     flatten,
     forwarded_rates,
     resettle_served,
     subtree_accumulate,
 )
-from ..core.policy import clip_edge_transfers
 from ..core.tree import tree_from_parent_map
 
 __all__ = [
@@ -72,49 +56,23 @@ __all__ = [
 ]
 
 
-def _as_matrix(values, n: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 2 or arr.shape[1] != n:
-        raise ValueError(f"expected a (D, {n}) matrix of {what}, got shape {arr.shape}")
-    return arr
-
-
 # ----------------------------------------------------------------------
 # Batched bottom-up passes
 # ----------------------------------------------------------------------
 # The kernel's bottom-up passes take leading batch axes, so the (D, n)
-# document-stack forms are the same functions; the aliases keep the
-# cluster-plane vocabulary (and a place to state the per-document shape).
-
-
-def batch_subtree_accumulate(flat: FlatTree, values: np.ndarray) -> np.ndarray:
-    """Per-document subtree sums: ``out[d, i] = sum values[d, subtree(i)]``."""
-    return subtree_accumulate(flat, values)
-
-
-def batch_forwarded_rates(
-    flat: FlatTree, spontaneous: np.ndarray, served: np.ndarray
-) -> np.ndarray:
-    """Per-document forwarded rates ``A[d] = subtree_sum(E[d] - L[d])``."""
-    return forwarded_rates(flat, spontaneous, served)
-
-
-def batch_resettle_served(
-    flat: FlatTree, rates: np.ndarray, served: np.ndarray
-) -> np.ndarray:
-    """Clamp every document's carried-over loads to its new demand flow.
-
-    One bottom-up pass per level across all rows (Constraint 1: the home
-    absorbs the remainder); mass per document ends up exactly
-    ``rates[d].sum()``.
-    """
-    return resettle_served(flat, rates, served)
+# document-stack forms are the same functions under the cluster plane's
+# names: per-document subtree sums, forwarded rates ``A[d] =
+# subtree_sum(E[d] - L[d])``, and the mass-conserving resettle (every row
+# ends up with exactly ``rates[d].sum()``).
+batch_subtree_accumulate = subtree_accumulate
+batch_forwarded_rates = forwarded_rates
+batch_resettle_served = resettle_served
 
 
 # ----------------------------------------------------------------------
 # The batched engine
 # ----------------------------------------------------------------------
-class BatchEngine:
+class BatchEngine(DiffusionStack):
     """Synchronous Figure 5 rounds for ``D`` documents over one tree.
 
     Parameters
@@ -140,42 +98,15 @@ class BatchEngine:
     configuration every catalog-scale run uses.  The weighted / stale /
     quantized variants remain per-document concerns.
 
-    Adaptive stepping (``adaptive=True``, the default) keeps the active
-    frontier of :mod:`repro.core.frontier` in the flattened
-    ``document * edge`` index space: a sparse round gathers only the
-    ``(doc, edge)`` pairs that can still move mass, bit-identical to the
-    dense round for the same reason the kernel's sparse path is.  The
-    frontier empties exactly when every document in the stack sits at its
-    floating-point fixed point - the engine is then *quiescent* and the
-    cluster runtime drops the whole cohort from the tick loop until a
-    lifecycle event (which resets the frontier) touches it again.
+    Adaptive stepping (``adaptive=True``, the default) keeps the stack's
+    frontier in the flattened ``document * edge`` index space.  It empties
+    exactly when every document sits at its floating-point fixed point -
+    the engine is then *quiescent* and the cluster runtime drops the whole
+    cohort from the tick loop until a lifecycle event (which resets the
+    frontier) touches it again.
     """
 
-    __slots__ = (
-        "flat",
-        "_e",
-        "_loads",
-        "_alpha",
-        "_fwd",
-        "_round",
-        "_contig",
-        "_iep",
-        "_t",
-        "_lo",
-        "_hi",
-        "_d1",
-        "_l2",
-        "_adaptive",
-        "_density",
-        "_active",
-        "_op_count",
-        "_dense_rounds",
-        "_sparse_rounds",
-        "_tel",
-        "_tel_dense",
-        "_tel_sparse",
-        "_tel_ops",
-    )
+    __slots__ = ("_tel_dense", "_tel_sparse", "_tel_ops")
 
     def __init__(
         self,
@@ -204,36 +135,26 @@ class BatchEngine:
             raise ValueError(
                 "quantum: BatchEngine only runs continuous transfers"
             )
-        self.flat = flat
-        n = flat.n
-        self._e = _as_matrix(spontaneous, n, "spontaneous rates")
-        if initial_served is None:
-            self._loads = self._e.copy()
-        else:
-            self._loads = _as_matrix(initial_served, n, "served rates")
-            if self._loads.shape[0] != self._e.shape[0]:
-                raise ValueError("spontaneous and served document counts differ")
-        self._alpha = np.asarray(
+        e, served = self._as_documents(flat.n, spontaneous, initial_served)
+        alpha = np.asarray(
             degree_edge_alphas(flat) if edge_alpha is None else edge_alpha,
             dtype=np.float64,
         )
-        if self._alpha.shape != (flat.edge_child.shape[0],):
+        if alpha.shape != (flat.edge_child.shape[0],):
             raise ValueError(
                 f"expected {flat.edge_child.shape[0]} edge alphas, "
-                f"got shape {self._alpha.shape}"
+                f"got shape {alpha.shape}"
             )
-        # With the root at node 0, the ascending edge order makes
-        # edge_child exactly 1..n-1: child-side gathers become views.
-        self._contig = flat.root == 0
-        self._fwd = batch_forwarded_rates(flat, self._e, self._loads)
-        self._round = 0
-        self._adaptive = bool(cfg.adaptive)
-        self._density = float(cfg.density_threshold)
-        self._active: Optional[np.ndarray] = None  # None = everything active
-        self._op_count = 0
-        self._dense_rounds = 0
-        self._sparse_rounds = 0
-        self._tel = tel = _resolve_telemetry(telemetry)
+        super().__init__(
+            flat,
+            e,
+            served,
+            alpha,
+            adaptive=cfg.adaptive,
+            density_threshold=cfg.density_threshold,
+            telemetry=telemetry,
+        )
+        tel = self._tel
         if tel.enabled:
             self._tel_dense = tel.counter("cluster.batch.dense_rounds")
             self._tel_sparse = tel.counter("cluster.batch.sparse_rounds")
@@ -242,19 +163,17 @@ class BatchEngine:
             self._tel_dense = None
             self._tel_sparse = None
             self._tel_ops = None
-        self._alloc_scratch()
 
-    def _alloc_scratch(self) -> None:
-        d, n = self._loads.shape
-        m = n - 1
-        self._iep = (
-            (np.arange(d, dtype=np.intp) * n)[:, None] + self.flat.edge_parent[None, :]
-        ).ravel()
-        self._t = np.empty((d, m))
-        self._lo = np.empty((d, m))
-        self._hi = np.empty((d, m))
-        self._d1 = np.empty((d, n))
-        self._l2 = np.empty((d, n))  # ping-pong buffer for the new loads
+    @staticmethod
+    def _as_documents(n: int, spontaneous, initial_served):
+        """Validated ``(D, n)`` rate and served matrices for new rows."""
+        e = _as_matrix(spontaneous, n, "spontaneous rates")
+        if initial_served is None:
+            return e, e.copy()
+        served = _as_matrix(initial_served, n, "served rates")
+        if served.shape[0] != e.shape[0]:
+            raise ValueError("spontaneous and served document counts differ")
+        return e, served
 
     # -- read-only views -------------------------------------------------
     @property
@@ -265,32 +184,6 @@ class BatchEngine:
     @property
     def n(self) -> int:
         return self.flat.n
-
-    @property
-    def round(self) -> int:
-        return self._round
-
-    @property
-    def adaptive(self) -> bool:
-        """Whether the active-set (sparse) stepping path is enabled."""
-        return self._adaptive
-
-    @property
-    def frontier_size(self) -> int:
-        """Active ``(doc, edge)`` pairs (everything before the first round)."""
-        if self._active is None:
-            return self._loads.shape[0] * max(self.flat.n - 1, 0)
-        return int(self._active.size)
-
-    @property
-    def quiescent(self) -> bool:
-        """True when the frontier is empty: every further tick is a no-op.
-
-        Only an adaptive engine ever becomes quiescent; lifecycle
-        mutations (:meth:`add_documents`, :meth:`remove_documents`,
-        :meth:`resettle`, :meth:`resettle_rows`) always reset the frontier.
-        """
-        return self._active is not None and self._active.size == 0
 
     @property
     def op_count(self) -> int:
@@ -324,6 +217,11 @@ class BatchEngine:
     def spontaneous(self) -> np.ndarray:
         return self._e
 
+    @property
+    def forwarded(self) -> np.ndarray:
+        """The incrementally maintained ``(D, n)`` forwarded rates ``A``."""
+        return self._fwd
+
     def loads_of(self, row: int) -> np.ndarray:
         """One document's served-load vector (a live view)."""
         return self._loads[row]
@@ -343,14 +241,7 @@ class BatchEngine:
     # -- document lifecycle ------------------------------------------------
     def add_documents(self, spontaneous, initial_served=None) -> range:
         """Stack additional document rows; returns their row indices."""
-        e = _as_matrix(spontaneous, self.flat.n, "spontaneous rates")
-        served = (
-            e.copy()
-            if initial_served is None
-            else _as_matrix(initial_served, self.flat.n, "served rates")
-        )
-        if served.shape[0] != e.shape[0]:
-            raise ValueError("spontaneous and served document counts differ")
+        e, served = self._as_documents(self.flat.n, spontaneous, initial_served)
         first = self._loads.shape[0]
         self._e = np.concatenate([self._e, e])
         self._loads = np.concatenate([self._loads, served])
@@ -381,10 +272,9 @@ class BatchEngine:
         rates_arr = _as_matrix(rates, self.flat.n, "spontaneous rates")
         if rates_arr.shape[0] != self._loads.shape[0]:
             raise ValueError("rate matrix document count differs")
-        self._e = rates_arr
-        self._loads = batch_resettle_served(self.flat, rates_arr, self._loads)
-        self._fwd = batch_forwarded_rates(self.flat, rates_arr, self._loads)
-        self._active = None
+        self._reset(
+            rates_arr, batch_resettle_served(self.flat, rates_arr, self._loads)
+        )
 
     def resettle_rows(self, rows: Sequence[int], rates) -> None:
         """Swap the rates of a subset of documents, clamping their loads."""
@@ -403,186 +293,20 @@ class BatchEngine:
     def step(self) -> None:
         """One synchronous diffusion round for every document at once.
 
-        Sparse over the active ``(doc, edge)`` frontier when it is small
-        enough, dense otherwise - bit-identical either way.
+        The stack's round with its default (clip) transfer rule: sparse
+        over the active ``(doc, edge)`` frontier when it is small enough,
+        dense otherwise - bit-identical either way.
         """
-        flat = self.flat
-        n = flat.n
-        d = self._loads.shape[0]
-        if n <= 1 or d == 0:
+        if self.flat.n <= 1 or self._loads.shape[0] == 0:
             # Nothing can ever move (no edges / no documents): quiesce.
-            if self._adaptive and self._active is None:
-                self._active = np.zeros(0, dtype=np.intp)
+            if self._adaptive:
+                self._active = _NO_EDGES
             self._round += 1
             return
-        if self._adaptive:
-            active = self._active
-            if active is not None and active.size <= self._density * d * (n - 1):
-                self._step_sparse(active)
-                return
-        self._step_dense(track=self._adaptive)
-
-    def _step_dense(self, track: bool) -> None:
-        flat = self.flat
-        n = flat.n
-        d = self._loads.shape[0]
-        m = n - 1
-        loads, fwd, t = self._loads, self._fwd, self._t
-        ep = flat.edge_parent
-        if self._contig:
-            lec = loads[:, 1:]
-            fec = fwd[:, 1:]
-        else:
-            lec = loads[:, flat.edge_child]
-            fec = fwd[:, flat.edge_child]
-
-        # transfer = clip(alpha * (L_p - L_c), -L_c, max(A_c, 0)); exactly
-        # SyncEngine's down - up because only one side is ever non-zero.
-        np.take(loads, ep, axis=1, out=t)
-        np.subtract(t, lec, out=t)
-        np.multiply(t, self._alpha, out=t)
-        clip_edge_transfers(t, lec, fec, self._lo, self._hi)
-
-        # delta = child scatter - parent bincount, in SyncEngine's order.
-        d1 = self._d1
-        if self._contig:
-            d1[:, 0] = 0.0
-            d1[:, 1:] = t
-        else:
-            d1[:, flat.root] = 0.0
-            d1[:, flat.edge_child] = t
-        d2 = np.bincount(self._iep, weights=t.ravel(), minlength=d * n)
-        np.subtract(d1, d2.reshape(d, n), out=d1)
-        new = self._l2
-        np.add(loads, d1, out=new)
-
-        row_min = new.min(axis=1)
-        rows = None
-        if row_min.min() < 0.0:
-            rows = np.flatnonzero(row_min < 0.0)
-            new[rows] = np.maximum(new[rows], 0.0)
-        moved = new != loads
-        # ping-pong: the old loads buffer becomes next round's scratch
-        self._loads, self._l2 = new, loads
-        if rows is None and not moved.any():
-            # Globally load-static round: the true forwarded rates are a
-            # function of (E, L) and L did not change, so the incremental
-            # fwd decrement would be pure bookkeeping drift.  Skip it:
-            # the whole stack is at its floating-point fixed point.
-            if track:
-                self._active = np.zeros(0, dtype=np.intp)
-        else:
-            # Incremental NSS caps for every document; rows that clamped
-            # a load at zero (unsafe alphas only) are recomputed from
-            # scratch, exactly as the per-document engine does.
-            if self._contig:
-                fwd[:, 1:] -= t
-            else:
-                fwd[:, flat.edge_child] -= t
-            if rows is not None:
-                fwd[rows] = batch_forwarded_rates(flat, self._e[rows], new[rows])
-            if track:
-                # Same frontier rule as the kernel, in flat (doc, edge)
-                # space: keep nonzero transfers, (re)activate edges
-                # incident to moved nodes, and rows whose NSS caps were
-                # rebuilt wholesale.  Mask arithmetic (no sorting):
-                # flatnonzero of the (D, m) mask is the sorted flat index
-                # array the sparse path needs.
-                edge_mask = t != 0.0
-                np.logical_or(edge_mask, moved[:, flat.edge_parent], out=edge_mask)
-                if self._contig:
-                    np.logical_or(edge_mask, moved[:, 1:], out=edge_mask)
-                else:
-                    np.logical_or(
-                        edge_mask, moved[:, flat.edge_child], out=edge_mask
-                    )
-                if rows is not None:
-                    edge_mask[rows] = True
-                self._active = np.flatnonzero(edge_mask)
-        self._round += 1
-        self._dense_rounds += 1
-        self._op_count += d * m
+        ran, pairs = self.advance()
         if self._tel.enabled:
-            self._tel_dense.add(1)
-            self._tel_ops.add(d * m)
-
-    def _step_sparse(self, act: np.ndarray) -> None:
-        """One round over the active ``(doc, edge)`` pairs only.
-
-        Mirrors :meth:`_step_dense` element for element on the active
-        slice; omitted pairs carry exactly-zero transfers, so every
-        partial sum - and therefore every load and forwarded rate - comes
-        out bit-identical to the dense round (see
-        :mod:`repro.core.frontier`).
-        """
-        self._round += 1
-        self._sparse_rounds += 1
-        self._op_count += int(act.size)
-        if self._tel.enabled:
-            self._tel_sparse.add(1)
-            self._tel_ops.add(int(act.size))
-        if act.size == 0:  # quiescent: the whole stack is at a fixed point
-            return
-        flat = self.flat
-        n = flat.n
-        m = n - 1
-        loads, fwd = self._loads, self._fwd
-        dv = act // m
-        ev = act - dv * m
-        ep = flat.edge_parent[ev]
-        ec = flat.edge_child[ev]
-        pflat = dv * n + ep
-        cflat = dv * n + ec
-        lr = loads.reshape(-1)
-        fr = fwd.reshape(-1)
-        lp = lr[pflat]
-        lc = lr[cflat]
-        fc = fr[cflat]
-        t = lp - lc
-        t *= self._alpha[ev]
-        clip_edge_transfers(t, lc, fc, np.empty_like(t), np.empty_like(t))
-
-        touched = sorted_unique(np.concatenate([pflat, cflat]))
-        delta = np.zeros(touched.size, dtype=np.float64)
-        delta[np.searchsorted(touched, cflat)] = t
-        delta -= np.bincount(
-            np.searchsorted(touched, pflat), weights=t, minlength=touched.size
-        )
-        old = lr[touched]
-        new = old + delta
-        lr[touched] = new
-        moved = touched[new != old]
-        neg = new < 0.0
-        if not np.any(neg):
-            if moved.size == 0:
-                # Globally load-static round: skip the fwd update (see
-                # _step_dense) - the whole stack is at its fixed point.
-                self._active = np.zeros(0, dtype=np.intp)
-                return
-            fr[cflat] = fc - t
-            self._active = sorted_unique(
-                np.concatenate(
-                    [batch_incident_edges(flat, moved), act[t != 0.0]]
-                )
-            )
-            return
-        fr[cflat] = fc - t
-        rows = np.unique(touched[neg] // n)
-        self._loads[rows] = np.maximum(self._loads[rows], 0.0)
-        self._fwd[rows] = batch_forwarded_rates(
-            flat, self._e[rows], self._loads[rows]
-        )
-        self._active = sorted_unique(
-            np.concatenate(
-                [
-                    batch_incident_edges(flat, moved),
-                    act[t != 0.0],
-                    (
-                        rows[:, None] * m + np.arange(m, dtype=np.intp)[None, :]
-                    ).reshape(-1),
-                ]
-            )
-        )
+            (self._tel_sparse if ran == "sparse" else self._tel_dense).add(1)
+            self._tel_ops.add(pairs)
 
     def run(self, rounds: int) -> None:
         """Advance every document by ``rounds`` synchronous rounds."""
@@ -631,44 +355,20 @@ class BatchEngine:
 
     def load_state(self, state: Mapping[str, object]) -> None:
         """Restore a :meth:`state` capture in place (bit-identical resume)."""
-        kind = state.get("kind")
-        if kind != "batch_engine":
-            raise ValueError(
-                f"cannot load state of kind {kind!r} into a 'batch_engine'"
-            )
-        parent_map = tuple(int(p) for p in state["parent_map"])
-        if parent_map != self.flat.tree.parent_map:
+        _require_state_kind(state, "batch_engine")
+        if _state_parent_map(state) != self.flat.tree.parent_map:
             raise ValueError(
                 "batch_engine state was captured on a different tree"
             )
-        n = self.flat.n
-        self._e = np.asarray(state["spontaneous"], dtype=np.float64).reshape(-1, n)
-        self._loads = np.asarray(state["loads"], dtype=np.float64).reshape(-1, n)
-        self._alpha = np.asarray(state["edge_alpha"], dtype=np.float64)
-        self._fwd = np.asarray(state["fwd"], dtype=np.float64).reshape(-1, n)
-        self._round = int(state["round"])
-        self._adaptive = bool(state["adaptive"])
-        self._density = float(state["density_threshold"])
-        active = state.get("active")
-        self._active = None if active is None else np.asarray(active, dtype=np.intp)
-        self._op_count = int(state["op_count"])
-        self._dense_rounds = int(state["dense_rounds"])
-        self._sparse_rounds = int(state["sparse_rounds"])
-        self._alloc_scratch()
+        self._restore(state, "op_count")
 
     @classmethod
     def from_state(
         cls, state: Mapping[str, object], *, telemetry=None
     ) -> "BatchEngine":
         """Rebuild an engine from nothing but a :meth:`state` dict."""
-        kind = state.get("kind")
-        if kind != "batch_engine":
-            raise ValueError(
-                f"cannot load state of kind {kind!r} into a 'batch_engine'"
-            )
-        flat = flatten(
-            tree_from_parent_map([int(p) for p in state["parent_map"]])
-        )
+        _require_state_kind(state, "batch_engine")
+        flat = flatten(tree_from_parent_map(list(_state_parent_map(state))))
         # reshape keeps the (0, n) case valid (tolist of an empty stack
         # drops the column count)
         engine = cls(

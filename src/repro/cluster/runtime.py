@@ -43,7 +43,14 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from ..core.config import EngineConfig, config_from_kwargs
-from ..core.kernel import FlatTree, degree_edge_alphas, fixed_edge_alphas, flatten, resettle_served
+from ..core.kernel import (
+    FlatTree,
+    check_rates,
+    degree_edge_alphas,
+    fixed_edge_alphas,
+    flatten,
+    resettle_served,
+)
 from ..core.tree import RoutingTree, tree_from_parent_map
 from ..core.webfold import webfold
 from ..obs.telemetry import resolve as _resolve_telemetry
@@ -399,12 +406,11 @@ class ClusterRuntime:
             self._groups[home] = group
         return group
 
-    def _as_rates(self, rates: Sequence[float]) -> np.ndarray:
+    def _as_rates(self, rates: Sequence[float], what: str = "rates") -> np.ndarray:
         arr = np.asarray(rates, dtype=np.float64)
         if self._n is not None and arr.shape != (self._n,):
-            raise ClusterError(f"expected {self._n} rates, got shape {arr.shape}")
-        if arr.min(initial=0.0) < 0.0:
-            raise ClusterError("rates must be non-negative")
+            raise ClusterError(f"expected {self._n} {what}, got shape {arr.shape}")
+        check_rates(arr, what, ClusterError)
         return arr
 
     def _set_target(self, cohort: _Cohort, row: int) -> None:
@@ -472,7 +478,7 @@ class ClusterRuntime:
                 # closure is resettled on the full tree - the load flows
                 # up through the closure to the home - so no mass is ever
                 # silently dropped.
-                served_arr = self._as_rates(served)
+                served_arr = self._as_rates(served, "served rates")
                 if float(served_arr[~closure].sum()) > 0.0:
                     served_arr = resettle_served(group.flat, rates_arr, served_arr)
             mask = closure if self._prune else np.ones(group.flat.n, dtype=bool)
@@ -588,8 +594,8 @@ class ClusterRuntime:
         self, factor: float, doc_ids: Optional[Sequence[str]] = None
     ) -> None:
         """Multiply demand by ``factor`` (whole catalog or listed docs)."""
-        if factor < 0.0:
-            raise ClusterError("scale factor must be non-negative")
+        if not 0.0 <= factor < np.inf:
+            raise ClusterError("scale factor must be finite and non-negative")
         if doc_ids is not None or factor == 0.0:
             for doc_id in list(doc_ids if doc_ids is not None else self._doc_home):
                 self.set_rates(doc_id, self.document_rates(doc_id) * factor)

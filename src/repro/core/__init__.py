@@ -58,6 +58,7 @@ from .dynamics import (
 from .forest import ForestResult, ForestWebWave
 from .kernel import (
     AsyncEngine,
+    DiffusionStack,
     FlatTree,
     ForestEngine,
     SyncEngine,
@@ -139,6 +140,7 @@ __all__ = [
     # kernel
     "FlatTree",
     "flatten",
+    "DiffusionStack",
     "SyncEngine",
     "ForestEngine",
     "AsyncEngine",

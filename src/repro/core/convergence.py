@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 __all__ = ["GammaFit", "fit_gamma", "empirical_rate", "halving_time"]
 
@@ -99,6 +98,10 @@ def fit_gamma(distances: Sequence[float], drop_zeros: bool = True) -> GammaFit:
     slope, intercept = np.polyfit(t[positive], np.log(y[positive]), 1)
     gamma0 = float(np.clip(math.exp(slope), 1e-6, 0.999999))
     a0 = float(math.exp(intercept))
+
+    # Imported here, not at module load: only the gamma fit needs SciPy,
+    # and ``import repro`` (hence every serve/ctl child) must not pay for it.
+    from scipy.optimize import curve_fit
 
     params, covariance = curve_fit(
         _exp_model,

@@ -22,11 +22,13 @@ be a bitwise no-op`` - which the kernel property tests pin.
 This module owns the shared geometry: a node -> incident-edge CSR index
 per :class:`~repro.core.kernel.FlatTree` (cached weakly, like the flat
 trees themselves), plus the gather helpers the engines use to grow a
-frontier from the nodes whose state actually changed.  The rate plane
-(:class:`~repro.core.kernel.SyncEngine`) indexes edges directly; the
-cluster plane (:class:`~repro.cluster.batch.BatchEngine`) works in the
-flattened ``document * edge`` index space and offsets the same per-tree
-CSR by document row.
+frontier from the nodes whose state actually changed.  The one round that
+uses them (:class:`~repro.core.kernel.DiffusionStack`) addresses its
+frontier in the flattened ``document * edge`` index space; with a single
+document (:class:`~repro.core.kernel.SyncEngine`) flat ids *are* edge ids
+and :func:`incident_edges_of` applies directly, with ``D`` documents
+(:class:`~repro.cluster.batch.BatchEngine`) :func:`batch_incident_edges`
+offsets the same per-tree CSR by document row.
 """
 
 from __future__ import annotations
@@ -114,10 +116,10 @@ def incident_edges_of(flat, nodes: np.ndarray) -> np.ndarray:
 def batch_incident_edges(flat, flat_nodes: np.ndarray) -> np.ndarray:
     """Flat ``doc * m + edge`` indices incident to flat ``doc * n + node`` ids.
 
-    The cluster plane's :class:`~repro.cluster.batch.BatchEngine` stacks
-    ``D`` documents over one tree and addresses its frontier in the
-    flattened ``(D, m)`` edge space; this expands a set of flattened
-    ``(D, n)`` node ids into their per-document incident edges.
+    A :class:`~repro.core.kernel.DiffusionStack` of ``D`` documents
+    addresses its frontier in the flattened ``(D, m)`` edge space; this
+    expands a set of flattened ``(D, n)`` node ids into their per-document
+    incident edges.
     """
     if flat_nodes.size == 0:
         return np.zeros(0, dtype=np.intp)

@@ -16,11 +16,16 @@ This module is the single array-based engine they all delegate to now:
 * :class:`FlatTree` flattens a :class:`~repro.core.tree.RoutingTree` into
   CSR-style NumPy arrays (parent pointers, one edge per non-root node in
   ascending child order, depth levels, a children index);
-* :class:`SyncEngine` runs the synchronous round, with pluggable policies
-  for the edge coefficients (uniform load vs. capacity-weighted
+* :class:`DiffusionStack` is the one array implementation of the
+  synchronous round: ``D`` load vectors over one tree, one dense and one
+  sparse pass, the per-edge transfer rule as its parameter;
+* :class:`SyncEngine` is that stack at ``D = 1`` plus the single-document
+  policies: the edge coefficients (uniform load vs. capacity-weighted
   utilization via :func:`degree_edge_alphas` / :func:`fixed_edge_alphas`),
   gossip staleness, transfer quantization, and mid-run rate swaps (the
   :mod:`repro.core.dynamics` schedules);
+  :class:`repro.cluster.batch.BatchEngine` is the same stack at ``D``
+  documents plus document lifecycle;
 * :class:`ForestEngine` couples one :class:`FlatTree` per home server
   through the nodes' *total* loads;
 * :class:`AsyncEngine` wakes one seeded node at a time with
@@ -39,25 +44,27 @@ round as the oracle for property tests and the baseline for the
 ``benchmarks/BENCH_kernels.json`` speedup record.
 
 Performance notes.  One synchronous round is O(edges) of NumPy array
-arithmetic plus two ``bincount`` scatter-adds; the per-node forwarded rates
+arithmetic on preallocated scratch: one gather of the parent loads (the
+child side is a view when the root is node 0), the transfer rule in place,
+one ``bincount`` for the parent side of the scatter (the child side is a
+plain store) and a ping-ponged load buffer.  The per-node forwarded rates
 ``A`` (the NSS caps) are maintained *incrementally* - a transfer on edge
 ``(p, c)`` only changes ``A_c`` - and are recomputed from scratch (one
 ``np.add.at`` pass per tree level) only when a round clamps a load at zero
-or the spontaneous rates change.  At n=10k this is two orders of magnitude
-faster than the seed's per-edge Python loop.
+or the spontaneous rates change.  ``benchmarks/e2e`` (workloads
+``rate_uniform`` / ``rate_skewed``) is the evidence.
 
-Adaptive (active-set) stepping.  With ``adaptive=True`` (the default)
-:class:`SyncEngine` additionally keeps the edge *frontier* of
-:mod:`repro.core.frontier`: the set of edges that could move mass this
-round.  A sparse round gathers only the frontier's rows of the CSR
-arrays, applies the same :mod:`repro.core.policy` arithmetic to that
-slice, scatters the deltas back, and re-derives the frontier from where
-state actually changed bitwise - falling back to the tracked dense round
-whenever the frontier exceeds ``density_threshold`` of the edges.  The
-sparse path is bit-identical to the dense one (an edge leaves the
-frontier only once its transfer is exactly zero and its inputs stopped
-changing), so per-round cost scales with *activity* - on skewed demand a
-round touches the demand closure, not the topology.
+Adaptive (active-set) stepping.  With ``adaptive=True`` (the default) the
+stack additionally keeps the edge *frontier* of :mod:`repro.core.frontier`:
+the set of ``(doc, edge)`` pairs that could move mass this round.  A sparse
+round gathers only the frontier's rows of the CSR arrays, applies the same
+transfer rule to that slice, scatters the deltas back, and re-derives the
+frontier from where state actually changed bitwise - falling back to the
+tracked dense round whenever the frontier exceeds ``density_threshold`` of
+the pairs.  The sparse path is bit-identical to the dense one (a pair
+leaves the frontier only once its transfer is exactly zero and its inputs
+stopped changing), so per-round cost scales with *activity* - on skewed
+demand a round touches the demand closure, not the topology.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ import numpy as np
 from . import policy
 from ..obs.telemetry import resolve as _resolve_telemetry
 from .config import EngineConfig, config_from_kwargs
-from .frontier import incident_edges_of, sorted_unique
+from .frontier import batch_incident_edges, incident_edges_of, sorted_unique
 from .tree import RoutingTree, tree_from_parent_map
 
 __all__ = [
@@ -86,6 +93,7 @@ __all__ = [
     "subtree_accumulate",
     "forwarded_rates",
     "resettle_served",
+    "DiffusionStack",
     "SyncEngine",
     "ForestEngine",
     "AsyncEngine",
@@ -317,23 +325,448 @@ def edge_alpha_map(
     }
 
 
-# Transfer quantization lives with the rest of the Figure 5 arithmetic in
-# repro.core.policy; kept under the old private name for callers' habits.
-_quantize = policy.quantize
+def check_rates(arr: np.ndarray, what: str, error=ValueError) -> None:
+    """Reject NaN, infinite and negative entries, naming the field.
+
+    Two reductions, run where values enter an engine (construction,
+    resettle, lifecycle) and never per round.  ``NaN >= 0`` is false, so
+    one comparison per bound covers NaN as well.
+    """
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < np.inf):
+        raise error(f"{what} must be finite and non-negative")
 
 
 def _as_vector(values: Sequence[float], n: int, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != (n,):
         raise ValueError(f"expected {n} {what}, got shape {arr.shape}")
+    check_rates(arr, what)
     return arr.copy()
+
+
+def _as_matrix(values, n: int, what: str) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64, copy=True)
+    if arr.ndim != 2 or arr.shape[1] != n:
+        raise ValueError(f"expected a (D, {n}) matrix of {what}, got shape {arr.shape}")
+    check_rates(arr, what)
+    return arr
+
+
+_NO_EDGES = np.zeros(0, dtype=np.intp)
+
+
+# ----------------------------------------------------------------------
+# The one array round: D load vectors over one tree
+# ----------------------------------------------------------------------
+class DiffusionStack:
+    """``D`` load vectors over one :class:`FlatTree` and the array round
+    that advances them - the single implementation of Figure 5 in arrays.
+
+    State is ``(D, n)``: spontaneous rates, served loads and the
+    incrementally maintained forwarded rates ``A`` (the NSS caps), plus the
+    active frontier as sorted flat ``doc * m + edge`` indices (``None`` =
+    every pair is potentially active).  Both engines are subclasses:
+    :class:`SyncEngine` is one with ``D = 1`` plus the single-document
+    policies, :class:`repro.cluster.batch.BatchEngine` one with ``D``
+    documents plus their lifecycle.
+
+    One round, dense or sparse, is: gather the endpoint loads of the
+    evaluated ``(doc, edge)`` pairs, apply the transfer rule, scatter
+    ``child store - parent bincount`` (every node is the child of at most
+    one edge, so the child side needs no reduction; ``bincount``
+    accumulates each parent's child transfers in ascending edge order),
+    update ``A_c`` by the transfer on ``(p, c)``, and re-derive the
+    frontier from what changed bitwise.  The dense pass works on
+    preallocated ``(D, n)`` / ``(D, m)`` scratch, ping-pongs the load
+    buffer, and reads the child side through views when the root is node 0
+    (``edge_child == 1..n-1``); the sparse pass evaluates the frontier
+    only and is bit-identical to it (see :mod:`repro.core.frontier`).
+
+    The transfer rule is the round's one parameter (:meth:`advance`); the
+    default is the clip form of :func:`repro.core.policy.clip_edge_transfers`.
+    """
+
+    __slots__ = (
+        "flat",
+        "_e",
+        "_loads",
+        "_fwd",
+        "_alpha",
+        "_round",
+        "_adaptive",
+        "_density",
+        "_active",
+        "_op_count",
+        "_dense_rounds",
+        "_sparse_rounds",
+        "_child",
+        "_iep",
+        "_t",
+        "_lo",
+        "_hi",
+        "_d1",
+        "_l2",
+        "_tel",
+        "_tel_phases",
+    )
+
+    def __init__(
+        self,
+        flat: FlatTree,
+        spontaneous: np.ndarray,
+        served: np.ndarray,
+        edge_alpha: np.ndarray,
+        *,
+        adaptive: bool,
+        density_threshold: float,
+        telemetry=None,
+    ) -> None:
+        self.flat = flat
+        self._alpha = np.asarray(edge_alpha, dtype=np.float64)
+        # With the root at node 0 the ascending edge order makes
+        # edge_child exactly 1..n-1: the child side is a slice (views, in
+        # place updates) instead of an index array (gathers).
+        self._child = slice(1, None) if flat.root == 0 else flat.edge_child
+        self._round = 0
+        self._adaptive = bool(adaptive)
+        self._density = float(density_threshold)
+        self._op_count = 0
+        self._dense_rounds = 0
+        self._sparse_rounds = 0
+        self._tel = _resolve_telemetry(telemetry)
+        # The 1-in-N gather/apply/scatter sampler, set by the engine whose
+        # rounds the phases describe (SyncEngine); None costs one
+        # ``is not None`` per round.
+        self._tel_phases = None
+        self._reset(spontaneous, served)
+        self._alloc_scratch()
+
+    def _reset(self, spontaneous: np.ndarray, served: np.ndarray) -> None:
+        """Swap in ``(D, n)`` rate/load matrices of the current shape.
+
+        ``A`` is rebuilt from scratch and the frontier reset to "all".
+        """
+        self._e = spontaneous
+        self._loads = served
+        self._fwd = forwarded_rates(self.flat, spontaneous, served)
+        self._active: Optional[np.ndarray] = None
+
+    def _alloc_scratch(self) -> None:
+        d, n = self._loads.shape
+        m = self.flat.edge_child.shape[0]
+        ep = self.flat.edge_parent
+        self._iep = (
+            ep
+            if d == 1
+            else ((np.arange(d, dtype=np.intp) * n)[:, None] + ep[None, :]).ravel()
+        )
+        self._t = np.empty((d, m))
+        self._lo = np.empty((d, m))
+        self._hi = np.empty((d, m))
+        self._d1 = np.empty((d, n))
+        self._l2 = np.empty((d, n))  # ping-pong buffer for the new loads
+
+    # -- read-only views -------------------------------------------------
+    @property
+    def round(self) -> int:
+        return self._round
+
+    @property
+    def adaptive(self) -> bool:
+        """Whether the active-set (sparse) stepping path is enabled."""
+        return self._adaptive
+
+    @property
+    def frontier(self) -> Optional[np.ndarray]:
+        """Sorted flat ``doc * m + edge`` ids of the active pairs.
+
+        ``None`` means every pair is potentially active (before the first
+        tracked round and after any wholesale state change).
+        """
+        return self._active
+
+    @property
+    def frontier_size(self) -> int:
+        """Active ``(doc, edge)`` pairs (everything before the first round)."""
+        if self._active is None:
+            return self._loads.shape[0] * int(self.flat.edge_child.shape[0])
+        return int(self._active.size)
+
+    @property
+    def quiescent(self) -> bool:
+        """True when the frontier is empty: another round is a bitwise no-op.
+
+        Only an adaptive stack ever becomes quiescent; every wholesale
+        state change resets the frontier.
+        """
+        return self._active is not None and self._active.size == 0
+
+    # -- the round ---------------------------------------------------------
+    def advance(self, transfer=None, fixed_point: bool = True) -> Tuple[str, int]:
+        """One synchronous Figure 5 round for every row at once (``D >= 1``).
+
+        Sparse over the frontier when it holds at most
+        ``density_threshold`` of the ``(doc, edge)`` pairs, dense otherwise
+        (and always when adaptive stepping is off) - bit-identical either
+        way.  Returns the pass that ran - ``"sparse"``, ``"dense"``, or
+        ``"fallback"`` for the dense round of an adaptive stack whose
+        frontier was above the threshold - and the pairs it evaluated.
+
+        ``transfer`` is the per-edge rule.  ``None`` selects the clip form
+        evaluated in place on the stack's scratch (uniform capacities,
+        live views, continuous transfers).  Otherwise it is called as
+        ``transfer(lp, lc, fc, edges)`` with the parent loads, child loads
+        and child forwarded rates of the evaluated pairs - ``(D, m)``
+        arrays over every edge in order with ``edges=None`` on a dense
+        round, 1-D arrays aligned with the edge-index array ``edges`` on a
+        sparse one - and returns the transfers (positive = parent to
+        child) in the same shape; it may overwrite ``lp`` but must leave
+        ``lc`` and ``fc`` alone (they can be views of the state).
+
+        ``fixed_point`` says a load-static round is a fixed point of the
+        rule, which holds for every rule that reads current state only;
+        such a round skips the ``A`` update (pure bookkeeping drift) and
+        empties the frontier.  A rule reading stale views passes False.
+        """
+        d, n = self._loads.shape
+        ran = "dense"
+        if self._adaptive and self._active is not None:
+            active = self._active
+            if active.size <= self._density * d * (n - 1):
+                self._round_sparse(active, transfer)
+                return "sparse", int(active.size)
+            ran = "fallback"
+        self._round_dense(transfer, fixed_point)
+        return ran, d * (n - 1)
+
+    def _phase_sample(self, t0: float, t1: float, t2: float) -> None:
+        """Record one sampled round's gather/apply/scatter wall times."""
+        tel = self._tel
+        t3 = tel.clock()
+        tel.phase_add("kernel.round/gather", t1 - t0)
+        tel.phase_add("kernel.round/apply", t2 - t1)
+        tel.phase_add("kernel.round/scatter", t3 - t2)
+
+    def _round_dense(self, transfer, fixed_point: bool) -> None:
+        """The full-width round; an adaptive stack re-derives the frontier."""
+        timing = self._tel_phases is not None and self._tel_phases.hit()
+        t0 = t1 = t2 = 0.0
+        if timing:
+            clock = self._tel.clock
+            t0 = clock()
+        flat = self.flat
+        ep, cs = flat.edge_parent, self._child
+        loads, fwd = self._loads, self._fwd
+        d, n = loads.shape
+        track = self._adaptive
+        lec = loads[:, cs]
+        fec = fwd[:, cs]
+        # mode="clip" only skips take's bounds-check buffering of ``out``;
+        # parent pointers are valid indices by construction.
+        t = np.take(loads, ep, axis=1, out=self._t, mode="clip")
+        if transfer is None:
+            policy.clip_edge_transfers(t, lec, fec, self._alpha, self._lo, self._hi)
+        else:
+            t = transfer(t, lec, fec, None)
+        if timing:
+            t1 = clock()
+
+        # delta = child store - parent bincount, then loads + delta.
+        d1 = self._d1
+        d1[:, flat.root] = 0.0
+        d1[:, cs] = t
+        d2 = np.bincount(self._iep, weights=t.ravel(), minlength=d * n)
+        np.subtract(d1, d2.reshape(d, n), out=d1)
+        new = np.add(loads, d1, out=self._l2)
+        if timing:
+            t2 = clock()
+
+        row_min = new.min(axis=1)
+        rows = None
+        if row_min.min() < 0.0:
+            # A load clamped at zero breaks the incremental A bookkeeping
+            # (only reachable with unsafe alphas): those rows are
+            # recomputed from scratch below.
+            rows = np.flatnonzero(row_min < 0.0)
+            new[rows] = np.maximum(new[rows], 0.0)
+        moved = new != loads if fixed_point or track else None
+        # ping-pong: the old loads buffer becomes next round's scratch
+        self._loads, self._l2 = new, loads
+        if fixed_point and rows is None and not moved.any():
+            # Globally load-static round: the true forwarded rates are a
+            # function of (E, L) and L did not change, so the incremental
+            # A decrement would be pure bookkeeping drift (sub-ulp
+            # transfers shuffling A while every load stays pinned).  Skip
+            # it: the stack is at its floating-point fixed point - once
+            # static, every remaining transfer is sub-ulp and can only
+            # shrink, so loads never move again on either path.
+            if track:
+                self._active = _NO_EDGES
+        else:
+            # A transfer on edge (p, c) only moves load across the subtree
+            # boundary of c: A_c falls by the net downward transfer.
+            fwd[:, cs] -= t
+            if rows is not None:
+                fwd[rows] = forwarded_rates(flat, self._e[rows], new[rows])
+            if track:
+                if rows is not None and rows.size == d:
+                    self._active = None  # A rebuilt wholesale: re-scan everything
+                else:
+                    # A pair may leave the frontier only once its transfer
+                    # is exactly zero (a zero contributes nothing to any
+                    # partial sum) and its inputs stopped changing: keep
+                    # nonzero transfers, (re)activate every edge incident
+                    # to a node whose load changed bitwise, and whole rows
+                    # whose caps were rebuilt.  Mask arithmetic, not
+                    # sorting: flatnonzero of the (D, m) mask is the
+                    # sorted flat index array the sparse pass needs.
+                    edge_mask = t != 0.0
+                    np.logical_or(edge_mask, np.take(moved, ep, axis=1), out=edge_mask)
+                    np.logical_or(edge_mask, moved[:, cs], out=edge_mask)
+                    if rows is not None:
+                        edge_mask[rows] = True
+                    self._active = np.flatnonzero(edge_mask)
+        self._round += 1
+        self._dense_rounds += 1
+        self._op_count += d * int(ep.shape[0])
+        if timing:
+            self._phase_sample(t0, t1, t2)
+
+    def _round_sparse(self, act: np.ndarray, transfer) -> None:
+        """One round over the active ``(doc, edge)`` pairs only.
+
+        Mirrors :meth:`_round_dense` element for element on the active
+        slice; omitted pairs carry an exactly-zero transfer by the frontier
+        invariant, and IEEE addition of ``+0.0`` leaves every partial sum
+        unchanged, so every load and forwarded rate comes out bit-identical
+        to the dense round.
+        """
+        self._round += 1
+        self._sparse_rounds += 1
+        self._op_count += int(act.size)
+        if act.size == 0:  # floating-point fixed point: nothing can move
+            return
+        timing = self._tel_phases is not None and self._tel_phases.hit()
+        t0 = t1 = t2 = 0.0
+        if timing:
+            clock = self._tel.clock
+            t0 = clock()
+        flat = self.flat
+        d, n = self._loads.shape
+        m = n - 1
+        if d == 1:  # flat ids are the edge / node ids: no index arithmetic
+            ev = act
+            pflat = flat.edge_parent[ev]
+            cflat = flat.edge_child[ev]
+        else:
+            dv = act // m
+            ev = act - dv * m
+            dv *= n
+            pflat = dv + flat.edge_parent[ev]
+            cflat = dv + flat.edge_child[ev]
+        lr = self._loads.reshape(-1)
+        fr = self._fwd.reshape(-1)
+        t = lr[pflat]
+        lc = lr[cflat]
+        fc = fr[cflat]
+        if transfer is None:
+            k = act.size
+            policy.clip_edge_transfers(
+                t,
+                lc,
+                fc,
+                self._alpha[ev],
+                self._lo.reshape(-1)[:k],
+                self._hi.reshape(-1)[:k],
+            )
+        else:
+            t = transfer(t, lc, fc, ev)
+        if timing:
+            t1 = clock()
+
+        # delta over the touched nodes, in dense association order:
+        # (child store) - (parent bincount), then loads + delta.
+        touched = sorted_unique(np.concatenate([pflat, cflat]))
+        delta = np.zeros(touched.size, dtype=np.float64)
+        delta[np.searchsorted(touched, cflat)] = t
+        delta -= np.bincount(
+            np.searchsorted(touched, pflat), weights=t, minlength=touched.size
+        )
+        old = lr[touched]
+        new = old + delta
+        if timing:
+            t2 = clock()
+        lr[touched] = new
+        moved = touched[new != old]
+        if moved.size == 0:
+            # Globally load-static round (so nothing went negative
+            # either): skip the A update (see _round_dense) - the
+            # floating-point fixed point.
+            self._active = _NO_EDGES
+        else:
+            fr[cflat] = fc - t
+            rebuilt = None
+            neg = new < 0.0
+            if neg.any():
+                # Clamp at zero (unsafe alphas only) and rebuild those
+                # rows' A from scratch, exactly as the dense round does.
+                rebuilt = np.unique(touched[neg] // n)
+                self._loads[rebuilt] = np.maximum(self._loads[rebuilt], 0.0)
+                self._fwd[rebuilt] = forwarded_rates(
+                    flat, self._e[rebuilt], self._loads[rebuilt]
+                )
+            if rebuilt is not None and rebuilt.size == d:
+                self._active = None
+            else:
+                parts = [
+                    incident_edges_of(flat, moved)
+                    if d == 1
+                    else batch_incident_edges(flat, moved),
+                    act[t != 0.0],
+                ]
+                if rebuilt is not None:
+                    parts.append(
+                        (
+                            rebuilt[:, None] * m + np.arange(m, dtype=np.intp)[None, :]
+                        ).ravel()
+                    )
+                self._active = sorted_unique(np.concatenate(parts))
+        if timing:
+            self._phase_sample(t0, t1, t2)
+
+    def _restore(self, state: Mapping[str, object], ops_key: str) -> None:
+        """Load the round's own fields from an engine ``state()`` dict.
+
+        ``reshape(-1, n)`` accepts both the 1-D lists a single-document
+        engine writes and ``(D, n)`` lists, and keeps the ``(0, n)`` case
+        valid (``tolist`` of an empty stack drops the column count).
+        """
+        n = self.flat.n
+        self._e = np.asarray(state["spontaneous"], dtype=np.float64).reshape(-1, n)
+        self._loads = np.asarray(state["loads"], dtype=np.float64).reshape(-1, n)
+        self._fwd = np.asarray(state["fwd"], dtype=np.float64).reshape(-1, n)
+        self._alpha = np.asarray(state["edge_alpha"], dtype=np.float64)
+        self._round = int(state["round"])
+        self._adaptive = bool(state["adaptive"])
+        self._density = float(state["density_threshold"])
+        active = state.get("active")
+        self._active = None if active is None else np.asarray(active, dtype=np.intp)
+        self._op_count = int(state[ops_key])
+        self._dense_rounds = int(state["dense_rounds"])
+        self._sparse_rounds = int(state["sparse_rounds"])
+        self._alloc_scratch()
 
 
 # ----------------------------------------------------------------------
 # Synchronous engine (single tree): WebWave + weighted variant
 # ----------------------------------------------------------------------
-class SyncEngine:
+class SyncEngine(DiffusionStack):
     """Synchronous rounds of the Figure 5 update on one flattened tree.
+
+    The engine is a :class:`DiffusionStack` with ``D = 1`` (vectors in
+    and out, one row inside) plus the single-document policies; every
+    configuration runs the stack's one dense and one sparse round, and
+    only the per-edge transfer rule varies.
 
     Policies
     --------
@@ -368,34 +801,26 @@ class SyncEngine:
         Telemetry only *reads* engine state, so instrumented runs stay
         bit-identical to disabled ones.
 
+    The default configuration (no capacities, no delay, no quantum) uses
+    the stack's in-place clip rule; the three variants plug
+    :func:`repro.core.policy.capacity_edge_transfers` /
+    :func:`repro.core.policy.sync_edge_transfers` into the same round
+    (:meth:`_variant_transfers`).
+
     The engine owns mutable state (loads, the gossip ring, the incremental
     forwarded vector); facades expose it read-only.
     """
 
     __slots__ = (
-        "flat",
-        "_e",
-        "_loads",
-        "_alpha",
         "_caps",
         "_delay",
         "_quantum",
         "_history",
-        "_fwd",
-        "_round",
-        "_adaptive",
-        "_density",
-        "_active",
-        "_dense_rounds",
-        "_sparse_rounds",
-        "_edges_processed",
         "_served_cache",
-        "_tel",
         "_tel_dense",
         "_tel_sparse",
         "_tel_fallback",
         "_tel_frontier",
-        "_tel_phases",
     )
 
     def __init__(
@@ -410,10 +835,6 @@ class SyncEngine:
         **legacy,
     ) -> None:
         cfg = config_from_kwargs(EngineConfig, config, legacy, owner="SyncEngine")
-        self.flat = flat
-        self._e = _as_vector(spontaneous, flat.n, "spontaneous rates")
-        self._loads = _as_vector(initial_served, flat.n, "served rates")
-        self._alpha = np.asarray(edge_alpha, dtype=np.float64)
         self._caps = (
             None
             if cfg.capacities is None
@@ -421,65 +842,59 @@ class SyncEngine:
         )
         self._delay = cfg.gossip_delay
         self._quantum = float(cfg.quantum)
-        self._history: List[np.ndarray] = [self._loads.copy()]
-        self._fwd = forwarded_rates(flat, self._e, self._loads)
-        self._round = 0
-        self._adaptive = bool(cfg.adaptive) and self._delay == 0
-        self._density = float(cfg.density_threshold)
-        # None = every edge is (potentially) active; the first tracked
-        # dense round establishes the invariant and shrinks it.
-        self._active: Optional[np.ndarray] = None
-        self._dense_rounds = 0
-        self._sparse_rounds = 0
-        self._edges_processed = 0
+        super().__init__(
+            flat,
+            _as_vector(spontaneous, flat.n, "spontaneous rates")[None, :],
+            _as_vector(initial_served, flat.n, "served rates")[None, :],
+            edge_alpha,
+            adaptive=bool(cfg.adaptive) and self._delay == 0,
+            density_threshold=cfg.density_threshold,
+            telemetry=telemetry,
+        )
+        self._history: List[np.ndarray] = [self.loads.copy()]
         self._served_cache: Optional[Tuple[int, Tuple[float, ...]]] = None
         # Telemetry seam: instruments are resolved once so the per-round
         # cost when enabled is direct attribute adds; when disabled the
         # only cost anywhere is the ``tel.enabled`` check itself.
-        self._tel = tel = _resolve_telemetry(telemetry)
+        tel = self._tel
         if tel.enabled:
+            self._tel_phases = tel.sampler("kernel.round_phases")
             self._tel_dense = tel.counter("kernel.dense_rounds")
             self._tel_sparse = tel.counter("kernel.sparse_rounds")
             self._tel_fallback = tel.counter("kernel.dense_fallbacks")
             self._tel_frontier = tel.gauge("kernel.frontier_size")
-            self._tel_phases = tel.sampler("kernel.round_phases")
         else:
             self._tel_dense = None
             self._tel_sparse = None
             self._tel_fallback = None
             self._tel_frontier = None
-            self._tel_phases = None
 
     # -- read-only views -------------------------------------------------
     @property
-    def round(self) -> int:
-        return self._round
-
-    @property
     def loads(self) -> np.ndarray:
-        """Current served-load vector (a live view; do not mutate)."""
-        return self._loads
+        """Current served-load vector, as a read-only view.
+
+        Valid until the next :meth:`step`: sparse rounds update it in
+        place and dense rounds swap the underlying buffer (ping-pong), so
+        re-read the property after stepping; ``.copy()`` to keep a snapshot.
+        """
+        view = self._loads[0]
+        view.flags.writeable = False
+        return view
 
     @property
     def spontaneous(self) -> np.ndarray:
-        return self._e
+        return self._e[0]
 
     @property
-    def adaptive(self) -> bool:
-        """Whether the active-set (sparse) stepping path is enabled."""
-        return self._adaptive
-
-    @property
-    def frontier_size(self) -> int:
-        """Edges in the active frontier (all edges before the first round)."""
-        if self._active is None:
-            return int(self.flat.edge_child.shape[0])
-        return int(self._active.size)
+    def forwarded(self) -> np.ndarray:
+        """The incrementally maintained forwarded rates ``A`` (do not mutate)."""
+        return self._fwd[0]
 
     @property
     def converged(self) -> bool:
         """True when the frontier is empty: another round is a bitwise no-op."""
-        return self._active is not None and self._active.size == 0
+        return self.quiescent
 
     @property
     def step_stats(self) -> Dict[str, int]:
@@ -487,49 +902,49 @@ class SyncEngine:
         return {
             "dense_rounds": self._dense_rounds,
             "sparse_rounds": self._sparse_rounds,
-            "edges_processed": self._edges_processed,
+            "edges_processed": self._op_count,
         }
 
     def frontier_nodes(self) -> np.ndarray:
         """Distinct nodes incident to the active frontier, ascending."""
-        if self._active is None:
+        active = self._active
+        if active is None:
             return np.arange(self.flat.n, dtype=np.intp)
         flat = self.flat
         return np.unique(
-            np.concatenate(
-                [flat.edge_parent[self._active], flat.edge_child[self._active]]
-            )
+            np.concatenate([flat.edge_parent[active], flat.edge_child[active]])
         )
 
     def served_tuple(self) -> Tuple[float, ...]:
         cached = self._served_cache
-        if cached is not None and cached[0] == self._round:
+        if cached is not None and cached[0] == self.round:
             return cached[1]
-        served = tuple(self._loads.tolist())
-        self._served_cache = (self._round, served)
+        served = tuple(self.loads.tolist())
+        self._served_cache = (self.round, served)
         return served
 
     def distance_to(self, target: np.ndarray) -> float:
         """Euclidean distance of the current loads to ``target``."""
-        return float(np.linalg.norm(self._loads - target))
+        return float(np.linalg.norm(self.loads - target))
 
     # -- state management --------------------------------------------------
     def reset_state(
         self, spontaneous: Sequence[float], served: Sequence[float]
     ) -> None:
         """Swap in new rates/loads (a dynamics change point): history resets."""
-        self._e = _as_vector(spontaneous, self.flat.n, "spontaneous rates")
-        self._loads = _as_vector(served, self.flat.n, "served rates")
-        self._history = [self._loads.copy()]
-        self._fwd = forwarded_rates(self.flat, self._e, self._loads)
-        self._active = None
+        n = self.flat.n
+        self._reset(
+            _as_vector(spontaneous, n, "spontaneous rates")[None, :],
+            _as_vector(served, n, "served rates")[None, :],
+        )
+        self._history = [self.loads.copy()]
         self._served_cache = None
 
     def resettle(self, rates: Sequence[float]) -> None:
         """Apply a new spontaneous-rate vector, clamping carried-over loads."""
         rates_arr = _as_vector(rates, self.flat.n, "spontaneous rates")
         self.reset_state(
-            rates_arr, resettle_served(self.flat, rates_arr, self._loads)
+            rates_arr, resettle_served(self.flat, rates_arr, self.loads)
         )
 
     # -- the round ---------------------------------------------------------
@@ -541,223 +956,68 @@ class SyncEngine:
         ``density_threshold`` of the edges, the dense path otherwise (and
         always when adaptive stepping is off).
         """
-        tel = self._tel
-        if self._adaptive:
-            active = self._active
-            if (
-                active is not None
-                and active.size <= self._density * self.flat.edge_child.shape[0]
-            ):
-                self._step_sparse(active)
-                if tel.enabled:
-                    self._tel_sparse.add(1)
-                    self._tel_frontier.set(self.frontier_size)
-                return
-            if tel.enabled and active is not None:
-                # Adaptive stepping wanted a sparse round but the frontier
-                # was too dense to pay for itself.
-                self._tel_fallback.add(1)
-        self._step_dense(track=self._adaptive)
-        if tel.enabled:
-            self._tel_dense.add(1)
+        delay = self._delay
+        uniform = self._caps is None and delay == 0 and self._quantum <= 0.0
+        ran, _ = self.advance(None if uniform else self._variant_transfers, delay == 0)
+        if delay > 0:
+            self._history.insert(0, self.loads.copy())
+            del self._history[delay + 1 :]
+        if self._tel.enabled:
+            if ran == "sparse":
+                self._tel_sparse.add(1)
+            else:
+                if ran == "fallback":
+                    # Adaptive stepping wanted a sparse round but the
+                    # frontier was too dense to pay for itself.
+                    self._tel_fallback.add(1)
+                self._tel_dense.add(1)
             self._tel_frontier.set(self.frontier_size)
 
-    def _phase_sample(self, t0: float, t1: float, t2: float) -> None:
-        """Record one sampled round's gather/apply/scatter wall times."""
-        tel = self._tel
-        t3 = tel.clock()
-        tel.phase_add("kernel.round/gather", t1 - t0)
-        tel.phase_add("kernel.round/apply", t2 - t1)
-        tel.phase_add("kernel.round/scatter", t3 - t2)
+    def _variant_transfers(
+        self,
+        lp: np.ndarray,
+        lc: np.ndarray,
+        fc: np.ndarray,
+        edges: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """The capacity / quantized / stale-view rules, for the stack's round.
 
-    def _step_dense(self, track: bool) -> None:
-        """The full-width round; with ``track`` it also re-derives the frontier."""
-        tel = self._tel
-        timing = tel.enabled and self._tel_phases.hit()
-        t0 = t1 = t2 = 0.0
-        if timing:
-            t0 = tel.clock()
-        flat = self.flat
-        ep, ec = flat.edge_parent, flat.edge_child
-        loads = self._loads
-        alpha = self._alpha
-        fwd = self._fwd
-
-        if self._caps is None:
-            view = (
-                loads
-                if self._delay == 0
-                else self._history[min(self._delay, len(self._history) - 1)]
-            )
-            transfer = policy.sync_edge_transfers(
-                loads[ep],
-                loads[ec],
-                view[ep],
-                view[ec],
-                fwd[ec],
-                alpha,
-                quantum=self._quantum,
-            )
-        else:
-            caps = self._caps
-            util = loads / caps
-            transfer = policy.capacity_edge_transfers(
-                loads[ep],
-                loads[ec],
-                util[ep],
-                util[ec],
-                np.minimum(caps[ep], caps[ec]),
-                fwd[ec],
-                alpha,
-            )
-
-        if timing:
-            t1 = tel.clock()
-        n = flat.n
-        delta = np.bincount(ec, weights=transfer, minlength=n) - np.bincount(
-            ep, weights=transfer, minlength=n
-        )
-        new_loads = loads + delta
-        if timing:
-            t2 = tel.clock()
-        if np.any(new_loads < 0.0):
-            # A load clamped at zero breaks the incremental A bookkeeping
-            # (only reachable with unsafe alphas); recompute from scratch.
-            np.maximum(new_loads, 0.0, out=new_loads)
-            self._loads = new_loads
-            self._fwd = forwarded_rates(flat, self._e, new_loads)
-            if track:
-                self._active = None  # fwd changed wholesale: re-scan everything
-        else:
-            self._loads = new_loads
-            moved = new_loads != loads if self._delay == 0 else None
-            if moved is not None and not moved.any():
-                # Globally load-static round: the true forwarded rates are
-                # a function of (E, L) and L did not change, so the
-                # incremental fwd decrement would be pure bookkeeping
-                # drift (sub-ulp transfers shuffling A while every load
-                # stays pinned).  Skip it: the engine is at its
-                # floating-point fixed point - once static, every
-                # remaining transfer is sub-ulp and can only shrink, so
-                # loads never move again on either path.
-                if track:
-                    self._active = np.zeros(0, dtype=np.intp)
-            else:
-                # A transfer on edge (p, c) only moves load across the
-                # subtree boundary of c: A_c falls by the net downward
-                # transfer.
-                fwd[ec] -= transfer
-                if track:
-                    # An edge may leave the frontier only once its
-                    # transfer is exactly zero (a zero contributes nothing
-                    # to any partial sum) and its inputs stopped changing:
-                    # nonzero transfers stay active, and every edge
-                    # incident to a node whose load changed bitwise is
-                    # (re)activated.  Mask arithmetic, not sorting: the
-                    # dense round is O(edges) already and flatnonzero
-                    # yields the sorted index array the sparse path needs.
-                    edge_mask = transfer != 0.0
-                    np.logical_or(edge_mask, moved[ep], out=edge_mask)
-                    np.logical_or(edge_mask, moved[ec], out=edge_mask)
-                    self._active = np.flatnonzero(edge_mask)
-
-        if self._delay > 0:
-            self._history.insert(0, new_loads.copy())
-            del self._history[self._delay + 1 :]
-        self._round += 1
-        self._dense_rounds += 1
-        self._edges_processed += int(ec.shape[0])
-        if timing:
-            self._phase_sample(t0, t1, t2)
-
-    def _step_sparse(self, idx: np.ndarray) -> None:
-        """One round over the active edges only (bit-identical to dense).
-
-        Every arithmetic step mirrors :meth:`_step_dense` element for
-        element; edges outside ``idx`` carry an exactly-zero transfer by
-        the frontier invariant, and IEEE addition of ``+0.0`` leaves every
-        partial sum unchanged, so gathering/scattering only the active
-        slice reproduces the dense round bit for bit.
+        These stay on their own policy functions because none of them is a
+        clip of one scaled gap: the capacity form does not clamp its NSS
+        cap at zero, the quantum rounds the down and up sides separately,
+        and under stale views both sides can be non-zero on one edge.
         """
-        self._round += 1
-        self._sparse_rounds += 1
-        self._edges_processed += int(idx.size)
-        if idx.size == 0:  # floating-point fixed point: nothing can move
-            return
-        tel = self._tel
-        timing = tel.enabled and self._tel_phases.hit()
-        t0 = t1 = t2 = 0.0
-        if timing:
-            t0 = tel.clock()
         flat = self.flat
-        loads = self._loads
-        fwd = self._fwd
-        ep = flat.edge_parent[idx]
-        ec = flat.edge_child[idx]
-        alpha = self._alpha[idx]
-        lp = loads[ep]
-        lc = loads[ec]
-        fc = fwd[ec]
-        if self._caps is None:
-            transfer = policy.sync_edge_transfers(
-                lp, lc, lp, lc, fc, alpha, quantum=self._quantum
-            )
-        else:
-            caps = self._caps
+        ep, ec, alpha = flat.edge_parent, flat.edge_child, self._alpha
+        if edges is not None:
+            ep, ec, alpha = ep[edges], ec[edges], alpha[edges]
+        caps = self._caps
+        if caps is not None:
             cp = caps[ep]
             cc = caps[ec]
-            transfer = policy.capacity_edge_transfers(
+            return policy.capacity_edge_transfers(
                 lp, lc, lp / cp, lc / cc, np.minimum(cp, cc), fc, alpha
             )
-
-        if timing:
-            t1 = tel.clock()
-        # delta over the touched nodes, in dense association order:
-        # (child scatter) - (parent bincount), then loads + delta.
-        touched = sorted_unique(np.concatenate([ep, ec]))
-        delta = np.zeros(touched.size, dtype=np.float64)
-        delta[np.searchsorted(touched, ec)] = transfer
-        delta -= np.bincount(
-            np.searchsorted(touched, ep), weights=transfer, minlength=touched.size
+        if self._delay == 0:
+            vp, vc = lp, lc
+        else:
+            view = self._history[min(self._delay, len(self._history) - 1)]
+            vp, vc = view[ep], view[ec]
+        return policy.sync_edge_transfers(
+            lp, lc, vp, vc, fc, alpha, quantum=self._quantum
         )
-        old = loads[touched]
-        new = old + delta
-        if timing:
-            t2 = tel.clock()
-        if np.any(new < 0.0):
-            loads[touched] = np.maximum(new, 0.0)
-            self._fwd = forwarded_rates(flat, self._e, loads)
-            self._active = None
-            if timing:
-                self._phase_sample(t0, t1, t2)
-            return
-        loads[touched] = new
-        moved = touched[new != old]
-        if moved.size == 0:
-            # Globally load-static round: skip the fwd update (see
-            # _step_dense) - the floating-point fixed point.
-            self._active = np.zeros(0, dtype=np.intp)
-            if timing:
-                self._phase_sample(t0, t1, t2)
-            return
-        fwd[ec] = fc - transfer
-        kept = idx[transfer != 0.0]
-        self._active = sorted_unique(
-            np.concatenate([incident_edges_of(flat, moved), kept])
-        )
-        if timing:
-            self._phase_sample(t0, t1, t2)
 
     # -- Steppable: snapshot / state / load_state --------------------------
     def snapshot(self) -> Dict[str, object]:
         """Cheap JSON-ready health record (the Steppable observation)."""
+        loads = self.loads
         return {
             "type": "engine_snapshot",
             "kind": "sync_engine",
-            "round": self._round,
+            "round": self.round,
             "nodes": int(self.flat.n),
-            "mass": float(self._loads.sum()),
-            "max_load": float(self._loads.max()),
+            "mass": float(loads.sum()),
+            "max_load": float(loads.max()),
             "frontier_size": self.frontier_size,
             "converged": self.converged,
         }
@@ -772,6 +1032,7 @@ class SyncEngine:
         Python floats round-trip bit-exactly through JSON (shortest-repr),
         so ``tolist()`` is lossless here.
         """
+        active = self._active
         return {
             "kind": "sync_engine",
             "parent_map": [int(p) for p in self.flat.tree.parent_map],
@@ -779,19 +1040,17 @@ class SyncEngine:
             "capacities": None if self._caps is None else self._caps.tolist(),
             "gossip_delay": self._delay,
             "quantum": self._quantum,
-            "adaptive": bool(self._adaptive),
+            "adaptive": self._adaptive,
             "density_threshold": self._density,
             "round": self._round,
-            "spontaneous": self._e.tolist(),
-            "loads": self._loads.tolist(),
-            "fwd": self._fwd.tolist(),
+            "spontaneous": self.spontaneous.tolist(),
+            "loads": self.loads.tolist(),
+            "fwd": self.forwarded.tolist(),
             "history": [h.tolist() for h in self._history],
-            "active": (
-                None if self._active is None else [int(i) for i in self._active]
-            ),
+            "active": None if active is None else [int(i) for i in active],
             "dense_rounds": self._dense_rounds,
             "sparse_rounds": self._sparse_rounds,
-            "edges_processed": self._edges_processed,
+            "edges_processed": self._op_count,
         }
 
     def load_state(self, state: Mapping[str, object]) -> None:
@@ -801,23 +1060,12 @@ class SyncEngine:
             raise ValueError(
                 "sync_engine state was captured on a different tree"
             )
-        self._e = np.asarray(state["spontaneous"], dtype=np.float64)
-        self._loads = np.asarray(state["loads"], dtype=np.float64)
-        self._alpha = np.asarray(state["edge_alpha"], dtype=np.float64)
+        self._restore(state, "edges_processed")
         caps = state.get("capacities")
         self._caps = None if caps is None else np.asarray(caps, dtype=np.float64)
         self._delay = int(state["gossip_delay"])
         self._quantum = float(state["quantum"])
         self._history = [np.asarray(h, dtype=np.float64) for h in state["history"]]
-        self._fwd = np.asarray(state["fwd"], dtype=np.float64)
-        self._round = int(state["round"])
-        self._adaptive = bool(state["adaptive"])
-        self._density = float(state["density_threshold"])
-        active = state.get("active")
-        self._active = None if active is None else np.asarray(active, dtype=np.intp)
-        self._dense_rounds = int(state["dense_rounds"])
-        self._sparse_rounds = int(state["sparse_rounds"])
-        self._edges_processed = int(state["edges_processed"])
         self._served_cache = None
 
     @classmethod

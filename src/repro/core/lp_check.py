@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .tree import RoutingTree
 
@@ -115,6 +114,10 @@ def min_max_load_after_removing(
     a_eq = np.ones((1, k + 1))
     a_eq[0, -1] = 0.0
     b_eq = np.array([sum(e) - sum(fixed.values())])
+
+    # Imported here, not at module load: only this check needs SciPy, and
+    # ``import repro`` (hence every serve/ctl child) must not pay for it.
+    from scipy.optimize import linprog
 
     result = linprog(
         c,

@@ -12,14 +12,22 @@ packet-level protocol (:mod:`repro.protocols.webwave`).
 This module is now the only owner of the arithmetic.  It exposes the update
 in the shapes its consumers need - all algebraically the same rule:
 
-* :func:`sync_edge_transfers` - the synchronous per-edge array form
-  (``down - up`` decomposition) used by :class:`~repro.core.kernel.SyncEngine`;
 * :func:`clip_edge_transfers` - the clip form
-  ``clip(alpha * (L_p - L_c), -L_c, max(A_c, 0))`` used by the batched
-  cluster engine, floating-point-identical to the ``down - up`` form because
-  exactly one side is non-zero;
+  ``clip(alpha * (L_p - L_c), -L_c, max(A_c, 0))``, evaluated in place on
+  scratch buffers: the default transfer rule of the one array round
+  (:class:`~repro.core.kernel.DiffusionStack`), i.e. of every uniform,
+  live-view, continuous :class:`~repro.core.kernel.SyncEngine` and of the
+  batched cluster engine;
+* :func:`sync_edge_transfers` - the two-sided ``down - up`` form.  With live
+  views and no quantum it is floating-point-identical to the clip form
+  (exactly one side is non-zero); it stays as its own function because
+  under *stale* views both sides can be non-zero at once and because the
+  quantum rounds each side separately.  ``SyncEngine`` plugs it into the
+  same round for ``gossip_delay > 0`` / ``quantum > 0``;
 * :func:`capacity_edge_transfers` - the utilization-signal variant for
-  heterogeneous capacities (transfer scaled by the smaller endpoint);
+  heterogeneous capacities (transfer scaled by the smaller endpoint; not a
+  clip form because its NSS cap is not clamped at zero), plugged into the
+  same round for ``capacities``;
 * :func:`signed_gap_transfers` - the epsilon-gated ``np.where`` form the
   forest engine applies per overlay tree against *total* loads;
 * :func:`push_down_amount` / :func:`shed_up_amount` - the scalar
@@ -125,24 +133,28 @@ def sync_edge_transfers(
 
 
 def clip_edge_transfers(
-    gap_scaled: np.ndarray,
+    loads_parent: np.ndarray,
     loads_child: np.ndarray,
     fwd_child: np.ndarray,
+    alpha: np.ndarray,
     lo_scratch: np.ndarray,
     hi_scratch: np.ndarray,
 ) -> np.ndarray:
     """The clip form: ``clip(alpha * (L_p - L_c), -L_c, max(A_c, 0))``.
 
-    ``gap_scaled`` must already hold ``alpha * (L_p - L_c)`` and is clipped
-    in place (the batched engine precomputes it into a scratch buffer).
-    Floating-point-identical to :func:`sync_edge_transfers` with live views
-    because exactly one of the two sides is ever non-zero, and negation and
+    Evaluated in place: ``loads_parent`` is overwritten with the transfers
+    and returned, the two scratch arrays (same shape) hold the bounds, so
+    a round allocates nothing here.  Floating-point-identical to
+    :func:`sync_edge_transfers` with live views and no quantum because
+    exactly one of the two sides is ever non-zero, and negation and
     multiplication by ``alpha`` are sign-symmetric in IEEE arithmetic.
     """
+    t = loads_parent
+    np.subtract(t, loads_child, out=t)
+    np.multiply(t, alpha, out=t)
     np.negative(loads_child, out=lo_scratch)
     np.maximum(fwd_child, 0.0, out=hi_scratch)
-    np.clip(gap_scaled, lo_scratch, hi_scratch, out=gap_scaled)
-    return gap_scaled
+    return np.clip(t, lo_scratch, hi_scratch, out=t)
 
 
 def capacity_edge_transfers(

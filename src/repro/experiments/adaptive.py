@@ -24,7 +24,7 @@ measures both wins, with bit-exactness asserted inside every row:
 
 Rows land in ``benchmarks/BENCH_adaptive.json`` (schema
 ``bench-adaptive/v1``) via ``benchmarks/test_bench_adaptive.py``; the
-acceptance gates (>= 5x rate-plane convergence wall clock at n = 10^5,
+acceptance gates (the sparse round's cost per active edge at n = 10^5,
 >= 10x steady-state cluster tick throughput) live in the bench test.
 """
 

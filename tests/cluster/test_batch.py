@@ -28,6 +28,7 @@ from repro.core.kernel import (
     resettle_served,
     subtree_accumulate,
 )
+from repro.obs import Telemetry
 from repro.core.tree import chain_tree, kary_tree, random_tree, star_tree
 
 TOL = 1e-12
@@ -178,6 +179,25 @@ class TestBatchParity:
         batch.step()
         assert batch.round == 1
         assert batch.loads.tolist() == [[5.0], [2.0]]
+        # no edges: nothing is evaluated or counted, and the cohort freezes
+        assert batch.step_stats == {"dense_rounds": 0, "sparse_rounds": 0, "ops": 0}
+        assert batch.quiescent
+
+    def test_rounds_do_not_feed_the_kernel_phase_sampler(self):
+        """``kernel.round/*`` describes single-document kernel rounds only."""
+        tree = kary_tree(2, 3)
+        tel = Telemetry(sample_interval=1)
+        rates, _ = _catalog(tree, 2, 41)
+        batch = BatchEngine(flatten(tree), rates, telemetry=tel)
+        batch.run(3)
+        snap = tel.snapshot()
+        counted = {
+            key: snap["counters"][f"cluster.batch.{key}"]
+            for key in ("dense_rounds", "sparse_rounds", "ops")
+        }
+        assert counted == batch.step_stats
+        assert counted["dense_rounds"] + counted["sparse_rounds"] == 3
+        assert not any(name.startswith("kernel.") for name in snap["phases"])
 
 
 class TestDocumentLifecycle:
@@ -231,3 +251,27 @@ class TestDocumentLifecycle:
         batch = BatchEngine(flat, [[1.0] * tree.n] * 2)
         with pytest.raises(ValueError, match="document count"):
             batch.resettle([[1.0] * tree.n])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_value_validation(self, bad):
+        """Non-finite / negative entries are refused wherever rows enter."""
+        tree = kary_tree(2, 2)
+        flat = flatten(tree)
+        good = [1.0] * tree.n
+        poisoned = list(good)
+        poisoned[4] = bad
+        with pytest.raises(ValueError, match="spontaneous rates must be finite"):
+            BatchEngine(flat, [good, poisoned])
+        with pytest.raises(ValueError, match="served rates must be finite"):
+            BatchEngine(flat, [good], [poisoned])
+        batch = BatchEngine(flat, [good, good])
+        batch.run(2)
+        before = batch.loads.tobytes()
+        with pytest.raises(ValueError, match="spontaneous rates must be finite"):
+            batch.add_documents([poisoned])
+        with pytest.raises(ValueError, match="spontaneous rates must be finite"):
+            batch.resettle([good, poisoned])
+        with pytest.raises(ValueError, match="spontaneous rates must be finite"):
+            batch.resettle_rows([1], [poisoned])
+        assert batch.docs == 2 and batch.loads.tobytes() == before
+

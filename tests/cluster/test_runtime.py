@@ -173,6 +173,31 @@ class TestLifecycle:
             runtime.publish("b", 1, [1.0] * tree.n)
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_bad_rates_rejected_at_every_entry(self, tree, bad):
+        """ROADMAP 4c: NaN/inf/negative rates are a named ClusterError,
+        never a poisoned array (``NaN < 0`` is false, so a plain
+        negativity check lets NaN through)."""
+        runtime = ClusterRuntime({0: tree})
+        good = _leaf_rates(tree, [(15, 4.0), (16, 2.0)])
+        poisoned = list(good)
+        poisoned[15] = bad
+        runtime.publish("a", 0, good)
+        runtime.run(3)
+        before = runtime.document_loads("a").tobytes()
+        with pytest.raises(ClusterError, match="rates must be finite"):
+            runtime.publish("b", 0, poisoned)
+        with pytest.raises(ClusterError, match="served rates must be finite"):
+            runtime.publish("b", 0, good, served=poisoned)
+        with pytest.raises(ClusterError, match="rates must be finite"):
+            runtime.set_rates("a", poisoned)
+        with pytest.raises(ClusterError, match="scale factor must be finite"):
+            runtime.scale_rates(bad)
+        assert runtime.documents == 1
+        assert runtime.document_loads("a").tobytes() == before
+        assert np.isfinite(runtime.total_mass())
+
+
 class TestTrajectoryFidelity:
     def test_runtime_matches_per_document_engines(self, tree):
         """Full-stack parity: pruned cohorts vs plain SyncEngines, 1e-12."""

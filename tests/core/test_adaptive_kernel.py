@@ -240,7 +240,7 @@ class TestFrontierInvariants:
         for _ in range(5):
             engine.step()
         nodes = set(engine.frontier_nodes().tolist())
-        active = engine._active
+        active = engine.frontier
         for e in active.tolist():
             assert int(flat.edge_parent[e]) in nodes
             assert int(flat.edge_child[e]) in nodes

@@ -222,7 +222,7 @@ class TestKernelInvariants:
         for _ in range(200):
             engine.step()
         fresh = forwarded_rates(flat, engine.spontaneous, engine.loads)
-        assert engine._fwd.tolist() == pytest.approx(fresh.tolist(), abs=1e-8)
+        assert engine.forwarded.tolist() == pytest.approx(fresh.tolist(), abs=1e-8)
 
     def test_rate_swap_keeps_invariants(self):
         """A dynamics change point resettles loads and keeps NSS intact."""
@@ -241,3 +241,77 @@ class TestKernelInvariants:
             fwd = forwarded_rates(flat, engine.spontaneous, engine.loads)
             assert float(fwd.min()) >= -1e-7
             assert float(engine.loads.min()) >= -1e-9
+
+    def test_loads_is_a_read_only_view_of_the_current_round(self):
+        """``loads`` is valid until the next step and cannot be written."""
+        tree = kary_tree(2, 3)
+        flat = flatten(tree)
+        rates = [float(i) for i in range(tree.n)]
+        engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+        held = engine.loads
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 1.0
+        kept = held.copy()
+        engine.step()
+        assert engine.loads.tolist() != kept.tolist()
+        assert not engine.loads.flags.writeable
+        assert engine.loads.sum() == pytest.approx(kept.sum())
+
+
+BAD_VALUES = [float("nan"), float("inf"), float("-inf"), -1.0]
+
+
+class TestRateValidation:
+    """Non-finite and negative rates stop at the boundary, field named."""
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_sync_engine_rejects_bad_rates_and_loads(self, bad):
+        tree = kary_tree(2, 2)
+        flat = flatten(tree)
+        alphas = degree_edge_alphas(flat)
+        good = [1.0] * tree.n
+        poisoned = list(good)
+        poisoned[3] = bad
+        with pytest.raises(ValueError, match="spontaneous rates must be finite"):
+            SyncEngine(flat, poisoned, good, alphas)
+        with pytest.raises(ValueError, match="served rates must be finite"):
+            SyncEngine(flat, good, poisoned, alphas)
+        engine = SyncEngine(flat, good, good, alphas)
+        engine.step()
+        before = engine.loads.tobytes()
+        with pytest.raises(ValueError, match="spontaneous rates must be finite"):
+            engine.resettle(poisoned)
+        with pytest.raises(ValueError, match="served rates must be finite"):
+            engine.reset_state(good, poisoned)
+        # a refused swap leaves the engine as it was
+        assert engine.loads.tobytes() == before
+        assert engine.spontaneous.tolist() == good
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_sync_engine_rejects_non_finite_capacities(self, bad):
+        from repro.core.kernel import EngineConfig
+
+        tree = kary_tree(2, 2)
+        flat = flatten(tree)
+        caps = [1.0] * tree.n
+        caps[2] = bad
+        with pytest.raises(ValueError, match="capacities must be finite"):
+            SyncEngine(
+                flat,
+                [1.0] * tree.n,
+                [1.0] * tree.n,
+                degree_edge_alphas(flat),
+                config=EngineConfig(capacities=tuple(caps)),
+            )
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_async_engine_rejects_bad_rates(self, bad):
+        tree = kary_tree(2, 2)
+        flat = flatten(tree)
+        poisoned = [1.0] * tree.n
+        poisoned[0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            AsyncEngine(
+                flat, poisoned, [1.0] * tree.n, degree_edge_alphas(flat), random.Random(0)
+            )
+

@@ -8,12 +8,14 @@ for the rate kernel's engines (sync / async / forest), the cluster
 catalog (BatchEngine / ClusterRuntime), and the packet plane's state
 objects (MeterBank / PacketState / RngStreams) — plus the adversarial
 cases: mid-run frozen cohorts, non-empty frontiers, transplanted MT19937
-state, newer-schema and truncated files.
+state, newer-schema and truncated files - and a committed v1 fixture
+written by an older build, so the format is checked against bytes on disk.
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
 import random
 
 import numpy as np
@@ -44,6 +46,9 @@ from repro.sim.rng import RngStreams
 from tests.helpers import trees_with_rates
 
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
 def json_round_trip(state):
     """Force the state through actual JSON text, as a checkpoint would."""
     return json.loads(json.dumps(state))
@@ -66,7 +71,7 @@ def test_sync_engine_round_trip_bit_identical(tree_rates, warmup, extra):
         engine.step()
         twin.step()
     assert engine.loads.tobytes() == twin.loads.tobytes()
-    assert engine._fwd.tobytes() == twin._fwd.tobytes()
+    assert engine.forwarded.tobytes() == twin.forwarded.tobytes()
     assert engine.round == twin.round
 
 
@@ -131,7 +136,7 @@ def test_batch_engine_round_trip_bit_identical(tree_rates, warmup, extra):
         engine.step()
         twin.step()
     assert engine.loads.tobytes() == twin.loads.tobytes()
-    assert engine._fwd.tobytes() == twin._fwd.tobytes()
+    assert engine.forwarded.tobytes() == twin.forwarded.tobytes()
 
 
 def _catalog_runtime(seed: int = 0) -> ClusterRuntime:
@@ -301,6 +306,35 @@ def test_checkpoint_file_round_trip(tmp_path):
         runtime.tick()
         twin.tick()
     assert runtime.snapshot().to_record() == twin.snapshot().to_record()
+
+
+@pytest.mark.parametrize("name", ["sync_engine_v1", "sync_engine_v1_stale"])
+def test_committed_v1_sync_engine_fixture_loads_and_reserialises(tmp_path, name):
+    """Format compatibility against bytes on disk from an older build.
+
+    ``fixtures/<name>.ckpt`` was written by the commit before ``SyncEngine``
+    became the D=1 case of ``DiffusionStack`` (see
+    ``fixtures/make_sync_engine_v1.py``).  Today's build must restore it,
+    write the very same bytes back, and continue exactly as that build did.
+    """
+    fixture = FIXTURES / f"{name}.ckpt"
+    engine = restore_checkpoint(str(fixture))
+    copy = tmp_path / "again.ckpt"
+    assert write_checkpoint(engine, str(copy)) == "sync_engine"
+    assert copy.read_bytes() == fixture.read_bytes()
+
+    # load_state on an already-built engine takes the same bytes
+    twin = SyncEngine.from_state(read_checkpoint(str(fixture)))
+    twin.load_state(read_checkpoint(str(fixture)))
+    assert json.dumps(twin.state()) == json.dumps(engine.state())
+
+    future = json.loads((FIXTURES / f"{name}.future.json").read_text())
+    while engine.round < future["round"]:
+        engine.step()
+    state = engine.state()
+    for key in ("loads", "fwd", "active", "history"):
+        assert state[key] == future[key], key
+    assert engine.step_stats == future["step_stats"]
 
 
 def test_checkpoint_from_newer_schema_version_fails_clearly(tmp_path):

@@ -77,6 +77,21 @@ def test_errors_come_back_as_responses_not_raises(service):
         assert response["ok"] is False and response["error"]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_bad_numbers_are_error_responses_naming_the_field(service, bad):
+    rates = [1.0] * N
+    rates[2] = bad
+    for command, field in (
+        ({"op": "publish", "doc_id": "x", "home": 0, "rates": rates}, "rates"),
+        ({"op": "set_rates", "doc_id": "seed", "rates": rates}, "rates"),
+        ({"op": "scale", "factor": bad}, "scale factor"),
+    ):
+        response = service.execute(command)
+        assert response["ok"] is False
+        assert f"{field} must be finite" in response["error"]
+    assert service.execute({"op": "snapshot"})["snapshot"]["documents"] == 1
+
+
 def test_unknown_op_lists_known_ops(service):
     response = service.execute({"op": "frobnicate"})
     assert "known ops" in response["error"]

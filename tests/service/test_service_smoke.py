@@ -126,3 +126,43 @@ def test_serve_stdio_pipeline(tmp_path, env):
     responses = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [r["ok"] for r in responses] == [True] * 4
     assert responses[2]["snapshot"]["tick"] == 3
+
+
+_COLD_START_PROBE = r"""
+import io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import repro.experiments.runner as runner
+after_import = scipy_modules()
+sys.stdin = io.StringIO('{"op":"ping"}\n{"op":"shutdown"}\n')
+replies = sys.stdout = io.StringIO()
+code = runner.main(["serve", "--tree", "kary:2,2"])
+sys.stdout = sys.__stdout__
+print(json.dumps({
+    "exit": code,
+    "replies": [json.loads(line) for line in replies.getvalue().splitlines()],
+    "after_import": after_import,
+    "after_ping": scipy_modules(),
+}))
+"""
+
+
+def test_cold_start_does_not_import_scipy(env):
+    """``import repro`` and a ``serve`` answering ``ping`` stay SciPy-free.
+
+    SciPy is ~0.4 s of a 0.7 s cold start and tens of MB of RSS; only the
+    gamma fit and the LP check use it, so they import it on first call.
+    Every ``serve``/``ctl`` child pays whatever module load pulls in.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START_PROBE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["exit"] == 0
+    assert report["replies"][0] == {"ok": True, "pong": True}
+    assert report["after_import"] == []
+    assert report["after_ping"] == []
