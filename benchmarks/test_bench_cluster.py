@@ -1,14 +1,7 @@
-"""Cluster-plane benchmarks: catalog throughput and scenario health.
+"""Cluster-plane scenario check: one flash crowd run end to end.
 
-Tracks the library's own scaling story rather than a paper artifact: the
-``cluster-scalability`` experiment (batched catalog ticks vs one
-:class:`~repro.core.kernel.SyncEngine` per document, including the
-acceptance configuration of 1000 documents on a 1023-server tree) and one
-flash-crowd scenario run end to end.
-
-Rows are recorded in ``benchmarks/BENCH_cluster.json`` (schema
-``bench-cluster/v1``) so the catalog plane's doc-rounds/sec trajectory
-survives across PRs, next to the kernel's ``BENCH_kernels.json``.
+Catalog throughput is measured by ``benchmarks/e2e`` (``service_churn``);
+this keeps the scenario's health assertions and its report.
 """
 
 from __future__ import annotations
@@ -16,26 +9,9 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.cluster import flash_crowd_scenario, run_scenario
-from repro.experiments.cluster_scalability import run_cluster_scalability
 
 
-def test_bench_cluster_scalability(benchmark, save_report, cluster_record):
-    """Batched catalog ticks vs the per-document loop, recorded to JSON."""
-    result = run_once(benchmark, run_cluster_scalability)
-    save_report("cluster_scalability", result.report())
-    for name, payload in result.as_json().items():
-        cluster_record(f"cluster_scalability_{name}", payload)
-    acceptance = result.rows[-1]
-    assert acceptance.documents == 1000 and acceptance.nodes == 1023
-    # The batched plane must stay well ahead of the per-document loop
-    # (measured ~23x here; the floor guards against regressions without
-    # flaking on noisy CI machines).
-    assert acceptance.speedup >= 8.0
-    # Batched and per-document trajectories must agree.
-    assert all(r.parity_max_abs_err < 1e-12 for r in result.rows)
-
-
-def test_bench_cluster_flash_crowd(benchmark, save_report, cluster_record):
+def test_bench_cluster_flash_crowd(benchmark, save_report):
     """One flash-crowd scenario end to end, with TLB tracking on."""
     scenario = flash_crowd_scenario(ticks=120, start=10, end=50)
 
@@ -48,16 +24,6 @@ def test_bench_cluster_flash_crowd(benchmark, save_report, cluster_record):
         metrics.report(f"Flash crowd ({scenario.description})"),
     )
     final = metrics.final
-    cluster_record(
-        "flash_crowd_smoke",
-        {
-            "documents": final.documents,
-            "ticks": scenario.ticks,
-            "peak_utilization": metrics.peak_utilization,
-            "final_tlb_gap": final.tlb_gap,
-            "final_converged_fraction": final.converged_fraction,
-        },
-    )
     # mass conservation across the spike-and-recover schedule
     assert abs(runtime.total_mass() - runtime.total_rate()) < 1e-6
     # after the crowd dissolves the catalog diffuses back toward its

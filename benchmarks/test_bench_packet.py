@@ -1,17 +1,8 @@
-"""Packet-plane benchmarks: throughput vs the frozen pre-refactor plane.
+"""Packet-plane scenario check: a cluster flash crowd at packet fidelity.
 
-Tracks the library's own scaling story for the packet-level simulator: the
-``packet-scalability`` experiment runs the same seeded WebWave scenario on
-the rebuilt array plane and on :mod:`repro.protocols.reference` (the
-original per-hop-event implementation, preserved verbatim) and records
-requests/sec, heap events, and the speedup - with *exact* metric parity
-checked inside every row.  A flash-crowd cluster scenario replayed at
-packet fidelity rounds out the record.
-
-Rows are recorded in ``benchmarks/BENCH_packet.json`` (schema
-``bench-packet/v1``, validated by the CI packet-smoke job) so the packet
-plane's trajectory survives across PRs, next to ``BENCH_kernels.json`` and
-``BENCH_cluster.json``.
+Packet throughput is measured by ``benchmarks/e2e`` (``packet_datapath`` /
+``packet_control``); this keeps the replayed scenario's assertions and its
+report.
 """
 
 from __future__ import annotations
@@ -20,30 +11,11 @@ from conftest import run_once
 
 from repro.cluster.scenarios import flash_crowd_scenario
 from repro.core.tree import kary_tree
-from repro.experiments.packet_scalability import run_packet_scalability
 from repro.protocols.cluster_packet import packet_scenario_from_cluster
 from repro.protocols.scenario import ScenarioConfig
 
 
-def test_bench_packet_scalability(benchmark, save_report, packet_record):
-    """Rebuilt plane vs the pre-refactor reference, recorded to JSON."""
-    result = run_once(benchmark, run_packet_scalability)
-    save_report("packet_scalability", result.report())
-    for name, payload in result.as_json().items():
-        packet_record(f"packet_scalability_{name}", payload)
-    # Every row must be a true same-seed reproduction of the old plane.
-    assert all(r.metrics_identical for r in result.rows)
-    # The acceptance row: at large n (>= 255 servers) the rebuilt plane
-    # sustains >= 5x the pre-refactor requests/sec (measured ~7x at
-    # n=8191; the floor leaves headroom for noisy CI machines).
-    acceptance = result.rows[-1]
-    assert acceptance.nodes >= 255
-    assert acceptance.speedup >= 5.0
-    # The structural claim behind the speedup: far fewer heap events.
-    assert acceptance.packet_events < 0.5 * acceptance.reference_events
-
-
-def test_bench_packet_flash_crowd(benchmark, save_report, packet_record):
+def test_bench_packet_flash_crowd(benchmark, save_report):
     """A cluster flash-crowd event list replayed at packet fidelity."""
     cluster = flash_crowd_scenario(
         kary_tree(2, 6),
@@ -75,18 +47,6 @@ def test_bench_packet_flash_crowd(benchmark, save_report, packet_record):
         f"events_applied={scenario.events_applied}"
     )
     save_report("packet_flash_crowd", report)
-    packet_record(
-        "packet_flash_crowd_smoke",
-        {
-            "nodes": scenario.tree.n,
-            "documents": len(scenario.workload.catalog),
-            "requests": len(scenario.requests),
-            "completed": metrics.completed,
-            "throughput": metrics.throughput,
-            "home_share": metrics.home_share,
-            "events_applied": scenario.events_applied,
-        },
-    )
     assert scenario.events_applied == len(cluster.events)
     assert metrics.completed > 0
     # the protocol spread the crowd: the home is not serving everything

@@ -24,16 +24,35 @@ import time
 
 import numpy as np
 
-from repro.core.kernel import SyncEngine, degree_edge_alphas, flatten
+from repro.core.config import EngineConfig
+from repro.core.kernel import (
+    SyncEngine,
+    degree_edge_alphas,
+    flatten,
+    subtree_accumulate,
+)
 from repro.core.tree import kary_tree, random_tree
-from repro.experiments.adaptive import skewed_demand
+
+
+def regional_demand(tree, hot_fraction: float, seed: int) -> np.ndarray:
+    """Uniform random rates over the one subtree closest to ``hot_fraction * n``
+    nodes - the shape where diffusion provably never touches the rest."""
+    flat = flatten(tree)
+    sizes = subtree_accumulate(flat, np.ones(tree.n))
+    hot = np.zeros(tree.n, dtype=bool)
+    hot[int(np.argmin(np.abs(sizes - hot_fraction * tree.n)))] = True
+    for level in reversed(flat.levels):  # shallowest first: mark descendants
+        hot[level] |= hot[flat.parent[level]]
+    rates = np.zeros(tree.n)
+    rates[hot] = np.random.default_rng(seed).uniform(0.0, 100.0, int(hot.sum()))
+    return rates
 
 
 def rate_plane() -> None:
     n = 100_000
     print(f"Building a random {n:,}-server routing tree ...")
     tree = random_tree(n, random.Random(7))
-    rates = skewed_demand(tree, hot_fraction=0.02, seed=7)
+    rates = regional_demand(tree, hot_fraction=0.02, seed=7)
     hot = int(np.count_nonzero(rates))
     flat = flatten(tree)
     alphas = degree_edge_alphas(flat)
@@ -52,7 +71,9 @@ def rate_plane() -> None:
             )
     sparse_s = time.perf_counter() - start
 
-    dense = SyncEngine(flat, rates, rates, alphas, adaptive=False)
+    dense = SyncEngine(
+        flat, rates, rates, alphas, config=EngineConfig(adaptive=False)
+    )
     start = time.perf_counter()
     for _ in range(rounds):
         dense.step()

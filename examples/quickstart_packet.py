@@ -5,8 +5,9 @@ Three stops:
 1. run the full WebWave protocol (gossip + diffusion + tunneling +
    en-route filtering) on a 255-server tree and compare the measured load
    balance against the offline TLB optimum;
-2. replay the same scenario on the frozen pre-refactor reference plane
-   and check the rebuilt simulator reproduces it *bit for bit*;
+2. replay the same scenario with the same seed and check it reproduces
+   *bit for bit* (determinism is the contract the goldens and the
+   pre-refactor oracle in ``tests/protocols/test_packet_parity.py`` pin);
 3. drive a multi-document flash crowd from a cluster-plane event list at
    packet fidelity.
 
@@ -23,7 +24,6 @@ from repro.cluster.scenarios import flash_crowd_scenario
 from repro.core.tree import kary_tree
 from repro.documents.catalog import Catalog
 from repro.protocols import (
-    ReferenceWebWaveScenario,
     ScenarioConfig,
     WebWaveScenario,
     packet_scenario_from_cluster,
@@ -62,21 +62,19 @@ def main() -> None:
     print(f"wall time: {wall:.2f}s "
           f"({len(scenario.requests) / wall:,.0f} requests/sec simulated)")
 
-    # -- 2. bit-parity with the pre-refactor plane ---------------------
-    print("\n=== Parity vs the frozen pre-refactor plane ===")
-    start = time.perf_counter()
-    reference = ReferenceWebWaveScenario(build_workload(), config)
-    ref_metrics = reference.run()
-    ref_wall = time.perf_counter() - start
+    # -- 2. same seed, same run -----------------------------------------
+    print("\n=== Same seed, replayed ===")
+    replay = WebWaveScenario(build_workload(), config)
+    replay_metrics = replay.run()
     identical = (
-        ref_metrics.response_times == metrics.response_times
-        and ref_metrics.messages == metrics.messages
-        and ref_metrics.served_by_node == metrics.served_by_node
+        replay_metrics.response_times == metrics.response_times
+        and replay_metrics.messages == metrics.messages
+        and replay_metrics.served_by_node == metrics.served_by_node
     )
     print(f"metrics bit-identical: {identical}")
-    print(f"speedup: {ref_wall / wall:.1f}x "
-          f"({reference.sim.events_executed:,} heap events -> "
-          f"{scenario.sim.events_executed:,})")
+    print(f"heap events: {scenario.sim.events_executed:,} for "
+          f"{len(scenario.requests):,} requests "
+          f"({scenario.sim.events_executed / len(scenario.requests):.1f} per request)")
 
     # -- 3. a cluster flash crowd at packet fidelity -------------------
     print("\n=== Flash crowd from a cluster event list ===")

@@ -1,6 +1,11 @@
-"""Cache substrate: stores, replacement policies, and cache servers."""
+"""Cache substrate: stores and replacement policies.
 
-from .server import CacheServer, RateMeter
+The cache *server* (serve-or-forward decision, rate meters, service queue)
+lives with the packet plane's array state:
+:class:`repro.protocols.state.CacheServerView` over
+:class:`~repro.protocols.state.MeterBank`.
+"""
+
 from .store import CacheError, CacheStore
 
-__all__ = ["CacheStore", "CacheError", "CacheServer", "RateMeter"]
+__all__ = ["CacheStore", "CacheError"]

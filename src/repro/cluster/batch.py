@@ -32,7 +32,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.config import EngineConfig, config_from_kwargs
+from ..core.config import EngineConfig
 from ..core.kernel import (
     DiffusionStack,
     FlatTree,
@@ -117,9 +117,8 @@ class BatchEngine(DiffusionStack):
         *,
         config: Optional[EngineConfig] = None,
         telemetry=None,
-        **legacy,
     ) -> None:
-        cfg = config_from_kwargs(EngineConfig, config, legacy, owner="BatchEngine")
+        cfg = config if config is not None else EngineConfig()
         # The batched engine is the uniform-capacity, zero-delay,
         # continuous-transfer configuration only; reject the per-document
         # variants up front with the offending field named.

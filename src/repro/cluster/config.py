@@ -4,15 +4,17 @@ The cluster plane's counterpart to :class:`repro.core.config.EngineConfig`:
 :class:`ClusterConfig` holds every policy knob
 :class:`~repro.cluster.runtime.ClusterRuntime` used to take as loose
 keyword arguments, validated at construction so a bad value raises
-``ValueError`` naming the offending field.  The runtime accepts
-``config=ClusterConfig(...)``; the old keywords remain as a deprecated
-shim via :func:`repro.core.config.config_from_kwargs`.
+``ValueError`` naming the offending field.  The runtime takes
+``config=ClusterConfig(...)`` or nothing (the defaults).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+from ..core.config import positive_capacities
 
 __all__ = ["ClusterConfig"]
 
@@ -56,12 +58,10 @@ class ClusterConfig:
                 raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
             object.__setattr__(self, "alpha", alpha)
         if self.capacities is not None:
-            caps = tuple(float(c) for c in self.capacities)
-            if not caps or any(c <= 0.0 for c in caps):
-                raise ValueError(
-                    f"capacities must be a non-empty positive vector, "
-                    f"got {self.capacities!r}"
-                )
-            object.__setattr__(self, "capacities", caps)
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance!r}")
+            object.__setattr__(
+                self, "capacities", positive_capacities(self.capacities)
+            )
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(
+                f"tolerance must be finite and > 0, got {self.tolerance!r}"
+            )

@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from ..core.config import EngineConfig, config_from_kwargs
+from ..core.config import EngineConfig
 from ..core.kernel import (
     FlatTree,
     check_rates,
@@ -179,31 +179,19 @@ class ClusterRuntime:
         Either a mapping ``{home: RoutingTree}`` or a callable
         ``home -> RoutingTree`` (e.g. a shortest-path-tree extractor over
         one topology).  All trees must cover the same ``n`` servers.
-    alpha:
-        ``None`` for the paper's degree-based edge coefficients, or one
-        safety-capped value for every edge.
-    capacities:
-        Optional per-server capacity vector; utilization snapshots divide
-        by it (default: unit capacities, so utilization equals load).
-    track_tlb:
-        Compute each document's TLB optimum (WebFold on its pruned tree)
-        at publish/rate-change time and report per-tick TLB gap and
-        converged fraction.  Costs one ``O(s log s)`` fold per document
-        lifecycle change, nothing per tick beyond a distance evaluation.
-    tolerance:
-        Relative distance below which a document counts as converged.
-    prune:
-        Run each cohort on its demand closure (identical trajectories,
-        far less work).  ``False`` forces full-width engines - useful for
-        benchmarking the pruning itself.
-    adaptive:
-        Run cohort engines with active-set stepping and *freeze* cohorts
-        whose engines go quiescent (empty frontier): a frozen cohort is
-        dropped from the tick loop - its arrays are not touched at all -
-        and re-activated only by a lifecycle event (publish / retire /
-        set_rates / scale / resettle) that mutates it.  Trajectories are
-        bit-identical to ``adaptive=False``; steady-state ticks cost
-        O(active cohorts).
+    config:
+        A :class:`~repro.cluster.config.ClusterConfig` (defaults when
+        omitted).  ``track_tlb`` costs one ``O(s log s)`` WebFold per
+        document lifecycle change and nothing per tick beyond a distance
+        evaluation; ``prune=False`` forces full-width engines (useful for
+        benchmarking the pruning itself); with ``adaptive`` the cohort
+        engines step over their active sets and the runtime *freezes*
+        cohorts whose engines go quiescent (empty frontier): a frozen
+        cohort is dropped from the tick loop - its arrays are not touched
+        at all - and re-activated only by a lifecycle event (publish /
+        retire / set_rates / scale / resettle) that mutates it.
+        Trajectories are bit-identical to ``adaptive=False``; steady-state
+        ticks cost O(active cohorts).
     telemetry:
         An :class:`repro.obs.Telemetry` registry shared with every cohort
         engine, or ``None`` for the ambient default (normally the no-op
@@ -220,11 +208,8 @@ class ClusterRuntime:
         *,
         config: Optional[ClusterConfig] = None,
         telemetry=None,
-        **legacy,
     ) -> None:
-        cfg = config_from_kwargs(
-            ClusterConfig, config, legacy, owner="ClusterRuntime"
-        )
+        cfg = config if config is not None else ClusterConfig()
         if callable(trees) and not isinstance(trees, Mapping):
             self._tree_source: Callable[[int], RoutingTree] = trees
         else:
@@ -807,36 +792,39 @@ class ClusterRuntime:
             raise ClusterError(
                 f"cannot load state of kind {kind!r} into a 'cluster_runtime'"
             )
-        self._alpha = state["alpha"]
+        # Parse the whole capture into locals and swap them in at the end:
+        # a state that does not parse (missing key, wrong-size tree,
+        # repeated document id) leaves the resident catalog untouched.
+        alpha = state["alpha"]
         caps = state.get("capacities")
-        self._capacities = (
-            None if caps is None else np.asarray(caps, dtype=np.float64)
-        )
-        self._track_tlb = bool(state["track_tlb"])
-        self._tolerance = float(state["tolerance"])
-        self._prune = bool(state["prune"])
-        self._adaptive = bool(state["adaptive"])
-        self._n = None if state["n"] is None else int(state["n"])
-        self._groups.clear()
-        self._doc_home.clear()
-        self._doc_cohort.clear()
-        self._active_cohorts.clear()
+        capacities = None if caps is None else np.asarray(caps, dtype=np.float64)
+        track_tlb = bool(state["track_tlb"])
+        tolerance = float(state["tolerance"])
+        prune = bool(state["prune"])
+        adaptive = bool(state["adaptive"])
+        n = None if state["n"] is None else int(state["n"])
+        tick = int(state["tick"])
+        groups: Dict[int, _HomeGroup] = {}
+        doc_home: Dict[str, int] = {}
+        doc_cohort: Dict[str, bytes] = {}
+        active_cohorts: Dict[Tuple[int, bytes], _Cohort] = {}
+        untargeted: List[_Cohort] = []
         for g in state["groups"]:
             home = int(g["home"])
             tree = tree_from_parent_map([int(p) for p in g["parent_map"]])
-            if self._n is not None and tree.n != self._n:
+            if n is not None and tree.n != n:
                 raise ClusterError(
                     f"checkpointed tree for home {home} has {tree.n} nodes, "
-                    f"cluster has {self._n}"
+                    f"cluster has {n}"
                 )
             flat = flatten(tree)
             edge_alpha = (
                 degree_edge_alphas(flat)
-                if self._alpha is None
-                else fixed_edge_alphas(flat, self._alpha)
+                if alpha is None
+                else fixed_edge_alphas(flat, alpha)
             )
             group = _HomeGroup(home, tree, edge_alpha)
-            self._groups[home] = group
+            groups[home] = group
             for c in g["cohorts"]:
                 mask = np.zeros(tree.n, dtype=bool)
                 mask[np.asarray(c["nodes"], dtype=np.intp)] = True
@@ -858,7 +846,7 @@ class ClusterRuntime:
                     doc_ids[0],
                     rates[0],
                     served[0],
-                    adaptive=self._adaptive,
+                    adaptive=adaptive,
                     telemetry=self._tel,
                 )
                 cohort.engine.load_state(eng_state)
@@ -866,14 +854,14 @@ class ClusterRuntime:
                     cohort.append_doc(doc_id)
                 group.cohorts[key] = cohort
                 for doc_id in doc_ids:
-                    if doc_id in self._doc_home:
+                    if doc_id in doc_home:
                         raise ClusterError(
                             f"duplicate document {doc_id!r} in checkpoint"
                         )
-                    self._doc_home[doc_id] = home
-                    self._doc_cohort[doc_id] = key
+                    doc_home[doc_id] = home
+                    doc_cohort[doc_id] = key
                 if c["active"]:
-                    self._active_cohorts[(home, key)] = cohort
+                    active_cohorts[(home, key)] = cohort
                 if c.get("targets") is not None:
                     cohort.targets = np.asarray(
                         c["targets"], dtype=np.float64
@@ -882,8 +870,21 @@ class ClusterRuntime:
                         c["target_norms"], dtype=np.float64
                     )
                 else:
-                    self._extend_targets(cohort, cohort.engine.docs)
-        self._tick = int(state["tick"])
+                    untargeted.append(cohort)
+        self._alpha = alpha
+        self._capacities = capacities
+        self._track_tlb = track_tlb
+        self._tolerance = tolerance
+        self._prune = prune
+        self._adaptive = adaptive
+        self._n = n
+        self._tick = tick
+        self._groups = groups
+        self._doc_home = doc_home
+        self._doc_cohort = doc_cohort
+        self._active_cohorts = active_cohorts
+        for cohort in untargeted:
+            self._extend_targets(cohort, cohort.engine.docs)
 
     @classmethod
     def from_state(

@@ -5,18 +5,31 @@ Every engine used to grow its own loose keyword surface (``capacities=``,
 sprinkled across call sites).  :class:`EngineConfig` is the one canonical
 construction contract: a frozen dataclass validated at construction, so a
 bad value fails *at the config*, with the offending field named, instead
-of deep inside a round.  The engines accept ``config=EngineConfig(...)``;
-the old keyword arguments still work as thin shims that emit a
-``DeprecationWarning`` and build the config internally.
+of deep inside a round.  The engines take ``config=EngineConfig(...)`` or
+nothing (the defaults).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
-from typing import Mapping, Optional, Tuple
+import math
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
-__all__ = ["EngineConfig", "config_from_kwargs"]
+__all__ = ["EngineConfig", "positive_capacities"]
+
+
+def positive_capacities(capacities) -> Tuple[float, ...]:
+    """A capacity vector as a tuple of finite positive floats, or raise.
+
+    ``nan <= 0.0`` is false, so finiteness is its own test.
+    """
+    caps = tuple(float(c) for c in capacities)
+    if not caps or not all(math.isfinite(c) and c > 0.0 for c in caps):
+        raise ValueError(
+            f"capacities must be finite and positive (and not empty), "
+            f"got {capacities!r}"
+        )
+    return caps
 
 
 @dataclass(frozen=True)
@@ -51,19 +64,18 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         if self.capacities is not None:
-            caps = tuple(float(c) for c in self.capacities)
-            if not caps or any(c <= 0.0 for c in caps):
-                raise ValueError(
-                    f"capacities must be a non-empty positive vector, got {self.capacities!r}"
-                )
-            object.__setattr__(self, "capacities", caps)
+            object.__setattr__(
+                self, "capacities", positive_capacities(self.capacities)
+            )
         if int(self.gossip_delay) != self.gossip_delay or self.gossip_delay < 0:
             raise ValueError(
                 f"gossip_delay must be a non-negative integer, got {self.gossip_delay!r}"
             )
         object.__setattr__(self, "gossip_delay", int(self.gossip_delay))
-        if self.quantum < 0.0:
-            raise ValueError(f"quantum must be >= 0, got {self.quantum!r}")
+        if not 0.0 <= self.quantum < math.inf:
+            raise ValueError(
+                f"quantum must be finite and >= 0, got {self.quantum!r}"
+            )
         density = float(self.density_threshold)
         # <= 0 is a legitimate setting (forces the dense path forever);
         # above 1 the fallback could never fire, which is always a typo.
@@ -72,40 +84,3 @@ class EngineConfig:
                 f"density_threshold must be <= 1, got {self.density_threshold!r}"
             )
         object.__setattr__(self, "density_threshold", density)
-
-
-def config_from_kwargs(
-    cls,
-    config,
-    legacy: Mapping[str, object],
-    *,
-    owner: str,
-):
-    """Resolve ``config=`` vs. deprecated loose keyword construction.
-
-    The shared shim behind every engine constructor: a non-``None``
-    ``config`` wins (mixing both is a ``TypeError``); loose keywords emit
-    one ``DeprecationWarning`` naming the owner and are folded into a
-    fresh config, so validation and defaulting live in exactly one place.
-    Unknown keywords raise ``TypeError`` like a real signature would.
-    """
-    known = {f.name for f in fields(cls)}
-    unknown = set(legacy) - known
-    if unknown:
-        raise TypeError(
-            f"{owner} got unexpected keyword arguments: {sorted(unknown)}"
-        )
-    if not legacy:
-        return config if config is not None else cls()
-    if config is not None:
-        raise TypeError(
-            f"{owner}: pass either config= or legacy keyword arguments, not both"
-        )
-    warnings.warn(
-        f"constructing {owner} from loose keyword arguments "
-        f"({', '.join(sorted(legacy))}) is deprecated; pass "
-        f"config={cls.__name__}(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return replace(cls(), **legacy)

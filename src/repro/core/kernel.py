@@ -26,8 +26,8 @@ This module is the single array-based engine they all delegate to now:
   :mod:`repro.core.dynamics` schedules);
   :class:`repro.cluster.batch.BatchEngine` is the same stack at ``D``
   documents plus document lifecycle;
-* :class:`ForestEngine` couples one :class:`FlatTree` per home server
-  through the nodes' *total* loads;
+* :class:`ForestEngine` is one dense ``D = 1`` stack per home server,
+  coupled through the nodes' *total* loads;
 * :class:`AsyncEngine` wakes one seeded node at a time with
   bounded-staleness views.
 
@@ -40,8 +40,7 @@ these engines; ``tests/core/test_kernel_parity.py`` pins their trajectories
 to goldens recorded from the pre-kernel loops.
 
 :func:`reference_round` keeps one readable pure-Python copy of the Figure 5
-round as the oracle for property tests and the baseline for the
-``benchmarks/BENCH_kernels.json`` speedup record.
+round as the oracle for property tests.
 
 Performance notes.  One synchronous round is O(edges) of NumPy array
 arithmetic on preallocated scratch: one gather of the parent loads (the
@@ -78,7 +77,7 @@ import numpy as np
 
 from . import policy
 from ..obs.telemetry import resolve as _resolve_telemetry
-from .config import EngineConfig, config_from_kwargs
+from .config import EngineConfig
 from .frontier import batch_incident_edges, incident_edges_of, sorted_unique
 from .tree import RoutingTree, tree_from_parent_map
 
@@ -768,6 +767,9 @@ class SyncEngine(DiffusionStack):
     configuration runs the stack's one dense and one sparse round, and
     only the per-edge transfer rule varies.
 
+    ``edge_alpha`` is an argument; the other policies are the fields of
+    ``config`` (an :class:`EngineConfig`; omitted means its defaults).
+
     Policies
     --------
     edge_alpha:
@@ -832,9 +834,8 @@ class SyncEngine(DiffusionStack):
         *,
         config: Optional[EngineConfig] = None,
         telemetry=None,
-        **legacy,
     ) -> None:
-        cfg = config_from_kwargs(EngineConfig, config, legacy, owner="SyncEngine")
+        cfg = config if config is not None else EngineConfig()
         self._caps = (
             None
             if cfg.capacities is None
@@ -1090,24 +1091,15 @@ class SyncEngine(DiffusionStack):
 class ForestEngine:
     """Synchronous rounds over overlapping trees sharing one node set.
 
-    Per-tree transfer caps are unchanged (NSS within each tree), but the
-    imbalance signal is each node's *total* load across trees, and the
-    step size divides by the tree count since a node participates in one
-    overlay edge per tree.
+    One :class:`DiffusionStack` (``D = 1``, dense) per home server, all
+    advanced with the same per-edge rule: per-tree transfer caps are
+    unchanged (NSS within each tree), but the imbalance signal is each
+    node's *total* load across trees as it stood when the round began, and
+    the step size divides by the tree count since a node participates in
+    one overlay edge per tree.
     """
 
-    __slots__ = (
-        "homes",
-        "_flats",
-        "_e",
-        "_loads",
-        "_alpha",
-        "_fwd",
-        "_scale",
-        "_round",
-        "_tel",
-        "_tel_rounds",
-    )
+    __slots__ = ("homes", "_stacks", "_scale", "_tel", "_tel_rounds")
 
     def __init__(
         self,
@@ -1118,65 +1110,58 @@ class ForestEngine:
         telemetry=None,
     ) -> None:
         self.homes: Tuple[int, ...] = tuple(sorted(flats))
-        self._flats = dict(flats)
-        n = self._flats[self.homes[0]].n
-        self._e = {h: _as_vector(demands[h], n, "demand rates") for h in self.homes}
-        self._loads = {h: self._e[h].copy() for h in self.homes}
-        self._alpha = {
-            h: np.asarray(edge_alphas[h], dtype=np.float64) for h in self.homes
-        }
-        self._fwd = {
-            h: forwarded_rates(self._flats[h], self._e[h], self._loads[h])
-            for h in self.homes
-        }
+        n = flats[self.homes[0]].n
+        self._stacks: Dict[int, DiffusionStack] = {}
+        for h in self.homes:
+            demand = _as_vector(demands[h], n, "demand rates")[None, :]
+            self._stacks[h] = DiffusionStack(
+                flats[h],
+                demand,
+                demand.copy(),
+                edge_alphas[h],
+                adaptive=False,
+                density_threshold=0.0,
+                telemetry=telemetry,
+            )
         self._scale = 1.0 / len(self.homes)
-        self._round = 0
         self._tel = tel = _resolve_telemetry(telemetry)
         self._tel_rounds = tel.counter("kernel.forest_rounds") if tel.enabled else None
 
     @property
     def round(self) -> int:
-        return self._round
+        return self._stacks[self.homes[0]].round
 
     def loads_of(self, home: int) -> np.ndarray:
-        return self._loads[home]
+        """One tree's served loads (valid until the next :meth:`step`)."""
+        return self._stacks[home]._loads[0]
 
     def total_loads(self) -> np.ndarray:
         """Per-node load summed over every tree."""
-        totals = self._loads[self.homes[0]].copy()
+        totals = self.loads_of(self.homes[0]).copy()
         for home in self.homes[1:]:
-            totals += self._loads[home]
+            totals += self.loads_of(home)
         return totals
 
     def step(self) -> None:
-        """One synchronous round over every tree, comparing total loads."""
+        """One synchronous round over every tree, comparing total loads.
+
+        Every tree's rule reads the totals snapshot taken before any tree
+        moved, and its own loads and forwarded rates only, so advancing the
+        stacks one after the other is the simultaneous update.  The signal
+        is not a function of the tree's own loads, hence
+        ``fixed_point=False``.
+        """
         totals = self.total_loads()
-        transfers: Dict[int, np.ndarray] = {}
-        for home in self.homes:
-            flat = self._flats[home]
-            ep, ec = flat.edge_parent, flat.edge_child
-            loads = self._loads[home]
-            fwd = self._fwd[home]
-            alpha = self._alpha[home] * self._scale
-            transfers[home] = policy.signed_gap_transfers(
-                totals[ep] - totals[ec], loads[ec], fwd[ec], alpha, eps=_EPS
+        for stack in self._stacks.values():
+            flat = stack.flat
+            gap = totals[flat.edge_parent] - totals[flat.edge_child]
+            alpha = stack._alpha * self._scale
+            stack.advance(
+                lambda lp, lc, fc, edges: policy.signed_gap_transfers(
+                    gap, lc, fc, alpha, eps=_EPS
+                ),
+                fixed_point=False,
             )
-        for home in self.homes:
-            flat = self._flats[home]
-            transfer = transfers[home]
-            n = flat.n
-            delta = np.bincount(
-                flat.edge_child, weights=transfer, minlength=n
-            ) - np.bincount(flat.edge_parent, weights=transfer, minlength=n)
-            new_loads = self._loads[home] + delta
-            if np.any(new_loads < 0.0):
-                np.maximum(new_loads, 0.0, out=new_loads)
-                self._loads[home] = new_loads
-                self._fwd[home] = forwarded_rates(flat, self._e[home], new_loads)
-            else:
-                self._loads[home] = new_loads
-                self._fwd[home][flat.edge_child] -= transfer
-        self._round += 1
         if self._tel.enabled:
             self._tel_rounds.add(1)
 
@@ -1186,7 +1171,7 @@ class ForestEngine:
         return {
             "type": "engine_snapshot",
             "kind": "forest_engine",
-            "round": self._round,
+            "round": self.round,
             "homes": len(self.homes),
             "nodes": int(totals.shape[0]),
             "mass": float(totals.sum()),
@@ -1197,19 +1182,17 @@ class ForestEngine:
         """Complete resumable state (per-home trees, loads, incremental fwd)."""
         return {
             "kind": "forest_engine",
-            "round": self._round,
+            "round": self.round,
             "homes": [
                 {
                     "home": int(h),
-                    "parent_map": [
-                        int(p) for p in self._flats[h].tree.parent_map
-                    ],
-                    "demand": self._e[h].tolist(),
-                    "loads": self._loads[h].tolist(),
-                    "edge_alpha": self._alpha[h].tolist(),
-                    "fwd": self._fwd[h].tolist(),
+                    "parent_map": [int(p) for p in stack.flat.tree.parent_map],
+                    "demand": stack._e[0].tolist(),
+                    "loads": stack._loads[0].tolist(),
+                    "edge_alpha": stack._alpha.tolist(),
+                    "fwd": stack._fwd[0].tolist(),
                 }
-                for h in self.homes
+                for h, stack in self._stacks.items()
             ],
         }
 
@@ -1220,18 +1203,20 @@ class ForestEngine:
             raise ValueError(
                 "forest_engine state was captured for different homes"
             )
-        for h in self.homes:
-            ent = entries[h]
-            if _state_parent_map(ent) != self._flats[h].tree.parent_map:
+        for h, stack in self._stacks.items():
+            if _state_parent_map(entries[h]) != stack.flat.tree.parent_map:
                 raise ValueError(
                     f"forest_engine state for home {h} was captured on a "
                     "different tree"
                 )
-            self._e[h] = np.asarray(ent["demand"], dtype=np.float64)
-            self._loads[h] = np.asarray(ent["loads"], dtype=np.float64)
-            self._alpha[h] = np.asarray(ent["edge_alpha"], dtype=np.float64)
-            self._fwd[h] = np.asarray(ent["fwd"], dtype=np.float64)
-        self._round = int(state["round"])
+        for h, stack in self._stacks.items():
+            ent = entries[h]
+            n = stack.flat.n
+            stack._e = np.asarray(ent["demand"], dtype=np.float64).reshape(1, n)
+            stack._loads = np.asarray(ent["loads"], dtype=np.float64).reshape(1, n)
+            stack._fwd = np.asarray(ent["fwd"], dtype=np.float64).reshape(1, n)
+            stack._alpha = np.asarray(ent["edge_alpha"], dtype=np.float64)
+            stack._round = int(state["round"])
 
     @classmethod
     def from_state(
@@ -1458,7 +1443,7 @@ class AsyncEngine:
 
 
 # ----------------------------------------------------------------------
-# Reference implementation: the oracle and benchmark baseline
+# Reference implementation: the property-test oracle
 # ----------------------------------------------------------------------
 def reference_round(
     tree: RoutingTree,
@@ -1470,8 +1455,7 @@ def reference_round(
     """One Figure 5 round in plain Python, exactly as the seed loops ran it.
 
     Kept as the readable specification of the synchronous update: the
-    property tests check :class:`SyncEngine` against it on random trees,
-    and the kernel benchmarks report the vectorized speedup over it.
+    property tests check :class:`SyncEngine` against it on random trees.
     Returns the post-round served-load vector without mutating inputs.
     """
     n = tree.n

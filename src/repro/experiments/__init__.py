@@ -6,11 +6,6 @@ See DESIGN.md's per-experiment index for the mapping from paper artifacts
 """
 
 from .ablation import run_alpha_ablation, run_delay_ablation
-from .adaptive import (
-    run_adaptive_scalability,
-    run_cluster_steady_state,
-    run_rate_adaptive,
-)
 from .diffusion_theory import run_diffusion_theory
 from .extensions import (
     run_async_study,
@@ -41,9 +36,6 @@ __all__ = [
     "GammaStudy",
     "run_scalability",
     "hotspot_workload",
-    "run_adaptive_scalability",
-    "run_cluster_steady_state",
-    "run_rate_adaptive",
     "run_alpha_ablation",
     "run_delay_ablation",
     "run_diffusion_theory",

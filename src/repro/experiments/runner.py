@@ -21,8 +21,6 @@ import sys
 from typing import Callable, Dict, List, Tuple
 
 from .ablation import run_alpha_ablation, run_delay_ablation
-from .adaptive import run_adaptive_scalability
-from .cluster_scalability import run_cluster_scalability
 from .diffusion_theory import run_diffusion_theory
 from .extensions import (
     run_async_study,
@@ -36,10 +34,8 @@ from .fig4 import run_fig4
 from .fig6 import run_fig6
 from .fig7 import run_fig7
 from .gamma import run_gamma_study
-from .obs_overhead import run_obs_overhead
 from .overhead import run_overhead
-from .packet_scalability import run_packet_scalability
-from .scalability import run_rate_scalability, run_scalability
+from .scalability import run_scalability
 from .tunneling import run_tunneling_study
 
 __all__ = ["EXPERIMENTS", "run_experiment", "registry_listing", "main"]
@@ -52,26 +48,6 @@ EXPERIMENTS: Dict[str, Tuple[str, Callable[[], object]]] = {
     "fig7": ("Figure 7: potential barrier and tunneling recovery", run_fig7),
     "gamma": ("Section 5.1: gamma regression on depth-9 random trees", run_gamma_study),
     "scalability": ("E-X1: protocol comparison under hot-spot load", run_scalability),
-    "rate-scalability": (
-        "Kernel throughput: vectorized Figure 5 round vs the seed loop",
-        run_rate_scalability,
-    ),
-    "cluster-scalability": (
-        "Cluster plane: batched catalog ticks vs per-document engines",
-        run_cluster_scalability,
-    ),
-    "adaptive-scalability": (
-        "Active-set stepping: sparse-vs-dense wall clock + cohort freezing",
-        run_adaptive_scalability,
-    ),
-    "packet-scalability": (
-        "Packet plane: rebuilt array simulator vs the pre-refactor reference",
-        run_packet_scalability,
-    ),
-    "obs-overhead": (
-        "Telemetry overhead: enabled-with-sampling vs disabled, parity-pinned",
-        run_obs_overhead,
-    ),
     "diffusion": ("E-X2: spectral vs measured diffusion convergence", run_diffusion_theory),
     "alpha": ("E-X3: diffusion-parameter sweep", run_alpha_ablation),
     "delay": ("E-X3: gossip-staleness sweep", run_delay_ablation),

@@ -13,32 +13,16 @@ Expected shape (not absolute numbers): no-cache saturates at one server's
 capacity; the directory's query funnel caps its throughput as n grows;
 ICP resolves hits but concentrates load at request origins; WebWave tracks
 the offered load while staying closest to the TLB balance.
-
-:func:`run_rate_scalability` is the companion study at the *rate* level:
-it measures how fast the vectorized :mod:`repro.core.kernel` iterates the
-Figure 5 round on large trees (n ~ 1k and 10k), against the seed's pure-
-Python loop kept as :func:`repro.core.kernel.reference_round`.  Its rows
-feed ``benchmarks/BENCH_kernels.json``, the machine-readable performance
-trajectory of the kernel hot path.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from ..analysis.metrics import ProtocolSummary, summarize_scenario
 from ..analysis.tables import format_table
-from ..obs import timed
-from ..core.kernel import (
-    EngineConfig,
-    SyncEngine,
-    degree_edge_alphas,
-    edge_alpha_map,
-    flatten,
-    reference_round,
-)
-from ..core.tree import kary_tree, random_tree
+from ..core.tree import kary_tree
 from ..documents.catalog import Catalog
 from ..protocols.baselines import (
     DirectoryScenario,
@@ -48,7 +32,6 @@ from ..protocols.baselines import (
 )
 from ..protocols.scenario import Scenario, ScenarioConfig
 from ..protocols.webwave import WebWaveScenario
-from ..sim.rng import RngStreams
 from ..traffic.workload import Workload, hot_document_workload
 
 __all__ = [
@@ -56,9 +39,6 @@ __all__ = [
     "run_scalability",
     "hotspot_workload",
     "PROTOCOLS",
-    "RateScalabilityRow",
-    "RateScalabilityResult",
-    "run_rate_scalability",
 ]
 
 PROTOCOLS: Dict[str, Type[Scenario]] = {
@@ -138,133 +118,3 @@ def run_scalability(
             metrics = scenario.run()
             rows.append(summarize_scenario(scenario, metrics))
     return ScalabilityResult(rows=tuple(rows))
-
-
-# ----------------------------------------------------------------------
-# Rate-level kernel scalability
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RateScalabilityRow:
-    """Kernel vs seed-loop round throughput on one tree size."""
-
-    nodes: int
-    height: int
-    kernel_rounds_per_sec: float
-    seed_loop_rounds_per_sec: float
-    speedup: float
-    convergence_rounds: int
-    convergence_seconds: float
-    converged: bool
-
-
-@dataclass(frozen=True)
-class RateScalabilityResult:
-    """Rows per tree size, reportable as a table or machine-readable dict."""
-
-    rows: Tuple[RateScalabilityRow, ...]
-
-    def report(self) -> str:
-        return format_table(
-            [
-                "nodes",
-                "height",
-                "kernel rounds/s",
-                "seed loop rounds/s",
-                "speedup",
-                "conv rounds",
-                "conv seconds",
-            ],
-            [
-                [
-                    r.nodes,
-                    r.height,
-                    r.kernel_rounds_per_sec,
-                    r.seed_loop_rounds_per_sec,
-                    r.speedup,
-                    r.convergence_rounds,
-                    r.convergence_seconds,
-                ]
-                for r in self.rows
-            ],
-            precision=2,
-            title="Rate-level diffusion kernel throughput (vectorized vs seed loop)",
-        )
-
-    def as_json(self) -> Dict[str, Dict[str, float]]:
-        """``{"n<nodes>": row}`` entries for BENCH_kernels.json."""
-        return {f"n{r.nodes}": asdict(r) for r in self.rows}
-
-
-def run_rate_scalability(
-    sizes: Sequence[int] = (1_000, 10_000),
-    timed_rounds: int = 50,
-    reference_rounds: int = 5,
-    reduction: float = 1e-3,
-    max_rounds: int = 200_000,
-    seed: int = 0,
-) -> RateScalabilityResult:
-    """Measure kernel round throughput and time-to-convergence per tree size.
-
-    For each ``n`` a seeded random recursive tree with uniform random rates
-    is built; the vectorized :class:`SyncEngine` is timed over
-    ``timed_rounds`` rounds, and the seed's pure-Python loop
-    (:func:`reference_round`) over ``reference_rounds`` rounds of the same
-    update.  "Convergence" is the paper's distance-to-TLB series shrinking
-    by ``1/reduction`` (1000x by default): diffusion's rate constant gamma
-    approaches 1 on deep trees, so an absolute threshold would dominate the
-    measurement with tail rounds while the relative one captures the
-    practically relevant settling time.
-    """
-    import numpy as np
-
-    from ..core.webfold import webfold
-
-    streams = RngStreams(seed)
-    rows: List[RateScalabilityRow] = []
-    for n in sizes:
-        rng = streams.fresh("rate-scalability", n=n)
-        tree = random_tree(n, rng)
-        rates = [rng.uniform(0.0, 100.0) for _ in range(n)]
-        flat = flatten(tree)
-        alphas = degree_edge_alphas(flat)
-
-        # adaptive=False: this row tracks the *dense* kernel's trajectory
-        # (the adaptive active-set story has its own experiment and
-        # BENCH_adaptive.json record).
-        engine = SyncEngine(flat, rates, rates, alphas, config=EngineConfig(adaptive=False))
-        with timed() as kernel_t:
-            for _ in range(timed_rounds):
-                engine.step()
-        kernel_rps = kernel_t.rate(timed_rounds)
-
-        amap = edge_alpha_map(flat, alphas)
-        loads = list(map(float, rates))
-        with timed() as seed_t:
-            for _ in range(reference_rounds):
-                loads = reference_round(tree, rates, loads, amap)
-        seed_rps = seed_t.rate(reference_rounds)
-
-        target = np.asarray(
-            webfold(tree, rates).assignment.served, dtype=np.float64
-        )
-        engine = SyncEngine(flat, rates, rates, alphas, config=EngineConfig(adaptive=False))
-        threshold = engine.distance_to(target) * reduction
-        with timed() as conv_t:
-            converged = engine.distance_to(target) <= threshold
-            while not converged and engine.round < max_rounds:
-                engine.step()
-                converged = engine.distance_to(target) <= threshold
-        conv_seconds = conv_t.seconds
-        rows.append(
-            RateScalabilityRow(
-                nodes=n,
-                height=tree.height,
-                kernel_rounds_per_sec=kernel_rps,
-                seed_loop_rounds_per_sec=seed_rps,
-                speedup=kernel_rps / seed_rps,
-                convergence_rounds=engine.round,
-                convergence_seconds=conv_seconds,
-                converged=converged,
-            )
-        )
-    return RateScalabilityResult(rows=tuple(rows))

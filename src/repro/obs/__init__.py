@@ -14,9 +14,6 @@ catalog, packet protocol), with a zero-overhead null default:
 * :class:`~repro.obs.sink.NdjsonSink` — streaming newline-delimited JSON
   export with size-based rotation; ``obs-report`` renders it back as a
   text dashboard (:mod:`repro.obs.report`).
-* :class:`~repro.obs.timer.timed` — the shared wall-clock context manager
-  used by ``experiments/*.py`` instead of hand-rolled ``perf_counter``
-  arithmetic.
 """
 
 from .sink import MemorySink, NdjsonSink, read_ndjson, scan_ndjson
@@ -34,7 +31,6 @@ from .telemetry import (
     resolve,
     use,
 )
-from .timer import timed
 
 __all__ = [
     "Counter",
@@ -52,6 +48,5 @@ __all__ = [
     "read_ndjson",
     "scan_ndjson",
     "resolve",
-    "timed",
     "use",
 ]

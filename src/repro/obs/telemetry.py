@@ -14,8 +14,8 @@ the repo):
   trajectories stay bit-identical (asserted by ``tests/obs/test_parity.py``).
 * Expensive measurements (per-phase wall time, request trace spans) are
   *sampled*: a :class:`Sampler` admits every ``interval``-th event, keeping
-  the enabled-with-sampling overhead inside the 5% budget recorded in
-  ``benchmarks/BENCH_obs.json``.
+  the enabled-with-sampling overhead inside the 5% budget that
+  ``benchmarks/e2e`` reports as ``bench.trace_overhead_fraction``.
 * Telemetry never feeds back into simulation state.  Instruments only read
   values the planes already compute, which is what makes the bit-parity
   guarantee structural rather than accidental.

@@ -1,6 +1,5 @@
-"""Packet-level protocols: WebWave, the comparison baselines, the
-cluster-event-driven multi-document scenario, and the frozen pre-refactor
-reference plane used for parity pins and throughput benchmarks."""
+"""Packet-level protocols: WebWave, the comparison baselines and the
+cluster-event-driven multi-document scenario."""
 
 from .baselines import (
     DirectoryConfig,
@@ -12,7 +11,6 @@ from .baselines import (
     PushScenario,
 )
 from .cluster_packet import ClusterPacketScenario, packet_scenario_from_cluster
-from .reference import ReferenceScenario, ReferenceWebWaveScenario
 from .scenario import Scenario, ScenarioConfig, ScenarioMetrics
 from .state import CacheServerView, MeterBank, PacketState
 from .webwave import WebWaveProtocolConfig, WebWaveScenario
@@ -32,8 +30,6 @@ __all__ = [
     "PushConfig",
     "ClusterPacketScenario",
     "packet_scenario_from_cluster",
-    "ReferenceScenario",
-    "ReferenceWebWaveScenario",
     "PacketState",
     "MeterBank",
     "CacheServerView",

@@ -2,14 +2,14 @@
 
 The original packet simulator kept protocol state in one dict-of-dicts
 object graph per node (``CacheServer`` with per-document ``RateMeter``
-instances, ``serve_targets`` dicts).  This module rebuilds that state as
-dense NumPy arrays aligned with :class:`~repro.core.kernel.FlatTree` node
+instances, ``serve_targets`` dicts; preserved under ``tests/oracle/`` as
+the parity oracle).  This module holds that state as dense NumPy arrays aligned with :class:`~repro.core.kernel.FlatTree` node
 indexing and catalog document indexing:
 
 * :class:`MeterBank` - the windowed-EWMA rate meters as parallel arrays
   (``counts`` / ``window_start`` / ``estimate`` / ``seeded``), with scalar
   record/rate operations that are arithmetic-for-arithmetic identical to
-  the original :class:`~repro.cache.server.RateMeter`, plus vectorized
+  the original per-object ``RateMeter``, plus vectorized
   roll-and-read for the control plane (one gossip snapshot = one array op
   instead of ``n`` object traversals);
 * :class:`PacketState` - serve targets as an ``(n, D)`` matrix, three
@@ -25,7 +25,7 @@ indexing and catalog document indexing:
 
 Bit-for-bit parity with the dict-based plane is pinned by
 ``tests/golden/packet_goldens.json`` (recorded pre-refactor) and the live
-reference comparison in ``tests/protocols/test_packet_parity.py``.
+comparison against the oracle in ``tests/protocols/test_packet_parity.py``.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ __all__ = ["MeterBank", "PacketState", "CacheServerView", "TargetsView"]
 class MeterBank:
     """A bank of windowed-EWMA rate meters over one shared estimate array.
 
-    Semantics per meter are exactly :class:`~repro.cache.server.RateMeter`
-    with the default ``alpha = 0.5``: events are counted into fixed
+    Semantics per meter are exactly the oracle ``RateMeter``
+    (``tests/oracle/cache_server.py``): events are counted into fixed
     windows anchored at t=0; crossing a boundary folds the finished
     window's rate into the estimate.  Rolls are lazy and idempotent, so
     scalar and bulk access orders cannot change any value.
@@ -456,11 +456,11 @@ class PacketState:
 
 
 class CacheServerView:
-    """Per-node facade over :class:`PacketState` with the CacheServer API.
+    """The cache server of one node: a facade over :class:`PacketState`.
 
-    Everything (tests, baselines, failure injection, analysis) that used
-    to hold a ``CacheServer`` object holds one of these; all reads and
-    writes land in the shared arrays.
+    The only server authority in the package.  Routers, baselines, failure
+    injection, analysis and tests hold one of these per node; all reads
+    and writes land in the shared arrays.
     """
 
     __slots__ = ("_state", "node", "is_home", "serve_targets")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..cache.server import CacheServer
 from .packetfilter import FilterTable
 
 __all__ = ["Router", "RouteDecision"]
@@ -43,7 +42,8 @@ class Router:
     node:
         Node id.
     server:
-        The co-located cache server (owner of the injected filter).
+        The co-located cache server (owner of the injected filter), a
+        :class:`~repro.protocols.state.CacheServerView`.
     parent:
         Next hop toward the home server; ``None`` at the root.
     filter_table:
@@ -53,7 +53,7 @@ class Router:
     def __init__(
         self,
         node: int,
-        server: CacheServer,
+        server,
         parent: Optional[int],
         filter_table: Optional[FilterTable] = None,
     ) -> None:

@@ -46,6 +46,7 @@ __all__ = [
     "checkpoint_kind",
     "read_checkpoint",
     "restore_checkpoint",
+    "restore_state",
     "write_checkpoint",
 ]
 
@@ -201,15 +202,14 @@ def read_checkpoint(path: str) -> Dict[str, Any]:
     return state
 
 
-def restore_checkpoint(path: str, *, telemetry: Optional[Any] = None) -> Any:
-    """Rebuild the checkpointed object from ``path``.
+def restore_state(state: Mapping[str, Any], *, telemetry: Optional[Any] = None) -> Any:
+    """Rebuild the object a ``kind``-tagged state dict was captured from.
 
-    The header's ``kind`` selects the reconstructor; an unknown kind
-    (e.g. a checkpoint from a build with extra planes) fails with the
-    registry's known kinds listed.
+    The ``kind`` selects the reconstructor; an unknown kind (e.g. a
+    checkpoint from a build with extra planes) fails with the registry's
+    known kinds listed.
     """
-    state = read_checkpoint(path)
-    kind = state["kind"]
+    kind = checkpoint_kind(state)
     loader = _LOADERS.get(kind)
     if loader is None:
         known = ", ".join(sorted(_LOADERS))
@@ -218,3 +218,8 @@ def restore_checkpoint(path: str, *, telemetry: Optional[Any] = None) -> Any:
             f"known kinds: {known}"
         )
     return loader(state, telemetry)
+
+
+def restore_checkpoint(path: str, *, telemetry: Optional[Any] = None) -> Any:
+    """Rebuild the checkpointed object from ``path`` (read, then rebuild)."""
+    return restore_state(read_checkpoint(path), telemetry=telemetry)

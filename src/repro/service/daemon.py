@@ -34,8 +34,9 @@ from typing import Any, Dict, Mapping, Optional
 from ..core.steppable import snapshot_record
 from .checkpoint import (
     CheckpointError,
+    checkpoint_kind,
     read_checkpoint,
-    restore_checkpoint,
+    restore_state,
     write_checkpoint,
 )
 
@@ -183,14 +184,11 @@ class Service:
     def _op_restore(self, command: Mapping[str, Any]) -> Dict[str, Any]:
         path = str(command["path"])
         state = read_checkpoint(path)
-        kind = state.get("kind")
-        if hasattr(self.runtime, "load_state"):
-            try:
-                # Loading in place keeps the live runtime's tree source;
-                # a fresh from_state only knows the checkpointed homes.
-                self.runtime.load_state(state)
-                return {"ok": True, "path": path, "kind": kind}
-            except ValueError:
-                pass  # kind mismatch against the resident runtime: rebuild
-        self.runtime = restore_checkpoint(path)
+        kind = checkpoint_kind(state)
+        if checkpoint_kind(self.runtime) == kind:
+            # Loading in place keeps the live runtime's tree source; a
+            # fresh from_state only knows the checkpointed homes.
+            self.runtime.load_state(state)
+        else:
+            self.runtime = restore_state(state)
         return {"ok": True, "path": path, "kind": kind}

@@ -1,24 +1,48 @@
-"""Tests for cache servers and rate meters."""
+"""Tests for cache servers and rate meters.
+
+Every case runs twice: on the shipped array-backed authority
+(:class:`MeterBank` / :class:`CacheServerView`) and on the dict-based
+oracle under ``tests/oracle/`` that the parity tests compare against.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache.server import CacheServer, RateMeter
+from repro.protocols.state import MeterBank
+
+from tests.helpers import shipped_server
+from tests.oracle.cache_server import CacheServer as OracleCacheServer
+from tests.oracle.cache_server import RateMeter as OracleRateMeter
 
 
-class TestRateMeter:
+class BankMeter:
+    """Meter 1 of a three-meter :class:`MeterBank`, single-meter call shape."""
+
+    def __init__(self, **kwargs):
+        self.bank = MeterBank(3, **kwargs)
+
+    def record(self, now, weight=1.0):
+        self.bank.record(1, now, weight)
+
+    def rate(self, now):
+        return self.bank.rate(1, now)
+
+
+class MeterCases:
+    RateMeter = None  # set by the concrete classes below
+
     def test_initial_rate_zero(self):
-        assert RateMeter().rate(0.0) == 0.0
+        assert self.RateMeter().rate(0.0) == 0.0
 
     def test_first_window_rate(self):
-        meter = RateMeter(window=1.0)
+        meter = self.RateMeter(window=1.0)
         for k in range(10):
             meter.record(k * 0.1)
         assert meter.rate(1.0) == pytest.approx(10.0)
 
     def test_ewma_converges_to_steady_rate(self):
-        meter = RateMeter(window=1.0, alpha=0.5)
+        meter = self.RateMeter(window=1.0, alpha=0.5)
         t = 0.0
         for _ in range(200):  # 20 windows at 5/sec
             meter.record(t)
@@ -26,7 +50,7 @@ class TestRateMeter:
         assert meter.rate(t) == pytest.approx(5.0, rel=0.05)
 
     def test_rate_decays_when_idle(self):
-        meter = RateMeter(window=1.0, alpha=0.5)
+        meter = self.RateMeter(window=1.0, alpha=0.5)
         for k in range(10):
             meter.record(k * 0.1)
         busy = meter.rate(1.0)
@@ -34,36 +58,50 @@ class TestRateMeter:
         assert idle < busy / 4
 
     def test_weighted_events(self):
-        meter = RateMeter(window=1.0)
+        meter = self.RateMeter(window=1.0)
         meter.record(0.0, weight=7.0)
         assert meter.rate(1.0) == pytest.approx(7.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RateMeter(window=0.0)
+            self.RateMeter(window=0.0)
         with pytest.raises(ValueError):
-            RateMeter(alpha=0.0)
+            self.RateMeter(alpha=0.0)
         with pytest.raises(ValueError):
-            RateMeter(alpha=1.5)
+            self.RateMeter(alpha=1.5)
 
 
-class TestCacheServer:
+class TestRateMeter(MeterCases):
+    """The oracle's per-object meter."""
+
+    RateMeter = OracleRateMeter
+
+
+class TestMeterBank(MeterCases):
+    """The shipped meter bank."""
+
+    RateMeter = BankMeter
+
+
+class ServerCases:
+    CacheServer = None  # set by the concrete classes below
+
     def test_home_always_serves(self):
-        server = CacheServer(node=0, is_home=True)
+        server = self.CacheServer(node=0, is_home=True)
         assert server.wants_to_serve("anything", now=0.0)
 
     def test_non_cached_never_served(self):
-        server = CacheServer(node=1)
+        server = self.CacheServer(node=1)
         server.serve_targets["d"] = 100.0
         assert not server.wants_to_serve("d", now=0.0)
 
     def test_cached_without_target_declines(self):
-        server = CacheServer(node=1)
+        server = self.CacheServer(node=1)
         server.install_copy("d")
         assert not server.wants_to_serve("d", now=0.0)
 
     def test_serves_until_target_reached(self):
-        server = CacheServer(node=1, meter_window=1.0)
+        server = self.CacheServer(node=1, meter_window=1.0)
         server.install_copy("d")
         server.serve_targets["d"] = 5.0
         t = 0.0
@@ -78,7 +116,7 @@ class TestCacheServer:
         assert served < 25  # well below the 60 offered
 
     def test_rate_accounting(self):
-        server = CacheServer(node=1)
+        server = self.CacheServer(node=1)
         server.install_copy("d")
         for k in range(10):
             server.record_served(k * 0.1, "d")
@@ -90,7 +128,7 @@ class TestCacheServer:
         assert server.requests_forwarded == 10
 
     def test_forwarded_documents_sorted(self):
-        server = CacheServer(node=1)
+        server = self.CacheServer(node=1)
         for k in range(8):
             server.record_forwarded(k * 0.1, "hot")
         for k in range(2):
@@ -99,12 +137,12 @@ class TestCacheServer:
         assert [d for d, _ in docs] == ["hot", "cold"]
 
     def test_unknown_doc_rates_zero(self):
-        server = CacheServer(node=1)
+        server = self.CacheServer(node=1)
         assert server.served_rate(0.0, "nope") == 0.0
         assert server.forwarded_rate(0.0, "nope") == 0.0
 
     def test_drop_copy_clears_target(self):
-        server = CacheServer(node=1)
+        server = self.CacheServer(node=1)
         server.install_copy("d")
         server.serve_targets["d"] = 3.0
         server.drop_copy("d")
@@ -112,25 +150,37 @@ class TestCacheServer:
         assert "d" not in server.serve_targets
 
     def test_service_queueing(self):
-        server = CacheServer(node=1, capacity=10.0)  # 0.1 s per request
+        server = self.CacheServer(node=1, capacity=10.0)  # 0.1 s per request
         first = server.service_completion(0.0)
         second = server.service_completion(0.0)
         assert first == pytest.approx(0.1)
         assert second == pytest.approx(0.2)  # queued behind the first
 
     def test_service_idle_gap(self):
-        server = CacheServer(node=1, capacity=10.0)
+        server = self.CacheServer(node=1, capacity=10.0)
         server.service_completion(0.0)
         later = server.service_completion(5.0)  # idle gap: starts at 5.0
         assert later == pytest.approx(5.1)
 
     def test_utilization(self):
-        server = CacheServer(node=1, capacity=10.0)
+        server = self.CacheServer(node=1, capacity=10.0)
         for _ in range(5):
             server.service_completion(0.0)
         assert server.utilization(1.0) == pytest.approx(0.5)
         assert server.utilization(0.0) == 0.0
 
+class TestCacheServer(ServerCases):
+    """The oracle's dict-based server."""
+
+    CacheServer = staticmethod(OracleCacheServer)
+
     def test_bad_capacity(self):
+        # the shipped plane rejects this one level up (ScenarioConfig)
         with pytest.raises(ValueError):
-            CacheServer(node=0, capacity=0.0)
+            OracleCacheServer(node=0, capacity=0.0)
+
+
+class TestCacheServerView(ServerCases):
+    """The shipped array-backed server."""
+
+    CacheServer = staticmethod(shipped_server)

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.batch import BatchEngine
+from repro.cluster.config import ClusterConfig
 from repro.cluster.runtime import ClusterEvent, ClusterRuntime
+from repro.core.config import EngineConfig
 from repro.core.kernel import degree_edge_alphas, flatten
 from repro.core.tree import kary_tree
 
@@ -35,7 +37,7 @@ def _settled_pair(tree, max_ticks=6000):
     """An adaptive runtime settled to full freeze plus its dense twin."""
     leaves = tree.leaves()
     adaptive = ClusterRuntime({0: tree})
-    dense = ClusterRuntime({0: tree}, adaptive=False)
+    dense = ClusterRuntime({0: tree}, config=ClusterConfig(adaptive=False))
     for rt in (adaptive, dense):
         # "a" and "b" share a demand closure (one cohort); "c" gets its own
         rt.publish("a", 0, _rates(tree, [(leaves[0], 8.0), (leaves[1], 4.0)]))
@@ -92,7 +94,7 @@ class TestFreezing:
     def test_engine_quiescent_only_when_adaptive(self):
         flat = flatten(kary_tree(2, 2))
         rates = np.zeros((1, flat.n))
-        engine = BatchEngine(flat, rates, adaptive=False)
+        engine = BatchEngine(flat, rates, config=EngineConfig(adaptive=False))
         for _ in range(5):
             engine.step()
         assert not engine.quiescent
@@ -122,8 +124,9 @@ class TestReactivation:
         assert adaptive.active_cohort_count == 1
         (_, key), = adaptive.active_cohort_keys
         assert adaptive._doc_cohort["a"] == key
-        # the other cohorts stayed frozen
-        assert adaptive.frozen_documents() >= 1
+        # frozen fraction = 1 - churned fraction: the woken cohort holds
+        # "a" and "b", every other document stayed frozen
+        assert adaptive.frozen_documents() == adaptive.documents - 2
         for _ in range(50):
             adaptive.tick()
             dense.tick()
@@ -193,7 +196,7 @@ class TestReactivation:
         ]
         results = []
         for adaptive in (True, False):
-            rt = ClusterRuntime({0: tree}, adaptive=adaptive)
+            rt = ClusterRuntime({0: tree}, config=ClusterConfig(adaptive=adaptive))
             rt.publish("a", 0, _rates(tree, [(leaves[0], 8.0), (leaves[1], 4.0)]))
             rt.publish("c", 0, _rates(tree, [(leaves[-1], 16.0)]))
             rt.run(40, events)

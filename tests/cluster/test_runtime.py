@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import merge_tick_stats
 from repro.cluster.runtime import (
     ClusterError,
@@ -103,9 +104,9 @@ class TestLifecycle:
                     ),
                 )
             )
-        bulk = ClusterRuntime({0: tree}, track_tlb=True)
+        bulk = ClusterRuntime({0: tree}, config=ClusterConfig(track_tlb=True))
         bulk.publish_many(docs)
-        one_by_one = ClusterRuntime({0: tree}, track_tlb=True)
+        one_by_one = ClusterRuntime({0: tree}, config=ClusterConfig(track_tlb=True))
         for doc_id, home, rates in docs:
             one_by_one.publish(doc_id, home, rates)
         assert bulk.cohort_count == one_by_one.cohort_count
@@ -149,7 +150,7 @@ class TestLifecycle:
         )
 
     def test_scale_rates_whole_catalog(self, tree):
-        runtime = ClusterRuntime({0: tree}, track_tlb=True)
+        runtime = ClusterRuntime({0: tree}, config=ClusterConfig(track_tlb=True))
         runtime.publish("a", 0, _leaf_rates(tree, [(15, 4.0)]))
         runtime.publish("b", 0, _leaf_rates(tree, [(30, 6.0)]))
         runtime.run(8)
@@ -226,7 +227,9 @@ class TestTrajectoryFidelity:
 class TestSnapshotsAndRuns:
     def test_snapshot_fields(self, tree):
         capacities = [2.0] * tree.n
-        runtime = ClusterRuntime({0: tree}, capacities=capacities, track_tlb=True)
+        runtime = ClusterRuntime(
+            {0: tree}, config=ClusterConfig(capacities=capacities, track_tlb=True)
+        )
         runtime.publish("a", 0, _leaf_rates(tree, [(15, 10.0)]))
         runtime.run(5)
         snap = runtime.snapshot()
@@ -279,7 +282,7 @@ class TestSnapshotsAndRuns:
 
 class TestSharding:
     def _build(self, trees, tree):
-        runtime = ClusterRuntime(trees, track_tlb=True)
+        runtime = ClusterRuntime(trees, config=ClusterConfig(track_tlb=True))
         rng = random.Random(2)
         leaves = list(tree.leaves())
         for k in range(18):
@@ -341,7 +344,7 @@ class TestSharding:
             merge_tick_stats([])
 
     def test_merge_tick_stats_single_shard_is_identity(self, tree):
-        runtime = ClusterRuntime({0: tree}, track_tlb=True)
+        runtime = ClusterRuntime({0: tree}, config=ClusterConfig(track_tlb=True))
         runtime.publish("a", 0, _leaf_rates(tree, [(15, 1.0)]))
         runtime.tick()
         stats = runtime.tick_stats()
@@ -369,7 +372,7 @@ class TestSharding:
     def test_tick_stats_to_record_is_json_ready(self, tree):
         import json
 
-        runtime = ClusterRuntime({0: tree}, track_tlb=True)
+        runtime = ClusterRuntime({0: tree}, config=ClusterConfig(track_tlb=True))
         runtime.publish("a", 0, _leaf_rates(tree, [(15, 1.0)]))
         runtime.tick()
         record = runtime.tick_stats().to_record()
@@ -380,7 +383,7 @@ class TestSharding:
     def test_snapshot_to_record_matches_fields(self, tree):
         import json
 
-        runtime = ClusterRuntime({0: tree}, track_tlb=True)
+        runtime = ClusterRuntime({0: tree}, config=ClusterConfig(track_tlb=True))
         runtime.publish("a", 0, _leaf_rates(tree, [(15, 1.0)]))
         runtime.tick()
         snap = runtime.snapshot()

@@ -34,6 +34,7 @@ from repro.core.frontier import (
     incident_edges_of,
     sorted_unique,
 )
+from repro.core.config import EngineConfig
 from repro.core.kernel import (
     AsyncEngine,
     SyncEngine,
@@ -45,11 +46,14 @@ from repro.core.tree import RoutingTree, chain_tree, kary_tree, random_tree
 from tests.helpers import trees_with_rates
 
 
-def _engine_pair(flat, rates, served=None, **kwargs):
+def _engine_pair(flat, rates, served=None, **fields):
+    """An adaptive engine and its dense twin, both with config ``fields``."""
     served = rates if served is None else served
     alphas = degree_edge_alphas(flat)
-    sparse = SyncEngine(flat, rates, served, alphas, **kwargs)
-    dense = SyncEngine(flat, rates, served, alphas, adaptive=False, **kwargs)
+    sparse = SyncEngine(flat, rates, served, alphas, config=EngineConfig(**fields))
+    dense = SyncEngine(
+        flat, rates, served, alphas, config=EngineConfig(adaptive=False, **fields)
+    )
     return sparse, dense
 
 
@@ -231,6 +235,18 @@ class TestFrontierInvariants:
         assert 0 < engine.frontier_size < tree.n // 2
         assert engine.step_stats["sparse_rounds"] > 0
 
+    def test_regional_demand_keeps_rounds_local(self):
+        """Demand under ~2% of the tree: a round costs the closure, not n."""
+        tree = kary_tree(2, 11)  # n = 4095
+        rates = np.zeros(tree.n)
+        for leaf in tree.leaves()[:80]:  # neighbouring access networks
+            rates[leaf] = 5.0 + leaf % 7
+        sparse, dense = _engine_pair(flatten(tree), rates)
+        _assert_parity(sparse, dense, 200)
+        stats = sparse.step_stats
+        assert stats["dense_rounds"] == 1  # the discovery round
+        assert stats["edges_processed"] / sparse.round < 0.2 * tree.n
+
     def test_frontier_nodes_cover_active_edges(self):
         rng = random.Random(9)
         tree = random_tree(40, rng)
@@ -266,7 +282,8 @@ class TestDenseFallback:
         assert engine.frontier_size > 0.5 * flat.edge_child.shape[0]
         # and it stays exact
         dense = SyncEngine(
-            flat, rates, rates, degree_edge_alphas(flat), adaptive=False
+            flat, rates, rates, degree_edge_alphas(flat),
+            config=EngineConfig(adaptive=False),
         )
         for _ in range(20):
             dense.step()
@@ -278,7 +295,8 @@ class TestDenseFallback:
         flat = flatten(tree)
         rates = [rng.uniform(0.0, 10.0) for _ in range(30)]
         engine = SyncEngine(
-            flat, rates, rates, degree_edge_alphas(flat), density_threshold=-1.0
+            flat, rates, rates, degree_edge_alphas(flat),
+            config=EngineConfig(density_threshold=-1.0),
         )
         for _ in range(30):
             engine.step()

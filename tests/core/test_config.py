@@ -1,4 +1,4 @@
-"""Frozen construction configs: validation and the deprecated shims."""
+"""Frozen construction configs: validation, and config= as the only path."""
 
 from __future__ import annotations
 
@@ -38,6 +38,13 @@ class TestEngineConfigValidation:
             ("gossip_delay", 1.5),
             ("quantum", -0.25),
             ("density_threshold", 1.5),
+            # nan < 0.0 is false: quantum=nan used to pass, and every load
+            # was nan after two rounds (floor(x / q) * q)
+            ("quantum", float("nan")),
+            ("quantum", float("inf")),
+            ("capacities", (1.0, float("nan"))),
+            ("capacities", (float("inf"), 1.0)),
+            ("density_threshold", float("nan")),
         ],
     )
     def test_bad_values_raise_naming_the_field(self, field, value):
@@ -67,6 +74,11 @@ class TestClusterConfigValidation:
             ("capacities", (-1.0,)),
             ("tolerance", 0.0),
             ("tolerance", -1e-3),
+            ("tolerance", float("inf")),
+            ("tolerance", float("nan")),
+            ("capacities", (float("nan"),)),
+            ("capacities", (2.0, float("inf"))),
+            ("alpha", float("nan")),
         ],
     )
     def test_bad_values_raise_naming_the_field(self, field, value):
@@ -78,42 +90,28 @@ class TestClusterConfigValidation:
         assert config.alpha is None and config.prune is True
 
 
-class TestDeprecatedShims:
-    def test_loose_kwargs_warn_and_still_work(self):
-        with pytest.warns(DeprecationWarning, match="SyncEngine.*deprecated"):
-            legacy = make_engine(gossip_delay=2, quantum=0.5)
-        modern = make_engine(config=EngineConfig(gossip_delay=2, quantum=0.5))
-        for _ in range(5):
-            legacy.step()
-            modern.step()
-        assert legacy.loads.tobytes() == modern.loads.tobytes()
+class TestOneConstructionPath:
+    """``config=`` or nothing: the loose keywords of PR 8's shim are gone."""
 
-    def test_config_construction_does_not_warn(self):
-        import warnings
+    @pytest.mark.parametrize(
+        "field", ["capacities", "gossip_delay", "quantum", "adaptive", "bogus"]
+    )
+    def test_engine_keyword_is_a_type_error(self, field):
+        with pytest.raises(TypeError, match=field):
+            make_engine(**{field: 1})
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            make_engine(config=EngineConfig(adaptive=False))
-
-    def test_mixing_config_and_loose_kwargs_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
+    def test_mixing_config_and_a_keyword_is_a_type_error(self):
+        with pytest.raises(TypeError, match="adaptive"):
             make_engine(config=EngineConfig(), adaptive=False)
 
-    def test_unknown_kwarg_is_a_type_error(self):
-        with pytest.raises(TypeError, match="bogus"):
-            make_engine(bogus=1)
+    def test_batch_keyword_is_a_type_error(self):
+        with pytest.raises(TypeError, match="adaptive"):
+            BatchEngine(flatten(TREE), [[1.0] * N], adaptive=False)
 
-    def test_cluster_runtime_loose_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="ClusterRuntime.*deprecated"):
-            runtime = ClusterRuntime({0: TREE}, adaptive=False)
-        assert runtime.state()["adaptive"] is False
-
-    def test_cluster_runtime_config_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ClusterRuntime({0: TREE}, config=ClusterConfig(adaptive=False))
+    @pytest.mark.parametrize("field", ["adaptive", "track_tlb", "alpha", "bogus"])
+    def test_runtime_keyword_is_a_type_error(self, field):
+        with pytest.raises(TypeError, match=field):
+            ClusterRuntime({0: TREE}, **{field: 1})
 
 
 class TestBatchEngineRejectsUnsupportedFields:

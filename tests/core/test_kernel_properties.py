@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import EngineConfig
 from repro.core.dynamics import resettle
 from repro.core.kernel import (
     AsyncEngine,
@@ -138,7 +139,9 @@ class TestRoundMatchesReference:
         rates = [rng.uniform(0.0, 60.0) for _ in range(tree.n)]
         flat = flatten(tree)
         alphas = degree_edge_alphas(flat)
-        engine = SyncEngine(flat, rates, rates, alphas, quantum=0.5)
+        engine = SyncEngine(
+            flat, rates, rates, alphas, config=EngineConfig(quantum=0.5)
+        )
         amap = edge_alpha_map(flat, alphas)
         expected = list(map(float, rates))
         for _ in range(20):
@@ -161,7 +164,8 @@ class TestKernelInvariants:
             [rng.uniform(0.5, 8.0) for _ in range(tree.n)] if weighted else None
         )
         engine = SyncEngine(
-            flat, rates, rates, degree_edge_alphas(flat), capacities=caps
+            flat, rates, rates, degree_edge_alphas(flat),
+            config=EngineConfig(capacities=caps),
         )
         total = float(np.sum(engine.loads))
         for _ in range(25):
@@ -203,7 +207,8 @@ class TestKernelInvariants:
         rates = [rng.uniform(0.0, 50.0) for _ in range(tree.n)]
         flat = flatten(tree)
         engine = SyncEngine(
-            flat, rates, rates, degree_edge_alphas(flat), gossip_delay=3
+            flat, rates, rates, degree_edge_alphas(flat),
+            config=EngineConfig(gossip_delay=3),
         )
         total = float(np.sum(engine.loads))
         for _ in range(60):
@@ -289,8 +294,6 @@ class TestRateValidation:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_sync_engine_rejects_non_finite_capacities(self, bad):
-        from repro.core.kernel import EngineConfig
-
         tree = kary_tree(2, 2)
         flat = flatten(tree)
         caps = [1.0] * tree.n

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import random
 
 from repro.cluster.runtime import ClusterRuntime
+from repro.core.config import EngineConfig
 from repro.cluster.scenarios import rerooted_trees
 from repro.core.kernel import (
     AsyncEngine,
@@ -69,9 +70,13 @@ class TestRatePlaneParity:
         alphas = degree_edge_alphas(flat)
         tel = Telemetry(sample_interval=1)
 
-        plain = SyncEngine(flat, rates, rates, alphas, adaptive=False)
+        plain = SyncEngine(
+            flat, rates, rates, alphas, config=EngineConfig(adaptive=False)
+        )
         instrumented = SyncEngine(
-            flat, rates, rates, alphas, adaptive=False, telemetry=tel
+            flat, rates, rates, alphas,
+            telemetry=tel,
+            config=EngineConfig(adaptive=False),
         )
         for _ in range(rounds):
             plain.step()

@@ -1,4 +1,9 @@
-"""Cache servers: serve-or-forward decisions and rate accounting.
+"""The pre-refactor dict-based cache server, kept as a test oracle.
+
+The shipped authority is :class:`repro.protocols.state.CacheServerView` over
+:class:`~repro.protocols.state.MeterBank`; ``tests/cache/test_server.py``
+runs the same cases against both, and
+:mod:`tests.oracle.packet_reference` builds its nodes from this one.
 
 A WebWave cache server (one per tree node) owns:
 
@@ -16,10 +21,9 @@ whatever reaches it (Constraint 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .store import CacheStore
+from repro.cache.store import CacheStore
 
 __all__ = ["RateMeter", "CacheServer"]
 

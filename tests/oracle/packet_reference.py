@@ -1,18 +1,16 @@
-"""The pre-refactor packet plane, frozen as the parity/benchmark baseline.
+"""The pre-refactor packet plane, kept in the test tree as a parity oracle.
 
 PR 4 rebuilt :mod:`repro.protocols.scenario` and
 :mod:`repro.protocols.webwave` onto array state, an inline path walker, and
 batched event timelines.  This module preserves the original per-hop-event
 implementation verbatim (one heap event per router traversal, dict-based
-per-server state, per-edge gossip closures), in the same spirit as
-:func:`repro.core.kernel.reference_round`:
-
-* ``benchmarks/test_bench_packet.py`` measures the refactored plane's
-  requests/sec against :class:`ReferenceWebWaveScenario` on identical
-  workloads - the ``bench-packet/v1`` speedup record;
-* ``tests/protocols/test_packet_parity.py`` pins that both planes produce
-  bit-identical :class:`~repro.protocols.scenario.ScenarioMetrics` for a
-  fixed seed (alongside the goldens recorded before the refactor).
+per-server state from :mod:`tests.oracle.cache_server`, per-edge gossip
+closures), in the same spirit as :func:`repro.core.kernel.reference_round`.
+It is not part of the installed package: ``tests/golden/packet_goldens.json``
+is the primary pin, and ``tests/protocols/test_packet_parity.py``
+additionally compares the shipped plane against this one live - same seed,
+bit-identical :class:`~repro.protocols.scenario.ScenarioMetrics` and router
+counters, well under half the heap events.
 
 Do not optimize this module; its slowness is the point.
 """
@@ -22,16 +20,18 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-from ..cache.server import CacheServer
-from ..core.load import LoadAssignment
-from ..core.tree import RoutingTree
-from ..router.router import Router
-from ..sim.engine import Simulator
-from ..sim.rng import RngStreams
-from ..traffic.requests import Request
-from ..traffic.workload import Workload
-from .scenario import ScenarioConfig, ScenarioMetrics
-from .webwave import WebWaveProtocolConfig
+from repro.cache.store import CacheStore
+from repro.core.load import LoadAssignment
+from repro.core.tree import RoutingTree
+from repro.protocols.scenario import ScenarioConfig, ScenarioMetrics
+from repro.protocols.webwave import WebWaveProtocolConfig
+from repro.router.router import Router
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngStreams
+from repro.traffic.requests import Request
+from repro.traffic.workload import Workload
+
+from tests.oracle.cache_server import CacheServer
 
 __all__ = ["ReferenceScenario", "ReferenceWebWaveScenario"]
 
@@ -78,8 +78,6 @@ class ReferenceScenario:
             is_home = node == self.tree.root
             store = None
             if cfg.cache_capacity is not None and not is_home:
-                from ..cache.store import CacheStore
-
                 store = CacheStore(
                     capacity=cfg.cache_capacity, policy=cfg.cache_policy
                 )

@@ -7,10 +7,11 @@ observable metric:
 * **Goldens** - ``tests/golden/packet_goldens.json`` was recorded from the
   original dict-based, event-per-hop implementation *before* the refactor;
   every case must still reproduce it bit for bit.
-* **Live reference** - :mod:`repro.protocols.reference` preserves the
-  original implementation; a run of each plane on the same workload must
-  produce identical :class:`ScenarioMetrics` on this host, whatever its
-  libm.
+* **Live reference** - :mod:`tests.oracle.packet_reference` preserves the
+  original implementation (outside the installed package); a run of each
+  plane on the same workload must produce identical
+  :class:`ScenarioMetrics` on this host, whatever its libm - and the
+  shipped plane must get there with well under half the heap events.
 * **Determinism** - two runs of every protocol with the same seed produce
   identical metrics (the satellite contract for all packet protocols).
 """
@@ -31,10 +32,11 @@ from repro.protocols.baselines import (
     NoCacheScenario,
     PushScenario,
 )
-from repro.protocols.reference import ReferenceWebWaveScenario
 from repro.protocols.scenario import Scenario, ScenarioConfig
 from repro.protocols.webwave import WebWaveScenario
 from repro.traffic.workload import hot_document_workload
+
+from tests.oracle.packet_reference import ReferenceWebWaveScenario
 
 GOLDEN_DIR = pathlib.Path(__file__).parent.parent / "golden"
 
@@ -89,6 +91,17 @@ def small_workload(hot_rate=40.0):
     return hot_document_workload(tree, catalog, rates, zipf_s=0.9)
 
 
+def regional_workload(height=7, hot_leaves=32, hot_rate=12.0):
+    """A 255-node tree where a bounded set of leaf regions stays hot."""
+    tree = kary_tree(2, height)
+    leaves = tree.leaves()
+    rates = [0.0] * tree.n
+    for leaf in leaves[:: len(leaves) // hot_leaves][:hot_leaves]:
+        rates[leaf] = hot_rate
+    catalog = Catalog.generate(home=tree.root, count=12)
+    return hot_document_workload(tree, catalog, rates, zipf_s=0.9)
+
+
 class TestLiveReferenceParity:
     """New plane vs the frozen pre-refactor implementation, same host."""
 
@@ -99,6 +112,21 @@ class TestLiveReferenceParity:
         reference = ReferenceWebWaveScenario(small_workload(), config).run()
         refactored = WebWaveScenario(small_workload(), config).run()
         assert metrics_equal(reference, refactored)
+
+    def test_deep_tree_parity_in_half_the_events(self):
+        # The structural claim of the rebuilt plane, at tier-1 size: the
+        # inline walker and batched gossip need far fewer heap events for
+        # the same bit-identical run (0.31x at n=255 when recorded).
+        config = ScenarioConfig(
+            duration=6.0, warmup=1.5, seed=0, default_capacity=60.0
+        )
+        reference = ReferenceWebWaveScenario(regional_workload(), config)
+        refactored = WebWaveScenario(regional_workload(), config)
+        assert metrics_equal(reference.run(), refactored.run())
+        assert len(reference.requests) == len(refactored.requests) > 1000
+        assert (
+            refactored.sim.events_executed < 0.5 * reference.sim.events_executed
+        )
 
     def test_router_counters_match_reference(self):
         config = ScenarioConfig(

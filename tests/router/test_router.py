@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.server import CacheServer
 from repro.router.packetfilter import DPF_MATCH_COST, FilterTable, PacketFilter
 from repro.router.router import RouteDecision, Router
+
+from tests.helpers import shipped_server
 
 
 class TestPacketFilter:
@@ -64,7 +65,7 @@ class TestFilterTable:
 
 class TestRouter:
     def make_router(self, is_home=False, parent=0):
-        server = CacheServer(node=1, is_home=is_home)
+        server = shipped_server(node=1, is_home=is_home)
         return Router(node=1, server=server, parent=parent), server
 
     def test_forward_when_no_copy(self):

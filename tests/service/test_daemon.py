@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import json
+
 import pytest
 
 from repro.cluster.config import ClusterConfig
@@ -9,7 +12,7 @@ from repro.cluster.runtime import ClusterRuntime
 from repro.core.kernel import SyncEngine, degree_edge_alphas, flatten
 from repro.core.tree import kary_tree, tree_from_edges
 from repro.obs.sink import MemorySink
-from repro.service import Service
+from repro.service import Service, write_checkpoint
 
 
 N = kary_tree(2, 2).n
@@ -134,6 +137,76 @@ def test_restore_keeps_live_tree_source(service, tmp_path):
         {"op": "publish", "doc_id": "late", "home": 2, "rates": [1.0] * N}
     )
     assert response["ok"], response.get("error")
+
+
+def _duplicate_doc(state):
+    # a second cohort under home 0 repeating the first cohort's doc id
+    cohorts = state["groups"][0]["cohorts"]
+    cohorts.append(copy.deepcopy(cohorts[0]))
+
+
+def _missing_engine(state):
+    del state["groups"][-1]["cohorts"][0]["engine"]
+
+
+def _wrong_size_tree(state):
+    state["groups"][-1]["parent_map"] = [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "corrupt,error",
+    [
+        pytest.param(_duplicate_doc, "duplicate document 'seed'", id="duplicate-doc"),
+        pytest.param(_missing_engine, "KeyError: 'engine'", id="missing-engine"),
+        pytest.param(_wrong_size_tree, "has 3 nodes, cluster has 7", id="wrong-n-tree"),
+    ],
+)
+def test_rejected_restore_leaves_the_catalog_untouched(
+    service, catalog, tmp_path, corrupt, error
+):
+    """A checkpoint that fails to load must not tear the live runtime.
+
+    ``load_state`` used to clear the catalog indices before parsing, and
+    ``restore`` retried through ``from_state``: the duplicate-id case left
+    ``documents == 1`` next to two cohorts of mass, and kept ticking.
+    """
+    service.execute(
+        {"op": "publish", "doc_id": "other", "home": 1, "rates": [2.0] * N}
+    )
+    service.execute({"op": "tick", "count": 3})
+    good = str(tmp_path / "good.ckpt")
+    assert service.execute({"op": "checkpoint", "path": good})["ok"]
+    service.execute({"op": "tick", "count": 2})
+    before_snapshot = service.execute({"op": "snapshot"})["snapshot"]
+    before_state = json.dumps(catalog.state())
+
+    state = catalog.state()
+    corrupt(state)
+    bad = str(tmp_path / "bad.ckpt")
+    write_checkpoint(state, bad)
+    response = service.execute({"op": "restore", "path": bad})
+    assert not response["ok"] and error in response["error"]
+
+    assert service.runtime is catalog
+    assert json.dumps(catalog.state()) == before_state
+    assert service.execute({"op": "snapshot"})["snapshot"] == before_snapshot
+    assert catalog.documents == 2
+    assert catalog.total_mass() == pytest.approx(catalog.total_rate())
+
+    # and a good restore still works afterwards, in place
+    assert service.execute({"op": "restore", "path": good})["ok"]
+    assert service.runtime is catalog and catalog.tick_count == 3
+
+
+def test_restore_of_another_kind_swaps_the_runtime(service, tmp_path):
+    flat = flatten(kary_tree(2, 2))
+    engine = SyncEngine(flat, [1.0] * N, [1.0] * N, degree_edge_alphas(flat))
+    engine.step()
+    path = str(tmp_path / "engine.ckpt")
+    write_checkpoint(engine, path)
+    response = service.execute({"op": "restore", "path": path})
+    assert response["ok"] and response["kind"] == "sync_engine"
+    assert service.runtime.state() == engine.state()
 
 
 def test_restore_missing_file_is_an_error_response(service):
