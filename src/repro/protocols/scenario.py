@@ -519,7 +519,10 @@ class Scenario:
                 return
             next_hop = parent[node]
             # inline record_forwarded(node, d, t); the per-node forwarded
-            # tally is derived as seen - diverted at flush time
+            # tally is derived as seen - diverted at flush time.  A meter's
+            # first event always takes the _roll branch (its wstart is
+            # -inf until then) and joins the bank's live set there, so the
+            # bump cannot land on a meter the bulk reads do not know.
             k = node * docs + d
             if t - fwd_wstart[k] >= window:
                 fwd_bank._roll(k, t)
@@ -627,9 +630,9 @@ class Scenario:
         self.sim.run(until=self.config.duration)
         # Snapshot measured rates while traffic is still flowing; the rate
         # meters decay during the drain phase below.
-        self._measured_snapshot = [
-            server.served_rate(self.sim.now) for server in self.servers
-        ]
+        self._measured_snapshot = self.state.served_total.rates_all(
+            self.sim.now
+        ).tolist()
         # Allow in-flight requests to drain briefly past the arrival horizon.
         self.sim.run(until=self.config.duration * _DRAIN_FACTOR)
         self._realize_completions()
@@ -677,6 +680,12 @@ class Scenario:
         tel.gauge_set("packet.requests_completed", metrics.completed)
         for kind, count in sorted(self.messages.items()):
             tel.gauge_set(f"packet.messages.{kind}", count)
+        # Is control-plane cost following activity?  Bulk meter reads walk
+        # the live meters only.
+        state = self.state
+        banks = (state.served_total, state.served_doc, state.fwd_doc)
+        tel.gauge_set("packet.meters_live", sum(len(bank.live) for bank in banks))
+        tel.gauge_set("packet.meters_total", sum(bank.size for bank in banks))
         tel.export(plane="packet", scenario=self.name)
 
     def _flush_router_counters(self) -> None:
@@ -732,8 +741,7 @@ class Scenario:
         """
         served = getattr(self, "_measured_snapshot", None)
         if served is None:
-            now = self.sim.now
-            served = [s.served_rate(now) for s in self.servers]
+            served = self.state.served_total.rates_all(self.sim.now).tolist()
         return LoadAssignment(self.tree, self.workload.node_rates(), served)
 
     def tlb_target(self) -> LoadAssignment:

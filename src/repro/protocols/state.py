@@ -35,8 +35,29 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cache.store import CacheStore
+from ..core.kernel import check_rates
 
 __all__ = ["MeterBank", "PacketState", "CacheServerView", "TargetsView"]
+
+
+# ``wstart`` of a meter that has never recorded an event.  ``now - _NEVER``
+# is +inf, so the first ``record`` (and the walker's inlined count bump in
+# ``protocols/scenario.py``) always takes the ``_roll`` branch, which is
+# where a meter joins the live set: no event can be counted on a meter the
+# bulk reads do not know about, and the per-hop path pays nothing for it.
+_NEVER = float("-inf")
+
+
+def _field(
+    state: Dict[str, object], field: str, shape: Tuple[int, ...], what: str, dtype=np.float64
+) -> np.ndarray:
+    """``state[field]`` as a fresh ``dtype`` array of exactly ``shape`` with
+    finite, non-negative entries, or a ``ValueError`` naming the field."""
+    arr = np.array(state[field], dtype=dtype)
+    if arr.shape != shape:
+        raise ValueError(f"{what} {field!r}: expected shape {shape}, got {arr.shape}")
+    check_rates(arr, f"{what} {field!r}")
+    return arr
 
 
 class MeterBank:
@@ -54,9 +75,21 @@ class MeterBank:
     plain lists, whose scalar read-modify-write is ~3x cheaper than NumPy
     item access on the per-hop datapath.  A meter rolls at most once per
     window, so the array writes stay off the hot path.
+
+    The live set: ``live`` lists the meters that have ever recorded an
+    event; every other meter has ``wstart == _NEVER`` and
+    is never rolled by anyone - not by the bulk reads, which walk ``live``
+    and so cost O(meters with traffic) rather than O(size), and not by a
+    scalar :meth:`rate`.  That is value-exact: an unrecorded meter's
+    estimate is 0.0 whether it is rolled every window or not at all, and
+    its first event runs the same anchored-at-zero catch-up
+    (``ws += window`` from 0.0) the dict-based plane's lazily created
+    meters ran on first touch, so only the ``seeded``/``wstart``
+    bookkeeping of meters that never counted anything differs, and no
+    estimate reads it.
     """
 
-    __slots__ = ("size", "window", "alpha", "counts", "wstart", "est", "seeded")
+    __slots__ = ("size", "window", "alpha", "counts", "wstart", "est", "seeded", "live")
 
     def __init__(self, size: int, window: float = 1.0, alpha: float = 0.5) -> None:
         if window <= 0:
@@ -67,14 +100,19 @@ class MeterBank:
         self.window = window
         self.alpha = alpha
         self.counts = [0.0] * size
-        self.wstart = [0.0] * size
+        self.wstart = [_NEVER] * size
         self.est = np.zeros(size, dtype=np.float64)
         self.seeded = [False] * size
+        self.live: List[int] = []
 
     # -- scalar hot path -------------------------------------------------
     def _roll(self, k: int, now: float) -> None:
         window = self.window
         ws = self.wstart[k]
+        if ws == _NEVER:
+            # first event on this meter: it goes live, anchored at t=0
+            self.live.append(k)
+            self.wstart[k] = ws = 0.0
         if now - ws < window:
             return
         alpha = self.alpha
@@ -103,62 +141,88 @@ class MeterBank:
 
     def rate(self, k: int, now: float) -> float:
         """Meter ``k``'s events/second estimate at time ``now``."""
-        if now - self.wstart[k] >= self.window:
+        ws = self.wstart[k]
+        if now - ws >= self.window and ws != _NEVER:
             self._roll(k, now)
         return float(self.est[k])
 
     # -- bulk control plane ----------------------------------------------
     def roll_range(self, now: float, lo: int, hi: int) -> None:
-        """Roll meters ``lo:hi`` up to ``now`` (scalar-identical).
-
-        Never-touched meters are skipped: their estimate is identically
-        zero whether rolled now or lazily at first use (the dict-based
-        plane created those meters lazily, with the same anchored-at-zero
-        catch-up roll on first touch).
-        """
+        """Roll the live meters among ``lo:hi`` up to ``now``: one node's
+        per-document row (a dozen meters; :meth:`rates_all` is the
+        whole-bank read)."""
         window = self.window
         wstart = self.wstart
-        counts = self.counts
-        seeded = self.seeded
         for k in range(lo, hi):
-            if now - wstart[k] >= window and (seeded[k] or counts[k] != 0.0):
+            ws = wstart[k]
+            if now - ws >= window and ws != _NEVER:
                 self._roll(k, now)
 
     def rates_all(self, now: float) -> np.ndarray:
-        """Every meter's estimate at ``now`` (rolled, copied out)."""
-        self.roll_range(now, 0, self.size)
+        """Every meter's estimate at ``now`` (live ones rolled, copied out)."""
+        window = self.window
+        wstart = self.wstart
+        for k in self.live:
+            if now - wstart[k] >= window:
+                self._roll(k, now)
         return self.est.copy()
 
     # -- serialization (service-plane checkpoints) -----------------------
     def state(self) -> Dict[str, object]:
-        """Every meter's exact bookkeeping (counts, anchors, estimates)."""
+        """Every meter's exact bookkeeping (counts, anchors, estimates).
+
+        The live set is not serialised (:meth:`load_state` derives it); an
+        unrecorded meter's anchor is written as the 0.0 it will start from.
+        """
         return {
             "kind": "meter_bank",
             "size": self.size,
             "window": self.window,
             "alpha": self.alpha,
             "counts": list(self.counts),
-            "wstart": list(self.wstart),
+            "wstart": [0.0 if ws == _NEVER else ws for ws in self.wstart],
             "est": self.est.tolist(),
             "seeded": list(self.seeded),
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state` capture in place (bit-identical rates)."""
+        """Restore a :meth:`state` capture in place (bit-identical rates).
+
+        A capture that is not a bank of this size, or that carries a
+        truncated, non-finite or negative field, raises ``ValueError`` and
+        leaves the bank untouched.
+        """
         if state.get("kind") != "meter_bank":
             raise ValueError(
                 f"cannot load state of kind {state.get('kind')!r} into a meter bank"
             )
-        if int(state["size"]) != self.size:
+        size = self.size
+        if int(state["size"]) != size:
             raise ValueError(
-                f"meter bank state has {state['size']} meters, bank has {self.size}"
+                f"meter bank state has {state['size']} meters, bank has {size}"
             )
-        self.window = float(state["window"])
-        self.alpha = float(state["alpha"])
-        self.counts = [float(c) for c in state["counts"]]
-        self.wstart = [float(w) for w in state["wstart"]]
-        self.est = np.asarray(state["est"], dtype=np.float64)
-        self.seeded = [bool(s) for s in state["seeded"]]
+        window = float(state["window"])
+        alpha = float(state["alpha"])
+        if not (0 < window < np.inf and 0 < alpha <= 1):
+            raise ValueError("meter bank 'window' must be positive and 'alpha' in (0, 1]")
+        what = "meter bank"
+        counts = _field(state, "counts", (size,), what).tolist()
+        anchors = _field(state, "wstart", (size,), what).tolist()
+        est = _field(state, "est", (size,), what)
+        seeded = _field(state, "seeded", (size,), what, bool).tolist()
+        # A meter is live iff it was ever rolled (seeded) or holds a count
+        # from its first window.
+        live = [k for k in range(size) if seeded[k] or counts[k] != 0.0]
+        wstart = [_NEVER] * size
+        for k in live:
+            wstart[k] = anchors[k]
+        self.window = window
+        self.alpha = alpha
+        self.counts = counts
+        self.wstart = wstart
+        self.est = est
+        self.seeded = seeded
+        self.live = live
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "MeterBank":
@@ -286,6 +350,8 @@ class PacketState:
         # Last virtual time each node's forwarded-rate row was bulk-rolled;
         # diffusion reads the same rows several times per tick.
         self._fwd_row_stamp: List[float] = [-1.0] * n
+        # forwarded_documents() memo per node: (instant, min_rate, pairs).
+        self._fwd_docs: List[Optional[Tuple[float, float, list]]] = [None] * n
 
     # ------------------------------------------------------------------
     # Cache content (store is the authority; ``cached`` mirrors it)
@@ -322,12 +388,6 @@ class PacketState:
     def served_doc_rate(self, node: int, d: int, now: float) -> float:
         return self.served_doc.rate(node * self.docs + d, now)
 
-    def doc_row(self, bank: MeterBank, node: int, now: float) -> np.ndarray:
-        """One node's per-document rates from ``bank`` (rolled, a view)."""
-        lo = node * self.docs
-        bank.roll_range(now, lo, lo + self.docs)
-        return bank.est[lo : lo + self.docs]
-
     def _fwd_row(self, node: int, now: float) -> np.ndarray:
         """The forwarded-rate row, with the bulk roll memoized per time.
 
@@ -344,13 +404,24 @@ class PacketState:
     def forwarded_documents(
         self, node: int, now: float, min_rate: float = 1e-9
     ) -> List[Tuple[str, float]]:
-        """Documents ``node`` is forwarding, hottest first (ties: doc id)."""
-        rates = self._fwd_row(node, now)
+        """Documents ``node`` is forwarding, hottest first (ties: doc id).
+
+        Computed once per ``(node, instant)`` - a diffusion pass asks for
+        the same row as the delegating parent's child and as the puller
+        itself - under the argument :meth:`_fwd_row` makes: estimates at a
+        fixed instant are unique.  The list is shared; do not mutate it.
+        """
+        memo = self._fwd_docs[node]
+        if memo is not None and memo[0] == now and memo[1] == min_rate:
+            return memo[2]
+        doc_ids = self.doc_ids
         pairs = [
-            (self.doc_ids[d], float(rates[d]))
-            for d in np.flatnonzero(rates > min_rate).tolist()
+            (doc_ids[d], rate)
+            for d, rate in enumerate(self._fwd_row(node, now).tolist())
+            if rate > min_rate
         ]
         pairs.sort(key=lambda dr: (-dr[1], dr[0]))
+        self._fwd_docs[node] = (now, min_rate, pairs)
         return pairs
 
     def forwarded_rate(self, node: int, now: float, d: Optional[int] = None) -> float:
@@ -405,7 +476,13 @@ class PacketState:
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state` capture in place (bit-identical resume)."""
+        """Restore a :meth:`state` capture in place (bit-identical resume).
+
+        Everything is parsed and validated into locals first; a capture
+        with a different universe, a wrong-shaped matrix or vector, or a
+        non-finite or negative value raises ``ValueError`` naming the field
+        and leaves this state untouched.
+        """
         if state.get("kind") != "packet_state":
             raise ValueError(
                 f"cannot load state of kind {state.get('kind')!r} into a "
@@ -416,25 +493,63 @@ class PacketState:
                 "packet_state capture has a different node/document universe"
             )
         n, d = self.n, self.docs
-        self.home = int(state["home"])
-        self.capacity = np.asarray(state["capacities"], dtype=np.float64)
-        self.meter_window = float(state["meter_window"])
-        self.targets = np.asarray(state["targets"], dtype=np.float64).reshape(n, d)
-        self.has_target = np.asarray(state["has_target"], dtype=bool).reshape(n, d)
-        self.served_total.load_state(state["served_total"])
-        self.served_doc.load_state(state["served_doc"])
-        self.fwd_doc.load_state(state["fwd_doc"])
-        self.busy_until = np.asarray(state["busy_until"], dtype=np.float64)
-        self.busy_time = np.asarray(state["busy_time"], dtype=np.float64)
-        self.requests_served = [int(x) for x in state["requests_served"]]
-        self.requests_forwarded = [int(x) for x in state["requests_forwarded"]]
-        self.failed = np.asarray(state["failed"], dtype=bool)
-        self.stores = [CacheStore.from_state(s) for s in state["stores"]]
-        self.cached = [
+        what = "packet_state"
+        home = int(state["home"])
+        if not 0 <= home < n:
+            raise ValueError(f"{what} 'home' must be a node id below {n}, got {home}")
+        capacity = _field(state, "capacities", (n,), what)
+        if n and capacity.min() <= 0.0:
+            raise ValueError(f"{what} 'capacities' must be positive")
+        meter_window = float(state["meter_window"])
+        if not 0 < meter_window < np.inf:
+            raise ValueError(f"{what} 'meter_window' must be positive and finite")
+        targets = _field(state, "targets", (n, d), what)
+        has_target = _field(state, "has_target", (n, d), what, bool)
+        banks = []
+        for field, size in (("served_total", n), ("served_doc", n * d), ("fwd_doc", n * d)):
+            bank = MeterBank(size)
+            try:
+                bank.load_state(state[field])
+            except ValueError as exc:
+                raise ValueError(f"{what} {field!r}: {exc}") from None
+            banks.append(bank)
+        busy_until = _field(state, "busy_until", (n,), what)
+        busy_time = _field(state, "busy_time", (n,), what)
+        failed = _field(state, "failed", (n,), what, bool)
+
+        def per_node(field: str) -> Sequence:
+            values = state[field]
+            if len(values) != n:
+                raise ValueError(f"{what} {field!r}: expected {n} entries, got {len(values)}")
+            return values
+
+        tallies = []
+        for field in ("requests_served", "requests_forwarded"):
+            tally = [int(x) for x in per_node(field)]
+            if n and min(tally) < 0:
+                raise ValueError(f"{what} {field!r} must be non-negative")
+            tallies.append(tally)
+        stamps = [float(x) for x in per_node("fwd_row_stamp")]
+        stores = [CacheStore.from_state(s) for s in per_node("stores")]
+        cached = [
             {self.doc_index[doc_id] for doc_id, _ in s["entries"]}
             for s in state["stores"]
         ]
-        self._fwd_row_stamp = [float(x) for x in state["fwd_row_stamp"]]
+
+        self.home = home
+        self.capacity = capacity
+        self.meter_window = meter_window
+        self.targets = targets
+        self.has_target = has_target
+        self.served_total, self.served_doc, self.fwd_doc = banks
+        self.busy_until = busy_until
+        self.busy_time = busy_time
+        self.requests_served, self.requests_forwarded = tallies
+        self.failed = failed
+        self.stores = stores
+        self.cached = cached
+        self._fwd_row_stamp = stamps
+        self._fwd_docs = [None] * n
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "PacketState":

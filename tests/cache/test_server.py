@@ -7,7 +7,12 @@ oracle under ``tests/oracle/`` that the parity tests compare against.
 
 from __future__ import annotations
 
+import copy
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.protocols.state import MeterBank
 
@@ -81,6 +86,68 @@ class TestMeterBank(MeterCases):
     """The shipped meter bank."""
 
     RateMeter = BankMeter
+
+
+class _SpyBank(MeterBank):
+    """A bank that notes every meter handed to ``_roll``."""
+
+    __slots__ = ()
+    rolled = set()  # shared by every instance, copies and restores included
+
+    def _roll(self, k, now):
+        self.rolled.add(k)
+        super()._roll(k, now)
+
+
+_METER_OPS = st.tuples(
+    st.sampled_from(["record", "rate", "bump", "bulk", "restore"]),
+    st.integers(0, 5),  # meter
+    st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 1.75, 6.0]),  # time step
+    st.sampled_from([1.0, 0.5, 3.0]),  # record weight
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_METER_OPS, min_size=1, max_size=40),
+    st.sampled_from([0.5, 1.0]),
+    st.sampled_from([0.3, 0.5, 1.0]),
+)
+def test_bank_bulk_read_equals_per_meter_oracle(ops, window, alpha):
+    """Any interleaving of scalar, walker-inline, bulk and restore access:
+    the bank's bulk read is the oracle's per-object meters bit for bit, and
+    a meter that never recorded an event is never rolled by anyone."""
+    _SpyBank.rolled = set()
+    bank = _SpyBank(6, window=window, alpha=alpha)
+    oracle = [OracleRateMeter(window=window, alpha=alpha) for _ in range(6)]
+    recorded = set()
+    now = 0.0
+    for op, k, step, weight in ops:
+        now += step
+        if op == "record":
+            recorded.add(k)
+            bank.record(k, now, weight)
+            oracle[k].record(now, weight)
+        elif op == "bump":
+            # the packet walker's inlined record (protocols/scenario.py)
+            recorded.add(k)
+            if now - bank.wstart[k] >= bank.window:
+                bank._roll(k, now)
+            bank.counts[k] += 1.0
+            oracle[k].record(now)
+        elif op == "rate":
+            assert bank.rate(k, now) == oracle[k].rate(now)
+        elif op == "bulk":
+            expected = np.array([meter.rate(now) for meter in oracle])
+            assert bank.rates_all(now).tobytes() == expected.tobytes()
+        else:
+            bank = _SpyBank.from_state(bank.state())
+        # the bulk read after every step, on copies so that the check does
+        # not roll anything for the steps that follow
+        expected = np.array([meter.rate(now) for meter in copy.deepcopy(oracle)])
+        assert copy.deepcopy(bank).rates_all(now).tobytes() == expected.tobytes()
+        assert _SpyBank.rolled <= recorded
+        assert sorted(bank.live) == sorted(recorded)
 
 
 class ServerCases:

@@ -199,3 +199,7 @@ class TestPacketPlaneParity:
             instrumented.requests
         )
         assert gauges["sim.events_executed"] > 0
+        # the meter gauges are read off the banks and roll nothing
+        assert gauges["packet.meters_total"] == tree.n * (1 + 2 * 4)
+        assert 0 < gauges["packet.meters_live"] <= gauges["packet.meters_total"]
+        assert plain.state.state() == instrumented.state.state()

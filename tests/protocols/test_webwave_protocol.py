@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import collections
+import math
+
 import pytest
 
 from repro.core.tree import chain_tree, kary_tree
 from repro.documents.catalog import Catalog
 from repro.protocols.scenario import ScenarioConfig
+from repro.protocols.state import MeterBank
 from repro.protocols.webwave import WebWaveProtocolConfig, WebWaveScenario
 from repro.traffic.workload import hot_document_workload
 
@@ -154,3 +158,46 @@ class TestTunneling:
         # the offered load (80/s) exceeds any two nodes' capacity (50/s):
         # without spreading across at least 3 nodes throughput would stall
         assert metrics.throughput > 0.85 * workload.total_rate
+
+
+class TestControlPlaneFollowsActivity:
+    """A count, not a clock: meter rolling costs what has traffic."""
+
+    HOT_LEAVES = 8
+    HEIGHT = 11
+
+    def scenario(self):
+        tree = kary_tree(2, self.HEIGHT)
+        leaves = list(tree.leaves())
+        rates = [0.0] * tree.n
+        for leaf in leaves[:: len(leaves) // self.HOT_LEAVES]:
+            rates[leaf] = 6.0
+        catalog = Catalog.generate(home=tree.root, count=6)
+        workload = hot_document_workload(tree, catalog, rates, zipf_s=0.9)
+        config = ScenarioConfig(duration=6.0, warmup=1.5, seed=4, default_capacity=60.0)
+        return WebWaveScenario(workload, config)
+
+    def test_rolls_bounded_by_live_meters_times_windows(self, monkeypatch):
+        plain = self.scenario().run()
+
+        calls = collections.Counter()
+        roll = MeterBank._roll
+
+        def counting_roll(bank, k, now):
+            calls[id(bank)] += 1
+            roll(bank, k, now)
+
+        monkeypatch.setattr(MeterBank, "_roll", counting_roll)
+        scenario = self.scenario()
+        metrics = scenario.run()
+
+        bank = scenario.state.served_total
+        assert bank.size == 4095
+        # only servers on a hot leaf's path to the root ever serve, and a
+        # meter is handed to _roll at most once per window it lives through
+        on_paths = self.HOT_LEAVES * (self.HEIGHT + 1)
+        windows = math.floor(scenario.sim.now / bank.window) + 1
+        assert 0 < calls[id(bank)] <= on_paths * windows
+        assert 0 < len(bank.live) <= on_paths
+        assert calls[id(bank)] <= len(bank.live) * windows
+        assert metrics == plain

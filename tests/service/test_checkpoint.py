@@ -279,6 +279,139 @@ def test_packet_state_round_trip_preserves_caches_and_meters():
         assert twin.served_total.rate(node, now) == state.served_total.rate(node, now)
 
 
+def _busy_bank():
+    bank = MeterBank(4, window=1.0, alpha=0.5)
+    for t in (0.1, 0.2, 1.4, 2.6):
+        bank.record(0, t)
+    bank.record(2, 0.5)
+    return bank
+
+
+def _corrupt(state, field, edit):
+    bad = json_round_trip(state)
+    bad[field] = edit(bad[field])
+    return bad
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        pytest.param("counts", lambda v: v[:2], id="counts-short"),
+        pytest.param("est", lambda v: v[:3], id="est-short"),
+        pytest.param("wstart", lambda v: v + [0.0], id="wstart-long"),
+        pytest.param("seeded", lambda v: v[:1], id="seeded-short"),
+        pytest.param("counts", lambda v: [-3.0] + v[1:], id="counts-negative"),
+        pytest.param("counts", lambda v: [float("inf")] + v[1:], id="counts-inf"),
+        pytest.param("est", lambda v: [v[0], float("nan")] + v[2:], id="est-nan"),
+        pytest.param("est", lambda v: [-1.0] + v[1:], id="est-negative"),
+        pytest.param("wstart", lambda v: [float("nan")] + v[1:], id="wstart-nan"),
+        pytest.param("wstart", lambda v: [float("-inf")] + v[1:], id="wstart-neg-inf"),
+    ],
+)
+def test_hostile_meter_bank_state_rejected_and_bank_untouched(field, edit):
+    """A truncated or poisoned ``meter_bank`` capture must not load: at the
+    parent commit a short ``counts`` died later with a bare IndexError and
+    a NaN or negative estimate was gossiped as a load."""
+    bank = _busy_bank()
+    before = json.dumps(bank.state())
+    with pytest.raises(ValueError, match=field):
+        bank.load_state(_corrupt(bank.state(), field, edit))
+    assert json.dumps(bank.state()) == before
+    assert bank.rates_all(9.0).tobytes() == _busy_bank().rates_all(9.0).tobytes()
+    with pytest.raises(ValueError, match=field):
+        MeterBank.from_state(_corrupt(bank.state(), field, edit))
+
+
+def _busy_packet_state():
+    state = PacketState(4, ["a", "b", "c"], [2.0] * 4, home=0)
+    state.install_copy(1, "a")
+    state.targets[1, 0] = 1.5
+    state.has_target[1, 0] = True
+    for t in (0.1, 0.7, 1.3):
+        state.record_served(1, 0, t)
+        state.record_forwarded(2, 1, t)
+    state.service_completion(1, 0.5)
+    return state
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        pytest.param("targets", lambda v: v[:3], id="targets-rows"),
+        pytest.param("targets", lambda v: [row[:2] for row in v], id="targets-columns"),
+        pytest.param("targets", lambda v: [[float("nan")] * 3] + v[1:], id="targets-nan"),
+        pytest.param("targets", lambda v: [[-1.0, 0.0, 0.0]] + v[1:], id="targets-negative"),
+        pytest.param("has_target", lambda v: v[:2], id="has_target-rows"),
+        pytest.param("capacities", lambda v: v[:3], id="capacities-short"),
+        pytest.param("capacities", lambda v: [0.0] + v[1:], id="capacities-zero"),
+        pytest.param("busy_until", lambda v: v + [0.0], id="busy_until-long"),
+        pytest.param("busy_until", lambda v: [float("inf")] + v[1:], id="busy_until-inf"),
+        pytest.param("busy_time", lambda v: [-1.0] + v[1:], id="busy_time-negative"),
+        pytest.param("requests_served", lambda v: v[:1], id="requests_served-short"),
+        pytest.param("requests_forwarded", lambda v: [-1] + v[1:], id="requests_forwarded-negative"),
+        pytest.param("failed", lambda v: v[:3], id="failed-short"),
+        pytest.param("stores", lambda v: v[:3], id="stores-short"),
+        pytest.param("fwd_row_stamp", lambda v: v[:2], id="fwd_row_stamp-short"),
+        pytest.param("served_total", lambda v: {**v, "counts": v["counts"][:1]}, id="served_total-counts-short"),
+        pytest.param("served_doc", lambda v: {**v, "est": [float("nan")] + v["est"][1:]}, id="served_doc-est-nan"),
+        pytest.param("fwd_doc", lambda v: {**v, "size": 5}, id="fwd_doc-size"),
+    ],
+)
+def test_hostile_packet_state_rejected_and_state_untouched(field, edit):
+    state = _busy_packet_state()
+    before = json.dumps(state.state())
+    with pytest.raises(ValueError, match=field):
+        state.load_state(_corrupt(state.state(), field, edit))
+    # nothing was swapped in, not even the fields parsed before the bad one
+    assert json.dumps(state.state()) == before
+    with pytest.raises(ValueError, match=field):
+        PacketState.from_state(_corrupt(state.state(), field, edit))
+
+
+def _mid_run_packet_state(at=3.1):
+    state = PacketState(6, ["a", "b"], [2.0] * 6, home=0)
+    state.record_served(1, 0, 0.2)  # seeded by time ``at``, idle and decaying
+    state.record_served(1, 0, 0.4)
+    for t in (0.3, 1.1, 2.2, 3.05):
+        state.record_served(2, 1, t)  # rolled before, counting again at ``at``
+    state.record_forwarded(3, 0, 1.5)
+    state.record_served(4, 1, at)  # counted inside one window, never rolled
+    state.record_forwarded(4, 0, at)
+    return state  # node 5 and most (node, document) meters: never touched
+
+
+def test_packet_state_restore_keeps_the_live_meters():
+    """The live set is derived on load, not serialised: a restored state
+    must keep rolling exactly the meters the uninterrupted one rolls."""
+    banks = ("served_total", "served_doc", "fwd_doc")
+    state = _mid_run_packet_state()
+    text = json.dumps(state.state())
+    twin = PacketState.from_state(json.loads(text))
+    assert json.dumps(twin.state()) == text
+    for name in banks:
+        bank, restored = getattr(state, name), getattr(twin, name)
+        assert sorted(restored.live) == sorted(bank.live)
+        assert 0 < len(bank.live) < bank.size
+    for now in (3.1, 3.9, 4.0, 4.5, 6.0, 11.25):
+        for name in banks:
+            bank, restored = getattr(state, name), getattr(twin, name)
+            assert restored.rates_all(now).tobytes() == bank.rates_all(now).tobytes()
+        if now == 4.5:  # traffic after the restore lands on both alike
+            for side in (state, twin):
+                side.record_served(4, 1, now)
+                side.record_served(5, 0, now)
+
+    # scalar reads only, on a restore no bulk read has rolled anything for
+    state = _mid_run_packet_state()
+    twin = PacketState.from_state(json.loads(text))
+    for now in (3.9, 4.0, 6.0, 11.25):
+        for name in banks:
+            bank, restored = getattr(state, name), getattr(twin, name)
+            for k in range(bank.size):
+                assert restored.rate(k, now) == bank.rate(k, now), (name, k, now)
+            assert sorted(restored.live) == sorted(bank.live)
+
+
 def test_rng_streams_round_trip_continues_identically():
     streams = RngStreams(seed=42)
     a = streams.get("arrivals", node=3)
