@@ -9,12 +9,7 @@ churn).  See ``ARCHITECTURE.md`` ("the cluster plane") for how it sits
 between the kernel and the experiments.
 """
 
-from .batch import (
-    BatchEngine,
-    batch_forwarded_rates,
-    batch_resettle_served,
-    batch_subtree_accumulate,
-)
+from .batch import BatchEngine
 from .metrics import (
     ClusterMetrics,
     ClusterSnapshot,
@@ -23,7 +18,7 @@ from .metrics import (
     snapshot_from_stats,
 )
 from .prune import PrunedTree, demand_closure, induced_subtree, pruned_edge_alphas
-from .runtime import ClusterError, ClusterEvent, ClusterRuntime, DocumentRecord
+from .runtime import ClusterError, ClusterEvent, ClusterRuntime
 from .scenarios import (
     ClusterScenario,
     churn_scenario,
@@ -39,9 +34,6 @@ from .sharding import ShardResult, ShardSpec, partition_homes, run_shard, run_sh
 
 __all__ = [
     "BatchEngine",
-    "batch_subtree_accumulate",
-    "batch_forwarded_rates",
-    "batch_resettle_served",
     "PrunedTree",
     "demand_closure",
     "induced_subtree",
@@ -49,7 +41,6 @@ __all__ = [
     "ClusterError",
     "ClusterEvent",
     "ClusterRuntime",
-    "DocumentRecord",
     "TickStats",
     "ClusterSnapshot",
     "ClusterMetrics",

@@ -19,10 +19,8 @@ of code, a document's trajectory in a batch is bit-identical to its
 trajectory in a ``SyncEngine`` (``tests/core/test_round_parity.py``).
 Lifecycle changes never recompute the surviving rows' forwarded-rate
 matrix ``A``: it is maintained incrementally by the round, and its low
-bits are part of the trajectory.
-
-The ``batch_*`` functions are the kernel's bottom-up passes under the
-cluster plane's names; those passes take leading batch axes, so one
+bits are part of the trajectory.  The kernel's bottom-up passes
+(``forwarded_rates``, ``resettle_served``) take leading batch axes, so one
 ``np.add.at`` scatter per tree level serves all documents at once.
 """
 
@@ -38,40 +36,18 @@ from ..core.kernel import (
     FlatTree,
     _NO_EDGES,
     _as_matrix,
-    _require_state_kind,
     _state_parent_map,
     degree_edge_alphas,
     flatten,
     forwarded_rates,
     resettle_served,
-    subtree_accumulate,
 )
+from ..core.steppable import require_kind
 from ..core.tree import tree_from_parent_map
 
-__all__ = [
-    "BatchEngine",
-    "batch_subtree_accumulate",
-    "batch_forwarded_rates",
-    "batch_resettle_served",
-]
+__all__ = ["BatchEngine"]
 
 
-# ----------------------------------------------------------------------
-# Batched bottom-up passes
-# ----------------------------------------------------------------------
-# The kernel's bottom-up passes take leading batch axes, so the (D, n)
-# document-stack forms are the same functions under the cluster plane's
-# names: per-document subtree sums, forwarded rates ``A[d] =
-# subtree_sum(E[d] - L[d])``, and the mass-conserving resettle (every row
-# ends up with exactly ``rates[d].sum()``).
-batch_subtree_accumulate = subtree_accumulate
-batch_forwarded_rates = forwarded_rates
-batch_resettle_served = resettle_served
-
-
-# ----------------------------------------------------------------------
-# The batched engine
-# ----------------------------------------------------------------------
 class BatchEngine(DiffusionStack):
     """Synchronous Figure 5 rounds for ``D`` documents over one tree.
 
@@ -105,6 +81,8 @@ class BatchEngine(DiffusionStack):
     cohort from the tick loop until a lifecycle event (which resets the
     frontier) touches it again.
     """
+
+    STATE_KIND = "batch_engine"
 
     __slots__ = ("_tel_dense", "_tel_sparse", "_tel_ops")
 
@@ -245,7 +223,7 @@ class BatchEngine(DiffusionStack):
         self._e = np.concatenate([self._e, e])
         self._loads = np.concatenate([self._loads, served])
         self._fwd = np.concatenate(
-            [self._fwd, batch_forwarded_rates(self.flat, e, served)]
+            [self._fwd, forwarded_rates(self.flat, e, served)]
         )
         self._active = None
         self._alloc_scratch()
@@ -272,7 +250,7 @@ class BatchEngine(DiffusionStack):
         if rates_arr.shape[0] != self._loads.shape[0]:
             raise ValueError("rate matrix document count differs")
         self._reset(
-            rates_arr, batch_resettle_served(self.flat, rates_arr, self._loads)
+            rates_arr, resettle_served(self.flat, rates_arr, self._loads)
         )
 
     def resettle_rows(self, rows: Sequence[int], rates) -> None:
@@ -280,10 +258,10 @@ class BatchEngine(DiffusionStack):
         rows = np.asarray(rows, dtype=np.intp)
         rates_arr = _as_matrix(rates, self.flat.n, "spontaneous rates")
         self._e[rows] = rates_arr
-        self._loads[rows] = batch_resettle_served(
+        self._loads[rows] = resettle_served(
             self.flat, rates_arr, self._loads[rows]
         )
-        self._fwd[rows] = batch_forwarded_rates(
+        self._fwd[rows] = forwarded_rates(
             self.flat, rates_arr, self._loads[rows]
         )
         self._active = None
@@ -317,7 +295,7 @@ class BatchEngine(DiffusionStack):
         """Cheap JSON-ready health record (the Steppable observation)."""
         return {
             "type": "engine_snapshot",
-            "kind": "batch_engine",
+            "kind": self.STATE_KIND,
             "round": self._round,
             "docs": self.docs,
             "nodes": int(self.flat.n),
@@ -335,7 +313,7 @@ class BatchEngine(DiffusionStack):
         break the bit-identical round-trip law.
         """
         return {
-            "kind": "batch_engine",
+            "kind": self.STATE_KIND,
             "parent_map": [int(p) for p in self.flat.tree.parent_map],
             "edge_alpha": self._alpha.tolist(),
             "adaptive": bool(self._adaptive),
@@ -353,12 +331,8 @@ class BatchEngine(DiffusionStack):
         }
 
     def load_state(self, state: Mapping[str, object]) -> None:
-        """Restore a :meth:`state` capture in place (bit-identical resume)."""
-        _require_state_kind(state, "batch_engine")
-        if _state_parent_map(state) != self.flat.tree.parent_map:
-            raise ValueError(
-                "batch_engine state was captured on a different tree"
-            )
+        """Restore a :meth:`state` capture in place: validate, then swap."""
+        require_kind(self, state)
         self._restore(state, "op_count")
 
     @classmethod
@@ -366,16 +340,8 @@ class BatchEngine(DiffusionStack):
         cls, state: Mapping[str, object], *, telemetry=None
     ) -> "BatchEngine":
         """Rebuild an engine from nothing but a :meth:`state` dict."""
-        _require_state_kind(state, "batch_engine")
+        require_kind(cls, state)
         flat = flatten(tree_from_parent_map(list(_state_parent_map(state))))
-        # reshape keeps the (0, n) case valid (tolist of an empty stack
-        # drops the column count)
-        engine = cls(
-            flat,
-            np.asarray(state["spontaneous"], dtype=np.float64).reshape(-1, flat.n),
-            np.asarray(state["loads"], dtype=np.float64).reshape(-1, flat.n),
-            np.asarray(state["edge_alpha"], dtype=np.float64),
-            telemetry=telemetry,
-        )
+        engine = cls(flat, np.zeros((0, flat.n)), telemetry=telemetry)
         engine.load_state(state)
         return engine

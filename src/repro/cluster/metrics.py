@@ -60,7 +60,7 @@ class TickStats:
 
         Per-node totals are summarized (max/sum) rather than inlined -
         the streaming sink is for health series, not state dumps; full
-        node vectors stay in :meth:`ClusterRuntime.document_records`.
+        node vectors stay in :meth:`ClusterRuntime.state`.
         """
         totals = np.asarray(self.node_totals, dtype=np.float64)
         return {

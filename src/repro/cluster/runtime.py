@@ -21,9 +21,9 @@ PR 1 every engine in the repo still balanced exactly one document;
   fairness, TLB gap, converged fraction);
 * **process sharding** - :meth:`run` optionally partitions homes across
   ``multiprocessing`` workers (documents on different trees never
-  interact), merging per-tick stats and final document states so a
-  sharded run is observationally identical to the inline one
-  (:mod:`repro.cluster.sharding`).
+  interact): each worker runs its slice of :meth:`state`, and the merged
+  worker states load back, so a sharded run ends in the inline run's
+  state bit for bit (:mod:`repro.cluster.sharding`).
 
 Scheduled lifecycle changes are :class:`ClusterEvent` values; the scenario
 drivers in :mod:`repro.cluster.scenarios` compile flash crowds, diurnal
@@ -44,13 +44,13 @@ import numpy as np
 
 from ..core.config import EngineConfig
 from ..core.kernel import (
-    FlatTree,
     check_rates,
-    degree_edge_alphas,
-    fixed_edge_alphas,
+    edge_alphas,
     flatten,
     resettle_served,
+    state_field,
 )
+from ..core.steppable import require_kind
 from ..core.tree import RoutingTree, tree_from_parent_map
 from ..core.webfold import webfold
 from ..obs.telemetry import resolve as _resolve_telemetry
@@ -63,7 +63,6 @@ __all__ = [
     "ClusterConfig",
     "ClusterError",
     "ClusterEvent",
-    "DocumentRecord",
     "ClusterRuntime",
 ]
 
@@ -103,42 +102,21 @@ class ClusterEvent:
             raise ClusterError("scale events need a factor")
 
 
-@dataclass(frozen=True)
-class DocumentRecord:
-    """One document's full dense state (used to move state across shards)."""
-
-    doc_id: str
-    home: int
-    rates: Tuple[float, ...]
-    served: Tuple[float, ...]
-
-
 class _Cohort:
-    """Documents of one home sharing one demand closure -> one engine."""
+    """Documents of one home sharing one demand closure -> one engine.
+
+    Built around its engine with no document ids yet: the caller names the
+    rows (:meth:`append_doc`) - a publish right away, a restore after it
+    loaded the captured engine state over zero rows.
+    """
 
     __slots__ = ("pruned", "engine", "doc_ids", "_rows", "targets", "target_norms")
 
-    def __init__(
-        self,
-        pruned: PrunedTree,
-        edge_alpha: np.ndarray,
-        doc_id: str,
-        rates: np.ndarray,
-        served: np.ndarray,
-        adaptive: bool = True,
-        telemetry=None,
-    ) -> None:
+    def __init__(self, pruned: PrunedTree, engine: BatchEngine) -> None:
         self.pruned = pruned
-        self.engine = BatchEngine(
-            flatten(pruned.tree),
-            rates[None, :],
-            served[None, :],
-            edge_alpha,
-            config=EngineConfig(adaptive=adaptive),
-            telemetry=telemetry,
-        )
-        self.doc_ids: List[str] = [doc_id]
-        self._rows: Dict[str, int] = {doc_id: 0}
+        self.engine = engine
+        self.doc_ids: List[str] = []
+        self._rows: Dict[str, int] = {}
         self.targets: Optional[np.ndarray] = None
         self.target_norms: Optional[np.ndarray] = None
 
@@ -160,14 +138,46 @@ class _HomeGroup:
 
     __slots__ = ("home", "tree", "flat", "edge_alpha", "cohorts")
 
-    def __init__(self, home: int, tree: RoutingTree, edge_alpha: np.ndarray) -> None:
+    def __init__(self, home: int, tree: RoutingTree, alpha: Optional[float]) -> None:
         if tree.root != home:
             raise ClusterError(f"tree for home {home} is rooted at {tree.root}")
         self.home = home
         self.tree = tree
         self.flat = flatten(tree)
-        self.edge_alpha = edge_alpha
+        self.edge_alpha = edge_alphas(self.flat, alpha)
         self.cohorts: Dict[bytes, _Cohort] = {}
+
+
+# The one way a group and a cohort come to exist, for the publish that
+# first needs one and for ``load_state`` alike; config values are explicit
+# because a restore has parsed its own and not yet swapped them in.
+def _new_group(
+    home: int, tree: RoutingTree, n: Optional[int], alpha: Optional[float]
+) -> _HomeGroup:
+    if n is not None and tree.n != n:
+        raise ClusterError(
+            f"tree for home {home} has {tree.n} nodes, cluster has {n}"
+        )
+    return _HomeGroup(home, tree, alpha)
+
+
+def _new_cohort(
+    group: _HomeGroup, key: bytes, mask: np.ndarray, rates, served, adaptive, telemetry
+) -> _Cohort:
+    """A cohort over the ancestor-closed node ``mask`` (packed: ``key``),
+    registered in ``group``, its engine started on the full-width
+    ``(D, n)`` rows ``rates`` / ``served``."""
+    pruned = induced_subtree(group.tree, mask)
+    engine = BatchEngine(
+        flatten(pruned.tree),
+        pruned.restrict(rates),
+        pruned.restrict(served),
+        pruned_edge_alphas(group.flat, pruned, group.edge_alpha),
+        config=EngineConfig(adaptive=adaptive),
+        telemetry=telemetry,
+    )
+    cohort = group.cohorts[key] = _Cohort(pruned, engine)
+    return cohort
 
 
 class ClusterRuntime:
@@ -201,6 +211,8 @@ class ClusterRuntime:
         streams every :meth:`snapshot` as a ``cluster_snapshot`` record.
         Purely observational: trajectories are bit-identical either way.
     """
+
+    STATE_KIND = "cluster_runtime"
 
     def __init__(
         self,
@@ -371,23 +383,13 @@ class ClusterRuntime:
         group = self._groups.get(home)
         if group is None:
             tree = self._tree_source(home)
+            group = _new_group(home, tree, self._n, self._alpha)
             if self._n is None:
-                self._n = tree.n
                 if self._capacities is not None and self._capacities.shape != (tree.n,):
                     raise ClusterError(
                         f"expected {tree.n} capacities, got {self._capacities.shape}"
                     )
-            elif tree.n != self._n:
-                raise ClusterError(
-                    f"tree for home {home} has {tree.n} nodes, cluster has {self._n}"
-                )
-            flat = flatten(tree)
-            edge_alpha = (
-                degree_edge_alphas(flat)
-                if self._alpha is None
-                else fixed_edge_alphas(flat, self._alpha)
-            )
-            group = _HomeGroup(home, tree, edge_alpha)
+                self._n = tree.n
             self._groups[home] = group
         return group
 
@@ -441,9 +443,8 @@ class ClusterRuntime:
 
         ``documents`` holds ``(doc_id, home, rates)`` or
         ``(doc_id, home, rates, served)`` tuples.  Equivalent to calling
-        :meth:`publish` once per document, but catalog builds and shard
-        merge-backs stay O(catalog) instead of O(catalog^2) in copied
-        engine state.
+        :meth:`publish` once per document, but catalog builds stay
+        O(catalog) instead of O(catalog^2) in copied engine state.
         """
         prepared: List[Tuple[str, int, bytes, np.ndarray, np.ndarray, np.ndarray]] = []
         seen = set()
@@ -475,35 +476,21 @@ class ClusterRuntime:
             batches.setdefault((entry[1], entry[2]), []).append(entry)
         for (home, key), entries in batches.items():
             group = self._groups[home]
+            rates = np.array([e[4] for e in entries])
+            served = np.array([e[5] for e in entries])
             cohort = group.cohorts.get(key)
-            start = 0
             if cohort is None:
-                doc_id, _, _, mask, rates_arr, served_arr = entries[0]
-                pruned = induced_subtree(group.tree, mask)
-                alphas = pruned_edge_alphas(group.flat, pruned, group.edge_alpha)
-                cohort = _Cohort(
-                    pruned,
-                    alphas,
-                    doc_id,
-                    pruned.restrict(rates_arr),
-                    pruned.restrict(served_arr),
-                    adaptive=self._adaptive,
-                    telemetry=self._tel,
+                cohort = _new_cohort(
+                    group, key, entries[0][3], rates, served, self._adaptive, self._tel
                 )
-                group.cohorts[key] = cohort
-                self._doc_home[doc_id] = home
-                self._doc_cohort[doc_id] = key
-                start = 1
-            rest = entries[start:]
-            if rest:
+            else:
                 cohort.engine.add_documents(
-                    np.stack([cohort.pruned.restrict(e[4]) for e in rest]),
-                    np.stack([cohort.pruned.restrict(e[5]) for e in rest]),
+                    cohort.pruned.restrict(rates), cohort.pruned.restrict(served)
                 )
-                for e in rest:
-                    cohort.append_doc(e[0])
-                    self._doc_home[e[0]] = home
-                    self._doc_cohort[e[0]] = key
+            for e in entries:
+                cohort.append_doc(e[0])
+                self._doc_home[e[0]] = home
+                self._doc_cohort[e[0]] = key
             self._wake(home, key, cohort)
             self._extend_targets(cohort, len(entries))
 
@@ -519,13 +506,10 @@ class ClusterRuntime:
         New documents start with every request served at its origin
         (``served = rates``), the same initial condition the per-document
         simulators use, so published mass equals offered rate from the
-        first tick.  ``served`` overrides that (used when shards rebuild
-        mid-run state); see :meth:`publish_many` for bulk catalogs.
+        first tick.  ``served`` overrides that (a mid-run state to start
+        from); see :meth:`publish_many` for bulk catalogs.
         """
-        if served is None:
-            self.publish_many([(doc_id, home, rates)])
-        else:
-            self.publish_many([(doc_id, home, rates, served)])
+        self.publish_many([(doc_id, home, rates, served)])
 
     def retire(self, doc_id: str) -> float:
         """Drop a document; returns the served mass that left with it."""
@@ -581,8 +565,18 @@ class ClusterRuntime:
         """Multiply demand by ``factor`` (whole catalog or listed docs)."""
         if not 0.0 <= factor < np.inf:
             raise ClusterError("scale factor must be finite and non-negative")
-        if doc_ids is not None or factor == 0.0:
-            for doc_id in list(doc_ids if doc_ids is not None else self._doc_home):
+        if doc_ids is None and factor == 0.0:
+            # Every closure collapses to the home, so documents regroup one
+            # by one - in (group, cohort, row) order, the order state()
+            # carries: a restored or sharded runtime must regroup alike.
+            doc_ids = [
+                doc_id
+                for group in self._groups.values()
+                for cohort in group.cohorts.values()
+                for doc_id in cohort.doc_ids
+            ]
+        if doc_ids is not None:
+            for doc_id in list(doc_ids):
                 self.set_rates(doc_id, self.document_rates(doc_id) * factor)
             return
         # A uniform positive scaling keeps every demand closure, so every
@@ -689,43 +683,19 @@ class ClusterRuntime:
             tel.emit(snap.to_record())
         return snap
 
-    def document_records(self) -> List[DocumentRecord]:
-        """Dense per-document state (rates + served), sorted by doc id."""
-        return [
-            DocumentRecord(
-                doc_id=doc_id,
-                home=self._doc_home[doc_id],
-                rates=tuple(self.document_rates(doc_id).tolist()),
-                served=tuple(self.document_loads(doc_id).tolist()),
-            )
-            for doc_id in self.doc_ids
-        ]
-
-    def restore(self, records: Sequence[DocumentRecord], tick: int) -> None:
-        """Replace the whole catalog with ``records`` (shard merge-back)."""
-        self._groups.clear()
-        self._doc_home.clear()
-        self._doc_cohort.clear()
-        self._active_cohorts.clear()
-        self.publish_many(
-            [(r.doc_id, r.home, r.rates, r.served) for r in records]
-        )
-        self._tick = tick
-
     # ------------------------------------------------------------------
-    # Steppable: full-state serialization (checkpoint/restore)
+    # Steppable: full-state serialization (checkpoints, restores, shards)
     # ------------------------------------------------------------------
     def state(self) -> Dict[str, object]:
         """Complete resumable catalog state as a JSON-compatible dict.
 
-        Unlike :meth:`document_records` (dense per-document vectors, used
-        for the shard merge-back, which *resettles* on restore), this
-        captures the exact engine internals - incremental forwarded
+        Captures the exact engine internals - incremental forwarded
         matrices, ``(doc, edge)`` frontiers, and the frozen/active flag of
         every cohort - so :meth:`load_state` resumes bit-identically.
         Groups and cohorts are serialized in insertion order and rebuilt
         in the same order, keeping floating-point summation order in the
-        mass/rate reductions identical across the round-trip.
+        mass/rate reductions identical across the round-trip.  Groups are
+        independent: :mod:`repro.cluster.sharding` runs slices of them.
         """
         groups = []
         for home, group in self._groups.items():
@@ -762,7 +732,7 @@ class ClusterRuntime:
                 }
             )
         return {
-            "kind": "cluster_runtime",
+            "kind": self.STATE_KIND,
             "tick": self._tick,
             "n": self._n,
             "alpha": self._alpha,
@@ -787,14 +757,12 @@ class ClusterRuntime:
         uniform scale multiplies in place), so a WebFold recompute from
         the current rates can differ in the low bits.
         """
-        kind = state.get("kind")
-        if kind != "cluster_runtime":
-            raise ClusterError(
-                f"cannot load state of kind {kind!r} into a 'cluster_runtime'"
-            )
+        require_kind(self, state)
+        what = self.STATE_KIND
         # Parse the whole capture into locals and swap them in at the end:
         # a state that does not parse (missing key, wrong-size tree,
-        # repeated document id) leaves the resident catalog untouched.
+        # repeated document id, hostile engine arrays) leaves the resident
+        # catalog untouched.
         alpha = state["alpha"]
         caps = state.get("capacities")
         capacities = None if caps is None else np.asarray(caps, dtype=np.float64)
@@ -812,63 +780,39 @@ class ClusterRuntime:
         for g in state["groups"]:
             home = int(g["home"])
             tree = tree_from_parent_map([int(p) for p in g["parent_map"]])
-            if n is not None and tree.n != n:
-                raise ClusterError(
-                    f"checkpointed tree for home {home} has {tree.n} nodes, "
-                    f"cluster has {n}"
-                )
-            flat = flatten(tree)
-            edge_alpha = (
-                degree_edge_alphas(flat)
-                if alpha is None
-                else fixed_edge_alphas(flat, alpha)
-            )
-            group = _HomeGroup(home, tree, edge_alpha)
-            groups[home] = group
+            no_rows = np.zeros((0, tree.n))  # the captured engine state brings them
+            group = groups[home] = _new_group(home, tree, n, alpha)
             for c in g["cohorts"]:
+                nodes = state_field(c, "nodes", (-1,), what, np.intp)
+                if nodes.size and nodes.max() >= tree.n:
+                    raise ClusterError(f"{what} 'nodes' must be node ids below {tree.n}")
                 mask = np.zeros(tree.n, dtype=bool)
-                mask[np.asarray(c["nodes"], dtype=np.intp)] = True
+                mask[nodes] = True
                 key = np.packbits(mask).tobytes()
-                pruned = induced_subtree(tree, mask)
-                alphas = pruned_edge_alphas(flat, pruned, edge_alpha)
-                eng_state = c["engine"]
-                s = pruned.tree.n
-                rates = np.asarray(
-                    eng_state["spontaneous"], dtype=np.float64
-                ).reshape(-1, s)
-                served = np.asarray(
-                    eng_state["loads"], dtype=np.float64
-                ).reshape(-1, s)
+                cohort = _new_cohort(group, key, mask, no_rows, no_rows, adaptive, self._tel)
+                cohort.engine.load_state(c["engine"])
+                docs = cohort.engine.docs
                 doc_ids = list(c["doc_ids"])
-                cohort = _Cohort(
-                    pruned,
-                    alphas,
-                    doc_ids[0],
-                    rates[0],
-                    served[0],
-                    adaptive=adaptive,
-                    telemetry=self._tel,
-                )
-                cohort.engine.load_state(eng_state)
-                for doc_id in doc_ids[1:]:
-                    cohort.append_doc(doc_id)
-                group.cohorts[key] = cohort
+                if len(doc_ids) != docs:
+                    raise ClusterError(
+                        f"{what} 'doc_ids' names {len(doc_ids)} documents "
+                        f"for {docs} engine rows"
+                    )
                 for doc_id in doc_ids:
                     if doc_id in doc_home:
                         raise ClusterError(
                             f"duplicate document {doc_id!r} in checkpoint"
                         )
+                    cohort.append_doc(doc_id)
                     doc_home[doc_id] = home
                     doc_cohort[doc_id] = key
                 if c["active"]:
                     active_cohorts[(home, key)] = cohort
                 if c.get("targets") is not None:
-                    cohort.targets = np.asarray(
-                        c["targets"], dtype=np.float64
-                    ).reshape(-1, s)
-                    cohort.target_norms = np.asarray(
-                        c["target_norms"], dtype=np.float64
+                    cohort.targets = state_field(
+                        c, "targets", (docs, cohort.pruned.n), what
                     )
+                    cohort.target_norms = state_field(c, "target_norms", (docs,), what)
                 else:
                     untargeted.append(cohort)
         self._alpha = alpha
@@ -897,11 +841,7 @@ class ClusterRuntime:
         raises :class:`ClusterError` (restore into a runtime constructed
         with a live tree source via :meth:`load_state` to keep one).
         """
-        kind = state.get("kind")
-        if kind != "cluster_runtime":
-            raise ClusterError(
-                f"cannot load state of kind {kind!r} into a 'cluster_runtime'"
-            )
+        require_kind(cls, state)
         trees = {
             int(g["home"]): tree_from_parent_map(
                 [int(p) for p in g["parent_map"]]
@@ -924,9 +864,10 @@ class ClusterRuntime:
 
         Events fire just before the round they are scheduled at (an event
         at the current tick index fires before the next round).  With
-        ``workers > 1``, homes are partitioned across processes and the
-        merged metrics - and the runtime's final state - are identical to
-        the inline run up to floating-point summation order.
+        ``workers > 1``, homes are partitioned across processes: the
+        runtime ends in the inline run's state bit for bit, and the merged
+        per-tick metrics equal the inline ones up to floating-point
+        summation order (see :mod:`repro.cluster.sharding`).
         """
         if ticks < 0:
             raise ClusterError("ticks must be >= 0")

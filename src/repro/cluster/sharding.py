@@ -3,37 +3,42 @@
 Documents rooted at different home servers never exchange load - their
 trees only share the node *names* - so a catalog partitions cleanly by
 home.  :func:`run_sharded` splits a runtime's homes across
-``multiprocessing`` workers, each worker rebuilds its slice of the catalog
-from dense :class:`~repro.cluster.runtime.DocumentRecord` state, runs the
+``multiprocessing`` workers.  State crosses the process boundary the one
+way it crosses any boundary, as
+:meth:`~repro.cluster.runtime.ClusterRuntime.state`: each worker loads the
+slice of the parent's ``state()`` whose home groups it owns, runs the
 whole tick range locally (applying the lifecycle events routed to its
 homes), and ships back
 
 * one additive :class:`~repro.cluster.metrics.TickStats` per snapshot
   tick, which the parent sums with
   :func:`~repro.cluster.metrics.merge_tick_stats`, and
-* its final document records, which the parent merges back into the
-  calling runtime.
+* its own final ``state()``; the parent concatenates the workers' groups
+  in the order an inline run would have created them (its own group
+  order, then new homes in event order) and loads the result.
 
-Because stats are additive and documents independent, the merged metrics
-and final state are identical to the inline run up to floating-point
-summation order (pinned at 1e-9 in ``tests/cluster/test_runtime.py``).
+A group's trajectory reads nothing outside the group, and ``state()`` ->
+``load_state()`` is bit-exact (frontiers, forwarded matrices, round
+counters and freeze flags travel as maintained), so the runtime ends in
+the inline run's state bit for bit - ``sharded.state() ==
+inline.state()``, pinned in ``tests/cluster/test_runtime.py``.  The merged
+per-tick *metrics* are sums over shards instead of over groups: equal up
+to floating-point summation order (1.1e-13 observed on ``mass``).
 
 Everything crossing the process boundary is a plain picklable value
-(parent maps, rate tuples, events); the worker entry point
-:func:`run_shard` is module-level so both fork and spawn start methods
-work.
+(JSON-shaped state dicts, parent maps, events); :func:`run_shard` is
+module-level so both fork and spawn start methods work.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..core.tree import RoutingTree
-from .config import ClusterConfig
 from .metrics import ClusterMetrics, TickStats, merge_tick_stats, snapshot_from_stats
-from .runtime import ClusterError, ClusterEvent, ClusterRuntime, DocumentRecord
+from .runtime import ClusterError, ClusterEvent, ClusterRuntime
 
 __all__ = ["ShardSpec", "ShardResult", "partition_homes", "run_shard", "run_sharded"]
 
@@ -42,26 +47,19 @@ __all__ = ["ShardSpec", "ShardResult", "partition_homes", "run_shard", "run_shar
 class ShardSpec:
     """Everything one worker needs to run its slice of the catalog."""
 
-    parent_maps: Dict[int, Tuple[int, ...]]  # home -> RoutingTree parent map
-    records: Tuple[DocumentRecord, ...]
+    state: Dict[str, Any]  # the parent's state(), this shard's groups only
+    new_homes: Dict[int, Tuple[int, ...]]  # parent maps of homes only a publish names
     events: Tuple[ClusterEvent, ...]
-    start_tick: int
     ticks: int
     snapshot_every: int
-    alpha: Optional[float]
-    capacities: Optional[Tuple[float, ...]]
-    track_tlb: bool
-    tolerance: float
-    prune: bool
-    adaptive: bool = True
 
 
 @dataclass(frozen=True)
 class ShardResult:
-    """One worker's per-snapshot stats and final document states."""
+    """One worker's per-snapshot stats and final ``state()``."""
 
     stats: Tuple[TickStats, ...]
-    records: Tuple[DocumentRecord, ...]
+    state: Dict[str, Any]
 
 
 def partition_homes(
@@ -82,22 +80,17 @@ def partition_homes(
 
 
 def run_shard(spec: ShardSpec) -> ShardResult:
-    """Worker entry point: rebuild, run, report (module-level, picklable)."""
-    trees = {h: RoutingTree(pm) for h, pm in spec.parent_maps.items()}
-    runtime = ClusterRuntime(
-        trees,
-        config=ClusterConfig(
-            alpha=spec.alpha,
-            capacities=spec.capacities,
-            track_tlb=spec.track_tlb,
-            tolerance=spec.tolerance,
-            prune=spec.prune,
-            adaptive=spec.adaptive,
-        ),
-    )
-    for home in sorted(trees):
-        runtime._group(home)  # fixes the node-universe size up front
-    runtime.restore(spec.records, spec.start_tick)
+    """Worker entry point: load, run, report (module-level, picklable).
+
+    The tree source only has to cover the new homes: every other group,
+    and the whole configuration, arrives inside the state.
+    """
+    runtime = ClusterRuntime({h: RoutingTree(pm) for h, pm in spec.new_homes.items()})
+    runtime.load_state(spec.state)
+    for home in spec.new_homes:
+        # Fixes the node-universe size before the first tick_stats(); the
+        # parent places the group where the inline run would create it.
+        runtime._group(home)
     stats: List[TickStats] = []
     runtime.drive(
         spec.ticks,
@@ -105,9 +98,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         spec.snapshot_every,
         lambda rt: stats.append(rt.tick_stats()),
     )
-    return ShardResult(
-        stats=tuple(stats), records=tuple(runtime.document_records())
-    )
+    return ShardResult(stats=tuple(stats), state=runtime.state())
 
 
 def _route_events(
@@ -121,7 +112,9 @@ def _route_events(
     Publish events carry their home; retire/set_rates route via the
     document's home, tracked through the event sequence (a document may be
     published and retired by events of the same run).  Catalog-wide scale
-    events broadcast to every shard.
+    events broadcast to every shard.  Every home an event can name has a
+    shard: ``run_sharded`` partitions the runtime's homes plus every
+    publish target.
     """
     routed: List[List[ClusterEvent]] = [[] for _ in range(shard_count)]
     homes = dict(doc_home)
@@ -142,13 +135,7 @@ def _route_events(
                 ) from None
             if event.action == "retire":
                 del homes[event.doc_id]
-        try:
-            routed[shard_of_home[home]].append(event)
-        except KeyError:
-            raise ClusterError(
-                f"no shard owns home {home} (publish targets must be "
-                "homes the runtime already knows)"
-            ) from None
+        routed[shard_of_home[home]].append(event)
     return routed
 
 
@@ -165,48 +152,37 @@ def run_sharded(
     The calling runtime is left in the merged final state, exactly as if
     :meth:`~repro.cluster.runtime.ClusterRuntime.run` had run inline.
     """
-    records = runtime.document_records()
-    doc_counts: Dict[int, int] = {}
-    for home in runtime.homes:
-        doc_counts[home] = 0
-    doc_home: Dict[str, int] = {}
-    for record in records:
-        doc_counts[record.home] = doc_counts.get(record.home, 0) + 1
-        doc_home[record.doc_id] = record.home
+    state = runtime.state()
+    doc_counts: Dict[int, int] = {group["home"]: 0 for group in state["groups"]}
+    for home in runtime._doc_home.values():
+        doc_counts[home] += 1
+    # Homes in the order an inline run would hold their groups at the end:
+    # the runtime's own, then each new one at its first publish event.
     for event in events:
         if event.action == "publish":
             doc_counts.setdefault(event.home, 0)
     if not doc_counts:
         raise ClusterError("nothing to run: the catalog is empty")
+    group_order = list(doc_counts)
     shards = partition_homes(doc_counts, workers)
     shard_of_home = {
         home: idx for idx, homes in enumerate(shards) for home in homes
     }
-    routed = _route_events(events, doc_home, shard_of_home, len(shards))
-    shard_home_sets = [set(homes) for homes in shards]
+    routed = _route_events(events, runtime._doc_home, shard_of_home, len(shards))
     specs = [
         ShardSpec(
-            parent_maps={
-                h: runtime._groups[h].tree.parent_map
-                if h in runtime._groups
-                else runtime._tree_source(h).parent_map
-                for h in homes
+            state={
+                **state,
+                "groups": [g for g in state["groups"] if shard_of_home[g["home"]] == idx],
             },
-            records=tuple(
-                r for r in records if r.home in shard_home_sets[idx]
-            ),
+            new_homes={
+                h: runtime._tree_source(h).parent_map
+                for h in homes
+                if h not in runtime._groups
+            },
             events=tuple(routed[idx]),
-            start_tick=runtime.tick_count,
             ticks=ticks,
             snapshot_every=snapshot_every,
-            alpha=runtime._alpha,
-            capacities=None
-            if runtime._capacities is None
-            else tuple(runtime._capacities.tolist()),
-            track_tlb=runtime._track_tlb,
-            tolerance=runtime._tolerance,
-            prune=runtime._prune,
-            adaptive=runtime._adaptive,
         )
         for idx, homes in enumerate(shards)
     ]
@@ -224,10 +200,11 @@ def run_sharded(
         metrics.append(
             snapshot_from_stats(merge_tick_stats(per_tick), runtime._capacities)
         )
-    merged: List[DocumentRecord] = []
-    for result in results:
-        merged.extend(result.records)
-    runtime.restore(sorted(merged, key=lambda r: r.doc_id), runtime.tick_count + ticks)
+    groups = {g["home"]: g for result in results for g in result.state["groups"]}
+    # Tick, configuration and n are the same in every worker's final state.
+    runtime.load_state(
+        {**results[0].state, "groups": [groups[home] for home in group_order]}
+    )
     if tel.enabled:
         tel.phase_add("cluster.shard_merge", tel.clock() - t0)
         tel.count("cluster.sharded_runs")

@@ -5,8 +5,8 @@ This package contains everything Sections 2-5 of the paper define:
 * :mod:`repro.core.tree` - rooted routing trees;
 * :mod:`repro.core.load` - load assignments (``E``, ``L``, ``A``);
 * :mod:`repro.core.constraints` - Constraints 1-2 (root / NSS), LB, GLE, TLB;
-* :mod:`repro.core.webfold` - the provably optimal offline folding algorithm;
-* :mod:`repro.core.pava` - an independent TLB solver used for cross-checks;
+* :mod:`repro.core.webfold` - the provably optimal offline folding algorithm
+  (its two independent cross-checks live with the tests, ``tests/oracle/``);
 * :mod:`repro.core.diffusion` - Cybenko-style diffusion on general graphs;
 * :mod:`repro.core.policy` - the Figure 5 decision arithmetic itself, in
   every shape its consumers need (sync/clip/capacity/scalar/greedy);
@@ -90,7 +90,6 @@ from .weighted import (
     WeightedWebWaveSimulator,
     weighted_webfold,
 )
-from .pava import WaterfillResult, tree_waterfill
 from .tree import (
     RoutingTree,
     TreeError,
@@ -129,14 +128,12 @@ __all__ = [
     "is_tlb",
     "lex_less",
     "lex_compare",
-    # webfold / pava
+    # webfold
     "Fold",
     "FoldStep",
     "FoldResult",
     "webfold",
     "fold_partition",
-    "tree_waterfill",
-    "WaterfillResult",
     # kernel
     "FlatTree",
     "flatten",

@@ -79,6 +79,7 @@ from . import policy
 from ..obs.telemetry import resolve as _resolve_telemetry
 from .config import EngineConfig
 from .frontier import batch_incident_edges, incident_edges_of, sorted_unique
+from .steppable import mt_state, require_kind, state_count
 from .tree import RoutingTree, tree_from_parent_map
 
 __all__ = [
@@ -100,15 +101,6 @@ __all__ = [
 ]
 
 _EPS = 1e-12
-
-
-def _require_state_kind(state: Mapping[str, object], expected: str) -> None:
-    """Reject cross-kind restores up front with the offending tag."""
-    kind = state.get("kind")
-    if kind != expected:
-        raise ValueError(
-            f"cannot load state of kind {kind!r} into a {expected!r} engine"
-        )
 
 
 def _state_parent_map(state: Mapping[str, object]) -> Tuple[int, ...]:
@@ -333,6 +325,40 @@ def check_rates(arr: np.ndarray, what: str, error=ValueError) -> None:
     """
     if arr.size and not (arr.min() >= 0.0 and arr.max() < np.inf):
         raise error(f"{what} must be finite and non-negative")
+
+
+def state_field(
+    state: Mapping[str, object],
+    field: str,
+    shape: Tuple[int, ...],
+    what: str,
+    dtype=np.float64,
+    signed: bool = False,
+) -> np.ndarray:
+    """``state[field]`` of a ``state()`` capture as a fresh ``dtype`` array
+    of exactly ``shape``, or a ``ValueError`` naming the field.
+
+    Entries must be finite and non-negative (finite only with ``signed``).
+    A leading ``-1`` in ``shape`` accepts any row count, including the flat
+    list a one-row engine writes and the ``[]`` of an empty stack.
+    """
+    any_rows = shape[0] == -1
+    try:
+        arr = np.array(state[field], dtype=dtype)
+        if any_rows:
+            arr = arr.reshape(shape)
+    except (TypeError, ValueError):  # ragged, non-numeric, a partial row
+        raise ValueError(
+            f"{what} {field!r} does not hold an array of shape {shape}"
+        ) from None
+    if not any_rows and arr.shape != shape:
+        raise ValueError(f"{what} {field!r}: expected shape {shape}, got {arr.shape}")
+    if signed:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{what} {field!r} must be finite")
+    else:
+        check_rates(arr, f"{what} {field!r}")
+    return arr
 
 
 def _as_vector(values: Sequence[float], n: int, what: str) -> np.ndarray:
@@ -734,25 +760,47 @@ class DiffusionStack:
             self._phase_sample(t0, t1, t2)
 
     def _restore(self, state: Mapping[str, object], ops_key: str) -> None:
-        """Load the round's own fields from an engine ``state()`` dict.
-
-        ``reshape(-1, n)`` accepts both the 1-D lists a single-document
-        engine writes and ``(D, n)`` lists, and keeps the ``(0, n)`` case
-        valid (``tolist`` of an empty stack drops the column count).
+        """Load the round's own fields from the ``state()`` dict of an engine
+        class (one naming a ``STATE_KIND``).  Everything is parsed and checked
+        first - one ``(D, n)`` across ``spontaneous`` / ``loads`` / ``fwd``
+        (``fwd`` may be negative, right after a demand drop), one alpha per
+        edge, a frontier of strictly increasing ``doc * m + edge`` ids - so a
+        capture that raises leaves the stack untouched.
         """
+        what = self.STATE_KIND
+        if _state_parent_map(state) != self.flat.tree.parent_map:
+            raise ValueError(f"{what} state was captured on a different tree")
         n = self.flat.n
-        self._e = np.asarray(state["spontaneous"], dtype=np.float64).reshape(-1, n)
-        self._loads = np.asarray(state["loads"], dtype=np.float64).reshape(-1, n)
-        self._fwd = np.asarray(state["fwd"], dtype=np.float64).reshape(-1, n)
-        self._alpha = np.asarray(state["edge_alpha"], dtype=np.float64)
-        self._round = int(state["round"])
+        m = n - 1
+        e = state_field(state, "spontaneous", (-1, n), what)
+        loads = state_field(state, "loads", (-1, n), what)
+        fwd = state_field(state, "fwd", (-1, n), what, signed=True)
+        if not loads.shape == fwd.shape == e.shape:
+            raise ValueError(
+                f"{what} 'loads' {loads.shape} and 'fwd' {fwd.shape} must have "
+                f"the shape of 'spontaneous', {e.shape}"
+            )
+        alpha = state_field(state, "edge_alpha", (m,), what)
+        density = float(state["density_threshold"])
+        if not density <= 1.0:
+            raise ValueError(f"{what} 'density_threshold' must be <= 1")
+        active = None
+        if state.get("active") is not None:
+            active = state_field(state, "active", (-1,), what, np.intp)
+            pairs = e.shape[0] * m
+            if active.size and not (active[-1] < pairs and (np.diff(active) > 0).all()):
+                raise ValueError(
+                    f"{what} 'active' must be strictly increasing pair ids below {pairs}"
+                )
+        counts = [
+            state_count(state, field, what)
+            for field in ("round", ops_key, "dense_rounds", "sparse_rounds")
+        ]
+        self._e, self._loads, self._fwd, self._alpha = e, loads, fwd, alpha
         self._adaptive = bool(state["adaptive"])
-        self._density = float(state["density_threshold"])
-        active = state.get("active")
-        self._active = None if active is None else np.asarray(active, dtype=np.intp)
-        self._op_count = int(state[ops_key])
-        self._dense_rounds = int(state["dense_rounds"])
-        self._sparse_rounds = int(state["sparse_rounds"])
+        self._density = density
+        self._active = active
+        self._round, self._op_count, self._dense_rounds, self._sparse_rounds = counts
         self._alloc_scratch()
 
 
@@ -812,6 +860,8 @@ class SyncEngine(DiffusionStack):
     The engine owns mutable state (loads, the gossip ring, the incremental
     forwarded vector); facades expose it read-only.
     """
+
+    STATE_KIND = "sync_engine"
 
     __slots__ = (
         "_caps",
@@ -1014,7 +1064,7 @@ class SyncEngine(DiffusionStack):
         loads = self.loads
         return {
             "type": "engine_snapshot",
-            "kind": "sync_engine",
+            "kind": self.STATE_KIND,
             "round": self.round,
             "nodes": int(self.flat.n),
             "mass": float(loads.sum()),
@@ -1035,7 +1085,7 @@ class SyncEngine(DiffusionStack):
         """
         active = self._active
         return {
-            "kind": "sync_engine",
+            "kind": self.STATE_KIND,
             "parent_map": [int(p) for p in self.flat.tree.parent_map],
             "edge_alpha": self._alpha.tolist(),
             "capacities": None if self._caps is None else self._caps.tolist(),
@@ -1055,31 +1105,36 @@ class SyncEngine(DiffusionStack):
         }
 
     def load_state(self, state: Mapping[str, object]) -> None:
-        """Restore a :meth:`state` capture in place (bit-identical resume)."""
-        _require_state_kind(state, "sync_engine")
-        if _state_parent_map(state) != self.flat.tree.parent_map:
+        """Restore a :meth:`state` capture in place: validate, then swap."""
+        require_kind(self, state)
+        what, n = self.STATE_KIND, self.flat.n
+        caps = state.get("capacities")
+        if caps is not None:
+            caps = state_field(state, "capacities", (n,), what)
+            if caps.min() <= 0.0:
+                raise ValueError(f"{what} 'capacities' must be positive")
+        delay = state_count(state, "gossip_delay", what)
+        quantum = float(state["quantum"])
+        if not 0.0 <= quantum < np.inf:
+            raise ValueError(f"{what} 'quantum' must be finite and >= 0")
+        history = state_field(state, "history", (-1, n), what)
+        if not 1 <= history.shape[0] <= delay + 1:
             raise ValueError(
-                "sync_engine state was captured on a different tree"
+                f"{what} 'history': expected 1..{delay + 1} rows, got {history.shape[0]}"
             )
         self._restore(state, "edges_processed")
-        caps = state.get("capacities")
-        self._caps = None if caps is None else np.asarray(caps, dtype=np.float64)
-        self._delay = int(state["gossip_delay"])
-        self._quantum = float(state["quantum"])
-        self._history = [np.asarray(h, dtype=np.float64) for h in state["history"]]
+        self._caps, self._delay, self._quantum = caps, delay, quantum
+        self._history = list(history)
         self._served_cache = None
 
     @classmethod
     def from_state(cls, state: Mapping[str, object], *, telemetry=None) -> "SyncEngine":
         """Rebuild an engine from nothing but a :meth:`state` dict."""
-        _require_state_kind(state, "sync_engine")
+        require_kind(cls, state)
         flat = flatten(tree_from_parent_map(list(_state_parent_map(state))))
+        blank = np.zeros(flat.n)
         engine = cls(
-            flat,
-            state["spontaneous"],
-            state["loads"],
-            np.asarray(state["edge_alpha"], dtype=np.float64),
-            telemetry=telemetry,
+            flat, blank, blank, np.zeros(flat.n - 1), telemetry=telemetry
         )
         engine.load_state(state)
         return engine
@@ -1098,6 +1153,8 @@ class ForestEngine:
     the step size divides by the tree count since a node participates in
     one overlay edge per tree.
     """
+
+    STATE_KIND = "forest_engine"
 
     __slots__ = ("homes", "_stacks", "_scale", "_tel", "_tel_rounds")
 
@@ -1170,7 +1227,7 @@ class ForestEngine:
         totals = self.total_loads()
         return {
             "type": "engine_snapshot",
-            "kind": "forest_engine",
+            "kind": self.STATE_KIND,
             "round": self.round,
             "homes": len(self.homes),
             "nodes": int(totals.shape[0]),
@@ -1181,7 +1238,7 @@ class ForestEngine:
     def state(self) -> Dict[str, object]:
         """Complete resumable state (per-home trees, loads, incremental fwd)."""
         return {
-            "kind": "forest_engine",
+            "kind": self.STATE_KIND,
             "round": self.round,
             "homes": [
                 {
@@ -1197,44 +1254,54 @@ class ForestEngine:
         }
 
     def load_state(self, state: Mapping[str, object]) -> None:
-        _require_state_kind(state, "forest_engine")
+        """Restore a :meth:`state` capture in place: validate every home's
+        entry, then swap them all."""
+        require_kind(self, state)
+        what = self.STATE_KIND
         entries = {int(ent["home"]): ent for ent in state["homes"]}
         if tuple(sorted(entries)) != self.homes:
-            raise ValueError(
-                "forest_engine state was captured for different homes"
-            )
-        for h, stack in self._stacks.items():
-            if _state_parent_map(entries[h]) != stack.flat.tree.parent_map:
-                raise ValueError(
-                    f"forest_engine state for home {h} was captured on a "
-                    "different tree"
-                )
+            raise ValueError(f"{what} state was captured for different homes")
+        round_ = state_count(state, "round", what)
+        parsed = []
         for h, stack in self._stacks.items():
             ent = entries[h]
+            if _state_parent_map(ent) != stack.flat.tree.parent_map:
+                raise ValueError(
+                    f"{what} state for home {h} was captured on a different tree"
+                )
             n = stack.flat.n
-            stack._e = np.asarray(ent["demand"], dtype=np.float64).reshape(1, n)
-            stack._loads = np.asarray(ent["loads"], dtype=np.float64).reshape(1, n)
-            stack._fwd = np.asarray(ent["fwd"], dtype=np.float64).reshape(1, n)
-            stack._alpha = np.asarray(ent["edge_alpha"], dtype=np.float64)
-            stack._round = int(state["round"])
+            where = f"{what} home {h}"
+            parsed.append(
+                (
+                    state_field(ent, "demand", (n,), where)[None, :],
+                    state_field(ent, "loads", (n,), where)[None, :],
+                    state_field(ent, "fwd", (n,), where, signed=True)[None, :],
+                    state_field(ent, "edge_alpha", (n - 1,), where),
+                )
+            )
+        for stack, fields in zip(self._stacks.values(), parsed):
+            stack._e, stack._loads, stack._fwd, stack._alpha = fields
+            stack._round = round_
 
     @classmethod
     def from_state(
         cls, state: Mapping[str, object], *, telemetry=None
     ) -> "ForestEngine":
-        _require_state_kind(state, "forest_engine")
+        require_kind(cls, state)
         flats = {
             int(ent["home"]): flatten(
                 tree_from_parent_map([int(p) for p in ent["parent_map"]])
             )
             for ent in state["homes"]
         }
-        demands = {int(ent["home"]): ent["demand"] for ent in state["homes"]}
-        alphas = {
-            int(ent["home"]): np.asarray(ent["edge_alpha"], dtype=np.float64)
-            for ent in state["homes"]
-        }
-        engine = cls(flats, demands, alphas, telemetry=telemetry)
+        if not flats:
+            raise ValueError(f"{cls.STATE_KIND} state names no homes")
+        engine = cls(
+            flats,
+            {h: np.zeros(flat.n) for h, flat in flats.items()},
+            {h: np.zeros(flat.n - 1) for h, flat in flats.items()},
+            telemetry=telemetry,
+        )
         engine.load_state(state)
         return engine
 
@@ -1252,6 +1319,8 @@ class AsyncEngine:
     sampled with a uniformly random staleness of up to ``max_staleness``
     past activations.
     """
+
+    STATE_KIND = "async_engine"
 
     __slots__ = (
         "flat",
@@ -1372,7 +1441,7 @@ class AsyncEngine:
     def snapshot(self) -> Dict[str, object]:
         return {
             "type": "engine_snapshot",
-            "kind": "async_engine",
+            "kind": self.STATE_KIND,
             "activations": self._activations,
             "nodes": int(self.flat.n),
             "mass": float(self._loads.sum()),
@@ -1389,7 +1458,7 @@ class AsyncEngine:
         """
         rng_state = self._rng.getstate()
         return {
-            "kind": "async_engine",
+            "kind": self.STATE_KIND,
             "parent_map": [int(p) for p in self.flat.tree.parent_map],
             "spontaneous": self._e.tolist(),
             "loads": self._loads.tolist(),
@@ -1402,41 +1471,43 @@ class AsyncEngine:
         }
 
     def load_state(self, state: Mapping[str, object]) -> None:
-        _require_state_kind(state, "async_engine")
+        """Restore a :meth:`state` capture in place: validate, then swap.
+        The generator keeps its identity (``setstate``), as its owner may
+        hold it."""
+        require_kind(self, state)
+        what, n = self.STATE_KIND, self.flat.n
         if _state_parent_map(state) != self.flat.tree.parent_map:
+            raise ValueError(f"{what} state was captured on a different tree")
+        e = state_field(state, "spontaneous", (n,), what)
+        loads = state_field(state, "loads", (n,), what)
+        alpha_of_child = state_field(state, "alpha_of_child", (n,), what)
+        fwd = state_field(state, "fwd", (n,), what, signed=True)
+        staleness = state_count(state, "max_staleness", what)
+        history = state_field(state, "history", (-1, n), what)
+        if not 1 <= history.shape[0] <= staleness + 1:
             raise ValueError(
-                "async_engine state was captured on a different tree"
+                f"{what} 'history': expected 1..{staleness + 1} rows, "
+                f"got {history.shape[0]}"
             )
-        self._e = np.asarray(state["spontaneous"], dtype=np.float64)
-        self._loads = np.asarray(state["loads"], dtype=np.float64)
-        self._alpha_of_child = np.asarray(
-            state["alpha_of_child"], dtype=np.float64
-        )
-        self._staleness = int(state["max_staleness"])
-        self._history = [np.asarray(h, dtype=np.float64) for h in state["history"]]
-        self._fwd = np.asarray(state["fwd"], dtype=np.float64)
-        self._activations = int(state["activations"])
-        version, words, gauss_next = state["rng"]
-        self._rng.setstate(
-            (int(version), tuple(int(w) for w in words), gauss_next)
-        )
+        activations = state_count(state, "activations", what)
+        rng_state = mt_state(state["rng"], what)
+        self._e, self._loads, self._fwd = e, loads, fwd
+        self._alpha_of_child = alpha_of_child
+        self._staleness = staleness
+        self._history = list(history)
+        self._activations = activations
+        self._rng.setstate(rng_state)
         self._served_cache = None
 
     @classmethod
     def from_state(
         cls, state: Mapping[str, object], *, telemetry=None
     ) -> "AsyncEngine":
-        _require_state_kind(state, "async_engine")
+        require_kind(cls, state)
         flat = flatten(tree_from_parent_map(list(_state_parent_map(state))))
-        alpha_of_child = np.asarray(state["alpha_of_child"], dtype=np.float64)
+        blank = np.zeros(flat.n)
         engine = cls(
-            flat,
-            state["spontaneous"],
-            state["loads"],
-            alpha_of_child[flat.edge_child],
-            random.Random(),
-            int(state["max_staleness"]),
-            telemetry=telemetry,
+            flat, blank, blank, np.zeros(flat.n - 1), random.Random(), telemetry=telemetry
         )
         engine.load_state(state)
         return engine

@@ -4,9 +4,9 @@ Three planes grew three ad-hoc run/snapshot/state surfaces: the rate
 kernel's engines (:class:`~repro.core.kernel.SyncEngine` and friends), the
 cluster catalog (:class:`~repro.cluster.runtime.ClusterRuntime`), and the
 batched document engine (:class:`~repro.cluster.batch.BatchEngine`).  The
-service plane (:mod:`repro.service`), the experiments runner, and the
-sharding merge-back all want to *drive* any of them without knowing which
-one they hold, so the contract is extracted here:
+service plane (:mod:`repro.service`) and the experiments runner want to
+*drive* any of them without knowing which one they hold, so the contract
+is extracted here:
 
 ``step()``
     Advance the object by its natural unit of work (a synchronous round,
@@ -19,14 +19,23 @@ one they hold, so the contract is extracted here:
 ``state()``
     The *complete* serializable state - every array, counter, ring buffer
     and RNG word needed to resume bit-identically - as a JSON-compatible
-    dict whose ``"kind"`` key names the implementation (the checkpoint
-    registry key, see :mod:`repro.service.checkpoint`).
+    dict whose ``"kind"`` key is the class's ``STATE_KIND`` (the checkpoint
+    registry key, see :mod:`repro.service.checkpoint`).  It is the only
+    transport for captured state: disk checkpoints, daemon restores and
+    the shard hand-off of :mod:`repro.cluster.sharding` all carry it.
 ``load_state(state)``
     Restore a previously captured ``state()`` in place.  The round-trip
     law every implementation is property-tested against::
 
         a.load_state(b.state())  =>  a and b produce bit-identical
                                      trajectories from here on.
+
+    A capture is outside input: ``load_state`` parses it into locals,
+    rejects a foreign ``kind`` (:func:`require_kind`), wrong shapes,
+    non-finite or negative values (:func:`repro.core.kernel.state_field`,
+    :func:`state_count`, :func:`mt_state`) with a ``ValueError`` naming
+    the field, and only then swaps - a rejected capture leaves the object
+    untouched.
 
 Implementations additionally expose a ``from_state(state)`` classmethod
 that reconstructs the object from nothing but the dict (used when
@@ -35,14 +44,19 @@ restoring a checkpoint into a fresh process).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Protocol, runtime_checkable
+import random
+from typing import Any, Dict, Mapping, Protocol, Tuple, runtime_checkable
 
-__all__ = ["Steppable", "snapshot_record"]
+__all__ = ["Steppable", "mt_state", "require_kind", "snapshot_record", "state_count"]
 
 
 @runtime_checkable
 class Steppable(Protocol):
     """Anything that can be driven, observed, and checkpointed."""
+
+    #: The ``"kind"`` tag of this class's captures, named once: ``state()``
+    #: writes it, :func:`require_kind` and the checkpoint registry read it.
+    STATE_KIND: str
 
     def step(self) -> None:
         """Advance by one unit of work (round / activation / tick)."""
@@ -71,3 +85,43 @@ def snapshot_record(target: Any) -> Dict[str, Any]:
     if to_record is not None:
         return to_record()
     return dict(snap)
+
+
+def require_kind(target: Any, state: Mapping[str, Any]) -> None:
+    """Reject a capture tagged for another class than ``target`` (an
+    instance or the class itself), naming both kinds."""
+    kind = state.get("kind")
+    if kind != target.STATE_KIND:
+        raise ValueError(
+            f"cannot load state of kind {kind!r} into a {target.STATE_KIND!r}"
+        )
+
+
+def state_count(state: Mapping[str, Any], field: str, what: str) -> int:
+    """``state[field]`` as a non-negative int, or a ``ValueError`` naming it."""
+    try:
+        value = int(state[field])
+    except (TypeError, ValueError, OverflowError):
+        value = -1
+    if value < 0:
+        raise ValueError(f"{what} {field!r} must be a non-negative integer")
+    return value
+
+
+def mt_state(entry: Any, what: str) -> Tuple[int, Tuple[int, ...], Any]:
+    """A serialised ``[version, 625 words, gauss_next]`` MT19937 state as the
+    tuple ``random.Random.setstate`` takes, checked by a trial ``setstate``
+    on a scratch generator (word count, index range, version)."""
+    try:
+        version, words, gauss_next = entry
+        parsed = (
+            int(version),
+            tuple(int(w) for w in words),
+            None if gauss_next is None else float(gauss_next),
+        )
+        random.Random().setstate(parsed)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"{what} 'rng' is not a [version, 625 words, gauss_next] MT19937 state"
+        ) from None
+    return parsed

@@ -35,7 +35,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cache.store import CacheStore
-from ..core.kernel import check_rates
+from ..core.kernel import state_field
+from ..core.steppable import require_kind
 
 __all__ = ["MeterBank", "PacketState", "CacheServerView", "TargetsView"]
 
@@ -46,18 +47,6 @@ __all__ = ["MeterBank", "PacketState", "CacheServerView", "TargetsView"]
 # where a meter joins the live set: no event can be counted on a meter the
 # bulk reads do not know about, and the per-hop path pays nothing for it.
 _NEVER = float("-inf")
-
-
-def _field(
-    state: Dict[str, object], field: str, shape: Tuple[int, ...], what: str, dtype=np.float64
-) -> np.ndarray:
-    """``state[field]`` as a fresh ``dtype`` array of exactly ``shape`` with
-    finite, non-negative entries, or a ``ValueError`` naming the field."""
-    arr = np.array(state[field], dtype=dtype)
-    if arr.shape != shape:
-        raise ValueError(f"{what} {field!r}: expected shape {shape}, got {arr.shape}")
-    check_rates(arr, f"{what} {field!r}")
-    return arr
 
 
 class MeterBank:
@@ -88,6 +77,8 @@ class MeterBank:
     bookkeeping of meters that never counted anything differs, and no
     estimate reads it.
     """
+
+    STATE_KIND = "meter_bank"
 
     __slots__ = ("size", "window", "alpha", "counts", "wstart", "est", "seeded", "live")
 
@@ -175,7 +166,7 @@ class MeterBank:
         unrecorded meter's anchor is written as the 0.0 it will start from.
         """
         return {
-            "kind": "meter_bank",
+            "kind": self.STATE_KIND,
             "size": self.size,
             "window": self.window,
             "alpha": self.alpha,
@@ -192,10 +183,7 @@ class MeterBank:
         truncated, non-finite or negative field, raises ``ValueError`` and
         leaves the bank untouched.
         """
-        if state.get("kind") != "meter_bank":
-            raise ValueError(
-                f"cannot load state of kind {state.get('kind')!r} into a meter bank"
-            )
+        require_kind(self, state)
         size = self.size
         if int(state["size"]) != size:
             raise ValueError(
@@ -206,10 +194,10 @@ class MeterBank:
         if not (0 < window < np.inf and 0 < alpha <= 1):
             raise ValueError("meter bank 'window' must be positive and 'alpha' in (0, 1]")
         what = "meter bank"
-        counts = _field(state, "counts", (size,), what).tolist()
-        anchors = _field(state, "wstart", (size,), what).tolist()
-        est = _field(state, "est", (size,), what)
-        seeded = _field(state, "seeded", (size,), what, bool).tolist()
+        counts = state_field(state, "counts", (size,), what).tolist()
+        anchors = state_field(state, "wstart", (size,), what).tolist()
+        est = state_field(state, "est", (size,), what)
+        seeded = state_field(state, "seeded", (size,), what, bool).tolist()
         # A meter is live iff it was ever rolled (seeded) or holds a count
         # from its first window.
         live = [k for k in range(size) if seeded[k] or counts[k] != 0.0]
@@ -302,6 +290,8 @@ class PacketState:
     document axis follows the catalog's sorted ``doc_ids``.  Per-document
     meters live in flat banks of size ``n * D`` indexed ``node * D + doc``.
     """
+
+    STATE_KIND = "packet_state"
 
     def __init__(
         self,
@@ -455,7 +445,7 @@ class PacketState:
         protocol datapath bit-identically.
         """
         return {
-            "kind": "packet_state",
+            "kind": self.STATE_KIND,
             "n": self.n,
             "doc_ids": list(self.doc_ids),
             "home": self.home,
@@ -483,28 +473,22 @@ class PacketState:
         non-finite or negative value raises ``ValueError`` naming the field
         and leaves this state untouched.
         """
-        if state.get("kind") != "packet_state":
-            raise ValueError(
-                f"cannot load state of kind {state.get('kind')!r} into a "
-                "packet_state"
-            )
-        if int(state["n"]) != self.n or tuple(state["doc_ids"]) != self.doc_ids:
-            raise ValueError(
-                "packet_state capture has a different node/document universe"
-            )
+        require_kind(self, state)
         n, d = self.n, self.docs
-        what = "packet_state"
+        what = self.STATE_KIND
+        if int(state["n"]) != n or tuple(state["doc_ids"]) != self.doc_ids:
+            raise ValueError(f"{what} capture has a different node/document universe")
         home = int(state["home"])
         if not 0 <= home < n:
             raise ValueError(f"{what} 'home' must be a node id below {n}, got {home}")
-        capacity = _field(state, "capacities", (n,), what)
+        capacity = state_field(state, "capacities", (n,), what)
         if n and capacity.min() <= 0.0:
             raise ValueError(f"{what} 'capacities' must be positive")
         meter_window = float(state["meter_window"])
         if not 0 < meter_window < np.inf:
             raise ValueError(f"{what} 'meter_window' must be positive and finite")
-        targets = _field(state, "targets", (n, d), what)
-        has_target = _field(state, "has_target", (n, d), what, bool)
+        targets = state_field(state, "targets", (n, d), what)
+        has_target = state_field(state, "has_target", (n, d), what, bool)
         banks = []
         for field, size in (("served_total", n), ("served_doc", n * d), ("fwd_doc", n * d)):
             bank = MeterBank(size)
@@ -513,9 +497,9 @@ class PacketState:
             except ValueError as exc:
                 raise ValueError(f"{what} {field!r}: {exc}") from None
             banks.append(bank)
-        busy_until = _field(state, "busy_until", (n,), what)
-        busy_time = _field(state, "busy_time", (n,), what)
-        failed = _field(state, "failed", (n,), what, bool)
+        busy_until = state_field(state, "busy_until", (n,), what)
+        busy_time = state_field(state, "busy_time", (n,), what)
+        failed = state_field(state, "failed", (n,), what, bool)
 
         def per_node(field: str) -> Sequence:
             values = state[field]
@@ -530,7 +514,11 @@ class PacketState:
                 raise ValueError(f"{what} {field!r} must be non-negative")
             tallies.append(tally)
         stamps = [float(x) for x in per_node("fwd_row_stamp")]
-        stores = [CacheStore.from_state(s) for s in per_node("stores")]
+        store_states = per_node("stores")
+        try:
+            stores = [CacheStore.from_state(s) for s in store_states]
+        except ValueError as exc:
+            raise ValueError(f"{what} 'stores': {exc}") from None
         cached = [
             {self.doc_index[doc_id] for doc_id, _ in s["entries"]}
             for s in state["stores"]
@@ -554,11 +542,7 @@ class PacketState:
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "PacketState":
         """Rebuild the protocol state from nothing but a :meth:`state` dict."""
-        if state.get("kind") != "packet_state":
-            raise ValueError(
-                f"cannot load state of kind {state.get('kind')!r} into a "
-                "packet_state"
-            )
+        require_kind(cls, state)
         fresh = cls(
             int(state["n"]),
             state["doc_ids"],

@@ -6,10 +6,10 @@ A checkpoint is a two-line ndjson file::
     {"section": "state", "state": {...}}
 
 Line one is the header: the schema tag carries the format version, the
-``kind`` names which :meth:`~repro.core.steppable.Steppable.state`
-implementation produced the payload (and therefore which ``from_state``
-rebuilds it).  Line two is the complete state dict, exactly as
-``state()`` returned it.
+``kind`` is the ``STATE_KIND`` of the class whose
+:meth:`~repro.core.steppable.Steppable.state` produced the payload (and
+therefore whose ``from_state`` rebuilds it).  Line two is the complete
+state dict, exactly as ``state()`` returned it.
 
 Why this shape survives:
 
@@ -32,10 +32,11 @@ Why this shape survives:
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import re
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..obs.sink import scan_ndjson
 
@@ -61,75 +62,32 @@ class CheckpointError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Registry: state "kind" -> reconstructor.  Imports are lazy so the
-# service plane stays importable without pulling every plane at once.
+# Registry: state "kind" -> (module, class) whose ``from_state`` rebuilds
+# it; the class names the same kind as its ``STATE_KIND``.  Modules are
+# imported on use so the service plane stays importable without pulling
+# every plane at once.
 # ----------------------------------------------------------------------
-def _load_sync(state: Mapping[str, Any], telemetry: Any) -> Any:
-    from ..core.kernel import SyncEngine
-
-    return SyncEngine.from_state(state, telemetry=telemetry)
-
-
-def _load_async(state: Mapping[str, Any], telemetry: Any) -> Any:
-    from ..core.kernel import AsyncEngine
-
-    return AsyncEngine.from_state(state, telemetry=telemetry)
-
-
-def _load_forest(state: Mapping[str, Any], telemetry: Any) -> Any:
-    from ..core.kernel import ForestEngine
-
-    return ForestEngine.from_state(state, telemetry=telemetry)
-
-
-def _load_batch(state: Mapping[str, Any], telemetry: Any) -> Any:
-    from ..cluster.batch import BatchEngine
-
-    return BatchEngine.from_state(state, telemetry=telemetry)
-
-
-def _load_cluster(state: Mapping[str, Any], telemetry: Any) -> Any:
-    from ..cluster.runtime import ClusterRuntime
-
-    return ClusterRuntime.from_state(state, telemetry=telemetry)
-
-
-def _load_meter_bank(state: Mapping[str, Any], telemetry: Any) -> Any:
-    from ..protocols.state import MeterBank
-
-    return MeterBank.from_state(state)
-
-
-def _load_packet_state(state: Mapping[str, Any], telemetry: Any) -> Any:
-    from ..protocols.state import PacketState
-
-    return PacketState.from_state(state)
-
-
-def _load_rng_streams(state: Mapping[str, Any], telemetry: Any) -> Any:
-    from ..sim.rng import RngStreams
-
-    return RngStreams.from_state(state)
-
-
-_LOADERS: Dict[str, Callable[[Mapping[str, Any], Any], Any]] = {
-    "sync_engine": _load_sync,
-    "async_engine": _load_async,
-    "forest_engine": _load_forest,
-    "batch_engine": _load_batch,
-    "cluster_runtime": _load_cluster,
-    "meter_bank": _load_meter_bank,
-    "packet_state": _load_packet_state,
-    "rng_streams": _load_rng_streams,
+_REGISTRY: Dict[str, Tuple[str, str]] = {
+    "sync_engine": ("repro.core.kernel", "SyncEngine"),
+    "async_engine": ("repro.core.kernel", "AsyncEngine"),
+    "forest_engine": ("repro.core.kernel", "ForestEngine"),
+    "batch_engine": ("repro.cluster.batch", "BatchEngine"),
+    "cluster_runtime": ("repro.cluster.runtime", "ClusterRuntime"),
+    "meter_bank": ("repro.protocols.state", "MeterBank"),
+    "packet_state": ("repro.protocols.state", "PacketState"),
+    "rng_streams": ("repro.sim.rng", "RngStreams"),
 }
 
 
 def checkpoint_kind(target: Any) -> str:
-    """The registry kind a target's :meth:`state` tags itself with."""
-    state = target if isinstance(target, Mapping) else target.state()
-    kind = state.get("kind")
+    """The registry kind of a state dict (its ``"kind"`` tag) or of a live
+    object (its class's ``STATE_KIND`` - nothing is serialised to ask)."""
+    state = isinstance(target, Mapping)
+    kind = target.get("kind") if state else getattr(target, "STATE_KIND", None)
     if not isinstance(kind, str):
-        raise CheckpointError(f"state dict has no 'kind' tag: {kind!r}")
+        raise CheckpointError(
+            f"{type(target).__name__} carries no checkpoint kind: {kind!r}"
+        )
     return kind
 
 
@@ -176,7 +134,16 @@ def read_checkpoint(path: str) -> Dict[str, Any]:
             f"truncated checkpoint {path!r}: expected header + state, "
             f"got {len(records)} record(s)"
         )
-    header = records[0]
+    header, body = records[0], records[1]
+    if not (
+        isinstance(header, dict)
+        and isinstance(body, dict)
+        and isinstance(body.get("state", {}), dict)
+    ):
+        raise CheckpointError(
+            f"{path!r} is not a webwave checkpoint (header, state section "
+            "and state must be JSON objects)"
+        )
     match = _SCHEMA_RE.match(str(header.get("schema", "")))
     if match is None or match.group("name") != CHECKPOINT_SCHEMA:
         raise CheckpointError(
@@ -189,7 +156,6 @@ def read_checkpoint(path: str) -> Dict[str, Any]:
             f"checkpoint {path!r} was written by a newer schema "
             f"(v{version}); this build supports up to v{CHECKPOINT_VERSION}"
         )
-    body = records[1]
     if body.get("section") != "state" or "state" not in body:
         raise CheckpointError(f"checkpoint {path!r} is missing its state section")
     state = body["state"]
@@ -210,14 +176,17 @@ def restore_state(state: Mapping[str, Any], *, telemetry: Optional[Any] = None) 
     known kinds listed.
     """
     kind = checkpoint_kind(state)
-    loader = _LOADERS.get(kind)
-    if loader is None:
-        known = ", ".join(sorted(_LOADERS))
+    if kind not in _REGISTRY:
+        known = ", ".join(sorted(_REGISTRY))
         raise CheckpointError(
             f"no reconstructor registered for checkpoint kind {kind!r}; "
             f"known kinds: {known}"
         )
-    return loader(state, telemetry)
+    module, name = _REGISTRY[kind]
+    cls = getattr(importlib.import_module(module), name)
+    # The packet plane's state objects are not instrumented and take none.
+    kwargs = {} if telemetry is None else {"telemetry": telemetry}
+    return cls.from_state(state, **kwargs)
 
 
 def restore_checkpoint(path: str, *, telemetry: Optional[Any] = None) -> Any:

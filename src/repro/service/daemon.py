@@ -99,12 +99,9 @@ class Service:
         return {"ok": True, "pong": True}
 
     def _op_info(self, command: Mapping[str, Any]) -> Dict[str, Any]:
-        state_kind = None
-        if hasattr(self.runtime, "state"):
-            state_kind = self.runtime.state().get("kind")
         return {
             "ok": True,
-            "kind": state_kind,
+            "kind": checkpoint_kind(self.runtime),
             "ticks": self._ticks,
             "catalog": self._is_catalog(),
         }

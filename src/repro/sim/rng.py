@@ -17,6 +17,8 @@ import hashlib
 import random
 from typing import Dict, Iterable, Tuple, Union
 
+from ..core.steppable import mt_state, require_kind
+
 __all__ = ["RngStreams", "derive_seed"]
 
 _Key = Union[str, int, Tuple[Union[str, int], ...]]
@@ -38,6 +40,8 @@ class RngStreams:
         arrivals = streams.get("arrivals", node=3)
         topology = streams.get("topology")
     """
+
+    STATE_KIND = "rng_streams"
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
@@ -99,28 +103,27 @@ class RngStreams:
                     "rng": [version, list(words), gauss_next],
                 }
             )
-        return {"kind": "rng_streams", "seed": self._seed, "streams": streams}
+        return {"kind": self.STATE_KIND, "seed": self._seed, "streams": streams}
 
     def load_state(self, state: Dict) -> None:
-        """Restore a :meth:`state` capture (bit-identical draw sequences)."""
-        if state.get("kind") != "rng_streams":
-            raise ValueError(
-                f"cannot load state of kind {state.get('kind')!r} into "
-                "rng streams"
-            )
-        self._seed = int(state["seed"])
-        self._streams = {}
+        """Restore a :meth:`state` capture (bit-identical draw sequences).
+
+        A capture with a malformed MT19937 state raises ``ValueError`` and
+        leaves the family untouched.
+        """
+        require_kind(self, state)
+        seed = int(state["seed"])
+        streams: Dict[Tuple, random.Random] = {}
         for entry in state["streams"]:
             key = tuple(
                 tuple(part) if isinstance(part, list) else part
                 for part in entry["key"]
             )
-            version, words, gauss_next = entry["rng"]
             stream = random.Random()
-            stream.setstate(
-                (int(version), tuple(int(w) for w in words), gauss_next)
-            )
-            self._streams[key] = stream
+            stream.setstate(mt_state(entry["rng"], f"{self.STATE_KIND} stream {key!r}"))
+            streams[key] = stream
+        self._seed = seed
+        self._streams = streams
 
     @classmethod
     def from_state(cls, state: Dict) -> "RngStreams":

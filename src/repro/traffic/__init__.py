@@ -7,7 +7,6 @@ from .arrivals import (
     PoissonArrivals,
 )
 from .requests import Request
-from .trace import Trace, TraceEntry, record_trace
 from .workload import Workload, WorkloadError, hot_document_workload
 
 __all__ = [
@@ -16,9 +15,6 @@ __all__ = [
     "PoissonArrivals",
     "ParetoOnOffArrivals",
     "Request",
-    "Trace",
-    "TraceEntry",
-    "record_trace",
     "Workload",
     "WorkloadError",
     "hot_document_workload",

@@ -13,12 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.cluster.batch import (
-    BatchEngine,
-    batch_forwarded_rates,
-    batch_resettle_served,
-    batch_subtree_accumulate,
-)
+from repro.cluster.batch import BatchEngine
 from repro.core.kernel import (
     SyncEngine,
     degree_edge_alphas,
@@ -64,7 +59,7 @@ class TestBatchedHelpers:
         tree = random_tree(40, random.Random(1))
         flat = flatten(tree)
         values, _ = _catalog(tree, 5, 2)
-        batched = batch_subtree_accumulate(flat, values)
+        batched = subtree_accumulate(flat, values)
         for d in range(5):
             single = subtree_accumulate(flat, values[d])
             assert np.abs(batched[d] - single).max() < TOL
@@ -73,7 +68,7 @@ class TestBatchedHelpers:
         tree = random_tree(35, random.Random(3))
         flat = flatten(tree)
         rates, served = _catalog(tree, 4, 4, with_served=True)
-        batched = batch_forwarded_rates(flat, rates, served)
+        batched = forwarded_rates(flat, rates, served)
         for d in range(4):
             single = forwarded_rates(flat, rates[d], served[d])
             assert np.abs(batched[d] - single).max() < TOL
@@ -82,7 +77,7 @@ class TestBatchedHelpers:
         tree = random_tree(30, random.Random(5))
         flat = flatten(tree)
         rates, served = _catalog(tree, 6, 6, with_served=True)
-        batched = batch_resettle_served(flat, rates, served)
+        batched = resettle_served(flat, rates, served)
         for d in range(6):
             single = resettle_served(flat, rates[d], served[d])
             assert np.abs(batched[d] - single).max() < TOL

@@ -6,15 +6,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import merge_tick_stats
-from repro.cluster.runtime import (
-    ClusterError,
-    ClusterEvent,
-    ClusterRuntime,
-    DocumentRecord,
-)
+from repro.cluster.runtime import ClusterError, ClusterEvent, ClusterRuntime
 from repro.cluster.scenarios import rerooted_trees
 from repro.core.kernel import SyncEngine, degree_edge_alphas, flatten
 from repro.core.tree import kary_tree
@@ -142,9 +139,10 @@ class TestLifecycle:
         runtime = ClusterRuntime({0: tree})
         runtime.publish("a", 0, _leaf_rates(tree, [(15, 5.0), (30, 2.0)]))
         runtime.run(7)
-        record = runtime.document_records()[0]
         other = ClusterRuntime({0: tree})
-        other.publish("a", 0, record.rates, served=record.served)
+        other.publish(
+            "a", 0, runtime.document_rates("a"), served=runtime.document_loads("a")
+        )
         assert np.array_equal(
             other.document_loads("a"), runtime.document_loads("a")
         )
@@ -267,26 +265,47 @@ class TestSnapshotsAndRuns:
         with pytest.raises(ClusterError, match="window"):
             runtime.run(3, [ClusterEvent(tick=7, action="retire", doc_id="a")])
 
-    def test_records_restore_roundtrip(self, tree):
+    def test_zero_scale_regroups_alike_after_a_restore(self, tree):
+        """``scale_rates(0.0)`` moves every document to its home's zero-demand
+        cohort one by one; it used to walk them in publish order, which a
+        restored runtime does not have, so the rows came out permuted."""
         runtime = ClusterRuntime({0: tree})
-        runtime.publish("a", 0, _leaf_rates(tree, [(15, 5.0)]))
-        runtime.run(9)
-        records = runtime.document_records()
-        other = ClusterRuntime({0: tree})
-        other.restore(records, runtime.tick_count)
-        assert other.tick_count == 9
-        assert np.array_equal(
-            other.document_loads("a"), runtime.document_loads("a")
-        )
+        runtime.publish("d0", 0, _leaf_rates(tree, [(30, 3.0)]))
+        runtime.publish("d1", 0, _leaf_rates(tree, [(15, 2.0)]))
+        runtime.publish("d2", 0, _leaf_rates(tree, [(30, 1.0)]))  # d0's cohort
+        runtime.run(3)
+        twin = ClusterRuntime({0: tree})
+        twin.load_state(runtime.state())
+        for side in (runtime, twin):
+            side.scale_rates(0.0)
+            side.run(2)
+        assert twin.state() == runtime.state()
+
+
+# One drawn lifecycle op for the sharded-vs-inline property:
+# (kind, seed, tick).
+_SHARD_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["retire", "publish_known", "publish_new", "scale_doc", "scale_all", "set_rates"]
+        ),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=9),
+    ),
+    min_size=1,
+    max_size=8,
+)
 
 
 class TestSharding:
+    KNOWN, NEW = [0, 5, 9], [12, 3]
+
     def _build(self, trees, tree):
         runtime = ClusterRuntime(trees, config=ClusterConfig(track_tlb=True))
         rng = random.Random(2)
         leaves = list(tree.leaves())
         for k in range(18):
-            home = [0, 5, 9][k % 3]
+            home = self.KNOWN[k % 3]
             origins = rng.sample(leaves, 4)
             rates = _leaf_rates(
                 tree, [(leaf, rng.uniform(1.0, 9.0)) for leaf in origins]
@@ -295,7 +314,7 @@ class TestSharding:
         return runtime
 
     def test_sharded_equals_inline(self, tree):
-        trees = rerooted_trees(tree, [0, 5, 9])
+        trees = rerooted_trees(tree, self.KNOWN + self.NEW)
         events = [
             ClusterEvent(tick=3, action="retire", doc_id="d04"),
             ClusterEvent(
@@ -305,6 +324,13 @@ class TestSharding:
                 home=5,
                 rates=tuple(_leaf_rates(tree, [(29, 2.5)])),
             ),
+            ClusterEvent(
+                tick=6,
+                action="publish",
+                doc_id="elsewhere",
+                home=12,  # a home no shard has seen
+                rates=tuple(_leaf_rates(tree, [(17, 4.0), (30, 1.0)])),
+            ),
             ClusterEvent(tick=8, action="scale", factor=1.25),
         ]
         inline = self._build(trees, tree)
@@ -312,6 +338,8 @@ class TestSharding:
         sharded = self._build(trees, tree)
         sharded_metrics = sharded.run(12, list(events), workers=3)
 
+        # The merged metrics are sums over shards where the inline ones are
+        # sums over groups: equal up to float summation order, not bitwise.
         assert len(inline_metrics) == len(sharded_metrics)
         for a, b in zip(inline_metrics, sharded_metrics):
             assert a.tick == b.tick
@@ -319,16 +347,77 @@ class TestSharding:
             assert a.mass == pytest.approx(b.mass, abs=1e-9)
             assert a.max_load == pytest.approx(b.max_load, abs=1e-9)
             assert a.tlb_gap == pytest.approx(b.tlb_gap, abs=1e-9)
+        # The state is carried, not summed: bit-identical.
         assert sharded.tick_count == inline.tick_count == 12
+        assert sharded.state() == inline.state()
         for doc in inline.doc_ids:
-            assert np.allclose(
-                inline.document_loads(doc),
-                sharded.document_loads(doc),
-                atol=1e-9,
+            assert np.array_equal(
+                inline.document_loads(doc), sharded.document_loads(doc)
             )
+
+        # long enough to freeze cohorts, on both sides alike
+        inline.run(600)
+        sharded.run(600, workers=3)
+        assert 0 < inline.frozen_documents() == sharded.frozen_documents()
+        assert sharded.state() == inline.state()
         # both runtimes keep running after the merge-back
-        sharded.tick()
-        assert sharded.tick_count == 13
+        inline.run(50)
+        sharded.run(50)
+        assert sharded.tick_count == 662
+        assert sharded.state() == inline.state()
+
+    def _events(self, ops, tree, runtime):
+        """Compile drawn ops into a valid event list for ``runtime``."""
+        live = {doc_id: runtime.home_of(doc_id) for doc_id in runtime.doc_ids}
+        leaves = list(tree.leaves())
+        events = []
+        for serial, (kind, seed, tick) in enumerate(sorted(ops, key=lambda o: o[2])):
+            rng = random.Random(seed)
+            doc = sorted(live)[seed % len(live)]
+            rates = tuple(
+                _leaf_rates(tree, [(leaf, rng.uniform(0.5, 9.0)) for leaf in rng.sample(leaves, 2)])
+            )
+            if kind == "retire":
+                if len(live) == 1:
+                    continue
+                del live[doc]
+                events.append(ClusterEvent(tick=tick, action="retire", doc_id=doc))
+            elif kind in ("publish_known", "publish_new"):
+                homes = self.KNOWN if kind == "publish_known" else self.NEW
+                doc, home = f"new{serial}", homes[seed % len(homes)]
+                live[doc] = home
+                events.append(
+                    ClusterEvent(tick=tick, action="publish", doc_id=doc, home=home, rates=rates)
+                )
+            elif kind == "set_rates":  # two fresh origins: the closure changes
+                events.append(
+                    ClusterEvent(tick=tick, action="set_rates", doc_id=doc, rates=rates)
+                )
+            else:
+                events.append(
+                    ClusterEvent(
+                        tick=tick,
+                        action="scale",
+                        doc_id=doc if kind == "scale_doc" else None,
+                        factor=rng.choice([0.0, 0.5, 1.25, 2.0]),
+                    )
+                )
+        return events
+
+    @given(_SHARD_OPS, st.integers(min_value=2, max_value=4))
+    @settings(max_examples=15, deadline=None)
+    def test_sharded_state_equals_inline_under_random_events(self, ops, workers):
+        tree = kary_tree(2, 4)
+        trees = rerooted_trees(tree, self.KNOWN + self.NEW)
+        inline = self._build(trees, tree)
+        sharded = self._build(trees, tree)
+        events = self._events(ops, tree, inline)
+        inline.run(10, events)
+        sharded.run(10, list(events), workers=workers)
+        assert sharded.state() == inline.state()
+        inline.run(50)
+        sharded.run(50)
+        assert sharded.state() == inline.state()
 
     def test_merge_tick_stats_rejects_mixed_ticks(self, tree):
         runtime = ClusterRuntime({0: tree})

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.core.lp_check import min_max_load, min_max_load_after_removing
+from tests.oracle.lp_check import min_max_load, min_max_load_after_removing
 from repro.core.tree import chain_tree, star_tree
 from repro.core.webfold import webfold
 

@@ -1,10 +1,10 @@
-"""Tests for the independent bottom-up TLB solver (repro.core.pava)."""
+"""Tests for the independent bottom-up TLB solver (tests.oracle.pava)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.pava import tree_waterfill
+from tests.oracle.pava import tree_waterfill
 from repro.core.tree import RoutingTree, chain_tree, kary_tree, star_tree
 
 from tests.helpers import assert_feasible

@@ -15,7 +15,7 @@ from repro.core.constraints import (
     lex_less,
 )
 from repro.core.load import LoadAssignment
-from repro.core.pava import tree_waterfill
+from tests.oracle.pava import tree_waterfill
 from repro.core.webfold import webfold
 
 from tests.helpers import trees_with_rates, assert_feasible

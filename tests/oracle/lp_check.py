@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .tree import RoutingTree
+from repro.core.tree import RoutingTree
 
 __all__ = ["min_max_load", "min_max_load_after_removing"]
 

@@ -12,7 +12,7 @@ parent fold's - the tree analogue of the Pool Adjacent Violators Algorithm
 for isotonic regression.  Folding is confluent: any sequence of valid folds
 reaches the same final partition, because the feasible region is a polytope
 whose lexicographic-minimax point is unique and per-fold loads determine the
-partition.  The property tests in ``tests/core/test_cross_check.py`` exercise
+partition.  The property tests in ``tests/core/test_webfold_properties.py`` exercise
 this equivalence over thousands of random trees.
 """
 
@@ -23,8 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from .load import LoadAssignment
-from .tree import RoutingTree
+from repro.core.load import LoadAssignment
+from repro.core.tree import RoutingTree
 
 __all__ = ["tree_waterfill", "WaterfillResult"]
 

@@ -23,11 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.store import CacheStore
 from repro.cluster.batch import BatchEngine
 from repro.cluster.config import ClusterConfig
 from repro.cluster.runtime import ClusterRuntime
 from repro.core.kernel import (
     AsyncEngine,
+    EngineConfig,
     ForestEngine,
     SyncEngine,
     degree_edge_alphas,
@@ -287,9 +289,14 @@ def _busy_bank():
     return bank
 
 
+_DROP = object()  # an edit returning this deletes the field
+
+
 def _corrupt(state, field, edit):
     bad = json_round_trip(state)
     bad[field] = edit(bad[field])
+    if bad[field] is _DROP:
+        del bad[field]
     return bad
 
 
@@ -351,6 +358,7 @@ def _busy_packet_state():
         pytest.param("requests_forwarded", lambda v: [-1] + v[1:], id="requests_forwarded-negative"),
         pytest.param("failed", lambda v: v[:3], id="failed-short"),
         pytest.param("stores", lambda v: v[:3], id="stores-short"),
+        pytest.param("stores", lambda v: [{**v[0], "hits": -1}] + v[1:], id="stores-hits-negative"),
         pytest.param("fwd_row_stamp", lambda v: v[:2], id="fwd_row_stamp-short"),
         pytest.param("served_total", lambda v: {**v, "counts": v["counts"][:1]}, id="served_total-counts-short"),
         pytest.param("served_doc", lambda v: {**v, "est": [float("nan")] + v["est"][1:]}, id="served_doc-est-nan"),
@@ -410,6 +418,214 @@ def test_packet_state_restore_keeps_the_live_meters():
             for k in range(bank.size):
                 assert restored.rate(k, now) == bank.rate(k, now), (name, k, now)
             assert sorted(restored.live) == sorted(bank.live)
+
+
+# ----------------------------------------------------------------------
+# Hostile captures of the remaining kinds: rejected by name, nothing swapped
+# ----------------------------------------------------------------------
+def _sync_engine(**config):
+    flat = flatten(kary_tree(2, 3))
+    rates = np.zeros(flat.n)
+    rates[flat.n - 1] = 40.0
+    engine = SyncEngine(
+        flat, rates, rates, degree_edge_alphas(flat), config=EngineConfig(**config)
+    )
+    for _ in range(4):
+        engine.step()
+    return engine
+
+
+def _stale_sync_engine():
+    return _sync_engine(gossip_delay=2)
+
+
+def _batch_engine():
+    flat = flatten(kary_tree(2, 3))
+    rates = np.zeros((2, flat.n))
+    rates[0, flat.n - 1] = 40.0
+    rates[1, 7] = 10.0
+    engine = BatchEngine(flat, rates, None, degree_edge_alphas(flat))
+    for _ in range(4):
+        engine.step()
+    return engine
+
+
+def _forest_engine():
+    base = kary_tree(2, 3)
+    edges = [(c, p) for c, p in enumerate(base.parent_map) if c != p]
+    flats = {h: flatten(tree_from_edges(base.n, edges, root=h)) for h in (0, 3)}
+    demands = {h: [float(h + i) for i in range(base.n)] for h in flats}
+    engine = ForestEngine(flats, demands, {h: degree_edge_alphas(f) for h, f in flats.items()})
+    engine.step()
+    return engine
+
+
+def _async_engine():
+    flat = flatten(kary_tree(2, 3))
+    rates = [float(i) for i in range(flat.n)]
+    engine = AsyncEngine(
+        flat, rates, rates, degree_edge_alphas(flat), random.Random(3), max_staleness=2
+    )
+    for _ in range(6):
+        engine.activate()
+    return engine
+
+
+def _rng_streams():
+    streams = RngStreams(seed=5)
+    streams.get("arrivals", node=1).random()
+    return streams
+
+
+def _set(index, value):
+    """Edit: one entry (a row-major path for nested lists) of a list field."""
+    path = index if isinstance(index, tuple) else (index,)
+
+    def edit(v):
+        inner = v
+        for i in path[:-1]:
+            inner = inner[i]
+        inner[path[-1]] = value
+        return v
+
+    return edit
+
+
+def _in_home(field, edit):
+    """Edit one field of a forest state's first home entry."""
+    return lambda homes: [{**homes[0], field: edit(homes[0][field])}] + homes[1:]
+
+
+def _in_rng(edit):
+    """Edit the [version, words, gauss_next] of an rng_streams' first stream."""
+    return lambda streams: [{**streams[0], "rng": edit(streams[0]["rng"])}] + streams[1:]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make, field, edit, match",
+    [
+        # sync_engine - the round's fields (DiffusionStack._restore) and its own
+        pytest.param(_sync_engine, "active", lambda v: [1000000], "active", id="sync-active-out-of-range"),
+        pytest.param(_sync_engine, "active", lambda v: v[::-1], "active", id="sync-active-unsorted"),
+        pytest.param(_sync_engine, "active", lambda v: [-1] + v[1:], "active", id="sync-active-negative"),
+        pytest.param(_sync_engine, "active", lambda v: [v[0]] + v, "active", id="sync-active-repeated"),
+        pytest.param(_sync_engine, "fwd", _set(1, NAN), "fwd", id="sync-fwd-nan"),
+        pytest.param(_sync_engine, "fwd", _set(1, INF), "fwd", id="sync-fwd-inf"),
+        pytest.param(_sync_engine, "loads", _set(0, NAN), "loads", id="sync-loads-nan"),
+        pytest.param(_sync_engine, "loads", _set(0, -1.0), "loads", id="sync-loads-negative"),
+        pytest.param(_sync_engine, "loads", lambda v: v[:-1], "loads", id="sync-loads-short"),
+        pytest.param(_sync_engine, "loads", lambda v: [v, v], "loads", id="sync-loads-two-rows"),
+        pytest.param(_sync_engine, "spontaneous", _set(2, -0.5), "spontaneous", id="sync-spontaneous-negative"),
+        pytest.param(_sync_engine, "edge_alpha", lambda v: v[:-1], "edge_alpha", id="sync-edge_alpha-short"),
+        pytest.param(_sync_engine, "edge_alpha", _set(0, NAN), "edge_alpha", id="sync-edge_alpha-nan"),
+        pytest.param(_sync_engine, "round", lambda v: _DROP, "round", id="sync-round-missing"),
+        pytest.param(_sync_engine, "round", lambda v: -1, "round", id="sync-round-negative"),
+        pytest.param(_sync_engine, "edges_processed", lambda v: "many", "edges_processed", id="sync-ops-text"),
+        pytest.param(_sync_engine, "density_threshold", lambda v: NAN, "density_threshold", id="sync-density-nan"),
+        pytest.param(_sync_engine, "quantum", lambda v: NAN, "quantum", id="sync-quantum-nan"),
+        pytest.param(_sync_engine, "gossip_delay", lambda v: -1, "gossip_delay", id="sync-delay-negative"),
+        pytest.param(_sync_engine, "capacities", lambda v: [0.0] * 15, "capacities", id="sync-capacities-zero"),
+        pytest.param(_sync_engine, "history", lambda v: [], "history", id="sync-history-empty"),
+        pytest.param(_stale_sync_engine, "history", lambda v: [v[0][:-1]] + v[1:], "history", id="sync-history-ragged"),
+        pytest.param(_stale_sync_engine, "history", lambda v: v + v, "history", id="sync-history-too-long"),
+        # batch_engine - same _restore, (D, n) consistency
+        pytest.param(_batch_engine, "loads", lambda v: v[:1], "loads", id="batch-loads-one-row-of-two"),
+        pytest.param(_batch_engine, "fwd", _set((0, 1), NAN), "fwd", id="batch-fwd-nan"),
+        pytest.param(_batch_engine, "fwd", lambda v: v + v, "fwd", id="batch-fwd-four-rows"),
+        pytest.param(_batch_engine, "active", lambda v: [1000000], "active", id="batch-active-out-of-range"),
+        pytest.param(_batch_engine, "active", lambda v: [2 * 14], "active", id="batch-active-one-past-the-end"),
+        pytest.param(_batch_engine, "op_count", lambda v: -5, "op_count", id="batch-op_count-negative"),
+        pytest.param(_batch_engine, "spontaneous", _set((1, 3), INF), "spontaneous", id="batch-spontaneous-inf"),
+        # forest_engine
+        pytest.param(_forest_engine, "homes", _in_home("loads", _set(2, NAN)), "loads", id="forest-loads-nan"),
+        pytest.param(_forest_engine, "homes", _in_home("demand", _set(2, -1.0)), "demand", id="forest-demand-negative"),
+        pytest.param(_forest_engine, "homes", _in_home("fwd", _set(0, INF)), "fwd", id="forest-fwd-inf"),
+        pytest.param(_forest_engine, "homes", _in_home("edge_alpha", lambda v: v[:-1]), "edge_alpha", id="forest-edge_alpha-short"),
+        pytest.param(_forest_engine, "homes", _in_home("loads", lambda v: v + [0.0]), "loads", id="forest-loads-long"),
+        pytest.param(_forest_engine, "round", lambda v: -1, "round", id="forest-round-negative"),
+        # async_engine
+        pytest.param(_async_engine, "loads", _set(0, NAN), "loads", id="async-loads-nan"),
+        pytest.param(_async_engine, "fwd", _set(0, NAN), "fwd", id="async-fwd-nan"),
+        pytest.param(_async_engine, "alpha_of_child", lambda v: v[:-1], "alpha_of_child", id="async-alpha-short"),
+        pytest.param(_async_engine, "history", lambda v: [v[0][:-1]] + v[1:], "history", id="async-history-ragged"),
+        pytest.param(_async_engine, "history", lambda v: v + v, "history", id="async-history-too-long"),
+        pytest.param(_async_engine, "activations", lambda v: -1, "activations", id="async-activations-negative"),
+        pytest.param(_async_engine, "max_staleness", lambda v: None, "max_staleness", id="async-staleness-null"),
+        pytest.param(_async_engine, "rng", lambda v: [v[0], v[1][:-1], v[2]], "rng", id="async-rng-624-words"),
+        pytest.param(_async_engine, "rng", lambda v: [7, v[1], v[2]], "rng", id="async-rng-version"),
+        pytest.param(_async_engine, "rng", lambda v: [v[0], v[1][:-1] + [9999], v[2]], "rng", id="async-rng-index"),
+        pytest.param(_async_engine, "rng", lambda v: [v[0], [-1] + v[1][1:], v[2]], "rng", id="async-rng-negative-word"),
+        pytest.param(_async_engine, "rng", lambda v: [v[0], v[1], "soon"], "rng", id="async-rng-gauss-text"),
+        # rng_streams
+        pytest.param(_rng_streams, "streams", _in_rng(lambda v: [v[0], v[1][:100], v[2]]), "rng", id="rng-streams-short-words"),
+        pytest.param(_rng_streams, "streams", _in_rng(lambda v: [v[0], v[1][:-1] + [9999], v[2]]), "rng", id="rng-streams-index"),
+        pytest.param(_rng_streams, "streams", _in_rng(lambda v: v[:2]), "rng", id="rng-streams-two-parts"),
+    ],
+)
+def test_hostile_state_rejected_and_object_untouched(make, field, edit, match):
+    """The standing rule for every registered kind: ``load_state`` parses
+    into locals, names the bad field, and only then swaps.  At the parent
+    commit ``"active": [1000000]`` and a NaN ``fwd`` loaded silently (the
+    next tick died with an IndexError, or reported ``mass: nan`` for ever),
+    and a capture missing ``"round"`` raised after overwriting the arrays."""
+    target = make()
+    before = json.dumps(target.state())
+    bad = _corrupt(target.state(), field, edit)
+    with pytest.raises((ValueError, KeyError), match=match):
+        target.load_state(bad)
+    assert json.dumps(target.state()) == before
+    with pytest.raises((ValueError, KeyError), match=match):
+        type(target).from_state(bad)
+    # and the untouched object still takes a good capture and runs on
+    target.load_state(json_round_trip(make().state()))
+    assert json.dumps(target.state()) == before
+
+
+def test_async_engine_restore_keeps_the_callers_generator():
+    """``load_state`` restores the MT state into the generator the engine
+    was given (its owner may hold it), validated on a scratch one first."""
+    engine = _async_engine()
+    rng = engine._rng
+    state = json_round_trip(engine.state())
+    expected = _async_engine()._rng.random()
+    for _ in range(5):
+        engine.activate()
+    engine.load_state(state)
+    assert engine._rng is rng and rng.random() == expected
+
+
+def _busy_store():
+    store = CacheStore(capacity=3, policy="lfu")
+    store.insert("a", pinned=True)
+    store.insert("b")
+    store.touch("b")
+    store.touch("zzz")
+    return store
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        pytest.param("insertions", lambda v: -1, id="insertions-negative"),
+        pytest.param("evictions", lambda v: NAN, id="evictions-nan"),
+        pytest.param("hits", lambda v: "lots", id="hits-text"),
+        pytest.param("misses", lambda v: None, id="misses-null"),
+        pytest.param("capacity", lambda v: 0, id="capacity-zero"),
+        pytest.param("capacity", lambda v: "big", id="capacity-text"),
+        pytest.param("policy", lambda v: "mru", id="policy-unknown"),
+        pytest.param("entries", lambda v: [["a", -2]] + v[1:], id="entries-negative-count"),
+        pytest.param("entries", lambda v: ["a", "b"], id="entries-not-pairs"),
+        pytest.param("pinned", lambda v: ["ghost"], id="pinned-absent"),
+    ],
+)
+def test_hostile_cache_store_state_rejected(field, edit):
+    state = _busy_store().state()
+    assert CacheStore.from_state(json_round_trip(state)).state() == state
+    with pytest.raises(ValueError, match=field):
+        CacheStore.from_state(_corrupt(state, field, edit))
 
 
 def test_rng_streams_round_trip_continues_identically():
@@ -502,6 +718,23 @@ def test_non_checkpoint_file_fails_clearly(tmp_path):
         read_checkpoint(str(path))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[]\n{"section":"state","state":{"kind":"sync_engine"}}\n',
+        '{"schema":"webwave-checkpoint/v1","kind":"sync_engine"}\n7\n',
+        '{"schema":"webwave-checkpoint/v1","kind":"sync_engine"}\n{"section":"state","state":[1]}\n',
+    ],
+    ids=["header-list", "body-number", "state-list"],
+)
+def test_checkpoint_of_non_objects_fails_clearly(tmp_path, text):
+    """JSON that parses but is not objects used to escape as AttributeError."""
+    path = tmp_path / "shapes.ckpt"
+    path.write_text(text)
+    with pytest.raises(CheckpointError, match="not a webwave checkpoint"):
+        read_checkpoint(str(path))
+
+
 def test_kind_mismatch_between_header_and_state_fails(tmp_path):
     path = tmp_path / "mixed.ckpt"
     path.write_text(
@@ -510,6 +743,17 @@ def test_kind_mismatch_between_header_and_state_fails(tmp_path):
     )
     with pytest.raises(CheckpointError, match="header says.*sync_engine.*batch_engine"):
         read_checkpoint(str(path))
+
+
+def test_registry_table_and_class_attributes_name_the_same_kinds():
+    """A kind is written twice - on its class and in the table: they agree."""
+    import importlib
+
+    from repro.service.checkpoint import _REGISTRY
+
+    assert len(_REGISTRY) == 8
+    for kind, (module, name) in _REGISTRY.items():
+        assert getattr(importlib.import_module(module), name).STATE_KIND == kind
 
 
 def test_wrong_kind_rejected_by_engine_load_state():

@@ -43,6 +43,23 @@ def test_info_reports_kind_and_catalog_support(service):
     assert response["catalog"] is True
 
 
+def test_info_and_restore_never_serialise_the_resident_catalog(
+    service, catalog, tmp_path, monkeypatch
+):
+    """A count, not a clock: the kind is a class attribute, so neither op
+    calls ``runtime.state()`` (both used to, just to read the tag)."""
+    path = str(tmp_path / "svc.ckpt")
+    assert service.execute({"op": "checkpoint", "path": path})["ok"]
+    calls = []
+    capture = catalog.state
+    monkeypatch.setattr(catalog, "state", lambda: calls.append("state") or capture())
+    assert service.execute({"op": "info"})["kind"] == "cluster_runtime"
+    assert service.execute({"op": "restore", "path": path})["ok"]
+    assert service.runtime is catalog and calls == []
+    service.execute({"op": "checkpoint", "path": path})
+    assert calls == ["state"]  # the shim does count
+
+
 def test_tick_advances_and_counts(service):
     assert service.execute({"op": "tick", "count": 3}) == {"ok": True, "ticks": 3}
     assert service.execute({"op": "tick"}) == {"ok": True, "ticks": 4}
@@ -153,12 +170,35 @@ def _wrong_size_tree(state):
     state["groups"][-1]["parent_map"] = [0, 0, 0]
 
 
+def _in_engine(**fields):
+    """Overwrite fields of the first cohort's engine state."""
+    return lambda state: state["groups"][0]["cohorts"][0]["engine"].update(fields)
+
+
+def _in_cohort(**fields):
+    return lambda state: state["groups"][0]["cohorts"][0].update(fields)
+
+
+def _nan_fwd(state):
+    state["groups"][0]["cohorts"][0]["engine"]["fwd"][0][1] = float("nan")
+
+
 @pytest.mark.parametrize(
     "corrupt,error",
     [
         pytest.param(_duplicate_doc, "duplicate document 'seed'", id="duplicate-doc"),
         pytest.param(_missing_engine, "KeyError: 'engine'", id="missing-engine"),
         pytest.param(_wrong_size_tree, "has 3 nodes, cluster has 7", id="wrong-n-tree"),
+        # hostile cohort engines: these two restored ``ok: true`` and the next
+        # tick died with an uncaught IndexError / reported ``mass: nan``
+        pytest.param(_in_engine(active=[1000000]), "batch_engine 'active'", id="engine-active-out-of-range"),
+        pytest.param(_nan_fwd, "batch_engine 'fwd' must be finite", id="engine-fwd-nan"),
+        pytest.param(_in_engine(loads=[[-1.0] * N]), "batch_engine 'loads'", id="engine-loads-negative"),
+        pytest.param(_in_engine(edge_alpha=[0.25]), "batch_engine 'edge_alpha'", id="engine-edge_alpha-short"),
+        pytest.param(_in_engine(round=-3), "batch_engine 'round'", id="engine-round-negative"),
+        pytest.param(_in_cohort(nodes=[0, 99]), "'nodes' must be node ids below 7", id="cohort-nodes-out-of-range"),
+        pytest.param(_in_cohort(doc_ids=["seed", "extra"]), "'doc_ids' names 2 documents for 1", id="cohort-doc-ids-extra"),
+        pytest.param(_in_cohort(targets=[[1.0]]), "'targets'", id="cohort-targets-short"),
     ],
 )
 def test_rejected_restore_leaves_the_catalog_untouched(
@@ -192,6 +232,11 @@ def test_rejected_restore_leaves_the_catalog_untouched(
     assert service.execute({"op": "snapshot"})["snapshot"] == before_snapshot
     assert catalog.documents == 2
     assert catalog.total_mass() == pytest.approx(catalog.total_rate())
+    # the daemon lives: the next tick runs, on finite numbers
+    assert service.execute({"op": "tick"})["ok"]
+    assert service.execute({"op": "snapshot"})["snapshot"]["mass"] == pytest.approx(
+        before_snapshot["mass"]
+    )
 
     # and a good restore still works afterwards, in place
     assert service.execute({"op": "restore", "path": good})["ok"]
@@ -207,6 +252,21 @@ def test_restore_of_another_kind_swaps_the_runtime(service, tmp_path):
     response = service.execute({"op": "restore", "path": path})
     assert response["ok"] and response["kind"] == "sync_engine"
     assert service.runtime.state() == engine.state()
+
+
+def test_hostile_restore_of_another_kind_keeps_the_resident_runtime(
+    service, catalog, tmp_path
+):
+    flat = flatten(kary_tree(2, 2))
+    engine = SyncEngine(flat, [1.0] * N, [1.0] * N, degree_edge_alphas(flat))
+    state = engine.state()
+    state["active"] = [1000000]
+    path = str(tmp_path / "engine.ckpt")
+    write_checkpoint(state, path)
+    response = service.execute({"op": "restore", "path": path})
+    assert not response["ok"] and "sync_engine 'active'" in response["error"]
+    assert service.runtime is catalog
+    assert service.execute({"op": "tick"})["ok"]
 
 
 def test_restore_missing_file_is_an_error_response(service):
