@@ -50,7 +50,7 @@ from ..core.kernel import (
     resettle_served,
     state_field,
 )
-from ..core.steppable import require_kind
+from ..core.steppable import require_kind, state_count
 from ..core.tree import RoutingTree, tree_from_parent_map
 from ..core.webfold import webfold
 from ..obs.telemetry import resolve as _resolve_telemetry
@@ -764,14 +764,22 @@ class ClusterRuntime:
         # repeated document id, hostile engine arrays) leaves the resident
         # catalog untouched.
         alpha = state["alpha"]
-        caps = state.get("capacities")
-        capacities = None if caps is None else np.asarray(caps, dtype=np.float64)
+        n = None if state["n"] is None else int(state["n"])
+        capacities = None
+        if state.get("capacities") is not None:
+            # One per server: a vector of another length would load and then
+            # fail the broadcast in every later snapshot.
+            shape = (-1,) if n is None else (n,)
+            capacities = state_field(state, "capacities", shape, what)
+            if not (capacities.size and capacities.min() > 0.0):
+                raise ValueError(f"{what} 'capacities' must be positive")
         track_tlb = bool(state["track_tlb"])
         tolerance = float(state["tolerance"])
+        if not 0.0 < tolerance < np.inf:  # the ClusterConfig contract
+            raise ValueError(f"{what} 'tolerance' must be finite and > 0")
         prune = bool(state["prune"])
         adaptive = bool(state["adaptive"])
-        n = None if state["n"] is None else int(state["n"])
-        tick = int(state["tick"])
+        tick = state_count(state, "tick", what)
         groups: Dict[int, _HomeGroup] = {}
         doc_home: Dict[str, int] = {}
         doc_cohort: Dict[str, bytes] = {}

@@ -19,16 +19,22 @@ round's.  The frontier therefore empties exactly when the engine reaches
 its floating-point fixed point - ``frontier empty <=> another round would
 be a bitwise no-op`` - which the kernel property tests pin.
 
-This module owns the shared geometry: a node -> incident-edge CSR index
-per :class:`~repro.core.kernel.FlatTree` (cached weakly, like the flat
-trees themselves), plus the gather helpers the engines use to grow a
-frontier from the nodes whose state actually changed.  The one round that
-uses them (:class:`~repro.core.kernel.DiffusionStack`) addresses its
-frontier in the flattened ``document * edge`` index space; with a single
-document (:class:`~repro.core.kernel.SyncEngine`) flat ids *are* edge ids
-and :func:`incident_edges_of` applies directly, with ``D`` documents
-(:class:`~repro.cluster.batch.BatchEngine`) :func:`batch_incident_edges`
-offsets the same per-tree CSR by document row.
+This module owns the shared geometry, none of which sorts or searches on
+the per-round path.  :func:`node_slots` numbers the nodes the active pairs
+touch by *scatter*: every node is the child of at most one edge, so the
+pairs' children are already distinct and take slots ``0..k-1`` in edge
+order, and the parents that are no active pair's child are deduplicated
+through a node-sized scratch and take the slots after them.  The parent
+side of the delta stays one ``bincount`` over the pairs in ascending edge
+order, so every partial sum associates as in the dense round whatever the
+slot numbering.  The frontier is kept up in slot space: an active pair
+stays iff its transfer is nonzero or an endpoint's load changed bitwise,
+and a pair that is *not* active can only enter through a changed node that
+holds fewer active pairs than tree edges.  Only those nodes go through the
+node -> incident-edge CSR index (:func:`incident_edges_of`, or
+:func:`batch_incident_edges` for the flattened ``document * edge`` ids of
+a ``D``-document stack), and only such a round re-sorts the frontier
+(:func:`sorted_unique`); otherwise the surviving pairs keep their order.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
+    "node_slots",
     "incident_edge_csr",
     "csr_gather",
     "incident_edges_of",
@@ -50,8 +57,8 @@ __all__ = [
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """Sort ``values`` in place and drop duplicates.
 
-    The sparse rounds deduplicate small frontier index arrays thousands of
-    times per run; a plain sort-and-mask is several times faster there
+    A sparse round whose frontier grows merges a few new pairs into a
+    small index array; a plain sort-and-mask is several times faster there
     than :func:`numpy.unique`'s hash path.  The input must be a freshly
     allocated array (it is sorted in place).
     """
@@ -62,6 +69,32 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def node_slots(
+    scratch: np.ndarray, parents: np.ndarray, children: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Number the nodes ``k`` active pairs touch, without sorting.
+
+    ``parents`` / ``children`` are the pairs' endpoint node ids in edge
+    order.  Returns ``(nodes, parent_slots)``: ``nodes[:k]`` is
+    ``children``, the rest the distinct parents that are no pair's child,
+    and ``nodes[parent_slots]`` is ``parents``.  ``scratch`` is an ``intp``
+    array indexed by node id; every entry read was written in this call,
+    so it is never cleared.
+    """
+    k = children.size
+    own = np.arange(k, dtype=np.intp)
+    rep = own + k
+    # One write per distinct parent survives (whichever) and marks that
+    # pair as its representative - unless the parent is an active child.
+    scratch[parents] = rep
+    scratch[children] = own
+    first = np.flatnonzero(scratch[parents] == rep)
+    extra = parents[first]
+    scratch[extra] = rep[: first.size]
+    return np.concatenate([children, extra]), scratch[parents]
+
 
 # Weak-keyed like kernel._FLAT_CACHE: the CSR lives as long as the tree.
 _INCIDENT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

@@ -78,7 +78,7 @@ import numpy as np
 from . import policy
 from ..obs.telemetry import resolve as _resolve_telemetry
 from .config import EngineConfig
-from .frontier import batch_incident_edges, incident_edges_of, sorted_unique
+from .frontier import batch_incident_edges, incident_edges_of, node_slots, sorted_unique
 from .steppable import mt_state, require_kind, state_count
 from .tree import RoutingTree, tree_from_parent_map
 
@@ -431,6 +431,7 @@ class DiffusionStack:
         "_hi",
         "_d1",
         "_l2",
+        "_slot",
         "_tel",
         "_tel_phases",
     )
@@ -490,6 +491,9 @@ class DiffusionStack:
         self._hi = np.empty((d, m))
         self._d1 = np.empty((d, n))
         self._l2 = np.empty((d, n))  # ping-pong buffer for the new loads
+        # The sparse round's (d * n,) node -> slot scratch, allocated by the
+        # first sparse round: a stack that only runs dense never pays for it.
+        self._slot: Optional[np.ndarray] = None
 
     # -- read-only views -------------------------------------------------
     @property
@@ -664,12 +668,16 @@ class DiffusionStack:
         slice; omitted pairs carry an exactly-zero transfer by the frontier
         invariant, and IEEE addition of ``+0.0`` leaves every partial sum
         unchanged, so every load and forwarded rate comes out bit-identical
-        to the dense round.
+        to the dense round.  The touched nodes are numbered by scatter
+        (:func:`repro.core.frontier.node_slots`: the pairs' children take
+        slots ``0..k-1`` in edge order) and the frontier is kept up in that
+        slot space; the round sorts only when the frontier gains an edge.
         """
+        k = int(act.size)
         self._round += 1
         self._sparse_rounds += 1
-        self._op_count += int(act.size)
-        if act.size == 0:  # floating-point fixed point: nothing can move
+        self._op_count += k
+        if k == 0:  # floating-point fixed point: nothing can move
             return
         timing = self._tel_phases is not None and self._tel_phases.hit()
         t0 = t1 = t2 = 0.0
@@ -695,7 +703,6 @@ class DiffusionStack:
         lc = lr[cflat]
         fc = fr[cflat]
         if transfer is None:
-            k = act.size
             policy.clip_edge_transfers(
                 t,
                 lc,
@@ -711,19 +718,19 @@ class DiffusionStack:
 
         # delta over the touched nodes, in dense association order:
         # (child store) - (parent bincount), then loads + delta.
-        touched = sorted_unique(np.concatenate([pflat, cflat]))
-        delta = np.zeros(touched.size, dtype=np.float64)
-        delta[np.searchsorted(touched, cflat)] = t
-        delta -= np.bincount(
-            np.searchsorted(touched, pflat), weights=t, minlength=touched.size
-        )
-        old = lr[touched]
+        if self._slot is None:
+            self._slot = np.empty(d * n, dtype=np.intp)
+        nodes, ps = node_slots(self._slot, pflat, cflat)
+        delta = np.zeros(nodes.size, dtype=np.float64)
+        delta[:k] = t
+        delta -= np.bincount(ps, weights=t, minlength=nodes.size)
+        old = lr[nodes]
         new = old + delta
         if timing:
             t2 = clock()
-        lr[touched] = new
-        moved = touched[new != old]
-        if moved.size == 0:
+        lr[nodes] = new
+        changed = new != old
+        if not changed.any():
             # Globally load-static round (so nothing went negative
             # either): skip the A update (see _round_dense) - the
             # floating-point fixed point.
@@ -735,7 +742,7 @@ class DiffusionStack:
             if neg.any():
                 # Clamp at zero (unsafe alphas only) and rebuild those
                 # rows' A from scratch, exactly as the dense round does.
-                rebuilt = np.unique(touched[neg] // n)
+                rebuilt = np.unique(nodes[neg] // n)
                 self._loads[rebuilt] = np.maximum(self._loads[rebuilt], 0.0)
                 self._fwd[rebuilt] = forwarded_rates(
                     flat, self._e[rebuilt], self._loads[rebuilt]
@@ -743,19 +750,32 @@ class DiffusionStack:
             if rebuilt is not None and rebuilt.size == d:
                 self._active = None
             else:
-                parts = [
-                    incident_edges_of(flat, moved)
-                    if d == 1
-                    else batch_incident_edges(flat, moved),
-                    act[t != 0.0],
-                ]
+                # The dense round's frontier rule in slot space: an
+                # active pair stays iff its transfer is nonzero or an
+                # endpoint changed bitwise, and a pair that is not active
+                # can only enter through a changed node with fewer active
+                # pairs than tree edges - those alone are expanded.
+                stay = t != 0.0
+                stay |= changed[:k]
+                stay |= changed[ps]
+                parts = [act[stay]]
+                held = np.bincount(ps, minlength=nodes.size)
+                held[:k] += 1  # a child slot's own parent edge is active
+                changed &= held < flat.degree[nodes if d == 1 else nodes % n]
+                if changed.any():
+                    expand = incident_edges_of if d == 1 else batch_incident_edges
+                    parts.append(expand(flat, nodes[changed]))
                 if rebuilt is not None:
                     parts.append(
                         (
                             rebuilt[:, None] * m + np.arange(m, dtype=np.intp)[None, :]
                         ).ravel()
                     )
-                self._active = sorted_unique(np.concatenate(parts))
+                self._active = (
+                    parts[0]
+                    if len(parts) == 1
+                    else sorted_unique(np.concatenate(parts))
+                )
         if timing:
             self._phase_sample(t0, t1, t2)
 

@@ -20,6 +20,7 @@ whose inputs stopped changing.  These tests pin that contract:
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import numpy as np
@@ -32,8 +33,10 @@ from repro.core.frontier import (
     csr_gather,
     incident_edge_csr,
     incident_edges_of,
+    node_slots,
     sorted_unique,
 )
+from repro.core import kernel
 from repro.core.config import EngineConfig
 from repro.core.kernel import (
     AsyncEngine,
@@ -43,7 +46,7 @@ from repro.core.kernel import (
 )
 from repro.core.tree import RoutingTree, chain_tree, kary_tree, random_tree
 
-from tests.helpers import trees_with_rates
+from tests.helpers import connected_region, trees_with_rates
 
 
 def _engine_pair(flat, rates, served=None, **fields):
@@ -263,6 +266,61 @@ class TestFrontierInvariants:
 
 
 # ----------------------------------------------------------------------
+# What a sparse round is allowed to cost: counts, not clocks
+# ----------------------------------------------------------------------
+class TestSparseRoundStructure:
+    def test_upkeep_expands_and_sorts_only_where_the_frontier_grows(self, monkeypatch):
+        """A sparse round re-derives no index geometry it already has.
+
+        Counted through the names ``core.kernel`` imports from
+        ``core.frontier``, over 300 sparse rounds of demand on a connected
+        5% of a 3000-node tree: (i) a round whose frontier gains no edge
+        calls neither the CSR expansion nor ``sorted_unique``; (ii) the
+        nodes expanded over the run are at most a tenth of the nodes that
+        moved (every moved node was expanded every round before); (iii)
+        nothing in ``core/kernel.py`` binary-searches.
+        """
+        rng = random.Random(0)
+        tree = random_tree(3000, rng)
+        flat = flatten(tree)
+        rates = np.zeros(tree.n)
+        hot = connected_region(flat, rng.randrange(tree.n), 150)
+        rates[hot] = [rng.uniform(0.0, 100.0) for _ in hot]
+        calls = []  # (name, size of the array handed over)
+
+        def counted(name):
+            inner = getattr(kernel, name)
+
+            def shim(*args):
+                calls.append((name, int(args[-1].size)))
+                return inner(*args)
+
+            monkeypatch.setattr(kernel, name, shim)
+
+        for name in ("incident_edges_of", "batch_incident_edges", "sorted_unique"):
+            counted(name)
+        engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+        engine.step()  # the dense discovery round
+        moved = expanded = quiet_rounds = growing_rounds = 0
+        for _ in range(300):
+            frontier, loads = engine.frontier, engine.loads.copy()
+            del calls[:]
+            engine.step()
+            moved += int((engine.loads != loads).sum())
+            if np.setdiff1d(engine.frontier, frontier).size:
+                growing_rounds += 1
+                assert [name for name, _ in calls] == ["incident_edges_of", "sorted_unique"]
+                expanded += calls[0][1]
+            else:
+                quiet_rounds += 1
+                assert calls == []
+        assert engine.step_stats["sparse_rounds"] == 300
+        assert quiet_rounds and growing_rounds  # both branches were counted
+        assert 0 < expanded <= 0.1 * moved, (expanded, moved)
+        assert "searchsorted" not in inspect.getsource(kernel)
+
+
+# ----------------------------------------------------------------------
 # Dense fallback
 # ----------------------------------------------------------------------
 class TestDenseFallback:
@@ -408,6 +466,25 @@ class TestFrontierHelpers:
         flat_nodes = np.asarray([1 * n + 2], dtype=np.intp)
         got = sorted(batch_incident_edges(flat, flat_nodes).tolist())
         assert got == [m + 1, m + 2]
+
+    @given(st.data(), trees_with_rates(min_nodes=2, max_nodes=40))
+    @settings(max_examples=60, deadline=None)
+    def test_node_slots_number_each_touched_node_once(self, data, tree_rates):
+        """Children first in edge order, every other parent once, and the
+        parent slots point back at the parents - from a dirty scratch."""
+        flat = flatten(tree_rates[0])
+        m = flat.n - 1
+        edges = np.asarray(
+            sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1))), dtype=np.intp
+        )
+        parents, children = flat.edge_parent[edges], flat.edge_child[edges]
+        dirt = st.lists(st.integers(-5, 3 * flat.n), min_size=flat.n, max_size=flat.n)
+        scratch = np.asarray(data.draw(dirt), dtype=np.intp)
+        nodes, parent_slots = node_slots(scratch, parents, children)
+        assert nodes[: edges.size].tolist() == children.tolist()
+        assert nodes[parent_slots].tolist() == parents.tolist()
+        touched = set(parents.tolist()) | set(children.tolist())
+        assert sorted(nodes.tolist()) == sorted(touched)
 
     @given(
         st.lists(

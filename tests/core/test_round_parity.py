@@ -9,7 +9,10 @@ over the awkward inputs: a root that is not node 0 (the child side of the
 round is then an index array instead of a slice), all-zero demand, ``-0.0``
 rates (hence signed-zero caps and transfers), unsafe alphas (a load clamps at zero and
 ``A`` is rebuilt), a mid-run ``resettle``, and frontiers hovering at the
-density threshold.
+density threshold - and, for the sparse round's own frontier rule (stay by
+slot masks, grow only through changed nodes with an inactive edge), on
+connected patches of demand in trees of up to 400 nodes against a twin that
+always runs the tracked dense round.
 
 :func:`reference_round` - the seed's per-edge Python loop - is the third
 reading.  It sums a node's delta in a different association order, so it
@@ -40,7 +43,7 @@ from repro.core.kernel import (
 )
 from repro.core.tree import random_tree, tree_from_edges
 
-from tests.helpers import routing_trees
+from tests.helpers import connected_region, routing_trees
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +83,14 @@ def _alphas(flat, alpha):
 
 def _frontier_set(frontier, pairs: int):
     return set(range(pairs)) if frontier is None else set(frontier.tolist())
+
+
+def _patch(flat, rng: random.Random, size: int):
+    """Dyadic demand on one connected patch of ``size`` nodes, zero elsewhere."""
+    rates = [0.0] * flat.n
+    for node in connected_region(flat, rng.randrange(flat.n), size):
+        rates[node] = rng.randrange(0, 129) / 8.0
+    return rates
 
 
 def _assert_same_document(sync: SyncEngine, batch: BatchEngine, row: int = 0) -> None:
@@ -279,3 +290,136 @@ class TestStackedDocuments:
                 own = {f - row * m for f in frontier if row * m <= f < (row + 1) * m}
                 assert own == _frontier_set(sync.frontier, m)
         assert batch.round == rounds
+
+    def test_lifecycle_between_sparse_rounds_resizes_the_slot_scratch(self):
+        """The sparse round's node -> slot scratch is ``(D * n,)``: adding,
+        removing and restoring documents *between* sparse rounds has to drop
+        it, or the next sparse round indexes past a scratch sized for the
+        old ``D``.  Every row still matches its own ``SyncEngine``."""
+        rng = random.Random(5)
+        tree = random_tree(120, rng)
+        flat = flatten(tree)
+        alphas = degree_edge_alphas(flat)
+        config = EngineConfig(density_threshold=1.0)  # sparse whenever tracked
+        docs = [_patch(flat, rng, 12) for _ in range(5)]
+        batch = BatchEngine(flat, docs[:2], None, alphas, config=config)
+        syncs = [SyncEngine(flat, r, r, alphas, config=config) for r in docs]
+
+        def run_sparse(live):
+            before = batch.step_stats["sparse_rounds"]
+            for _ in range(6):
+                batch.step()
+                for row, sync in enumerate(live):
+                    sync.step()
+                    _assert_same_document(sync, batch, row)
+            assert batch.step_stats["sparse_rounds"] >= before + 4
+
+        run_sparse(syncs[:2])
+        batch.add_documents(docs[2:])  # D 2 -> 5
+        run_sparse(syncs)
+        assert batch.remove_documents([0, 3]).shape == (2,)  # D 5 -> 3
+        run_sparse([syncs[1], syncs[2], syncs[4]])
+        other = BatchEngine(flat, docs, None, alphas, config=config)
+        for _ in range(4):
+            other.step()
+        batch.load_state(other.state())  # D 3 -> 5, in place
+        for _ in range(6):
+            batch.step()
+            other.step()
+        assert batch.state() == other.state()
+
+
+# ----------------------------------------------------------------------
+# The sparse round's frontier rule == the dense round's mask arithmetic
+# ----------------------------------------------------------------------
+def _patchy_stack(seed: int, n: int, docs: int, alpha, at_home: bool):
+    """An adaptive stack that runs sparse whenever it can and a twin that
+    never does (``density_threshold=0.0``: always the tracked dense round),
+    on ``docs`` connected patches of dyadic demand over one random tree."""
+    rng = random.Random(seed)
+    tree = random_tree(n, rng)
+    flat = flatten(tree)
+
+    def patch():
+        return _patch(flat, rng, rng.randint(1, n // 3))
+
+    rates = [patch() for _ in range(docs)]
+    served = None
+    if at_home:  # with an unsafe alpha the home hands down more than it holds
+        served = [[0.0] * n for _ in rates]
+        for row, doc in zip(served, rates):
+            row[tree.root] = sum(doc)
+    stacks = [
+        BatchEngine(
+            flat, rates, served, _alphas(flat, alpha),
+            config=EngineConfig(density_threshold=density),
+        )
+        for density in (1.0, 0.0)
+    ]
+    return stacks, patch
+
+
+def _step_twins(sparse: BatchEngine, dense: BatchEngine) -> str:
+    """One round on both, compared in bytes; says what the sparse round's
+    frontier did (``""`` when the round was not a sparse one)."""
+    before = sparse.frontier
+    sparse.step()
+    dense.step()
+    assert sparse.loads.tobytes() == dense.loads.tobytes()
+    assert sparse.forwarded.tobytes() == dense.forwarded.tobytes()
+    after = sparse.frontier
+    if after is None:
+        assert dense.frontier is None
+    else:
+        assert after.dtype == dense.frontier.dtype
+        assert after.tobytes() == dense.frontier.tobytes()
+    if before is None or before.size == 0:
+        return ""
+    if after is None:
+        return "every row rebuilt"
+    m = sparse.flat.n - 1
+    full_rows = np.bincount(after // m, minlength=sparse.docs) == m
+    if (full_rows & (np.bincount(before // m, minlength=sparse.docs) < m)).any():
+        return "row rebuilt"
+    if after.size == 0:
+        return "emptied"
+    return "grew" if np.setdiff1d(after, before).size else "held or shrank"
+
+
+class TestFrontierRule:
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=20, max_value=400),
+        st.sampled_from([1, 3]),
+        st.sampled_from([None, 0.5, 0.25]),
+        st.booleans(),
+        st.integers(min_value=5, max_value=40),
+        st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_upkeep_matches_the_dense_mask(
+        self, seed, n, docs, alpha, at_home, rounds, resettle_at
+    ):
+        (sparse, dense), patch = _patchy_stack(seed, n, docs, alpha, at_home)
+        for r in range(rounds):
+            if r == resettle_at:  # frontier back to "all": a dense round, then sparse
+                row, rates = seed % docs, patch()
+                sparse.resettle_rows([row], [rates])
+                dense.resettle_rows([row], [rates])
+            _step_twins(sparse, dense)
+        stats = dense.step_stats  # the twin evaluated pairs in dense rounds only
+        assert stats["ops"] == stats["dense_rounds"] * docs * (n - 1)
+
+    def test_the_rule_is_exercised_on_every_branch(self):
+        """The property above, on fixed seeds, counting what the sparse
+        rounds did: the frontier grew, emptied, and lost rows to the
+        clamp-at-zero rebuild of ``A`` (one row of three, and all of them)."""
+        seen = {}
+        for seed in range(24):
+            docs, alpha = (1, 3)[seed % 2], (None, 0.5, 0.25)[seed % 3]
+            (sparse, dense), _ = _patchy_stack(seed, 24 + 2 * seed, docs, alpha, seed % 4 < 2)
+            for _ in range(150):
+                what = _step_twins(sparse, dense)
+                seen[what] = seen.get(what, 0) + 1
+        for what in ("grew", "emptied", "row rebuilt", "every row rebuilt", "held or shrank"):
+            assert seen.get(what), seen

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import List
+
 from hypothesis import strategies as st
 
 from repro.core.tree import RoutingTree
@@ -65,3 +67,17 @@ def shipped_server(
     home = node if is_home else 1 - node
     state = PacketState(2, doc_ids, [capacity] * 2, home, meter_window=meter_window)
     return CacheServerView(state, node)
+
+
+def connected_region(flat, start: int, size: int) -> List[int]:
+    """The first ``size`` nodes of a breadth-first walk from ``start`` over
+    tree neighbours (parent, then children), ascending: one connected patch
+    of demand on a ``FlatTree``, the shape a sparse round is built for."""
+    children = flat.children_lists()
+    seen, queue = {start}, [start]
+    for node in queue:  # grows while it is walked
+        for neighbour in (int(flat.parent[node]), *children[node]):
+            if len(seen) < size and neighbour not in seen:
+                seen.add(neighbour)
+                queue.append(neighbour)
+    return sorted(seen)

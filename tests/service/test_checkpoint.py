@@ -206,11 +206,17 @@ def test_sync_round_trip_with_nonempty_frontier():
     state = engine.state()
     assert state["active"] is not None and 0 < len(state["active"]) < flat.n
 
+    # taken between two sparse rounds: the round's scratch is no state
+    assert engine.step_stats["sparse_rounds"] == 4
+    assert set(state) == set(SyncEngine(flat, rates, rates, degree_edge_alphas(flat)).state())
+
     twin = SyncEngine.from_state(json_round_trip(state))
     for _ in range(50):
         engine.step()
         twin.step()
     assert engine.loads.tobytes() == twin.loads.tobytes()
+    assert engine.step_stats["sparse_rounds"] == 54
+    assert json.dumps(engine.state()) == json.dumps(twin.state())
 
 
 def test_async_round_trip_with_transplanted_rng_state():
@@ -477,6 +483,16 @@ def _rng_streams():
     return streams
 
 
+def _cluster_runtime():
+    """A one-document catalog with explicit capacities, a few ticks in."""
+    tree = kary_tree(2, 3)
+    runtime = ClusterRuntime({0: tree}, config=ClusterConfig(capacities=(2.0,) * tree.n))
+    runtime.publish("hot", 0, [5.0] + [1.0] * (tree.n - 1))
+    for _ in range(4):
+        runtime.tick()
+    return runtime
+
+
 def _set(index, value):
     """Edit: one entry (a row-major path for nested lists) of a list field."""
     path = index if isinstance(index, tuple) else (index,)
@@ -563,6 +579,16 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_rng_streams, "streams", _in_rng(lambda v: [v[0], v[1][:100], v[2]]), "rng", id="rng-streams-short-words"),
         pytest.param(_rng_streams, "streams", _in_rng(lambda v: [v[0], v[1][:-1] + [9999], v[2]]), "rng", id="rng-streams-index"),
         pytest.param(_rng_streams, "streams", _in_rng(lambda v: v[:2]), "rng", id="rng-streams-two-parts"),
+        # cluster_runtime - the catalog-wide scalars (cohort arrays: test_daemon.py)
+        pytest.param(_cluster_runtime, "capacities", _set(3, NAN), "capacities", id="cluster-capacities-nan"),
+        pytest.param(_cluster_runtime, "capacities", _set(3, -1.0), "capacities", id="cluster-capacities-negative"),
+        pytest.param(_cluster_runtime, "capacities", _set(3, 0.0), "capacities", id="cluster-capacities-zero"),
+        pytest.param(_cluster_runtime, "capacities", lambda v: v[:-1], "capacities", id="cluster-capacities-short"),
+        pytest.param(_cluster_runtime, "capacities", lambda v: [v], "capacities", id="cluster-capacities-nested"),
+        pytest.param(_cluster_runtime, "tolerance", lambda v: NAN, "tolerance", id="cluster-tolerance-nan"),
+        pytest.param(_cluster_runtime, "tolerance", lambda v: -1.0, "tolerance", id="cluster-tolerance-negative"),
+        pytest.param(_cluster_runtime, "tick", lambda v: -7, "tick", id="cluster-tick-negative"),
+        pytest.param(_cluster_runtime, "tick", lambda v: "soon", "tick", id="cluster-tick-text"),
     ],
 )
 def test_hostile_state_rejected_and_object_untouched(make, field, edit, match):

@@ -199,6 +199,9 @@ def _nan_fwd(state):
         pytest.param(_in_cohort(nodes=[0, 99]), "'nodes' must be node ids below 7", id="cohort-nodes-out-of-range"),
         pytest.param(_in_cohort(doc_ids=["seed", "extra"]), "'doc_ids' names 2 documents for 1", id="cohort-doc-ids-extra"),
         pytest.param(_in_cohort(targets=[[1.0]]), "'targets'", id="cohort-targets-short"),
+        # restored ``ok: true``, then every snapshot (and every exporting
+        # tick) answered with a broadcast ValueError: a wedged catalog
+        pytest.param(lambda state: state.update(capacities=[1.0] * 3), "cluster_runtime 'capacities'", id="capacities-wrong-length"),
     ],
 )
 def test_rejected_restore_leaves_the_catalog_untouched(
