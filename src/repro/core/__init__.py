@@ -5,13 +5,14 @@ This package contains everything Sections 2-5 of the paper define:
 * :mod:`repro.core.tree` - rooted routing trees;
 * :mod:`repro.core.load` - load assignments (``E``, ``L``, ``A``);
 * :mod:`repro.core.constraints` - Constraints 1-2 (root / NSS), LB, GLE, TLB;
-* :mod:`repro.core.webfold` - the provably optimal offline folding algorithm
-  (its two independent cross-checks live with the tests, ``tests/oracle/``);
+* :mod:`repro.core.webfold` - the provably optimal offline folding algorithm,
+  server capacity as its parameter (its two independent cross-checks live
+  with the tests, ``tests/oracle/``);
 * :mod:`repro.core.diffusion` - Cybenko-style diffusion on general graphs;
 * :mod:`repro.core.policy` - the Figure 5 decision arithmetic itself, in
   every shape its consumers need (sync/clip/capacity/scalar/greedy);
 * :mod:`repro.core.kernel` - the vectorized array engine every rate-level
-  simulator (webwave / weighted / forest / async / dynamics) delegates to;
+  simulator (webwave / forest / async / dynamics) delegates to;
 * :mod:`repro.core.webwave` - the distributed rate-level protocol (Figure 5);
 * :mod:`repro.core.barriers` - per-document protocol, barriers, tunneling;
 * :mod:`repro.core.convergence` - distance traces and the gamma regression.
@@ -83,12 +84,6 @@ from .policy import (
     shed_up_amount,
     signed_gap_transfers,
     sync_edge_transfers,
-)
-from .weighted import (
-    WeightedFold,
-    WeightedFoldResult,
-    WeightedWebWaveSimulator,
-    weighted_webfold,
 )
 from .tree import (
     RoutingTree,
@@ -187,10 +182,6 @@ __all__ = [
     # extensions
     "AsyncWebWave",
     "AsyncResult",
-    "weighted_webfold",
-    "WeightedFold",
-    "WeightedFoldResult",
-    "WeightedWebWaveSimulator",
     "RateSchedule",
     "step_change_schedule",
     "flash_crowd_schedule",

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from .kernel import edge_alpha_map, edge_alphas, flatten
 from .load import LoadAssignment
 from .tree import RoutingTree
 from .webfold import webfold
@@ -178,29 +179,12 @@ class DocumentWebWave:
         self._round = 0
         self._tunnel_events: List[TunnelEvent] = []
         self._stagnant: List[int] = [0] * tree.n
-        self._alpha = self._edge_alphas()
+        flat = flatten(tree)
+        self._alpha = edge_alpha_map(flat, edge_alphas(flat, self._cfg.alpha, safe=False))
         # settled state, refreshed by _settle()
         self._served: List[Dict[str, float]] = [dict() for _ in tree]
         self._forwarded: List[Dict[str, float]] = [dict() for _ in tree]
         self._settle()
-
-    # ------------------------------------------------------------------
-    def _edge_alphas(self) -> Dict[Tuple[int, int], float]:
-        tree = self._w.tree
-        out: Dict[Tuple[int, int], float] = {}
-        for child in tree:
-            parent = tree.parent(child)
-            if parent is None:
-                continue
-            if self._cfg.alpha is None:
-                a = min(
-                    1.0 / (tree.degree(parent) + 1),
-                    1.0 / (tree.degree(child) + 1),
-                )
-            else:
-                a = self._cfg.alpha
-            out[(parent, child)] = a
-        return out
 
     # ------------------------------------------------------------------
     # Settled-state accessors

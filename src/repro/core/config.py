@@ -42,7 +42,9 @@ class EngineConfig:
         ``None`` for the paper's uniform-capacity update; a positive
         per-node vector switches the imbalance signal to utilization
         (the capacity-weighted variant).  Only
-        :class:`~repro.core.kernel.SyncEngine` supports it.
+        :class:`~repro.core.kernel.SyncEngine` supports it, and its rule
+        has no stale-view or quantized form: combining it with
+        ``gossip_delay`` or ``quantum`` is an error.
     gossip_delay:
         Rounds by which neighbour loads are observed stale (``0`` = the
         paper's instantaneous exchange).
@@ -75,6 +77,11 @@ class EngineConfig:
         if not 0.0 <= self.quantum < math.inf:
             raise ValueError(
                 f"quantum must be finite and >= 0, got {self.quantum!r}"
+            )
+        if self.capacities is not None and (self.gossip_delay or self.quantum):
+            raise ValueError(
+                "capacities cannot be combined with gossip_delay / quantum (got "
+                f"{self.gossip_delay!r} / {self.quantum!r}): its rule would ignore them"
             )
         density = float(self.density_threshold)
         # <= 0 is a legitimate setting (forces the dense path forever);

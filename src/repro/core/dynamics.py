@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernel import EngineConfig, SyncEngine, flatten, resettle_served
+from .kernel import flatten, resettle_served
 from .load import LoadAssignment
 from .tree import RoutingTree
 from .webfold import webfold
@@ -193,22 +193,13 @@ def run_tracking(
     def target_for(rates: Tuple[float, ...]) -> np.ndarray:
         if rates not in targets:
             targets[rates] = np.asarray(
-                webfold(tree, rates).assignment.served, dtype=np.float64
+                webfold(tree, rates, config.capacities).assignment.served,
+                dtype=np.float64,
             )
         return targets[rates]
 
     rates = schedule.rates_at(0)
-    base = LoadAssignment(tree, rates)
-    engine = SyncEngine(
-        flatten(tree),
-        base.spontaneous,
-        base.served,
-        config.edge_alphas(tree),
-        config=EngineConfig(
-            gossip_delay=config.gossip_delay,
-            quantum=config.quantum,
-        ),
-    )
+    engine = config.engine(tree, LoadAssignment(tree, rates))
     distances: List[float] = [engine.distance_to(target_for(rates))]
     pending_recovery: Dict[int, float] = {}
     recovery: Dict[int, Optional[int]] = {t: None for t in schedule.change_points}

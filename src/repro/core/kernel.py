@@ -31,9 +31,9 @@ This module is the single array-based engine they all delegate to now:
 * :class:`AsyncEngine` wakes one seeded node at a time with
   bounded-staleness views.
 
-Facade classes (:class:`~repro.core.webwave.WebWaveSimulator`,
-:class:`~repro.core.weighted.WeightedWebWaveSimulator`,
-:class:`~repro.core.forest.ForestWebWave`,
+Facade classes (:class:`~repro.core.webwave.WebWaveSimulator` - the
+capacity-weighted variant is its ``WebWaveConfig(capacities=...)``, not a
+class of its own - :class:`~repro.core.forest.ForestWebWave`,
 :class:`~repro.core.async_webwave.AsyncWebWave`, and
 :func:`~repro.core.dynamics.run_tracking`) keep their public APIs and wrap
 these engines; ``tests/core/test_kernel_parity.py`` pins their trajectories
@@ -852,7 +852,9 @@ class SyncEngine(DiffusionStack):
         Rounds by which neighbours' loads are observed stale (uniform
         update only; ``0`` = the paper's instantaneous exchange).
     quantum:
-        If positive, transfers round down to multiples of this value.
+        If positive, transfers round down to multiples of this value
+        (uniform update only: :class:`EngineConfig` refuses either with
+        ``capacities``, whose rule would silently ignore them).
     adaptive:
         Keep an active-edge frontier and run sparse rounds while it is
         below ``density_threshold`` of the edges (bit-identical to the
@@ -1137,6 +1139,10 @@ class SyncEngine(DiffusionStack):
         quantum = float(state["quantum"])
         if not 0.0 <= quantum < np.inf:
             raise ValueError(f"{what} 'quantum' must be finite and >= 0")
+        if caps is not None and (delay or quantum):
+            raise ValueError(
+                f"{what} 'capacities' cannot be combined with 'gossip_delay' / 'quantum'"
+            )
         history = state_field(state, "history", (-1, n), what)
         if not 1 <= history.shape[0] <= delay + 1:
             raise ValueError(

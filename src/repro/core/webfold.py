@@ -23,14 +23,25 @@ The implementation keeps a lazy max-heap of foldable candidates, giving
 ``O(n log n)``-ish behaviour on large trees (per-fold loads only ever
 increase over a fold's lifetime, so stale heap entries are always
 underestimates and can be skipped safely).
+
+Server capacity is a parameter of this one fold, not a second algorithm
+(the paper assumes "uniform capacity", Section 5.1).  Given a positive
+capacity per node the same loop folds on rate *per unit capacity*: a
+fold's load is ``(sum of rates) / (sum of member capacities)`` and member
+``m`` serves ``load * C_m``, minimizing the lexicographic *utilization*
+``L_i / C_i``; the lemmas carry over with "load" read as utilization.
+Without capacities every node counts 1.0: a fold's capacity is its member
+count as a float and ``load * 1.0`` is exact, so the uniform case is
+bit-identical to dividing by ``len(members)`` - loads, partition and trace.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .config import positive_capacities
 from .load import LoadAssignment
 from .tree import RoutingTree
 
@@ -49,18 +60,26 @@ class Fold:
         All tree nodes in the fold (sorted tuple).
     spontaneous:
         Sum of spontaneous rates over the members.
+    capacity:
+        Sum of member capacities (omitted: unit capacities, the member count).
     load:
-        The common per-node load, ``spontaneous / len(members)``.
+        The common load per unit capacity, ``spontaneous / capacity``: the
+        per-node load under unit capacities, else every member's utilization.
     """
 
     root: int
     members: Tuple[int, ...]
     spontaneous: float
+    capacity: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.capacity is None:
+            object.__setattr__(self, "capacity", float(len(self.members)))
 
     @property
     def load(self) -> float:
-        """Per-node load assigned to every member of this fold."""
-        return self.spontaneous / len(self.members)
+        """Load per unit capacity shared by every member of this fold."""
+        return self.spontaneous / self.capacity
 
     @property
     def size(self) -> int:
@@ -74,7 +93,8 @@ class FoldStep:
 
     Records that fold ``folded`` (with per-node load ``folded_load``) was
     folded into fold ``into`` (with per-node load ``into_load``), producing a
-    merged fold of ``merged_size`` nodes with per-node load ``merged_load``.
+    merged fold of ``merged_size`` nodes with per-node load ``merged_load``
+    (loads are per unit capacity).
     """
 
     index: int
@@ -97,7 +117,7 @@ class FoldStep:
 class FoldResult:
     """Output of :func:`webfold`: the folded tree and the TLB assignment."""
 
-    __slots__ = ("_tree", "_folds", "_fold_of", "_trace", "_assignment")
+    __slots__ = ("_tree", "_folds", "_fold_of", "_trace", "_assignment", "_capacities")
 
     def __init__(
         self,
@@ -106,12 +126,14 @@ class FoldResult:
         fold_of: Sequence[int],
         trace: Tuple[FoldStep, ...],
         assignment: LoadAssignment,
+        capacities: Tuple[float, ...],
     ) -> None:
         self._tree = tree
         self._folds = folds
         self._fold_of = tuple(fold_of)
         self._trace = trace
         self._assignment = assignment
+        self._capacities = capacities
 
     @property
     def tree(self) -> RoutingTree:
@@ -151,17 +173,30 @@ class FoldResult:
         """Per-node TLB loads (alias for ``assignment.served``)."""
         return self._assignment.served
 
-    def is_gle(self, tol: float = 1e-9) -> bool:
-        """True iff folding collapsed the whole tree into a single fold.
+    @property
+    def capacities(self) -> Tuple[float, ...]:
+        """Per-node capacities the fold ran with (all 1.0 if none given)."""
+        return self._capacities
 
-        A single fold means every node carries the mean load, i.e. the TLB
-        assignment is also GLE (Figure 2a); more than one fold means GLE is
-        NSS-infeasible for these rates (Figure 2b).
+    def utilizations(self) -> Tuple[float, ...]:
+        """Per-node utilization ``L_i / C_i`` (constant within a fold)."""
+        return tuple(
+            l / c for l, c in zip(self._assignment.served, self._capacities)
+        )
+
+    @property
+    def max_utilization(self) -> float:
+        """The minimized objective."""
+        return max(self.utilizations())
+
+    def is_gle(self, tol: float = 1e-9) -> bool:
+        """True iff every node carries the same *load*, i.e. the TLB
+        assignment is also GLE (Figure 2a: one fold under unit capacities);
+        otherwise GLE is NSS-infeasible for these rates (Figure 2b).  With
+        capacities a single fold equalizes utilization, which is not GLE.
         """
-        if len(self._folds) == 1:
-            return True
-        loads = {f.load for f in self._folds.values()}
-        return max(loads) - min(loads) <= tol
+        served = self._assignment.served
+        return max(served) - min(served) <= tol
 
     def render(self) -> str:
         """ASCII tree annotated with fold membership and TLB load."""
@@ -170,7 +205,11 @@ class FoldResult:
         )
 
 
-def webfold(tree: RoutingTree, spontaneous: Sequence[float]) -> FoldResult:
+def webfold(
+    tree: RoutingTree,
+    spontaneous: Sequence[float],
+    capacities: Optional[Sequence[float]] = None,
+) -> FoldResult:
     """Compute the TLB load assignment by tree folding (Figure 3).
 
     Parameters
@@ -179,6 +218,9 @@ def webfold(tree: RoutingTree, spontaneous: Sequence[float]) -> FoldResult:
         The routing tree ``T``.
     spontaneous:
         Spontaneous request rate ``E_i`` for each node.
+    capacities:
+        Positive service capacity ``C_i`` per node: balance utilization,
+        load in proportion to capacity within a fold.  ``None`` = all 1.0.
 
     Returns
     -------
@@ -193,22 +235,25 @@ def webfold(tree: RoutingTree, spontaneous: Sequence[float]) -> FoldResult:
     aggregates.
     """
     base = LoadAssignment(tree, spontaneous)
-    e = list(base.spontaneous)
     n = tree.n
+    caps = (1.0,) * n if capacities is None else positive_capacities(capacities)
+    if len(caps) != n:
+        raise ValueError(f"expected {n} capacities, got {len(caps)}")
 
     # --- mutable fold state -------------------------------------------
-    # A fold is alive iff alive[root]; its members/children/spontaneous sum
-    # are indexed by the fold root.  fold_parent[root] is the root of the
-    # fold containing the tree-parent of `root`.
+    # A fold is alive iff alive[root]; its members/children/spontaneous and
+    # capacity sums are indexed by the fold root.  fold_parent[root] is the
+    # root of the fold containing the tree-parent of `root`.
     alive = [True] * n
     members: List[List[int]] = [[i] for i in range(n)]
-    esum = e[:]  # spontaneous sum per fold
+    esum = list(base.spontaneous)  # spontaneous sum per fold
+    csum = list(caps)  # capacity sum per fold (the member count when uniform)
     children: List[Set[int]] = [set(tree.children(i)) for i in range(n)]
     fold_parent = [tree.parent_map[i] for i in range(n)]
     version = [0] * n
 
     def load_of(r: int) -> float:
-        return esum[r] / len(members[r])
+        return esum[r] / csum[r]
 
     # Lazy max-heap of foldability candidates: (-load, root, version).
     # A fold's per-node load only increases over its lifetime, so an entry
@@ -242,6 +287,7 @@ def webfold(tree: RoutingTree, spontaneous: Sequence[float]) -> FoldResult:
         members[i].extend(members[j])
         members[j] = []
         esum[i] += esum[j]
+        csum[i] += csum[j]
         children[i].discard(j)
         kids_j = children[j]
         children[j] = set()
@@ -278,17 +324,22 @@ def webfold(tree: RoutingTree, spontaneous: Sequence[float]) -> FoldResult:
     for r in range(n):
         if alive[r]:
             ms = tuple(sorted(members[r]))
-            fold = Fold(root=r, members=ms, spontaneous=esum[r])
+            fold = Fold(root=r, members=ms, spontaneous=esum[r], capacity=csum[r])
             folds[r] = fold
+            load = fold.load
             for m in ms:
                 fold_of[m] = r
-                loads[m] = fold.load
+                loads[m] = load * caps[m]
 
     assignment = base.with_served(loads)
-    return FoldResult(tree, folds, fold_of, tuple(trace), assignment)
+    return FoldResult(tree, folds, fold_of, tuple(trace), assignment, caps)
 
 
-def fold_partition(tree: RoutingTree, spontaneous: Sequence[float]) -> Dict[int, Tuple[int, ...]]:
+def fold_partition(
+    tree: RoutingTree,
+    spontaneous: Sequence[float],
+    capacities: Optional[Sequence[float]] = None,
+) -> Dict[int, Tuple[int, ...]]:
     """Convenience wrapper returning only ``{fold_root: members}``."""
-    result = webfold(tree, spontaneous)
+    result = webfold(tree, spontaneous, capacities)
     return {r: f.members for r, f in result.folds.items()}

@@ -3,8 +3,9 @@
 This is the synchronous "fluid" simulator matching the assumptions of the
 paper's convergence study (Section 5.1): negligible communication delay
 (optionally relaxed via ``gossip_delay``), arbitrarily divisible load
-(optionally quantized via ``quantum``), uniform server capacity, constant
-spontaneous request rates.
+(optionally quantized via ``quantum``), uniform server capacity (optionally
+heterogeneous via ``capacities``: neighbours equalize *utilization* ``L/C``
+toward the capacity-weighted fold), constant spontaneous request rates.
 
 Each round, every server ``i`` runs the loop of Figure 5 against its tree
 neighbours:
@@ -25,7 +26,9 @@ to the TLB assignment computed by WebFold, which the simulations in
 
 :class:`WebWaveSimulator` is a facade: the round itself is the vectorized
 array update in :class:`repro.core.kernel.SyncEngine`, shared with the
-weighted, forest, and asynchronous variants.
+forest and asynchronous variants.  Every consumer of a
+:class:`WebWaveConfig` builds its engine through :meth:`WebWaveConfig.engine`
+and takes its default target from ``webfold(tree, rates, config.capacities)``.
 """
 
 from __future__ import annotations
@@ -70,6 +73,10 @@ class WebWaveConfig:
     unsafe_alpha:
         Skip the per-edge safety cap (used by the ablation study to show
         why the cap matters).
+    capacities:
+        ``None`` for the paper's uniform capacity; a positive per-node
+        vector makes neighbours equalize utilization ``L / C`` toward the
+        capacity-weighted fold (not with ``gossip_delay`` / ``quantum``).
     """
 
     alpha: Optional[float] = None
@@ -78,20 +85,34 @@ class WebWaveConfig:
     max_rounds: int = 10_000
     tolerance: float = 1e-6
     unsafe_alpha: bool = False
+    capacities: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.gossip_delay < 0:
-            raise ValueError("gossip_delay must be >= 0")
-        if self.quantum < 0:
-            raise ValueError("quantum must be >= 0")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        # the EngineConfig validates the kernel's fields, naming them
+        object.__setattr__(self, "capacities", self.engine_config().capacities)
 
-    def edge_alphas(self, tree: RoutingTree) -> np.ndarray:
-        """Per-edge diffusion coefficients for ``tree`` under this config."""
-        return edge_alphas(flatten(tree), self.alpha, safe=not self.unsafe_alpha)
+    def engine_config(self) -> EngineConfig:
+        """The kernel's share of this config: the one place it is mapped."""
+        return EngineConfig(
+            capacities=self.capacities,
+            gossip_delay=self.gossip_delay,
+            quantum=self.quantum,
+        )
+
+    def engine(self, tree: RoutingTree, base: LoadAssignment) -> SyncEngine:
+        """The engine this config describes, started from ``base`` on ``tree``."""
+        flat = flatten(tree)
+        return SyncEngine(
+            flat,
+            base.spontaneous,
+            base.served,
+            edge_alphas(flat, self.alpha, safe=not self.unsafe_alpha),
+            config=self.engine_config(),
+        )
 
 
 @dataclass
@@ -150,16 +171,7 @@ class WebWaveSimulator:
         self._tree = tree
         self._config = config or WebWaveConfig()
         self._base = LoadAssignment(tree, spontaneous, initial_served)
-        self._engine = SyncEngine(
-            flatten(tree),
-            self._base.spontaneous,
-            self._base.served,
-            self._config.edge_alphas(tree),
-            config=EngineConfig(
-                gossip_delay=self._config.gossip_delay,
-                quantum=self._config.quantum,
-            ),
-        )
+        self._engine = self._config.engine(tree, self._base)
 
     # ------------------------------------------------------------------
     @property
@@ -173,6 +185,11 @@ class WebWaveSimulator:
     def assignment(self) -> LoadAssignment:
         """The current load assignment."""
         return self._base.with_served(self._engine.served_tuple())
+
+    def utilizations(self) -> List[float]:
+        """Per-node utilization ``L_i / C_i`` (the loads under uniform capacity)."""
+        caps = self._config.capacities
+        return (self._engine.loads / (1.0 if caps is None else np.asarray(caps))).tolist()
 
     # ------------------------------------------------------------------
     def step(self) -> None:
@@ -195,12 +212,15 @@ class WebWaveSimulator:
         """Iterate until the distance to ``target`` falls below tolerance.
 
         ``target`` defaults to the TLB assignment computed by WebFold on the
-        same tree and spontaneous rates - the paper's convergence criterion.
+        same tree, spontaneous rates and capacities - the paper's
+        convergence criterion.
         """
         cfg = self._config
         engine = self._engine
         if target is None:
-            target = webfold(self._tree, self._base.spontaneous).assignment
+            target = webfold(
+                self._tree, self._base.spontaneous, cfg.capacities
+            ).assignment
         limit = max_rounds if max_rounds is not None else cfg.max_rounds
         target_arr = np.asarray(target.served, dtype=np.float64)
 

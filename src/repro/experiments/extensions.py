@@ -13,7 +13,7 @@
 
 All four rate-level studies are policy variations of one diffusion update:
 their simulators are facades over the shared vectorized engines in
-:mod:`repro.core.kernel` (weighted = utilization signal, async =
+:mod:`repro.core.kernel` (weighted = the ``capacities`` parameter, async =
 single-node activation order, dynamics = mid-run rate swaps, forest =
 total-load coupling), so they scale together with the kernel.
 """
@@ -32,7 +32,6 @@ from ..core.forest import ForestResult, ForestWebWave
 from ..core.tree import kary_tree, random_tree
 from ..core.webfold import webfold
 from ..core.webwave import WebWaveConfig, run_webwave
-from ..core.weighted import WeightedWebWaveSimulator, weighted_webfold
 from ..net.generators import grid_topology
 from ..net.routing import extract_forest
 from ..sim.rng import RngStreams
@@ -90,9 +89,9 @@ def run_weighted_study(
         uniform_max_util = max(
             l / c for l, c in zip(uniform.served, caps)
         )
-        weighted = weighted_webfold(tree, rates, caps)
-        sim = WeightedWebWaveSimulator(tree, rates, caps)
-        run = sim.run(max_rounds=max_rounds, tolerance=1e-4)
+        weighted = webfold(tree, rates, caps)
+        config = WebWaveConfig(capacities=caps, max_rounds=max_rounds, tolerance=1e-4)
+        run = run_webwave(tree, rates, config)
         rows.append(
             (
                 f"x{spread:g}",

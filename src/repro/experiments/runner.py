@@ -253,21 +253,23 @@ def _serve(args) -> int:
             tree_source, config=ClusterConfig(alpha=args.alpha, track_tlb=True)
         )
 
-    sink = None
+    try:
+        service = Service(runtime, export_every=args.export_every)
+    except ValueError as exc:  # --restore of a component kind, not a Steppable
+        return _usage_error(f"cannot serve {args.restore!r}: {exc}")
     if args.export is not None:
         try:
-            sink = NdjsonSink(args.export)
+            service.sink = NdjsonSink(args.export)
         except OSError as exc:
             return _usage_error(f"cannot open export sink {args.export!r}: {exc}")
-    service = Service(runtime, sink=sink, export_every=args.export_every)
     try:
         if args.socket is not None:
             serve_socket(service, args.socket)
         else:
             serve_loop(service, sys.stdin, sys.stdout)
     finally:
-        if sink is not None:
-            sink.close()
+        if service.sink is not None:
+            service.sink.close()
     return 0
 
 

@@ -163,24 +163,6 @@ class DirectoryScenario(Scenario):
 
         self.sim.after(delay, install)
 
-    def _serve(self, request: Request, node: int, extra_delay: float = 0.0) -> None:
-        # Directory-served requests bypass the wants_to_serve gate: the
-        # directory's redirect *is* the admission decision.
-        server = self.servers[node]
-        server.record_served(self.sim.now, request.doc_id)
-        request.served_by = node
-        request.served_at = self.sim.now
-        completion = server.service_completion(self.sim.now) + extra_delay
-        return_delay = self.path_delay(node, request.origin)
-
-        def complete() -> None:
-            request.completed_at = self.sim.now
-            self._finished.append(request)
-            if request.created_at >= self.config.warmup:
-                self._completed_after_warmup += 1
-
-        self.sim.at(completion + return_delay, complete)
-
 
 # ----------------------------------------------------------------------
 # ICP-style sibling probing
@@ -253,23 +235,6 @@ class IcpScenario(Scenario):
                     break
                 self.servers[hop].install_copy(request.doc_id)
                 self.routers[hop].sync_filter()
-
-    def _serve(self, request: Request, node: int, extra_delay: float = 0.0) -> None:
-        # ICP serves on any cache hit (no target gate).
-        server = self.servers[node]
-        server.record_served(self.sim.now, request.doc_id)
-        request.served_by = node
-        request.served_at = self.sim.now
-        completion = server.service_completion(self.sim.now) + extra_delay
-        return_delay = self.path_delay(node, request.origin)
-
-        def complete() -> None:
-            request.completed_at = self.sim.now
-            self._finished.append(request)
-            if request.created_at >= self.config.warmup:
-                self._completed_after_warmup += 1
-
-        self.sim.at(completion + return_delay, complete)
 
 
 # ----------------------------------------------------------------------

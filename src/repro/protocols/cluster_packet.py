@@ -55,20 +55,9 @@ class _DynamicArrivalSource(_ArrivalSource):
         super().__init__(scenario, node, doc_id, process)
         self.generation = 0
 
-    def _advance(self) -> None:
-        i = self.idx + 1
-        if i >= len(self.times):
-            if not self.times:
-                return
-            self._refill(self.times[-1])
-            i = 0
-            if not self.times:
-                return
-        self.idx = i
+    def _posted(self):
         generation = self.generation
-        self.scenario.sim.post(
-            self.times[i], lambda: self.fire_if(generation)
-        )
+        return lambda: self.fire_if(generation)
 
     def fire_if(self, generation: int) -> None:
         if generation == self.generation:

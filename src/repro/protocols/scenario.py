@@ -218,7 +218,11 @@ class _ArrivalSource:
             if not self.times:
                 return
         self.idx = i
-        self.scenario.sim.post(self.times[i], self.fire)
+        self.scenario.sim.post(self.times[i], self._posted())
+
+    def _posted(self):
+        """The callback the next arrival event runs (a subclass may guard it)."""
+        return self.fire
 
     def fire(self) -> None:
         scenario = self.scenario

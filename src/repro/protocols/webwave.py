@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.kernel import edge_alphas
 from ..core.policy import diffusion_budget, greedy_delegate, greedy_pull, greedy_shed
 from .scenario import Scenario, ScenarioConfig
 from ..traffic.workload import Workload
@@ -122,22 +123,13 @@ class WebWaveScenario(Scenario):
         self._bfs = list(self.tree.bfs_order())
         self._bfs_rank = np.zeros(n, dtype=np.intp)
         self._bfs_rank[self._bfs] = np.arange(n, dtype=np.intp)
-        self._degree = flat.degree.tolist()
-        # Per-edge diffusion coefficients, bitwise equal to the scalar
-        # _alpha(parent, child): the vectorized action gate below must
-        # reproduce the per-branch budget tests exactly.
-        if self.protocol.alpha is not None:
-            self._alpha_edge = np.full(
-                flat.edge_child.shape[0], float(self.protocol.alpha)
-            )
-        else:
-            inv = 1.0 / (flat.degree.astype(np.float64) + 1.0)
-            self._alpha_edge = np.minimum(
-                inv[flat.edge_parent], inv[flat.edge_child]
-            )
+        # Per-edge diffusion coefficients, stated once: the vectorized
+        # action gate and the per-branch budgets below read the same floats.
+        self._alpha_edge = edge_alphas(flat, self.protocol.alpha, safe=False)
         # alpha of each node's own parent edge (root entry unused)
         self._alpha_up = np.zeros(n, dtype=np.float64)
         self._alpha_up[flat.edge_child] = self._alpha_edge
+        self._alpha_of: List[float] = self._alpha_up.tolist()  # scalar reads
         self._nonroot = np.ones(n, dtype=bool)
         self._nonroot[flat.root] = False
         # Meter values as of the previous gossip tick; NaN compares
@@ -200,12 +192,6 @@ class WebWaveScenario(Scenario):
         self._control_every(p.diffusion_period, self._diffuse, start=p.diffusion_period)
 
     # ------------------------------------------------------------------
-    def _alpha(self, a: int, b: int) -> float:
-        if self.protocol.alpha is not None:
-            return self.protocol.alpha
-        degree = self._degree
-        return min(1.0 / (degree[a] + 1), 1.0 / (degree[b] + 1))
-
     def _gossip(self) -> None:
         """Every node broadcasts its measured load to its tree neighbours.
 
@@ -315,22 +301,21 @@ class WebWaveScenario(Scenario):
             gap = my_load - float(self._view_child[edge_of[j]])
             if gap <= _EPS:
                 continue
-            budget = diffusion_budget(my_load, float(self._view_child[edge_of[j]]), self._alpha(i, j))
+            budget = diffusion_budget(my_load, float(self._view_child[edge_of[j]]), self._alpha_of[j])
             if budget < p.min_transfer_rate:
                 continue
             self._delegate(i, j, budget, now)
         # -- toward parent (Figure 5, step 2.2) ---------------------------
         if i == self._root:
             return
-        parent = self._parent[i]
         parent_load = float(self._view_parent[i])
         gap = parent_load - my_load
         if gap > _EPS:
-            budget = diffusion_budget(parent_load, my_load, self._alpha(i, parent))
+            budget = diffusion_budget(parent_load, my_load, self._alpha_of[i])
             if budget >= p.min_transfer_rate:
                 self._pull(i, budget, now)
         elif -gap > _EPS:
-            budget = diffusion_budget(my_load, parent_load, self._alpha(i, parent))
+            budget = diffusion_budget(my_load, parent_load, self._alpha_of[i])
             if budget >= p.min_transfer_rate:
                 self._shed(i, budget, now)
 

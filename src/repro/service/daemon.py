@@ -22,7 +22,9 @@ Commands
 ``snapshot``
     The current snapshot record (also streamed to the sink).
 ``checkpoint {"path": P}`` / ``restore {"path": P}``
-    Pin the full state to disk / swap in the state pinned at ``P``.
+    Pin the full state to disk / swap in the state pinned at ``P`` (a
+    checkpoint of a component kind - ``meter_bank``, ``packet_state``,
+    ``rng_streams`` - is refused: it has nothing to step or snapshot).
 ``shutdown``
     Mark the service closed; serving loops exit after replying.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional
 
-from ..core.steppable import snapshot_record
+from ..core.steppable import Steppable, snapshot_record
 from .checkpoint import (
     CheckpointError,
     checkpoint_kind,
@@ -76,6 +78,22 @@ class Service:
         self.export_every = int(export_every)
         self.closed = False
         self._ticks = 0
+
+    @property
+    def runtime(self) -> Any:
+        """The resident Steppable."""
+        return self._runtime
+
+    @runtime.setter
+    def runtime(self, runtime: Any) -> None:
+        # The one gate (construction, ``restore``, ``serve --restore``): the
+        # checkpoint registry also rebuilds components nothing can drive.
+        if not isinstance(runtime, Steppable):
+            raise ServiceError(
+                f"a service holds a Steppable; kind {getattr(runtime, 'STATE_KIND', None)!r} "
+                f"({type(runtime).__name__}) has no step / snapshot"
+            )
+        self._runtime = runtime
 
     # ------------------------------------------------------------------
     def execute(self, command: Mapping[str, Any]) -> Dict[str, Any]:

@@ -55,6 +55,15 @@ class TestEngineConfigValidation:
         # forces the dense path forever — an existing, supported setting
         assert EngineConfig(density_threshold=-1.0).density_threshold == -1.0
 
+    @pytest.mark.parametrize("field,value", [("gossip_delay", 3), ("quantum", 0.5)])
+    def test_capacities_exclude_delay_and_quantum(self, field, value):
+        """The capacity rule has no stale-view or quantized form; at the
+        parent both constructed fine and 30 rounds were byte-identical to
+        ``EngineConfig(capacities=c)`` - the field silently dropped."""
+        with pytest.raises(ValueError, match=f"capacities.*{field}"):
+            EngineConfig(capacities=(1.0,) * N, **{field: value})
+        assert EngineConfig(capacities=(1.0,) * N, **{field: 0}).capacities
+
     def test_capacities_coerced_to_float_tuple(self):
         assert EngineConfig(capacities=[1, 2]).capacities == (1.0, 2.0)
 

@@ -23,7 +23,6 @@ from repro.core.dynamics import run_tracking, step_change_schedule
 from repro.core.forest import ForestWebWave
 from repro.core.tree import RoutingTree
 from repro.core.webwave import WebWaveConfig, WebWaveSimulator
-from repro.core.weighted import WeightedWebWaveSimulator
 
 GOLDEN_PATH = (
     pathlib.Path(__file__).parent.parent / "golden" / "diffusion_goldens.json"
@@ -68,9 +67,10 @@ def test_webwave_parity(goldens, case):
 def test_weighted_parity(goldens, case):
     data = goldens[case]
     tree = RoutingTree(data["parent"])
-    sim = WeightedWebWaveSimulator(
-        tree, data["rates"], data["capacities"], alpha=data["alpha"]
+    config = WebWaveConfig(
+        alpha=data["alpha"], unsafe_alpha=True, capacities=data["capacities"]
     )
+    sim = WebWaveSimulator(tree, data["rates"], config)
     observed = [list(sim.assignment().served)]
     for _ in range(len(data["trajectory"]) - 1):
         sim.step()

@@ -18,7 +18,7 @@ from repro.core.load import LoadAssignment
 from tests.oracle.pava import tree_waterfill
 from repro.core.webfold import webfold
 
-from tests.helpers import trees_with_rates, assert_feasible
+from tests.helpers import assert_feasible, routing_trees, trees_with_rates
 
 
 @given(trees_with_rates())
@@ -151,3 +151,55 @@ def test_scaling_invariance(tree_rates):
             c * base.assignment.served_of(i), abs=1e-6
         )
     assert set(scaled.folds) == set(base.folds)
+
+
+@st.composite
+def _fold_inputs(draw):
+    """(tree, rates) in the three regimes the fold's tie-breaking sees:
+    continuous rates, small integers (many exact ties) and mostly-zero
+    demand.  Non-zero rates stay far from the subnormals so that scaling
+    by a power of two is exact."""
+    tree = draw(routing_trees(max_nodes=30))
+    continuous = st.floats(min_value=2.0**-20, max_value=100.0)
+    rate = draw(
+        st.sampled_from(
+            [
+                continuous,
+                st.integers(min_value=0, max_value=4).map(float),
+                st.one_of(st.just(0.0), st.just(0.0), st.just(0.0), continuous),
+            ]
+        )
+    )
+    return tree, draw(st.lists(rate, min_size=tree.n, max_size=tree.n))
+
+
+@given(_fold_inputs(), st.sampled_from([0.25, 2.0, 8.0, 1024.0]))
+@settings(max_examples=150)
+def test_capacity_is_a_parameter_of_the_one_fold(tree_rates, c):
+    """One loop serves both cases, and the uniform one is not an
+    approximation of the other: without capacities every node counts 1.0,
+    so a fold divides by ``float(len(members))`` - the same bits the
+    paper's per-node formula gives - and unit capacities change nothing,
+    trace included.  A common power-of-two capacity scales every
+    comparison exactly, so partition, fold order and loads agree bitwise."""
+    tree, rates = tree_rates
+    plain = webfold(tree, rates)
+    for fold in plain.folds.values():
+        assert fold.capacity == len(fold.members)
+        for m in fold.members:
+            assert plain.loads()[m] == fold.spontaneous / len(fold.members)
+
+    unit = webfold(tree, rates, [1.0] * tree.n)
+    assert unit.loads() == plain.loads()
+    assert unit.folds == plain.folds
+    assert unit.trace == plain.trace
+
+    scaled = webfold(tree, rates, [c] * tree.n)
+    assert {r: f.members for r, f in scaled.folds.items()} == {
+        r: f.members for r, f in plain.folds.items()
+    }
+    assert [(s.folded, s.into, s.merged_size) for s in scaled.trace] == [
+        (s.folded, s.into, s.merged_size) for s in plain.trace
+    ]
+    assert scaled.loads() == plain.loads()
+    assert scaled.utilizations() == tuple(l / c for l in plain.loads())

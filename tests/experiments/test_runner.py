@@ -112,6 +112,18 @@ class TestMisuseIsUniform:
         assert "registered experiments:" in err
         assert "tunneling" in err
 
+    def test_serve_restore_of_a_component_checkpoint_exits_2(self, tmp_path, capsys):
+        """A well-formed checkpoint of a kind nothing can drive: at the
+        parent the daemon started and died on its first tick."""
+        from repro.protocols.state import MeterBank
+        from repro.service import write_checkpoint
+
+        path = str(tmp_path / "meter_bank.ckpt")
+        write_checkpoint(MeterBank(4, window=1.0, alpha=0.5), path)
+        assert main(["serve", "--restore", path]) == 2
+        err = capsys.readouterr().err
+        assert "meter_bank" in err and "registered experiments:" in err
+
 
 class TestTelemetryCli:
     def test_run_with_telemetry_writes_stream(self, tmp_path, capsys):

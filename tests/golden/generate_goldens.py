@@ -27,7 +27,6 @@ from repro.core.dynamics import run_tracking, step_change_schedule
 from repro.core.forest import ForestWebWave
 from repro.core.tree import RoutingTree, kary_tree, random_tree
 from repro.core.webwave import WebWaveConfig, WebWaveSimulator
-from repro.core.weighted import WeightedWebWaveSimulator
 
 OUT = pathlib.Path(__file__).parent / "diffusion_goldens.json"
 
@@ -86,7 +85,7 @@ def build_goldens():
     tree = random_tree(30, rng)
     rates = [rng.uniform(0.0, 30.0) for _ in range(tree.n)]
     caps = [rng.uniform(0.5, 8.0) for _ in range(tree.n)]
-    sim = WeightedWebWaveSimulator(tree, rates, caps)
+    sim = WebWaveSimulator(tree, rates, WebWaveConfig(capacities=caps))
     trajectory = [list(sim.assignment().served)]
     for _ in range(60):
         sim.step()
@@ -103,7 +102,9 @@ def build_goldens():
     tree = kary_tree(2, 4)
     rates = [rng.uniform(0.0, 20.0) for _ in range(tree.n)]
     caps = [rng.uniform(1.0, 4.0) for _ in range(tree.n)]
-    sim = WeightedWebWaveSimulator(tree, rates, caps, alpha=0.15)
+    sim = WebWaveSimulator(
+        tree, rates, WebWaveConfig(alpha=0.15, unsafe_alpha=True, capacities=caps)
+    )
     trajectory = [list(sim.assignment().served)]
     for _ in range(60):
         sim.step()

@@ -445,6 +445,10 @@ def _stale_sync_engine():
     return _sync_engine(gossip_delay=2)
 
 
+def _capacity_sync_engine():
+    return _sync_engine(capacities=(2.0,) * 15)
+
+
 def _batch_engine():
     flat = flatten(kary_tree(2, 3))
     rates = np.zeros((2, flat.n))
@@ -547,6 +551,10 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_sync_engine, "history", lambda v: [], "history", id="sync-history-empty"),
         pytest.param(_stale_sync_engine, "history", lambda v: [v[0][:-1]] + v[1:], "history", id="sync-history-ragged"),
         pytest.param(_stale_sync_engine, "history", lambda v: v + v, "history", id="sync-history-too-long"),
+        # a combination no EngineConfig can hold: the capacity rule ignores both
+        pytest.param(_capacity_sync_engine, "gossip_delay", lambda v: 2, "capacities.*gossip_delay", id="sync-capacities-with-delay"),
+        pytest.param(_capacity_sync_engine, "quantum", lambda v: 0.5, "capacities.*quantum", id="sync-capacities-with-quantum"),
+        pytest.param(_stale_sync_engine, "capacities", lambda v: [2.0] * 15, "capacities.*gossip_delay", id="sync-delay-with-capacities"),
         # batch_engine - same _restore, (D, n) consistency
         pytest.param(_batch_engine, "loads", lambda v: v[:1], "loads", id="batch-loads-one-row-of-two"),
         pytest.param(_batch_engine, "fwd", _set((0, 1), NAN), "fwd", id="batch-fwd-nan"),

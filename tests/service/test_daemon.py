@@ -12,7 +12,9 @@ from repro.cluster.runtime import ClusterRuntime
 from repro.core.kernel import SyncEngine, degree_edge_alphas, flatten
 from repro.core.tree import kary_tree, tree_from_edges
 from repro.obs.sink import MemorySink
+from repro.protocols.state import MeterBank, PacketState
 from repro.service import Service, write_checkpoint
+from repro.sim.rng import RngStreams
 
 
 N = kary_tree(2, 2).n
@@ -270,6 +272,34 @@ def test_hostile_restore_of_another_kind_keeps_the_resident_runtime(
     assert not response["ok"] and "sync_engine 'active'" in response["error"]
     assert service.runtime is catalog
     assert service.execute({"op": "tick"})["ok"]
+
+
+@pytest.mark.parametrize(
+    "component",
+    [
+        pytest.param(lambda: MeterBank(4, window=1.0, alpha=0.5), id="meter_bank"),
+        pytest.param(lambda: PacketState(4, ["a"], [2.0] * 4, home=0), id="packet_state"),
+        pytest.param(lambda: RngStreams(seed=5), id="rng_streams"),
+    ],
+)
+def test_restore_of_a_component_kind_is_refused(service, catalog, tmp_path, component):
+    """The checkpoint registry also rebuilds three kinds nothing can drive.
+    At the parent a well-formed checkpoint of one restored ``ok: true``,
+    replaced the catalog, and the next tick raised ``AttributeError: ...
+    has no attribute 'step'`` *out of* ``execute``."""
+    path = str(tmp_path / "component.ckpt")
+    kind = write_checkpoint(component(), path)
+    response = service.execute({"op": "restore", "path": path})
+    assert not response["ok"] and kind in response["error"]
+    assert service.runtime is catalog
+    assert service.execute({"op": "info"})["kind"] == "cluster_runtime"
+    assert service.execute({"op": "tick"})["ok"]
+    assert service.execute({"op": "snapshot"})["ok"]
+
+
+def test_a_service_cannot_be_built_around_a_component():
+    with pytest.raises(ValueError, match="rng_streams"):
+        Service(RngStreams(seed=5))
 
 
 def test_restore_missing_file_is_an_error_response(service):
