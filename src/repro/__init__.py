@@ -24,6 +24,6 @@ figure-by-figure reproduction of the paper's evaluation.
 
 from . import core
 
-__version__ = "0.5.0"  # the same string as pyproject.toml (tests/test_package.py)
+__version__ = "0.6.0"  # the same string as pyproject.toml (tests/test_package.py)
 
 __all__ = ["core", "__version__"]

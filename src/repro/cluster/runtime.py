@@ -764,7 +764,7 @@ class ClusterRuntime:
         # repeated document id, hostile engine arrays) leaves the resident
         # catalog untouched.
         alpha = state["alpha"]
-        n = None if state["n"] is None else int(state["n"])
+        n = None if state["n"] is None else state_count(state, "n", what)
         capacities = None
         if state.get("capacities") is not None:
             # One per server: a vector of another length would load and then

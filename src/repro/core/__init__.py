@@ -69,7 +69,6 @@ from .kernel import (
     fixed_edge_alphas,
     flatten,
     forwarded_rates,
-    reference_round,
     subtree_accumulate,
 )
 from .load import LoadAssignment, proportional_assignment, uniform_assignment
@@ -142,7 +141,6 @@ __all__ = [
     "edge_alpha_map",
     "forwarded_rates",
     "subtree_accumulate",
-    "reference_round",
     # policy (the shared Figure 5 decision core)
     "diffusion_budget",
     "push_down_amount",

@@ -26,11 +26,12 @@ plus this recovery rule, and reproduces Figure 7 (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .kernel import edge_alpha_map, edge_alphas, flatten
 from .load import LoadAssignment
+from .policy import greedy_delegate, greedy_pull, greedy_shed
 from .tree import RoutingTree
 from .webfold import webfold
 
@@ -259,104 +260,57 @@ class DocumentWebWave:
     # Steps 2-4: one protocol round
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Run one synchronous round of the per-document protocol."""
-        tree = self._w.tree
+        """Run one synchronous round of the per-document protocol.
+
+        The ``alpha * gap`` budgets are spent by the packet plane's greedy
+        (:mod:`repro.core.policy`); only the candidate order is local.
+        """
         loads = self.loads()  # gossip snapshot (exact, per Section 5.1)
-        gained = [False] * tree.n
+        gained = [False] * self._w.tree.n
+        cached, chosen = self._cached, self._chosen
 
         for (parent, child), alpha in sorted(self._alpha.items()):
             lp, lc = loads[parent], loads[child]
             if lp > lc + _EPS:
-                moved = self._delegate_down(parent, child, alpha * (lp - lc))
-                moved += self._pull_up(child, parent, alpha * (lp - lc) - moved)
-                if moved > _EPS:
-                    gained[child] = True
+                # The child's forwarded documents, hottest first; equal
+                # rates go to the larger name (the packet plane's
+                # forwarded_documents breaks ties by ascending id).
+                budget = alpha * (lp - lc)
+                hot = sorted(
+                    self._forwarded[child].items(), key=lambda kv: (kv[1], kv[0]), reverse=True
+                )
+                # The parent must hold a copy to delegate; it gives up the
+                # same rate if it was serving the document, otherwise the
+                # settle clamp absorbs the flow reduction upstream.
+                moved = 0.0
+                for d, x in greedy_delegate(budget, hot, 0.0, cached[parent].__contains__):
+                    cached[child].add(d)
+                    chosen[child][d] = chosen[child].get(d, 0.0) + x
+                    own = chosen[parent].get(d, 0.0)
+                    if own > _EPS:
+                        chosen[parent][d] = max(own - x, 0.0)
+                    moved += x
+                # Figure 5 step 2.2: the child pulls more of what it caches.
+                pulled = 0.0
+                for d, x in greedy_pull(budget - moved, hot, cached[child].__contains__):
+                    chosen[child][d] = chosen[child].get(d, 0.0) + x
+                    pulled += x
+                gained[child] = moved + pulled > _EPS
             elif lc > lp + _EPS:
-                self._shed_up(child, alpha * (lc - lp))
+                # Shed largest served rate first (a stable sort: ties keep
+                # document order), dropping copies that reach zero.
+                by_rate = sorted(self._served[child].items(), key=lambda kv: kv[1], reverse=True)
+                for d, x, _ in greedy_shed(alpha * (lc - lp), by_rate):
+                    left = max(chosen[child].get(d, 0.0) - x, 0.0)
+                    if self._cfg.evict_on_zero and left <= _EPS:
+                        chosen[child].pop(d, None)
+                        cached[child].discard(d)
+                    else:
+                        chosen[child][d] = left
 
         self._settle()
         self._detect_and_tunnel(loads, gained)
         self._round += 1
-
-    # -- parent delegates copies down -----------------------------------
-    def _delegate_down(self, parent: int, child: int, budget: float) -> float:
-        """Parent gives the child copies + load, NSS-capped by ``A_child^d``.
-
-        Only documents the parent itself holds can be delegated (it must
-        supply the copy), and only up to the rate the child's subtree
-        forwards for them.  Returns the total rate moved.
-        """
-        if budget <= _EPS:
-            return 0.0
-        candidates = [
-            (self._forwarded[child].get(d, 0.0), d)
-            for d in self._cached[parent]
-            if self._forwarded[child].get(d, 0.0) > _EPS
-        ]
-        candidates.sort(reverse=True)
-        moved = 0.0
-        for avail, d in candidates:
-            if budget - moved <= _EPS:
-                break
-            x = min(avail, budget - moved)
-            self._cached[child].add(d)
-            self._chosen[child][d] = self._chosen[child].get(d, 0.0) + x
-            # The parent gives up the same rate if it was serving the
-            # document; otherwise the flow reduction is absorbed upstream by
-            # the settle clamp (the first ancestor whose arrivals dry up).
-            own = self._chosen[parent].get(d, 0.0)
-            if own > _EPS:
-                self._chosen[parent][d] = max(own - x, 0.0)
-            moved += x
-        return moved
-
-    # -- underloaded child pulls more of what it already caches ---------
-    def _pull_up(self, child: int, parent: int, budget: float) -> float:
-        """Figure 5 step 2.2: ``L <- L + min(A_i, alpha * (L_ik - L_i))``."""
-        if budget <= _EPS:
-            return 0.0
-        candidates = [
-            (self._forwarded[child].get(d, 0.0), d)
-            for d in self._cached[child]
-            if self._forwarded[child].get(d, 0.0) > _EPS
-        ]
-        candidates.sort(reverse=True)
-        moved = 0.0
-        for avail, d in candidates:
-            if budget - moved <= _EPS:
-                break
-            x = min(avail, budget - moved)
-            self._chosen[child][d] = self._chosen[child].get(d, 0.0) + x
-            moved += x
-        return moved
-
-    # -- overloaded child sheds, possibly deleting copies ---------------
-    def _shed_up(self, child: int, budget: float) -> float:
-        """Reduce the child's served rates by up to ``budget``, largest first."""
-        if budget <= _EPS:
-            return 0.0
-        shed = 0.0
-        # Largest served rate first mirrors "delete some of its cached
-        # documents, or reduce the fraction of requests it chooses to serve".
-        order = sorted(
-            self._served[child].items(), key=lambda kv: kv[1], reverse=True
-        )
-        for d, current in order:
-            if budget - shed <= _EPS:
-                break
-            x = min(current, budget - shed)
-            self._chosen[child][d] = max(
-                self._chosen[child].get(d, 0.0) - x, 0.0
-            )
-            shed += x
-            if (
-                self._cfg.evict_on_zero
-                and self._chosen[child][d] <= _EPS
-                and child != self._w.tree.root
-            ):
-                del self._chosen[child][d]
-                self._cached[child].discard(d)
-        return shed
 
     # -- barrier detection + tunneling -----------------------------------
     def _detect_and_tunnel(self, loads: Sequence[float], gained: Sequence[bool]) -> None:

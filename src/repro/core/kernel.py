@@ -39,8 +39,9 @@ class of its own - :class:`~repro.core.forest.ForestWebWave`,
 these engines; ``tests/core/test_kernel_parity.py`` pins their trajectories
 to goldens recorded from the pre-kernel loops.
 
-:func:`reference_round` keeps one readable pure-Python copy of the Figure 5
-round as the oracle for property tests.
+The readable pure-Python copy of the Figure 5 round the property tests
+check this module against lives outside the package, in
+``tests/oracle/reference_round.py``.
 
 Performance notes.  One synchronous round is O(edges) of NumPy array
 arithmetic on preallocated scratch: one gather of the parent loads (the
@@ -68,7 +69,6 @@ demand a round touches the demand closure, not the topology.
 
 from __future__ import annotations
 
-import math
 import random
 import weakref
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -97,7 +97,6 @@ __all__ = [
     "SyncEngine",
     "ForestEngine",
     "AsyncEngine",
-    "reference_round",
 ]
 
 _EPS = 1e-12
@@ -308,8 +307,8 @@ def edge_alphas(
 def edge_alpha_map(
     flat: FlatTree, alphas: np.ndarray
 ) -> Dict[Tuple[int, int], float]:
-    """Per-edge alphas as the ``(parent, child)``-keyed dict
-    :func:`reference_round` takes."""
+    """Per-edge alphas as a ``(parent, child)``-keyed dict (the per-document
+    simulator's edge order and the round oracle's input)."""
     return {
         (int(p), int(c)): float(a)
         for p, c, a in zip(flat.edge_parent, flat.edge_child, alphas)
@@ -1537,49 +1536,3 @@ class AsyncEngine:
         )
         engine.load_state(state)
         return engine
-
-
-# ----------------------------------------------------------------------
-# Reference implementation: the property-test oracle
-# ----------------------------------------------------------------------
-def reference_round(
-    tree: RoutingTree,
-    spontaneous: Sequence[float],
-    loads: Sequence[float],
-    edge_alpha: Mapping[Tuple[int, int], float],
-    quantum: float = 0.0,
-) -> List[float]:
-    """One Figure 5 round in plain Python, exactly as the seed loops ran it.
-
-    Kept as the readable specification of the synchronous update: the
-    property tests check :class:`SyncEngine` against it on random trees.
-    Returns the post-round served-load vector without mutating inputs.
-    """
-    n = tree.n
-    loads = [float(x) for x in loads]
-    # forwarded rates from flow conservation, one bottom-up pass
-    fwd = [float(e) - l for e, l in zip(spontaneous, loads)]
-    for u in tree.bottomup():
-        p = tree.parent(u)
-        if p is not None:
-            fwd[p] += fwd[u]
-
-    def quantize(x: float) -> float:
-        if quantum <= 0.0:
-            return x
-        return math.floor(x / quantum) * quantum
-
-    delta = [0.0] * n
-    for child in tree:
-        parent = tree.parent(child)
-        if parent is None:
-            continue
-        alpha = edge_alpha[(parent, child)]
-        down = alpha * (loads[parent] - loads[child])
-        down = min(max(fwd[child], 0.0), max(down, 0.0))
-        up = alpha * (loads[child] - loads[parent])
-        up = min(loads[child], max(up, 0.0))
-        transfer = quantize(down) - quantize(up)
-        delta[parent] -= transfer
-        delta[child] += transfer
-    return [max(l + d, 0.0) for l, d in zip(loads, delta)]

@@ -44,6 +44,7 @@ restoring a checkpoint into a fresh process).
 
 from __future__ import annotations
 
+import numbers
 import random
 from typing import Any, Dict, Mapping, Protocol, Tuple, runtime_checkable
 
@@ -98,14 +99,14 @@ def require_kind(target: Any, state: Mapping[str, Any]) -> None:
 
 
 def state_count(state: Mapping[str, Any], field: str, what: str) -> int:
-    """``state[field]`` as a non-negative int, or a ``ValueError`` naming it."""
-    try:
-        value = int(state[field])
-    except (TypeError, ValueError, OverflowError):
-        value = -1
-    if value < 0:
+    """``state[field]`` as a non-negative int, or a ``ValueError`` naming it.
+
+    Only integers pass: ``2.5``, ``true``, ``"3"``, NaN and infinities are
+    refused, not truncated or coerced."""
+    value = state[field]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ValueError(f"{what} {field!r} must be a non-negative integer")
-    return value
+    return int(value)
 
 
 def mt_state(entry: Any, what: str) -> Tuple[int, Tuple[int, ...], Any]:

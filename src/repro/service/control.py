@@ -25,13 +25,19 @@ from .daemon import Service
 __all__ = ["send_command", "serve_loop", "serve_socket"]
 
 
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def serve_loop(service: Service, lines_in: Iterable[str], out: IO[str]) -> int:
     """Execute commands from ``lines_in``, one response line each.
 
-    A line that is not valid JSON gets an ``ok: false`` response rather
-    than killing the loop.  Returns the number of commands processed;
-    the loop exits when the input ends or a ``shutdown`` op closes the
-    service.
+    A line that is not strict JSON (including Python's ``NaN`` /
+    ``Infinity`` literals and nesting too deep to parse) gets an
+    ``ok: false`` response rather than killing the loop, and so does a
+    reply that could not be written as strict JSON.  Returns the number of
+    commands processed; the loop exits when the input ends or a
+    ``shutdown`` op closes the service.
     """
     processed = 0
     for line in lines_in:
@@ -39,13 +45,17 @@ def serve_loop(service: Service, lines_in: Iterable[str], out: IO[str]) -> int:
         if not line:
             continue
         try:
-            command = json.loads(line)
-        except json.JSONDecodeError as exc:
+            command = json.loads(line, parse_constant=_reject_constant)
+        except (ValueError, RecursionError) as exc:
             response: Dict[str, Any] = {"ok": False, "error": f"bad JSON: {exc}"}
         else:
             response = service.execute(command)
             processed += 1
-        out.write(json.dumps(response, separators=(",", ":")))
+        try:
+            text = json.dumps(response, separators=(",", ":"), allow_nan=False)
+        except (ValueError, TypeError) as exc:
+            text = json.dumps({"ok": False, "error": f"reply is not JSON: {exc}"}, separators=(",", ":"))
+        out.write(text)
         out.write("\n")
         out.flush()
         if service.closed:
@@ -71,7 +81,8 @@ def serve_socket(service: Service, path: str) -> int:
         while not service.closed:
             conn, _ = listener.accept()
             with conn:
-                reader = conn.makefile("r", encoding="utf-8")
+                # undecodable bytes become a bad-JSON reply, not a dead daemon
+                reader = conn.makefile("r", encoding="utf-8", errors="replace")
                 writer = conn.makefile("w", encoding="utf-8")
                 total += serve_loop(service, reader, writer)
     finally:

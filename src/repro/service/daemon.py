@@ -5,7 +5,8 @@
 dict-shaped commands against it — the same commands whether they arrive
 over stdin, a unix socket (:mod:`repro.service.control`), or in-process
 from a test.  Every command returns a dict with ``"ok"``; failures carry
-``"error"`` instead of raising, so one bad command never kills the loop.
+``"error"`` (the exception type and message) instead of raising, so one
+bad command never kills the loop.
 
 Commands
 --------
@@ -15,8 +16,8 @@ Commands
     The runtime's kind, tick/round count, and whether it supports the
     catalog lifecycle ops.
 ``tick {"count": N}``
-    Advance N units of work (default 1), streaming a snapshot record to
-    the sink every ``export_every`` ticks.
+    Advance N units of work (an integer in ``[1, MAX_TICKS]``, default 1),
+    streaming a snapshot record to the sink every ``export_every`` ticks.
 ``publish / retire / set_rates / scale``
     Catalog lifecycle (cluster runtimes only; others get a clear error).
 ``snapshot``
@@ -34,15 +35,13 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional
 
 from ..core.steppable import Steppable, snapshot_record
-from .checkpoint import (
-    CheckpointError,
-    checkpoint_kind,
-    read_checkpoint,
-    restore_state,
-    write_checkpoint,
-)
+from .checkpoint import checkpoint_kind, read_checkpoint, restore_state, write_checkpoint
 
-__all__ = ["Service", "ServiceError"]
+__all__ = ["MAX_TICKS", "Service", "ServiceError"]
+
+#: The most rounds one ``tick`` command may run: the daemon is
+#: single-threaded, so a command's work bounds how long it stops answering.
+MAX_TICKS = 10_000
 
 
 class ServiceError(ValueError):
@@ -109,7 +108,7 @@ class Service:
             return {"ok": False, "error": f"unknown op {op!r}; known ops: {known}"}
         try:
             return handler(command)
-        except (ServiceError, CheckpointError, ValueError, KeyError, TypeError, OSError) as exc:
+        except Exception as exc:  # the one boundary: no command ends the loop
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
     # -- basics --------------------------------------------------------
@@ -130,9 +129,9 @@ class Service:
 
     # -- driving -------------------------------------------------------
     def _op_tick(self, command: Mapping[str, Any]) -> Dict[str, Any]:
-        count = int(command.get("count", 1))
-        if count < 1:
-            raise ServiceError(f"tick count must be >= 1, got {count}")
+        count = command.get("count", 1)
+        if type(count) is not int or not 1 <= count <= MAX_TICKS:
+            raise ServiceError(f"tick count must be an integer in [1, {MAX_TICKS}], got {count!r}")
         for _ in range(count):
             self.runtime.step()
             self._ticks += 1

@@ -26,10 +26,10 @@ from repro.core.kernel import (
     edge_alpha_map,
     flatten,
     forwarded_rates,
-    reference_round,
 )
 
 from tests.helpers import trees_with_rates
+from tests.oracle.reference_round import reference_round
 
 
 class TestBatchAgainstOracle:

@@ -32,7 +32,6 @@ from repro.core.kernel import (
     fixed_edge_alphas,
     flatten,
     forwarded_rates,
-    reference_round,
     resettle_served,
     subtree_accumulate,
 )
@@ -40,6 +39,7 @@ from repro.core.load import LoadAssignment
 from repro.core.tree import RoutingTree, chain_tree, kary_tree, random_tree
 
 from tests.helpers import trees_with_rates
+from tests.oracle.reference_round import reference_round
 
 
 class TestFlatTree:

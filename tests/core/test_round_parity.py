@@ -39,11 +39,11 @@ from repro.core.kernel import (
     edge_alpha_map,
     fixed_edge_alphas,
     flatten,
-    reference_round,
 )
 from repro.core.tree import random_tree, tree_from_edges
 
 from tests.helpers import connected_region, routing_trees
+from tests.oracle.reference_round import reference_round
 
 
 # ----------------------------------------------------------------------

@@ -69,6 +69,22 @@ def shipped_server(
     return CacheServerView(state, node)
 
 
+def count_steps(runtime, monkeypatch, limit: int) -> List[int]:
+    """Count ``runtime.step()`` calls; raise past ``limit`` instead of
+    letting a runaway command hang the suite (a count, not a clock)."""
+    steps: List[int] = []
+    step = runtime.step
+
+    def counted():
+        steps.append(1)
+        if len(steps) > limit:
+            raise RuntimeError(f"one command ran more than {limit} rounds")
+        step()
+
+    monkeypatch.setattr(runtime, "step", counted)
+    return steps
+
+
 def connected_region(flat, start: int, size: int) -> List[int]:
     """The first ``size`` nodes of a breadth-first walk from ``start`` over
     tree neighbours (parent, then children), ascending: one connected patch

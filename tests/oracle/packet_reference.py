@@ -5,7 +5,7 @@ PR 4 rebuilt :mod:`repro.protocols.scenario` and
 batched event timelines.  This module preserves the original per-hop-event
 implementation verbatim (one heap event per router traversal, dict-based
 per-server state from :mod:`tests.oracle.cache_server`, per-edge gossip
-closures), in the same spirit as :func:`repro.core.kernel.reference_round`.
+closures), in the same spirit as :func:`tests.oracle.reference_round.reference_round`.
 It is not part of the installed package: ``tests/golden/packet_goldens.json``
 is the primary pin, and ``tests/protocols/test_packet_parity.py``
 additionally compares the shipped plane against this one live - same seed,

@@ -543,6 +543,9 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_sync_engine, "edge_alpha", _set(0, NAN), "edge_alpha", id="sync-edge_alpha-nan"),
         pytest.param(_sync_engine, "round", lambda v: _DROP, "round", id="sync-round-missing"),
         pytest.param(_sync_engine, "round", lambda v: -1, "round", id="sync-round-negative"),
+        # int() truncated 2.5 to 2 and read true as 1
+        pytest.param(_sync_engine, "round", lambda v: 2.5, "round", id="sync-round-fraction"),
+        pytest.param(_sync_engine, "round", lambda v: True, "round", id="sync-round-bool"),
         pytest.param(_sync_engine, "edges_processed", lambda v: "many", "edges_processed", id="sync-ops-text"),
         pytest.param(_sync_engine, "density_threshold", lambda v: NAN, "density_threshold", id="sync-density-nan"),
         pytest.param(_sync_engine, "quantum", lambda v: NAN, "quantum", id="sync-quantum-nan"),
@@ -597,6 +600,10 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_cluster_runtime, "tolerance", lambda v: -1.0, "tolerance", id="cluster-tolerance-negative"),
         pytest.param(_cluster_runtime, "tick", lambda v: -7, "tick", id="cluster-tick-negative"),
         pytest.param(_cluster_runtime, "tick", lambda v: "soon", "tick", id="cluster-tick-text"),
+        # a bare int(): OverflowError, a silent 15, and a message without the field
+        pytest.param(_cluster_runtime, "n", lambda v: INF, "'n'", id="cluster-n-inf"),
+        pytest.param(_cluster_runtime, "n", lambda v: 15.7, "'n'", id="cluster-n-fraction"),
+        pytest.param(_cluster_runtime, "n", lambda v: "x", "'n'", id="cluster-n-text"),
     ],
 )
 def test_hostile_state_rejected_and_object_untouched(make, field, edit, match):

@@ -12,6 +12,9 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.runtime import ClusterRuntime
 from repro.core.tree import kary_tree
 from repro.service import Service, send_command, serve_loop, serve_socket
+from repro.service.daemon import MAX_TICKS
+
+from tests.helpers import count_steps
 
 
 N = kary_tree(2, 2).n
@@ -22,11 +25,83 @@ def make_service():
     return Service(runtime)
 
 
+def strict_json(text):
+    """Parse as the JSON standard does: no NaN / Infinity literals."""
+    def reject(name):
+        raise AssertionError(f"reply is not strict JSON: contains {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_lines(service, commands):
     out = io.StringIO()
     lines = [json.dumps(c) if isinstance(c, dict) else c for c in commands]
     processed = serve_loop(service, lines, out)
-    return processed, [json.loads(line) for line in out.getvalue().splitlines()]
+    return processed, [strict_json(line) for line in out.getvalue().splitlines()]
+
+
+RATES = ",".join(["1"] * N)
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        # Python's json accepts these literals; the first two raised
+        # OverflowError out of execute and ended the loop, the third
+        # answered {"ok":true,"doc_id":NaN}, which no JSON parser reads
+        pytest.param('{"op":"tick","count":Infinity}', "bad JSON", id="tick-count-infinity"),
+        pytest.param(f'{{"op":"publish","doc_id":"x","home":Infinity,"rates":[{RATES}]}}', "bad JSON", id="publish-home-infinity"),
+        pytest.param(f'{{"op":"publish","doc_id":NaN,"home":0,"rates":[{RATES}]}}', "bad JSON", id="publish-doc-id-nan"),
+        pytest.param('{"op":"tick","count":-Infinity}', "bad JSON", id="tick-count-minus-infinity"),
+        # a finite count the daemon would be busy with for ever
+        pytest.param('{"op":"tick","count":1e300}', "tick count", id="tick-count-1e300"),
+        # RecursionError escaped the decoder
+        pytest.param("[" * 100_000, "bad JSON", id="nesting-too-deep"),
+    ],
+)
+def test_hostile_line_gets_one_error_reply_and_the_loop_lives(line, error, monkeypatch):
+    service = make_service()
+    steps = count_steps(service.runtime, monkeypatch, MAX_TICKS)
+    processed, responses = run_lines(service, [line, {"op": "ping"}, {"op": "tick"}])
+    assert len(responses) == 3
+    assert responses[0]["ok"] is False and error in responses[0]["error"]
+    assert responses[1:] == [{"ok": True, "pong": True}, {"ok": True, "ticks": 1}]
+    assert len(steps) == 1
+
+
+def test_reply_that_is_not_json_becomes_an_error_reply(monkeypatch):
+    service = make_service()
+    monkeypatch.setattr(service.runtime, "snapshot", lambda: {"mass": float("nan")})
+    _, responses = run_lines(service, [{"op": "snapshot"}, {"op": "ping"}])
+    assert responses[0]["ok"] is False and "not JSON" in responses[0]["error"]
+    assert responses[1] == {"ok": True, "pong": True}
+
+
+def test_undecodable_bytes_on_the_socket_get_a_reply(tmp_path):
+    """Invalid UTF-8 used to raise out of the reader and end the daemon."""
+    import socket
+
+    service = make_service()
+    sock = str(tmp_path / "svc.sock")
+    server = threading.Thread(target=serve_socket, args=(service, sock))
+    server.start()
+    try:
+        _wait_for(sock)
+        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        client.settimeout(10)
+        client.connect(sock)
+        with client, client.makefile("rwb") as stream:
+            stream.write(b'{"op":"ping"\xff\xfe}\n')
+            stream.flush()
+            reply = strict_json(stream.readline().decode())
+        assert reply["ok"] is False and "bad JSON" in reply["error"]
+        assert send_command(sock, {"op": "ping"}) == {"ok": True, "pong": True}
+        assert send_command(sock, {"op": "tick"}) == {"ok": True, "ticks": 1}
+    finally:
+        if server.is_alive():
+            send_command(sock, {"op": "shutdown"})
+        server.join(timeout=10)
+    assert not server.is_alive()
 
 
 def test_serve_loop_one_response_per_command():

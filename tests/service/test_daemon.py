@@ -14,7 +14,10 @@ from repro.core.tree import kary_tree, tree_from_edges
 from repro.obs.sink import MemorySink
 from repro.protocols.state import MeterBank, PacketState
 from repro.service import Service, write_checkpoint
+from repro.service.daemon import MAX_TICKS
 from repro.sim.rng import RngStreams
+
+from tests.helpers import count_steps
 
 
 N = kary_tree(2, 2).n
@@ -114,6 +117,35 @@ def test_bad_numbers_are_error_responses_naming_the_field(service, bad):
     assert service.execute({"op": "snapshot"})["snapshot"]["documents"] == 1
 
 
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        # OverflowError escaped execute (outside its catch tuple)
+        pytest.param({"op": "tick", "count": float("inf")}, "tick count", id="tick-count-inf"),
+        pytest.param(
+            {"op": "publish", "doc_id": "x", "home": float("inf"), "rates": [1.0] * N},
+            "OverflowError", id="publish-home-inf",
+        ),
+        # accepted: a single-threaded daemon busy for ever / for a long time
+        pytest.param({"op": "tick", "count": 1e300}, "tick count", id="tick-count-1e300"),
+        pytest.param({"op": "tick", "count": MAX_TICKS + 1}, "tick count", id="tick-count-over-max"),
+        # truncated or coerced to a count nobody asked for
+        pytest.param({"op": "tick", "count": 2.5}, "tick count", id="tick-count-fraction"),
+        pytest.param({"op": "tick", "count": True}, "tick count", id="tick-count-bool"),
+    ],
+)
+def test_hostile_command_is_one_error_reply_and_the_service_lives(
+    service, catalog, monkeypatch, command, error
+):
+    steps = count_steps(catalog, monkeypatch, MAX_TICKS)
+    before = json.dumps(catalog.state())
+    response = service.execute(command)
+    assert response["ok"] is False and error in response["error"]
+    assert steps == [] and json.dumps(catalog.state()) == before
+    assert service.execute({"op": "ping"}) == {"ok": True, "pong": True}
+    assert service.execute({"op": "tick"}) == {"ok": True, "ticks": 1}
+
+
 def test_unknown_op_lists_known_ops(service):
     response = service.execute({"op": "frobnicate"})
     assert "known ops" in response["error"]
@@ -204,6 +236,11 @@ def _nan_fwd(state):
         # restored ``ok: true``, then every snapshot (and every exporting
         # tick) answered with a broadcast ValueError: a wedged catalog
         pytest.param(lambda state: state.update(capacities=[1.0] * 3), "cluster_runtime 'capacities'", id="capacities-wrong-length"),
+        # a bare int(): Infinity ended the daemon, 7.5 restored as 7, and
+        # "x" failed without naming the field
+        pytest.param(lambda state: state.update(n=float("inf")), "cluster_runtime 'n'", id="n-inf"),
+        pytest.param(lambda state: state.update(n=N + 0.5), "cluster_runtime 'n'", id="n-fraction"),
+        pytest.param(lambda state: state.update(n="x"), "cluster_runtime 'n'", id="n-text"),
     ],
 )
 def test_rejected_restore_leaves_the_catalog_untouched(
