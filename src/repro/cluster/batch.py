@@ -12,11 +12,12 @@ dispatch overhead that dominates at catalog scale.
 
 What this module adds on top of the shared round is document lifecycle
 only: stacking and dropping rows (:meth:`BatchEngine.add_documents`,
-:meth:`BatchEngine.remove_documents`), per-row and whole-stack rate swaps
-with the mass-conserving resettle, the ``Steppable`` state contract, and
-the ``cluster.batch.*`` telemetry counters.  Since the round is one piece
-of code, a document's trajectory in a batch is bit-identical to its
-trajectory in a ``SyncEngine`` (``tests/core/test_round_parity.py``).
+:meth:`BatchEngine.remove_documents`), rate swaps for any set of rows
+with the mass-conserving resettle (:meth:`BatchEngine.resettle_rows`),
+the ``Steppable`` state contract, and the ``cluster.batch.*`` telemetry
+counters.  Since the round is one piece of code, a document's trajectory
+in a batch is bit-identical to its trajectory in a ``SyncEngine``
+(``tests/core/test_round_parity.py``).
 Lifecycle changes never recompute the surviving rows' forwarded-rate
 matrix ``A``: it is maintained incrementally by the round, and its low
 bits are part of the trajectory.  The kernel's bottom-up passes
@@ -244,19 +245,28 @@ class BatchEngine(DiffusionStack):
         return removed
 
     # -- rate schedule -----------------------------------------------------
-    def resettle(self, rates) -> None:
-        """Swap every document's rates, clamping carried-over loads."""
-        rates_arr = _as_matrix(rates, self.flat.n, "spontaneous rates")
-        if rates_arr.shape[0] != self._loads.shape[0]:
-            raise ValueError("rate matrix document count differs")
-        self._reset(
-            rates_arr, resettle_served(self.flat, rates_arr, self._loads)
-        )
-
     def resettle_rows(self, rows: Sequence[int], rates) -> None:
-        """Swap the rates of a subset of documents, clamping their loads."""
-        rows = np.asarray(rows, dtype=np.intp)
+        """Swap the rates of some documents, clamping their carried-over loads.
+
+        ``rows`` are distinct row indices and ``rates`` holds one ``(n,)``
+        row for each, in the same order; ``range(docs)`` swaps the whole
+        stack.  Both are checked before anything is written.
+        """
+        docs = self._loads.shape[0]
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+            raise ValueError("rows: expected a 1-D sequence of row indices")
+        rows = rows.astype(np.intp)
+        if rows.size and not (rows.min() >= 0 and rows.max() < docs):
+            raise ValueError(f"rows: row indices must lie in [0, {docs})")
+        if np.unique(rows).size != rows.size:
+            raise ValueError("rows: row indices must be distinct")
         rates_arr = _as_matrix(rates, self.flat.n, "spontaneous rates")
+        if rates_arr.shape[0] != rows.size:
+            raise ValueError(
+                f"rates: expected {rows.size} rows, one per listed row, "
+                f"got {rates_arr.shape[0]}"
+            )
         self._e[rows] = rates_arr
         self._loads[rows] = resettle_served(
             self.flat, rates_arr, self._loads[rows]

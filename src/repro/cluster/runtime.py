@@ -562,33 +562,56 @@ class ClusterRuntime:
     def scale_rates(
         self, factor: float, doc_ids: Optional[Sequence[str]] = None
     ) -> None:
-        """Multiply demand by ``factor`` (whole catalog or listed docs)."""
+        """Multiply demand by ``factor`` (whole catalog or listed docs).
+
+        A positive factor keeps every demand closure, so each touched
+        cohort resettles its rows in one batched call and their TLB
+        targets scale in place to ``factor * target`` (folds compare
+        per-node loads, which all scale together) instead of being folded
+        again.  All or nothing: an unknown or repeated id, or a product
+        that overflows, raises :class:`ClusterError` before any document
+        changes.
+        """
         if not 0.0 <= factor < np.inf:
             raise ClusterError("scale factor must be finite and non-negative")
-        if doc_ids is None and factor == 0.0:
+        # The touched rows of each cohort, cohorts in order of first appearance.
+        touched: Dict[Tuple[int, bytes], Tuple[_Cohort, List[int]]] = {}
+        if doc_ids is None:
+            for group in self._groups.values():
+                for key, cohort in group.cohorts.items():
+                    touched[(group.home, key)] = (cohort, list(range(cohort.engine.docs)))
+        else:
+            doc_ids = list(doc_ids)
+            seen = set()
+            for doc_id in doc_ids:
+                if doc_id in seen:
+                    raise ClusterError(f"document {doc_id!r} listed twice")
+                seen.add(doc_id)
+                group, cohort, row = self._cohort_of(doc_id)
+                cohort_key = (group.home, self._doc_cohort[doc_id])
+                touched.setdefault(cohort_key, (cohort, []))[1].append(row)
+        if factor == 0.0:
             # Every closure collapses to the home, so documents regroup one
-            # by one - in (group, cohort, row) order, the order state()
-            # carries: a restored or sharded runtime must regroup alike.
-            doc_ids = [
-                doc_id
-                for group in self._groups.values()
-                for cohort in group.cohorts.values()
-                for doc_id in cohort.doc_ids
-            ]
-        if doc_ids is not None:
-            for doc_id in list(doc_ids):
-                self.set_rates(doc_id, self.document_rates(doc_id) * factor)
+            # by one - a catalog in (group, cohort, row) order, the order
+            # state() carries: a restored or sharded runtime must regroup
+            # alike.
+            if doc_ids is None:
+                doc_ids = [d for cohort, _ in touched.values() for d in cohort.doc_ids]
+            for doc_id in doc_ids:
+                self.set_rates(doc_id, np.zeros(self._n))
             return
-        # A uniform positive scaling keeps every demand closure, so every
-        # cohort resettles in one batched pass; TLB targets scale linearly
-        # (folds compare per-node loads, which all scale together).
-        for group in self._groups.values():
-            for key, cohort in group.cohorts.items():
-                cohort.engine.resettle(cohort.engine.spontaneous * factor)
-                self._wake(group.home, key, cohort)
-                if cohort.targets is not None:
-                    cohort.targets = cohort.targets * factor
-                    cohort.target_norms = cohort.target_norms * factor
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            scaled = [
+                cohort.engine.spontaneous[rows] * factor for cohort, rows in touched.values()
+            ]
+        for rates in scaled:
+            check_rates(rates, "scaled rates", ClusterError)
+        for ((home, key), (cohort, rows)), rates in zip(touched.items(), scaled):
+            cohort.engine.resettle_rows(rows, rates)
+            self._wake(home, key, cohort)
+            if cohort.targets is not None:
+                cohort.targets[rows] *= factor
+                cohort.target_norms[rows] *= factor
 
     def apply(self, event: ClusterEvent) -> None:
         """Apply one lifecycle event now (its ``tick`` field is advisory)."""

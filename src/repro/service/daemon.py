@@ -182,12 +182,17 @@ class Service:
 
     def _op_scale(self, command: Mapping[str, Any]) -> Dict[str, Any]:
         self._require_catalog("scale")
+        # By type: a str is iterable ("ax" is not ["a", "x"]), a bool is an int.
+        factor = command["factor"]
+        if isinstance(factor, bool) or not isinstance(factor, (int, float)):
+            raise ServiceError(f"scale factor must be a number, got {factor!r}")
         doc_ids = command.get("doc_ids")
-        self.runtime.scale_rates(
-            float(command["factor"]),
-            None if doc_ids is None else [str(d) for d in doc_ids],
-        )
-        return {"ok": True, "factor": float(command["factor"])}
+        if doc_ids is not None and not (
+            isinstance(doc_ids, list) and all(type(d) is str for d in doc_ids)
+        ):
+            raise ServiceError(f"scale doc_ids must be a list of strings, got {doc_ids!r}")
+        self.runtime.scale_rates(float(factor), doc_ids)
+        return {"ok": True, "factor": float(factor)}
 
     # -- persistence ---------------------------------------------------
     def _op_checkpoint(self, command: Mapping[str, Any]) -> Dict[str, Any]:

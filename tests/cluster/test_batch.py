@@ -145,7 +145,7 @@ class TestBatchParity:
             for engine in engines:
                 engine.step()
         new_rates, _ = _catalog(tree, 5, 17)
-        batch.resettle(new_rates)
+        batch.resettle_rows(range(5), new_rates)
         for d, engine in enumerate(engines):
             engine.resettle(new_rates[d])
         for _ in range(40):
@@ -244,8 +244,8 @@ class TestDocumentLifecycle:
         with pytest.raises(ValueError, match="edge alphas"):
             BatchEngine(flat, [[1.0] * tree.n], edge_alpha=np.ones(3))
         batch = BatchEngine(flat, [[1.0] * tree.n] * 2)
-        with pytest.raises(ValueError, match="document count"):
-            batch.resettle([[1.0] * tree.n])
+        with pytest.raises(ValueError, match="rates: expected 2 rows"):
+            batch.resettle_rows(range(2), [[1.0] * tree.n])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0])
     def test_value_validation(self, bad):
@@ -265,8 +265,32 @@ class TestDocumentLifecycle:
         with pytest.raises(ValueError, match="spontaneous rates must be finite"):
             batch.add_documents([poisoned])
         with pytest.raises(ValueError, match="spontaneous rates must be finite"):
-            batch.resettle([good, poisoned])
+            batch.resettle_rows(range(2), [good, poisoned])
         with pytest.raises(ValueError, match="spontaneous rates must be finite"):
             batch.resettle_rows([1], [poisoned])
         assert batch.docs == 2 and batch.loads.tobytes() == before
+
+    @pytest.mark.parametrize(
+        "rows, rates, error",
+        [
+            # wrote rate 35 into rows 0 and 2, then raised on the shapes
+            pytest.param([0, 2], [[35.0] * 7], "rates: expected 2 rows", id="fewer-rate-rows"),
+            pytest.param([1], [[1.0] * 7] * 2, "rates: expected 1 rows", id="more-rate-rows"),
+            # accepted: numpy wraps -1 round to the last row
+            pytest.param([-1], [[1.0] * 7], r"rows: row indices must lie in \[0, 3\)", id="negative"),
+            pytest.param([3], [[1.0] * 7], r"rows: row indices must lie in \[0, 3\)", id="past-end"),
+            pytest.param([1, 1], [[1.0] * 7] * 2, "rows: row indices must be distinct", id="repeated"),
+            pytest.param([[0]], [[1.0] * 7], "rows: expected a 1-D", id="two-dimensional"),
+            pytest.param([0.5], [[1.0] * 7], "rows: expected a 1-D sequence of row indices", id="fraction"),
+            pytest.param([True], [[1.0] * 7], "rows: expected a 1-D sequence of row indices", id="bool"),
+        ],
+    )
+    def test_resettle_rows_validates_then_writes(self, rows, rates, error):
+        batch = BatchEngine(flatten(kary_tree(2, 2)), [[7.0] * 7] * 3)
+        batch.run(2)
+        before = (batch.spontaneous.tobytes(), batch.loads.tobytes(), batch.forwarded.tobytes())
+        with pytest.raises(ValueError, match=error):
+            batch.resettle_rows(rows, rates)
+        after = (batch.spontaneous.tobytes(), batch.loads.tobytes(), batch.forwarded.tobytes())
+        assert after == before
 

@@ -131,7 +131,7 @@ class TestSingleDocument:
                 new_rates = data.draw(dyadic_rates(tree.n))
                 sync.resettle(new_rates)
                 if data.draw(st.booleans()):
-                    batch.resettle([new_rates])
+                    batch.resettle_rows(range(1), [new_rates])
                 else:
                     batch.resettle_rows([0], [new_rates])
                 rates = new_rates

@@ -146,6 +146,33 @@ def test_hostile_command_is_one_error_reply_and_the_service_lives(
     assert service.execute({"op": "tick"}) == {"ok": True, "ticks": 1}
 
 
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        # replied ok: false but left ``a`` scaled (rates 3 -> 6)
+        pytest.param({"op": "scale", "factor": 2, "doc_ids": ["a", "nope"]}, "'nope'", id="unknown-id"),
+        # scaled ``b`` by factor ** 2 (3 -> 12)
+        pytest.param({"op": "scale", "factor": 2, "doc_ids": ["b", "b"]}, "'b' listed twice", id="repeated-id"),
+        # a string is iterable: documents ``a`` and ``x`` were scaled
+        pytest.param({"op": "scale", "factor": 2, "doc_ids": "ax"}, "doc_ids", id="doc-ids-string"),
+        pytest.param({"op": "scale", "factor": 2, "doc_ids": ["a", 7]}, "doc_ids", id="doc-ids-number"),
+        # scaled the catalog by 1.0 and replied ok: true
+        pytest.param({"op": "scale", "factor": True}, "scale factor", id="factor-bool"),
+        pytest.param({"op": "scale", "factor": "2", "doc_ids": ["a"]}, "scale factor", id="factor-text"),
+    ],
+)
+def test_a_bad_scale_is_refused_whole(service, catalog, command, error):
+    for doc_id in ("a", "b", "x"):
+        catalog.publish(doc_id, 0, [3.0] * N)
+    service.execute({"op": "tick", "count": 2})
+    before = json.dumps(catalog.state())
+    response = service.execute(command)
+    assert response["ok"] is False and error in response["error"]
+    assert json.dumps(catalog.state()) == before
+    assert service.execute({"op": "scale", "factor": 2, "doc_ids": ["a", "x"]})["ok"]
+    assert catalog.document_rates("a").tolist() == [6.0] * N
+
+
 def test_unknown_op_lists_known_ops(service):
     response = service.execute({"op": "frobnicate"})
     assert "known ops" in response["error"]
