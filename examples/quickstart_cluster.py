@@ -12,8 +12,11 @@ its per-document TLB optima - with total served mass pinned to the
 offered rate throughout.
 
 The same run also demonstrates the document lifecycle: a breaking-news
-document is published mid-run and a stale one retired, both
-mass-conservingly.
+document is published mid-run, its demand and one other document's are
+scaled down together, and a stale one is retired, all mass-conservingly.
+The events are :class:`~repro.cluster.ClusterEvent` values, the same
+commands a resident ``serve`` daemon takes over the wire
+(``event.to_wire()``).
 
 Run:  python examples/quickstart_cluster.py
 """
@@ -37,14 +40,21 @@ def main() -> None:
         end=60,
         ticks=140,
     )
-    # Ride two lifecycle events along with the built-in spike schedule:
-    # publish a fresh document while the crowd rages, retire the catalog's
+    # Ride three lifecycle events along with the built-in spike schedule:
+    # publish a fresh document while the crowd rages, halve the news
+    # documents' demand as the story cools, and retire the catalog's
     # coldest document once it calms down.
     n = next(iter(scenario.trees.values())).n
     breaking = tuple(4.0 if node >= n - 4 else 0.0 for node in range(n))
     events = scenario.events + (
         ClusterEvent(
             tick=30, action="publish", doc_id="breaking-news", home=0, rates=breaking
+        ),
+        ClusterEvent(
+            tick=70,
+            action="scale",
+            factor=0.5,
+            doc_ids=("breaking-news", scenario.documents[1][0]),
         ),
         ClusterEvent(tick=80, action="retire", doc_id=scenario.documents[-1][0]),
     )

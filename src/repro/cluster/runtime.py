@@ -25,9 +25,9 @@ PR 1 every engine in the repo still balanced exactly one document;
   worker states load back, so a sharded run ends in the inline run's
   state bit for bit (:mod:`repro.cluster.sharding`).
 
-Scheduled lifecycle changes are :class:`ClusterEvent` values; the scenario
-drivers in :mod:`repro.cluster.scenarios` compile flash crowds, diurnal
-swings and catalog churn down to event lists.
+Lifecycle changes are :class:`ClusterEvent` values, in scenarios (flash
+crowds, diurnal swings and churn compile to event lists), shards and the
+daemon's wire ops alike.
 
 Invariants (property-tested in ``tests/cluster/``): per-document mass
 conservation across ticks and lifecycle events, non-negative loads,
@@ -37,6 +37,7 @@ non-negative forwarded rates (NSS), and 1e-12 agreement with per-document
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -50,7 +51,7 @@ from ..core.kernel import (
     resettle_served,
     state_field,
 )
-from ..core.steppable import require_kind, state_count
+from ..core.steppable import is_count, require_kind, state_count
 from ..core.tree import RoutingTree, tree_from_parent_map
 from ..core.webfold import webfold
 from ..obs.telemetry import resolve as _resolve_telemetry
@@ -64,6 +65,7 @@ __all__ = [
     "ClusterError",
     "ClusterEvent",
     "ClusterRuntime",
+    "EVENT_FIELDS",
 ]
 
 
@@ -71,13 +73,65 @@ class ClusterError(ValueError):
     """Raised for inconsistent cluster operations."""
 
 
+# Field normalisers: the normal form of a value, or None to refuse it.
+def _count(value) -> Optional[int]:
+    return int(value) if is_count(value) else None
+
+
+def _number(value) -> Optional[float]:
+    # By type: a bool is an int, and "2" is not a number.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    return float(value)
+
+
+def _rate_tuple(value) -> Optional[Tuple[float, ...]]:
+    # By dtype, not per element: a dict, a string, bools or nesting refuse.
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        return None
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        return None
+    return tuple(arr.astype(np.float64).tolist())
+
+
+def _string_tuple(value) -> Optional[Tuple[str, ...]]:
+    # A str is iterable, but "ax" is not ["a", "x"].
+    if not isinstance(value, (list, tuple)) or not all(type(d) is str for d in value):
+        return None
+    return tuple(value)
+
+
+# {field: (normaliser, the rule a refusal names)}
+_FIELD_RULES: Dict[str, Tuple[Callable, str]] = {
+    "doc_id": (lambda v: v if isinstance(v, str) else None, "a string"),
+    "home": (_count, "a non-negative integer"),
+    "rates": (_rate_tuple, "a list of numbers"),
+    "factor": (_number, "a number"),
+    "doc_ids": (_string_tuple, "a list of strings"),
+    "tick": (_count, "a non-negative integer"),
+}
+
+# {action: (fields it needs, fields it may carry)}, besides the ``tick``
+# every event has: the one table behind construction and ``from_wire``.
+EVENT_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "publish": (("doc_id", "home", "rates"), ()),
+    "retire": (("doc_id",), ()),
+    "set_rates": (("doc_id", "rates"), ()),
+    "scale": (("factor",), ("doc_ids",)),
+}
+
+
 @dataclass(frozen=True)
 class ClusterEvent:
-    """One scheduled lifecycle change, applied just before tick ``tick``.
+    """One lifecycle command, applied just before tick ``tick``.
 
-    ``action`` is one of ``"publish"`` (needs ``home`` and ``rates``),
-    ``"retire"``, ``"set_rates"`` (needs ``rates``), or ``"scale"``
-    (needs ``factor``; ``doc_id=None`` scales the whole catalog).
+    ``action`` and the fields it takes are in :data:`EVENT_FIELDS` (a
+    scale without ``doc_ids`` scales the whole catalog).  A missing field,
+    one of the wrong type or one the action does not take is a
+    :class:`ClusterError` naming it.  Fields are normalised, so
+    ``from_wire(json.loads(json.dumps(e.to_wire())), e.tick) == e``.
     """
 
     tick: int
@@ -86,20 +140,41 @@ class ClusterEvent:
     home: Optional[int] = None
     rates: Optional[Tuple[float, ...]] = None
     factor: Optional[float] = None
+    doc_ids: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.action not in ("publish", "retire", "set_rates", "scale"):
+        if not isinstance(self.action, str) or self.action not in EVENT_FIELDS:
             raise ClusterError(f"unknown event action {self.action!r}")
-        if self.action == "publish" and (
-            self.doc_id is None or self.home is None or self.rates is None
-        ):
-            raise ClusterError("publish events need doc_id, home and rates")
-        if self.action == "set_rates" and (self.doc_id is None or self.rates is None):
-            raise ClusterError("set_rates events need doc_id and rates")
-        if self.action == "retire" and self.doc_id is None:
-            raise ClusterError("retire events need doc_id")
-        if self.action == "scale" and self.factor is None:
-            raise ClusterError("scale events need a factor")
+        needs, may = EVENT_FIELDS[self.action]
+        needs = ("tick",) + needs
+        missing = [name for name in needs if getattr(self, name) is None]
+        if missing:
+            raise ClusterError(f"{self.action} events need {', '.join(missing)}")
+        for name, (normalise, rule) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if name not in needs + may:
+                raise ClusterError(f"{self.action} takes no {name!r}")
+            normal = normalise(value)
+            if normal is None:
+                raise ClusterError(f"{self.action} {name} must be {rule}, got {value!r:.60}")
+            object.__setattr__(self, name, normal)
+
+    @classmethod
+    def from_wire(cls, command: Mapping[str, object], tick: int) -> "ClusterEvent":
+        """Parse one wire op (``{"op": action, ...}``) as an event at ``tick``."""
+        fields = {name: value for name, value in command.items() if name != "op"}
+        for name in fields:
+            if name == "tick" or name not in _FIELD_RULES:
+                raise ClusterError(f"{command.get('op')} takes no {name!r}")
+        return cls(tick=tick, action=command.get("op"), **fields)
+
+    def to_wire(self) -> Dict[str, object]:
+        """This event as a JSON-ready wire op; ``tick`` is not a wire field."""
+        needs, may = EVENT_FIELDS[self.action]
+        fields = {name: getattr(self, name) for name in needs + may}
+        return {"op": self.action, **{k: v for k, v in fields.items() if v is not None}}
 
 
 class _Cohort:
@@ -613,16 +688,16 @@ class ClusterRuntime:
                 cohort.targets[rows] *= factor
                 cohort.target_norms[rows] *= factor
 
-    def apply(self, event: ClusterEvent) -> None:
-        """Apply one lifecycle event now (its ``tick`` field is advisory)."""
+    def apply(self, event: ClusterEvent) -> Optional[float]:
+        """Apply one lifecycle event now (its ``tick`` field is advisory);
+        returns the op's result (a retire's removed mass, else ``None``)."""
         if event.action == "publish":
-            self.publish(event.doc_id, event.home, event.rates)
-        elif event.action == "retire":
-            self.retire(event.doc_id)
-        elif event.action == "set_rates":
-            self.set_rates(event.doc_id, event.rates)
-        else:
-            self.scale_rates(event.factor, None if event.doc_id is None else [event.doc_id])
+            return self.publish(event.doc_id, event.home, event.rates)
+        if event.action == "retire":
+            return self.retire(event.doc_id)
+        if event.action == "set_rates":
+            return self.set_rates(event.doc_id, event.rates)
+        return self.scale_rates(event.factor, event.doc_ids)
 
     # ------------------------------------------------------------------
     # Ticks, snapshots, runs

@@ -33,7 +33,7 @@ module-level so both fork and spawn start methods work.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Sequence, Tuple
 
 from ..core.tree import RoutingTree
@@ -109,33 +109,40 @@ def _route_events(
 ) -> List[List[ClusterEvent]]:
     """Assign each event to the shard owning its home.
 
-    Publish events carry their home; retire/set_rates route via the
-    document's home, tracked through the event sequence (a document may be
-    published and retired by events of the same run).  Catalog-wide scale
-    events broadcast to every shard.  Every home an event can name has a
-    shard: ``run_sharded`` partitions the runtime's homes plus every
-    publish target.
+    Publish events carry their home; the others route via their
+    documents' homes, tracked through the event sequence (a document may
+    be published and retired by events of the same run), and an unknown
+    document is refused before any shard runs.  A catalog-wide scale
+    broadcasts; a listed one splits by shard, keeping list order.  Every
+    home an event can name has a shard: ``run_sharded`` partitions the
+    runtime's homes plus every publish target.
     """
     routed: List[List[ClusterEvent]] = [[] for _ in range(shard_count)]
     homes = dict(doc_home)
+
+    def shard_of(doc_id: str) -> int:
+        try:
+            return shard_of_home[homes[doc_id]]
+        except KeyError:
+            raise ClusterError(f"event for unknown document {doc_id!r}") from None
+
     for event in sorted(events, key=lambda e: e.tick):
-        if event.action == "scale" and event.doc_id is None:
-            for shard in routed:
-                shard.append(event)
+        if event.action == "scale":
+            if event.doc_ids is None:
+                for shard in routed:
+                    shard.append(event)
+                continue
+            listed: Dict[int, List[str]] = {}
+            for doc_id in event.doc_ids:
+                listed.setdefault(shard_of(doc_id), []).append(doc_id)
+            for idx, doc_ids in listed.items():
+                routed[idx].append(replace(event, doc_ids=tuple(doc_ids)))
             continue
         if event.action == "publish":
-            home = event.home
-            homes[event.doc_id] = home
-        else:
-            try:
-                home = homes[event.doc_id]
-            except KeyError:
-                raise ClusterError(
-                    f"event for unknown document {event.doc_id!r}"
-                ) from None
-            if event.action == "retire":
-                del homes[event.doc_id]
-        routed[shard_of_home[home]].append(event)
+            homes[event.doc_id] = event.home
+        routed[shard_of(event.doc_id)].append(event)
+        if event.action == "retire":
+            del homes[event.doc_id]
     return routed
 
 

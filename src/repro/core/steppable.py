@@ -48,7 +48,7 @@ import numbers
 import random
 from typing import Any, Dict, Mapping, Protocol, Tuple, runtime_checkable
 
-__all__ = ["Steppable", "mt_state", "require_kind", "snapshot_record", "state_count"]
+__all__ = ["Steppable", "is_count", "mt_state", "require_kind", "snapshot_record", "state_count"]
 
 
 @runtime_checkable
@@ -98,13 +98,17 @@ def require_kind(target: Any, state: Mapping[str, Any]) -> None:
         )
 
 
-def state_count(state: Mapping[str, Any], field: str, what: str) -> int:
-    """``state[field]`` as a non-negative int, or a ``ValueError`` naming it.
+def is_count(value: Any) -> bool:
+    """Whether ``value`` is a non-negative integer: ``2.5``, ``true``,
+    ``"3"``, NaN and infinities are not (never truncated or coerced)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 0
 
-    Only integers pass: ``2.5``, ``true``, ``"3"``, NaN and infinities are
-    refused, not truncated or coerced."""
+
+def state_count(state: Mapping[str, Any], field: str, what: str) -> int:
+    """``state[field]`` as a non-negative int (:func:`is_count`), or a
+    ``ValueError`` naming it."""
     value = state[field]
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+    if not is_count(value):
         raise ValueError(f"{what} {field!r} must be a non-negative integer")
     return int(value)
 

@@ -169,19 +169,17 @@ class ClusterPacketScenario(WebWaveScenario):
                 if doc_id == event.doc_id:
                     source.generation += 1  # silence without resampling
                     source.process = None
-        elif action == "scale":
-            # doc_id=None scales the whole catalog, else just that document
-            # (matching ClusterRuntime.apply's semantics).
+        else:
+            # a scale: doc_ids=None scales the whole catalog, else just the
+            # listed documents (matching ClusterRuntime.apply's semantics).
             for (node, doc_id), source in list(self._source_map.items()):
                 if source.process is None:
                     continue
-                if event.doc_id is not None and doc_id != event.doc_id:
+                if event.doc_ids is not None and doc_id not in event.doc_ids:
                     continue
                 self._set_source_rate(
                     node, doc_id, source.process.mean_rate * event.factor
                 )
-        else:
-            raise ValueError(f"unknown cluster event action {action!r}")
         self.count_message("cluster_event")
         self.events_applied += 1
 

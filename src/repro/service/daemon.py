@@ -19,7 +19,8 @@ Commands
     Advance N units of work (an integer in ``[1, MAX_TICKS]``, default 1),
     streaming a snapshot record to the sink every ``export_every`` ticks.
 ``publish / retire / set_rates / scale``
-    Catalog lifecycle (cluster runtimes only; others get a clear error).
+    Catalog lifecycle (cluster runtimes only), one route:
+    ``runtime.apply(ClusterEvent.from_wire(command, runtime.tick_count))``.
 ``snapshot``
     The current snapshot record (also streamed to the sink).
 ``checkpoint {"path": P}`` / ``restore {"path": P}``
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional
 
+from ..cluster.runtime import EVENT_FIELDS, ClusterEvent, ClusterRuntime
 from ..core.steppable import Steppable, snapshot_record
 from .checkpoint import checkpoint_kind, read_checkpoint, restore_state, write_checkpoint
 
@@ -100,10 +102,12 @@ class Service:
         if not isinstance(command, Mapping):
             return {"ok": False, "error": f"command must be an object, got {type(command).__name__}"}
         op = command.get("op")
-        handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
+        handler = None
+        if isinstance(op, str):
+            handler = self._lifecycle if op in EVENT_FIELDS else getattr(self, f"_op_{op}", None)
         if handler is None:
             known = ", ".join(sorted(
-                name[4:] for name in dir(self) if name.startswith("_op_")
+                [name[4:] for name in dir(self) if name.startswith("_op_")] + list(EVENT_FIELDS)
             ))
             return {"ok": False, "error": f"unknown op {op!r}; known ops: {known}"}
         try:
@@ -120,7 +124,7 @@ class Service:
             "ok": True,
             "kind": checkpoint_kind(self.runtime),
             "ticks": self._ticks,
-            "catalog": self._is_catalog(),
+            "catalog": isinstance(self.runtime, ClusterRuntime),
         }
 
     def _op_shutdown(self, command: Mapping[str, Any]) -> Dict[str, Any]:
@@ -146,53 +150,19 @@ class Service:
         return {"ok": True, "snapshot": record}
 
     # -- catalog lifecycle ---------------------------------------------
-    def _is_catalog(self) -> bool:
-        return all(
-            hasattr(self.runtime, attr)
-            for attr in ("publish", "retire", "set_rates", "scale_rates")
-        )
-
-    def _require_catalog(self, op: str) -> None:
-        if not self._is_catalog():
+    def _lifecycle(self, command: Mapping[str, Any]) -> Dict[str, Any]:
+        if not isinstance(self.runtime, ClusterRuntime):
             raise ServiceError(
-                f"{op} needs a catalog runtime (ClusterRuntime); "
+                f"{command['op']} needs a catalog runtime (ClusterRuntime); "
                 f"this service holds {type(self.runtime).__name__}"
             )
-
-    def _op_publish(self, command: Mapping[str, Any]) -> Dict[str, Any]:
-        self._require_catalog("publish")
-        self.runtime.publish(
-            str(command["doc_id"]),
-            int(command["home"]),
-            [float(r) for r in command["rates"]],
-        )
-        return {"ok": True, "doc_id": command["doc_id"]}
-
-    def _op_retire(self, command: Mapping[str, Any]) -> Dict[str, Any]:
-        self._require_catalog("retire")
-        removed = self.runtime.retire(str(command["doc_id"]))
-        return {"ok": True, "doc_id": command["doc_id"], "removed_mass": removed}
-
-    def _op_set_rates(self, command: Mapping[str, Any]) -> Dict[str, Any]:
-        self._require_catalog("set_rates")
-        self.runtime.set_rates(
-            str(command["doc_id"]), [float(r) for r in command["rates"]]
-        )
-        return {"ok": True, "doc_id": command["doc_id"]}
-
-    def _op_scale(self, command: Mapping[str, Any]) -> Dict[str, Any]:
-        self._require_catalog("scale")
-        # By type: a str is iterable ("ax" is not ["a", "x"]), a bool is an int.
-        factor = command["factor"]
-        if isinstance(factor, bool) or not isinstance(factor, (int, float)):
-            raise ServiceError(f"scale factor must be a number, got {factor!r}")
-        doc_ids = command.get("doc_ids")
-        if doc_ids is not None and not (
-            isinstance(doc_ids, list) and all(type(d) is str for d in doc_ids)
-        ):
-            raise ServiceError(f"scale doc_ids must be a list of strings, got {doc_ids!r}")
-        self.runtime.scale_rates(float(factor), doc_ids)
-        return {"ok": True, "factor": float(factor)}
+        event = ClusterEvent.from_wire(command, self.runtime.tick_count)
+        result = self.runtime.apply(event)
+        if event.action == "scale":
+            return {"ok": True, "factor": event.factor}
+        if event.action == "retire":
+            return {"ok": True, "doc_id": event.doc_id, "removed_mass": result}
+        return {"ok": True, "doc_id": event.doc_id}
 
     # -- persistence ---------------------------------------------------
     def _op_checkpoint(self, command: Mapping[str, Any]) -> Dict[str, Any]:

@@ -287,7 +287,10 @@ class TestSnapshotsAndRuns:
 _SHARD_OPS = st.lists(
     st.tuples(
         st.sampled_from(
-            ["retire", "publish_known", "publish_new", "scale_doc", "scale_all", "set_rates"]
+            [
+                "retire", "publish_known", "publish_new", "scale_doc", "scale_listed",
+                "scale_all", "set_rates",
+            ]
         ),
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=0, max_value=9),
@@ -331,6 +334,8 @@ class TestSharding:
                 home=12,  # a home no shard has seen
                 rates=tuple(_leaf_rates(tree, [(17, 4.0), (30, 1.0)])),
             ),
+            # listed documents on homes 9, 5, 0 and 5: split across shards
+            ClusterEvent(tick=7, action="scale", factor=1.5, doc_ids=("d05", "fresh", "d00", "d01")),
             ClusterEvent(tick=8, action="scale", factor=1.25),
         ]
         inline = self._build(trees, tree)
@@ -394,11 +399,17 @@ class TestSharding:
                     ClusterEvent(tick=tick, action="set_rates", doc_id=doc, rates=rates)
                 )
             else:
+                if kind == "scale_doc":
+                    doc_ids = (doc,)
+                elif kind == "scale_listed":  # every other live document, across homes
+                    doc_ids = tuple(rng.sample(sorted(live), len(live)))[::2]
+                else:
+                    doc_ids = None
                 events.append(
                     ClusterEvent(
                         tick=tick,
                         action="scale",
-                        doc_id=doc if kind == "scale_doc" else None,
+                        doc_ids=doc_ids,
                         factor=rng.choice([0.0, 0.5, 1.25, 2.0]),
                     )
                 )
@@ -418,6 +429,15 @@ class TestSharding:
         inline.run(50)
         sharded.run(50)
         assert sharded.state() == inline.state()
+
+    def test_a_listed_scale_naming_an_unknown_document_runs_no_shard(self, tree):
+        trees = rerooted_trees(tree, self.KNOWN)
+        runtime = self._build(trees, tree)
+        before = runtime.state()
+        events = [ClusterEvent(tick=2, action="scale", factor=2.0, doc_ids=("d00", "ghost"))]
+        with pytest.raises(ClusterError, match="'ghost'"):
+            runtime.run(4, events, workers=2)
+        assert runtime.state() == before
 
     def test_merge_tick_stats_rejects_mixed_ticks(self, tree):
         runtime = ClusterRuntime({0: tree})
@@ -484,6 +504,28 @@ class TestSharding:
         json.dumps(record)
 
 
+_COUNTS = st.integers(min_value=0, max_value=10**6)
+_IDS = st.text(min_size=1, max_size=8)
+_RATES = st.lists(
+    st.floats(min_value=0.0, max_value=1e9) | st.integers(min_value=0, max_value=10**6),
+    min_size=1,
+    max_size=6,
+)
+# One valid event of each action, fields drawn in any accepted form.
+_EVENTS = st.one_of(
+    st.builds(ClusterEvent, _COUNTS, st.just("publish"), doc_id=_IDS, home=_COUNTS, rates=_RATES),
+    st.builds(ClusterEvent, _COUNTS, st.just("retire"), doc_id=_IDS),
+    st.builds(ClusterEvent, _COUNTS, st.just("set_rates"), doc_id=_IDS, rates=_RATES),
+    st.builds(
+        ClusterEvent,
+        _COUNTS,
+        st.just("scale"),
+        factor=st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10, 10),
+        doc_ids=st.none() | st.lists(_IDS, max_size=4),
+    ),
+)
+
+
 class TestEventValidation:
     def test_bad_events(self):
         with pytest.raises(ClusterError, match="unknown event"):
@@ -496,3 +538,83 @@ class TestEventValidation:
             ClusterEvent(tick=0, action="retire")
         with pytest.raises(ClusterError, match="scale"):
             ClusterEvent(tick=0, action="scale")
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            # fields the action does not take (a scale's doc_id used to
+            # scale the whole catalog over the wire)
+            pytest.param(dict(action="retire", doc_id="a", factor=2.0), "'factor'", id="retire-factor"),
+            pytest.param(dict(action="scale", factor=2.0, doc_id="a"), "'doc_id'", id="scale-doc_id"),
+            pytest.param(dict(action="publish", doc_id="a", home=0, rates=(1.0,), doc_ids=("a",)), "'doc_ids'", id="publish-doc_ids"),
+            # wrong types, each named
+            pytest.param(dict(action="retire", doc_id=5), "doc_id", id="doc_id-number"),
+            pytest.param(dict(action="publish", doc_id="a", home=0.7, rates=(1.0,)), "home", id="home-fraction"),
+            pytest.param(dict(action="publish", doc_id="a", home="0", rates=(1.0,)), "home", id="home-text"),
+            pytest.param(dict(action="publish", doc_id="a", home=True, rates=(1.0,)), "home", id="home-bool"),
+            pytest.param(dict(action="publish", doc_id="a", home=-1, rates=(1.0,)), "home", id="home-negative"),
+            pytest.param(dict(action="set_rates", doc_id="a", rates={"0": 1, "1": 1}), "rates", id="rates-dict"),
+            pytest.param(dict(action="set_rates", doc_id="a", rates="1111"), "rates", id="rates-text"),
+            pytest.param(dict(action="set_rates", doc_id="a", rates=(True, True)), "rates", id="rates-bool"),
+            pytest.param(dict(action="set_rates", doc_id="a", rates=((1.0,), (1.0, 2.0))), "rates", id="rates-ragged"),
+            pytest.param(dict(action="set_rates", doc_id="a", rates=((1.0,), (2.0,))), "rates", id="rates-2d"),
+            pytest.param(dict(action="scale", factor="2"), "factor", id="factor-text"),
+            pytest.param(dict(action="scale", factor=True), "factor", id="factor-bool"),
+            pytest.param(dict(action="scale", factor=2.0, doc_ids="ax"), "doc_ids", id="doc_ids-text"),
+            pytest.param(dict(action="scale", factor=2.0, doc_ids=["a", 7]), "doc_ids", id="doc_ids-number"),
+        ],
+    )
+    def test_a_field_of_the_wrong_kind_is_named(self, fields, named):
+        with pytest.raises(ClusterError, match=named):
+            ClusterEvent(tick=0, **fields)
+
+    @pytest.mark.parametrize("tick", [1.5, True, -1, "2", None], ids=repr)
+    def test_tick_must_be_a_non_negative_integer(self, tick):
+        with pytest.raises(ClusterError, match="tick"):
+            ClusterEvent(tick=tick, action="retire", doc_id="a")
+
+    def test_fields_are_normalised(self):
+        event = ClusterEvent(
+            tick=np.int64(3), action="scale", factor=np.float32(0.5), doc_ids=["b", "a"]
+        )
+        assert (type(event.tick), event.factor, event.doc_ids) == (int, 0.5, ("b", "a"))
+        event = ClusterEvent(tick=0, action="set_rates", doc_id="a", rates=np.arange(3))
+        assert event.rates == (0.0, 1.0, 2.0) and type(event.rates[0]) is float
+
+    @pytest.mark.parametrize(
+        "command, named",
+        [
+            pytest.param({"op": "publish", "doc_id": "a", "home": 0, "rates": [1.0], "bogus": 1}, "'bogus'", id="unknown-field"),
+            pytest.param({"op": "retire", "doc_id": "a", "tick": 3}, "'tick'", id="tick-on-the-wire"),
+            pytest.param({"op": "explode"}, "unknown event action", id="unknown-op"),
+            pytest.param({"op": ["scale"], "factor": 2}, "unknown event action", id="unhashable-op"),
+        ],
+    )
+    def test_from_wire_refuses_what_the_op_does_not_take(self, command, named):
+        with pytest.raises(ClusterError, match=named):
+            ClusterEvent.from_wire(command, 0)
+
+    @given(_EVENTS)
+    @settings(max_examples=200, deadline=None)
+    def test_wire_round_trip(self, event):
+        import json
+
+        wire = event.to_wire()
+        assert wire["op"] == event.action and "tick" not in wire
+        assert ClusterEvent.from_wire(json.loads(json.dumps(wire)), event.tick) == event
+
+    def test_a_fractional_event_tick_is_refused_before_the_run(self, tree):
+        """``tick=1.5`` passed ``run``'s window check, but ``drive`` fires on
+        ``==``: the event never fired, and neither did any event after it."""
+        runtime = ClusterRuntime({0: tree})
+        runtime.publish("seed", 0, _leaf_rates(tree, [(15, 5.0)]))
+        for tick in (1.5, True):
+            with pytest.raises(ClusterError, match="tick"):
+                runtime.run(
+                    4,
+                    [
+                        ClusterEvent(tick=tick, action="retire", doc_id="seed"),
+                        ClusterEvent(tick=2, action="publish", doc_id="z", home=0, rates=_leaf_rates(tree, [(16, 1.0)])),
+                    ],
+                )
+        assert runtime.doc_ids == ("seed",) and runtime.tick_count == 0

@@ -113,7 +113,7 @@ class TestScaleEvents:
             trees=cluster.trees,
             documents=cluster.documents,
             events=(
-                ClusterEvent(tick=4, action="scale", doc_id=hot_id, factor=20.0),
+                ClusterEvent(tick=4, action="scale", doc_ids=(hot_id,), factor=20.0),
             ),
             ticks=cluster.ticks,
         )

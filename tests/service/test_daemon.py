@@ -9,6 +9,12 @@ import pytest
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.runtime import ClusterRuntime
+from repro.cluster.scenarios import (
+    churn_scenario,
+    diurnal_scenario,
+    flash_crowd_scenario,
+    run_scenario,
+)
 from repro.core.kernel import SyncEngine, degree_edge_alphas, flatten
 from repro.core.tree import kary_tree, tree_from_edges
 from repro.obs.sink import MemorySink
@@ -89,6 +95,63 @@ def test_lifecycle_ops_mutate_the_catalog(service, catalog):
     assert service.execute({"op": "snapshot"})["snapshot"]["documents"] == 1
 
 
+def test_each_lifecycle_op_is_one_apply_of_its_event(service, catalog, monkeypatch):
+    """A count, not a clock: the four wire ops reach the catalog only as
+    ``ClusterRuntime.apply(ClusterEvent.from_wire(...))``, one call each,
+    and a command refused by the parser makes none."""
+    applied = []
+    apply = ClusterRuntime.apply
+    monkeypatch.setattr(
+        ClusterRuntime, "apply", lambda self, event: applied.append(event) or apply(self, event)
+    )
+    replies = [
+        service.execute(command)
+        for command in (
+            {"op": "publish", "doc_id": "d2", "home": 0, "rates": [1] * N},
+            {"op": "set_rates", "doc_id": "d2", "rates": [2.0] * N},
+            {"op": "scale", "factor": 2, "doc_ids": ["d2"]},
+            {"op": "retire", "doc_id": "d2"},
+        )
+    ]
+    assert [event.action for event in applied] == ["publish", "set_rates", "scale", "retire"]
+    assert all(event.tick == 0 for event in applied)
+    assert replies[:3] == [
+        {"ok": True, "doc_id": "d2"},
+        {"ok": True, "doc_id": "d2"},
+        {"ok": True, "factor": 2.0},
+    ]
+    assert list(replies[3]) == ["ok", "doc_id", "removed_mass"]
+    assert replies[3]["removed_mass"] == pytest.approx(4.0 * N)
+    service.execute({"op": "tick", "count": 2})
+    for refused in (
+        {"op": "scale", "factor": 2, "doc_id": "seed"},
+        {"op": "publish", "doc_id": 5, "home": 0, "rates": [1.0] * N},
+        {"op": "set_rates", "doc_id": "seed", "rates": "1" * N},
+        {"op": "retire", "doc_id": "seed", "tick": 2},
+    ):
+        assert not service.execute(refused)["ok"]
+    assert len(applied) == 4
+    assert service.execute({"op": "retire", "doc_id": "seed"})["ok"]
+    assert applied[-1].tick == 2  # the runtime's tick, not a wire field
+
+
+@pytest.mark.parametrize("scenario", [flash_crowd_scenario, diurnal_scenario, churn_scenario])
+def test_a_scenario_sent_as_a_command_trace_ends_where_its_run_does(scenario):
+    """The trace format: each tick's events as ``to_wire()`` lines, then one
+    ``{"op": "tick"}``.  Executed through the service it is the run."""
+    compiled = scenario()
+    ran, _ = run_scenario(compiled)
+    runtime = ClusterRuntime(dict(compiled.trees), config=ClusterConfig(track_tlb=True))
+    runtime.publish_many(compiled.documents)
+    service = Service(runtime)
+    for tick in range(compiled.ticks):
+        lines = [json.dumps(e.to_wire()) for e in compiled.events if e.tick == tick]
+        for line in lines + [json.dumps({"op": "tick"})]:
+            reply = service.execute(json.loads(line))
+            assert reply["ok"], reply
+    assert json.dumps(runtime.state()) == json.dumps(ran.state())
+
+
 def test_errors_come_back_as_responses_not_raises(service):
     for bad in (
         {"op": "retire", "doc_id": "ghost"},
@@ -124,7 +187,26 @@ def test_bad_numbers_are_error_responses_naming_the_field(service, bad):
         pytest.param({"op": "tick", "count": float("inf")}, "tick count", id="tick-count-inf"),
         pytest.param(
             {"op": "publish", "doc_id": "x", "home": float("inf"), "rates": [1.0] * N},
-            "OverflowError", id="publish-home-inf",
+            "home", id="publish-home-inf",
+        ),
+        # bare str() / int() / float() coercions: published a document named
+        # "None" / "5" (replying 5), the dict's keys as rates, the string's
+        # characters, bools as 1.0, and home 0 for 0.7 and "0"
+        pytest.param({"op": "publish", "doc_id": None, "home": 0, "rates": [1.0] * N}, "doc_id", id="publish-doc_id-null"),
+        pytest.param({"op": "publish", "doc_id": 5, "home": 0, "rates": [1.0] * N}, "doc_id", id="publish-doc_id-number"),
+        pytest.param(
+            {"op": "publish", "doc_id": "x", "home": 0, "rates": {str(i): 1 for i in range(N)}},
+            "rates", id="publish-rates-object",
+        ),
+        pytest.param({"op": "publish", "doc_id": "x", "home": 0, "rates": "1" * N}, "rates", id="publish-rates-string"),
+        pytest.param({"op": "publish", "doc_id": "x", "home": 0, "rates": [True] * N}, "rates", id="publish-rates-bools"),
+        pytest.param({"op": "publish", "doc_id": "x", "home": 0.7, "rates": [1.0] * N}, "home", id="publish-home-fraction"),
+        pytest.param({"op": "publish", "doc_id": "x", "home": "0", "rates": [1.0] * N}, "home", id="publish-home-string"),
+        # fields the op does not take were silently accepted
+        pytest.param({"op": "retire", "doc_id": "seed", "factor": 3}, "'factor'", id="retire-factor"),
+        pytest.param(
+            {"op": "publish", "doc_id": "x", "home": 0, "rates": [1.0] * N, "bogus": 1},
+            "'bogus'", id="publish-bogus",
         ),
         # accepted: a single-threaded daemon busy for ever / for a long time
         pytest.param({"op": "tick", "count": 1e300}, "tick count", id="tick-count-1e300"),
@@ -159,6 +241,9 @@ def test_hostile_command_is_one_error_reply_and_the_service_lives(
         # scaled the catalog by 1.0 and replied ok: true
         pytest.param({"op": "scale", "factor": True}, "scale factor", id="factor-bool"),
         pytest.param({"op": "scale", "factor": "2", "doc_ids": ["a"]}, "scale factor", id="factor-text"),
+        # the scenario vocabulary's one-document form: replied ok: true and
+        # scaled the whole catalog (a, b and x all 3 -> 6)
+        pytest.param({"op": "scale", "factor": 2, "doc_id": "a"}, "'doc_id'", id="doc-id-not-doc-ids"),
     ],
 )
 def test_a_bad_scale_is_refused_whole(service, catalog, command, error):
@@ -177,15 +262,24 @@ def test_unknown_op_lists_known_ops(service):
     response = service.execute({"op": "frobnicate"})
     assert "known ops" in response["error"]
     assert "checkpoint" in response["error"] and "tick" in response["error"]
+    for op in ("publish", "retire", "set_rates", "scale"):
+        assert op in response["error"]
 
 
 def test_catalog_ops_rejected_on_kernel_engines():
     flat = flatten(kary_tree(2, 2))
     engine = SyncEngine(flat, [1.0] * N, [1.0] * N, degree_edge_alphas(flat))
     service = Service(engine)
-    response = service.execute({"op": "publish", "doc_id": "d", "home": 0, "rates": []})
-    assert not response["ok"]
-    assert "SyncEngine" in response["error"]
+    for command in (
+        {"op": "publish", "doc_id": "d", "home": 0, "rates": []},
+        {"op": "retire", "doc_id": "d"},
+        {"op": "set_rates", "doc_id": "d", "rates": [1.0] * N},
+        {"op": "scale", "factor": 2.0},
+    ):
+        response = service.execute(command)
+        assert not response["ok"]
+        assert command["op"] in response["error"] and "SyncEngine" in response["error"]
+    assert service.execute({"op": "info"})["catalog"] is False
     # but the Steppable surface still works
     assert service.execute({"op": "tick", "count": 2})["ok"]
     assert service.execute({"op": "snapshot"})["snapshot"]["kind"] == "sync_engine"
