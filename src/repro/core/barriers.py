@@ -20,8 +20,8 @@ copies *directly* from across the barrier (the nearest ancestor holding a
 copy - ultimately the home server), then caches and serves them normally.
 
 :class:`DocumentWebWave` implements the per-document protocol of Figure 5
-plus this recovery rule, and reproduces Figure 7 (see
-``benchmarks/test_bench_fig7.py``).
+plus this recovery rule, and reproduces Figure 7 (see the ``fig7`` case
+of ``benchmarks/test_bench_paper.py``).
 """
 
 from __future__ import annotations

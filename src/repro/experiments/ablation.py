@@ -10,55 +10,14 @@ tree and on regular tree shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..analysis.tables import format_table
+from ..analysis.tables import Table
 from ..core.tree import RoutingTree, chain_tree, kary_tree
 from ..core.webwave import WebWaveConfig, run_webwave
 from .paper_trees import fig6a_rates, fig6a_tree
 
-__all__ = ["AblationRow", "AblationResult", "run_alpha_ablation", "run_delay_ablation"]
-
-
-@dataclass(frozen=True)
-class AblationRow:
-    """One configuration's convergence outcome."""
-
-    tree: str
-    nodes: int
-    alpha: Optional[float]
-    gossip_delay: int
-    rounds: int
-    converged: bool
-    final_distance: float
-
-
-@dataclass(frozen=True)
-class AblationResult:
-    """All sweep rows."""
-
-    rows: Tuple[AblationRow, ...]
-    title: str
-
-    def report(self) -> str:
-        return format_table(
-            ["tree", "n", "alpha", "delay", "rounds", "converged", "final dist"],
-            [
-                [
-                    r.tree,
-                    r.nodes,
-                    "1/(d+1)" if r.alpha is None else f"{r.alpha:g}",
-                    r.gossip_delay,
-                    r.rounds,
-                    str(r.converged),
-                    r.final_distance,
-                ]
-                for r in self.rows
-            ],
-            precision=4,
-            title=self.title,
-        )
+__all__ = ["run_alpha_ablation", "run_delay_ablation"]
 
 
 def _trees() -> List[Tuple[str, RoutingTree, List[float]]]:
@@ -75,67 +34,63 @@ def _trees() -> List[Tuple[str, RoutingTree, List[float]]]:
     ]
 
 
-def run_alpha_ablation(
-    alphas: Sequence[Optional[float]] = (None, 0.05, 0.1, 0.2, 0.3, 0.5),
-    max_rounds: int = 6000,
-    tolerance: float = 1e-5,
-    unsafe: bool = False,
-) -> AblationResult:
-    """Sweep the diffusion parameter over several tree shapes.
-
-    With ``unsafe=True`` the per-edge stability cap is bypassed, exposing
-    the oscillation/divergence region above ``1/(deg+1)``.
-    """
-    rows: List[AblationRow] = []
+def _sweep(
+    title: str,
+    configs: Sequence[Tuple[Optional[float], int, bool]],
+    max_rounds: int,
+    tolerance: float,
+) -> Table:
+    """Rounds-to-convergence of every ``(alpha, delay, unsafe)`` per tree."""
+    rows = []
     for name, tree, rates in _trees():
-        for alpha in alphas:
+        for alpha, delay, unsafe in configs:
             config = WebWaveConfig(
                 alpha=alpha,
+                gossip_delay=delay,
                 max_rounds=max_rounds,
                 tolerance=tolerance,
                 unsafe_alpha=unsafe,
             )
             result = run_webwave(tree, rates, config)
             rows.append(
-                AblationRow(
-                    tree=name,
-                    nodes=tree.n,
-                    alpha=alpha,
-                    gossip_delay=0,
-                    rounds=result.rounds,
-                    converged=result.converged,
-                    final_distance=result.final_distance,
+                (
+                    name,
+                    tree.n,
+                    "1/(d+1)" if alpha is None else f"{alpha:g}",
+                    delay,
+                    result.rounds,
+                    result.converged,
+                    result.final_distance,
                 )
             )
-    return AblationResult(rows=tuple(rows), title="Alpha sweep (E-X3)")
+    columns = ("tree", "n", "alpha", "delay", "rounds", "converged", "final dist")
+    return Table(title, columns, rows, precision=4)
+
+
+def run_alpha_ablation(
+    alphas: Sequence[Optional[float]] = (None, 0.05, 0.1, 0.2, 0.3, 0.5),
+    max_rounds: int = 6000,
+    tolerance: float = 1e-5,
+    unsafe: bool = False,
+) -> Table:
+    """Sweep the diffusion parameter over several tree shapes.
+
+    With ``unsafe=True`` the per-edge stability cap is bypassed, exposing
+    the oscillation/divergence region above ``1/(deg+1)``.
+    """
+    configs = [(alpha, 0, unsafe) for alpha in alphas]
+    return _sweep("Alpha sweep (E-X3)", configs, max_rounds, tolerance)
 
 
 def run_delay_ablation(
     delays: Sequence[int] = (0, 1, 2, 4, 8),
     max_rounds: int = 20000,
     tolerance: float = 1e-5,
-) -> AblationResult:
+) -> Table:
     """Sweep gossip staleness: how stale load views slow convergence.
 
     Bertsekas & Tsitsiklis guarantee asynchronous convergence only under
     *bounded* delay; rounds-to-convergence should grow with the bound.
     """
-    rows: List[AblationRow] = []
-    for name, tree, rates in _trees():
-        for delay in delays:
-            config = WebWaveConfig(
-                gossip_delay=delay, max_rounds=max_rounds, tolerance=tolerance
-            )
-            result = run_webwave(tree, rates, config)
-            rows.append(
-                AblationRow(
-                    tree=name,
-                    nodes=tree.n,
-                    alpha=None,
-                    gossip_delay=delay,
-                    rounds=result.rounds,
-                    converged=result.converged,
-                    final_distance=result.final_distance,
-                )
-            )
-    return AblationResult(rows=tuple(rows), title="Gossip-staleness sweep (E-X3)")
+    configs = [(None, delay, False) for delay in delays]
+    return _sweep("Gossip-staleness sweep (E-X3)", configs, max_rounds, tolerance)

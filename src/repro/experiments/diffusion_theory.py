@@ -10,11 +10,9 @@ WebWave's convergence behaviour rests.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from ..analysis.tables import format_table
+from ..analysis.tables import Table
 from ..core.convergence import empirical_rate, fit_gamma
 from ..core.diffusion import (
     Graph,
@@ -26,40 +24,7 @@ from ..core.diffusion import (
 from ..core.tree import kary_tree, chain_tree, random_tree
 from ..sim.rng import RngStreams
 
-__all__ = ["DiffusionRow", "DiffusionTheoryResult", "run_diffusion_theory"]
-
-
-@dataclass(frozen=True)
-class DiffusionRow:
-    graph: str
-    nodes: int
-    spectral: float
-    fitted: float
-    empirical: float
-    iterations: int
-
-    def flat(self) -> List:
-        return [
-            self.graph,
-            self.nodes,
-            self.spectral,
-            self.fitted,
-            self.empirical,
-            self.iterations,
-        ]
-
-
-@dataclass(frozen=True)
-class DiffusionTheoryResult:
-    rows: Tuple[DiffusionRow, ...]
-
-    def report(self) -> str:
-        return format_table(
-            ["graph", "n", "spectral g", "fitted g", "empirical g", "iters"],
-            [r.flat() for r in self.rows],
-            precision=6,
-            title="Diffusion convergence: spectral vs measured (E-X2)",
-        )
+__all__ = ["run_diffusion_theory"]
 
 
 def _graphs(seed: int) -> List[Tuple[str, Graph]]:
@@ -80,10 +45,10 @@ def run_diffusion_theory(
     seed: int = 0,
     max_iterations: int = 40000,
     tolerance: float = 1e-9,
-) -> DiffusionTheoryResult:
+) -> Table:
     """Compare spectral, fitted, and empirical contraction factors."""
     streams = RngStreams(seed)
-    rows: List[DiffusionRow] = []
+    rows = []
     for name, graph in _graphs(seed):
         rng = streams.fresh("loads", graph=name)
         initial = [rng.uniform(0, 100) for _ in range(graph.n)]
@@ -99,13 +64,11 @@ def run_diffusion_theory(
         fitted = fit_gamma(trace.distances).gamma
         measured = empirical_rate(trace.distances)
         rows.append(
-            DiffusionRow(
-                graph=name,
-                nodes=graph.n,
-                spectral=gamma_spec,
-                fitted=fitted,
-                empirical=measured,
-                iterations=trace.iterations,
-            )
+            (name, graph.n, gamma_spec, fitted, measured, trace.iterations)
         )
-    return DiffusionTheoryResult(rows=tuple(rows))
+    return Table(
+        "Diffusion convergence: spectral vs measured (E-X2)",
+        ("graph", "n", "spectral g", "fitted g", "empirical g", "iters"),
+        rows,
+        precision=6,
+    )

@@ -20,16 +20,14 @@ total-load coupling), so they scale together with the kernel.
 
 from __future__ import annotations
 
-import random
-import statistics
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
-from ..analysis.tables import format_table
+from ..analysis.tables import Table
 from ..core.async_webwave import AsyncWebWave
 from ..core.dynamics import flash_crowd_schedule, run_tracking
 from ..core.forest import ForestResult, ForestWebWave
-from ..core.tree import kary_tree, random_tree
+from ..core.tree import kary_tree
 from ..core.webfold import webfold
 from ..core.webwave import WebWaveConfig, run_webwave
 from ..net.generators import grid_topology
@@ -37,15 +35,11 @@ from ..net.routing import extract_forest
 from ..sim.rng import RngStreams
 
 __all__ = [
-    "WeightedStudy",
     "run_weighted_study",
     "AsyncStudy",
     "run_async_study",
-    "DynamicsStudy",
     "run_dynamics_study",
-    "ForestStudy",
     "run_forest_study",
-    "CacheCapacityStudy",
     "run_cache_capacity_study",
 ]
 
@@ -53,24 +47,11 @@ __all__ = [
 # ----------------------------------------------------------------------
 # E-X6: heterogeneous capacity
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WeightedStudy:
-    rows: Tuple[Tuple[str, float, float, int, bool], ...]
-
-    def report(self) -> str:
-        return format_table(
-            ["capacity spread", "uniform max-util", "weighted max-util", "rounds", "converged"],
-            [list(r) for r in self.rows],
-            precision=4,
-            title="Heterogeneous capacities: weighted vs uniform TLB (E-X6)",
-        )
-
-
 def run_weighted_study(
     spreads: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
     seed: int = 0,
     max_rounds: int = 40_000,
-) -> WeightedStudy:
+) -> Table:
     """Compare max utilization of uniform-TLB vs weighted-TLB placement.
 
     Capacities are drawn log-uniformly within a factor ``spread``; the
@@ -101,28 +82,26 @@ def run_weighted_study(
                 run.converged,
             )
         )
-    return WeightedStudy(rows=tuple(rows))
+    return Table(
+        "Heterogeneous capacities: weighted vs uniform TLB (E-X6)",
+        ("capacity spread", "uniform max-util", "weighted max-util", "rounds", "converged"),
+        rows,
+        precision=4,
+    )
 
 
 # ----------------------------------------------------------------------
 # E-X7: asynchronous activations
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class AsyncStudy:
-    rows: Tuple[Tuple[int, int, bool, float], ...]
-    sync_rounds: int
+class AsyncStudy(Table):
+    """The E-X7 table plus the synchronous reference its notes print.
 
-    def report(self) -> str:
-        table = format_table(
-            ["staleness", "activations", "converged", "activations / n"],
-            [list(r) for r in self.rows],
-            precision=1,
-            title="Asynchronous WebWave vs gossip staleness (E-X7)",
-        )
-        return (
-            f"{table}\n\nsynchronous reference: {self.sync_rounds} rounds "
-            f"(= {self.sync_rounds} activations x n)"
-        )
+    A table of its own because the bench claim compares the rows against
+    ``sync_rounds``, which no cell holds.
+    """
+
+    sync_rounds: int = field(kw_only=True)
 
 
 def run_async_study(
@@ -155,29 +134,24 @@ def run_async_study(
                 result.activations / tree.n,
             )
         )
-    return AsyncStudy(rows=tuple(rows), sync_rounds=sync.rounds)
+    return AsyncStudy(
+        "Asynchronous WebWave vs gossip staleness (E-X7)",
+        ("staleness", "activations", "converged", "activations / n"),
+        rows,
+        precision=1,
+        notes=f"\n\nsynchronous reference: {sync.rounds} rounds "
+        f"(= {sync.rounds} activations x n)",
+        sync_rounds=sync.rounds,
+    )
 
 
 # ----------------------------------------------------------------------
 # E-X8: erratic request rates
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DynamicsStudy:
-    rows: Tuple[Tuple[str, float, str, float], ...]
-
-    def report(self) -> str:
-        return format_table(
-            ["scenario", "mean tracking error", "recovery rounds", "final distance"],
-            [list(r) for r in self.rows],
-            precision=4,
-            title="WebWave under erratic request rates (E-X8)",
-        )
-
-
 def run_dynamics_study(
     crowd_rates: Sequence[float] = (40.0, 80.0, 160.0),
     rounds: int = 500,
-) -> DynamicsStudy:
+) -> Table:
     """Flash crowds of growing intensity: tracking error and recovery."""
     tree = kary_tree(2, 3)
     rows = []
@@ -202,29 +176,21 @@ def run_dynamics_study(
                 result.final_distance,
             )
         )
-    return DynamicsStudy(rows=tuple(rows))
+    return Table(
+        "WebWave under erratic request rates (E-X8)",
+        ("scenario", "mean tracking error", "recovery rounds", "final distance"),
+        rows,
+        precision=4,
+    )
 
 
 # ----------------------------------------------------------------------
 # E-X9: forest of overlapping trees
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ForestStudy:
-    rows: Tuple[Tuple[str, int, float, float, float, float], ...]
-
-    def report(self) -> str:
-        return format_table(
-            ["scenario", "homes", "initial max", "final max", "solo-TLB max", "improvement"],
-            [list(r) for r in self.rows],
-            precision=3,
-            title="WebWave over overlapping routing trees (E-X9)",
-        )
-
-
-def run_forest_study(seed: int = 0, max_rounds: int = 4000) -> ForestStudy:
+def run_forest_study(seed: int = 0, max_rounds: int = 4000) -> Table:
     """Coupled diffusion on grids and random graphs with 2-4 home servers."""
     streams = RngStreams(seed)
-    rows: List[Tuple[str, int, float, float, float, float]] = []
+    rows = []
 
     # opposing hot corners on a grid
     topo = grid_topology(4, 4)
@@ -258,7 +224,11 @@ def run_forest_study(seed: int = 0, max_rounds: int = 4000) -> ForestStudy:
     )
     rows.append(_forest_row("random-tree opposing hot leaves", 2, result2))
 
-    return ForestStudy(rows=tuple(rows))
+    return Table(
+        "WebWave over overlapping routing trees (E-X9)",
+        ("scenario", "homes", "initial max", "final max", "solo-TLB max", "improvement"),
+        rows,
+    )
 
 
 def _forest_row(name: str, homes: int, result: ForestResult):
@@ -275,25 +245,12 @@ def _forest_row(name: str, homes: int, result: ForestResult):
 # ----------------------------------------------------------------------
 # E-X10: bounded cache capacity
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CacheCapacityStudy:
-    rows: Tuple[Tuple[str, float, float, float, int], ...]
-
-    def report(self) -> str:
-        return format_table(
-            ["cache capacity", "throughput/s", "home share %", "copies held", "evictions"],
-            [list(r) for r in self.rows],
-            precision=3,
-            title="Bounded cache capacity on the packet level (E-X10)",
-        )
-
-
 def run_cache_capacity_study(
     capacities: Sequence[Optional[int]] = (1, 2, 4, 8, None),
     duration: float = 30.0,
     warmup: float = 10.0,
     seed: int = 0,
-) -> CacheCapacityStudy:
+) -> Table:
     """How finite cache storage degrades WebWave's load spreading.
 
     The paper assumes unlimited storage (Section 3); here each non-home
@@ -332,4 +289,8 @@ def run_cache_capacity_study(
                 evictions,
             )
         )
-    return CacheCapacityStudy(rows=tuple(rows))
+    return Table(
+        "Bounded cache capacity on the packet level (E-X10)",
+        ("cache capacity", "throughput/s", "home share %", "copies held", "evictions"),
+        rows,
+    )

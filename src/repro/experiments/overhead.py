@@ -11,69 +11,13 @@ and total router CPU time spent classifying packets (at the DPF-measured
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from ..analysis.tables import format_table
+from ..analysis.tables import Table
 from ..protocols.scenario import Scenario, ScenarioConfig
 from .scalability import PROTOCOLS, hotspot_workload
 
-__all__ = ["OverheadRow", "OverheadResult", "run_overhead"]
-
-
-@dataclass(frozen=True)
-class OverheadRow:
-    """Message and filter accounting for one protocol at one size."""
-
-    protocol: str
-    nodes: int
-    served: int
-    messages: Dict[str, int]
-    msgs_per_request: float
-    max_filter_entries: int
-    total_filter_entries: int
-    filter_cpu_seconds: float
-
-    def flat(self) -> List:
-        return [
-            self.protocol,
-            self.nodes,
-            self.served,
-            sum(self.messages.values()),
-            round(self.msgs_per_request, 3),
-            self.max_filter_entries,
-            self.total_filter_entries,
-            round(self.filter_cpu_seconds * 1000, 3),
-        ]
-
-
-@dataclass(frozen=True)
-class OverheadResult:
-    rows: Tuple[OverheadRow, ...]
-
-    def report(self) -> str:
-        table = format_table(
-            [
-                "protocol",
-                "n",
-                "served",
-                "ctrl msgs",
-                "msgs/req",
-                "max filt",
-                "tot filt",
-                "filt CPU ms",
-            ],
-            [r.flat() for r in self.rows],
-            title="Protocol overhead (E-X5)",
-        )
-        details = []
-        for r in self.rows:
-            if r.messages:
-                breakdown = ", ".join(
-                    f"{k}={v}" for k, v in sorted(r.messages.items())
-                )
-                details.append(f"  {r.protocol} (n={r.nodes}): {breakdown}")
-        return table + ("\n\nMessage breakdown:\n" + "\n".join(details) if details else "")
+__all__ = ["run_overhead"]
 
 
 def run_overhead(
@@ -83,10 +27,11 @@ def run_overhead(
     warmup: float = 10.0,
     capacity: float = 25.0,
     seed: int = 0,
-) -> OverheadResult:
+) -> Table:
     """Measure control-message and filter overhead per protocol and size."""
     chosen = protocols or tuple(PROTOCOLS)
-    rows: List[OverheadRow] = []
+    rows = []
+    details = []
     for height in heights:
         workload = hotspot_workload(height)
         config = ScenarioConfig(
@@ -99,18 +44,28 @@ def run_overhead(
             consultations = sum(r.filters.consultations for r in scenario.routers)
             cpu = consultations * scenario.config.filter_match_cost
             served = metrics.completed
+            total = metrics.total_messages()
             rows.append(
-                OverheadRow(
-                    protocol=name,
-                    nodes=scenario.tree.n,
-                    served=served,
-                    messages=dict(metrics.messages),
-                    msgs_per_request=(
-                        metrics.total_messages() / served if served else 0.0
-                    ),
-                    max_filter_entries=max(filter_sizes),
-                    total_filter_entries=sum(filter_sizes),
-                    filter_cpu_seconds=cpu,
+                (
+                    name,
+                    scenario.tree.n,
+                    served,
+                    total,
+                    total / served if served else 0.0,
+                    max(filter_sizes),
+                    sum(filter_sizes),
+                    cpu * 1000,
                 )
             )
-    return OverheadResult(rows=tuple(rows))
+            if metrics.messages:
+                breakdown = ", ".join(
+                    f"{k}={v}" for k, v in sorted(metrics.messages.items())
+                )
+                details.append(f"  {name} (n={scenario.tree.n}): {breakdown}")
+    return Table(
+        "Protocol overhead (E-X5)",
+        ("protocol", "n", "served", "ctrl msgs", "msgs/req", "max filt",
+         "tot filt", "filt CPU ms"),
+        rows,
+        notes="\n\nMessage breakdown:\n" + "\n".join(details) if details else "",
+    )

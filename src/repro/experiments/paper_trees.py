@@ -1,8 +1,9 @@
 """The hand-crafted trees and workloads of the paper's figures.
 
 The scanned paper does not reproduce legibly the exact node counts and
-spontaneous rates of Figures 2, 4 and 6a, so - as documented in DESIGN.md -
-we craft trees with the same *qualitative* structure the captions describe:
+spontaneous rates of Figures 2, 4 and 6a, so - as documented in
+ARCHITECTURE.md, "Layer 3" - we craft trees with the same *qualitative*
+structure the captions describe:
 
 * Figure 2: one small tree with two different spontaneous-rate patterns,
   (a) where the TLB assignment is also GLE and (b) where it is not.

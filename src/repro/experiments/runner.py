@@ -2,7 +2,7 @@
 
 ``webwave-experiments list`` shows every experiment; ``webwave-experiments
 run <id> [...]`` executes them and prints the paper-style report.  Each
-experiment id matches the per-experiment index in DESIGN.md.
+experiment id matches the per-experiment index in ARCHITECTURE.md, "Layer 3".
 
 ``serve`` starts the resident service plane (a live
 :class:`~repro.cluster.runtime.ClusterRuntime` behind an ndjson command

@@ -14,82 +14,31 @@ Two studies around Section 5.2:
   popularity with scattered demand produces more of them.
 
 These studies run the per-document protocol (:mod:`repro.core.barriers`),
-which still iterates per cached copy; folding its aggregate-rate half onto
-the vectorized :mod:`repro.core.kernel` round is the natural next step now
-that the four rate-level simulators share that engine.
+which iterates per cached copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Sequence
 
-from ..analysis.tables import format_table
+from ..analysis.tables import Table
 from ..core.barriers import DocumentDemand, DocumentWebWave, DocumentWebWaveConfig
 from ..core.tree import random_tree
 from ..documents.popularity import zipf_weights
 from ..sim.rng import RngStreams
 from .paper_trees import fig7_demand, fig7_initial_cache, fig7_initial_served
 
-__all__ = [
-    "PatienceRow",
-    "SkewRow",
-    "TunnelingResult",
-    "run_patience_sweep",
-    "run_skew_study",
-]
-
-
-@dataclass(frozen=True)
-class PatienceRow:
-    patience: int
-    converged: bool
-    rounds: int
-    tunnel_fetches: int
-
-
-@dataclass(frozen=True)
-class SkewRow:
-    zipf_s: float
-    trials: int
-    mean_tunnels: float
-    mean_rounds: float
-    converged_fraction: float
-
-
-@dataclass(frozen=True)
-class TunnelingResult:
-    patience_rows: Tuple[PatienceRow, ...]
-    skew_rows: Tuple[SkewRow, ...]
-
-    def report(self) -> str:
-        patience = format_table(
-            ["patience", "converged", "rounds", "tunnel fetches"],
-            [
-                [r.patience, str(r.converged), r.rounds, r.tunnel_fetches]
-                for r in self.patience_rows
-            ],
-            title="Tunneling patience sweep on Figure 7 (E-X4)",
-        )
-        skew = format_table(
-            ["zipf s", "trials", "mean tunnels", "mean rounds", "converged"],
-            [
-                [r.zipf_s, r.trials, r.mean_tunnels, r.mean_rounds, r.converged_fraction]
-                for r in self.skew_rows
-            ],
-            precision=2,
-            title="Barrier frequency vs popularity skew (E-X4)",
-        )
-        return f"{patience}\n\n{skew}"
+__all__ = ["run_patience_sweep", "run_skew_study", "run_tunneling_study"]
 
 
 def run_patience_sweep(
     patiences: Sequence[int] = (0, 1, 2, 4, 8),
     max_rounds: int = 500,
     tolerance: float = 0.5,
-) -> Tuple[PatienceRow, ...]:
+) -> Table:
     """Sweep the barrier-detection threshold on the Figure 7 stuck state."""
-    rows: List[PatienceRow] = []
+    rows = []
     for patience in patiences:
         model = DocumentWebWave(
             fig7_demand(),
@@ -101,14 +50,13 @@ def run_patience_sweep(
         )
         result = model.run()
         rows.append(
-            PatienceRow(
-                patience=patience,
-                converged=result.converged,
-                rounds=result.rounds,
-                tunnel_fetches=len(result.tunnel_events),
-            )
+            (patience, result.converged, result.rounds, len(result.tunnel_events))
         )
-    return tuple(rows)
+    return Table(
+        "Tunneling patience sweep on Figure 7 (E-X4)",
+        ("patience", "converged", "rounds", "tunnel fetches"),
+        rows,
+    )
 
 
 def _random_demand(n_nodes: int, n_docs: int, zipf_s: float, rng) -> DocumentDemand:
@@ -133,10 +81,10 @@ def run_skew_study(
     max_rounds: int = 600,
     tolerance: float = 1.0,
     seed: int = 0,
-) -> Tuple[SkewRow, ...]:
+) -> Table:
     """Count tunneling activity over random workloads per Zipf skew."""
     streams = RngStreams(seed)
-    rows: List[SkewRow] = []
+    rows = []
     for s in skews:
         tunnels: List[int] = []
         rounds: List[int] = []
@@ -155,20 +103,17 @@ def run_skew_study(
             rounds.append(result.rounds)
             converged += int(result.converged)
         rows.append(
-            SkewRow(
-                zipf_s=s,
-                trials=trials,
-                mean_tunnels=sum(tunnels) / trials,
-                mean_rounds=sum(rounds) / trials,
-                converged_fraction=converged / trials,
-            )
+            (s, trials, sum(tunnels) / trials, sum(rounds) / trials, converged / trials)
         )
-    return tuple(rows)
-
-
-def run_tunneling_study(**kwargs) -> TunnelingResult:
-    """Both halves of E-X4 with default parameters."""
-    return TunnelingResult(
-        patience_rows=run_patience_sweep(),
-        skew_rows=run_skew_study(**kwargs),
+    return Table(
+        "Barrier frequency vs popularity skew (E-X4)",
+        ("zipf s", "trials", "mean tunnels", "mean rounds", "converged"),
+        rows,
+        precision=2,
     )
+
+
+def run_tunneling_study(**kwargs) -> Table:
+    """Both halves of E-X4: the patience table, the skew table as its notes."""
+    patience = run_patience_sweep()
+    return replace(patience, notes=f"\n\n{run_skew_study(**kwargs).report()}")
