@@ -12,9 +12,7 @@ Pinned entries (the home server's authoritative copies) are never evicted.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
-
-from ..core.steppable import state_count
+from typing import Iterator, Optional, Set, Tuple
 
 __all__ = ["CacheStore", "CacheError"]
 
@@ -150,53 +148,3 @@ class CacheStore:
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    # ------------------------------------------------------------------
-    # Serialization (service-plane checkpoints)
-    # ------------------------------------------------------------------
-    def state(self) -> Dict[str, object]:
-        """Complete store state, preserving recency order and hit counts."""
-        return {
-            "capacity": self._capacity,
-            "policy": self._policy,
-            "entries": [[doc_id, count] for doc_id, count in self._entries.items()],
-            "pinned": sorted(self._pinned),
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "CacheStore":
-        """Rebuild a store with identical contents, order and counters.
-
-        Raises ``ValueError`` naming the field for a bad capacity or policy,
-        a negative or non-integer counter, or a pin on an absent document.
-        """
-        what = "cache store"
-        capacity = state["capacity"]
-        if capacity is not None:
-            capacity = state_count(state, "capacity", what)
-        store = cls(capacity=capacity, policy=state["policy"])
-        try:
-            entries = OrderedDict(
-                (doc_id, int(count)) for doc_id, count in state["entries"]
-            )
-            pinned = set(state["pinned"])
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{what} 'entries' must be [doc id, hit count] pairs and "
-                "'pinned' a list of doc ids"
-            ) from None
-        if entries and min(entries.values()) < 0:
-            raise ValueError(f"{what} 'entries' hit counts must be non-negative")
-        if not pinned <= entries.keys():
-            raise ValueError(f"{what} 'pinned' names documents that are not entries")
-        store._entries = entries
-        store._pinned = pinned
-        store.insertions = state_count(state, "insertions", what)
-        store.evictions = state_count(state, "evictions", what)
-        store.hits = state_count(state, "hits", what)
-        store.misses = state_count(state, "misses", what)
-        return store

@@ -36,9 +36,6 @@ class ClusterConfig:
         and report TLB gap / converged fraction per tick.
     tolerance:
         Relative distance below which a document counts as converged.
-    prune:
-        Run each cohort on its demand closure (identical trajectories,
-        far less work).
     adaptive:
         Active-set cohort engines plus cohort freezing (bit-identical to
         dense stepping).
@@ -48,7 +45,6 @@ class ClusterConfig:
     capacities: Optional[Tuple[float, ...]] = None
     track_tlb: bool = False
     tolerance: float = 1e-3
-    prune: bool = True
     adaptive: bool = True
 
     def __post_init__(self) -> None:

@@ -86,12 +86,15 @@ def _number(value) -> Optional[float]:
 
 
 def _rate_tuple(value) -> Optional[Tuple[float, ...]]:
-    # By dtype, not per element: a dict, a string, bools or nesting refuse.
+    # By dtype: a dict, a string, all-bools or nesting refuse.  numpy reads
+    # [1.0, true] as float64, so a list is also scanned once for a bool.
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nesting
         return None
     if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        return None
+    if arr is not value and bool in map(type, value):
         return None
     return tuple(arr.astype(np.float64).tolist())
 
@@ -268,8 +271,7 @@ class ClusterRuntime:
         A :class:`~repro.cluster.config.ClusterConfig` (defaults when
         omitted).  ``track_tlb`` costs one ``O(s log s)`` WebFold per
         document lifecycle change and nothing per tick beyond a distance
-        evaluation; ``prune=False`` forces full-width engines (useful for
-        benchmarking the pruning itself); with ``adaptive`` the cohort
+        evaluation; with ``adaptive`` the cohort
         engines step over their active sets and the runtime *freezes*
         cohorts whose engines go quiescent (empty frontier): a frozen
         cohort is dropped from the tick loop - its arrays are not touched
@@ -317,7 +319,6 @@ class ClusterRuntime:
         )
         self._track_tlb = bool(cfg.track_tlb)
         self._tolerance = float(cfg.tolerance)
-        self._prune = bool(cfg.prune)
         self._adaptive = bool(cfg.adaptive)
         self._groups: Dict[int, _HomeGroup] = {}
         self._doc_home: Dict[str, int] = {}
@@ -542,9 +543,8 @@ class ClusterRuntime:
                 served_arr = self._as_rates(served, "served rates")
                 if float(served_arr[~closure].sum()) > 0.0:
                     served_arr = resettle_served(group.flat, rates_arr, served_arr)
-            mask = closure if self._prune else np.ones(group.flat.n, dtype=bool)
-            key = np.packbits(mask).tobytes()
-            prepared.append((doc_id, home, key, mask, rates_arr, served_arr))
+            key = np.packbits(closure).tobytes()
+            prepared.append((doc_id, home, key, closure, rates_arr, served_arr))
 
         batches: Dict[Tuple[int, bytes], List] = {}
         for entry in prepared:
@@ -615,11 +615,7 @@ class ClusterRuntime:
         """
         group, cohort, row = self._cohort_of(doc_id)
         rates_arr = self._as_rates(rates)
-        if self._prune:
-            mask = demand_closure(group.flat, rates_arr)
-        else:
-            mask = np.ones(group.flat.n, dtype=bool)
-        key = np.packbits(mask).tobytes()
+        key = np.packbits(demand_closure(group.flat, rates_arr)).tobytes()
         if key == self._doc_cohort[doc_id]:
             cohort.engine.resettle_rows([row], cohort.pruned.restrict(rates_arr)[None, :])
             self._wake(group.home, key, cohort)
@@ -839,7 +835,9 @@ class ClusterRuntime:
             ),
             "track_tlb": self._track_tlb,
             "tolerance": self._tolerance,
-            "prune": self._prune,
+            # A v1 format field with one value: every cohort runs on its
+            # demand closure.  Kept so checkpoints stay byte-compatible.
+            "prune": True,
             "adaptive": self._adaptive,
             "groups": groups,
         }
@@ -875,7 +873,8 @@ class ClusterRuntime:
         tolerance = float(state["tolerance"])
         if not 0.0 < tolerance < np.inf:  # the ClusterConfig contract
             raise ValueError(f"{what} 'tolerance' must be finite and > 0")
-        prune = bool(state["prune"])
+        if state["prune"] is not True:  # a full-width catalog: none exists
+            raise ValueError(f"{what} 'prune' must be true")
         adaptive = bool(state["adaptive"])
         tick = state_count(state, "tick", what)
         groups: Dict[int, _HomeGroup] = {}
@@ -925,7 +924,6 @@ class ClusterRuntime:
         self._capacities = capacities
         self._track_tlb = track_tlb
         self._tolerance = tolerance
-        self._prune = prune
         self._adaptive = adaptive
         self._n = n
         self._tick = tick

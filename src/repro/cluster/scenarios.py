@@ -327,7 +327,6 @@ def run_scenario(
     alpha: Optional[float] = None,
     track_tlb: bool = True,
     tolerance: float = 1e-3,
-    prune: bool = True,
     snapshot_every: int = 1,
 ) -> Tuple[ClusterRuntime, ClusterMetrics]:
     """Build the runtime, publish the catalog, and run the scenario."""
@@ -338,7 +337,6 @@ def run_scenario(
             capacities=scenario.capacities,
             track_tlb=track_tlb,
             tolerance=tolerance,
-            prune=prune,
         ),
     )
     runtime.publish_many(scenario.documents)

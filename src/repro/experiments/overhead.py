@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from ..analysis.tables import Table
 from ..protocols.scenario import Scenario, ScenarioConfig
+from ..router.packetfilter import DPF_MATCH_COST
 from .scalability import PROTOCOLS, hotspot_workload
 
 __all__ = ["run_overhead"]
@@ -42,7 +43,7 @@ def run_overhead(
             metrics = scenario.run()
             filter_sizes = [len(r.filters) for r in scenario.routers]
             consultations = sum(r.filters.consultations for r in scenario.routers)
-            cpu = consultations * scenario.config.filter_match_cost
+            cpu = consultations * DPF_MATCH_COST
             served = metrics.completed
             total = metrics.total_messages()
             rows.append(

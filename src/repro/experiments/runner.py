@@ -253,10 +253,7 @@ def _serve(args) -> int:
             tree_source, config=ClusterConfig(alpha=args.alpha, track_tlb=True)
         )
 
-    try:
-        service = Service(runtime, export_every=args.export_every)
-    except ValueError as exc:  # --restore of a component kind, not a Steppable
-        return _usage_error(f"cannot serve {args.restore!r}: {exc}")
+    service = Service(runtime, export_every=args.export_every)
     if args.export is not None:
         try:
             service.sink = NdjsonSink(args.export)

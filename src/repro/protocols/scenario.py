@@ -93,7 +93,6 @@ class ScenarioConfig:
     seed: int = 0
     hop_delay: float = 0.01
     default_capacity: float = 100.0
-    filter_match_cost: float = DPF_MATCH_COST
     arrival_kind: str = "poisson"
     cache_capacity: Optional[int] = None
     cache_policy: str = "lru"
@@ -289,7 +288,7 @@ class Scenario:
         # Per-node hop latency toward the parent (edge delay + filter
         # classification cost), hot-path precomputed.
         self._hop_cost: List[float] = [
-            self.edge_delay(node, self._parent[node]) + self.config.filter_match_cost
+            self.edge_delay(node, self._parent[node]) + DPF_MATCH_COST
             if node != self._root
             else 0.0
             for node in self.tree
@@ -342,7 +341,6 @@ class Scenario:
                 server=self.servers[node],
                 parent=tree.parent(node),
             )
-            router.filters.match_cost = cfg.filter_match_cost
             router.sync_filter()
             self.routers.append(router)
 
@@ -510,7 +508,7 @@ class Scenario:
                 serve = False
             if serve:
                 self._diverted[node] += 1
-                cost = self.config.filter_match_cost
+                cost = DPF_MATCH_COST
                 if t == now:
                     self._serve(request, node, extra_delay=cost)
                 else:

@@ -26,6 +26,11 @@ indexing and catalog document indexing:
 Bit-for-bit parity with the dict-based plane is pinned by
 ``tests/golden/packet_goldens.json`` (recorded pre-refactor) and the live
 comparison against the oracle in ``tests/protocols/test_packet_parity.py``.
+
+Nothing here is checkpointed.  A packet run's event heap, arrival sources
+and gossip views live in the scenario, not in these arrays, so a capture
+of them alone could not resume a run; the checkpoint kinds are the five
+Steppables of :mod:`repro.service.checkpoint`.
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cache.store import CacheStore
-from ..core.kernel import state_field
-from ..core.steppable import require_kind
 
 __all__ = ["MeterBank", "PacketState", "CacheServerView", "TargetsView"]
 
@@ -77,8 +80,6 @@ class MeterBank:
     bookkeeping of meters that never counted anything differs, and no
     estimate reads it.
     """
-
-    STATE_KIND = "meter_bank"
 
     __slots__ = ("size", "window", "alpha", "counts", "wstart", "est", "seeded", "live")
 
@@ -158,66 +159,6 @@ class MeterBank:
                 self._roll(k, now)
         return self.est.copy()
 
-    # -- serialization (service-plane checkpoints) -----------------------
-    def state(self) -> Dict[str, object]:
-        """Every meter's exact bookkeeping (counts, anchors, estimates).
-
-        The live set is not serialised (:meth:`load_state` derives it); an
-        unrecorded meter's anchor is written as the 0.0 it will start from.
-        """
-        return {
-            "kind": self.STATE_KIND,
-            "size": self.size,
-            "window": self.window,
-            "alpha": self.alpha,
-            "counts": list(self.counts),
-            "wstart": [0.0 if ws == _NEVER else ws for ws in self.wstart],
-            "est": self.est.tolist(),
-            "seeded": list(self.seeded),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state` capture in place (bit-identical rates).
-
-        A capture that is not a bank of this size, or that carries a
-        truncated, non-finite or negative field, raises ``ValueError`` and
-        leaves the bank untouched.
-        """
-        require_kind(self, state)
-        size = self.size
-        if int(state["size"]) != size:
-            raise ValueError(
-                f"meter bank state has {state['size']} meters, bank has {size}"
-            )
-        window = float(state["window"])
-        alpha = float(state["alpha"])
-        if not (0 < window < np.inf and 0 < alpha <= 1):
-            raise ValueError("meter bank 'window' must be positive and 'alpha' in (0, 1]")
-        what = "meter bank"
-        counts = state_field(state, "counts", (size,), what).tolist()
-        anchors = state_field(state, "wstart", (size,), what).tolist()
-        est = state_field(state, "est", (size,), what)
-        seeded = state_field(state, "seeded", (size,), what, bool).tolist()
-        # A meter is live iff it was ever rolled (seeded) or holds a count
-        # from its first window.
-        live = [k for k in range(size) if seeded[k] or counts[k] != 0.0]
-        wstart = [_NEVER] * size
-        for k in live:
-            wstart[k] = anchors[k]
-        self.window = window
-        self.alpha = alpha
-        self.counts = counts
-        self.wstart = wstart
-        self.est = est
-        self.seeded = seeded
-        self.live = live
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "MeterBank":
-        bank = cls(int(state["size"]), float(state["window"]), float(state["alpha"]))
-        bank.load_state(state)
-        return bank
-
 
 class TargetsView:
     """One node's serve targets as a mapping over the shared matrix.
@@ -290,8 +231,6 @@ class PacketState:
     document axis follows the catalog's sorted ``doc_ids``.  Per-document
     meters live in flat banks of size ``n * D`` indexed ``node * D + doc``.
     """
-
-    STATE_KIND = "packet_state"
 
     def __init__(
         self,
@@ -431,127 +370,6 @@ class PacketState:
         self.busy_until[node] = completion
         self.busy_time[node] += service_time
         return completion
-
-    # ------------------------------------------------------------------
-    # Serialization (service-plane checkpoints)
-    # ------------------------------------------------------------------
-    def state(self) -> Dict[str, object]:
-        """Complete per-server protocol state as a JSON-compatible dict.
-
-        Covers the targets matrix, all three EWMA meter banks *as
-        maintained* (counts, window anchors, estimates), queue/busy
-        bookkeeping, failure flags, and every cache store with its
-        recency order and pin set - everything needed to resume the
-        protocol datapath bit-identically.
-        """
-        return {
-            "kind": self.STATE_KIND,
-            "n": self.n,
-            "doc_ids": list(self.doc_ids),
-            "home": self.home,
-            "capacities": self.capacity.tolist(),
-            "meter_window": self.meter_window,
-            "targets": self.targets.tolist(),
-            "has_target": self.has_target.tolist(),
-            "served_total": self.served_total.state(),
-            "served_doc": self.served_doc.state(),
-            "fwd_doc": self.fwd_doc.state(),
-            "busy_until": self.busy_until.tolist(),
-            "busy_time": self.busy_time.tolist(),
-            "requests_served": list(self.requests_served),
-            "requests_forwarded": list(self.requests_forwarded),
-            "failed": self.failed.tolist(),
-            "stores": [store.state() for store in self.stores],
-            "fwd_row_stamp": list(self._fwd_row_stamp),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state` capture in place (bit-identical resume).
-
-        Everything is parsed and validated into locals first; a capture
-        with a different universe, a wrong-shaped matrix or vector, or a
-        non-finite or negative value raises ``ValueError`` naming the field
-        and leaves this state untouched.
-        """
-        require_kind(self, state)
-        n, d = self.n, self.docs
-        what = self.STATE_KIND
-        if int(state["n"]) != n or tuple(state["doc_ids"]) != self.doc_ids:
-            raise ValueError(f"{what} capture has a different node/document universe")
-        home = int(state["home"])
-        if not 0 <= home < n:
-            raise ValueError(f"{what} 'home' must be a node id below {n}, got {home}")
-        capacity = state_field(state, "capacities", (n,), what)
-        if n and capacity.min() <= 0.0:
-            raise ValueError(f"{what} 'capacities' must be positive")
-        meter_window = float(state["meter_window"])
-        if not 0 < meter_window < np.inf:
-            raise ValueError(f"{what} 'meter_window' must be positive and finite")
-        targets = state_field(state, "targets", (n, d), what)
-        has_target = state_field(state, "has_target", (n, d), what, bool)
-        banks = []
-        for field, size in (("served_total", n), ("served_doc", n * d), ("fwd_doc", n * d)):
-            bank = MeterBank(size)
-            try:
-                bank.load_state(state[field])
-            except ValueError as exc:
-                raise ValueError(f"{what} {field!r}: {exc}") from None
-            banks.append(bank)
-        busy_until = state_field(state, "busy_until", (n,), what)
-        busy_time = state_field(state, "busy_time", (n,), what)
-        failed = state_field(state, "failed", (n,), what, bool)
-
-        def per_node(field: str) -> Sequence:
-            values = state[field]
-            if len(values) != n:
-                raise ValueError(f"{what} {field!r}: expected {n} entries, got {len(values)}")
-            return values
-
-        tallies = []
-        for field in ("requests_served", "requests_forwarded"):
-            tally = [int(x) for x in per_node(field)]
-            if n and min(tally) < 0:
-                raise ValueError(f"{what} {field!r} must be non-negative")
-            tallies.append(tally)
-        stamps = [float(x) for x in per_node("fwd_row_stamp")]
-        store_states = per_node("stores")
-        try:
-            stores = [CacheStore.from_state(s) for s in store_states]
-        except ValueError as exc:
-            raise ValueError(f"{what} 'stores': {exc}") from None
-        cached = [
-            {self.doc_index[doc_id] for doc_id, _ in s["entries"]}
-            for s in state["stores"]
-        ]
-
-        self.home = home
-        self.capacity = capacity
-        self.meter_window = meter_window
-        self.targets = targets
-        self.has_target = has_target
-        self.served_total, self.served_doc, self.fwd_doc = banks
-        self.busy_until = busy_until
-        self.busy_time = busy_time
-        self.requests_served, self.requests_forwarded = tallies
-        self.failed = failed
-        self.stores = stores
-        self.cached = cached
-        self._fwd_row_stamp = stamps
-        self._fwd_docs = [None] * n
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "PacketState":
-        """Rebuild the protocol state from nothing but a :meth:`state` dict."""
-        require_kind(cls, state)
-        fresh = cls(
-            int(state["n"]),
-            state["doc_ids"],
-            state["capacities"],
-            int(state["home"]),
-            meter_window=float(state["meter_window"]),
-        )
-        fresh.load_state(state)
-        return fresh
 
 
 class CacheServerView:

@@ -81,7 +81,6 @@ class WebWaveProtocolConfig:
     patience: int = 2
     tunneling: bool = True
     min_transfer_rate: float = 0.1
-    copy_message_delay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.gossip_period <= 0 or self.diffusion_period <= 0:
@@ -347,7 +346,7 @@ class WebWaveScenario(Scenario):
         """Send a cache copy down one edge; install on arrival."""
         self.count_message("copy_transfer")
         doc = self.workload.catalog.get(doc_id)
-        delay = self.edge_delay(src, dst) + self.protocol.copy_message_delay
+        delay = self.edge_delay(src, dst)
         link_bw = None
         if self.topology is not None:
             link_bw = self.topology.link(src, dst).bandwidth

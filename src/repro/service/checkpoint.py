@@ -28,6 +28,12 @@ Why this shape survives:
 * **Forward-version refusal.**  A checkpoint written by a newer schema
   (``.../v2`` read by a v1 build) fails with a clear error naming both
   versions, rather than misinterpreting fields.
+* **Only what resumes.**  The five registered kinds are the Steppables
+  (``sync_engine``, ``async_engine``, ``forest_engine``,
+  ``batch_engine``, ``cluster_runtime``).  The packet plane is not
+  checkpointed - its event heap and arrival sources are never captured -
+  and a file of any other kind is refused by :func:`restore_state`, which
+  lists the known kinds, before any parser sees it.
 """
 
 from __future__ import annotations
@@ -63,9 +69,10 @@ class CheckpointError(ValueError):
 
 # ----------------------------------------------------------------------
 # Registry: state "kind" -> (module, class) whose ``from_state`` rebuilds
-# it; the class names the same kind as its ``STATE_KIND``.  Modules are
-# imported on use so the service plane stays importable without pulling
-# every plane at once.
+# it; the class names the same kind as its ``STATE_KIND``.  Every entry is
+# a Steppable - only what a service can drive is checkpointed.  Modules
+# are imported on use so the service plane stays importable without
+# pulling every plane at once.
 # ----------------------------------------------------------------------
 _REGISTRY: Dict[str, Tuple[str, str]] = {
     "sync_engine": ("repro.core.kernel", "SyncEngine"),
@@ -73,9 +80,6 @@ _REGISTRY: Dict[str, Tuple[str, str]] = {
     "forest_engine": ("repro.core.kernel", "ForestEngine"),
     "batch_engine": ("repro.cluster.batch", "BatchEngine"),
     "cluster_runtime": ("repro.cluster.runtime", "ClusterRuntime"),
-    "meter_bank": ("repro.protocols.state", "MeterBank"),
-    "packet_state": ("repro.protocols.state", "PacketState"),
-    "rng_streams": ("repro.sim.rng", "RngStreams"),
 }
 
 
@@ -184,9 +188,7 @@ def restore_state(state: Mapping[str, Any], *, telemetry: Optional[Any] = None) 
         )
     module, name = _REGISTRY[kind]
     cls = getattr(importlib.import_module(module), name)
-    # The packet plane's state objects are not instrumented and take none.
-    kwargs = {} if telemetry is None else {"telemetry": telemetry}
-    return cls.from_state(state, **kwargs)
+    return cls.from_state(state, telemetry=telemetry)
 
 
 def restore_checkpoint(path: str, *, telemetry: Optional[Any] = None) -> Any:

@@ -25,8 +25,8 @@ Commands
     The current snapshot record (also streamed to the sink).
 ``checkpoint {"path": P}`` / ``restore {"path": P}``
     Pin the full state to disk / swap in the state pinned at ``P`` (a
-    checkpoint of a component kind - ``meter_bank``, ``packet_state``,
-    ``rng_streams`` - is refused: it has nothing to step or snapshot).
+    checkpoint of a kind the registry does not hold is refused by name,
+    and the resident runtime ticks on).
 ``shutdown``
     Mark the service closed; serving loops exit after replying.
 """
@@ -87,8 +87,9 @@ class Service:
 
     @runtime.setter
     def runtime(self, runtime: Any) -> None:
-        # The one gate (construction, ``restore``, ``serve --restore``): the
-        # checkpoint registry also rebuilds components nothing can drive.
+        # The one gate (construction, ``restore``, ``serve --restore``).  The
+        # checkpoint registry holds Steppables only, so what it stops is a
+        # service built directly around something that is not one.
         if not isinstance(runtime, Steppable):
             raise ServiceError(
                 f"a service holds a Steppable; kind {getattr(runtime, 'STATE_KIND', None)!r} "

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, Tuple, Union
-
-from ..core.steppable import mt_state, require_kind
+from typing import Dict, Tuple, Union
 
 __all__ = ["RngStreams", "derive_seed"]
 
@@ -40,8 +38,6 @@ class RngStreams:
         arrivals = streams.get("arrivals", node=3)
         topology = streams.get("topology")
     """
-
-    STATE_KIND = "rng_streams"
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
@@ -80,53 +76,3 @@ class RngStreams:
     def spawn(self, name: str) -> "RngStreams":
         """A child family whose master seed derives from this one."""
         return RngStreams(derive_seed(self._seed, "spawn", name))
-
-    # ------------------------------------------------------------------
-    # Serialization (service-plane checkpoints)
-    # ------------------------------------------------------------------
-    def state(self) -> Dict:
-        """Every materialized stream's exact MT19937 word state.
-
-        Streams not yet requested need no entry: they are derived
-        deterministically from the master seed on first :meth:`get`, so a
-        restored family continues identically either way.
-        """
-        streams = []
-        for key, rng in self._streams.items():
-            version, words, gauss_next = rng.getstate()
-            streams.append(
-                {
-                    "key": [
-                        list(part) if isinstance(part, tuple) else part
-                        for part in key
-                    ],
-                    "rng": [version, list(words), gauss_next],
-                }
-            )
-        return {"kind": self.STATE_KIND, "seed": self._seed, "streams": streams}
-
-    def load_state(self, state: Dict) -> None:
-        """Restore a :meth:`state` capture (bit-identical draw sequences).
-
-        A capture with a malformed MT19937 state raises ``ValueError`` and
-        leaves the family untouched.
-        """
-        require_kind(self, state)
-        seed = int(state["seed"])
-        streams: Dict[Tuple, random.Random] = {}
-        for entry in state["streams"]:
-            key = tuple(
-                tuple(part) if isinstance(part, list) else part
-                for part in entry["key"]
-            )
-            stream = random.Random()
-            stream.setstate(mt_state(entry["rng"], f"{self.STATE_KIND} stream {key!r}"))
-            streams[key] = stream
-        self._seed = seed
-        self._streams = streams
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "RngStreams":
-        streams = cls(int(state["seed"]))
-        streams.load_state(state)
-        return streams

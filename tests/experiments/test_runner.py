@@ -113,16 +113,17 @@ class TestMisuseIsUniform:
         assert "tunneling" in err
 
     def test_serve_restore_of_a_component_checkpoint_exits_2(self, tmp_path, capsys):
-        """A well-formed checkpoint of a kind nothing can drive: at the
-        parent the daemon started and died on its first tick."""
-        from repro.protocols.state import MeterBank
+        """A well-formed checkpoint of a kind the registry does not hold
+        (the packet plane's ``meter_bank`` was once one) never starts a
+        daemon."""
         from repro.service import write_checkpoint
 
         path = str(tmp_path / "meter_bank.ckpt")
-        write_checkpoint(MeterBank(4, window=1.0, alpha=0.5), path)
+        write_checkpoint({"kind": "meter_bank", "size": 4}, path)
         assert main(["serve", "--restore", path]) == 2
         err = capsys.readouterr().err
-        assert "meter_bank" in err and "registered experiments:" in err
+        assert "'meter_bank'" in err and "known kinds:" in err
+        assert "registered experiments:" in err
 
 
 class TestTelemetryCli:

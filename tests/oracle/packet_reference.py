@@ -91,7 +91,6 @@ class ReferenceScenario:
             router = Router(
                 node=node, server=server, parent=self.tree.parent(node)
             )
-            router.filters.match_cost = cfg.filter_match_cost
             router.sync_filter()
             self.routers.append(router)
 
@@ -336,7 +335,7 @@ class ReferenceWebWaveScenario(ReferenceScenario):
     def _ship_copy(self, src: int, dst: int, doc_id: str, target_add: float, now: float) -> None:
         self.count_message("copy_transfer")
         doc = self.workload.catalog.get(doc_id)
-        delay = self.edge_delay(src, dst) + self.protocol.copy_message_delay
+        delay = self.edge_delay(src, dst)
         link_bw = None
         if self.topology is not None:
             link_bw = self.topology.link(src, dst).bandwidth
