@@ -37,13 +37,12 @@ from ..core.kernel import (
     FlatTree,
     _NO_EDGES,
     _as_matrix,
-    _state_parent_map,
     degree_edge_alphas,
     flatten,
     forwarded_rates,
     resettle_served,
 )
-from ..core.steppable import require_kind
+from ..core.steppable import require_kind, state_counts
 from ..core.tree import tree_from_parent_map
 
 __all__ = ["BatchEngine"]
@@ -351,7 +350,8 @@ class BatchEngine(DiffusionStack):
     ) -> "BatchEngine":
         """Rebuild an engine from nothing but a :meth:`state` dict."""
         require_kind(cls, state)
-        flat = flatten(tree_from_parent_map(list(_state_parent_map(state))))
+        parent = state_counts(state, "parent_map", cls.STATE_KIND)
+        flat = flatten(tree_from_parent_map(parent))
         engine = cls(flat, np.zeros((0, flat.n)), telemetry=telemetry)
         engine.load_state(state)
         return engine

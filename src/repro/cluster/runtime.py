@@ -51,7 +51,7 @@ from ..core.kernel import (
     resettle_served,
     state_field,
 )
-from ..core.steppable import is_count, require_kind, state_count
+from ..core.steppable import is_count, require_kind, state_count, state_counts
 from ..core.tree import RoutingTree, tree_from_parent_map
 from ..core.webfold import webfold
 from ..obs.telemetry import resolve as _resolve_telemetry
@@ -883,8 +883,8 @@ class ClusterRuntime:
         active_cohorts: Dict[Tuple[int, bytes], _Cohort] = {}
         untargeted: List[_Cohort] = []
         for g in state["groups"]:
-            home = int(g["home"])
-            tree = tree_from_parent_map([int(p) for p in g["parent_map"]])
+            home = state_count(g, "home", what)
+            tree = tree_from_parent_map(state_counts(g, "parent_map", what))
             no_rows = np.zeros((0, tree.n))  # the captured engine state brings them
             group = groups[home] = _new_group(home, tree, n, alpha)
             for c in g["cohorts"]:
@@ -946,9 +946,10 @@ class ClusterRuntime:
         with a live tree source via :meth:`load_state` to keep one).
         """
         require_kind(cls, state)
+        what = cls.STATE_KIND
         trees = {
-            int(g["home"]): tree_from_parent_map(
-                [int(p) for p in g["parent_map"]]
+            state_count(g, "home", what): tree_from_parent_map(
+                state_counts(g, "parent_map", what)
             )
             for g in state["groups"]
         }

@@ -79,7 +79,7 @@ from . import policy
 from ..obs.telemetry import resolve as _resolve_telemetry
 from .config import EngineConfig
 from .frontier import batch_incident_edges, incident_edges_of, node_slots, sorted_unique
-from .steppable import mt_state, require_kind, state_count
+from .steppable import mt_state, require_kind, state_count, state_counts
 from .tree import RoutingTree, tree_from_parent_map
 
 __all__ = [
@@ -100,10 +100,6 @@ __all__ = [
 ]
 
 _EPS = 1e-12
-
-
-def _state_parent_map(state: Mapping[str, object]) -> Tuple[int, ...]:
-    return tuple(int(p) for p in state["parent_map"])  # type: ignore[index]
 
 
 class FlatTree:
@@ -787,7 +783,7 @@ class DiffusionStack:
         capture that raises leaves the stack untouched.
         """
         what = self.STATE_KIND
-        if _state_parent_map(state) != self.flat.tree.parent_map:
+        if state_counts(state, "parent_map", what) != self.flat.tree.parent_map:
             raise ValueError(f"{what} state was captured on a different tree")
         n = self.flat.n
         m = n - 1
@@ -1156,7 +1152,8 @@ class SyncEngine(DiffusionStack):
     def from_state(cls, state: Mapping[str, object], *, telemetry=None) -> "SyncEngine":
         """Rebuild an engine from nothing but a :meth:`state` dict."""
         require_kind(cls, state)
-        flat = flatten(tree_from_parent_map(list(_state_parent_map(state))))
+        parent = state_counts(state, "parent_map", cls.STATE_KIND)
+        flat = flatten(tree_from_parent_map(parent))
         blank = np.zeros(flat.n)
         engine = cls(
             flat, blank, blank, np.zeros(flat.n - 1), telemetry=telemetry
@@ -1283,14 +1280,14 @@ class ForestEngine:
         entry, then swap them all."""
         require_kind(self, state)
         what = self.STATE_KIND
-        entries = {int(ent["home"]): ent for ent in state["homes"]}
+        entries = {state_count(ent, "home", what): ent for ent in state["homes"]}
         if tuple(sorted(entries)) != self.homes:
             raise ValueError(f"{what} state was captured for different homes")
         round_ = state_count(state, "round", what)
         parsed = []
         for h, stack in self._stacks.items():
             ent = entries[h]
-            if _state_parent_map(ent) != stack.flat.tree.parent_map:
+            if state_counts(ent, "parent_map", what) != stack.flat.tree.parent_map:
                 raise ValueError(
                     f"{what} state for home {h} was captured on a different tree"
                 )
@@ -1313,14 +1310,15 @@ class ForestEngine:
         cls, state: Mapping[str, object], *, telemetry=None
     ) -> "ForestEngine":
         require_kind(cls, state)
+        what = cls.STATE_KIND
         flats = {
-            int(ent["home"]): flatten(
-                tree_from_parent_map([int(p) for p in ent["parent_map"]])
+            state_count(ent, "home", what): flatten(
+                tree_from_parent_map(state_counts(ent, "parent_map", what))
             )
             for ent in state["homes"]
         }
         if not flats:
-            raise ValueError(f"{cls.STATE_KIND} state names no homes")
+            raise ValueError(f"{what} state names no homes")
         engine = cls(
             flats,
             {h: np.zeros(flat.n) for h, flat in flats.items()},
@@ -1501,7 +1499,7 @@ class AsyncEngine:
         hold it."""
         require_kind(self, state)
         what, n = self.STATE_KIND, self.flat.n
-        if _state_parent_map(state) != self.flat.tree.parent_map:
+        if state_counts(state, "parent_map", what) != self.flat.tree.parent_map:
             raise ValueError(f"{what} state was captured on a different tree")
         e = state_field(state, "spontaneous", (n,), what)
         loads = state_field(state, "loads", (n,), what)
@@ -1529,7 +1527,8 @@ class AsyncEngine:
         cls, state: Mapping[str, object], *, telemetry=None
     ) -> "AsyncEngine":
         require_kind(cls, state)
-        flat = flatten(tree_from_parent_map(list(_state_parent_map(state))))
+        parent = state_counts(state, "parent_map", cls.STATE_KIND)
+        flat = flatten(tree_from_parent_map(parent))
         blank = np.zeros(flat.n)
         engine = cls(
             flat, blank, blank, np.zeros(flat.n - 1), random.Random(), telemetry=telemetry

@@ -46,9 +46,12 @@ from __future__ import annotations
 
 import numbers
 import random
-from typing import Any, Dict, Mapping, Protocol, Tuple, runtime_checkable
+from typing import Any, Dict, Iterable, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
-__all__ = ["Steppable", "is_count", "mt_state", "require_kind", "snapshot_record", "state_count"]
+__all__ = [
+    "Steppable", "count_tuple", "is_count", "mt_state", "require_kind",
+    "snapshot_record", "state_count", "state_counts",
+]
 
 
 @runtime_checkable
@@ -104,6 +107,15 @@ def is_count(value: Any) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 0
 
 
+def count_tuple(values: Iterable[Any]) -> Optional[Tuple[int, ...]]:
+    """``values`` as a tuple of ints if every one :func:`is_count`, else
+    ``None``.  A list of plain non-negative ints is checked at C speed."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int} and (not values or min(values) >= 0):
+        return values
+    return tuple(map(int, values)) if all(map(is_count, values)) else None
+
+
 def state_count(state: Mapping[str, Any], field: str, what: str) -> int:
     """``state[field]`` as a non-negative int (:func:`is_count`), or a
     ``ValueError`` naming it."""
@@ -113,17 +125,25 @@ def state_count(state: Mapping[str, Any], field: str, what: str) -> int:
     return int(value)
 
 
+def state_counts(state: Mapping[str, Any], field: str, what: str) -> Tuple[int, ...]:
+    """``state[field]``, a list of non-negative ints (:func:`is_count`
+    each), as a tuple, or a ``ValueError`` naming it."""
+    values = count_tuple(state[field])
+    if values is None:
+        raise ValueError(f"{what} {field!r} entries must be non-negative integers")
+    return values
+
+
 def mt_state(entry: Any, what: str) -> Tuple[int, Tuple[int, ...], Any]:
     """A serialised ``[version, 625 words, gauss_next]`` MT19937 state as the
     tuple ``random.Random.setstate`` takes, checked by a trial ``setstate``
     on a scratch generator (word count, index range, version)."""
     try:
         version, words, gauss_next = entry
-        parsed = (
-            int(version),
-            tuple(int(w) for w in words),
-            None if gauss_next is None else float(gauss_next),
-        )
+        words = count_tuple(words)
+        if words is None or not is_count(version):
+            raise ValueError  # "3" is not a version, nor w + 0.7 a word
+        parsed = (int(version), words, None if gauss_next is None else float(gauss_next))
         random.Random().setstate(parsed)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(

@@ -19,6 +19,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from .steppable import count_tuple, is_count
+
 __all__ = [
     "RoutingTree",
     "TreeError",
@@ -59,10 +61,10 @@ class RoutingTree:
         n = len(parent)
         if n == 0:
             raise TreeError("a routing tree must contain at least one node")
-        parent_t = tuple(int(p) for p in parent)
-        for i, p in enumerate(parent_t):
-            if not 0 <= p < n:
-                raise TreeError(f"parent[{i}]={p} is not a node id in 0..{n - 1}")
+        parent_t = count_tuple(parent)  # 0.9, "0" and True are not node ids
+        if parent_t is None or max(parent_t) >= n:
+            i = next(i for i, p in enumerate(parent) if not (is_count(p) and p < n))
+            raise TreeError(f"parent[{i}]={parent[i]!r} is not a node id in 0..{n - 1}")
         roots = [i for i, p in enumerate(parent_t) if p == i]
         if len(roots) != 1:
             raise TreeError(f"expected exactly one root (parent[i]==i), found {roots}")

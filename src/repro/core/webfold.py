@@ -22,7 +22,10 @@ verified property-based in the test suite.
 The implementation keeps a lazy max-heap of foldable candidates, giving
 ``O(n log n)``-ish behaviour on large trees (per-fold loads only ever
 increase over a fold's lifetime, so stale heap entries are always
-underestimates and can be skipped safely).
+underestimates and can be skipped safely).  The fold state is flat lists
+indexed by fold root, and only the load assignment is built eagerly: the
+:class:`Fold` and :class:`FoldStep` objects are replayed from the recorded
+fold order when first read.
 
 Server capacity is a parameter of this one fold, not a second algorithm
 (the paper assumes "uniform capacity", Section 5.1).  Given a positive
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import positive_capacities
 from .load import LoadAssignment
@@ -115,25 +118,66 @@ class FoldStep:
 
 
 class FoldResult:
-    """Output of :func:`webfold`: the folded tree and the TLB assignment."""
+    """Output of :func:`webfold`: the folded tree and the TLB assignment.
 
-    __slots__ = ("_tree", "_folds", "_fold_of", "_trace", "_assignment", "_capacities")
+    Only the assignment is built eagerly.  The :class:`Fold` and
+    :class:`FoldStep` objects are built on the first read of ``folds``,
+    ``fold_of``, ``fold_roots``, ``num_folds`` or ``trace`` by replaying the
+    recorded fold order (the same adds in the same order, so the same bits),
+    then cached.
+    """
+
+    __slots__ = (
+        "_tree", "_assignment", "_capacities", "_fold_of", "_into", "_order",
+        "_folds", "_trace",
+    )
 
     def __init__(
         self,
         tree: RoutingTree,
-        folds: Dict[int, Fold],
-        fold_of: Sequence[int],
-        trace: Tuple[FoldStep, ...],
         assignment: LoadAssignment,
         capacities: Tuple[float, ...],
+        fold_of: List[int],
+        into: List[int],
+        order: List[int],
     ) -> None:
         self._tree = tree
-        self._folds = folds
-        self._fold_of = tuple(fold_of)
-        self._trace = trace
         self._assignment = assignment
         self._capacities = capacities
+        self._fold_of = fold_of  # final fold root of every node
+        self._into = into  # into[j]: the fold j was folded into (dead j)
+        self._order = order  # folded roots, in fold order
+        self._folds: Optional[Dict[int, Fold]] = None
+        self._trace: Optional[Tuple[FoldStep, ...]] = None
+
+    def _replay(self) -> None:
+        esum = list(self._assignment.spontaneous)
+        csum = list(self._capacities)
+        size = [1] * len(esum)
+        into = self._into
+        trace = []
+        for step, j in enumerate(self._order):
+            i = into[j]
+            lj = esum[j] / csum[j]
+            li = esum[i] / csum[i]
+            esum[i] += esum[j]
+            csum[i] += csum[j]
+            size[i] += size[j]
+            trace.append(FoldStep(step, j, i, lj, li, size[i], esum[i] / csum[i]))
+        members: Dict[int, List[int]] = {}
+        for m, r in enumerate(self._fold_of):
+            members.setdefault(r, []).append(m)
+        self._folds = {
+            r: Fold(root=r, members=tuple(ms), spontaneous=esum[r], capacity=csum[r])
+            for r, ms in sorted(members.items())
+        }
+        self._trace = tuple(trace)
+
+    @property
+    def _fold_map(self) -> Dict[int, Fold]:
+        if self._folds is None:
+            self._replay()
+        return self._folds
 
     @property
     def tree(self) -> RoutingTree:
@@ -143,7 +187,7 @@ class FoldResult:
     @property
     def folds(self) -> Dict[int, Fold]:
         """Mapping fold-root -> :class:`Fold` for every final fold."""
-        return dict(self._folds)
+        return dict(self._fold_map)
 
     @property
     def assignment(self) -> LoadAssignment:
@@ -153,21 +197,23 @@ class FoldResult:
     @property
     def trace(self) -> Tuple[FoldStep, ...]:
         """The complete folding sequence, in execution order."""
+        if self._trace is None:
+            self._replay()
         return self._trace
 
     def fold_of(self, node: int) -> Fold:
         """The final fold containing ``node``."""
-        return self._folds[self._fold_of[node]]
+        return self._fold_map[self._fold_of[node]]
 
     @property
     def fold_roots(self) -> Tuple[int, ...]:
         """Fold names (their root nodes), ascending."""
-        return tuple(sorted(self._folds))
+        return tuple(self._fold_map)
 
     @property
     def num_folds(self) -> int:
         """Number of folds in the final partition."""
-        return len(self._folds)
+        return len(self._fold_map)
 
     def loads(self) -> Tuple[float, ...]:
         """Per-node TLB loads (alias for ``assignment.served``)."""
@@ -240,99 +286,62 @@ def webfold(
     if len(caps) != n:
         raise ValueError(f"expected {n} capacities, got {len(caps)}")
 
-    # --- mutable fold state -------------------------------------------
-    # A fold is alive iff alive[root]; its members/children/spontaneous and
-    # capacity sums are indexed by the fold root.  fold_parent[root] is the
-    # root of the fold containing the tree-parent of `root`.
-    alive = [True] * n
-    members: List[List[int]] = [[i] for i in range(n)]
-    esum = list(base.spontaneous)  # spontaneous sum per fold
-    csum = list(caps)  # capacity sum per fold (the member count when uniform)
-    children: List[Set[int]] = [set(tree.children(i)) for i in range(n)]
-    fold_parent = [tree.parent_map[i] for i in range(n)]
+    # A fold is named by its root; esum/csum hold its spontaneous and
+    # capacity sums.  kids[r] lists r's child folds but may also hold folded
+    # (dead) ids, which are skipped; it is None once r itself is folded.
+    # fold_parent[r] is the root of the fold holding r's tree parent, frozen
+    # when r is folded, so for a dead r it names the fold r went into.
+    root = tree.root
+    esum = list(base.spontaneous)
+    csum = list(caps)
+    kids = [list(tree.children(r)) for r in range(n)]
+    fold_parent = list(tree.parent_map)
     version = [0] * n
+    order: List[int] = []
 
-    def load_of(r: int) -> float:
-        return esum[r] / csum[r]
-
-    # Lazy max-heap of foldability candidates: (-load, root, version).
-    # A fold's per-node load only increases over its lifetime, so an entry
-    # with a stale version is an underestimate and may simply be skipped.
-    heap: List[Tuple[float, int, int]] = []
-
-    def push(r: int) -> None:
-        heapq.heappush(heap, (-load_of(r), r, version[r]))
-
-    for i in range(n):
-        if i != tree.root:
-            push(i)
-
-    trace: List[FoldStep] = []
-    step = 0
+    # Lazy max-heap of foldability candidates: (-load, root, version).  A
+    # fold's load only increases over its lifetime, so an entry with a stale
+    # version is an underestimate and may simply be skipped.
+    heap = [(-(esum[r] / csum[r]), r, 0) for r in range(n) if r != root]
+    heapq.heapify(heap)
+    pop = heapq.heappop
+    push = heapq.heappush
     while heap:
-        neg_load, j, ver = heapq.heappop(heap)
-        if not alive[j] or ver != version[j] or j == tree.root:
+        neg_load, j, ver = pop(heap)
+        if ver != version[j]:  # stale, or j already folded
             continue
         i = fold_parent[j]
-        lj = load_of(j)
-        li = load_of(i)
-        if not lj > li:  # Foldable(j, i) per Figure 3 is a strict inequality
+        lj = -neg_load  # exact: j's sums only change with its version
+        if not lj > esum[i] / csum[i]:  # Foldable(j, i) is a strict inequality
             continue
 
         # ---- Fold(j into i): steps (2.1)-(2.4) of Figure 3 ------------
-        alive[j] = False
         version[j] += 1
-        if len(members[j]) > len(members[i]):
-            members[i], members[j] = members[j], members[i]
-        members[i].extend(members[j])
-        members[j] = []
         esum[i] += esum[j]
         csum[i] += csum[j]
-        children[i].discard(j)
-        kids_j = children[j]
-        children[j] = set()
-        for c in kids_j:
-            fold_parent[c] = i
-            push(c)  # new, lower-load parent: c may have become foldable
-        if len(kids_j) > len(children[i]):
-            kids_j, children[i] = children[i], kids_j
-        children[i].update(kids_j)
+        kids_i = kids[i]
+        for c in kids[j]:
+            if kids[c] is not None:
+                fold_parent[c] = i
+                kids_i.append(c)
+                # a new, lower-load parent: c may have become foldable
+                push(heap, (-(esum[c] / csum[c]), c, version[c]))
+        kids[j] = None
         version[i] += 1
-        merged_load = load_of(i)
-        trace.append(
-            FoldStep(
-                index=step,
-                folded=j,
-                into=i,
-                folded_load=lj,
-                into_load=li,
-                merged_size=len(members[i]),
-                merged_load=merged_load,
-            )
-        )
-        step += 1
+        order.append(j)
         # i's load increased: i itself may now be foldable into its parent.
         # (Its surviving children only became *less* foldable, and the
         # reparented ones were pushed above, so nothing else changes.)
-        if i != tree.root:
-            push(i)
+        if i != root:
+            push(heap, (-(esum[i] / csum[i]), i, version[i]))
 
-    # --- assemble result ----------------------------------------------
-    folds: Dict[int, Fold] = {}
-    fold_of = [0] * n
-    loads = [0.0] * n
-    for r in range(n):
-        if alive[r]:
-            ms = tuple(sorted(members[r]))
-            fold = Fold(root=r, members=ms, spontaneous=esum[r], capacity=csum[r])
-            folds[r] = fold
-            load = fold.load
-            for m in ms:
-                fold_of[m] = r
-                loads[m] = load * caps[m]
-
-    assignment = base.with_served(loads)
-    return FoldResult(tree, folds, fold_of, tuple(trace), assignment, caps)
+    # Every fold j went into was alive then, so walking the folds backwards
+    # finds each node's final fold root in one pass.
+    fold_of = list(range(n))
+    for j in reversed(order):
+        fold_of[j] = fold_of[fold_parent[j]]
+    loads = [esum[r] / csum[r] * c for r, c in zip(fold_of, caps)]
+    return FoldResult(tree, base.with_served(loads), caps, fold_of, fold_parent, order)
 
 
 def fold_partition(

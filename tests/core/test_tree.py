@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,20 @@ class TestConstruction:
     def test_out_of_range_parent_rejected(self):
         with pytest.raises(TreeError, match="not a node id"):
             RoutingTree([0, 5])
+
+    @pytest.mark.parametrize(
+        "parent, index",
+        [([0, 0.9, 1.5], 1), ([0, "0"], 1), ([0, 0, 2.7], 2), ([0, True], 1), ([0, 1.0], 1)],
+    )
+    def test_non_integral_parent_rejected(self, parent, index):
+        # int() used to truncate: RoutingTree([0, 0.9, 1.5]) was (0, 0, 1)
+        with pytest.raises(TreeError, match=rf"parent\[{index}\]=.* is not a node id"):
+            RoutingTree(parent)
+
+    def test_numpy_integer_parents_become_ints(self):
+        tree = RoutingTree(np.array([0, 0, 1]))
+        assert tree.parent_map == (0, 0, 1)
+        assert all(type(p) is int for p in tree.parent_map)
 
     def test_disconnected_cycle_rejected(self):
         # 0 is root; 1 and 2 form a 2-cycle unreachable from the root

@@ -334,7 +334,8 @@ def _set(index, value):
 
 
 def _in_home(field, edit):
-    """Edit one field of a forest state's first home entry."""
+    """Edit one field of the first entry of a list of dicts (a forest
+    state's homes, a catalog's groups)."""
     return lambda homes: [{**homes[0], field: edit(homes[0][field])}] + homes[1:]
 
 
@@ -369,6 +370,10 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_sync_engine, "gossip_delay", lambda v: -1, "gossip_delay", id="sync-delay-negative"),
         pytest.param(_sync_engine, "capacities", lambda v: [0.0] * 15, "capacities", id="sync-capacities-zero"),
         pytest.param(_sync_engine, "history", lambda v: [], "history", id="sync-history-empty"),
+        # int() truncated each of these back to the resident tree's parent id
+        pytest.param(_sync_engine, "parent_map", _set(1, 0.9), "parent_map", id="sync-parent-fraction"),
+        pytest.param(_sync_engine, "parent_map", _set(1, "0"), "parent_map", id="sync-parent-text"),
+        pytest.param(_sync_engine, "parent_map", lambda v: v[:-1] + [v[-1] + 0.7], "parent_map", id="sync-parent-last-fraction"),
         pytest.param(_stale_sync_engine, "history", lambda v: [v[0][:-1]] + v[1:], "history", id="sync-history-ragged"),
         pytest.param(_stale_sync_engine, "history", lambda v: v + v, "history", id="sync-history-too-long"),
         # a combination no EngineConfig can hold: the capacity rule ignores both
@@ -383,6 +388,7 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_batch_engine, "active", lambda v: [2 * 14], "active", id="batch-active-one-past-the-end"),
         pytest.param(_batch_engine, "op_count", lambda v: -5, "op_count", id="batch-op_count-negative"),
         pytest.param(_batch_engine, "spontaneous", _set((1, 3), INF), "spontaneous", id="batch-spontaneous-inf"),
+        pytest.param(_batch_engine, "parent_map", _set(3, 1.5), "parent_map", id="batch-parent-fraction"),
         # forest_engine
         pytest.param(_forest_engine, "homes", _in_home("loads", _set(2, NAN)), "loads", id="forest-loads-nan"),
         pytest.param(_forest_engine, "homes", _in_home("demand", _set(2, -1.0)), "demand", id="forest-demand-negative"),
@@ -390,6 +396,9 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_forest_engine, "homes", _in_home("edge_alpha", lambda v: v[:-1]), "edge_alpha", id="forest-edge_alpha-short"),
         pytest.param(_forest_engine, "homes", _in_home("loads", lambda v: v + [0.0]), "loads", id="forest-loads-long"),
         pytest.param(_forest_engine, "round", lambda v: -1, "round", id="forest-round-negative"),
+        pytest.param(_forest_engine, "homes", _in_home("parent_map", _set(2, 0.5)), "parent_map", id="forest-parent-fraction"),
+        pytest.param(_forest_engine, "homes", _in_home("home", lambda v: 0.4), "'home'", id="forest-home-fraction"),
+        pytest.param(_forest_engine, "homes", _in_home("home", lambda v: "0"), "'home'", id="forest-home-text"),
         # async_engine
         pytest.param(_async_engine, "loads", _set(0, NAN), "loads", id="async-loads-nan"),
         pytest.param(_async_engine, "fwd", _set(0, NAN), "fwd", id="async-fwd-nan"),
@@ -403,6 +412,10 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_async_engine, "rng", lambda v: [v[0], v[1][:-1] + [9999], v[2]], "rng", id="async-rng-index"),
         pytest.param(_async_engine, "rng", lambda v: [v[0], [-1] + v[1][1:], v[2]], "rng", id="async-rng-negative-word"),
         pytest.param(_async_engine, "rng", lambda v: [v[0], v[1], "soon"], "rng", id="async-rng-gauss-text"),
+        # int() read "3" as version 3 and truncated w + 0.7 back to w
+        pytest.param(_async_engine, "rng", lambda v: ["3", v[1], v[2]], "rng", id="async-rng-version-text"),
+        pytest.param(_async_engine, "rng", lambda v: [v[0], [v[1][0] + 0.7] + v[1][1:], v[2]], "rng", id="async-rng-word-fraction"),
+        pytest.param(_async_engine, "parent_map", _set(4, 1.25), "parent_map", id="async-parent-fraction"),
         # cluster_runtime - the catalog-wide scalars (cohort arrays: test_daemon.py)
         pytest.param(_cluster_runtime, "capacities", _set(3, NAN), "capacities", id="cluster-capacities-nan"),
         pytest.param(_cluster_runtime, "capacities", _set(3, -1.0), "capacities", id="cluster-capacities-negative"),
@@ -424,6 +437,9 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_cluster_runtime, "n", lambda v: INF, "'n'", id="cluster-n-inf"),
         pytest.param(_cluster_runtime, "n", lambda v: 15.7, "'n'", id="cluster-n-fraction"),
         pytest.param(_cluster_runtime, "n", lambda v: "x", "'n'", id="cluster-n-text"),
+        pytest.param(_cluster_runtime, "groups", _in_home("home", lambda v: 0.4), "'home'", id="cluster-home-fraction"),
+        pytest.param(_cluster_runtime, "groups", _in_home("home", lambda v: "0"), "'home'", id="cluster-home-text"),
+        pytest.param(_cluster_runtime, "groups", _in_home("parent_map", _set(5, 2.5)), "parent_map", id="cluster-parent-fraction"),
     ],
 )
 def test_hostile_state_rejected_and_object_untouched(make, field, edit, match):
