@@ -3,20 +3,14 @@
 Everything below :mod:`repro.core` balances one document; this package
 runs the whole catalog - thousands of documents, each diffusing over its
 home-rooted tree - in batched array rounds, with document lifecycle
-(publish/retire/rate changes), demand-closure pruning, process sharding,
-per-tick health snapshots, and scenario drivers (flash crowd, diurnal,
-churn).  See ``ARCHITECTURE.md`` ("the cluster plane") for how it sits
-between the kernel and the experiments.
+(publish/retire/rate changes), demand-closure pruning, per-tick health
+snapshots, and scenario drivers (flash crowd, diurnal, churn).  See
+``ARCHITECTURE.md`` ("the cluster plane") for how it sits between the
+kernel and the experiments.
 """
 
 from .batch import BatchEngine
-from .metrics import (
-    ClusterMetrics,
-    ClusterSnapshot,
-    TickStats,
-    merge_tick_stats,
-    snapshot_from_stats,
-)
+from .metrics import ClusterMetrics, ClusterSnapshot
 from .prune import PrunedTree, demand_closure, induced_subtree, pruned_edge_alphas
 from .runtime import ClusterError, ClusterEvent, ClusterRuntime
 from .scenarios import (
@@ -30,7 +24,6 @@ from .scenarios import (
     run_scenario,
     workload_rate_matrix,
 )
-from .sharding import ShardResult, ShardSpec, partition_homes, run_shard, run_sharded
 
 __all__ = [
     "BatchEngine",
@@ -41,11 +34,8 @@ __all__ = [
     "ClusterError",
     "ClusterEvent",
     "ClusterRuntime",
-    "TickStats",
     "ClusterSnapshot",
     "ClusterMetrics",
-    "merge_tick_stats",
-    "snapshot_from_stats",
     "ClusterScenario",
     "flash_crowd_scenario",
     "diurnal_scenario",
@@ -55,9 +45,4 @@ __all__ = [
     "rerooted_trees",
     "run_scenario",
     "workload_rate_matrix",
-    "ShardSpec",
-    "ShardResult",
-    "partition_homes",
-    "run_shard",
-    "run_sharded",
 ]

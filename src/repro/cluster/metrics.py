@@ -1,16 +1,9 @@
-"""Per-tick cluster health snapshots, mergeable across process shards.
+"""Per-tick cluster health snapshots and the series a run collects.
 
 The cluster runtime reduces each tick to one :class:`ClusterSnapshot`: how
 many documents are live, how hot the hottest server is, how fair the load
 spread is (Jain), and - when TLB tracking is on - how far the catalog sits
 from the per-document optima and what fraction of documents have converged.
-
-Snapshots are *derived* from :class:`TickStats`, a plain additive record
-(per-node totals, sums of squared distances, counts).  Shards compute
-TickStats locally, the parent sums them, and both the inline and the
-sharded paths build snapshots through the same
-:func:`snapshot_from_stats`, so a sharded run reports exactly what the
-same run would report in-process.
 
 :class:`ClusterMetrics` is the series container the experiments layer
 consumes; its :meth:`~ClusterMetrics.report` renders the paper-style table
@@ -19,87 +12,12 @@ via :mod:`repro.analysis`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from ..analysis.metrics import jain_fairness
 from ..analysis.tables import format_table
 
-__all__ = [
-    "TickStats",
-    "ClusterSnapshot",
-    "ClusterMetrics",
-    "merge_tick_stats",
-    "snapshot_from_stats",
-]
-
-
-@dataclass
-class TickStats:
-    """Additive per-tick aggregates; summing two shards' stats is merging.
-
-    ``sq_distance`` / ``sq_target`` / ``converged`` are ``None`` when TLB
-    tracking is off (merging treats ``None`` as absent on both sides).
-    """
-
-    tick: int
-    documents: int
-    total_rate: float
-    mass: float
-    node_totals: np.ndarray
-    sq_distance: Optional[float] = None
-    sq_target: Optional[float] = None
-    converged: Optional[int] = None
-    frozen: int = 0
-
-    def to_record(self) -> Dict:
-        """A JSON-ready ndjson record (``type: "tick_stats"``).
-
-        Per-node totals are summarized (max/sum) rather than inlined -
-        the streaming sink is for health series, not state dumps; full
-        node vectors stay in :meth:`ClusterRuntime.state`.
-        """
-        totals = np.asarray(self.node_totals, dtype=np.float64)
-        return {
-            "type": "tick_stats",
-            "tick": self.tick,
-            "documents": self.documents,
-            "total_rate": self.total_rate,
-            "mass": self.mass,
-            "node_max": float(totals.max()) if totals.size else 0.0,
-            "node_sum": float(totals.sum()) if totals.size else 0.0,
-            "sq_distance": self.sq_distance,
-            "sq_target": self.sq_target,
-            "converged": self.converged,
-            "frozen": self.frozen,
-        }
-
-
-def merge_tick_stats(parts: Sequence[TickStats]) -> TickStats:
-    """Sum shard-local stats for one tick into the cluster-wide record."""
-    if not parts:
-        raise ValueError("need at least one shard's stats")
-    ticks = {p.tick for p in parts}
-    if len(ticks) != 1:
-        raise ValueError(f"stats from different ticks: {sorted(ticks)}")
-    tracked = [p for p in parts if p.sq_distance is not None]
-    node_totals = np.zeros_like(np.asarray(parts[0].node_totals, dtype=np.float64))
-    for p in parts:
-        node_totals += np.asarray(p.node_totals, dtype=np.float64)
-    return TickStats(
-        tick=parts[0].tick,
-        documents=sum(p.documents for p in parts),
-        total_rate=sum(p.total_rate for p in parts),
-        mass=sum(p.mass for p in parts),
-        node_totals=node_totals,
-        sq_distance=sum(p.sq_distance for p in tracked) if tracked else None,
-        sq_target=sum(p.sq_target for p in tracked) if tracked else None,
-        converged=sum(p.converged for p in tracked) if tracked else None,
-        frozen=sum(p.frozen for p in parts),
-    )
+__all__ = ["ClusterSnapshot", "ClusterMetrics"]
 
 
 @dataclass(frozen=True)
@@ -193,38 +111,6 @@ class ClusterSnapshot:
             else round(self.converged_fraction * 100.0, 1),
             round(self.frozen_fraction * 100.0, 1),
         ]
-
-
-def snapshot_from_stats(
-    stats: TickStats, capacities: Optional[np.ndarray] = None
-) -> ClusterSnapshot:
-    """Derive the reported snapshot from (possibly merged) tick stats."""
-    totals = np.asarray(stats.node_totals, dtype=np.float64)
-    utilization = totals if capacities is None else totals / capacities
-    if stats.sq_distance is None:
-        tlb_gap = None
-        converged_fraction = None
-    else:
-        tlb_gap = (
-            math.sqrt(stats.sq_distance) / math.sqrt(stats.sq_target)
-            if stats.sq_target and stats.sq_target > 0.0
-            else 0.0
-        )
-        converged_fraction = (
-            stats.converged / stats.documents if stats.documents else 1.0
-        )
-    return ClusterSnapshot(
-        tick=stats.tick,
-        documents=stats.documents,
-        total_rate=stats.total_rate,
-        mass=stats.mass,
-        max_load=float(totals.max()) if totals.size else 0.0,
-        max_utilization=float(utilization.max()) if totals.size else 0.0,
-        fairness=jain_fairness(totals.tolist()) if totals.size else 1.0,
-        tlb_gap=tlb_gap,
-        converged_fraction=converged_fraction,
-        frozen_fraction=stats.frozen / stats.documents if stats.documents else 0.0,
-    )
 
 
 class ClusterMetrics:

@@ -18,16 +18,14 @@ PR 1 every engine in the repo still balanced exactly one document;
 * **ticks and snapshots** - :meth:`tick` advances every document by one
   synchronous round; :meth:`snapshot` reduces the catalog to one
   :class:`~repro.cluster.metrics.ClusterSnapshot` (max utilization, Jain
-  fairness, TLB gap, converged fraction);
-* **process sharding** - :meth:`run` optionally partitions homes across
-  ``multiprocessing`` workers (documents on different trees never
-  interact): each worker runs its slice of :meth:`state`, and the merged
-  worker states load back, so a sharded run ends in the inline run's
-  state bit for bit (:mod:`repro.cluster.sharding`).
+  fairness, TLB gap, converged fraction); :meth:`run` interleaves ticks,
+  scheduled events and snapshots;
+* **restore** - :meth:`state` / :meth:`load_state` capture and resume the
+  whole catalog bit for bit, snapshots included.
 
 Lifecycle changes are :class:`ClusterEvent` values, in scenarios (flash
-crowds, diurnal swings and churn compile to event lists), shards and the
-daemon's wire ops alike.
+crowds, diurnal swings and churn compile to event lists) and the daemon's
+wire ops alike.
 
 Invariants (property-tested in ``tests/cluster/``): per-document mass
 conservation across ticks and lifecycle events, non-negative loads,
@@ -37,6 +35,7 @@ non-negative forwarded rates (NSS), and 1e-12 agreement with per-document
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -53,11 +52,12 @@ from ..core.kernel import (
 )
 from ..core.steppable import is_count, require_kind, state_count, state_counts
 from ..core.tree import RoutingTree, tree_from_parent_map
+from ..analysis.metrics import jain_fairness
 from ..core.webfold import webfold
 from ..obs.telemetry import resolve as _resolve_telemetry
 from .batch import BatchEngine
 from .config import ClusterConfig
-from .metrics import ClusterMetrics, ClusterSnapshot, TickStats, snapshot_from_stats
+from .metrics import ClusterMetrics, ClusterSnapshot
 from .prune import PrunedTree, demand_closure, induced_subtree, pruned_edge_alphas
 
 __all__ = [
@@ -455,24 +455,11 @@ class ClusterRuntime:
     # ------------------------------------------------------------------
     # Document lifecycle
     # ------------------------------------------------------------------
-    def _group(self, home: int) -> _HomeGroup:
-        group = self._groups.get(home)
-        if group is None:
-            tree = self._tree_source(home)
-            group = _new_group(home, tree, self._n, self._alpha)
-            if self._n is None:
-                if self._capacities is not None and self._capacities.shape != (tree.n,):
-                    raise ClusterError(
-                        f"expected {tree.n} capacities, got {self._capacities.shape}"
-                    )
-                self._n = tree.n
-            self._groups[home] = group
-        return group
-
-    def _as_rates(self, rates: Sequence[float], what: str = "rates") -> np.ndarray:
+    @staticmethod
+    def _as_rates(rates: Sequence[float], n: int, what: str = "rates") -> np.ndarray:
         arr = np.asarray(rates, dtype=np.float64)
-        if self._n is not None and arr.shape != (self._n,):
-            raise ClusterError(f"expected {self._n} {what}, got shape {arr.shape}")
+        if arr.shape != (n,):
+            raise ClusterError(f"expected {n} {what}, got shape {arr.shape}")
         check_rates(arr, what, ClusterError)
         return arr
 
@@ -520,18 +507,31 @@ class ClusterRuntime:
         ``documents`` holds ``(doc_id, home, rates)`` or
         ``(doc_id, home, rates, served)`` tuples.  Equivalent to calling
         :meth:`publish` once per document, but catalog builds stay
-        O(catalog) instead of O(catalog^2) in copied engine state.
+        O(catalog) instead of O(catalog^2) in copied engine state.  All or
+        nothing: every document is checked against its home's tree before
+        a new home is registered or any document added.
         """
         prepared: List[Tuple[str, int, bytes, np.ndarray, np.ndarray, np.ndarray]] = []
         seen = set()
+        new_groups: Dict[int, _HomeGroup] = {}
+        n = self._n
         for item in documents:
             doc_id, home, rates = item[0], item[1], item[2]
             served = item[3] if len(item) > 3 else None
             if doc_id in self._doc_home or doc_id in seen:
                 raise ClusterError(f"duplicate document {doc_id!r}")
             seen.add(doc_id)
-            group = self._group(home)
-            rates_arr = self._as_rates(rates)
+            group = self._groups.get(home) or new_groups.get(home)
+            if group is None:
+                tree = self._tree_source(home)
+                group = new_groups[home] = _new_group(home, tree, n, self._alpha)
+                if n is None:
+                    if self._capacities is not None and self._capacities.shape != (tree.n,):
+                        raise ClusterError(
+                            f"expected {tree.n} capacities, got {self._capacities.shape}"
+                        )
+                    n = tree.n
+            rates_arr = self._as_rates(rates, n)
             closure = demand_closure(group.flat, rates_arr)
             if served is None:
                 served_arr = rates_arr.copy()
@@ -540,11 +540,13 @@ class ClusterRuntime:
                 # closure is resettled on the full tree - the load flows
                 # up through the closure to the home - so no mass is ever
                 # silently dropped.
-                served_arr = self._as_rates(served, "served rates")
+                served_arr = self._as_rates(served, n, "served rates")
                 if float(served_arr[~closure].sum()) > 0.0:
                     served_arr = resettle_served(group.flat, rates_arr, served_arr)
             key = np.packbits(closure).tobytes()
             prepared.append((doc_id, home, key, closure, rates_arr, served_arr))
+        self._groups.update(new_groups)
+        self._n = n
 
         batches: Dict[Tuple[int, bytes], List] = {}
         for entry in prepared:
@@ -614,7 +616,7 @@ class ClusterRuntime:
         :meth:`repro.core.kernel.SyncEngine.resettle`.
         """
         group, cohort, row = self._cohort_of(doc_id)
-        rates_arr = self._as_rates(rates)
+        rates_arr = self._as_rates(rates, self._n)
         key = np.packbits(demand_closure(group.flat, rates_arr)).tobytes()
         if key == self._doc_cohort[doc_id]:
             cohort.engine.resettle_rows([row], cohort.pruned.restrict(rates_arr)[None, :])
@@ -664,8 +666,7 @@ class ClusterRuntime:
         if factor == 0.0:
             # Every closure collapses to the home, so documents regroup one
             # by one - a catalog in (group, cohort, row) order, the order
-            # state() carries: a restored or sharded runtime must regroup
-            # alike.
+            # state() carries: a restored runtime must regroup alike.
             if doc_ids is None:
                 doc_ids = [d for cohort, _ in touched.values() for d in cohort.doc_ids]
             for doc_id in doc_ids:
@@ -734,10 +735,15 @@ class ClusterRuntime:
         """Steppable alias: one catalog tick (see :meth:`tick`)."""
         self.tick()
 
-    def tick_stats(self) -> TickStats:
-        """The additive per-tick aggregates (shard-mergeable)."""
-        sq_distance = sq_target = None
-        converged = None
+    def snapshot(self) -> ClusterSnapshot:
+        """One :class:`~repro.cluster.metrics.ClusterSnapshot` of right now.
+
+        With telemetry enabled the snapshot is also streamed to the sink
+        as a ``cluster_snapshot`` record and the frozen-fraction gauge is
+        refreshed - the periodic-export seam :meth:`run` relies on.
+        """
+        documents = self.documents
+        tlb_gap = converged_fraction = None
         if self._track_tlb:
             sq_distance = sq_target = 0.0
             converged = 0
@@ -751,26 +757,26 @@ class ClusterRuntime:
                             dist <= self._tolerance * np.maximum(cohort.target_norms, 1e-30)
                         )
                     )
-        return TickStats(
+            tlb_gap = (
+                math.sqrt(sq_distance) / math.sqrt(sq_target) if sq_target > 0.0 else 0.0
+            )
+            converged_fraction = converged / documents if documents else 1.0
+        total_rate = self.total_rate()
+        mass = self.total_mass()
+        totals = self.node_totals()
+        utilization = totals if self._capacities is None else totals / self._capacities
+        snap = ClusterSnapshot(
             tick=self._tick,
-            documents=self.documents,
-            total_rate=self.total_rate(),
-            mass=self.total_mass(),
-            node_totals=self.node_totals(),
-            sq_distance=sq_distance,
-            sq_target=sq_target,
-            converged=converged,
-            frozen=self.frozen_documents(),
+            documents=documents,
+            total_rate=total_rate,
+            mass=mass,
+            max_load=float(totals.max()) if totals.size else 0.0,
+            max_utilization=float(utilization.max()) if totals.size else 0.0,
+            fairness=jain_fairness(totals.tolist()) if totals.size else 1.0,
+            tlb_gap=tlb_gap,
+            converged_fraction=converged_fraction,
+            frozen_fraction=self.frozen_documents() / documents if documents else 0.0,
         )
-
-    def snapshot(self) -> "ClusterSnapshot":
-        """One :class:`~repro.cluster.metrics.ClusterSnapshot` of right now.
-
-        With telemetry enabled the snapshot is also streamed to the sink
-        as a ``cluster_snapshot`` record and the frozen-fraction gauge is
-        refreshed - the periodic-export seam :meth:`drive` relies on.
-        """
-        snap = snapshot_from_stats(self.tick_stats(), self._capacities)
         tel = self._tel
         if tel.enabled:
             tel.gauge_set("cluster.frozen_fraction", snap.frozen_fraction)
@@ -778,7 +784,7 @@ class ClusterRuntime:
         return snap
 
     # ------------------------------------------------------------------
-    # Steppable: full-state serialization (checkpoints, restores, shards)
+    # Steppable: full-state serialization (checkpoints and restores)
     # ------------------------------------------------------------------
     def state(self) -> Dict[str, object]:
         """Complete resumable catalog state as a JSON-compatible dict.
@@ -788,8 +794,7 @@ class ClusterRuntime:
         every cohort - so :meth:`load_state` resumes bit-identically.
         Groups and cohorts are serialized in insertion order and rebuilt
         in the same order, keeping floating-point summation order in the
-        mass/rate reductions identical across the round-trip.  Groups are
-        independent: :mod:`repro.cluster.sharding` runs slices of them.
+        mass/rate reductions identical across the round-trip.
         """
         groups = []
         for home, group in self._groups.items():
@@ -962,17 +967,14 @@ class ClusterRuntime:
         ticks: int,
         events: Sequence[ClusterEvent] = (),
         *,
-        workers: Optional[int] = None,
         snapshot_every: int = 1,
     ) -> ClusterMetrics:
         """Advance ``ticks`` rounds, applying ``events`` at their ticks.
 
         Events fire just before the round they are scheduled at (an event
-        at the current tick index fires before the next round).  With
-        ``workers > 1``, homes are partitioned across processes: the
-        runtime ends in the inline run's state bit for bit, and the merged
-        per-tick metrics equal the inline ones up to floating-point
-        summation order (see :mod:`repro.cluster.sharding`).
+        at the current tick index fires before the next round).  A
+        snapshot is taken at every ``snapshot_every``-th tick and at the
+        last one.
         """
         if ticks < 0:
             raise ClusterError("ticks must be >= 0")
@@ -985,38 +987,7 @@ class ClusterRuntime:
                     f"event at tick {event.tick} outside run window "
                     f"[{self._tick}, {self._tick + ticks})"
                 )
-        if workers is not None and workers > 1:
-            from .sharding import run_sharded
-
-            return run_sharded(
-                self, ticks, pending, workers=workers, snapshot_every=snapshot_every
-            )
         metrics = ClusterMetrics()
-        self.drive(
-            ticks,
-            pending,
-            snapshot_every,
-            lambda runtime: metrics.append(runtime.snapshot()),
-        )
-        return metrics
-
-    def drive(
-        self,
-        ticks: int,
-        events: Sequence[ClusterEvent],
-        snapshot_every: int,
-        collect: Callable[["ClusterRuntime"], None],
-    ) -> None:
-        """The one tick/event/snapshot loop both execution paths share.
-
-        Events fire just before the round after their tick; ``collect``
-        is called at every ``snapshot_every``-th tick and at the last one.
-        :meth:`run` drives it inline collecting snapshots; shard workers
-        (:func:`repro.cluster.sharding.run_shard`) drive it collecting
-        additive tick stats - keeping event-fire timing and snapshot
-        cadence identical by construction.
-        """
-        pending = sorted(events, key=lambda e: e.tick)
         next_event = 0
         last = self._tick + ticks
         while self._tick < last:
@@ -1025,4 +996,5 @@ class ClusterRuntime:
                 next_event += 1
             self.tick()
             if self._tick % snapshot_every == 0 or self._tick == last:
-                collect(self)
+                metrics.append(self.snapshot())
+        return metrics

@@ -323,7 +323,6 @@ def churn_scenario(
 def run_scenario(
     scenario: ClusterScenario,
     *,
-    workers: Optional[int] = None,
     alpha: Optional[float] = None,
     track_tlb: bool = True,
     tolerance: float = 1e-3,
@@ -340,10 +339,5 @@ def run_scenario(
         ),
     )
     runtime.publish_many(scenario.documents)
-    metrics = runtime.run(
-        scenario.ticks,
-        scenario.events,
-        workers=workers,
-        snapshot_every=snapshot_every,
-    )
+    metrics = runtime.run(scenario.ticks, scenario.events, snapshot_every=snapshot_every)
     return runtime, metrics

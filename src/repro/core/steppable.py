@@ -21,8 +21,8 @@ is extracted here:
     and RNG word needed to resume bit-identically - as a JSON-compatible
     dict whose ``"kind"`` key is the class's ``STATE_KIND`` (the checkpoint
     registry key, see :mod:`repro.service.checkpoint`).  It is the only
-    transport for captured state: disk checkpoints, daemon restores and
-    the shard hand-off of :mod:`repro.cluster.sharding` all carry it.
+    transport for captured state: disk checkpoints and daemon restores
+    both carry it.
 ``load_state(state)``
     Restore a previously captured ``state()`` in place.  The round-trip
     law every implementation is property-tested against::

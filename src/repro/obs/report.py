@@ -19,8 +19,6 @@ from .sink import read_ndjson
 
 __all__ = ["render_dashboard", "main"]
 
-_CLUSTER_TYPES = ("cluster_snapshot", "tick_stats")
-
 
 def _span_section(spans: List[Dict[str, Any]]) -> List[str]:
     lines: List[str] = []
@@ -160,7 +158,7 @@ def render_dashboard(
     records = list(records)
     snapshots = [r for r in records if r.get("type") == "snapshot"]
     spans = [r for r in records if r.get("type") == "span"]
-    cluster = [r for r in records if r.get("type") in _CLUSTER_TYPES]
+    cluster = [r for r in records if r.get("type") == "cluster_snapshot"]
     other = len(records) - len(snapshots) - len(spans) - len(cluster)
 
     lines = [

@@ -339,7 +339,7 @@ class Telemetry:
 
     # -- spans & records -----------------------------------------------
     def span(self, kind: str, **fields: Any) -> None:
-        """Record one trace span (a request lifecycle, a shard merge)."""
+        """Record one trace span (e.g. a request lifecycle)."""
         record = {"type": "span", "kind": kind}
         record.update(fields)
         if len(self.spans) < self.max_spans:

@@ -29,11 +29,14 @@ Commands
     and the resident runtime ticks on).
 ``shutdown``
     Mark the service closed; serving loops exit after replying.
+
+A field an op does not take is refused by name, as is a ``path`` that is
+not a non-empty string.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..cluster.runtime import EVENT_FIELDS, ClusterEvent, ClusterRuntime
 from ..core.steppable import Steppable, snapshot_record
@@ -44,6 +47,18 @@ __all__ = ["MAX_TICKS", "Service", "ServiceError"]
 #: The most rounds one ``tick`` command may run: the daemon is
 #: single-threaded, so a command's work bounds how long it stops answering.
 MAX_TICKS = 10_000
+
+# {op: the fields it may carry besides "op"} for every op that is not a
+# lifecycle event (those take EVENT_FIELDS): the table dispatch reads.
+_OP_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "ping": (),
+    "info": (),
+    "tick": ("count",),
+    "snapshot": (),
+    "checkpoint": ("path",),
+    "restore": ("path",),
+    "shutdown": (),
+}
 
 
 class ServiceError(ValueError):
@@ -103,16 +118,16 @@ class Service:
         if not isinstance(command, Mapping):
             return {"ok": False, "error": f"command must be an object, got {type(command).__name__}"}
         op = command.get("op")
-        handler = None
-        if isinstance(op, str):
-            handler = self._lifecycle if op in EVENT_FIELDS else getattr(self, f"_op_{op}", None)
-        if handler is None:
-            known = ", ".join(sorted(
-                [name[4:] for name in dir(self) if name.startswith("_op_")] + list(EVENT_FIELDS)
-            ))
+        if not isinstance(op, str) or (op not in _OP_FIELDS and op not in EVENT_FIELDS):
+            known = ", ".join(sorted([*_OP_FIELDS, *EVENT_FIELDS]))
             return {"ok": False, "error": f"unknown op {op!r}; known ops: {known}"}
         try:
-            return handler(command)
+            if op in EVENT_FIELDS:
+                return self._lifecycle(command)  # ClusterEvent.from_wire checks the fields
+            for name in command:
+                if name != "op" and name not in _OP_FIELDS[op]:
+                    raise ServiceError(f"{op} takes no {name!r}")
+            return getattr(self, f"_op_{op}")(command)
         except Exception as exc:  # the one boundary: no command ends the loop
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -166,13 +181,22 @@ class Service:
         return {"ok": True, "doc_id": event.doc_id}
 
     # -- persistence ---------------------------------------------------
+    @staticmethod
+    def _path(command: Mapping[str, Any]) -> str:
+        path = command.get("path")
+        if not isinstance(path, str) or not path:
+            raise ServiceError(
+                f"{command['op']} path must be a non-empty string, got {path!r:.60}"
+            )
+        return path
+
     def _op_checkpoint(self, command: Mapping[str, Any]) -> Dict[str, Any]:
-        path = str(command["path"])
+        path = self._path(command)
         kind = write_checkpoint(self.runtime, path)
         return {"ok": True, "path": path, "kind": kind}
 
     def _op_restore(self, command: Mapping[str, Any]) -> Dict[str, Any]:
-        path = str(command["path"])
+        path = self._path(command)
         state = read_checkpoint(path)
         kind = checkpoint_kind(state)
         if checkpoint_kind(self.runtime) == kind:

@@ -83,8 +83,7 @@ class TestFreezing:
         adaptive, _ = _settled_pair(tree)
         snap = adaptive.snapshot()
         assert snap.frozen_fraction == 1.0
-        stats = adaptive.tick_stats()
-        assert stats.frozen == adaptive.documents
+        assert adaptive.frozen_documents() == adaptive.documents
 
     def test_dense_runtime_never_freezes(self, tree):
         _, dense = _settled_pair(tree)

@@ -1,16 +1,16 @@
-"""ClusterRuntime: grouping, lifecycle, snapshots, and sharded execution."""
+"""ClusterRuntime: grouping, lifecycle, snapshots, and restore twins."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.metrics import merge_tick_stats
 from repro.cluster.runtime import ClusterError, ClusterEvent, ClusterRuntime
 from repro.cluster.scenarios import rerooted_trees
 from repro.core.kernel import SyncEngine, degree_edge_alphas, flatten
@@ -196,6 +196,27 @@ class TestLifecycle:
         assert runtime.document_loads("a").tobytes() == before
         assert np.isfinite(runtime.total_mass())
 
+    @pytest.mark.parametrize(
+        "bad", [[-1.0] + [1.0] * 6, [float("nan")] * 7, [1.0] * 6], ids=["negative", "nan", "short"]
+    )
+    @pytest.mark.parametrize("seeded", [True, False], ids=["catalog", "empty"])
+    def test_a_refused_publish_leaves_no_home_behind(self, bad, seeded):
+        """A publish refused for its rates used to register its home's group
+        first (and fix ``n`` on an empty runtime), so every later ``state()``
+        differed from a twin that never saw the command."""
+        trees = rerooted_trees(kary_tree(2, 2), [0, 3])
+        runtime, twin = ClusterRuntime(trees), ClusterRuntime(trees)
+        if seeded:
+            for side in (runtime, twin):
+                side.publish("x", 0, [1.0] * 7)
+        with pytest.raises(ClusterError, match="rates"):
+            runtime.publish("y", 3, bad)
+        # a batch is checked whole before any home is registered
+        with pytest.raises(ClusterError, match="rates"):
+            runtime.publish_many([("y", 3, [1.0] * 7), ("z", 0, bad)])
+        assert (runtime.homes, runtime.n) == (twin.homes, twin.n)
+        assert runtime.state() == twin.state()
+
 
 class TestTrajectoryFidelity:
     def test_runtime_matches_per_document_engines(self, tree):
@@ -281,10 +302,21 @@ class TestSnapshotsAndRuns:
             side.run(2)
         assert twin.state() == runtime.state()
 
+    def test_snapshot_to_record_matches_fields(self, tree):
+        runtime = ClusterRuntime({0: tree}, config=ClusterConfig(track_tlb=True))
+        runtime.publish("a", 0, _leaf_rates(tree, [(15, 1.0)]))
+        runtime.tick()
+        snap = runtime.snapshot()
+        record = snap.to_record()
+        assert record["type"] == "cluster_snapshot"
+        assert record["tick"] == snap.tick
+        assert record["max_load"] == snap.max_load
+        assert record["frozen_fraction"] == snap.frozen_fraction
+        json.dumps(record)
 
-# One drawn lifecycle op for the sharded-vs-inline property:
-# (kind, seed, tick).
-_SHARD_OPS = st.lists(
+
+# One drawn lifecycle op for the restore-twin property: (kind, seed, tick).
+_LIFECYCLE_OPS = st.lists(
     st.tuples(
         st.sampled_from(
             [
@@ -300,23 +332,41 @@ _SHARD_OPS = st.lists(
 )
 
 
-class TestSharding:
+def _assert_twins(runtime, twin, ticks, events=()):
+    """Run both sides alike; every snapshot record and the final state must
+    match bitwise (``json.dumps`` writes each float's exact repr, -0.0 too)."""
+    ours = runtime.run(ticks, events)
+    theirs = twin.run(ticks, events)
+    assert json.dumps(theirs.records()) == json.dumps(ours.records())
+    assert json.dumps(twin.state()) == json.dumps(runtime.state())
+
+
+class TestRestoreTwin:
+    """A runtime restored from ``state()`` at any tick continues bit for bit."""
+
     KNOWN, NEW = [0, 5, 9], [12, 3]
 
     def _build(self, trees, tree):
         runtime = ClusterRuntime(trees, config=ClusterConfig(track_tlb=True))
         rng = random.Random(2)
         leaves = list(tree.leaves())
+        origins = [rng.sample(leaves, 4) for _ in range(6)]
         for k in range(18):
             home = self.KNOWN[k % 3]
-            origins = rng.sample(leaves, 4)
+            # Two closures per home, taken in turn: cohort order is not
+            # publish order, which the zero-scale regroup must not depend on.
             rates = _leaf_rates(
-                tree, [(leaf, rng.uniform(1.0, 9.0)) for leaf in origins]
+                tree, [(leaf, rng.uniform(1.0, 9.0)) for leaf in origins[k % 6]]
             )
             runtime.publish(f"d{k:02d}", home, rates)
         return runtime
 
-    def test_sharded_equals_inline(self, tree):
+    def _twin(self, trees, runtime):
+        twin = ClusterRuntime(trees)
+        twin.load_state(runtime.state())
+        return twin
+
+    def test_restored_twin_runs_bit_for_bit(self, tree):
         trees = rerooted_trees(tree, self.KNOWN + self.NEW)
         events = [
             ClusterEvent(tick=3, action="retire", doc_id="d04"),
@@ -331,45 +381,26 @@ class TestSharding:
                 tick=6,
                 action="publish",
                 doc_id="elsewhere",
-                home=12,  # a home no shard has seen
+                home=12,  # a home neither side holds yet
                 rates=tuple(_leaf_rates(tree, [(17, 4.0), (30, 1.0)])),
             ),
-            # listed documents on homes 9, 5, 0 and 5: split across shards
+            # listed documents on homes 9, 5, 0 and 5
             ClusterEvent(tick=7, action="scale", factor=1.5, doc_ids=("d05", "fresh", "d00", "d01")),
             ClusterEvent(tick=8, action="scale", factor=1.25),
         ]
-        inline = self._build(trees, tree)
-        inline_metrics = inline.run(12, events)
-        sharded = self._build(trees, tree)
-        sharded_metrics = sharded.run(12, list(events), workers=3)
-
-        # The merged metrics are sums over shards where the inline ones are
-        # sums over groups: equal up to float summation order, not bitwise.
-        assert len(inline_metrics) == len(sharded_metrics)
-        for a, b in zip(inline_metrics, sharded_metrics):
-            assert a.tick == b.tick
-            assert a.documents == b.documents
-            assert a.mass == pytest.approx(b.mass, abs=1e-9)
-            assert a.max_load == pytest.approx(b.max_load, abs=1e-9)
-            assert a.tlb_gap == pytest.approx(b.tlb_gap, abs=1e-9)
-        # The state is carried, not summed: bit-identical.
-        assert sharded.tick_count == inline.tick_count == 12
-        assert sharded.state() == inline.state()
-        for doc in inline.doc_ids:
-            assert np.array_equal(
-                inline.document_loads(doc), sharded.document_loads(doc)
-            )
+        runtime = self._build(trees, tree)
+        runtime.run(2)
+        twin = self._twin(trees, runtime)
+        _assert_twins(runtime, twin, 10, events)
+        assert twin.tick_count == 12
+        for doc in runtime.doc_ids:
+            assert np.array_equal(runtime.document_loads(doc), twin.document_loads(doc))
 
         # long enough to freeze cohorts, on both sides alike
-        inline.run(600)
-        sharded.run(600, workers=3)
-        assert 0 < inline.frozen_documents() == sharded.frozen_documents()
-        assert sharded.state() == inline.state()
-        # both runtimes keep running after the merge-back
-        inline.run(50)
-        sharded.run(50)
-        assert sharded.tick_count == 662
-        assert sharded.state() == inline.state()
+        _assert_twins(runtime, twin, 600)
+        assert 0 < runtime.frozen_documents() == twin.frozen_documents()
+        _assert_twins(runtime, twin, 50)
+        assert twin.tick_count == 662
 
     def _events(self, ops, tree, runtime):
         """Compile drawn ops into a valid event list for ``runtime``."""
@@ -415,93 +446,18 @@ class TestSharding:
                 )
         return events
 
-    @given(_SHARD_OPS, st.integers(min_value=2, max_value=4))
+    @given(_LIFECYCLE_OPS, st.integers(min_value=0, max_value=9))
+    @example([("scale_all", 5, 5)], 2)  # seed 5 draws factor 0.0
     @settings(max_examples=15, deadline=None)
-    def test_sharded_state_equals_inline_under_random_events(self, ops, workers):
+    def test_restored_twin_equals_original_under_random_events(self, ops, split):
         tree = kary_tree(2, 4)
         trees = rerooted_trees(tree, self.KNOWN + self.NEW)
-        inline = self._build(trees, tree)
-        sharded = self._build(trees, tree)
-        events = self._events(ops, tree, inline)
-        inline.run(10, events)
-        sharded.run(10, list(events), workers=workers)
-        assert sharded.state() == inline.state()
-        inline.run(50)
-        sharded.run(50)
-        assert sharded.state() == inline.state()
-
-    def test_a_listed_scale_naming_an_unknown_document_runs_no_shard(self, tree):
-        trees = rerooted_trees(tree, self.KNOWN)
         runtime = self._build(trees, tree)
-        before = runtime.state()
-        events = [ClusterEvent(tick=2, action="scale", factor=2.0, doc_ids=("d00", "ghost"))]
-        with pytest.raises(ClusterError, match="'ghost'"):
-            runtime.run(4, events, workers=2)
-        assert runtime.state() == before
-
-    def test_merge_tick_stats_rejects_mixed_ticks(self, tree):
-        runtime = ClusterRuntime({0: tree})
-        runtime.publish("a", 0, _leaf_rates(tree, [(15, 1.0)]))
-        s1 = runtime.tick_stats()
-        runtime.tick()
-        s2 = runtime.tick_stats()
-        with pytest.raises(ValueError, match="different ticks"):
-            merge_tick_stats([s1, s2])
-
-    def test_merge_tick_stats_rejects_empty_parts(self):
-        with pytest.raises(ValueError, match="at least one shard"):
-            merge_tick_stats([])
-
-    def test_merge_tick_stats_single_shard_is_identity(self, tree):
-        runtime = ClusterRuntime({0: tree}, config=ClusterConfig(track_tlb=True))
-        runtime.publish("a", 0, _leaf_rates(tree, [(15, 1.0)]))
-        runtime.tick()
-        stats = runtime.tick_stats()
-        merged = merge_tick_stats([stats])
-        assert merged.tick == stats.tick
-        assert merged.documents == stats.documents
-        assert merged.total_rate == stats.total_rate
-        assert merged.mass == stats.mass
-        assert merged.frozen == stats.frozen
-        assert merged.sq_distance == stats.sq_distance
-        assert merged.sq_target == stats.sq_target
-        assert merged.converged == stats.converged
-        assert np.array_equal(
-            np.asarray(merged.node_totals), np.asarray(stats.node_totals)
-        )
-
-    def test_merge_tick_stats_untracked_parts_stay_none(self, tree):
-        runtime = ClusterRuntime({0: tree})  # TLB tracking off
-        runtime.publish("a", 0, _leaf_rates(tree, [(15, 1.0)]))
-        merged = merge_tick_stats([runtime.tick_stats()] * 2)
-        assert merged.sq_distance is None
-        assert merged.sq_target is None
-        assert merged.converged is None
-
-    def test_tick_stats_to_record_is_json_ready(self, tree):
-        import json
-
-        runtime = ClusterRuntime({0: tree}, config=ClusterConfig(track_tlb=True))
-        runtime.publish("a", 0, _leaf_rates(tree, [(15, 1.0)]))
-        runtime.tick()
-        record = runtime.tick_stats().to_record()
-        assert record["type"] == "tick_stats"
-        assert record["documents"] == 1
-        json.dumps(record)  # numpy scalars must already be converted
-
-    def test_snapshot_to_record_matches_fields(self, tree):
-        import json
-
-        runtime = ClusterRuntime({0: tree}, config=ClusterConfig(track_tlb=True))
-        runtime.publish("a", 0, _leaf_rates(tree, [(15, 1.0)]))
-        runtime.tick()
-        snap = runtime.snapshot()
-        record = snap.to_record()
-        assert record["type"] == "cluster_snapshot"
-        assert record["tick"] == snap.tick
-        assert record["max_load"] == snap.max_load
-        assert record["frozen_fraction"] == snap.frozen_fraction
-        json.dumps(record)
+        events = self._events(ops, tree, runtime)
+        runtime.run(split, [e for e in events if e.tick < split])
+        twin = self._twin(trees, runtime)
+        _assert_twins(runtime, twin, 10 - split, [e for e in events if e.tick >= split])
+        _assert_twins(runtime, twin, 50)
 
 
 _COUNTS = st.integers(min_value=0, max_value=10**6)

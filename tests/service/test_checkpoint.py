@@ -180,13 +180,13 @@ def test_cluster_round_trip_with_frozen_cohorts_mid_run(tmp_path):
     runtime.publish("settled", 1, at_home)
     for _ in range(20):
         runtime.tick()
-    frozen_before = runtime.tick_stats().frozen
+    frozen_before = runtime.frozen_documents()
     assert frozen_before > 0, "fixture never froze a cohort; test is vacuous"
 
     path = tmp_path / "frozen.ckpt"
     write_checkpoint(runtime, str(path))
     twin = restore_checkpoint(str(path))
-    assert twin.tick_stats().frozen == frozen_before
+    assert twin.frozen_documents() == frozen_before
 
     # a lifecycle event must wake the right cohort in both
     runtime.scale_rates(2.0)

@@ -205,6 +205,10 @@ def test_bad_numbers_are_error_responses_naming_the_field(service, bad):
         pytest.param({"op": "publish", "doc_id": "x", "home": 0, "rates": [1] * (N - 1) + [False]}, "rates", id="publish-rates-int-and-bool"),
         pytest.param({"op": "publish", "doc_id": "x", "home": 0.7, "rates": [1.0] * N}, "home", id="publish-home-fraction"),
         pytest.param({"op": "publish", "doc_id": "x", "home": "0", "rates": [1.0] * N}, "home", id="publish-home-string"),
+        # refused, but home 1's group stayed registered in every later state()
+        pytest.param({"op": "publish", "doc_id": "x", "home": 1, "rates": [-1.0] * N}, "rates must be", id="publish-new-home-negative"),
+        pytest.param({"op": "publish", "doc_id": "x", "home": 1, "rates": [float("nan")] * N}, "rates must be", id="publish-new-home-nan"),
+        pytest.param({"op": "publish", "doc_id": "x", "home": 1, "rates": [1.0] * (N - 1)}, "rates", id="publish-new-home-short"),
         # fields the op does not take were silently accepted
         pytest.param({"op": "retire", "doc_id": "seed", "factor": 3}, "'factor'", id="retire-factor"),
         pytest.param(
@@ -217,16 +221,35 @@ def test_bad_numbers_are_error_responses_naming_the_field(service, bad):
         # truncated or coerced to a count nobody asked for
         pytest.param({"op": "tick", "count": 2.5}, "tick count", id="tick-count-fraction"),
         pytest.param({"op": "tick", "count": True}, "tick count", id="tick-count-bool"),
+        # str(path): replied ok: true and wrote files named None, 7 and ['a']
+        *(
+            pytest.param({"op": op, **path}, "path must be a non-empty string", id=f"{op}-path-{name}")
+            for op in ("checkpoint", "restore")
+            for name, path in (
+                ("null", {"path": None}), ("number", {"path": 7}), ("list", {"path": ["a"]}),
+                ("empty", {"path": ""}), ("missing", {}),
+            )
+        ),
+        # fields the other ops do not take were silently ignored: ticked twice
+        pytest.param({"op": "tick", "count": 2, "cuont": 5}, "tick takes no 'cuont'", id="tick-cuont"),
+        pytest.param({"op": "ping", "count": 1}, "ping takes no 'count'", id="ping-count"),
+        pytest.param({"op": "info", "verbose": True}, "info takes no 'verbose'", id="info-verbose"),
+        pytest.param({"op": "snapshot", "path": "s.json"}, "snapshot takes no 'path'", id="snapshot-path"),
+        pytest.param({"op": "checkpoint", "path": "c.ckpt", "gzip": True}, "checkpoint takes no 'gzip'", id="checkpoint-gzip"),
+        pytest.param({"op": "restore", "path": "c.ckpt", "kind": "sync_engine"}, "restore takes no 'kind'", id="restore-kind"),
+        pytest.param({"op": "shutdown", "now": True}, "shutdown takes no 'now'", id="shutdown-now"),
     ],
 )
 def test_hostile_command_is_one_error_reply_and_the_service_lives(
-    service, catalog, monkeypatch, command, error
+    service, catalog, monkeypatch, tmp_path, command, error
 ):
+    monkeypatch.chdir(tmp_path)  # a command that writes a file would write it here
     steps = count_steps(catalog, monkeypatch, MAX_TICKS)
     before = json.dumps(catalog.state())
     response = service.execute(command)
     assert response["ok"] is False and error in response["error"]
     assert steps == [] and json.dumps(catalog.state()) == before
+    assert list(tmp_path.iterdir()) == [] and not service.closed
     assert service.execute({"op": "ping"}) == {"ok": True, "pong": True}
     assert service.execute({"op": "tick"}) == {"ok": True, "ticks": 1}
 
