@@ -306,8 +306,8 @@ def _failures(runs) -> None:
     assert failed.throughput > 0.7 * baseline.throughput
     assert failed.home_share >= baseline.home_share
     # the recovered node regained copies; the dead one stays empty
-    assert len(failed_scenario.servers[1].store) > 0
-    assert len(failed_scenario.servers[2].store) == 0
+    assert len(failed_scenario.state.stores[1]) > 0
+    assert len(failed_scenario.state.stores[2]) == 0
 
 
 def _cluster_build():

@@ -68,7 +68,7 @@ def main() -> None:
         rows.append(summary.as_row())
         if name == "webwave":
             copies = sum(
-                len(scenario.servers[i].store)
+                len(scenario.state.stores[i])
                 for i in scenario.tree
                 if i != scenario.tree.root
             )

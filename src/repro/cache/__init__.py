@@ -1,9 +1,8 @@
 """Cache substrate: stores and replacement policies.
 
-The cache *server* (serve-or-forward decision, rate meters, service queue)
-lives with the packet plane's array state:
-:class:`repro.protocols.state.CacheServerView` over
-:class:`~repro.protocols.state.MeterBank`.
+The cache *server* (serve targets, rate meters, service queue) is one node's
+row of :class:`repro.protocols.state.PacketState`, and its serve-or-forward
+decision is the walker in :meth:`repro.protocols.scenario.Scenario.handle_arrival`.
 """
 
 from .store import CacheError, CacheStore

@@ -276,10 +276,12 @@ def run_cache_capacity_study(
         scenario = WebWaveScenario(workload, config)
         metrics = scenario.run()
         non_home = [
-            s for s in scenario.servers if s.node != scenario.tree.root
+            store
+            for node, store in enumerate(scenario.state.stores)
+            if node != scenario.tree.root
         ]
-        copies = sum(len(s.store) for s in non_home)
-        evictions = sum(s.store.evictions for s in non_home)
+        copies = sum(len(store) for store in non_home)
+        evictions = sum(store.evictions for store in non_home)
         rows.append(
             (
                 "unlimited" if capacity is None else str(capacity),

@@ -14,8 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..analysis.tables import Table
-from ..protocols.scenario import Scenario, ScenarioConfig
-from ..router.packetfilter import DPF_MATCH_COST
+from ..protocols.scenario import DPF_MATCH_COST, Scenario, ScenarioConfig
 from .scalability import PROTOCOLS, hotspot_workload
 
 __all__ = ["run_overhead"]
@@ -41,9 +40,8 @@ def run_overhead(
         for name in chosen:
             scenario: Scenario = PROTOCOLS[name](workload, config)
             metrics = scenario.run()
-            filter_sizes = [len(r.filters) for r in scenario.routers]
-            consultations = sum(r.filters.consultations for r in scenario.routers)
-            cpu = consultations * DPF_MATCH_COST
+            filter_sizes = scenario.state.filter_size
+            cpu = sum(scenario.seen) * DPF_MATCH_COST
             served = metrics.completed
             total = metrics.total_messages()
             rows.append(

@@ -12,7 +12,7 @@ from .baselines import (
 )
 from .cluster_packet import ClusterPacketScenario, packet_scenario_from_cluster
 from .scenario import Scenario, ScenarioConfig, ScenarioMetrics
-from .state import CacheServerView, MeterBank, PacketState
+from .state import MeterBank, PacketState
 from .webwave import WebWaveProtocolConfig, WebWaveScenario
 
 __all__ = [
@@ -32,5 +32,4 @@ __all__ = [
     "packet_scenario_from_cluster",
     "PacketState",
     "MeterBank",
-    "CacheServerView",
 ]

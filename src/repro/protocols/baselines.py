@@ -18,13 +18,17 @@ the benches can reproduce the qualitative comparison:
 * :class:`PushScenario` - popularity-based push caching (Bestavros [4],
   Gwertzman [16]): the home periodically pushes its hottest documents one
   level down, with no load awareness.
+
+All four index the scenario's :class:`~repro.protocols.state.PacketState`
+by node and document.  A crashed server never serves, is never redirected
+to, and never receives a fill, replica or push.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from .scenario import Scenario, ScenarioConfig
 from ..traffic.requests import Request
@@ -41,6 +45,18 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+
+
+def _serve_or_climb(scenario: Scenario, request: Request, node: int, serve) -> None:
+    """Serve at a replica chosen before the request travelled there; if a
+    crash or a bounded store's eviction took its copy meanwhile, its router
+    passes the request on to the home."""
+    state, root = scenario.state, scenario.tree.root
+    if state.doc_index[request.doc_id] in state.cached[node]:
+        serve(request, node)
+    else:
+        request.path.append(root)
+        scenario.sim.after(scenario.path_delay(node, root), lambda: serve(request, root))
 
 
 class NoCacheScenario(Scenario):
@@ -118,47 +134,61 @@ class DirectoryScenario(Scenario):
             target = self._pick_replica(request.doc_id, node)
             travel = self.path_delay(node, target)
             request.path.append(target)
-            self.sim.after(travel, lambda: self._serve(request, target))
+            self.sim.after(
+                travel, lambda: _serve_or_climb(self, request, target, self._serve)
+            )
 
         self.sim.at(reply_at, redirect)
+
+    def _holders(self, doc_id: str) -> Set[int]:
+        """The replica set, forgetting any holder that lost its copy - to a
+        crash, or to an eviction when ``cache_capacity`` bounds the stores."""
+        state = self.state
+        d = state.doc_index[doc_id]
+        holders = self.replicas[doc_id]
+        holders -= {h for h in holders if d not in state.cached[h]}
+        return holders
 
     def _pick_replica(self, doc_id: str, origin: int) -> int:
         """Least-loaded holder (ties: closest to the origin)."""
         now = self.sim.now
-        holders = sorted(self.replicas.get(doc_id, {self.tree.root}))
+        served = self.state.served_total
         return min(
-            holders,
-            key=lambda h: (self.servers[h].served_rate(now), self.path_delay(origin, h)),
+            sorted(self._holders(doc_id)),
+            key=lambda h: (served.rate(h, now), self.path_delay(origin, h)),
         )
 
     # -- replication policy --------------------------------------------
     def _replicate_step(self) -> None:
         """Replicate the hottest doc of the most loaded holder if saturated."""
-        now = self.sim.now
-        home = self.servers[self.tree.root]
-        if home.served_rate(now) < self.directory.overload_threshold * home.capacity:
+        now, state, root = self.sim.now, self.state, self.tree.root
+        threshold = self.directory.overload_threshold * float(state.capacity[root])
+        if state.served_total.rate(root, now) < threshold:
             return
         # hottest document system-wide by measured served rate at holders
         best_doc, best_rate = None, 0.0
-        for doc_id, holders in self.replicas.items():
+        for doc_id in self.replicas:
+            holders = self._holders(doc_id)
             if len(holders) >= self.directory.max_replicas_per_doc:
                 continue
-            rate = sum(self.servers[h].served_rate(now, doc_id) for h in holders)
+            d = state.doc_index[doc_id]
+            rate = sum(state.served_doc_rate(h, d, now) for h in holders)
             if rate > best_rate:
                 best_doc, best_rate = doc_id, rate
         if best_doc is None:
             return
-        candidates = [
-            i for i in self.tree if i not in self.replicas[best_doc]
-        ]
+        held = self.replicas[best_doc]
+        candidates = [i for i in self.tree if i not in held and not state.failed[i]]
         if not candidates:
             return
-        target = min(candidates, key=lambda i: self.servers[i].served_rate(now))
+        target = min(candidates, key=lambda i: state.served_total.rate(i, now))
         self.count_message("copy_transfer")
         delay = self.path_delay(self.tree.root, target)
 
         def install() -> None:
-            self.servers[target].install_copy(best_doc)
+            if state.failed[target]:
+                return  # the copy is lost with the crashed server
+            state.install_copy(target, best_doc)
             self.replicas[best_doc].add(target)
 
         self.sim.after(delay, install)
@@ -173,7 +203,6 @@ class IcpConfig:
 
     probe_timeout: float = 0.05
     demand_fill: bool = True
-    serve_share: float = 1.0
 
 
 class IcpScenario(Scenario):
@@ -201,8 +230,10 @@ class IcpScenario(Scenario):
 
     def handle_arrival(self, request: Request, node: int) -> None:
         request.path.append(node)
-        server = self.servers[node]
-        if server.is_home or server.caches(request.doc_id):
+        state = self.state
+        cached, d = state.cached, state.doc_index[request.doc_id]
+        # a crashed server holds nothing (no fill reaches it): no serve, no hit
+        if node == self.tree.root or d in cached[node]:
             self._serve_and_fill(request, node)
             return
         # Probe tree neighbours (parent + siblings), paying one probe RTT.
@@ -210,9 +241,7 @@ class IcpScenario(Scenario):
         peers = [parent] + [c for c in self.tree.children(parent) if c != node]
         for peer in peers:
             self.count_message("icp_probe")
-        hit = next(
-            (p for p in peers if self.servers[p].caches(request.doc_id)), None
-        )
+        hit = next((p for p in peers if d in cached[p]), None)
         probe_rtt = min(
             self.icp.probe_timeout,
             2 * max((self.edge_delay(node, parent)), 1e-4),
@@ -220,21 +249,27 @@ class IcpScenario(Scenario):
         if hit is not None:
             travel = probe_rtt + self.path_delay(node, hit)
             request.path.append(hit)
-            self.sim.after(travel, lambda: self._serve_and_fill(request, hit))
+            self.sim.after(
+                travel,
+                lambda: _serve_or_climb(self, request, hit, self._serve_and_fill),
+            )
         else:
             delay = probe_rtt + self.edge_delay(node, parent)
-            self.servers[node].record_forwarded(self.sim.now, request.doc_id)
+            state.record_forwarded(node, d, self.sim.now)
             self.sim.after(delay, lambda: self.handle_arrival(request, parent))
 
     def _serve_and_fill(self, request: Request, node: int) -> None:
         self._serve(request, node)
         if self.icp.demand_fill:
+            state = self.state
             origin_path = self.tree.path_to_root(request.origin)
             for hop in origin_path:
                 if hop == node or hop == self.tree.root:
                     break
-                self.servers[hop].install_copy(request.doc_id)
-                self.routers[hop].sync_filter()
+                if state.failed[hop]:
+                    continue
+                state.install_copy(hop, request.doc_id)
+                state.sync_filter(hop)
 
 
 # ----------------------------------------------------------------------
@@ -274,12 +309,11 @@ class PushScenario(Scenario):
         self._control_every(self.push.push_period, self._push_step)
 
     def _push_step(self) -> None:
-        now = self.sim.now
-        home = self.servers[self.tree.root]
+        now, state, root = self.sim.now, self.state, self.tree.root
         ranked = sorted(
             (
-                (home.served_rate(now, doc.doc_id), doc.doc_id)
-                for doc in self.workload.catalog
+                (state.served_doc_rate(root, d, now), doc_id)
+                for d, doc_id in enumerate(state.doc_ids)
             ),
             reverse=True,
         )
@@ -290,17 +324,20 @@ class PushScenario(Scenario):
             if 0 < self.tree.depth(i) <= self.push.depth
         ]
         for doc_id in hot:
+            d = state.doc_index[doc_id]
             for target in targets:
-                if self.servers[target].caches(doc_id):
+                if d in state.cached[target]:
                     continue
                 self.count_message("copy_transfer")
-                delay = self.path_delay(self.tree.root, target)
+                delay = self.path_delay(root, target)
 
-                def install(target=target, doc_id=doc_id) -> None:
-                    server = self.servers[target]
-                    server.install_copy(doc_id)
+                def install(target=target, doc_id=doc_id, d=d) -> None:
+                    if state.failed[target]:
+                        return  # the copy is lost with the crashed server
+                    state.install_copy(target, doc_id)
                     # push caches serve everything they hold
-                    server.serve_targets[doc_id] = math.inf
-                    self.routers[target].sync_filter()
+                    state.targets[target, d] = math.inf
+                    state.has_target[target, d] = True
+                    state.sync_filter(target)
 
                 self._schedule_control(delay, install)

@@ -1,14 +1,14 @@
 """Packet-level scenario harness shared by WebWave and all baselines.
 
 A :class:`Scenario` wires together the substrates: a routing tree (possibly
-extracted from a topology), array-backed per-node protocol state
-(:class:`~repro.protocols.state.PacketState`) fronted by per-node
-server views and routers, a workload that schedules request arrivals, and a
-protocol's behaviour hooks.  The datapath is the paper's: a request travels
-hop-by-hop up the routing tree; at each hop the router classifies it and
-either diverts it into the local cache server (which queues it for service)
-or forwards it to the parent.  Replies return directly to the origin over
-the same route.
+extracted from a topology), the array-backed server and router state of
+every node (:class:`~repro.protocols.state.PacketState`, indexed by node
+id and document index), a workload that schedules request arrivals, and a
+protocol's behaviour hooks.  The datapath is the paper's: a request
+travels hop-by-hop up the routing tree; at each hop the router classifies
+it and either diverts it into the local cache server (which queues it for
+service) or forwards it to the parent.  Replies return directly to the
+origin over the same route.
 
 Two structural devices make the datapath fast without changing a single
 observable float (pinned by ``tests/golden/packet_goldens.json`` and the
@@ -46,7 +46,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.kernel import flatten
 from ..core.load import LoadAssignment
@@ -54,15 +54,18 @@ from ..core.tree import RoutingTree
 from ..core.webfold import webfold
 from ..net.topology import Topology
 from ..obs.telemetry import resolve as _resolve_telemetry
-from ..router.packetfilter import DPF_MATCH_COST
-from ..router.router import Router
 from ..sim.engine import Simulator
 from ..sim.rng import RngStreams
 from ..traffic.requests import Request
 from ..traffic.workload import ARRIVAL_KINDS, Workload
-from .state import CacheServerView, PacketState
+from .state import PacketState
 
-__all__ = ["Scenario", "ScenarioConfig", "ScenarioMetrics"]
+__all__ = ["Scenario", "ScenarioConfig", "ScenarioMetrics", "DPF_MATCH_COST"]
+
+# Engler & Kaashoek's measured DPF classification latency (1.51 us), the
+# figure the paper cites to argue injectable router filters are practical:
+# every router traversal pays it once, whatever the filter table's size.
+DPF_MATCH_COST = 1.51e-6
 
 # Refill size for a source's pre-sampled arrival-time chunks.
 _ARRIVAL_CHUNK = 1024
@@ -293,10 +296,10 @@ class Scenario:
             else 0.0
             for node in self.tree
         ]
-        # Router/filter tallies, accumulated in lists on the walk and
-        # flushed onto the Router/FilterTable objects after the run.
-        self._seen: List[int] = [0] * self.tree.n
-        self._diverted: List[int] = [0] * self.tree.n
+        # Per-router packet tallies of the walker: packets classified (one
+        # filter consultation each) and packets diverted into the server.
+        self.seen: List[int] = [0] * self.tree.n
+        self.diverted: List[int] = [0] * self.tree.n
         # Telemetry seam: request-span sampling is decided at arrival
         # (one set membership check when disabled: _sampled_reqs is None),
         # the spans themselves are assembled after the run from the
@@ -321,7 +324,7 @@ class Scenario:
             else cfg.default_capacity
             for node in tree
         ]
-        self.state = PacketState(
+        self.state = state = PacketState(
             n=tree.n,
             doc_ids=self.workload.catalog.doc_ids,
             capacities=capacities,
@@ -329,20 +332,10 @@ class Scenario:
             cache_capacity=cfg.cache_capacity,
             cache_policy=cfg.cache_policy,
         )
-        self.servers: List[CacheServerView] = [
-            CacheServerView(self.state, node) for node in tree
-        ]
         for doc in self.workload.catalog:
-            self.state.install_copy(tree.root, doc.doc_id, pinned=True)
-        self.routers: List[Router] = []
-        for node in tree:
-            router = Router(
-                node=node,
-                server=self.servers[node],
-                parent=tree.parent(node),
-            )
-            router.sync_filter()
-            self.routers.append(router)
+            state.install_copy(tree.root, doc.doc_id, pinned=True)
+        # every other store starts empty, and so does its filter
+        state.sync_filter(tree.root)
 
     def edge_delay(self, a: int, b: int) -> float:
         """One-way delay of the tree edge between ``a`` and ``b``."""
@@ -468,11 +461,11 @@ class Scenario:
 
         Decision-equivalent to one heap event per hop (see the module
         docstring); the serve is always a real event at the serve time so
-        per-server queueing order stays globally time-ordered.  Router and
-        filter tallies accumulate in plain lists and are flushed onto the
-        Router/FilterTable objects when the run finishes; the filter
-        membership test itself is the cache-contents mirror, which default
-        datapath protocols keep filter-synced at every content change.
+        per-server queueing order stays globally time-ordered.  Each hop's
+        router counts the packet (``seen``) and matches it against the
+        cache mirror ``state.cached`` (which default-datapath protocols keep
+        filter-synced); a match is diverted (``diverted``) if the server is
+        up and below its serve target.  The home serves whatever reaches it.
         """
         sim = self.sim
         now = sim.now
@@ -483,7 +476,7 @@ class Scenario:
         cached = state.cached
         targets = state.targets
         failed = state.failed
-        seen = self._seen
+        seen = self.seen
         parent = self._parent
         hop_cost = self._hop_cost
         root = self._root
@@ -507,7 +500,7 @@ class Scenario:
             else:
                 serve = False
             if serve:
-                self._diverted[node] += 1
+                self.diverted[node] += 1
                 cost = DPF_MATCH_COST
                 if t == now:
                     self._serve(request, node, extra_delay=cost)
@@ -521,10 +514,10 @@ class Scenario:
                 return
             next_hop = parent[node]
             # inline record_forwarded(node, d, t); the per-node forwarded
-            # tally is derived as seen - diverted at flush time.  A meter's
-            # first event always takes the _roll branch (its wstart is
-            # -inf until then) and joins the bank's live set there, so the
-            # bump cannot land on a meter the bulk reads do not know.
+            # tally is derived as seen - diverted when the run ends.  A
+            # meter's first event always takes the _roll branch (its wstart
+            # is -inf until then) and joins the bank's live set there, so
+            # the bump cannot land on a meter the bulk reads do not know.
             k = node * docs + d
             if t - fwd_wstart[k] >= window:
                 fwd_bank._roll(k, t)
@@ -541,7 +534,8 @@ class Scenario:
             node = next_hop
 
     def _forward(self, request: Request, node: int, next_hop: int, extra: float) -> None:
-        self.servers[node].record_forwarded(self.sim.now, request.doc_id)
+        state = self.state
+        state.record_forwarded(node, state.doc_index[request.doc_id], self.sim.now)
         delay = self.edge_delay(node, next_hop) + extra
         self.sim.after(delay, lambda: self.handle_arrival(request, next_hop))
 
@@ -600,18 +594,19 @@ class Scenario:
         if until is not None and until <= at:
             raise ValueError("recovery must come after the failure")
 
+        state = self.state
+
         def crash() -> None:
-            server = self.servers[node]
-            server.failed = True
-            for doc_id in list(server.store.doc_ids):
-                server.drop_copy(doc_id)
-            self.routers[node].sync_filter()
+            state.failed[node] = True
+            for doc_id in state.stores[node].doc_ids:
+                state.drop_copy(node, doc_id)
+            state.sync_filter(node)
             self.count_message("node_failure")
 
         self._control_at(at, crash)
         if until is not None:
             def recover() -> None:
-                self.servers[node].failed = False
+                state.failed[node] = False
                 self.count_message("node_recovery")
 
             self._control_at(until, recover)
@@ -638,7 +633,11 @@ class Scenario:
         # Allow in-flight requests to drain briefly past the arrival horizon.
         self.sim.run(until=self.config.duration * _DRAIN_FACTOR)
         self._realize_completions()
-        self._flush_router_counters()
+        # Walker forwards are seen - diverted per node (each visit forwards
+        # or serves); baselines that bypass the walker count theirs live.
+        forwarded = self.state.requests_forwarded
+        for node, (seen, diverted) in enumerate(zip(self.seen, self.diverted)):
+            forwarded[node] += seen - diverted
         metrics = self._collect()
         tel = self._tel
         if tel.enabled:
@@ -689,26 +688,6 @@ class Scenario:
         tel.gauge_set("packet.meters_live", sum(len(bank.live) for bank in banks))
         tel.gauge_set("packet.meters_total", sum(bank.size for bank in banks))
         tel.export(plane="packet", scenario=self.name)
-
-    def _flush_router_counters(self) -> None:
-        """Fold the walker's tallies onto the Router/FilterTable objects.
-
-        Walker forwards are ``seen - diverted`` per node (every visit
-        either forwards or serves), sparing the walk one tally; baseline
-        protocols bypass the walker and keep their own counts live.
-        """
-        forwarded = self.state.requests_forwarded
-        for node, router in enumerate(self.routers):
-            seen = self._seen[node]
-            diverted = self._diverted[node]
-            if seen:
-                router.packets_seen += seen
-                router.filters.consultations += seen
-                forwarded[node] += seen - diverted
-                self._seen[node] = 0
-            if diverted:
-                router.packets_diverted += diverted
-                self._diverted[node] = 0
 
     def _collect(self) -> ScenarioMetrics:
         cfg = self.config

@@ -14,14 +14,13 @@ indexing and catalog document indexing:
   instead of ``n`` object traversals);
 * :class:`PacketState` - serve targets as an ``(n, D)`` matrix, three
   meter banks (total served per node, served and forwarded per
-  ``(node, document)``), queue/busy bookkeeping, failure flags, and the
+  ``(node, document)``), queue/busy bookkeeping, failure flags, the
   per-node cache stores with a document-*index* set mirror for the
-  datapath's membership tests;
-* :class:`CacheServerView` - a per-node facade over the shared arrays
-  exposing the exact ``CacheServer`` API (``wants_to_serve``,
-  ``forwarded_documents``, ``serve_targets`` as a mapping, ...), so
-  baselines, failure injection, and tests keep reading and mutating one
-  authoritative store.
+  datapath's membership tests, and each router's packet-filter size.
+
+It is the only server and router state of the packet plane: the walker,
+WebWave, the baselines, failure injection and the experiments all index
+it by node id and document index.
 
 Bit-for-bit parity with the dict-based plane is pinned by
 ``tests/golden/packet_goldens.json`` (recorded pre-refactor) and the live
@@ -35,13 +34,13 @@ Steppables of :mod:`repro.service.checkpoint`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cache.store import CacheStore
 
-__all__ = ["MeterBank", "PacketState", "CacheServerView", "TargetsView"]
+__all__ = ["MeterBank", "PacketState"]
 
 
 # ``wstart`` of a meter that has never recorded an event.  ``now - _NEVER``
@@ -160,70 +159,6 @@ class MeterBank:
         return self.est.copy()
 
 
-class TargetsView:
-    """One node's serve targets as a mapping over the shared matrix.
-
-    Mirrors the original per-node dict: membership is the explicit-entry
-    mask (a zero-valued entry is still *present* until popped), iteration
-    is document-index order.
-    """
-
-    __slots__ = ("_state", "_node")
-
-    def __init__(self, state: "PacketState", node: int) -> None:
-        self._state = state
-        self._node = node
-
-    def _idx(self, doc_id: str) -> int:
-        return self._state.doc_index[doc_id]
-
-    def __contains__(self, doc_id: str) -> bool:
-        return bool(self._state.has_target[self._node, self._idx(doc_id)])
-
-    def __getitem__(self, doc_id: str) -> float:
-        d = self._idx(doc_id)
-        if not self._state.has_target[self._node, d]:
-            raise KeyError(doc_id)
-        return float(self._state.targets[self._node, d])
-
-    def __setitem__(self, doc_id: str, value: float) -> None:
-        d = self._idx(doc_id)
-        self._state.targets[self._node, d] = value
-        self._state.has_target[self._node, d] = True
-
-    def get(self, doc_id: str, default: float = 0.0) -> float:
-        d = self._state.doc_index.get(doc_id)
-        if d is None or not self._state.has_target[self._node, d]:
-            return default
-        return float(self._state.targets[self._node, d])
-
-    def pop(self, doc_id: str, default=None):
-        d = self._state.doc_index.get(doc_id)
-        if d is None or not self._state.has_target[self._node, d]:
-            return default
-        value = float(self._state.targets[self._node, d])
-        self._state.targets[self._node, d] = 0.0
-        self._state.has_target[self._node, d] = False
-        return value
-
-    def items(self) -> List[Tuple[str, float]]:
-        state, node = self._state, self._node
-        row = state.targets[node]
-        return [
-            (state.doc_ids[d], float(row[d]))
-            for d in np.flatnonzero(state.has_target[node]).tolist()
-        ]
-
-    def keys(self) -> List[str]:
-        return [doc_id for doc_id, _ in self.items()]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.keys())
-
-    def __len__(self) -> int:
-        return int(self._state.has_target[self._node].sum())
-
-
 class PacketState:
     """All per-server protocol state of one packet scenario, as arrays.
 
@@ -276,6 +211,9 @@ class PacketState:
         # Document-index mirror of each store's contents: the datapath's
         # membership test (kept in sync by install/drop below).
         self.cached: List[set] = [set() for _ in range(n)]
+        # Entries in each router's packet filter as of its last re-injection
+        # (:meth:`sync_filter`; a scheme without filters never calls it).
+        self.filter_size: List[int] = [0] * n
         # Last virtual time each node's forwarded-rate row was bulk-rolled;
         # diffusion reads the same rows several times per tick.
         self._fwd_row_stamp: List[float] = [-1.0] * n
@@ -300,6 +238,10 @@ class PacketState:
             self.cached[node].discard(d)
         self.targets[node, d] = 0.0
         self.has_target[node, d] = False
+
+    def sync_filter(self, node: int) -> None:
+        """Re-inject ``node``'s packet filter to mirror its cache."""
+        self.filter_size[node] = len(self.stores[node])
 
     # ------------------------------------------------------------------
     # Datapath accounting
@@ -353,9 +295,7 @@ class PacketState:
         self._fwd_docs[node] = (now, min_rate, pairs)
         return pairs
 
-    def forwarded_rate(self, node: int, now: float, d: Optional[int] = None) -> float:
-        if d is not None:
-            return self.fwd_doc.rate(node * self.docs + d, now)
+    def forwarded_rate(self, node: int, now: float) -> float:
         return float(sum(self._fwd_row(node, now).tolist()))
 
     # ------------------------------------------------------------------
@@ -371,115 +311,3 @@ class PacketState:
         self.busy_time[node] += service_time
         return completion
 
-
-class CacheServerView:
-    """The cache server of one node: a facade over :class:`PacketState`.
-
-    The only server authority in the package.  Routers, baselines, failure
-    injection, analysis and tests hold one of these per node; all reads
-    and writes land in the shared arrays.
-    """
-
-    __slots__ = ("_state", "node", "is_home", "serve_targets")
-
-    def __init__(self, state: PacketState, node: int) -> None:
-        self._state = state
-        self.node = node
-        self.is_home = node == state.home
-        self.serve_targets = TargetsView(state, node)
-
-    # -- content ---------------------------------------------------------
-    @property
-    def store(self) -> CacheStore:
-        return self._state.stores[self.node]
-
-    def caches(self, doc_id: str) -> bool:
-        return self._state.doc_index.get(doc_id) in self._state.cached[self.node]
-
-    def install_copy(self, doc_id: str, pinned: bool = False) -> Optional[str]:
-        return self._state.install_copy(self.node, doc_id, pinned=pinned)
-
-    def drop_copy(self, doc_id: str) -> None:
-        self._state.drop_copy(self.node, doc_id)
-
-    # -- flags / scalars --------------------------------------------------
-    @property
-    def failed(self) -> bool:
-        return bool(self._state.failed[self.node])
-
-    @failed.setter
-    def failed(self, value: bool) -> None:
-        self._state.failed[self.node] = value
-
-    @property
-    def capacity(self) -> float:
-        return float(self._state.capacity[self.node])
-
-    @property
-    def busy_until(self) -> float:
-        return float(self._state.busy_until[self.node])
-
-    @property
-    def busy_time(self) -> float:
-        return float(self._state.busy_time[self.node])
-
-    @property
-    def requests_served(self) -> int:
-        return int(self._state.requests_served[self.node])
-
-    @property
-    def requests_forwarded(self) -> int:
-        return int(self._state.requests_forwarded[self.node])
-
-    # -- serve decision ---------------------------------------------------
-    def wants_to_serve(self, doc_id: str, now: float) -> bool:
-        state = self._state
-        node = self.node
-        if state.failed[node]:
-            return False
-        if self.is_home:
-            return True
-        d = state.doc_index.get(doc_id)
-        if d is None or d not in state.cached[node]:
-            return False
-        target = state.targets[node, d]
-        if target <= 0.0:
-            return False
-        return state.served_doc_rate(node, d, now) < target
-
-    # -- accounting -------------------------------------------------------
-    def record_served(self, now: float, doc_id: str) -> None:
-        self._state.record_served(self.node, self._state.doc_index[doc_id], now)
-
-    def record_forwarded(self, now: float, doc_id: str) -> None:
-        self._state.record_forwarded(self.node, self._state.doc_index[doc_id], now)
-
-    def served_rate(self, now: float, doc_id: Optional[str] = None) -> float:
-        if doc_id is None:
-            return self._state.served_total.rate(self.node, now)
-        d = self._state.doc_index.get(doc_id)
-        if d is None:
-            return 0.0
-        return self._state.served_doc_rate(self.node, d, now)
-
-    def forwarded_rate(self, now: float, doc_id: Optional[str] = None) -> float:
-        if doc_id is None:
-            return self._state.forwarded_rate(self.node, now)
-        d = self._state.doc_index.get(doc_id)
-        if d is None:
-            return 0.0
-        return self._state.forwarded_rate(self.node, now, d)
-
-    def forwarded_documents(
-        self, now: float, min_rate: float = 1e-9
-    ) -> List[Tuple[str, float]]:
-        return self._state.forwarded_documents(self.node, now, min_rate)
-
-    # -- service ----------------------------------------------------------
-    def service_completion(self, now: float) -> float:
-        return self._state.service_completion(self.node, now)
-
-    def utilization(self, elapsed: float) -> float:
-        if elapsed <= 0:
-            return 0.0
-        return min(float(self._state.busy_time[self.node]) / elapsed, 1.0)

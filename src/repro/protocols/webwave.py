@@ -51,9 +51,8 @@ and probe storms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -362,7 +361,7 @@ class WebWaveScenario(Scenario):
             base = state.targets[dst, d] if state.has_target[dst, d] else 0.0
             state.targets[dst, d] = base + target_add
             state.has_target[dst, d] = True
-            self.routers[dst].sync_filter()
+            state.sync_filter(dst)
 
         self._schedule_control(delay, install)
 
@@ -386,8 +385,9 @@ class WebWaveScenario(Scenario):
         """Overloaded node lowers targets; zero-target copies are dropped."""
         state = self.state
         store = state.stores[node]
+        row, has = state.targets[node], state.has_target[node]
         targets = sorted(
-            self.servers[node].serve_targets.items(),
+            [(state.doc_ids[d], float(row[d])) for d in np.flatnonzero(has).tolist()],
             key=lambda kv: kv[1],
             reverse=True,
         )
@@ -401,7 +401,7 @@ class WebWaveScenario(Scenario):
                 state.targets[node, d] = remaining
                 state.has_target[node, d] = True
         if dropped:
-            self.routers[node].sync_filter()
+            state.sync_filter(node)
 
     # ------------------------------------------------------------------
     # Barriers and tunneling (Section 5.2)
@@ -480,7 +480,7 @@ class WebWaveScenario(Scenario):
                 base = state.targets[node, d] if state.has_target[node, d] else 0.0
                 state.targets[node, d] = base + rate
                 state.has_target[node, d] = True
-                self.routers[node].sync_filter()
+                state.sync_filter(node)
 
             self._schedule_control(delay, install)
             return True

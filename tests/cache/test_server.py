@@ -1,8 +1,9 @@
 """Tests for cache servers and rate meters.
 
-Every case runs twice: on the shipped array-backed authority
-(:class:`MeterBank` / :class:`CacheServerView`) and on the dict-based
-oracle under ``tests/oracle/`` that the parity tests compare against.
+The meter cases run twice: on the shipped :class:`MeterBank` and on the
+dict-based oracle under ``tests/oracle/`` that the parity tests compare
+against.  The server cases drive one node's row of the shipped
+:class:`PacketState` and the oracle's ``CacheServer`` side by side.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocols.state import MeterBank
+from repro.protocols.state import MeterBank, PacketState
 
-from tests.helpers import shipped_server
 from tests.oracle.cache_server import CacheServer as OracleCacheServer
 from tests.oracle.cache_server import RateMeter as OracleRateMeter
 
@@ -148,104 +148,89 @@ def test_bank_bulk_read_equals_per_meter_oracle(ops, window, alpha):
         assert sorted(bank.live) == sorted(recorded)
 
 
-class ServerCases:
-    CacheServer = None  # set by the concrete classes below
-
-    def test_home_always_serves(self):
-        server = self.CacheServer(node=0, is_home=True)
-        assert server.wants_to_serve("anything", now=0.0)
-
-    def test_non_cached_never_served(self):
-        server = self.CacheServer(node=1)
-        server.serve_targets["d"] = 100.0
-        assert not server.wants_to_serve("d", now=0.0)
-
-    def test_cached_without_target_declines(self):
-        server = self.CacheServer(node=1)
-        server.install_copy("d")
-        assert not server.wants_to_serve("d", now=0.0)
-
-    def test_serves_until_target_reached(self):
-        server = self.CacheServer(node=1, meter_window=1.0)
-        server.install_copy("d")
-        server.serve_targets["d"] = 5.0
-        t = 0.0
-        served = 0
-        # offered 20/sec for 3 seconds; measured served rate should cap
-        # near the 5/sec target
-        for _ in range(60):
-            if server.wants_to_serve("d", t):
-                server.record_served(t, "d")
-                served += 1
-            t += 0.05
-        assert served < 25  # well below the 60 offered
-
-    def test_rate_accounting(self):
-        server = self.CacheServer(node=1)
-        server.install_copy("d")
-        for k in range(10):
-            server.record_served(k * 0.1, "d")
-            server.record_forwarded(k * 0.1, "e")
-        assert server.served_rate(1.0, "d") == pytest.approx(10.0)
-        assert server.served_rate(1.0) == pytest.approx(10.0)
-        assert server.forwarded_rate(1.0, "e") == pytest.approx(10.0)
-        assert server.requests_served == 10
-        assert server.requests_forwarded == 10
-
-    def test_forwarded_documents_sorted(self):
-        server = self.CacheServer(node=1)
-        for k in range(8):
-            server.record_forwarded(k * 0.1, "hot")
-        for k in range(2):
-            server.record_forwarded(k * 0.1, "cold")
-        docs = server.forwarded_documents(1.0)
-        assert [d for d, _ in docs] == ["hot", "cold"]
-
-    def test_unknown_doc_rates_zero(self):
-        server = self.CacheServer(node=1)
-        assert server.served_rate(0.0, "nope") == 0.0
-        assert server.forwarded_rate(0.0, "nope") == 0.0
-
-    def test_drop_copy_clears_target(self):
-        server = self.CacheServer(node=1)
-        server.install_copy("d")
-        server.serve_targets["d"] = 3.0
-        server.drop_copy("d")
-        assert not server.caches("d")
-        assert "d" not in server.serve_targets
-
-    def test_service_queueing(self):
-        server = self.CacheServer(node=1, capacity=10.0)  # 0.1 s per request
-        first = server.service_completion(0.0)
-        second = server.service_completion(0.0)
-        assert first == pytest.approx(0.1)
-        assert second == pytest.approx(0.2)  # queued behind the first
-
-    def test_service_idle_gap(self):
-        server = self.CacheServer(node=1, capacity=10.0)
-        server.service_completion(0.0)
-        later = server.service_completion(5.0)  # idle gap: starts at 5.0
-        assert later == pytest.approx(5.1)
-
-    def test_utilization(self):
-        server = self.CacheServer(node=1, capacity=10.0)
-        for _ in range(5):
-            server.service_completion(0.0)
-        assert server.utilization(1.0) == pytest.approx(0.5)
-        assert server.utilization(0.0) == 0.0
-
-class TestCacheServer(ServerCases):
-    """The oracle's dict-based server."""
-
-    CacheServer = staticmethod(OracleCacheServer)
+class TestCacheServer:
+    """The oracle server's own checks, which the shipped plane makes one
+    level up (``ScenarioConfig``) or cannot meet (ids outside its catalog)."""
 
     def test_bad_capacity(self):
-        # the shipped plane rejects this one level up (ScenarioConfig)
         with pytest.raises(ValueError):
             OracleCacheServer(node=0, capacity=0.0)
 
+    def test_unknown_doc_rates_zero(self):
+        server = OracleCacheServer(node=1)
+        assert server.served_rate(0.0, "nope") == 0.0
+        assert server.forwarded_rate(0.0, "nope") == 0.0
 
-class TestCacheServerView(ServerCases):
-    """The shipped array-backed server."""
 
-    CacheServer = staticmethod(shipped_server)
+def _pair(capacity: float = 100.0):
+    """Node 1 of a two-node shipped state (home 0) and an oracle server
+    for the same node, both empty."""
+    state = PacketState(2, ("cold", "d", "e", "hot"), [capacity] * 2, home=0)
+    return state, OracleCacheServer(node=1, capacity=capacity)
+
+
+class TestPacketStateServer:
+    """One node's row of :class:`PacketState` behaves as the oracle's
+    per-object server, operation for operation."""
+
+    def test_rate_accounting(self):
+        state, oracle = _pair()
+        d, e = state.doc_index["d"], state.doc_index["e"]
+        state.install_copy(1, "d")
+        oracle.install_copy("d")
+        for k in range(10):
+            t = k * 0.1
+            state.record_served(1, d, t)
+            oracle.record_served(t, "d")
+            state.record_forwarded(1, e, t)
+            oracle.record_forwarded(t, "e")
+        assert state.served_doc_rate(1, d, 1.0) == oracle.served_rate(1.0, "d")
+        assert oracle.served_rate(1.0, "d") == pytest.approx(10.0)
+        assert state.served_total.rate(1, 1.0) == oracle.served_rate(1.0)
+        forwarded_e = state.fwd_doc.rate(1 * state.docs + e, 1.0)
+        assert forwarded_e == oracle.forwarded_rate(1.0, "e")
+        assert state.forwarded_rate(1, 1.0) == oracle.forwarded_rate(1.0)
+        assert oracle.forwarded_rate(1.0, "e") == pytest.approx(10.0)
+        assert state.requests_served[1] == oracle.requests_served == 10
+        assert state.requests_forwarded[1] == oracle.requests_forwarded == 10
+
+    def test_forwarded_documents_sorted(self):
+        state, oracle = _pair()
+        for doc_id, count in (("cold", 2), ("hot", 8)):
+            for k in range(count):
+                state.record_forwarded(1, state.doc_index[doc_id], k * 0.1)
+                oracle.record_forwarded(k * 0.1, doc_id)
+        docs = state.forwarded_documents(1, 1.0)
+        assert docs == oracle.forwarded_documents(1.0)
+        assert [doc_id for doc_id, _ in docs] == ["hot", "cold"]
+
+    def test_drop_copy_clears_target(self):
+        state, oracle = _pair()
+        d = state.doc_index["d"]
+        state.install_copy(1, "d")
+        oracle.install_copy("d")
+        state.targets[1, d] = 3.0
+        state.has_target[1, d] = True
+        oracle.serve_targets["d"] = 3.0
+        state.drop_copy(1, "d")
+        oracle.drop_copy("d")
+        assert d not in state.cached[1] and "d" not in state.stores[1]
+        assert not oracle.caches("d")
+        assert not state.has_target[1, d] and state.targets[1, d] == 0.0
+        assert "d" not in oracle.serve_targets
+
+    def test_service_queueing(self):
+        state, oracle = _pair(capacity=10.0)  # 0.1 s per request
+        for expected in (0.1, 0.2):  # the second queues behind the first
+            completion = state.service_completion(1, 0.0)
+            assert completion == oracle.service_completion(0.0)
+            assert completion == pytest.approx(expected)
+        assert state.busy_time[1] == oracle.busy_time
+
+    def test_service_idle_gap(self):
+        state, oracle = _pair(capacity=10.0)
+        state.service_completion(1, 0.0)
+        oracle.service_completion(0.0)
+        later = state.service_completion(1, 5.0)  # idle gap: starts at 5.0
+        assert later == oracle.service_completion(5.0)
+        assert later == pytest.approx(5.1)

@@ -7,7 +7,6 @@ from typing import List
 from hypothesis import strategies as st
 
 from repro.core.tree import RoutingTree
-from repro.protocols.state import CacheServerView, PacketState
 
 
 @st.composite
@@ -50,23 +49,6 @@ def assert_feasible(assignment, tol: float = 1e-6) -> None:
         assert a >= -tol, f"NSS violated at node {i}: A={a}"
     for i, l in enumerate(assignment.served):
         assert l >= -tol, f"negative served load at {i}: {l}"
-
-
-def shipped_server(
-    node: int,
-    capacity: float = 100.0,
-    is_home: bool = False,
-    meter_window: float = 1.0,
-    doc_ids=("a", "cold", "d", "e", "hot"),
-) -> CacheServerView:
-    """One node's shipped cache server over a two-node packet state.
-
-    Same call shape as the oracle ``CacheServer`` constructor
-    (``tests/oracle/cache_server.py``), so a test runs on either.
-    """
-    home = node if is_home else 1 - node
-    state = PacketState(2, doc_ids, [capacity] * 2, home, meter_window=meter_window)
-    return CacheServerView(state, node)
 
 
 def count_steps(runtime, monkeypatch, limit: int) -> List[int]:

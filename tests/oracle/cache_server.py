@@ -1,8 +1,8 @@
 """The pre-refactor dict-based cache server, kept as a test oracle.
 
-The shipped authority is :class:`repro.protocols.state.CacheServerView` over
-:class:`~repro.protocols.state.MeterBank`; ``tests/cache/test_server.py``
-runs the same cases against both, and
+The shipped authority is :class:`repro.protocols.state.PacketState` (one
+row per node, rate meters in :class:`~repro.protocols.state.MeterBank`);
+``tests/cache/test_server.py`` runs the shared cases against both, and
 :mod:`tests.oracle.packet_reference` builds its nodes from this one.
 
 A WebWave cache server (one per tree node) owns:

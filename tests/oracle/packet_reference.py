@@ -4,7 +4,8 @@ PR 4 rebuilt :mod:`repro.protocols.scenario` and
 :mod:`repro.protocols.webwave` onto array state, an inline path walker, and
 batched event timelines.  This module preserves the original per-hop-event
 implementation verbatim (one heap event per router traversal, dict-based
-per-server state from :mod:`tests.oracle.cache_server`, per-edge gossip
+per-server state from :mod:`tests.oracle.cache_server`, per-node routers
+and filter tables from :mod:`tests.oracle.router`, per-edge gossip
 closures), in the same spirit as :func:`tests.oracle.reference_round.reference_round`.
 It is not part of the installed package: ``tests/golden/packet_goldens.json``
 is the primary pin, and ``tests/protocols/test_packet_parity.py``
@@ -25,13 +26,13 @@ from repro.core.load import LoadAssignment
 from repro.core.tree import RoutingTree
 from repro.protocols.scenario import ScenarioConfig, ScenarioMetrics
 from repro.protocols.webwave import WebWaveProtocolConfig
-from repro.router.router import Router
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.traffic.requests import Request
 from repro.traffic.workload import Workload
 
 from tests.oracle.cache_server import CacheServer
+from tests.oracle.router import Router
 
 __all__ = ["ReferenceScenario", "ReferenceWebWaveScenario"]
 

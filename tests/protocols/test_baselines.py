@@ -15,7 +15,8 @@ from repro.protocols.baselines import (
     PushConfig,
     PushScenario,
 )
-from repro.protocols.scenario import ScenarioConfig
+from repro.protocols.scenario import Scenario, ScenarioConfig
+from repro.protocols.webwave import WebWaveScenario
 from repro.traffic.workload import hot_document_workload
 
 
@@ -87,6 +88,54 @@ class TestDirectory:
         assert slow.completed < fast.completed
         assert slow.mean_response_time > fast.mean_response_time
 
+    def test_filter_counts_only_home_documents(self):
+        # the directory redirects rather than diverts: a replica never
+        # injects a router filter, so only the home's pinned catalog is in
+        # one (overhead.txt's directory filter columns read this)
+        scenario = DirectoryScenario(
+            make_workload(rate=20.0),
+            config(default_capacity=40.0),
+            directory=DirectoryConfig(replicate_period=1.0),
+        )
+        scenario.run()
+        state, root = scenario.state, scenario.tree.root
+        assert any(len(state.stores[i]) for i in scenario.tree if i != root)
+        assert state.filter_size == [
+            state.docs if i == root else 0 for i in scenario.tree
+        ]
+
+    def test_evicted_replica_is_not_redirected_to(self):
+        # with one-document stores, a later replica evicts an earlier one:
+        # the directory forgets that holder, as it does a crashed one
+        scenario = DirectoryScenario(make_workload(), config(cache_capacity=1))
+        state = scenario.state
+        first, second = state.doc_ids[:2]
+        for doc_id in (first, second):
+            state.install_copy(3, doc_id)
+            scenario.replicas[doc_id].add(3)
+        assert first not in state.stores[3]
+        assert scenario._pick_replica(first, origin=3) == scenario.tree.root
+        assert scenario._pick_replica(second, origin=3) == 3
+        assert scenario.replicas[first] == {scenario.tree.root}
+
+    def test_redirects_under_eviction_reach_a_holder(self):
+        picks = []
+
+        class Checked(DirectoryScenario):
+            def _pick_replica(self, doc_id, origin):
+                target = super()._pick_replica(doc_id, origin)
+                picks.append(doc_id in self.state.stores[target])
+                return target
+
+        scenario = Checked(
+            make_workload(height=1, rate=20.0),
+            config(default_capacity=20.0, cache_capacity=1),
+            directory=DirectoryConfig(replicate_period=1.0, max_replicas_per_doc=2),
+        )
+        scenario.run()
+        assert sum(store.evictions for store in scenario.state.stores) > 0
+        assert picks and all(picks)
+
     def test_replica_pick_is_holder(self):
         scenario = DirectoryScenario(make_workload(), config())
         scenario.run()
@@ -99,7 +148,7 @@ class TestIcp:
         scenario = IcpScenario(make_workload(), config())
         scenario.run()
         cached_nodes = [
-            i for i in scenario.tree if len(scenario.servers[i].store) > 0
+            i for i in scenario.tree if len(scenario.state.stores[i]) > 0
         ]
         assert len(cached_nodes) > 1
 
@@ -131,7 +180,7 @@ class TestPush:
         pushed = [
             i
             for i in scenario.tree
-            if scenario.tree.depth(i) == 1 and len(scenario.servers[i].store) > 0
+            if scenario.tree.depth(i) == 1 and len(scenario.state.stores[i]) > 0
         ]
         assert pushed
         assert metrics.messages.get("copy_transfer", 0) > 0
@@ -143,7 +192,7 @@ class TestPush:
         scenario.run()
         for node in scenario.tree:
             if scenario.tree.depth(node) > 1 and node != scenario.tree.root:
-                assert len(scenario.servers[node].store) == 0
+                assert len(scenario.state.stores[node]) == 0
 
     def test_offloads_home_somewhat(self):
         wl = make_workload(rate=10.0)
@@ -152,3 +201,40 @@ class TestPush:
         ).run()
         nocache = NoCacheScenario(wl, config()).run()
         assert push.home_share < nocache.home_share
+
+
+class TestRouterState:
+    """The walker is every router: its tallies and the filter sizes the
+    protocols re-inject are what the overhead study reads."""
+
+    @pytest.mark.parametrize(
+        "cls", [Scenario, WebWaveScenario, PushScenario], ids=lambda c: c.name
+    )
+    def test_walker_tallies_fold_into_forwarded(self, cls):
+        scenario = cls(make_workload(), config())
+        scenario.run()
+        state = scenario.state
+        assert sum(scenario.seen) > sum(scenario.diverted) > 0
+        # every walker serve was one diversion, every other visit a forward
+        assert sum(scenario.diverted) == sum(state.requests_served)
+        assert state.requests_forwarded == [
+            seen - diverted for seen, diverted in zip(scenario.seen, scenario.diverted)
+        ]
+
+    @pytest.mark.parametrize(
+        "cls", [NoCacheScenario, DirectoryScenario, IcpScenario], ids=lambda c: c.name
+    )
+    def test_bypassing_baselines_consult_no_filter(self, cls):
+        scenario = cls(make_workload(), config())
+        scenario.run()
+        assert not any(scenario.seen) and not any(scenario.diverted)
+        assert sum(scenario.state.requests_served) > 0
+
+    @pytest.mark.parametrize("cls", [IcpScenario, PushScenario], ids=lambda c: c.name)
+    def test_filters_follow_every_install(self, cls):
+        scenario = cls(make_workload(), config())
+        scenario.run()
+        state, root = scenario.state, scenario.tree.root
+        assert any(state.filter_size[i] for i in scenario.tree if i != root)
+        assert state.filter_size == [len(store) for store in state.stores]
+

@@ -136,12 +136,14 @@ class TestLiveReferenceParity:
         reference.run()
         refactored = WebWaveScenario(small_workload(), config)
         refactored.run()
-        for ref_router, new_router in zip(reference.routers, refactored.routers):
-            assert ref_router.packets_seen == new_router.packets_seen
-            assert ref_router.packets_diverted == new_router.packets_diverted
-            assert (
-                ref_router.filters.consultations == new_router.filters.consultations
-            )
+        assert len(reference.routers) == len(refactored.seen)
+        for node, router in enumerate(reference.routers):
+            assert router.packets_seen == refactored.seen[node]
+            assert router.packets_diverted == refactored.diverted[node]
+            # one filter consultation per packet the router classified
+            assert router.filters.consultations == refactored.seen[node]
+            assert len(router.filters) == refactored.state.filter_size[node]
+        assert 0 < sum(refactored.diverted) <= len(refactored.requests)
 
 
 PROTOCOLS = {

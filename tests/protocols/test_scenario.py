@@ -111,7 +111,7 @@ class TestDelaysAndTopology:
         wl = hot_document_workload(tree, catalog, [0.0] + [1.0] * 6)
         scenario = Scenario(wl, small_config(), topology=topo)
         assert scenario.edge_delay(1, 0) == 0.07
-        assert scenario.servers[3].capacity == topo.capacity(3)
+        assert scenario.state.capacity[3] == topo.capacity(3)
 
     def test_path_delay_symmetric(self):
         scenario = Scenario(make_workload(height=3), small_config())

@@ -69,20 +69,20 @@ class TestLoadSpreading:
         holders = [
             i
             for i in scenario.tree
-            if i != scenario.tree.root and len(scenario.servers[i].store) > 0
+            if i != scenario.tree.root and len(scenario.state.stores[i]) > 0
         ]
         assert holders
 
     def test_filters_synced_with_caches(self):
         scenario, _ = run_scenario()
+        state = scenario.state
         for node in scenario.tree:
-            if node == scenario.tree.root:
-                continue
-            server = scenario.servers[node]
-            router = scenario.routers[node]
-            assert set(router.filters.filter_of(node).doc_ids) == set(
-                server.store.doc_ids
-            )
+            # the walker's filter match is the cache mirror, and the
+            # filter table was re-injected after the last content change
+            assert state.cached[node] == {
+                state.doc_index[doc_id] for doc_id in state.stores[node].doc_ids
+            }
+            assert state.filter_size[node] == len(state.stores[node])
 
     def test_gossip_messages_counted(self):
         scenario, metrics = run_scenario()

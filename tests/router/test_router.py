@@ -1,13 +1,19 @@
-"""Tests for packet filters and the router datapath."""
+"""Tests for the oracle's packet filters and router datapath.
+
+:mod:`tests.oracle.router` keeps the per-node router objects of the
+original packet plane for :mod:`tests.oracle.packet_reference`; the
+shipped walker's decision is pinned by the packet goldens and the live
+parity tests instead.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.router.packetfilter import DPF_MATCH_COST, FilterTable, PacketFilter
-from repro.router.router import RouteDecision, Router
+from repro.protocols.scenario import DPF_MATCH_COST
 
-from tests.helpers import shipped_server
+from tests.oracle.cache_server import CacheServer
+from tests.oracle.router import FilterTable, PacketFilter, Router
 
 
 class TestPacketFilter:
@@ -65,7 +71,7 @@ class TestFilterTable:
 
 class TestRouter:
     def make_router(self, is_home=False, parent=0):
-        server = shipped_server(node=1, is_home=is_home)
+        server = CacheServer(node=1, is_home=is_home)
         return Router(node=1, server=server, parent=parent), server
 
     def test_forward_when_no_copy(self):
