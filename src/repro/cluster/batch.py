@@ -14,7 +14,8 @@ What this module adds on top of the shared round is document lifecycle
 only: stacking and dropping rows (:meth:`BatchEngine.add_documents`,
 :meth:`BatchEngine.remove_documents`), rate swaps for any set of rows
 with the mass-conserving resettle (:meth:`BatchEngine.resettle_rows`),
-the ``Steppable`` state contract, and the ``cluster.batch.*`` telemetry
+the ``state`` / ``load_state`` capture a catalog cohort nests inside its
+``cluster_runtime`` checkpoint, and the ``cluster.batch.*`` telemetry
 counters.  Since the round is one piece of code, a document's trajectory
 in a batch is bit-identical to its trajectory in a ``SyncEngine``
 (``tests/core/test_round_parity.py``).
@@ -38,12 +39,10 @@ from ..core.kernel import (
     _NO_EDGES,
     _as_matrix,
     degree_edge_alphas,
-    flatten,
     forwarded_rates,
     resettle_served,
 )
-from ..core.steppable import require_kind, state_counts
-from ..core.tree import tree_from_parent_map
+from ..core.steppable import require_kind
 
 __all__ = ["BatchEngine"]
 
@@ -82,7 +81,7 @@ class BatchEngine(DiffusionStack):
     frontier) touches it again.
     """
 
-    STATE_KIND = "batch_engine"
+    STATE_KIND = "batch_engine"  # a cohort's capture, nested in cluster_runtime
 
     __slots__ = ("_tel_dense", "_tel_sparse", "_tel_ops")
 
@@ -299,20 +298,7 @@ class BatchEngine(DiffusionStack):
         for _ in range(rounds):
             self.step()
 
-    # -- Steppable: snapshot / state / load_state --------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """Cheap JSON-ready health record (the Steppable observation)."""
-        return {
-            "type": "engine_snapshot",
-            "kind": self.STATE_KIND,
-            "round": self._round,
-            "docs": self.docs,
-            "nodes": int(self.flat.n),
-            "mass": float(self._loads.sum()),
-            "frontier_size": self.frontier_size,
-            "quiescent": self.quiescent,
-        }
-
+    # -- the cohort's capture, nested in a cluster_runtime checkpoint -----
     def state(self) -> Dict[str, object]:
         """Complete resumable state as a JSON-compatible dict.
 
@@ -343,15 +329,3 @@ class BatchEngine(DiffusionStack):
         """Restore a :meth:`state` capture in place: validate, then swap."""
         require_kind(self, state)
         self._restore(state, "op_count")
-
-    @classmethod
-    def from_state(
-        cls, state: Mapping[str, object], *, telemetry=None
-    ) -> "BatchEngine":
-        """Rebuild an engine from nothing but a :meth:`state` dict."""
-        require_kind(cls, state)
-        parent = state_counts(state, "parent_map", cls.STATE_KIND)
-        flat = flatten(tree_from_parent_map(parent))
-        engine = cls(flat, np.zeros((0, flat.n)), telemetry=telemetry)
-        engine.load_state(state)
-        return engine

@@ -50,7 +50,7 @@ from ..core.kernel import (
     resettle_served,
     state_field,
 )
-from ..core.steppable import is_count, require_kind, state_count, state_counts
+from ..core.steppable import is_count, require_kind, state_count, state_counts, state_entry
 from ..core.tree import RoutingTree, tree_from_parent_map
 from ..analysis.metrics import jain_fairness
 from ..core.webfold import webfold
@@ -864,35 +864,35 @@ class ClusterRuntime:
         # a state that does not parse (missing key, wrong-size tree,
         # repeated document id, hostile engine arrays) leaves the resident
         # catalog untouched.
-        alpha = state["alpha"]
-        n = None if state["n"] is None else state_count(state, "n", what)
-        capacities = None
-        if state.get("capacities") is not None:
-            # One per server: a vector of another length would load and then
-            # fail the broadcast in every later snapshot.
-            shape = (-1,) if n is None else (n,)
-            capacities = state_field(state, "capacities", shape, what)
-            if not (capacities.size and capacities.min() > 0.0):
-                raise ValueError(f"{what} 'capacities' must be positive")
-        track_tlb = bool(state["track_tlb"])
-        tolerance = float(state["tolerance"])
-        if not 0.0 < tolerance < np.inf:  # the ClusterConfig contract
-            raise ValueError(f"{what} 'tolerance' must be finite and > 0")
-        if state["prune"] is not True:  # a full-width catalog: none exists
+        n = None if state_entry(state, "n", what) is None else state_count(state, "n", what)
+        knobs = dict(
+            alpha=state_entry(state, "alpha", what, type(None), numbers.Real),
+            track_tlb=state_entry(state, "track_tlb", what, bool),
+            tolerance=state_entry(state, "tolerance", what, numbers.Real),
+            adaptive=state_entry(state, "adaptive", what, bool),
+        )
+        try:  # the constructor's contract, not a copy of it
+            config = ClusterConfig(**knobs)
+        except ValueError as exc:
+            raise ValueError(f"{what} {exc}") from None
+        alpha, adaptive = config.alpha, config.adaptive
+        # A full-width catalog: no config builds one.
+        if state_entry(state, "prune", what) is not True:
             raise ValueError(f"{what} 'prune' must be true")
-        adaptive = bool(state["adaptive"])
         tick = state_count(state, "tick", what)
         groups: Dict[int, _HomeGroup] = {}
         doc_home: Dict[str, int] = {}
         doc_cohort: Dict[str, bytes] = {}
         active_cohorts: Dict[Tuple[int, bytes], _Cohort] = {}
         untargeted: List[_Cohort] = []
-        for g in state["groups"]:
+        for g in state_entry(state, "groups", what, list):
             home = state_count(g, "home", what)
             tree = tree_from_parent_map(state_counts(g, "parent_map", what))
+            if tree.n != n:
+                raise ValueError(f"{what} 'n' is {n}, but home {home}'s tree has {tree.n} nodes")
             no_rows = np.zeros((0, tree.n))  # the captured engine state brings them
             group = groups[home] = _new_group(home, tree, n, alpha)
-            for c in g["cohorts"]:
+            for c in state_entry(g, "cohorts", what, list):
                 nodes = state_field(c, "nodes", (-1,), what, np.intp)
                 if nodes.size and nodes.max() >= tree.n:
                     raise ClusterError(f"{what} 'nodes' must be node ids below {tree.n}")
@@ -900,9 +900,11 @@ class ClusterRuntime:
                 mask[nodes] = True
                 key = np.packbits(mask).tobytes()
                 cohort = _new_cohort(group, key, mask, no_rows, no_rows, adaptive, self._tel)
-                cohort.engine.load_state(c["engine"])
+                cohort.engine.load_state(state_entry(c, "engine", what, dict))
                 docs = cohort.engine.docs
-                doc_ids = list(c["doc_ids"])
+                doc_ids = _string_tuple(state_entry(c, "doc_ids", what))
+                if doc_ids is None:
+                    raise ValueError(f"{what} 'doc_ids' must be a list of strings")
                 if len(doc_ids) != docs:
                     raise ClusterError(
                         f"{what} 'doc_ids' names {len(doc_ids)} documents "
@@ -916,19 +918,27 @@ class ClusterRuntime:
                     cohort.append_doc(doc_id)
                     doc_home[doc_id] = home
                     doc_cohort[doc_id] = key
-                if c["active"]:
+                if state_entry(c, "active", what, bool):
                     active_cohorts[(home, key)] = cohort
-                if c.get("targets") is not None:
+                if state_entry(c, "targets", what) is not None:
                     cohort.targets = state_field(
                         c, "targets", (docs, cohort.pruned.n), what
                     )
                     cohort.target_norms = state_field(c, "target_norms", (docs,), what)
                 else:
                     untargeted.append(cohort)
+        capacities = None
+        if state_entry(state, "capacities", what) is not None:
+            # One per server: a vector of another length would load and then
+            # fail the broadcast in every later snapshot.
+            shape = (-1,) if n is None else (n,)
+            capacities = state_field(state, "capacities", shape, what)
+            if not (capacities.size and capacities.min() > 0.0):
+                raise ValueError(f"{what} 'capacities' must be positive")
         self._alpha = alpha
         self._capacities = capacities
-        self._track_tlb = track_tlb
-        self._tolerance = tolerance
+        self._track_tlb = config.track_tlb
+        self._tolerance = float(config.tolerance)
         self._adaptive = adaptive
         self._n = n
         self._tick = tick
@@ -956,7 +966,7 @@ class ClusterRuntime:
             state_count(g, "home", what): tree_from_parent_map(
                 state_counts(g, "parent_map", what)
             )
-            for g in state["groups"]
+            for g in state_entry(state, "groups", what, list)
         }
         runtime = cls(trees, telemetry=telemetry)
         runtime.load_state(state)

@@ -69,7 +69,7 @@ demand a round touches the demand closure, not the topology.
 
 from __future__ import annotations
 
-import random
+import numbers
 import weakref
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -79,7 +79,7 @@ from . import policy
 from ..obs.telemetry import resolve as _resolve_telemetry
 from .config import EngineConfig
 from .frontier import batch_incident_edges, incident_edges_of, node_slots, sorted_unique
-from .steppable import mt_state, require_kind, state_count, state_counts
+from .steppable import require_kind, state_count, state_counts, state_entry
 from .tree import RoutingTree, tree_from_parent_map
 
 __all__ = [
@@ -335,14 +335,18 @@ def state_field(
 
     Entries must be finite and non-negative (finite only with ``signed``).
     A leading ``-1`` in ``shape`` accepts any row count, including the flat
-    list a one-row engine writes and the ``[]`` of an empty stack.
+    list a one-row engine writes and the ``[]`` of an empty stack, but never
+    a bare number.
     """
     any_rows = shape[0] == -1
+    value = state_entry(state, field, what)  # refused as missing, not misshapen
     try:
-        arr = np.array(state[field], dtype=dtype)
+        arr = np.array(value, dtype=dtype)
+        if arr.ndim == 0:
+            raise ValueError
         if any_rows:
             arr = arr.reshape(shape)
-    except (TypeError, ValueError):  # ragged, non-numeric, a partial row
+    except (TypeError, ValueError):  # a scalar, ragged, non-numeric, a partial row
         raise ValueError(
             f"{what} {field!r} does not hold an array of shape {shape}"
         ) from None
@@ -796,11 +800,11 @@ class DiffusionStack:
                 f"the shape of 'spontaneous', {e.shape}"
             )
         alpha = state_field(state, "edge_alpha", (m,), what)
-        density = float(state["density_threshold"])
+        density = float(state_entry(state, "density_threshold", what, numbers.Real))
         if not density <= 1.0:
             raise ValueError(f"{what} 'density_threshold' must be <= 1")
         active = None
-        if state.get("active") is not None:
+        if state_entry(state, "active", what) is not None:
             active = state_field(state, "active", (-1,), what, np.intp)
             pairs = e.shape[0] * m
             if active.size and not (active[-1] < pairs and (np.diff(active) > 0).all()):
@@ -811,8 +815,9 @@ class DiffusionStack:
             state_count(state, field, what)
             for field in ("round", ops_key, "dense_rounds", "sparse_rounds")
         ]
+        adaptive = state_entry(state, "adaptive", what, bool)
         self._e, self._loads, self._fwd, self._alpha = e, loads, fwd, alpha
-        self._adaptive = bool(state["adaptive"])
+        self._adaptive = adaptive
         self._density = density
         self._active = active
         self._round, self._op_count, self._dense_rounds, self._sparse_rounds = counts
@@ -1125,13 +1130,13 @@ class SyncEngine(DiffusionStack):
         """Restore a :meth:`state` capture in place: validate, then swap."""
         require_kind(self, state)
         what, n = self.STATE_KIND, self.flat.n
-        caps = state.get("capacities")
+        caps = state_entry(state, "capacities", what)
         if caps is not None:
             caps = state_field(state, "capacities", (n,), what)
             if caps.min() <= 0.0:
                 raise ValueError(f"{what} 'capacities' must be positive")
         delay = state_count(state, "gossip_delay", what)
-        quantum = float(state["quantum"])
+        quantum = float(state_entry(state, "quantum", what, numbers.Real))
         if not 0.0 <= quantum < np.inf:
             raise ValueError(f"{what} 'quantum' must be finite and >= 0")
         if caps is not None and (delay or quantum):
@@ -1175,8 +1180,6 @@ class ForestEngine:
     the step size divides by the tree count since a node participates in
     one overlay edge per tree.
     """
-
-    STATE_KIND = "forest_engine"
 
     __slots__ = ("homes", "_stacks", "_scale", "_tel", "_tel_rounds")
 
@@ -1244,90 +1247,6 @@ class ForestEngine:
         if self._tel.enabled:
             self._tel_rounds.add(1)
 
-    # -- Steppable: snapshot / state / load_state --------------------------
-    def snapshot(self) -> Dict[str, object]:
-        totals = self.total_loads()
-        return {
-            "type": "engine_snapshot",
-            "kind": self.STATE_KIND,
-            "round": self.round,
-            "homes": len(self.homes),
-            "nodes": int(totals.shape[0]),
-            "mass": float(totals.sum()),
-            "max_load": float(totals.max()),
-        }
-
-    def state(self) -> Dict[str, object]:
-        """Complete resumable state (per-home trees, loads, incremental fwd)."""
-        return {
-            "kind": self.STATE_KIND,
-            "round": self.round,
-            "homes": [
-                {
-                    "home": int(h),
-                    "parent_map": [int(p) for p in stack.flat.tree.parent_map],
-                    "demand": stack._e[0].tolist(),
-                    "loads": stack._loads[0].tolist(),
-                    "edge_alpha": stack._alpha.tolist(),
-                    "fwd": stack._fwd[0].tolist(),
-                }
-                for h, stack in self._stacks.items()
-            ],
-        }
-
-    def load_state(self, state: Mapping[str, object]) -> None:
-        """Restore a :meth:`state` capture in place: validate every home's
-        entry, then swap them all."""
-        require_kind(self, state)
-        what = self.STATE_KIND
-        entries = {state_count(ent, "home", what): ent for ent in state["homes"]}
-        if tuple(sorted(entries)) != self.homes:
-            raise ValueError(f"{what} state was captured for different homes")
-        round_ = state_count(state, "round", what)
-        parsed = []
-        for h, stack in self._stacks.items():
-            ent = entries[h]
-            if state_counts(ent, "parent_map", what) != stack.flat.tree.parent_map:
-                raise ValueError(
-                    f"{what} state for home {h} was captured on a different tree"
-                )
-            n = stack.flat.n
-            where = f"{what} home {h}"
-            parsed.append(
-                (
-                    state_field(ent, "demand", (n,), where)[None, :],
-                    state_field(ent, "loads", (n,), where)[None, :],
-                    state_field(ent, "fwd", (n,), where, signed=True)[None, :],
-                    state_field(ent, "edge_alpha", (n - 1,), where),
-                )
-            )
-        for stack, fields in zip(self._stacks.values(), parsed):
-            stack._e, stack._loads, stack._fwd, stack._alpha = fields
-            stack._round = round_
-
-    @classmethod
-    def from_state(
-        cls, state: Mapping[str, object], *, telemetry=None
-    ) -> "ForestEngine":
-        require_kind(cls, state)
-        what = cls.STATE_KIND
-        flats = {
-            state_count(ent, "home", what): flatten(
-                tree_from_parent_map(state_counts(ent, "parent_map", what))
-            )
-            for ent in state["homes"]
-        }
-        if not flats:
-            raise ValueError(f"{what} state names no homes")
-        engine = cls(
-            flats,
-            {h: np.zeros(flat.n) for h, flat in flats.items()},
-            {h: np.zeros(flat.n - 1) for h, flat in flats.items()},
-            telemetry=telemetry,
-        )
-        engine.load_state(state)
-        return engine
-
 
 # ----------------------------------------------------------------------
 # Asynchronous engine: seeded single-node activations
@@ -1342,8 +1261,6 @@ class AsyncEngine:
     sampled with a uniformly random staleness of up to ``max_staleness``
     past activations.
     """
-
-    STATE_KIND = "async_engine"
 
     __slots__ = (
         "flat",
@@ -1455,83 +1372,3 @@ class AsyncEngine:
         self._activations += 1
         if self._tel.enabled:
             self._tel_activations.add(1)
-
-    # -- Steppable: step / snapshot / state / load_state -------------------
-    def step(self) -> None:
-        """One unit of work: a single RNG-drawn activation (Steppable alias)."""
-        self.activate()
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "type": "engine_snapshot",
-            "kind": self.STATE_KIND,
-            "activations": self._activations,
-            "nodes": int(self.flat.n),
-            "mass": float(self._loads.sum()),
-            "max_load": float(self._loads.max()),
-        }
-
-    def state(self) -> Dict[str, object]:
-        """Complete resumable state, including the MT19937 word state.
-
-        ``random.Random.getstate()`` is ``(version, 625 ints, gauss_next)``;
-        it is stored as a JSON list so a checkpoint restores the exact
-        activation sequence (the round-trip tests transplant it across
-        engines).
-        """
-        rng_state = self._rng.getstate()
-        return {
-            "kind": self.STATE_KIND,
-            "parent_map": [int(p) for p in self.flat.tree.parent_map],
-            "spontaneous": self._e.tolist(),
-            "loads": self._loads.tolist(),
-            "alpha_of_child": self._alpha_of_child.tolist(),
-            "max_staleness": self._staleness,
-            "history": [h.tolist() for h in self._history],
-            "fwd": self._fwd.tolist(),
-            "activations": self._activations,
-            "rng": [rng_state[0], list(rng_state[1]), rng_state[2]],
-        }
-
-    def load_state(self, state: Mapping[str, object]) -> None:
-        """Restore a :meth:`state` capture in place: validate, then swap.
-        The generator keeps its identity (``setstate``), as its owner may
-        hold it."""
-        require_kind(self, state)
-        what, n = self.STATE_KIND, self.flat.n
-        if state_counts(state, "parent_map", what) != self.flat.tree.parent_map:
-            raise ValueError(f"{what} state was captured on a different tree")
-        e = state_field(state, "spontaneous", (n,), what)
-        loads = state_field(state, "loads", (n,), what)
-        alpha_of_child = state_field(state, "alpha_of_child", (n,), what)
-        fwd = state_field(state, "fwd", (n,), what, signed=True)
-        staleness = state_count(state, "max_staleness", what)
-        history = state_field(state, "history", (-1, n), what)
-        if not 1 <= history.shape[0] <= staleness + 1:
-            raise ValueError(
-                f"{what} 'history': expected 1..{staleness + 1} rows, "
-                f"got {history.shape[0]}"
-            )
-        activations = state_count(state, "activations", what)
-        rng_state = mt_state(state["rng"], what)
-        self._e, self._loads, self._fwd = e, loads, fwd
-        self._alpha_of_child = alpha_of_child
-        self._staleness = staleness
-        self._history = list(history)
-        self._activations = activations
-        self._rng.setstate(rng_state)
-        self._served_cache = None
-
-    @classmethod
-    def from_state(
-        cls, state: Mapping[str, object], *, telemetry=None
-    ) -> "AsyncEngine":
-        require_kind(cls, state)
-        parent = state_counts(state, "parent_map", cls.STATE_KIND)
-        flat = flatten(tree_from_parent_map(parent))
-        blank = np.zeros(flat.n)
-        engine = cls(
-            flat, blank, blank, np.zeros(flat.n - 1), random.Random(), telemetry=telemetry
-        )
-        engine.load_state(state)
-        return engine

@@ -1,25 +1,23 @@
-"""The one stepping/serialization contract every plane implements.
+"""The one stepping/serialization contract every checkpointed plane implements.
 
-Three planes grew three ad-hoc run/snapshot/state surfaces: the rate
-kernel's engines (:class:`~repro.core.kernel.SyncEngine` and friends), the
-cluster catalog (:class:`~repro.cluster.runtime.ClusterRuntime`), and the
-batched document engine (:class:`~repro.cluster.batch.BatchEngine`).  The
-service plane (:mod:`repro.service`) and the experiments runner want to
-*drive* any of them without knowing which one they hold, so the contract
-is extracted here:
+Two planes can be captured and resumed: the single-tree rate kernel
+(:class:`~repro.core.kernel.SyncEngine`) and the cluster catalog
+(:class:`~repro.cluster.runtime.ClusterRuntime`).  The service plane
+(:mod:`repro.service`) wants to *drive* either without knowing which one
+it holds, so the contract is extracted here:
 
 ``step()``
     Advance the object by its natural unit of work (a synchronous round,
-    a single-node activation, a catalog tick).
+    a catalog tick).
 ``snapshot()``
     A cheap, JSON-ready health record of right now - either a plain
     mapping or an object exposing ``to_record()`` (normalize with
     :func:`snapshot_record`).  Purely observational: never mutates
     trajectory state.
 ``state()``
-    The *complete* serializable state - every array, counter, ring buffer
-    and RNG word needed to resume bit-identically - as a JSON-compatible
-    dict whose ``"kind"`` key is the class's ``STATE_KIND`` (the checkpoint
+    The *complete* serializable state - every array, counter and ring
+    buffer needed to resume bit-identically - as a JSON-compatible dict
+    whose ``"kind"`` key is the class's ``STATE_KIND`` (the checkpoint
     registry key, see :mod:`repro.service.checkpoint`).  It is the only
     transport for captured state: disk checkpoints and daemon restores
     both carry it.
@@ -31,11 +29,13 @@ is extracted here:
                                      trajectories from here on.
 
     A capture is outside input: ``load_state`` parses it into locals,
-    rejects a foreign ``kind`` (:func:`require_kind`), wrong shapes,
-    non-finite or negative values (:func:`repro.core.kernel.state_field`,
-    :func:`state_count`, :func:`mt_state`) with a ``ValueError`` naming
-    the field, and only then swaps - a rejected capture leaves the object
-    untouched.
+    rejects a foreign ``kind`` (:func:`require_kind`), a missing field, a
+    value of the wrong JSON type, wrong shapes, non-finite or negative
+    values with a ``ValueError`` naming the field, and only then swaps - a
+    rejected capture leaves the object untouched.  Three helpers parse:
+    :func:`repro.core.kernel.state_field` (arrays), :func:`state_count`
+    (counters) and :func:`state_counts` (integer lists); each of their
+    reads, and a ``load_state``'s own, goes through :func:`state_entry`.
 
 Implementations additionally expose a ``from_state(state)`` classmethod
 that reconstructs the object from nothing but the dict (used when
@@ -45,12 +45,11 @@ restoring a checkpoint into a fresh process).
 from __future__ import annotations
 
 import numbers
-import random
 from typing import Any, Dict, Iterable, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
 __all__ = [
-    "Steppable", "count_tuple", "is_count", "mt_state", "require_kind",
-    "snapshot_record", "state_count", "state_counts",
+    "Steppable", "count_tuple", "is_count", "require_kind", "snapshot_record",
+    "state_count", "state_counts", "state_entry",
 ]
 
 
@@ -63,7 +62,7 @@ class Steppable(Protocol):
     STATE_KIND: str
 
     def step(self) -> None:
-        """Advance by one unit of work (round / activation / tick)."""
+        """Advance by one unit of work (a round or a catalog tick)."""
 
     def snapshot(self) -> Any:
         """A cheap JSON-ready health record (mapping or ``to_record()``-able)."""
@@ -94,7 +93,7 @@ def snapshot_record(target: Any) -> Dict[str, Any]:
 def require_kind(target: Any, state: Mapping[str, Any]) -> None:
     """Reject a capture tagged for another class than ``target`` (an
     instance or the class itself), naming both kinds."""
-    kind = state.get("kind")
+    kind = state.get("kind") if isinstance(state, Mapping) else None
     if kind != target.STATE_KIND:
         raise ValueError(
             f"cannot load state of kind {kind!r} into a {target.STATE_KIND!r}"
@@ -116,10 +115,31 @@ def count_tuple(values: Iterable[Any]) -> Optional[Tuple[int, ...]]:
     return tuple(map(int, values)) if all(map(is_count, values)) else None
 
 
+# What each JSON type is called in a refusal.
+_JSON_TYPES = {bool: "true or false", numbers.Real: "a number", list: "a list",
+               dict: "an object", type(None): "null"}
+
+
+def state_entry(state: Any, field: str, what: str, *types: type) -> Any:
+    """``state[field]``, or a ``ValueError`` naming ``what`` and the field
+    when it is missing (or ``state`` is no object) or, given ``types``, is
+    an instance of none of them; ``true`` is never a number."""
+    try:
+        value = state[field]
+    except (KeyError, TypeError):
+        raise ValueError(f"{what} {field!r} is missing") from None
+    if types and not (
+        isinstance(value, types) and (bool in types or not isinstance(value, bool))
+    ):
+        rule = " or ".join(_JSON_TYPES[t] for t in types)
+        raise ValueError(f"{what} {field!r} must be {rule}")
+    return value
+
+
 def state_count(state: Mapping[str, Any], field: str, what: str) -> int:
     """``state[field]`` as a non-negative int (:func:`is_count`), or a
     ``ValueError`` naming it."""
-    value = state[field]
+    value = state_entry(state, field, what)
     if not is_count(value):
         raise ValueError(f"{what} {field!r} must be a non-negative integer")
     return int(value)
@@ -128,25 +148,7 @@ def state_count(state: Mapping[str, Any], field: str, what: str) -> int:
 def state_counts(state: Mapping[str, Any], field: str, what: str) -> Tuple[int, ...]:
     """``state[field]``, a list of non-negative ints (:func:`is_count`
     each), as a tuple, or a ``ValueError`` naming it."""
-    values = count_tuple(state[field])
+    values = count_tuple(state_entry(state, field, what, list))
     if values is None:
         raise ValueError(f"{what} {field!r} entries must be non-negative integers")
     return values
-
-
-def mt_state(entry: Any, what: str) -> Tuple[int, Tuple[int, ...], Any]:
-    """A serialised ``[version, 625 words, gauss_next]`` MT19937 state as the
-    tuple ``random.Random.setstate`` takes, checked by a trial ``setstate``
-    on a scratch generator (word count, index range, version)."""
-    try:
-        version, words, gauss_next = entry
-        words = count_tuple(words)
-        if words is None or not is_count(version):
-            raise ValueError  # "3" is not a version, nor w + 0.7 a word
-        parsed = (int(version), words, None if gauss_next is None else float(gauss_next))
-        random.Random().setstate(parsed)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(
-            f"{what} 'rng' is not a [version, 625 words, gauss_next] MT19937 state"
-        ) from None
-    return parsed

@@ -11,13 +11,20 @@ and total router CPU time spent classifying packets (at the DPF-measured
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..analysis.tables import Table
 from ..protocols.scenario import DPF_MATCH_COST, Scenario, ScenarioConfig
 from .scalability import PROTOCOLS, hotspot_workload
 
-__all__ = ["run_overhead"]
+__all__ = ["filter_sizes", "run_overhead"]
+
+
+def filter_sizes(scenario: Scenario) -> List[int]:
+    """Entries in each router's packet filter: its server's cache, or only
+    the home's catalog if the scheme redirects (``injects_filters``)."""
+    injects, root = scenario.injects_filters, scenario.tree.root
+    return [len(s) if injects or i == root else 0 for i, s in enumerate(scenario.state.stores)]
 
 
 def run_overhead(
@@ -40,7 +47,7 @@ def run_overhead(
         for name in chosen:
             scenario: Scenario = PROTOCOLS[name](workload, config)
             metrics = scenario.run()
-            filter_sizes = scenario.state.filter_size
+            sizes = filter_sizes(scenario)
             cpu = sum(scenario.seen) * DPF_MATCH_COST
             served = metrics.completed
             total = metrics.total_messages()
@@ -51,8 +58,8 @@ def run_overhead(
                     served,
                     total,
                     total / served if served else 0.0,
-                    max(filter_sizes),
-                    sum(filter_sizes),
+                    max(sizes),
+                    sum(sizes),
                     cpu * 1000,
                 )
             )

@@ -95,6 +95,7 @@ class DirectoryScenario(Scenario):
     """Requests consult a central directory that redirects to replicas."""
 
     name = "directory"
+    injects_filters = False
 
     def __init__(
         self,
@@ -269,7 +270,6 @@ class IcpScenario(Scenario):
                 if state.failed[hop]:
                     continue
                 state.install_copy(hop, request.doc_id)
-                state.sync_filter(hop)
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +338,5 @@ class PushScenario(Scenario):
                     # push caches serve everything they hold
                     state.targets[target, d] = math.inf
                     state.has_target[target, d] = True
-                    state.sync_filter(target)
 
                 self._schedule_control(delay, install)

@@ -258,6 +258,9 @@ class Scenario:
     """
 
     name = "base"
+    # Each router's packet filter mirrors its server's cache; a scheme that
+    # redirects instead leaves only the home's catalog in a filter.
+    injects_filters = True
 
     def __init__(
         self,
@@ -334,8 +337,6 @@ class Scenario:
         )
         for doc in self.workload.catalog:
             state.install_copy(tree.root, doc.doc_id, pinned=True)
-        # every other store starts empty, and so does its filter
-        state.sync_filter(tree.root)
 
     def edge_delay(self, a: int, b: int) -> float:
         """One-way delay of the tree edge between ``a`` and ``b``."""
@@ -600,7 +601,6 @@ class Scenario:
             state.failed[node] = True
             for doc_id in state.stores[node].doc_ids:
                 state.drop_copy(node, doc_id)
-            state.sync_filter(node)
             self.count_message("node_failure")
 
         self._control_at(at, crash)

@@ -16,7 +16,8 @@ indexing and catalog document indexing:
   meter banks (total served per node, served and forwarded per
   ``(node, document)``), queue/busy bookkeeping, failure flags, the
   per-node cache stores with a document-*index* set mirror for the
-  datapath's membership tests, and each router's packet-filter size.
+  datapath's membership tests (a router's packet filter is that mirror;
+  :func:`repro.experiments.overhead.filter_sizes` derives its size).
 
 It is the only server and router state of the packet plane: the walker,
 WebWave, the baselines, failure injection and the experiments all index
@@ -28,8 +29,8 @@ comparison against the oracle in ``tests/protocols/test_packet_parity.py``.
 
 Nothing here is checkpointed.  A packet run's event heap, arrival sources
 and gossip views live in the scenario, not in these arrays, so a capture
-of them alone could not resume a run; the checkpoint kinds are the five
-Steppables of :mod:`repro.service.checkpoint`.
+of them alone could not resume a run; the checkpoint kinds are the two
+of :mod:`repro.service.checkpoint`.
 """
 
 from __future__ import annotations
@@ -211,9 +212,6 @@ class PacketState:
         # Document-index mirror of each store's contents: the datapath's
         # membership test (kept in sync by install/drop below).
         self.cached: List[set] = [set() for _ in range(n)]
-        # Entries in each router's packet filter as of its last re-injection
-        # (:meth:`sync_filter`; a scheme without filters never calls it).
-        self.filter_size: List[int] = [0] * n
         # Last virtual time each node's forwarded-rate row was bulk-rolled;
         # diffusion reads the same rows several times per tick.
         self._fwd_row_stamp: List[float] = [-1.0] * n
@@ -238,10 +236,6 @@ class PacketState:
             self.cached[node].discard(d)
         self.targets[node, d] = 0.0
         self.has_target[node, d] = False
-
-    def sync_filter(self, node: int) -> None:
-        """Re-inject ``node``'s packet filter to mirror its cache."""
-        self.filter_size[node] = len(self.stores[node])
 
     # ------------------------------------------------------------------
     # Datapath accounting

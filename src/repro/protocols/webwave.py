@@ -12,7 +12,7 @@ estimates:
 * a child cooler than its parent **pulls**: it raises its own targets for
   documents it already caches, capped by what it still forwards;
 * a child hotter than its parent **sheds**: it lowers targets, dropping
-  copies whose target reaches zero (the router filter is re-synced).
+  copies whose target reaches zero (the router filter follows the cache).
 
 The delegate/pull/shed arithmetic itself lives in
 :mod:`repro.core.policy` (:func:`~repro.core.policy.diffusion_budget` for
@@ -361,7 +361,6 @@ class WebWaveScenario(Scenario):
             base = state.targets[dst, d] if state.has_target[dst, d] else 0.0
             state.targets[dst, d] = base + target_add
             state.has_target[dst, d] = True
-            state.sync_filter(dst)
 
         self._schedule_control(delay, install)
 
@@ -391,17 +390,13 @@ class WebWaveScenario(Scenario):
             key=lambda kv: kv[1],
             reverse=True,
         )
-        dropped = False
         for doc_id, x, remaining in greedy_shed(budget, targets):
             if remaining <= _EPS and not store.is_pinned(doc_id):
                 state.drop_copy(node, doc_id)
-                dropped = True
             else:
                 d = state.doc_index[doc_id]
                 state.targets[node, d] = remaining
                 state.has_target[node, d] = True
-        if dropped:
-            state.sync_filter(node)
 
     # ------------------------------------------------------------------
     # Barriers and tunneling (Section 5.2)
@@ -480,7 +475,6 @@ class WebWaveScenario(Scenario):
                 base = state.targets[node, d] if state.has_target[node, d] else 0.0
                 state.targets[node, d] = base + rate
                 state.has_target[node, d] = True
-                state.sync_filter(node)
 
             self._schedule_control(delay, install)
             return True

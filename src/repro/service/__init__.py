@@ -2,10 +2,11 @@
 
 Everything the repo previously did in one-shot scripts — build an engine,
 run it, print a report — the service plane does *resident*: a
-:class:`~repro.service.daemon.Service` wraps any
-:class:`~repro.core.steppable.Steppable` (a kernel engine, a
-:class:`~repro.cluster.runtime.ClusterRuntime` catalog, or the packet
-plane's state objects) and exposes its lifecycle as live commands over an
+:class:`~repro.service.daemon.Service` wraps a
+:class:`~repro.core.steppable.Steppable` of a checkpoint kind (a
+:class:`~repro.core.kernel.SyncEngine` or a
+:class:`~repro.cluster.runtime.ClusterRuntime` catalog) and exposes its
+lifecycle as live commands over an
 ndjson command loop (:mod:`repro.service.control`), while
 :mod:`repro.service.checkpoint` pins the whole thing to disk and back
 bit-identically.

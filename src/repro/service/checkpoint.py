@@ -1,4 +1,4 @@
-"""Versioned on-disk checkpoints for every Steppable plane.
+"""Versioned on-disk checkpoints of the two planes a service resumes.
 
 A checkpoint is a two-line ndjson file::
 
@@ -28,12 +28,13 @@ Why this shape survives:
 * **Forward-version refusal.**  A checkpoint written by a newer schema
   (``.../v2`` read by a v1 build) fails with a clear error naming both
   versions, rather than misinterpreting fields.
-* **Only what resumes.**  The five registered kinds are the Steppables
-  (``sync_engine``, ``async_engine``, ``forest_engine``,
-  ``batch_engine``, ``cluster_runtime``).  The packet plane is not
-  checkpointed - its event heap and arrival sources are never captured -
-  and a file of any other kind is refused by :func:`restore_state`, which
-  lists the known kinds, before any parser sees it.
+* **Only what an entry point creates.**  Two kinds are registered:
+  ``cluster_runtime`` (the catalog ``serve`` runs) and ``sync_engine``
+  (the single-tree round).  The async and forest engines, a catalog
+  cohort's ``batch_engine`` on its own, and the packet plane (its event
+  heap and arrival sources are never captured) have no checkpoint: a
+  file of any other kind is refused by :func:`restore_state`, which lists
+  the known kinds, before any parser sees it.
 """
 
 from __future__ import annotations
@@ -70,15 +71,12 @@ class CheckpointError(ValueError):
 # ----------------------------------------------------------------------
 # Registry: state "kind" -> (module, class) whose ``from_state`` rebuilds
 # it; the class names the same kind as its ``STATE_KIND``.  Every entry is
-# a Steppable - only what a service can drive is checkpointed.  Modules
+# a Steppable an entry point writes - nothing else is checkpointed.  Modules
 # are imported on use so the service plane stays importable without
 # pulling every plane at once.
 # ----------------------------------------------------------------------
 _REGISTRY: Dict[str, Tuple[str, str]] = {
     "sync_engine": ("repro.core.kernel", "SyncEngine"),
-    "async_engine": ("repro.core.kernel", "AsyncEngine"),
-    "forest_engine": ("repro.core.kernel", "ForestEngine"),
-    "batch_engine": ("repro.cluster.batch", "BatchEngine"),
     "cluster_runtime": ("repro.cluster.runtime", "ClusterRuntime"),
 }
 

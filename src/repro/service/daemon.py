@@ -71,7 +71,8 @@ class Service:
     Parameters
     ----------
     runtime:
-        Any Steppable (kernel engine, BatchEngine, ClusterRuntime).
+        A Steppable of a checkpoint kind: a ``SyncEngine`` or a
+        ``ClusterRuntime``.
     sink:
         Optional record sink (:class:`~repro.obs.sink.NdjsonSink` or
         :class:`~repro.obs.sink.MemorySink`); snapshot records stream

@@ -27,6 +27,7 @@ from repro.core.kernel import (
     flatten,
 )
 from repro.core.tree import kary_tree
+from repro.experiments.overhead import filter_sizes
 from repro.obs import MemorySink, Telemetry
 from repro.protocols.scenario import ScenarioConfig
 from repro.protocols.state import PacketState
@@ -171,8 +172,8 @@ class TestClusterPlaneParity:
 def _packet_fields(state):
     """Every per-server field of a packet run as plain comparable values:
     targets, the three meter banks, queue and tally vectors, failure
-    flags, the roll stamps, filter-table sizes, and each store's entry
-    order, pins and counters."""
+    flags, the roll stamps, and each store's entry order (which the
+    filter-table sizes derive from), pins and counters."""
     banks = [
         (bank.counts, bank.wstart, bank.est.tolist(), bank.seeded)
         for bank in (state.served_total, state.served_doc, state.fwd_doc)
@@ -195,7 +196,6 @@ def _packet_fields(state):
         state.requests_forwarded,
         state.failed.tolist(),
         state._fwd_row_stamp,
-        state.filter_size,
         stores,
     )
 
@@ -204,7 +204,6 @@ def _busy_packet_state():
     state = PacketState(4, ["a", "b", "c"], [2.0] * 4, home=0)
     state.install_copy(1, "a")
     state.install_copy(1, "b")
-    state.sync_filter(1)
     state.targets[1, 0] = 1.5
     state.has_target[1, 0] = True
     for t in (0.1, 0.7, 1.3):
@@ -234,7 +233,6 @@ def _mutate(field, edit):
         _mutate("requests_forwarded", lambda s: s.requests_forwarded.__setitem__(1, 1)),
         _mutate("failed", lambda s: s.failed.__setitem__(3, True)),
         _mutate("fwd_row_stamp", lambda s: s._fwd_row_stamp.__setitem__(1, 9.0)),
-        _mutate("filter_size", lambda s: s.filter_size.__setitem__(1, 1)),
         _mutate("store-entry-order", lambda s: s.stores[1]._entries.move_to_end("b")),
         _mutate("store-pins", lambda s: s.stores[1]._pinned.add("b")),
         _mutate("store-hits", lambda s: setattr(s.stores[1], "hits", s.stores[1].hits + 1)),
@@ -287,3 +285,4 @@ class TestPacketPlaneParity:
         assert gauges["packet.meters_total"] == tree.n * (1 + 2 * 4)
         assert 0 < gauges["packet.meters_live"] <= gauges["packet.meters_total"]
         assert _packet_fields(plain.state) == _packet_fields(instrumented.state)
+        assert filter_sizes(plain) == filter_sizes(instrumented)

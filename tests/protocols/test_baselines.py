@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.tree import kary_tree
 from repro.documents.catalog import Catalog
+from repro.experiments.overhead import filter_sizes
 from repro.protocols.baselines import (
     DirectoryConfig,
     DirectoryScenario,
@@ -100,7 +101,7 @@ class TestDirectory:
         scenario.run()
         state, root = scenario.state, scenario.tree.root
         assert any(len(state.stores[i]) for i in scenario.tree if i != root)
-        assert state.filter_size == [
+        assert filter_sizes(scenario) == [
             state.docs if i == root else 0 for i in scenario.tree
         ]
 
@@ -235,6 +236,6 @@ class TestRouterState:
         scenario = cls(make_workload(), config())
         scenario.run()
         state, root = scenario.state, scenario.tree.root
-        assert any(state.filter_size[i] for i in scenario.tree if i != root)
-        assert state.filter_size == [len(store) for store in state.stores]
+        assert any(filter_sizes(scenario)[i] for i in scenario.tree if i != root)
+        assert filter_sizes(scenario) == [len(store) for store in state.stores]
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.tree import kary_tree
 from repro.documents.catalog import Catalog
+from repro.experiments.overhead import filter_sizes
 from repro.experiments.scalability import hotspot_workload
 from repro.protocols.baselines import (
     DirectoryScenario,
@@ -51,7 +52,7 @@ class TestScheduleFailure:
         assert scenario.state.failed[1]
         assert len(scenario.state.stores[1]) == 0
         assert not scenario.state.cached[1]
-        assert scenario.state.filter_size[1] == 0
+        assert filter_sizes(scenario)[1] == 0
         assert scenario.messages.get("node_failure") == 1
 
     def test_recovery_flag(self):
@@ -130,7 +131,7 @@ class TestBaselinesUnderFailure:
         assert served_there == []
         # nothing was installed after the crash emptied the store
         assert len(scenario.state.stores[node]) == 0
-        assert scenario.state.filter_size[node] == 0
+        assert filter_sizes(scenario)[node] == 0
         if cls is DirectoryScenario:
             # path = [origin, replica, ...]: the redirect is decided after
             # the query, so every post-crash request skips the dead replica

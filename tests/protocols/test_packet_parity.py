@@ -26,6 +26,7 @@ import pytest
 
 from repro.core.tree import kary_tree
 from repro.documents.catalog import Catalog
+from repro.experiments.overhead import filter_sizes
 from repro.protocols.baselines import (
     DirectoryScenario,
     IcpScenario,
@@ -142,7 +143,7 @@ class TestLiveReferenceParity:
             assert router.packets_diverted == refactored.diverted[node]
             # one filter consultation per packet the router classified
             assert router.filters.consultations == refactored.seen[node]
-            assert len(router.filters) == refactored.state.filter_size[node]
+            assert len(router.filters) == filter_sizes(refactored)[node]
         assert 0 < sum(refactored.diverted) <= len(refactored.requests)
 
 

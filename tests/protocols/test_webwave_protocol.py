@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.tree import chain_tree, kary_tree
 from repro.documents.catalog import Catalog
+from repro.experiments.overhead import filter_sizes
 from repro.protocols.scenario import ScenarioConfig
 from repro.protocols.state import MeterBank
 from repro.protocols.webwave import WebWaveProtocolConfig, WebWaveScenario
@@ -78,11 +79,11 @@ class TestLoadSpreading:
         state = scenario.state
         for node in scenario.tree:
             # the walker's filter match is the cache mirror, and the
-            # filter table was re-injected after the last content change
+            # filter table holds what the cache holds
             assert state.cached[node] == {
                 state.doc_index[doc_id] for doc_id in state.stores[node].doc_ids
             }
-            assert state.filter_size[node] == len(state.stores[node])
+            assert filter_sizes(scenario)[node] == len(state.stores[node])
 
     def test_gossip_messages_counted(self):
         scenario, metrics = run_scenario()

@@ -4,19 +4,20 @@ The contract pinned here (see ``src/repro/core/steppable.py``)::
 
     restore(checkpoint(x)) resumes bit-identically
 
-for the rate kernel's engines (sync / async / forest) and the cluster
-catalog (BatchEngine / ClusterRuntime) - the five Steppables, and the
-only kinds a checkpoint may hold - plus the adversarial cases: mid-run
-frozen cohorts, non-empty frontiers, transplanted MT19937 state,
-newer-schema and truncated files - and a committed v1 fixture written by
-an older build, so the format is checked against bytes on disk.
+for the two kinds a checkpoint may hold - the rate kernel's
+``SyncEngine`` and the cluster catalog ``ClusterRuntime`` - and for the
+``BatchEngine`` capture a catalog cohort nests inside its checkpoint,
+plus the adversarial cases: mid-run frozen cohorts, non-empty frontiers,
+hostile and incomplete captures, newer-schema and truncated files - and a
+committed v1 fixture written by an older build, so the format is checked
+against bytes on disk.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import random
+import re
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ from tests.helpers import trees_with_rates
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-KNOWN = "async_engine, batch_engine, cluster_runtime, forest_engine, sync_engine"
+KNOWN = "cluster_runtime, sync_engine"
 
 
 def json_round_trip(state):
@@ -80,55 +81,13 @@ def test_sync_engine_round_trip_bit_identical(tree_rates, warmup, extra):
     assert engine.round == twin.round
 
 
-@settings(max_examples=25, deadline=None)
-@given(trees_with_rates(min_nodes=2, max_nodes=20), st.integers(0, 30), st.integers(1, 30))
-def test_async_engine_round_trip_bit_identical(tree_rates, warmup, extra):
-    tree, rates = tree_rates
-    flat = flatten(tree)
-    engine = AsyncEngine(
-        flat, rates, rates, degree_edge_alphas(flat), random.Random(7), max_staleness=2
-    )
-    for _ in range(warmup):
-        engine.activate()
-
-    twin = AsyncEngine.from_state(json_round_trip(engine.state()))
-    for _ in range(extra):
-        engine.activate()
-        twin.activate()
-    assert engine.loads.tobytes() == twin.loads.tobytes()
-    assert engine.activations == twin.activations
-    # identical future draws, not just identical past state
-    assert engine._rng.random() == twin._rng.random()
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(2, 12), st.integers(1, 8))
-def test_forest_engine_round_trip_bit_identical(n, extra):
-    base = kary_tree(2, 3)
-    edges = [(c, p) for c, p in enumerate(base.parent_map) if c != p]
-    homes = [0, 3]
-    flats = {h: flatten(tree_from_edges(base.n, edges, root=h)) for h in homes}
-    rng = np.random.default_rng(n)
-    demands = {h: rng.uniform(0.0, 5.0, base.n).tolist() for h in homes}
-    alphas = {h: degree_edge_alphas(flats[h]) for h in homes}
-    engine = ForestEngine(flats, demands, alphas)
-    for _ in range(n):
-        engine.step()
-
-    twin = ForestEngine.from_state(json_round_trip(engine.state()))
-    for _ in range(extra):
-        engine.step()
-        twin.step()
-    for h in homes:
-        assert engine.loads_of(h).tobytes() == twin.loads_of(h).tobytes()
-
-
 # ----------------------------------------------------------------------
 # Plane 2: the cluster catalog
 # ----------------------------------------------------------------------
 @settings(max_examples=20, deadline=None)
 @given(trees_with_rates(min_nodes=2, max_nodes=15), st.integers(0, 8), st.integers(1, 8))
 def test_batch_engine_round_trip_bit_identical(tree_rates, warmup, extra):
+    """The cohort's nested capture, loaded in place as a restore does."""
     tree, rates = tree_rates
     flat = flatten(tree)
     stacked = np.stack([rates, [r * 0.5 for r in rates]])
@@ -136,7 +95,8 @@ def test_batch_engine_round_trip_bit_identical(tree_rates, warmup, extra):
     for _ in range(warmup):
         engine.step()
 
-    twin = BatchEngine.from_state(json_round_trip(engine.state()))
+    twin = BatchEngine(flat, np.zeros((0, flat.n)), None, degree_edge_alphas(flat))
+    twin.load_state(json_round_trip(engine.state()))
     for _ in range(extra):
         engine.step()
         twin.step()
@@ -222,29 +182,8 @@ def test_sync_round_trip_with_nonempty_frontier():
     assert json.dumps(engine.state()) == json.dumps(twin.state())
 
 
-def test_async_round_trip_with_transplanted_rng_state():
-    """A generator with a foreign (jumped) MT19937 state survives intact."""
-    tree = kary_tree(2, 3)
-    flat = flatten(tree)
-    rates = [1.0] * flat.n
-    foreign = random.Random(12345)
-    foreign.gauss(0.0, 1.0)  # leave a cached gauss_next in the state
-    for _ in range(10_000):
-        foreign.random()
-    engine = AsyncEngine(flat, rates, rates, degree_edge_alphas(flat), foreign)
-    for _ in range(25):
-        engine.activate()
-
-    twin = AsyncEngine.from_state(json_round_trip(engine.state()))
-    for _ in range(50):
-        engine.activate()
-        twin.activate()
-    assert engine.loads.tobytes() == twin.loads.tobytes()
-    assert engine._rng.getstate() == twin._rng.getstate()
-
-
 # ----------------------------------------------------------------------
-# Hostile captures of every kind: rejected by name, nothing swapped
+# Hostile captures: rejected by name, nothing swapped
 # ----------------------------------------------------------------------
 _DROP = object()  # an edit returning this deletes the field
 
@@ -288,27 +227,6 @@ def _batch_engine():
     return engine
 
 
-def _forest_engine():
-    base = kary_tree(2, 3)
-    edges = [(c, p) for c, p in enumerate(base.parent_map) if c != p]
-    flats = {h: flatten(tree_from_edges(base.n, edges, root=h)) for h in (0, 3)}
-    demands = {h: [float(h + i) for i in range(base.n)] for h in flats}
-    engine = ForestEngine(flats, demands, {h: degree_edge_alphas(f) for h, f in flats.items()})
-    engine.step()
-    return engine
-
-
-def _async_engine():
-    flat = flatten(kary_tree(2, 3))
-    rates = [float(i) for i in range(flat.n)]
-    engine = AsyncEngine(
-        flat, rates, rates, degree_edge_alphas(flat), random.Random(3), max_staleness=2
-    )
-    for _ in range(6):
-        engine.activate()
-    return engine
-
-
 def _cluster_runtime():
     """A one-document catalog with explicit capacities, a few ticks in."""
     tree = kary_tree(2, 3)
@@ -334,8 +252,8 @@ def _set(index, value):
 
 
 def _in_home(field, edit):
-    """Edit one field of the first entry of a list of dicts (a forest
-    state's homes, a catalog's groups)."""
+    """Edit one field of the first entry of a list of dicts (a catalog's
+    groups, a group's cohorts)."""
     return lambda homes: [{**homes[0], field: edit(homes[0][field])}] + homes[1:]
 
 
@@ -380,6 +298,11 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_capacity_sync_engine, "gossip_delay", lambda v: 2, "capacities.*gossip_delay", id="sync-capacities-with-delay"),
         pytest.param(_capacity_sync_engine, "quantum", lambda v: 0.5, "capacities.*quantum", id="sync-capacities-with-quantum"),
         pytest.param(_stale_sync_engine, "capacities", lambda v: [2.0] * 15, "capacities.*gossip_delay", id="sync-delay-with-capacities"),
+        # bool() read "no" and 7 as true; float() refused "x" without the field
+        pytest.param(_sync_engine, "adaptive", lambda v: "no", "adaptive", id="sync-adaptive-text"),
+        pytest.param(_sync_engine, "adaptive", lambda v: 7, "adaptive", id="sync-adaptive-seven"),
+        pytest.param(_sync_engine, "quantum", lambda v: "x", "quantum", id="sync-quantum-text"),
+        pytest.param(_sync_engine, "density_threshold", lambda v: "x", "density_threshold", id="sync-density-text"),
         # batch_engine - same _restore, (D, n) consistency
         pytest.param(_batch_engine, "loads", lambda v: v[:1], "loads", id="batch-loads-one-row-of-two"),
         pytest.param(_batch_engine, "fwd", _set((0, 1), NAN), "fwd", id="batch-fwd-nan"),
@@ -389,33 +312,7 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_batch_engine, "op_count", lambda v: -5, "op_count", id="batch-op_count-negative"),
         pytest.param(_batch_engine, "spontaneous", _set((1, 3), INF), "spontaneous", id="batch-spontaneous-inf"),
         pytest.param(_batch_engine, "parent_map", _set(3, 1.5), "parent_map", id="batch-parent-fraction"),
-        # forest_engine
-        pytest.param(_forest_engine, "homes", _in_home("loads", _set(2, NAN)), "loads", id="forest-loads-nan"),
-        pytest.param(_forest_engine, "homes", _in_home("demand", _set(2, -1.0)), "demand", id="forest-demand-negative"),
-        pytest.param(_forest_engine, "homes", _in_home("fwd", _set(0, INF)), "fwd", id="forest-fwd-inf"),
-        pytest.param(_forest_engine, "homes", _in_home("edge_alpha", lambda v: v[:-1]), "edge_alpha", id="forest-edge_alpha-short"),
-        pytest.param(_forest_engine, "homes", _in_home("loads", lambda v: v + [0.0]), "loads", id="forest-loads-long"),
-        pytest.param(_forest_engine, "round", lambda v: -1, "round", id="forest-round-negative"),
-        pytest.param(_forest_engine, "homes", _in_home("parent_map", _set(2, 0.5)), "parent_map", id="forest-parent-fraction"),
-        pytest.param(_forest_engine, "homes", _in_home("home", lambda v: 0.4), "'home'", id="forest-home-fraction"),
-        pytest.param(_forest_engine, "homes", _in_home("home", lambda v: "0"), "'home'", id="forest-home-text"),
-        # async_engine
-        pytest.param(_async_engine, "loads", _set(0, NAN), "loads", id="async-loads-nan"),
-        pytest.param(_async_engine, "fwd", _set(0, NAN), "fwd", id="async-fwd-nan"),
-        pytest.param(_async_engine, "alpha_of_child", lambda v: v[:-1], "alpha_of_child", id="async-alpha-short"),
-        pytest.param(_async_engine, "history", lambda v: [v[0][:-1]] + v[1:], "history", id="async-history-ragged"),
-        pytest.param(_async_engine, "history", lambda v: v + v, "history", id="async-history-too-long"),
-        pytest.param(_async_engine, "activations", lambda v: -1, "activations", id="async-activations-negative"),
-        pytest.param(_async_engine, "max_staleness", lambda v: None, "max_staleness", id="async-staleness-null"),
-        pytest.param(_async_engine, "rng", lambda v: [v[0], v[1][:-1], v[2]], "rng", id="async-rng-624-words"),
-        pytest.param(_async_engine, "rng", lambda v: [7, v[1], v[2]], "rng", id="async-rng-version"),
-        pytest.param(_async_engine, "rng", lambda v: [v[0], v[1][:-1] + [9999], v[2]], "rng", id="async-rng-index"),
-        pytest.param(_async_engine, "rng", lambda v: [v[0], [-1] + v[1][1:], v[2]], "rng", id="async-rng-negative-word"),
-        pytest.param(_async_engine, "rng", lambda v: [v[0], v[1], "soon"], "rng", id="async-rng-gauss-text"),
-        # int() read "3" as version 3 and truncated w + 0.7 back to w
-        pytest.param(_async_engine, "rng", lambda v: ["3", v[1], v[2]], "rng", id="async-rng-version-text"),
-        pytest.param(_async_engine, "rng", lambda v: [v[0], [v[1][0] + 0.7] + v[1][1:], v[2]], "rng", id="async-rng-word-fraction"),
-        pytest.param(_async_engine, "parent_map", _set(4, 1.25), "parent_map", id="async-parent-fraction"),
+        pytest.param(_batch_engine, "adaptive", lambda v: 1, "adaptive", id="batch-adaptive-one"),
         # cluster_runtime - the catalog-wide scalars (cohort arrays: test_daemon.py)
         pytest.param(_cluster_runtime, "capacities", _set(3, NAN), "capacities", id="cluster-capacities-nan"),
         pytest.param(_cluster_runtime, "capacities", _set(3, -1.0), "capacities", id="cluster-capacities-negative"),
@@ -440,38 +337,89 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_cluster_runtime, "groups", _in_home("home", lambda v: 0.4), "'home'", id="cluster-home-fraction"),
         pytest.param(_cluster_runtime, "groups", _in_home("home", lambda v: "0"), "'home'", id="cluster-home-text"),
         pytest.param(_cluster_runtime, "groups", _in_home("parent_map", _set(5, 2.5)), "parent_map", id="cluster-parent-fraction"),
+        # alpha was not checked at all: NaN made the next publish's mass NaN,
+        # -3 and 0 left a new home's document undiffused, 5 is a config
+        # ClusterConfig refuses, and "0.5" was written back out as a string
+        pytest.param(_cluster_runtime, "alpha", lambda v: NAN, "alpha", id="cluster-alpha-nan"),
+        pytest.param(_cluster_runtime, "alpha", lambda v: -3.0, "alpha", id="cluster-alpha-negative"),
+        pytest.param(_cluster_runtime, "alpha", lambda v: 0.0, "alpha", id="cluster-alpha-zero"),
+        pytest.param(_cluster_runtime, "alpha", lambda v: 5.0, "alpha", id="cluster-alpha-five"),
+        pytest.param(_cluster_runtime, "alpha", lambda v: "0.5", "alpha", id="cluster-alpha-text"),
+        pytest.param(_cluster_runtime, "alpha", lambda v: True, "alpha", id="cluster-alpha-bool"),
+        pytest.param(_cluster_runtime, "alpha", lambda v: "x", "alpha", id="cluster-alpha-x"),
+        pytest.param(_cluster_runtime, "tolerance", lambda v: "x", "tolerance", id="cluster-tolerance-text"),
+        pytest.param(_cluster_runtime, "tolerance", lambda v: True, "tolerance", id="cluster-tolerance-bool"),
+        # bool() read "no" and 7 as true
+        pytest.param(_cluster_runtime, "track_tlb", lambda v: "no", "track_tlb", id="cluster-track_tlb-text"),
+        pytest.param(_cluster_runtime, "track_tlb", lambda v: 7, "track_tlb", id="cluster-track_tlb-seven"),
+        pytest.param(_cluster_runtime, "adaptive", lambda v: "no", "adaptive", id="cluster-adaptive-text"),
+        pytest.param(_cluster_runtime, "adaptive", lambda v: 7, "adaptive", id="cluster-adaptive-seven"),
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("active", lambda v: 1)), "'active'", id="cluster-cohort-active-one"),
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("active", lambda v: "no")), "'active'", id="cluster-cohort-active-text"),
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("doc_ids", lambda v: [7])), "doc_ids", id="cluster-cohort-doc-id-number"),
     ],
 )
 def test_hostile_state_rejected_and_object_untouched(make, field, edit, match):
-    """The standing rule for every registered kind: ``load_state`` parses
-    into locals, names the bad field, and only then swaps.  At the parent
-    commit ``"active": [1000000]`` and a NaN ``fwd`` loaded silently (the
-    next tick died with an IndexError, or reported ``mass: nan`` for ever),
-    and a capture missing ``"round"`` raised after overwriting the arrays."""
+    """The standing rule for every registered kind (and a cohort's nested
+    ``batch_engine`` capture): ``load_state`` parses into locals, names the
+    bad field, and only then swaps.  At an earlier commit
+    ``"active": [1000000]`` and a NaN ``fwd`` loaded silently (the next
+    tick died with an IndexError, or reported ``mass: nan`` for ever), and
+    a capture missing ``"round"`` raised after overwriting the arrays."""
     target = make()
     before = json.dumps(target.state())
     bad = _corrupt(target.state(), field, edit)
-    with pytest.raises((ValueError, KeyError), match=match):
+    with pytest.raises(ValueError, match=match):
         target.load_state(bad)
     assert json.dumps(target.state()) == before
-    with pytest.raises((ValueError, KeyError), match=match):
-        type(target).from_state(bad)
+    if hasattr(target, "from_state"):  # the registered kinds
+        with pytest.raises(ValueError, match=match):
+            type(target).from_state(bad)
     # and the untouched object still takes a good capture and runs on
     target.load_state(json_round_trip(make().state()))
     assert json.dumps(target.state()) == before
 
 
-def test_async_engine_restore_keeps_the_callers_generator():
-    """``load_state`` restores the MT state into the generator the engine
-    was given (its owner may hold it), validated on a scratch one first."""
-    engine = _async_engine()
-    rng = engine._rng
-    state = json_round_trip(engine.state())
-    expected = _async_engine()._rng.random()
-    for _ in range(5):
-        engine.activate()
-    engine.load_state(state)
-    assert engine._rng is rng and rng.random() == expected
+_CAPTURED = {make: list(make().state()) for make in (_sync_engine, _cluster_runtime)}
+
+
+@pytest.mark.parametrize("edit", [_DROP, 7, "x"], ids=["deleted", "seven", "text"])
+@pytest.mark.parametrize(
+    "make, field",
+    [(make, field) for make, fields in _CAPTURED.items() for field in fields],
+    ids=[f"{make.__name__.strip('_')}-{field}" for make, fields in _CAPTURED.items() for field in fields],
+)
+def test_every_top_level_field_is_refused_by_name_or_loads(make, field, edit):
+    """Each field of both kinds' captures, deleted, set to ``7`` and set to
+    ``"x"``: a ``ValueError`` naming the field that leaves the object
+    untouched, or - never for a deletion - a load that holds what a
+    constructor could.  Before, most deletions escaped as ``KeyError``, a
+    ``7`` for a list as ``TypeError``, and ``serve --restore`` of such a
+    file crashed."""
+    target = make()
+    before = json.dumps(target.state())
+    bad = json_round_trip(target.state())
+    if edit is _DROP:
+        del bad[field]
+    else:
+        bad[field] = edit
+    named = re.compile(rf"\b{field}\b")
+    try:
+        target.load_state(bad)
+    except ValueError as exc:
+        assert named.search(str(exc)), str(exc)
+        assert json.dumps(target.state()) == before
+        with pytest.raises(ValueError, match=named):
+            type(target).from_state(bad)
+        return
+    # it loaded: never without the field, only a value of its own type,
+    # which is written back as it was read
+    assert edit is not _DROP, f"a capture without {field!r} loaded"
+    back = target.state()
+    assert back[field] == edit
+    assert type(back[field]) is type(json_round_trip(make().state())[field])
+    twin = type(target).from_state(json_round_trip(back))
+    assert json.dumps(twin.state()) == json.dumps(back)
 
 
 # ----------------------------------------------------------------------
@@ -587,23 +535,32 @@ def test_registry_table_and_class_attributes_name_the_same_kinds():
 
     from repro.service.checkpoint import _REGISTRY
 
+    assert set(_REGISTRY) == {"sync_engine", "cluster_runtime"}
     for kind, (module, name) in _REGISTRY.items():
         cls = getattr(importlib.import_module(module), name)
         assert cls.STATE_KIND == kind
         assert isinstance(cls, Steppable), kind
 
 
-@pytest.mark.parametrize("kind", ["packet_state", "meter_bank", "rng_streams"])
-def test_a_packet_plane_kind_is_refused_as_unknown(kind):
-    """The packet plane's state was once registered, but no run could resume
-    from it: a capture tagged with one of its kinds now reaches no parser."""
+# Kinds once registered that no entry point writes: the packet plane's, the
+# async and forest engines', and a cohort's batch_engine on its own.
+_UNREGISTERED = [
+    "packet_state", "meter_bank", "rng_streams",
+    "forest_engine", "async_engine", "batch_engine",
+]
+
+
+@pytest.mark.parametrize("kind", _UNREGISTERED)
+def test_an_unregistered_kind_is_refused_as_unknown(kind):
+    """Each of these kinds was once registered, but no entry point resumes
+    from it: a capture tagged with one of them now reaches no parser."""
     with pytest.raises(CheckpointError, match=f"kind {kind!r}; known kinds: {KNOWN}$"):
         restore_state({"kind": kind, "size": 4, "seed": 5})
 
 
 @pytest.mark.parametrize(
     "make",
-    [_sync_engine, _batch_engine, _forest_engine, _async_engine, _cluster_runtime],
+    [_sync_engine, _cluster_runtime],
     ids=lambda make: make.__name__.strip("_"),
 )
 def test_restore_state_rebuilds_every_registered_kind(make):
@@ -616,10 +573,10 @@ def test_restore_state_rebuilds_every_registered_kind(make):
     assert json.dumps(twin.state()) == json.dumps(target.state())
 
 
-@pytest.mark.parametrize("kind", ["packet_state", "meter_bank", "rng_streams"])
-def test_a_packet_plane_checkpoint_file_is_refused_as_unknown(tmp_path, kind):
+@pytest.mark.parametrize("kind", _UNREGISTERED)
+def test_an_unregistered_checkpoint_file_is_refused_as_unknown(tmp_path, kind):
     """The same refusal from a file: the header and the state agree, so the
-    file reads, and the rebuild names the kind and the five known ones."""
+    file reads, and the rebuild names the kind and the two known ones."""
     path = str(tmp_path / f"{kind}.ckpt")
     write_checkpoint({"kind": kind, "size": 4}, path)
     assert read_checkpoint(path)["kind"] == kind
@@ -627,11 +584,21 @@ def test_a_packet_plane_checkpoint_file_is_refused_as_unknown(tmp_path, kind):
         restore_checkpoint(path)
 
 
-@pytest.mark.parametrize("attr", ["STATE_KIND", "state", "load_state", "from_state"])
-@pytest.mark.parametrize("cls", [MeterBank, PacketState, RngStreams, CacheStore], ids=lambda c: c.__name__)
-def test_packet_plane_classes_carry_no_capture(cls, attr):
-    """Only a Steppable is captured: the packet plane's classes have no
-    ``state`` to write and no parser to feed a file to."""
+_CAPTURE = ("STATE_KIND", "state", "load_state", "from_state")
+
+
+@pytest.mark.parametrize(
+    "cls, attr",
+    [(cls, attr) for cls in (MeterBank, PacketState, RngStreams, CacheStore) for attr in _CAPTURE]
+    + [(cls, attr) for cls in (ForestEngine, AsyncEngine) for attr in _CAPTURE + ("snapshot",)]
+    + [(BatchEngine, "from_state"), (BatchEngine, "snapshot")],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_uncheckpointed_classes_carry_no_capture(cls, attr):
+    """Only a registered kind is captured: the packet plane's classes and
+    the async and forest engines have no ``state`` to write and no parser
+    to feed a file to, and a cohort's ``BatchEngine`` is rebuilt only
+    inside its catalog, never from a file of its own."""
     assert not hasattr(cls, attr)
 
 

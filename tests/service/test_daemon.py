@@ -368,8 +368,9 @@ def _nan_fwd(state):
     "corrupt,error",
     [
         pytest.param(_duplicate_doc, "duplicate document 'seed'", id="duplicate-doc"),
-        pytest.param(_missing_engine, "KeyError: 'engine'", id="missing-engine"),
-        pytest.param(_wrong_size_tree, "has 3 nodes, cluster has 7", id="wrong-n-tree"),
+        # escaped as a KeyError before a missing field was refused by name
+        pytest.param(_missing_engine, "ValueError: cluster_runtime 'engine' is missing", id="missing-engine"),
+        pytest.param(_wrong_size_tree, "'n' is 7, but home 1's tree has 3 nodes", id="wrong-n-tree"),
         # hostile cohort engines: these two restored ``ok: true`` and the next
         # tick died with an uncaught IndexError / reported ``mass: nan``
         pytest.param(_in_engine(active=[1000000]), "batch_engine 'active'", id="engine-active-out-of-range"),
