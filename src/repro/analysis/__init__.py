@@ -1,21 +1,1 @@
 """Analysis helpers: metrics, text tables and ASCII plots."""
-
-from .ascii_plot import ascii_plot, ascii_semilog
-from .metrics import (
-    ProtocolSummary,
-    jain_fairness,
-    load_imbalance,
-    summarize_scenario,
-)
-from .tables import format_series, format_table
-
-__all__ = [
-    "format_table",
-    "format_series",
-    "ascii_plot",
-    "ascii_semilog",
-    "jain_fairness",
-    "load_imbalance",
-    "ProtocolSummary",
-    "summarize_scenario",
-]

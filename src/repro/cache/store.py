@@ -12,7 +12,7 @@ Pinned entries (the home server's authoritative copies) are never evicted.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 __all__ = ["CacheStore", "CacheError"]
 
@@ -52,22 +52,11 @@ class CacheStore:
         self.misses = 0
 
     # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> Optional[int]:
-        return self._capacity
-
-    @property
-    def policy(self) -> str:
-        return self._policy
-
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._entries))
 
     @property
     def doc_ids(self) -> Tuple[str, ...]:
@@ -143,8 +132,3 @@ class CacheStore:
         """Drop a copy if present and not pinned (no-op otherwise)."""
         if doc_id in self._entries and doc_id not in self._pinned:
             self.evict(doc_id)
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

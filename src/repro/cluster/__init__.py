@@ -9,40 +9,7 @@ snapshots, and scenario drivers (flash crowd, diurnal, churn).  See
 kernel and the experiments.
 """
 
-from .batch import BatchEngine
-from .metrics import ClusterMetrics, ClusterSnapshot
-from .prune import PrunedTree, demand_closure, induced_subtree, pruned_edge_alphas
-from .runtime import ClusterError, ClusterEvent, ClusterRuntime
-from .scenarios import (
-    ClusterScenario,
-    churn_scenario,
-    diurnal_scenario,
-    flash_crowd_scenario,
-    population_blocks,
-    population_workload,
-    rerooted_trees,
-    run_scenario,
-    workload_rate_matrix,
-)
+from .runtime import ClusterEvent
+from .scenarios import flash_crowd_scenario, run_scenario
 
-__all__ = [
-    "BatchEngine",
-    "PrunedTree",
-    "demand_closure",
-    "induced_subtree",
-    "pruned_edge_alphas",
-    "ClusterError",
-    "ClusterEvent",
-    "ClusterRuntime",
-    "ClusterSnapshot",
-    "ClusterMetrics",
-    "ClusterScenario",
-    "flash_crowd_scenario",
-    "diurnal_scenario",
-    "churn_scenario",
-    "population_blocks",
-    "population_workload",
-    "rerooted_trees",
-    "run_scenario",
-    "workload_rate_matrix",
-]
+__all__ = ["ClusterEvent", "flash_crowd_scenario", "run_scenario"]

@@ -158,19 +158,6 @@ class BatchEngine(DiffusionStack):
         return self._loads.shape[0]
 
     @property
-    def n(self) -> int:
-        return self.flat.n
-
-    @property
-    def op_count(self) -> int:
-        """Total ``(doc, edge)`` transfer evaluations across all rounds.
-
-        The op-count hook the freeze tests assert on: a frozen cohort's
-        engine must stop accumulating ops entirely.
-        """
-        return self._op_count
-
-    @property
     def step_stats(self) -> Dict[str, int]:
         """Dense/sparse round counts and the op-count hook value."""
         return {
@@ -201,10 +188,6 @@ class BatchEngine(DiffusionStack):
     def loads_of(self, row: int) -> np.ndarray:
         """One document's served-load vector (a live view)."""
         return self._loads[row]
-
-    def doc_masses(self) -> np.ndarray:
-        """Total served load per document, ``(D,)``."""
-        return self._loads.sum(axis=1)
 
     def node_totals(self) -> np.ndarray:
         """Per-node load summed over every document, ``(n,)``."""
@@ -292,11 +275,6 @@ class BatchEngine(DiffusionStack):
         if self._tel.enabled:
             (self._tel_sparse if ran == "sparse" else self._tel_dense).add(1)
             self._tel_ops.add(pairs)
-
-    def run(self, rounds: int) -> None:
-        """Advance every document by ``rounds`` synchronous rounds."""
-        for _ in range(rounds):
-            self.step()
 
     # -- the cohort's capture, nested in a cluster_runtime checkpoint -----
     def state(self) -> Dict[str, object]:

@@ -79,7 +79,7 @@ class ClusterSnapshot:
 
         The one serialization path shared by cluster reporting and the
         telemetry sink: :meth:`ClusterRuntime.snapshot` streams exactly
-        this record, and :meth:`ClusterMetrics.records` re-serializes a
+        this record, and re-serializing a
         collected run the same way.
         """
         return {
@@ -122,15 +122,6 @@ class ClusterMetrics:
     def append(self, snapshot: ClusterSnapshot) -> None:
         self._snapshots.append(snapshot)
 
-    def __len__(self) -> int:
-        return len(self._snapshots)
-
-    def __iter__(self):
-        return iter(self._snapshots)
-
-    def __getitem__(self, idx: int) -> ClusterSnapshot:
-        return self._snapshots[idx]
-
     @property
     def final(self) -> ClusterSnapshot:
         if not self._snapshots:
@@ -152,20 +143,3 @@ class ClusterMetrics:
             precision=3,
             title=title,
         )
-
-    def records(self) -> List[Dict]:
-        """Every snapshot as its ndjson record (see
-        :meth:`ClusterSnapshot.to_record`)."""
-        return [s.to_record() for s in self._snapshots]
-
-    def as_dict(self) -> Dict[str, List]:
-        """Machine-readable series (for the benchmark JSON records)."""
-        return {
-            "ticks": self.series("tick"),
-            "documents": self.series("documents"),
-            "max_utilization": self.series("max_utilization"),
-            "fairness": self.series("fairness"),
-            "tlb_gap": self.series("tlb_gap"),
-            "converged_fraction": self.series("converged_fraction"),
-            "frozen_fraction": self.series("frozen_fraction"),
-        }

@@ -355,17 +355,8 @@ class ClusterRuntime:
         return self._tick
 
     @property
-    def n(self) -> int:
-        """Number of servers (0 before the first publish)."""
-        return self._n or 0
-
-    @property
     def doc_ids(self) -> Tuple[str, ...]:
         return tuple(sorted(self._doc_home))
-
-    @property
-    def homes(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._groups))
 
     @property
     def documents(self) -> int:
@@ -400,9 +391,6 @@ class ClusterRuntime:
         if self._tel.enabled and cohort_key not in self._active_cohorts:
             self._tel_wakes.add(1)
         self._active_cohorts[cohort_key] = cohort
-
-    def _drop_cohort(self, home: int, key: bytes) -> None:
-        self._active_cohorts.pop((home, key), None)
 
     def home_of(self, doc_id: str) -> int:
         try:
@@ -599,7 +587,7 @@ class ClusterRuntime:
             cohort.target_norms = np.delete(cohort.target_norms, row)
         if not cohort.doc_ids:
             del group.cohorts[key]
-            self._drop_cohort(group.home, key)
+            self._active_cohorts.pop((group.home, key), None)
         else:
             self._wake(group.home, key, cohort)
         del self._doc_home[doc_id]

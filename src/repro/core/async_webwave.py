@@ -76,10 +76,6 @@ class AsyncWebWave:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def activations(self) -> int:
-        return self._engine.activations
-
     def assignment(self) -> LoadAssignment:
         return self._base.with_served(self._engine.served_tuple())
 

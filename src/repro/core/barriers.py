@@ -88,11 +88,6 @@ class DocumentDemand:
             sum(self.rate(i, d) for d in self.documents) for i in self.tree
         ]
 
-    @property
-    def total(self) -> float:
-        return sum(self.node_totals())
-
-
 @dataclass(frozen=True)
 class DocumentWebWaveConfig:
     """Tunables of the per-document protocol.
@@ -193,10 +188,6 @@ class DocumentWebWave:
     @property
     def workload(self) -> DocumentDemand:
         return self._w
-
-    @property
-    def round(self) -> int:
-        return self._round
 
     @property
     def tunnel_events(self) -> Tuple[TunnelEvent, ...]:

@@ -44,10 +44,6 @@ class GammaFit:
     r_squared: float
     iterations: int
 
-    def bound(self, t: float) -> float:
-        """Evaluate the fitted bounding curve at iteration ``t``."""
-        return self.a * self.gamma**t
-
     def describe(self) -> str:
         return (
             f"gamma = {self.gamma:.6f} (stderr {self.gamma_stderr:.6f}), "

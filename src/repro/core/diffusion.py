@@ -14,8 +14,8 @@ by the factor ``gamma`` = second-largest eigenvalue magnitude of ``D`` per
 iteration.
 
 This module provides the general-graph substrate: diffusion matrices with
-Metropolis or uniform-alpha weights, the spectral convergence factor, and
-synchronous / asynchronous (bounded-delay) iterations.  It is used both to
+Metropolis (or any per-edge) weights, the spectral convergence factor, and
+the synchronous iteration.  It is used both to
 validate the theory WebWave builds on (benchmark E-X2) and as the reference
 for the tree-restricted protocol in :mod:`repro.core.webwave`.
 """
@@ -31,11 +31,9 @@ import numpy as np
 __all__ = [
     "Graph",
     "metropolis_weights",
-    "uniform_weights",
     "diffusion_matrix",
     "spectral_gamma",
     "synchronous_diffusion",
-    "asynchronous_diffusion",
     "DiffusionTrace",
 ]
 
@@ -77,22 +75,8 @@ class Graph:
     def edges(self) -> Tuple[Tuple[int, int], ...]:
         return self._edges
 
-    def neighbors(self, i: int) -> Tuple[int, ...]:
-        return self._adj[i]
-
     def degree(self, i: int) -> int:
         return len(self._adj[i])
-
-    def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self._n
 
     @classmethod
     def from_tree(cls, tree) -> "Graph":
@@ -114,18 +98,6 @@ def metropolis_weights(graph: Graph) -> Dict[Tuple[int, int], float]:
         (a, b): 1.0 / (max(graph.degree(a), graph.degree(b)) + 1)
         for a, b in graph.edges
     }
-
-
-def uniform_weights(graph: Graph, alpha: float) -> Dict[Tuple[int, int], float]:
-    """The same ``alpha`` on every edge (Cybenko's basic scheme).
-
-    Stability requires ``alpha * max_degree < 1``; violating it makes the
-    diagonal of ``D`` negative and the iteration can oscillate or diverge -
-    exactly the failure mode benchmark E-X3 demonstrates.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return {e: alpha for e in graph.edges}
 
 
 def diffusion_matrix(graph: Graph, weights: Optional[Dict[Tuple[int, int], float]] = None) -> np.ndarray:
@@ -172,10 +144,6 @@ class DiffusionTrace:
     def iterations(self) -> int:
         return len(self.loads) - 1
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.loads[-1]
-
 
 def synchronous_diffusion(
     graph: Graph,
@@ -196,58 +164,6 @@ def synchronous_diffusion(
         if distances[-1] <= tolerance:
             break
         x = d @ x
-        loads.append(x.copy())
-        distances.append(float(np.linalg.norm(x - uniform)))
-    return DiffusionTrace(loads, distances, converged=distances[-1] <= tolerance)
-
-
-def asynchronous_diffusion(
-    graph: Graph,
-    initial: Sequence[float],
-    rng,
-    weights: Optional[Dict[Tuple[int, int], float]] = None,
-    max_delay: int = 0,
-    max_iterations: int = 100_000,
-    tolerance: float = 1e-9,
-) -> DiffusionTrace:
-    """Asynchronous diffusion with bounded-staleness neighbour views.
-
-    Per Bertsekas & Tsitsiklis [3], asynchronous diffusion converges when
-    communication delay is bounded.  Each iteration activates one node
-    chosen by ``rng``, which balances against neighbour loads observed with
-    a per-edge staleness drawn uniformly from ``0..max_delay`` iterations.
-
-    Only the activated node and its neighbours exchange load, so total load
-    is conserved exactly: the node computes antisymmetric pairwise transfers.
-    """
-    if len(initial) != graph.n:
-        raise ValueError(f"expected {graph.n} loads, got {len(initial)}")
-    weights = weights if weights is not None else metropolis_weights(graph)
-    wmap: Dict[Tuple[int, int], float] = {}
-    for (a, b), w in weights.items():
-        wmap[(a, b)] = w
-        wmap[(b, a)] = w
-
-    x = np.asarray(initial, dtype=float).copy()
-    uniform = np.full(graph.n, x.sum() / graph.n)
-    history = [x.copy()]
-    distances = [float(np.linalg.norm(x - uniform))]
-    loads = [x.copy()]
-    for _ in range(max_iterations):
-        if distances[-1] <= tolerance:
-            break
-        i = rng.randrange(graph.n)
-        transfers = []
-        for j in graph.neighbors(i):
-            lag = rng.randrange(max_delay + 1) if max_delay > 0 else 0
-            stale = history[max(len(history) - 1 - lag, 0)]
-            transfers.append((j, wmap[(i, j)] * (stale[j] - x[i])))
-        for j, t in transfers:
-            x[i] += t
-            x[j] -= t
-        history.append(x.copy())
-        if len(history) > max_delay + 1:
-            history.pop(0)
         loads.append(x.copy())
         distances.append(float(np.linalg.norm(x - uniform)))
     return DiffusionTrace(loads, distances, converged=distances[-1] <= tolerance)

@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernel import flatten, resettle_served
 from .load import LoadAssignment
 from .tree import RoutingTree
 from .webfold import webfold
@@ -31,8 +30,6 @@ __all__ = [
     "RateSchedule",
     "step_change_schedule",
     "flash_crowd_schedule",
-    "random_walk_schedule",
-    "resettle",
     "TrackingResult",
     "run_tracking",
 ]
@@ -102,46 +99,6 @@ def flash_crowd_schedule(
     crowd = calm[:]
     crowd[crowd_node] = crowd_rate
     return RateSchedule([(0, calm), (start, crowd), (end, calm)])
-
-
-def random_walk_schedule(
-    tree: RoutingTree,
-    rng,
-    rounds: int,
-    initial: Sequence[float],
-    step_every: int = 20,
-    relative_step: float = 0.3,
-) -> RateSchedule:
-    """Rates drifting by a multiplicative random walk every ``step_every`` rounds."""
-    if step_every < 1:
-        raise ValueError("step_every must be >= 1")
-    segments: List[Tuple[int, List[float]]] = [(0, [float(x) for x in initial])]
-    current = list(map(float, initial))
-    for t in range(step_every, rounds, step_every):
-        current = [
-            max(x * (1.0 + rng.uniform(-relative_step, relative_step)), 0.0)
-            for x in current
-        ]
-        segments.append((t, current[:]))
-    return RateSchedule(segments)
-
-
-def resettle(
-    tree: RoutingTree, rates: Sequence[float], served: Sequence[float]
-) -> List[float]:
-    """Clamp carried-over served rates to the flow the new demand supports.
-
-    When demand drops, a node cannot keep serving more than actually flows
-    through it; when demand rises, the un-served remainder reaches the home
-    server, which must serve it (Constraint 1).  One bottom-up pass
-    (vectorized in :func:`repro.core.kernel.resettle_served`), mirroring
-    the per-document settle of :mod:`repro.core.barriers`.
-    """
-    return resettle_served(
-        flatten(tree),
-        np.asarray(rates, dtype=np.float64),
-        np.asarray(served, dtype=np.float64),
-    ).tolist()
 
 
 @dataclass(frozen=True)

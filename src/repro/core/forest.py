@@ -105,16 +105,8 @@ class ForestWebWave:
 
     # ------------------------------------------------------------------
     @property
-    def n(self) -> int:
-        return self._n
-
-    @property
     def homes(self) -> Tuple[int, ...]:
         return self._homes
-
-    @property
-    def round(self) -> int:
-        return self._engine.round
 
     def tree_assignment(self, home: int) -> LoadAssignment:
         """The current per-tree load assignment."""

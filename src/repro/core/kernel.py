@@ -69,6 +69,7 @@ demand a round touches the demand closure, not the topology.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import weakref
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -166,10 +167,6 @@ class FlatTree:
         ]
         self.degree = child_counts + (ids != tree.root)
         self._children_lists: Optional[List[List[int]]] = None
-
-    def children_of(self, i: int) -> np.ndarray:
-        """Children of node ``i``, ascending."""
-        return self.child_ids[self.child_offsets[i] : self.child_offsets[i + 1]]
 
     def children_lists(self) -> List[List[int]]:
         """Per-node children as plain lists (built once, shared).
@@ -322,6 +319,23 @@ def check_rates(arr: np.ndarray, what: str, error=ValueError) -> None:
         raise error(f"{what} must be finite and non-negative")
 
 
+_NUMBER = frozenset((int, float))
+_INTEGER = frozenset((int,))
+
+
+def _json_numbers(value: object, types: frozenset) -> bool:
+    """Whether every leaf of ``value``, a list nested to any depth, has one
+    of ``types`` exactly (``bool`` is not ``int`` here).  Checked with C-speed
+    ``set(map(type, ...))`` per level; a bare scalar passes, for the shape
+    check to refuse."""
+    leaves = value if isinstance(value, list) else [value]
+    kinds = set(map(type, leaves))
+    while kinds == {list}:
+        leaves = list(itertools.chain.from_iterable(leaves))
+        kinds = set(map(type, leaves))
+    return kinds <= types
+
+
 def state_field(
     state: Mapping[str, object],
     field: str,
@@ -333,20 +347,26 @@ def state_field(
     """``state[field]`` of a ``state()`` capture as a fresh ``dtype`` array
     of exactly ``shape``, or a ``ValueError`` naming the field.
 
-    Entries must be finite and non-negative (finite only with ``signed``).
-    A leading ``-1`` in ``shape`` accepts any row count, including the flat
+    Entries must be JSON numbers (integers for an integer ``dtype``; never
+    a string, ``true`` / ``false`` or null, which a cast would read as
+    numbers), finite and non-negative (finite only with ``signed``).  A
+    leading ``-1`` in ``shape`` accepts any row count, including the flat
     list a one-row engine writes and the ``[]`` of an empty stack, but never
     a bare number.
     """
     any_rows = shape[0] == -1
     value = state_entry(state, field, what)  # refused as missing, not misshapen
+    integral = np.issubdtype(dtype, np.integer)
+    if not _json_numbers(value, _INTEGER if integral else _NUMBER):
+        rule = "integers" if integral else "numbers"
+        raise ValueError(f"{what} {field!r} entries must be {rule}")
     try:
         arr = np.array(value, dtype=dtype)
         if arr.ndim == 0:
             raise ValueError
         if any_rows:
             arr = arr.reshape(shape)
-    except (TypeError, ValueError):  # a scalar, ragged, non-numeric, a partial row
+    except (TypeError, ValueError, OverflowError):  # a scalar, ragged, a partial row, an int too big
         raise ValueError(
             f"{what} {field!r} does not hold an array of shape {shape}"
         ) from None
@@ -498,11 +518,6 @@ class DiffusionStack:
     @property
     def round(self) -> int:
         return self._round
-
-    @property
-    def adaptive(self) -> bool:
-        """Whether the active-set (sparse) stepping path is enabled."""
-        return self._adaptive
 
     @property
     def frontier(self) -> Optional[np.ndarray]:
@@ -977,16 +992,6 @@ class SyncEngine(DiffusionStack):
             "sparse_rounds": self._sparse_rounds,
             "edges_processed": self._op_count,
         }
-
-    def frontier_nodes(self) -> np.ndarray:
-        """Distinct nodes incident to the active frontier, ascending."""
-        active = self._active
-        if active is None:
-            return np.arange(self.flat.n, dtype=np.intp)
-        flat = self.flat
-        return np.unique(
-            np.concatenate([flat.edge_parent[active], flat.edge_child[active]])
-        )
 
     def served_tuple(self) -> Tuple[float, ...]:
         cached = self._served_cache

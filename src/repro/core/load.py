@@ -19,11 +19,11 @@ algorithms return new assignments rather than mutating inputs.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .tree import RoutingTree
 
-__all__ = ["LoadAssignment", "uniform_assignment", "proportional_assignment"]
+__all__ = ["LoadAssignment"]
 
 _EPS = 1e-9
 
@@ -99,8 +99,8 @@ class LoadAssignment:
         ``A_i = E_i + sum_{j in C_i} A_j - L_i`` computed in one bottom-up
         pass.  ``A_i`` may be negative, which signals an *infeasible*
         assignment (the subtree under ``i`` serves more than it generates,
-        violating NSS); validity predicates live in
-        :mod:`repro.core.constraints`.
+        violating NSS); the validity predicates live with the test oracles
+        (``tests/oracle/constraints.py``).
         """
         if self._a is None:
             tree = self._tree
@@ -111,25 +111,9 @@ class LoadAssignment:
             self._a = tuple(a)
         return self._a
 
-    def spontaneous_of(self, i: int) -> float:
-        """``E_i``."""
-        return self._e[i]
-
     def served_of(self, i: int) -> float:
         """``L_i``."""
         return self._l[i]
-
-    def forwarded_of(self, i: int) -> float:
-        """``A_i``."""
-        return self.forwarded[i]
-
-    def arrival_of(self, i: int) -> float:
-        """Total rate arriving at ``i``: ``E_i + sum_{j in C_i} A_j``.
-
-        This is the rate flowing *through* node ``i`` (Figure 1); the node
-        serves ``L_i`` of it and forwards ``A_i``.
-        """
-        return self._e[i] + sum(self.forwarded[c] for c in self._tree.children(i))
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -140,11 +124,6 @@ class LoadAssignment:
         return sum(self._e)
 
     @property
-    def total_served(self) -> float:
-        """System-wide served rate ``sum L_i``."""
-        return sum(self._l)
-
-    @property
     def mean_spontaneous(self) -> float:
         """The Global Load Equality target ``sum E_i / n``."""
         return self.total_spontaneous / self._tree.n
@@ -153,18 +132,6 @@ class LoadAssignment:
     def max_served(self) -> float:
         """``L_max``, the quantity Definition 1 minimizes."""
         return max(self._l)
-
-    def sorted_descending(self) -> Tuple[float, ...]:
-        """Served loads sorted descending (the LB lexicographic objective)."""
-        return tuple(sorted(self._l, reverse=True))
-
-    def subtree_spontaneous(self) -> List[float]:
-        """For each node, total spontaneous rate generated in its subtree."""
-        return self._tree.subtree_sums(self._e)
-
-    def subtree_served(self) -> List[float]:
-        """For each node, total rate served within its subtree."""
-        return self._tree.subtree_sums(self._l)
 
     # ------------------------------------------------------------------
     # Derived assignments
@@ -185,52 +152,10 @@ class LoadAssignment:
         return math.sqrt(sum((a - b) ** 2 for a, b in zip(self._l, other._l)))
 
     # ------------------------------------------------------------------
-    # Dunder / utility
+    # Comparison
     # ------------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LoadAssignment):
-            return NotImplemented
-        return self._tree == other._tree and self._e == other._e and self._l == other._l
-
-    def __hash__(self) -> int:
-        return hash((self._tree, self._e, self._l))
-
-    def __repr__(self) -> str:
-        return (
-            f"LoadAssignment(n={self._tree.n}, total_E={self.total_spontaneous:.6g}, "
-            f"L_max={self.max_served:.6g})"
-        )
-
     def almost_equal(self, other: "LoadAssignment", tol: float = 1e-6) -> bool:
         """True iff the served vectors agree within ``tol`` per node."""
         return self._tree == other._tree and all(
             abs(a - b) <= tol for a, b in zip(self._l, other._l)
         )
-
-    def as_dict(self) -> Dict[str, Tuple[float, ...]]:
-        """Serializable view: spontaneous / served / forwarded vectors."""
-        return {
-            "spontaneous": self._e,
-            "served": self._l,
-            "forwarded": self.forwarded,
-        }
-
-    def render(self) -> str:
-        """ASCII tree annotated with ``E``, ``L`` and ``A`` per node."""
-        return self._tree.render(
-            lambda i: f"E={self._e[i]:g} L={self._l[i]:g} A={self.forwarded[i]:g}"
-        )
-
-
-def uniform_assignment(tree: RoutingTree, rate: float) -> LoadAssignment:
-    """Every node spontaneously generates (and initially serves) ``rate``."""
-    return LoadAssignment(tree, [rate] * tree.n)
-
-
-def proportional_assignment(tree: RoutingTree, weights: Sequence[float], total: float) -> LoadAssignment:
-    """Spontaneous rates proportional to ``weights`` summing to ``total``."""
-    s = float(sum(weights))
-    if s <= 0:
-        raise ValueError("weights must have a positive sum")
-    e = [total * float(w) / s for w in weights]
-    return LoadAssignment(tree, e)

@@ -147,10 +147,6 @@ class RoutingTree:
         """Maximum node depth."""
         return max(self._depth)
 
-    def is_leaf(self, i: int) -> bool:
-        """True iff ``i`` has no children."""
-        return not self._children[i]
-
     def leaves(self) -> Tuple[int, ...]:
         """All leaf nodes, ascending."""
         return tuple(i for i in range(self.n) if not self._children[i])
@@ -161,10 +157,6 @@ class RoutingTree:
     def bfs_order(self) -> Tuple[int, ...]:
         """Nodes in breadth-first order from the root (deterministic)."""
         return self._order
-
-    def topdown(self) -> Iterator[int]:
-        """Iterate nodes so every parent precedes its children."""
-        return iter(self._order)
 
     def bottomup(self) -> Iterator[int]:
         """Iterate nodes so every child precedes its parent."""
@@ -179,10 +171,6 @@ class RoutingTree:
             # Reversed so that the smallest child is yielded first.
             stack.extend(reversed(self._children[u]))
 
-    def subtree_size(self, i: int) -> int:
-        """Number of nodes in the subtree rooted at ``i``."""
-        return sum(1 for _ in self.subtree(i))
-
     def path_to_root(self, i: int) -> Tuple[int, ...]:
         """Nodes on the route from ``i`` up to and including the root.
 
@@ -194,15 +182,6 @@ class RoutingTree:
         while path[-1] != self._root:
             path.append(self._parent[path[-1]])
         return tuple(path)
-
-    def is_ancestor(self, a: int, d: int) -> bool:
-        """True iff ``a`` is ``d`` or an ancestor of ``d``."""
-        while True:
-            if d == a:
-                return True
-            if d == self._root:
-                return False
-            d = self._parent[d]
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -240,9 +219,6 @@ class RoutingTree:
         if self._hash is None:
             self._hash = hash(self._parent)
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"RoutingTree(n={self.n}, root={self._root}, height={self.height})"
 
     def render(self, label: Optional[Callable[[int], str]] = None) -> str:
         """ASCII rendering of the tree, one node per line.

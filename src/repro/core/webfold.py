@@ -48,7 +48,7 @@ from .config import positive_capacities
 from .load import LoadAssignment
 from .tree import RoutingTree
 
-__all__ = ["Fold", "FoldStep", "FoldResult", "webfold", "fold_partition"]
+__all__ = ["Fold", "FoldStep", "FoldResult", "webfold"]
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ class Fold:
         Sum of spontaneous rates over the members.
     capacity:
         Sum of member capacities (omitted: unit capacities, the member count).
-    load:
-        The common load per unit capacity, ``spontaneous / capacity``: the
-        per-node load under unit capacities, else every member's utilization.
+
+    The common load per unit capacity is ``spontaneous / capacity``: the
+    per-node load under unit capacities, else every member's utilization.
     """
 
     root: int
@@ -78,16 +78,6 @@ class Fold:
     def __post_init__(self) -> None:
         if self.capacity is None:
             object.__setattr__(self, "capacity", float(len(self.members)))
-
-    @property
-    def load(self) -> float:
-        """Load per unit capacity shared by every member of this fold."""
-        return self.spontaneous / self.capacity
-
-    @property
-    def size(self) -> int:
-        """Number of member nodes."""
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -107,15 +97,6 @@ class FoldStep:
     into_load: float
     merged_size: int
     merged_load: float
-
-    def describe(self) -> str:
-        """Human-readable rendition of this step."""
-        return (
-            f"step {self.index}: fold {self.folded} (load {self.folded_load:g}) "
-            f"-> fold {self.into} (load {self.into_load:g}); "
-            f"merged: {self.merged_size} nodes at load {self.merged_load:g}"
-        )
-
 
 class FoldResult:
     """Output of :func:`webfold`: the folded tree and the TLB assignment.
@@ -214,15 +195,6 @@ class FoldResult:
     def num_folds(self) -> int:
         """Number of folds in the final partition."""
         return len(self._fold_map)
-
-    def loads(self) -> Tuple[float, ...]:
-        """Per-node TLB loads (alias for ``assignment.served``)."""
-        return self._assignment.served
-
-    @property
-    def capacities(self) -> Tuple[float, ...]:
-        """Per-node capacities the fold ran with (all 1.0 if none given)."""
-        return self._capacities
 
     def utilizations(self) -> Tuple[float, ...]:
         """Per-node utilization ``L_i / C_i`` (constant within a fold)."""
@@ -342,13 +314,3 @@ def webfold(
         fold_of[j] = fold_of[fold_parent[j]]
     loads = [esum[r] / csum[r] * c for r, c in zip(fold_of, caps)]
     return FoldResult(tree, base.with_served(loads), caps, fold_of, fold_parent, order)
-
-
-def fold_partition(
-    tree: RoutingTree,
-    spontaneous: Sequence[float],
-    capacities: Optional[Sequence[float]] = None,
-) -> Dict[int, Tuple[int, ...]]:
-    """Convenience wrapper returning only ``{fold_root: members}``."""
-    result = webfold(tree, spontaneous, capacities)
-    return {r: f.members for r, f in result.folds.items()}

@@ -144,10 +144,6 @@ class WebWaveResult:
     history: Optional[List[Tuple[float, ...]]] = None
 
     @property
-    def initial_distance(self) -> float:
-        return self.distances[0]
-
-    @property
     def final_distance(self) -> float:
         return self.distances[-1]
 
@@ -174,22 +170,9 @@ class WebWaveSimulator:
         self._engine = self._config.engine(tree, self._base)
 
     # ------------------------------------------------------------------
-    @property
-    def tree(self) -> RoutingTree:
-        return self._tree
-
-    @property
-    def round(self) -> int:
-        return self._engine.round
-
     def assignment(self) -> LoadAssignment:
         """The current load assignment."""
         return self._base.with_served(self._engine.served_tuple())
-
-    def utilizations(self) -> List[float]:
-        """Per-node utilization ``L_i / C_i`` (the loads under uniform capacity)."""
-        caps = self._config.capacities
-        return (self._engine.loads / (1.0 if caps is None else np.asarray(caps))).tolist()
 
     # ------------------------------------------------------------------
     def step(self) -> None:

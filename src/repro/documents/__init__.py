@@ -1,14 +1,1 @@
 """Published documents: immutable objects, catalogs and popularity models."""
-
-from .document import Document, DocumentError
-from .catalog import Catalog
-from .popularity import ZipfPopularity, uniform_popularity, zipf_weights
-
-__all__ = [
-    "Document",
-    "DocumentError",
-    "Catalog",
-    "ZipfPopularity",
-    "zipf_weights",
-    "uniform_popularity",
-]

@@ -50,9 +50,6 @@ class Catalog:
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._docs
 
-    def __len__(self) -> int:
-        return len(self._docs)
-
     def __iter__(self) -> Iterator[Document]:
         return iter(sorted(self._docs.values(), key=lambda d: d.doc_id))
 

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["zipf_weights", "uniform_popularity", "ZipfPopularity"]
+__all__ = ["zipf_weights", "ZipfPopularity"]
 
 
 def _zipf_weight_array(n: int, s: float) -> np.ndarray:
@@ -33,11 +33,6 @@ def _zipf_weight_array(n: int, s: float) -> np.ndarray:
 def zipf_weights(n: int, s: float = 1.0) -> List[float]:
     """Normalized Zipf weights for ranks ``1..n`` with exponent ``s``."""
     return _zipf_weight_array(n, s).tolist()
-
-
-def uniform_popularity(n: int) -> List[float]:
-    """Every document equally popular (Zipf with ``s = 0``)."""
-    return zipf_weights(n, 0.0)
 
 
 class ZipfPopularity:
@@ -58,34 +53,10 @@ class ZipfPopularity:
             raise ValueError("doc_ids must be unique")
         self._ids = tuple(doc_ids)
         self._weights = _zipf_weight_array(len(doc_ids), s)
-        self._cumulative = np.cumsum(self._weights)
-        self._cumulative[-1] = 1.0
-        self._rank = {doc_id: k for k, doc_id in enumerate(self._ids)}
-        self._s = s
-
-    @property
-    def doc_ids(self) -> Tuple[str, ...]:
-        return self._ids
-
-    @property
-    def s(self) -> float:
-        return self._s
-
-    def weight(self, doc_id: str) -> float:
-        """Fraction of requests aimed at ``doc_id``."""
-        try:
-            return float(self._weights[self._rank[doc_id]])
-        except KeyError:
-            raise KeyError(f"unknown document {doc_id!r}") from None
 
     def weights(self) -> Tuple[float, ...]:
         """All weights in rank order (sums to 1)."""
         return tuple(self._weights.tolist())
-
-    def sample(self, rng) -> str:
-        """Draw one document id with Zipf probability."""
-        idx = int(np.searchsorted(self._cumulative, rng.random(), side="left"))
-        return self._ids[min(idx, len(self._ids) - 1)]
 
     def split_rate(self, total_rate: float) -> List[Tuple[str, float]]:
         """Split an aggregate request rate into per-document rates."""

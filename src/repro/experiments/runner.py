@@ -261,7 +261,10 @@ def _serve(args) -> int:
             return _usage_error(f"cannot open export sink {args.export!r}: {exc}")
     try:
         if args.socket is not None:
-            serve_socket(service, args.socket)
+            try:
+                serve_socket(service, args.socket)
+            except FileExistsError as exc:
+                return _usage_error(f"cannot serve on {exc.filename!r}: {exc.strerror}")
         else:
             serve_loop(service, sys.stdin, sys.stdout)
     finally:

@@ -1,33 +1,1 @@
 """Network substrate: topologies, routing, and routing-tree extraction."""
-
-from .generators import (
-    grid_topology,
-    kary_tree_topology,
-    line_topology,
-    random_tree_topology,
-    ring_topology,
-    star_topology,
-    transit_stub_topology,
-    waxman_topology,
-)
-from .routing import dijkstra, extract_forest, route, shortest_path_tree
-from .topology import Link, NodeSpec, Topology, TopologyError
-
-__all__ = [
-    "Link",
-    "NodeSpec",
-    "Topology",
-    "TopologyError",
-    "dijkstra",
-    "shortest_path_tree",
-    "extract_forest",
-    "route",
-    "line_topology",
-    "ring_topology",
-    "star_topology",
-    "kary_tree_topology",
-    "grid_topology",
-    "random_tree_topology",
-    "waxman_topology",
-    "transit_stub_topology",
-]

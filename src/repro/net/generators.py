@@ -16,10 +16,6 @@ from typing import List, Optional, Sequence, Tuple
 from .topology import Link, NodeSpec, Topology, TopologyError
 
 __all__ = [
-    "line_topology",
-    "ring_topology",
-    "star_topology",
-    "kary_tree_topology",
     "grid_topology",
     "random_tree_topology",
     "waxman_topology",
@@ -31,35 +27,6 @@ _DEFAULT_DELAY = 0.01
 
 def _uniform_links(pairs: Sequence[Tuple[int, int]], delay: float) -> List[Link]:
     return [Link(a, b, delay=delay) for a, b in pairs]
-
-
-def line_topology(n: int, delay: float = _DEFAULT_DELAY) -> Topology:
-    """Nodes ``0..n-1`` in a path."""
-    return Topology(n, _uniform_links([(i, i + 1) for i in range(n - 1)], delay))
-
-
-def ring_topology(n: int, delay: float = _DEFAULT_DELAY) -> Topology:
-    """A cycle of ``n`` nodes (n >= 3)."""
-    if n < 3:
-        raise TopologyError("ring needs at least 3 nodes")
-    pairs = [(i, (i + 1) % n) for i in range(n)]
-    return Topology(n, _uniform_links(pairs, delay))
-
-
-def star_topology(n: int, delay: float = _DEFAULT_DELAY) -> Topology:
-    """Node 0 linked to every other node."""
-    return Topology(n, _uniform_links([(0, i) for i in range(1, n)], delay))
-
-
-def kary_tree_topology(k: int, height: int, delay: float = _DEFAULT_DELAY) -> Topology:
-    """Complete k-ary tree as a topology (BFS node numbering)."""
-    if k < 1 or height < 0:
-        raise TopologyError("need k >= 1 and height >= 0")
-    if k == 1:
-        return line_topology(height + 1, delay)
-    n = (k ** (height + 1) - 1) // (k - 1)
-    pairs = [((i - 1) // k, i) for i in range(1, n)]
-    return Topology(n, _uniform_links(pairs, delay))
 
 
 def grid_topology(rows: int, cols: int, delay: float = _DEFAULT_DELAY) -> Topology:

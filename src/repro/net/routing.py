@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.tree import RoutingTree
 from .topology import Topology, TopologyError
 
-__all__ = ["dijkstra", "shortest_path_tree", "extract_forest", "route"]
+__all__ = ["dijkstra", "shortest_path_tree", "extract_forest"]
 
 
 def dijkstra(topology: Topology, source: int) -> Tuple[List[float], List[int]]:
@@ -93,12 +93,3 @@ def extract_forest(
             raise TopologyError(f"duplicate home server {r}")
         seen.add(r)
     return {r: shortest_path_tree(topology, r) for r in roots}
-
-
-def route(tree: RoutingTree, origin: int) -> Tuple[int, ...]:
-    """The node path a request from ``origin`` follows to the home server.
-
-    Pure convenience alias for :meth:`RoutingTree.path_to_root`, named to
-    match the paper's vocabulary.
-    """
-    return tree.path_to_root(origin)

@@ -14,7 +14,7 @@ second (the service rate of the co-located cache server).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["Link", "NodeSpec", "Topology", "TopologyError"]
 
@@ -54,14 +54,6 @@ class Link:
             raise TopologyError(f"negative delay on link ({self.a},{self.b})")
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise TopologyError("bandwidth must be positive when given")
-
-    def other(self, node: int) -> int:
-        """The endpoint opposite ``node``."""
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise TopologyError(f"node {node} is not an endpoint of {self}")
 
     @property
     def key(self) -> Tuple[int, int]:
@@ -139,9 +131,6 @@ class Topology:
         """Adjacent node ids, ascending."""
         return self._adj[node]
 
-    def degree(self, node: int) -> int:
-        return len(self._adj[node])
-
     def link(self, a: int, b: int) -> Link:
         """The link between ``a`` and ``b`` (order-insensitive)."""
         key = (min(a, b), max(a, b))
@@ -150,37 +139,13 @@ class Topology:
         except KeyError:
             raise TopologyError(f"no link between {a} and {b}") from None
 
-    def has_link(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self._links
-
     def delay(self, a: int, b: int) -> float:
         """One-way delay of the (a, b) link."""
         return self.link(a, b).delay
 
-    def spec(self, node: int) -> NodeSpec:
-        """Per-node attributes."""
-        return self._specs[node]
-
     def capacity(self, node: int) -> float:
         """Service rate of the node's cache server (requests/second)."""
         return self._specs[node].capacity
-
-    # ------------------------------------------------------------------
-    def is_connected(self) -> bool:
-        """True iff every node can reach every other node."""
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self._n
-
-    def path_delay(self, path: Sequence[int]) -> float:
-        """Sum of one-way delays along a node path."""
-        return sum(self.delay(a, b) for a, b in zip(path, path[1:]))
 
     def with_capacities(self, capacities: Sequence[float]) -> "Topology":
         """A copy with replaced per-node capacities."""
@@ -191,9 +156,3 @@ class Topology:
             for i, c in enumerate(capacities)
         ]
         return Topology(self._n, self.links, specs)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._n))
-
-    def __repr__(self) -> str:
-        return f"Topology(n={self._n}, links={len(self._links)})"

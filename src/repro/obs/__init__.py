@@ -4,11 +4,12 @@ One telemetry registry shared by all three planes (rate kernel, cluster
 catalog, packet protocol), with a zero-overhead null default:
 
 * :class:`~repro.obs.telemetry.Telemetry` — counters, gauges, NumPy-backed
-  histograms, nested phase timers, sampled trace spans.
+  histograms, phase timers, sampled trace spans.
 * :data:`~repro.obs.telemetry.NULL` — the :class:`NullTelemetry` default
-  every engine uses unless told otherwise; disabled runs are bit-identical
-  to pre-instrumentation behavior.
-* :func:`~repro.obs.telemetry.use` / :func:`~repro.obs.telemetry.current`
+  every engine uses unless told otherwise; its only attribute is
+  ``enabled = False``, so disabled runs are bit-identical to
+  pre-instrumentation behavior.
+* :func:`~repro.obs.telemetry.use` / :func:`~repro.obs.telemetry.resolve`
   — ambient registry, how the runner's ``--telemetry`` flag reaches engines
   constructed deep inside experiments.
 * :class:`~repro.obs.sink.NdjsonSink` — streaming newline-delimited JSON
@@ -16,37 +17,7 @@ catalog, packet protocol), with a zero-overhead null default:
   text dashboard (:mod:`repro.obs.report`).
 """
 
-from .sink import MemorySink, NdjsonSink, read_ndjson, scan_ndjson
-from .telemetry import (
-    NULL,
-    Counter,
-    Gauge,
-    Histogram,
-    NullTelemetry,
-    PhaseTimer,
-    Sampler,
-    Telemetry,
-    current,
-    log_bucket_edges,
-    resolve,
-    use,
-)
+from .sink import MemorySink, NdjsonSink, read_ndjson
+from .telemetry import Telemetry, use
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MemorySink",
-    "NdjsonSink",
-    "NULL",
-    "NullTelemetry",
-    "PhaseTimer",
-    "Sampler",
-    "Telemetry",
-    "current",
-    "log_bucket_edges",
-    "read_ndjson",
-    "scan_ndjson",
-    "resolve",
-    "use",
-]
+__all__ = ["MemorySink", "NdjsonSink", "Telemetry", "read_ndjson", "use"]

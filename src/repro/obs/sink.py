@@ -16,21 +16,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 __all__ = ["NdjsonSink", "MemorySink", "read_ndjson", "scan_ndjson"]
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
 class MemorySink:
@@ -38,18 +24,11 @@ class MemorySink:
 
     def __init__(self) -> None:
         self.records: List[Dict[str, Any]] = []
-        self.closed = False
 
     def write(self, record: Dict[str, Any]) -> None:
         # Round-trip through JSON so MemorySink surfaces the same
         # serialization failures NdjsonSink would.
-        self.records.append(json.loads(json.dumps(record, default=_jsonable)))
-
-    def flush(self) -> None:
-        return None
-
-    def close(self) -> None:
-        self.closed = True
+        self.records.append(json.loads(json.dumps(record)))
 
 
 class NdjsonSink:
@@ -93,7 +72,7 @@ class NdjsonSink:
 
     # ------------------------------------------------------------------
     def write(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, separators=(",", ":"), default=_jsonable)
+        line = json.dumps(record, separators=(",", ":"))
         self._fh.write(line)
         self._fh.write("\n")
         self._bytes += len(line) + 1
@@ -119,11 +98,6 @@ class NdjsonSink:
         self._bytes = 0
         self._unflushed = 0
         self.rotations += 1
-
-    def flush(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._unflushed = 0
 
     def close(self) -> None:
         if not self._fh.closed:

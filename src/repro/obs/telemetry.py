@@ -7,11 +7,12 @@ the repo):
   by name (``tel.counter("kernel.rounds")``) and cached, so hot paths hold a
   direct reference to the instrument and pay one attribute access plus one
   float/int add per event — no dict lookup, no string formatting.
-* :class:`NullTelemetry` is the zero-overhead default.  Every factory
-  returns a shared no-op instrument and ``enabled`` is ``False``, so
-  instrumented code guards each seam with a single ``if tel.enabled:``
-  branch and disabled runs execute the exact same arithmetic as before —
-  trajectories stay bit-identical (asserted by ``tests/obs/test_parity.py``).
+* :class:`NullTelemetry` is the zero-overhead default, and its one
+  attribute is ``enabled = False``.  Instrumented code guards each seam
+  with a single ``if tel.enabled:`` branch (or holds ``None`` in place of
+  an instrument), so a disabled run never touches the registry and
+  executes the exact same arithmetic as before — trajectories stay
+  bit-identical (asserted by ``tests/obs/test_parity.py``).
 * Expensive measurements (per-phase wall time, request trace spans) are
   *sampled*: a :class:`Sampler` admits every ``interval``-th event, keeping
   the enabled-with-sampling overhead inside the 5% budget that
@@ -20,7 +21,7 @@ the repo):
   values the planes already compute, which is what makes the bit-parity
   guarantee structural rather than accidental.
 
-The ambient default (:func:`current` / :func:`use`) lets the experiments
+The ambient default (:func:`use` / :func:`resolve`) lets the experiments
 runner enable telemetry for engines constructed many layers down without
 threading a parameter through every experiment signature.
 """
@@ -41,7 +42,6 @@ __all__ = [
     "Telemetry",
     "NullTelemetry",
     "NULL",
-    "current",
     "resolve",
     "use",
     "log_bucket_edges",
@@ -63,9 +63,6 @@ class Counter:
     def add(self, n: int = 1) -> None:
         self.value += n
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name!r}, value={self.value})"
-
 
 class Gauge:
     """A last-value-wins measurement (frontier size, frozen fraction)."""
@@ -78,9 +75,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name!r}, value={self.value})"
 
 
 def log_bucket_edges(
@@ -190,47 +184,6 @@ class PhaseTimer:
         self.seconds += seconds
         self.count += 1
 
-    @property
-    def mean_seconds(self) -> float:
-        return self.seconds / self.count if self.count else 0.0
-
-
-class _PhaseScope:
-    """Context manager recording one timed entry of a (nested) phase."""
-
-    __slots__ = ("_tel", "_name", "_t0")
-
-    def __init__(self, tel: "Telemetry", name: str) -> None:
-        self._tel = tel
-        self._name = name
-
-    def __enter__(self) -> "_PhaseScope":
-        tel = self._tel
-        tel._phase_stack.append(self._name)
-        self._t0 = tel.clock()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        tel = self._tel
-        elapsed = tel.clock() - self._t0
-        tel.phase_add("/".join(tel._phase_stack), elapsed)
-        tel._phase_stack.pop()
-
-
-class _NullScope:
-    """Shared no-op context manager (phases on :data:`NULL`)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-_NULL_SCOPE = _NullScope()
-
 
 # ----------------------------------------------------------------------
 # Registries
@@ -275,7 +228,6 @@ class Telemetry:
         self._histograms: Dict[str, Histogram] = {}
         self._phases: Dict[str, PhaseTimer] = {}
         self._samplers: Dict[str, Sampler] = {}
-        self._phase_stack: List[str] = []
         self.spans: List[Dict[str, Any]] = []
         self.spans_dropped = 0
         self.snapshots_exported = 0
@@ -309,29 +261,13 @@ class Telemetry:
             )
         return inst
 
-    # -- convenience one-shot forms ------------------------------------
-    def count(self, name: str, n: int = 1) -> None:
-        self.counter(name).add(n)
-
     def gauge_set(self, name: str, value: float) -> None:
         self.gauge(name).set(value)
 
-    def observe(self, name: str, value: float) -> None:
-        self.histogram(name).observe(value)
-
     # -- phases --------------------------------------------------------
-    def phase(self, name: str) -> _PhaseScope:
-        """Time a (possibly nested) phase::
-
-            with tel.phase("tick"):
-                with tel.phase("merge"):   # accumulates under "tick/merge"
-                    ...
-        """
-        return _PhaseScope(self, name)
-
     def phase_add(self, path: str, seconds: float) -> None:
-        """Directly accumulate ``seconds`` under ``path`` — the form used by
-        hot loops that read :attr:`clock` themselves on sampled rounds."""
+        """Accumulate ``seconds`` under ``path`` (``"a/b"`` nests ``b`` in
+        ``a``); hot loops read :attr:`clock` themselves on sampled rounds."""
         inst = self._phases.get(path)
         if inst is None:
             inst = self._phases[path] = PhaseTimer(path)
@@ -387,97 +323,13 @@ class Telemetry:
             self.sink.close()
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def add(self, n: int = 1) -> None:
-        return None
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        return None
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        return None
-
-
-class _NullSampler(Sampler):
-    __slots__ = ()
-
-    def hit(self) -> bool:
-        return False
-
-
 class NullTelemetry:
-    """The zero-overhead default registry.
+    """The zero-overhead default registry: ``enabled`` is ``False`` and it
+    has nothing else.  A seam reads ``enabled`` and touches no instrument
+    when it is false."""
 
-    ``enabled`` is ``False``; every factory hands back a shared no-op
-    instrument, so even code that skips the ``if tel.enabled:`` guard (cold
-    paths, tests) works unchanged at negligible cost.
-    """
-
+    __slots__ = ()
     enabled = False
-    clock = staticmethod(time.perf_counter)
-    sample_interval = 0
-    spans: List[Dict[str, Any]] = []
-    spans_dropped = 0
-    sink = None
-
-    _counter = _NullCounter("null")
-    _gauge = _NullGauge("null")
-    _histogram = _NullHistogram("null", edges=(1.0,))
-    _sampler = _NullSampler(1)
-
-    def counter(self, name: str) -> Counter:
-        return self._counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._gauge
-
-    def histogram(
-        self, name: str, edges: Optional[Sequence[float]] = None
-    ) -> Histogram:
-        return self._histogram
-
-    def sampler(self, name: str, interval: Optional[int] = None) -> Sampler:
-        return self._sampler
-
-    def count(self, name: str, n: int = 1) -> None:
-        return None
-
-    def gauge_set(self, name: str, value: float) -> None:
-        return None
-
-    def observe(self, name: str, value: float) -> None:
-        return None
-
-    def phase(self, name: str) -> _NullScope:
-        return _NULL_SCOPE
-
-    def phase_add(self, path: str, seconds: float) -> None:
-        return None
-
-    def span(self, kind: str, **fields: Any) -> None:
-        return None
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        return None
-
-    def snapshot(self, **extra: Any) -> Dict[str, Any]:
-        return {}
-
-    def export(self, **extra: Any) -> Dict[str, Any]:
-        return {}
-
-    def close(self) -> None:
-        return None
 
 
 NULL = NullTelemetry()
@@ -488,12 +340,7 @@ TelemetryLike = Union[Telemetry, NullTelemetry]
 # ----------------------------------------------------------------------
 # Ambient default
 # ----------------------------------------------------------------------
-_current: TelemetryLike = NULL
-
-
-def current() -> TelemetryLike:
-    """The ambient telemetry — :data:`NULL` unless inside :func:`use`."""
-    return _current
+_current: TelemetryLike = NULL  # what resolve(None) returns; set by use()
 
 
 def resolve(telemetry: Optional[TelemetryLike]) -> TelemetryLike:

@@ -1,35 +1,8 @@
 """Packet-level protocols: WebWave, the comparison baselines and the
 cluster-event-driven multi-document scenario."""
 
-from .baselines import (
-    DirectoryConfig,
-    DirectoryScenario,
-    IcpConfig,
-    IcpScenario,
-    NoCacheScenario,
-    PushConfig,
-    PushScenario,
-)
-from .cluster_packet import ClusterPacketScenario, packet_scenario_from_cluster
-from .scenario import Scenario, ScenarioConfig, ScenarioMetrics
-from .state import MeterBank, PacketState
-from .webwave import WebWaveProtocolConfig, WebWaveScenario
+from .cluster_packet import packet_scenario_from_cluster
+from .scenario import ScenarioConfig
+from .webwave import WebWaveScenario
 
-__all__ = [
-    "Scenario",
-    "ScenarioConfig",
-    "ScenarioMetrics",
-    "WebWaveScenario",
-    "WebWaveProtocolConfig",
-    "NoCacheScenario",
-    "DirectoryScenario",
-    "DirectoryConfig",
-    "IcpScenario",
-    "IcpConfig",
-    "PushScenario",
-    "PushConfig",
-    "ClusterPacketScenario",
-    "packet_scenario_from_cluster",
-    "PacketState",
-    "MeterBank",
-]
+__all__ = ["ScenarioConfig", "WebWaveScenario", "packet_scenario_from_cluster"]

@@ -166,21 +166,6 @@ class WebWaveScenario(Scenario):
             self._tel_frontier = None
 
     # ------------------------------------------------------------------
-    @property
-    def load_estimates(self) -> List[Dict[int, float]]:
-        """Per-node neighbour-load views as dicts (compatibility shape)."""
-        flat = self.flat
-        out: List[Dict[int, float]] = []
-        for i in range(flat.n):
-            view: Dict[int, float] = {}
-            if i != flat.root:
-                view[int(flat.parent[i])] = float(self._view_parent[i])
-            for c in self._children[i]:
-                view[c] = float(self._view_child[self._edge_of_child[c]])
-            out.append(view)
-        return out
-
-    # ------------------------------------------------------------------
     def on_start(self) -> None:
         p = self.protocol
         # Gossip only reads meters (rolls are time-deterministic) and

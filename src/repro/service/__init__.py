@@ -14,27 +14,16 @@ bit-identically.
 ``webwave-experiments serve`` / ``ctl`` are the runner front-ends.
 """
 
-from .checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    read_checkpoint,
-    restore_checkpoint,
-    write_checkpoint,
-)
+from .checkpoint import read_checkpoint, restore_checkpoint, write_checkpoint
 from .control import send_command, serve_loop, serve_socket
-from .daemon import Service, ServiceError
+from .daemon import Service
 
 __all__ = [
-    "CHECKPOINT_SCHEMA",
-    "CHECKPOINT_VERSION",
-    "CheckpointError",
+    "Service",
     "read_checkpoint",
     "restore_checkpoint",
-    "write_checkpoint",
-    "Service",
-    "ServiceError",
     "send_command",
     "serve_loop",
     "serve_socket",
+    "write_checkpoint",
 ]

@@ -11,13 +11,21 @@ checkpoint or a tick racing a publish.
 any line iterator to any writable — stdin/stdout in the runner, a socket
 file in :func:`serve_socket`, plain lists in tests.
 :func:`send_command` is the one-shot client ``ctl`` uses.
+
+A socket path belongs to one daemon: :func:`serve_socket` refuses a path
+that holds anything but a socket, and a socket some daemon still accepts
+on; it removes only a stale socket (one whose ``connect`` is refused).  A
+client that hangs up ends its own connection, never the daemon.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
 import os
 import socket
+import stat
 from typing import Any, Dict, IO, Iterable, Mapping
 
 from .daemon import Service
@@ -63,32 +71,61 @@ def serve_loop(service: Service, lines_in: Iterable[str], out: IO[str]) -> int:
     return processed
 
 
+def _claim_socket_path(path: str) -> None:
+    """Remove a stale socket at ``path``; refuse anything else found there.
+
+    Raises :class:`FileExistsError` naming ``path`` when it holds a file
+    that is not a socket, or a socket a live daemon accepts on.
+    """
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        return
+    if not stat.S_ISSOCK(mode):
+        raise FileExistsError(errno.EEXIST, "exists and is not a socket", path)
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+        try:
+            probe.connect(path)
+        except ConnectionRefusedError:
+            os.remove(path)  # nobody accepts on it: left by a dead daemon
+            return
+    raise FileExistsError(errno.EEXIST, "a daemon is serving this socket", path)
+
+
 def serve_socket(service: Service, path: str) -> int:
     """Serve the command protocol on a unix socket at ``path``.
 
     Connections are accepted sequentially (one client at a time — the
-    protocol is a command *queue*, not a pub/sub bus).  Returns the total
-    commands processed once a ``shutdown`` op closes the service; the
-    socket file is removed on the way out.
+    protocol is a command *queue*, not a pub/sub bus).  A client that hangs
+    up before reading its replies ends only its own connection: the
+    commands it sent that already ran stay applied, only their replies are
+    lost, and the next client is accepted.  Returns the total commands
+    processed by connections that closed cleanly, once a ``shutdown`` op
+    closes the service; the socket file is removed on the way out.  Raises
+    :class:`FileExistsError` when ``path`` is not free (see
+    :func:`_claim_socket_path`).
     """
-    if os.path.exists(path):
-        os.remove(path)
-    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    _claim_socket_path(path)
     total = 0
-    try:
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
         listener.bind(path)
-        listener.listen(1)
-        while not service.closed:
-            conn, _ = listener.accept()
-            with conn:
-                # undecodable bytes become a bad-JSON reply, not a dead daemon
-                reader = conn.makefile("r", encoding="utf-8", errors="replace")
-                writer = conn.makefile("w", encoding="utf-8")
-                total += serve_loop(service, reader, writer)
-    finally:
-        listener.close()
-        if os.path.exists(path):
-            os.remove(path)
+        try:
+            listener.listen(1)
+            while not service.closed:
+                conn, _ = listener.accept()
+                with conn:
+                    # undecodable bytes become a bad-JSON reply, not a dead daemon
+                    reader = conn.makefile("r", encoding="utf-8", errors="replace")
+                    writer = conn.makefile("w", encoding="utf-8")
+                    try:
+                        total += serve_loop(service, reader, writer)
+                    except (BrokenPipeError, ConnectionResetError):
+                        # the client hung up; drop the replies it left unread
+                        with contextlib.suppress(OSError):
+                            writer.close()
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
     return total
 
 

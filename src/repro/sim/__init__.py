@@ -1,12 +1,1 @@
 """Discrete-event simulation substrate: engine and seeded RNG streams."""
-
-from .engine import EventHandle, SimulationError, Simulator
-from .rng import RngStreams, derive_seed
-
-__all__ = [
-    "Simulator",
-    "EventHandle",
-    "SimulationError",
-    "RngStreams",
-    "derive_seed",
-]

@@ -6,14 +6,10 @@ simulations (:mod:`repro.protocols`).  Design points:
 * Events are ``(time, priority, seq)``-ordered; ``seq`` is a monotonically
   increasing tie-breaker, so runs are fully deterministic for a fixed seed
   and schedule order.
-* Scheduling returns an :class:`EventHandle` that can be cancelled
-  (cancellation is lazy: the heap entry is skipped when popped).  When
-  cancelled-but-unpopped entries outnumber live ones the heap is compacted
-  in place, so workloads that cancel many timers (rate changes, retires)
-  cannot grow the heap without bound.
-* :meth:`Simulator.post` is the allocation-free fast path for events that
-  will never be cancelled - the packet datapath schedules hundreds of
-  thousands of arrival/serve/completion events through it.
+* No event is ever cancelled (no protocol needs it), so the heap holds
+  bare callables and :meth:`Simulator.at` / :meth:`Simulator.post` push
+  them without allocating a handle - the packet datapath schedules
+  hundreds of thousands of arrival/serve/completion events.
 * Recurring timers (:meth:`Simulator.every`) drive the protocol's two
   periodic activities - the *gossip period* and the *diffusion period*
   (Section 5: "WebWave servers would have two parameters: the gossip period,
@@ -27,45 +23,11 @@ import itertools
 import math
 from typing import Callable, List, Optional, Tuple
 
-__all__ = ["Simulator", "EventHandle", "SimulationError"]
-
-# Compaction fires only when the heap is at least this large *and* mostly
-# cancelled; small simulations never pay for it.
-_COMPACT_MIN = 64
+__all__ = ["Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
     """Raised on scheduling into the past or running a corrupted queue."""
-
-
-class EventHandle:
-    """Handle to a scheduled event; supports cancellation and inspection."""
-
-    __slots__ = ("time", "seq", "callback", "_sim")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Optional[Callable[[], None]],
-        sim: Optional["Simulator"] = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self._sim = sim
-
-    @property
-    def cancelled(self) -> bool:
-        return self.callback is None
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (idempotent)."""
-        if self.callback is None:
-            return
-        self.callback = None
-        if self._sim is not None:
-            self._sim._note_cancel()
 
 
 class Simulator:
@@ -81,12 +43,10 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = itertools.count()
-        # Heap entries are (time, priority, seq, item) where item is either
-        # an EventHandle (cancellable) or a bare callable (fast path).
-        self._heap: List[Tuple[float, int, int, object]] = []
-        self._cancelled = 0
+        # Heap entries are (time, priority, seq, callback); seq is unique,
+        # so a callback is never compared.
+        self._heap: List[Tuple[float, int, int, Callable[[], None]]] = []
         self._events_executed = 0
-        self._compactions = 0
         self._running = False
 
     # ------------------------------------------------------------------
@@ -102,21 +62,18 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued."""
-        return len(self._heap) - self._cancelled
-
-    @property
-    def compactions(self) -> int:
-        """Times the heap was rebuilt to evict cancelled entries."""
-        return self._compactions
+        """Number of events still queued."""
+        return len(self._heap)
 
     def stats(self) -> dict:
         """Heap/event counters for telemetry snapshots."""
         return {
             "events_executed": self._events_executed,
             "pending": self.pending,
-            "cancelled_queued": self._cancelled,
-            "compactions": self._compactions,
+            # No event is cancelled, so the heap is never compacted; the
+            # benchmark's frozen sim.engine.compactions row reads this key
+            # until [ledger-v2] drops it.
+            "compactions": 0,
         }
 
     # ------------------------------------------------------------------
@@ -129,36 +86,25 @@ class Simulator:
             raise SimulationError(f"non-finite event time {time}")
         return max(time, self._now)
 
-    def at(
-        self, time: float, callback: Callable[[], None], priority: int = 0
-    ) -> EventHandle:
+    def at(self, time: float, callback: Callable[[], None], priority: int = 0) -> None:
         """Schedule ``callback`` at absolute virtual time ``time``.
 
         Lower ``priority`` fires first among same-time events; equal
         priorities fire in scheduling order.
         """
         time = self._check_time(time)
-        handle = EventHandle(time=time, seq=next(self._seq), callback=callback, sim=self)
-        heapq.heappush(self._heap, (time, priority, handle.seq, handle))
-        return handle
+        heapq.heappush(self._heap, (time, priority, next(self._seq), callback))
 
-    def after(
-        self, delay: float, callback: Callable[[], None], priority: int = 0
-    ) -> EventHandle:
+    def after(self, delay: float, callback: Callable[[], None], priority: int = 0) -> None:
         """Schedule ``callback`` after a relative ``delay`` (>= 0) seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.at(self._now + delay, callback, priority)
+        self.at(self._now + delay, callback, priority)
 
-    def post(
-        self, time: float, callback: Callable[[], None], priority: int = 0
-    ) -> None:
-        """Schedule a *non-cancellable* event at absolute time ``time``.
-
-        Identical ordering semantics to :meth:`at` (same seq counter, same
-        tie-breaking) but without allocating a handle - the hot path for
-        the packet datapath's per-request events.
-        """
+    def post(self, time: float, callback: Callable[[], None], priority: int = 0) -> None:
+        """:meth:`at` with the range check inlined - the hot path for the
+        packet datapath's per-request events (same seq counter, same
+        tie-breaking)."""
         now = self._now
         if time >= now and time < math.inf:  # excludes NaN and +inf
             heapq.heappush(self._heap, (time, priority, next(self._seq), callback))
@@ -182,75 +128,31 @@ class Simulator:
         callback: Callable[[], None],
         start: Optional[float] = None,
         priority: int = 0,
-    ) -> Callable[[], None]:
-        """Fire ``callback`` every ``period`` seconds until cancelled.
+    ) -> None:
+        """Fire ``callback`` every ``period`` seconds for the rest of the run.
 
-        Returns a zero-argument cancel function.  The first firing happens
-        at ``start`` (default: one period from now).
+        The first firing happens at ``start`` (default: one period from
+        now).
         """
         if period <= 0:
             raise SimulationError(f"period must be positive, got {period}")
-        state = {"handle": None, "stopped": False}
 
         def fire() -> None:
-            if state["stopped"]:
-                return
             callback()
-            if not state["stopped"]:
-                state["handle"] = self.at(self._now + period, fire, priority)
+            self.at(self._now + period, fire, priority)
 
-        first = self._now + period if start is None else start
-        state["handle"] = self.at(first, fire, priority)
-
-        def cancel() -> None:
-            state["stopped"] = True
-            if state["handle"] is not None:
-                state["handle"].cancel()
-
-        return cancel
-
-    # ------------------------------------------------------------------
-    # Lazy-cancellation bookkeeping
-    # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        self._cancelled += 1
-        if self._cancelled >= _COMPACT_MIN and self._cancelled * 2 > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without cancelled entries.
-
-        In place: ``run()`` holds a local reference to the heap list while
-        draining it, so the list object must never be replaced.
-        """
-        self._heap[:] = [
-            entry
-            for entry in self._heap
-            if not (entry[3].__class__ is EventHandle and entry[3].callback is None)
-        ]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-        self._compactions += 1
+        self.at(self._now + period if start is None else start, fire, priority)
 
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the single next event; False if the queue is empty."""
-        heap = self._heap
-        while heap:
-            time, _, _, item = heapq.heappop(heap)
-            if item.__class__ is EventHandle:
-                callback = item.callback
-                if callback is None:
-                    self._cancelled -= 1
-                    continue
-                item.callback = None
-            else:
-                callback = item
-            self._now = time
-            callback()
-            self._events_executed += 1
-            return True
-        return False
+        if not self._heap:
+            return False
+        time, _, _, callback = heapq.heappop(self._heap)
+        self._now = time
+        callback()
+        self._events_executed += 1
+        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events in order until the queue drains or limits are hit.
@@ -268,13 +170,7 @@ class Simulator:
             while heap:
                 if max_events is not None and executed >= max_events:
                     return
-                entry = heap[0]
-                item = entry[3]
-                if item.__class__ is EventHandle and item.callback is None:
-                    heapq.heappop(heap)
-                    self._cancelled -= 1
-                    continue
-                if until is not None and entry[0] > until:
+                if until is not None and heap[0][0] > until:
                     break
                 self.step()
                 executed += 1

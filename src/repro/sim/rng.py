@@ -43,11 +43,6 @@ class RngStreams:
         self._seed = int(seed)
         self._streams: Dict[Tuple, random.Random] = {}
 
-    @property
-    def seed(self) -> int:
-        """The master seed."""
-        return self._seed
-
     def get(self, name: str, **scope: Union[str, int]) -> random.Random:
         """The stream for ``name`` within an optional keyword scope.
 
@@ -72,7 +67,3 @@ class RngStreams:
         for k, v in sorted(scope.items()):
             flat.extend((k, v))
         return random.Random(derive_seed(self._seed, *flat))
-
-    def spawn(self, name: str) -> "RngStreams":
-        """A child family whose master seed derives from this one."""
-        return RngStreams(derive_seed(self._seed, "spawn", name))

@@ -1,11 +1,8 @@
 """Request arrival processes.
 
 The rate-level simulations assume a constant spontaneous request rate per
-node (Section 5.1).  The packet-level simulations relax that with Poisson
-arrivals and with an on/off heavy-tailed process approximating the
-self-similar traffic of Crovella & Bestavros [10] - the paper's stated
-future work ("analyzing WebWave for stability, especially under realistic
-load").
+node (Section 5.1).  The packet-level simulations draw Poisson arrivals by
+default; constant arrivals reproduce the rate model's deterministic load.
 
 An arrival process yields successive inter-arrival gaps via
 :meth:`ArrivalProcess.next_gap`; generators are driven by the simulation's
@@ -21,7 +18,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Iterator, Optional
 
 import numpy as np
 
@@ -29,7 +25,6 @@ __all__ = [
     "ArrivalProcess",
     "ConstantArrivals",
     "PoissonArrivals",
-    "ParetoOnOffArrivals",
 ]
 
 
@@ -72,32 +67,14 @@ class ArrivalProcess(ABC):
     def mean_rate(self) -> float:
         """Long-run average arrivals per second."""
 
-    def gaps(self, limit: Optional[int] = None) -> Iterator[float]:
-        """Iterate gaps (optionally at most ``limit`` of them)."""
-        count = 0
-        while limit is None or count < limit:
-            gap = self.next_gap()
-            if math.isinf(gap):
-                return
-            yield gap
-            count += 1
-
+    @abstractmethod
     def sample_gaps(self, n: int) -> np.ndarray:
         """The next ``n`` gaps as an array (shorter if arrivals run out).
 
         Contract: consumes the process exactly as ``n`` scalar
         :meth:`next_gap` calls would, producing bit-identical values - a
-        source may freely interleave batched and scalar draws.  The base
-        implementation loops; subclasses override with vectorized paths
-        where the RNG consumption pattern permits.
+        source may freely interleave batched and scalar draws.
         """
-        out = []
-        for _ in range(n):
-            gap = self.next_gap()
-            if math.isinf(gap):
-                break
-            out.append(gap)
-        return np.asarray(out, dtype=np.float64)
 
 
 class ConstantArrivals(ArrivalProcess):
@@ -165,64 +142,3 @@ class PoissonArrivals(ArrivalProcess):
     @property
     def mean_rate(self) -> float:
         return self._rate
-
-
-class ParetoOnOffArrivals(ArrivalProcess):
-    """Bursty arrivals: Pareto-distributed ON/OFF periods.
-
-    During an ON period, arrivals are Poisson at ``burst_rate``; OFF periods
-    are silent.  ON and OFF durations are Pareto with shape ``shape``
-    (``1 < shape < 2`` gives the infinite-variance periods that aggregate
-    into self-similar traffic).  The long-run mean rate is
-    ``burst_rate * mean_on / (mean_on + mean_off)``.
-    """
-
-    def __init__(
-        self,
-        burst_rate: float,
-        rng,
-        mean_on: float = 1.0,
-        mean_off: float = 2.0,
-        shape: float = 1.5,
-    ) -> None:
-        if burst_rate < 0:
-            raise ValueError("burst_rate must be >= 0")
-        if mean_on <= 0 or mean_off <= 0:
-            raise ValueError("mean_on/mean_off must be positive")
-        if shape <= 1.0:
-            raise ValueError("shape must exceed 1 for a finite mean")
-        self._burst_rate = float(burst_rate)
-        self._rng = rng
-        self._shape = shape
-        # Pareto with shape a and scale x_m has mean a*x_m/(a-1); solve for
-        # the scale that delivers the requested mean duration.
-        self._on_scale = mean_on * (shape - 1.0) / shape
-        self._off_scale = mean_off * (shape - 1.0) / shape
-        self._mean_on = mean_on
-        self._mean_off = mean_off
-        self._remaining_on = 0.0
-
-    def _pareto(self, scale: float) -> float:
-        # random.paretovariate(a) >= 1 with mean a/(a-1); scaling by
-        # scale = mean * (a-1)/a delivers the requested mean duration.
-        return scale * self._rng.paretovariate(self._shape)
-
-    def next_gap(self) -> float:
-        if self._burst_rate <= 0:
-            return math.inf
-        gap = 0.0
-        while True:
-            if self._remaining_on <= 0.0:
-                gap += self._pareto(self._off_scale)
-                self._remaining_on = self._pareto(self._on_scale)
-            candidate = self._rng.expovariate(self._burst_rate)
-            if candidate <= self._remaining_on:
-                self._remaining_on -= candidate
-                return gap + candidate
-            gap += self._remaining_on
-            self._remaining_on = 0.0
-
-    @property
-    def mean_rate(self) -> float:
-        duty = self._mean_on / (self._mean_on + self._mean_off)
-        return self._burst_rate * duty

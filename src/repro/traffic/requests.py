@@ -38,11 +38,6 @@ class Request:
         return max(len(self.path) - 1, 0)
 
     @property
-    def done(self) -> bool:
-        """Has a reply reached the client?"""
-        return self.completed_at is not None
-
-    @property
     def response_time(self) -> float:
         """Client-observed latency; raises if not yet completed."""
         if self.completed_at is None:

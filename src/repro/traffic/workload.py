@@ -4,7 +4,8 @@ A :class:`Workload` binds together a routing tree, a document catalog, and
 per-node request generation: each node has an aggregate spontaneous rate
 (the ``E_i`` of the model) split across documents by a popularity model.
 The rate-level simulators consume the per-(node, document) rate matrix; the
-packet-level simulator asks the workload to schedule arrival events.
+packet-level simulator asks the workload for one arrival process per
+source, of one of the two :data:`ARRIVAL_KINDS` (Poisson or constant).
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.tree import RoutingTree
 from ..documents.catalog import Catalog
 from ..documents.popularity import ZipfPopularity
-from .arrivals import (
-    ArrivalProcess,
-    ConstantArrivals,
-    ParetoOnOffArrivals,
-    PoissonArrivals,
-)
+from .arrivals import ArrivalProcess, ConstantArrivals, PoissonArrivals
 
 __all__ = ["Workload", "WorkloadError", "hot_document_workload", "ARRIVAL_KINDS"]
 
@@ -33,25 +29,11 @@ def _constant_process(rate: float, streams, node: int, doc_id: str) -> ArrivalPr
     return ConstantArrivals(rate)
 
 
-def _pareto_process(rate: float, streams, node: int, doc_id: str) -> ArrivalProcess:
-    # Defaults give a 1/3 duty cycle; the burst rate is scaled so the
-    # long-run mean matches the workload's specified rate.
-    mean_on, mean_off = 1.0, 2.0
-    burst = rate * (mean_on + mean_off) / mean_on
-    return ParetoOnOffArrivals(
-        burst,
-        streams.get("arrivals", node=node, doc=doc_id),
-        mean_on=mean_on,
-        mean_off=mean_off,
-    )
-
-
 # kind -> builder(rate, streams, node, doc_id); ScenarioConfig validates its
 # arrival_kind against this registry at construction time.
 ARRIVAL_KINDS = {
     "poisson": _poisson_process,
     "constant": _constant_process,
-    "pareto": _pareto_process,
 }
 
 
@@ -109,10 +91,6 @@ class Workload:
     def catalog(self) -> Catalog:
         return self._catalog
 
-    def rate(self, node: int, doc_id: str) -> float:
-        """Requests/second for ``doc_id`` originating at ``node``."""
-        return self._rates.get(node, {}).get(doc_id, 0.0)
-
     def node_rate(self, node: int) -> float:
         """Aggregate spontaneous rate ``E_node``."""
         return sum(self._rates.get(node, {}).values())
@@ -121,22 +99,10 @@ class Workload:
         """The ``E`` vector consumed by WebFold and the rate simulators."""
         return [self.node_rate(i) for i in self._tree]
 
-    def document_rate(self, doc_id: str) -> float:
-        """System-wide request rate for one document."""
-        return sum(per_doc.get(doc_id, 0.0) for per_doc in self._rates.values())
-
     @property
     def total_rate(self) -> float:
         """System-wide offered load, requests/second."""
         return sum(self.node_rate(i) for i in self._tree)
-
-    def per_document(self) -> Dict[str, Dict[int, float]]:
-        """Transpose: ``{doc_id: {node: rate}}`` for per-document analyses."""
-        out: Dict[str, Dict[int, float]] = {}
-        for node, per_doc in self._rates.items():
-            for doc_id, rate in per_doc.items():
-                out.setdefault(doc_id, {})[node] = rate
-        return out
 
     def items(self) -> List[Tuple[int, str, float]]:
         """All positive (node, doc_id, rate) triples, deterministic order."""
@@ -154,10 +120,9 @@ class Workload:
     ) -> Dict[Tuple[int, str], ArrivalProcess]:
         """One arrival process per (node, document) source.
 
-        ``kind`` selects an entry of :data:`ARRIVAL_KINDS` (``"poisson"``,
-        ``"constant"``, or the bursty ``"pareto"`` on/off process); each
-        source gets its own RNG stream so workloads are reproducible and
-        sources independent.
+        ``kind`` selects an entry of :data:`ARRIVAL_KINDS` (``"poisson"`` or
+        ``"constant"``); each source gets its own RNG stream so workloads
+        are reproducible and sources independent.
         """
         try:
             build = ARRIVAL_KINDS[kind]

@@ -35,10 +35,6 @@ class TestUnbounded:
         assert store.touch("b") is False
         assert store.hits == 1
         assert store.misses == 1
-        assert store.hit_ratio == 0.5
-
-    def test_hit_ratio_empty(self):
-        assert CacheStore().hit_ratio == 0.0
 
     def test_evict_and_discard(self):
         store = CacheStore()
@@ -120,9 +116,3 @@ class TestValidation:
     def test_bad_policy(self):
         with pytest.raises(CacheError, match="unknown policy"):
             CacheStore(policy="random")
-
-    def test_iteration_sorted(self):
-        store = CacheStore()
-        for d in ("c", "a", "b"):
-            store.insert(d)
-        assert list(store) == ["a", "b", "c"]

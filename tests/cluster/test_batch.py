@@ -26,6 +26,8 @@ from repro.core.kernel import (
 from repro.obs import Telemetry
 from repro.core.tree import chain_tree, kary_tree, random_tree, star_tree
 
+from tests.helpers import run_rounds
+
 TOL = 1e-12
 
 
@@ -159,7 +161,7 @@ class TestBatchParity:
         flat = flatten(tree)
         rates, _ = _catalog(tree, 4, 19)
         batch = BatchEngine(flat, rates)
-        batch.run(10)
+        run_rounds(batch, 10)
         before = batch.loads.copy()
         new_rates, _ = _catalog(tree, 1, 23)
         batch.resettle_rows([2], new_rates)
@@ -184,7 +186,7 @@ class TestBatchParity:
         tel = Telemetry(sample_interval=1)
         rates, _ = _catalog(tree, 2, 41)
         batch = BatchEngine(flatten(tree), rates, telemetry=tel)
-        batch.run(3)
+        run_rounds(batch, 3)
         snap = tel.snapshot()
         counted = {
             key: snap["counters"][f"cluster.batch.{key}"]
@@ -202,7 +204,7 @@ class TestDocumentLifecycle:
         alphas = degree_edge_alphas(flat)
         rates, _ = _catalog(tree, 3, 29)
         batch = BatchEngine(flat, rates, None, alphas)
-        batch.run(25)
+        run_rounds(batch, 25)
         extra, _ = _catalog(tree, 2, 31)
         added = batch.add_documents(extra)
         assert list(added) == [3, 4]
@@ -225,7 +227,7 @@ class TestDocumentLifecycle:
         flat = flatten(tree)
         rates, _ = _catalog(tree, 5, 37)
         batch = BatchEngine(flat, rates)
-        batch.run(15)
+        run_rounds(batch, 15)
         keep = [batch.loads[d].copy() for d in (0, 2, 4)]
         masses = batch.remove_documents([1, 3])
         assert masses == pytest.approx(
@@ -234,7 +236,7 @@ class TestDocumentLifecycle:
         assert batch.docs == 3
         for got, want in zip(batch.loads, keep):
             assert np.array_equal(got, want)
-        batch.run(5)  # scratch realloc holds up after removal
+        run_rounds(batch, 5)  # scratch realloc holds up after removal
 
     def test_shape_validation(self):
         tree = kary_tree(2, 2)
@@ -260,7 +262,7 @@ class TestDocumentLifecycle:
         with pytest.raises(ValueError, match="served rates must be finite"):
             BatchEngine(flat, [good], [poisoned])
         batch = BatchEngine(flat, [good, good])
-        batch.run(2)
+        run_rounds(batch, 2)
         before = batch.loads.tobytes()
         with pytest.raises(ValueError, match="spontaneous rates must be finite"):
             batch.add_documents([poisoned])
@@ -287,7 +289,7 @@ class TestDocumentLifecycle:
     )
     def test_resettle_rows_validates_then_writes(self, rows, rates, error):
         batch = BatchEngine(flatten(kary_tree(2, 2)), [[7.0] * 7] * 3)
-        batch.run(2)
+        run_rounds(batch, 2)
         before = (batch.spontaneous.tobytes(), batch.loads.tobytes(), batch.forwarded.tobytes())
         with pytest.raises(ValueError, match=error):
             batch.resettle_rows(rows, rates)

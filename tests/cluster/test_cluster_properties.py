@@ -77,7 +77,7 @@ class TestBatchAgainstOracle:
         masses = rates.sum(axis=1)
         for _ in range(20):
             batch.step()
-            assert batch.doc_masses() == pytest.approx(
+            assert batch.loads.sum(axis=1) == pytest.approx(
                 masses.tolist(), abs=1e-7
             )
             assert batch.loads.min() >= -1e-9

@@ -68,13 +68,13 @@ class TestFreezing:
             for cohort in group.cohorts.values()
         ]
         assert all(engine.quiescent for engine in engines)
-        ops_before = [engine.op_count for engine in engines]
+        ops_before = [engine.state()["op_count"] for engine in engines]
         rounds_before = [engine.round for engine in engines]
         for _ in range(100):
             adaptive.tick()
             dense.tick()
         # the op-count hook: frozen engines were not stepped at all
-        assert [engine.op_count for engine in engines] == ops_before
+        assert [engine.state()["op_count"] for engine in engines] == ops_before
         assert [engine.round for engine in engines] == rounds_before
         assert adaptive.tick_count == dense.tick_count
         assert _doc_parity(adaptive, dense)

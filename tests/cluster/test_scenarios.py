@@ -32,11 +32,10 @@ class TestRateMatrixExporter:
         doc_ids, matrix = workload_rate_matrix(workload)
         assert doc_ids == catalog.doc_ids
         assert matrix.shape == (len(doc_ids), tree.n)
-        for row, doc_id in enumerate(doc_ids):
-            for node in tree:
-                assert matrix[row, node] == pytest.approx(
-                    workload.rate(node, doc_id)
-                )
+        expected = np.zeros_like(matrix)
+        for node, doc_id, rate in workload.items():
+            expected[doc_ids.index(doc_id), node] = rate
+        assert matrix == pytest.approx(expected)
         assert matrix.sum() == pytest.approx(workload.total_rate)
 
     def test_population_workload_structure(self):
@@ -148,9 +147,9 @@ class TestRunScenario:
             ticks=20,
         )
         runtime, metrics = run_scenario(scenario, track_tlb=True, snapshot_every=5)
-        assert [s.tick for s in metrics] == [5, 10, 15, 20]
+        assert metrics.series("tick") == [5, 10, 15, 20]
         # during the spike the offered rate grew, afterwards it returned
-        assert metrics[0].total_rate > 80.0
+        assert metrics.series("total_rate")[0] > 80.0
         assert metrics.final.total_rate == pytest.approx(80.0, abs=1e-9)
         assert runtime.total_mass() == pytest.approx(
             runtime.total_rate(), abs=1e-9
@@ -167,8 +166,7 @@ class TestRunScenario:
             seed=1,
         )
         _, metrics = run_scenario(scenario, track_tlb=False)
-        for snap in metrics:
-            assert snap.mass == pytest.approx(snap.total_rate, abs=1e-9)
+        assert metrics.series("mass") == pytest.approx(metrics.series("total_rate"), abs=1e-9)
         assert metrics.final.documents == 9
 
     def test_diurnal_rate_tracks_schedule(self):
@@ -184,5 +182,4 @@ class TestRunScenario:
         _, metrics = run_scenario(scenario, track_tlb=False)
         rates = metrics.series("total_rate")
         assert max(rates) > 60.0  # the sinusoid lifted demand
-        for snap in metrics:
-            assert snap.mass == pytest.approx(snap.total_rate, abs=1e-9)
+        assert metrics.series("mass") == pytest.approx(rates, abs=1e-9)

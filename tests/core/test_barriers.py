@@ -34,7 +34,7 @@ class TestDocumentDemand:
         assert fig7_demand().node_totals() == [0.0, 0.0, 120.0, 240.0]
 
     def test_total(self):
-        assert fig7_demand().total == 360.0
+        assert sum(fig7_demand().node_totals()) == 360.0
 
     def test_unknown_node_rejected(self):
         with pytest.raises(ValueError, match="unknown node"):
@@ -218,7 +218,7 @@ class TestProtocolMechanics:
         )
         for _ in range(30):
             model.step()
-            assert sum(model.loads()) == pytest.approx(demand.total)
+            assert sum(model.loads()) == pytest.approx(sum(demand.node_totals()))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -229,5 +229,5 @@ class TestProtocolMechanics:
     def test_assignment_consistency(self):
         model = DocumentWebWave(fig7_demand())
         assignment = model.assignment()
-        assert assignment.total_served == pytest.approx(360.0)
+        assert sum(assignment.served) == pytest.approx(360.0)
         assert assignment.spontaneous == (0.0, 0.0, 120.0, 240.0)

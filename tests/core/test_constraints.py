@@ -5,11 +5,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from repro.core.constraints import (
+from repro.core.constraints import gle_feasible, is_gle
+from repro.core.load import LoadAssignment
+from repro.core.tree import chain_tree, star_tree
+from repro.core.webfold import webfold
+
+from tests.helpers import trees_with_rates
+from tests.oracle.constraints import (
     feasible_subtree_slack,
-    gle_feasible,
     is_feasible,
-    is_gle,
     is_lexmin_feasible,
     is_tlb,
     lex_compare,
@@ -17,11 +21,6 @@ from repro.core.constraints import (
     satisfies_nss,
     satisfies_root_constraint,
 )
-from repro.core.load import LoadAssignment
-from repro.core.tree import chain_tree, star_tree
-from repro.core.webfold import webfold
-
-from tests.helpers import trees_with_rates
 
 
 class TestRootConstraint:
@@ -51,7 +50,7 @@ class TestNss:
         a = LoadAssignment(small_tree, [5, 1, 2, 8, 0], [4, 2, 2, 8, 0])
         slack = feasible_subtree_slack(a)
         for i in small_tree:
-            assert slack[i] == pytest.approx(a.forwarded_of(i))
+            assert slack[i] == pytest.approx(a.forwarded[i])
 
 
 class TestFeasibility:

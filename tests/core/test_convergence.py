@@ -49,11 +49,6 @@ class TestFitGamma:
         with pytest.raises(ValueError):
             fit_gamma([0.0, 0.0, 0.0])
 
-    def test_bound_evaluation(self):
-        fit = fit_gamma([16.0 * 0.5**t for t in range(20)])
-        assert fit.bound(0) == pytest.approx(16.0, rel=1e-4)
-        assert fit.bound(4) == pytest.approx(1.0, rel=1e-3)
-
     def test_describe(self):
         fit = fit_gamma([4.0 * 0.7**t for t in range(20)])
         text = fit.describe()

@@ -6,18 +6,18 @@ import random
 
 import pytest
 
-from repro.core.constraints import is_feasible
 from repro.core.dynamics import (
     RateSchedule,
     flash_crowd_schedule,
-    random_walk_schedule,
-    resettle,
     run_tracking,
     step_change_schedule,
 )
 from repro.core.load import LoadAssignment
 from repro.core.tree import chain_tree, kary_tree
 from repro.core.webwave import WebWaveConfig
+
+from tests.helpers import resettle
+from tests.oracle.constraints import is_feasible
 
 
 class TestRateSchedule:
@@ -52,10 +52,6 @@ class TestRateSchedule:
         s2 = flash_crowd_schedule(tree, 2.0, crowd_node=2, crowd_rate=50.0, start=10, end=40)
         assert s2.rates_at(20)[2] == 50.0
         assert s2.rates_at(50)[2] == 2.0
-        s3 = random_walk_schedule(
-            tree, random.Random(1), rounds=100, initial=[5.0, 5.0, 5.0]
-        )
-        assert len(s3.change_points) == 4
 
     def test_flash_crowd_validation(self):
         tree = chain_tree(3)
@@ -126,20 +122,6 @@ class TestTracking:
         before = result.distances[99]
         after = result.distances[101]
         assert after > before
-
-    def test_random_walk_bounded_error(self):
-        tree = kary_tree(2, 2)
-        schedule = random_walk_schedule(
-            tree,
-            random.Random(7),
-            rounds=300,
-            initial=[6.0] * tree.n,
-            step_every=40,
-            relative_step=0.2,
-        )
-        result = run_tracking(tree, schedule, rounds=300)
-        # tracking error stays bounded well below the offered load
-        assert result.mean_tracking_error < sum(schedule.rates_at(0))
 
     def test_schedule_width_checked(self):
         with pytest.raises(ValueError, match="width"):

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig
-from repro.core.dynamics import resettle
 from repro.core.kernel import (
     AsyncEngine,
     FlatTree,
@@ -38,7 +37,7 @@ from repro.core.kernel import (
 from repro.core.load import LoadAssignment
 from repro.core.tree import RoutingTree, chain_tree, kary_tree, random_tree
 
-from tests.helpers import trees_with_rates
+from tests.helpers import resettle, trees_with_rates
 from tests.oracle.reference_round import reference_round
 
 
@@ -56,7 +55,7 @@ class TestFlatTree:
         tree = random_tree(25, random.Random(9))
         flat = flatten(tree)
         for i in range(tree.n):
-            assert tuple(flat.children_of(i).tolist()) == tree.children(i)
+            assert tuple(flat.child_ids[flat.child_offsets[i] : flat.child_offsets[i + 1]].tolist()) == tree.children(i)
 
     def test_degree_matches_tree(self):
         tree = random_tree(20, random.Random(4))

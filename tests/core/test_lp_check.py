@@ -46,7 +46,7 @@ class TestAgainstWebfold:
         loads = folded.assignment.served
         max_load = max(loads)
         top_fold = max(
-            folded.folds.values(), key=lambda f: (f.load, -f.root)
+            folded.folds.values(), key=lambda f: (f.spontaneous / f.capacity, -f.root)
         )
         remaining = [
             folded.assignment.served_of(i)

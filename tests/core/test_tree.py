@@ -29,7 +29,6 @@ class TestConstruction:
         tree = RoutingTree([0])
         assert tree.n == 1
         assert tree.root == 0
-        assert tree.is_leaf(0)
         assert tree.parent(0) is None
 
     def test_simple_chain(self):
@@ -143,9 +142,6 @@ class TestAccessors:
         assert a != c
         assert a != "not a tree"
 
-    def test_repr(self, small_tree):
-        assert "n=5" in repr(small_tree)
-
 
 class TestTraversals:
     def test_bfs_order_parents_first(self, small_tree):
@@ -168,20 +164,9 @@ class TestTraversals:
         assert set(small_tree.subtree(0)) == {0, 1, 2, 3, 4}
         assert list(small_tree.subtree(3)) == [3]
 
-    def test_subtree_size(self, small_tree):
-        assert small_tree.subtree_size(1) == 3
-        assert small_tree.subtree_size(0) == 5
-
     def test_path_to_root(self, small_tree):
         assert small_tree.path_to_root(4) == (4, 1, 0)
         assert small_tree.path_to_root(0) == (0,)
-
-    def test_is_ancestor(self, small_tree):
-        assert small_tree.is_ancestor(0, 4)
-        assert small_tree.is_ancestor(1, 4)
-        assert small_tree.is_ancestor(4, 4)
-        assert not small_tree.is_ancestor(2, 4)
-        assert not small_tree.is_ancestor(4, 1)
 
 
 class TestSubtreeSums:

@@ -6,13 +6,13 @@ import pytest
 
 from repro.core.load import LoadAssignment
 from repro.core.tree import RoutingTree, chain_tree, kary_tree, star_tree
-from repro.core.webfold import Fold, FoldResult, fold_partition, webfold
+from repro.core.webfold import Fold, FoldResult, webfold
 
 
 class TestSmallCases:
     def test_single_node(self):
         result = webfold(RoutingTree([0]), [7.0])
-        assert result.loads() == (7.0,)
+        assert result.assignment.served == (7.0,)
         assert result.num_folds == 1
         assert result.trace == ()
 
@@ -20,40 +20,40 @@ class TestSmallCases:
         tree = kary_tree(2, 2)
         result = webfold(tree, [3.0] * tree.n)
         assert result.is_gle()
-        assert all(l == pytest.approx(3.0) for l in result.loads())
+        assert all(l == pytest.approx(3.0) for l in result.assignment.served)
 
     def test_all_zero_rates(self):
         tree = chain_tree(4)
         result = webfold(tree, [0.0] * 4)
-        assert result.loads() == (0.0,) * 4
+        assert result.assignment.served == (0.0,) * 4
         assert result.trace == ()  # nothing foldable: all loads equal
 
     def test_chain_hot_leaf(self):
         result = webfold(chain_tree(3), [0, 0, 30])
-        assert result.loads() == (10.0, 10.0, 10.0)
+        assert result.assignment.served == (10.0, 10.0, 10.0)
         assert result.num_folds == 1
 
     def test_chain_hot_root(self):
         # demand at the root can never move down (NSS)
         result = webfold(chain_tree(3), [30, 0, 0])
-        assert result.loads() == (30.0, 0.0, 0.0)
+        assert result.assignment.served == (30.0, 0.0, 0.0)
         assert result.num_folds == 3
 
     def test_star_one_hot_leaf(self):
         result = webfold(star_tree(3), [0, 0, 30])
-        assert result.loads() == (15.0, 0.0, 15.0)
+        assert result.assignment.served == (15.0, 0.0, 15.0)
         assert result.fold_of(1).members == (1,)
         assert result.fold_of(0).members == (0, 2)
 
     def test_middle_hot_node(self):
         result = webfold(chain_tree(3), [0, 30, 0])
-        assert result.loads() == (15.0, 15.0, 0.0)
+        assert result.assignment.served == (15.0, 15.0, 0.0)
 
     def test_equal_loads_do_not_merge(self):
         # two siblings each generating exactly twice the mean stay separate
         # folds with equal per-node load (strict inequality in Foldable)
         result = webfold(star_tree(3), [0, 20, 10])
-        assert result.loads() == (10.0, 10.0, 10.0)
+        assert result.assignment.served == (10.0, 10.0, 10.0)
 
 
 class TestFoldStructure:
@@ -83,10 +83,10 @@ class TestFoldStructure:
             root_depth = tree.depth(fold.root)
             assert all(tree.depth(m) >= root_depth for m in fold.members)
 
-    def test_fold_load_property(self):
+    def test_fold_capacity_defaults_to_member_count(self):
         fold = Fold(root=1, members=(1, 2, 3), spontaneous=30.0)
-        assert fold.load == 10.0
-        assert fold.size == 3
+        assert fold.capacity == 3.0
+        assert fold.spontaneous / fold.capacity == 10.0
 
     def test_fold_of_consistency(self):
         tree = star_tree(4)
@@ -94,10 +94,6 @@ class TestFoldStructure:
         for root, fold in result.folds.items():
             for m in fold.members:
                 assert result.fold_of(m).root == root
-
-    def test_fold_partition_helper(self):
-        partition = fold_partition(chain_tree(3), [0, 0, 30])
-        assert partition == {0: (0, 1, 2)}
 
 
 class TestTrace:
@@ -118,21 +114,12 @@ class TestTrace:
         result = webfold(tree, rates)
         assert len(result.trace) == tree.n - result.num_folds
 
-    def test_describe(self):
-        result = webfold(star_tree(2), [0, 10])
-        text = result.trace[0].describe()
-        assert "fold 1" in text and "fold 0" in text
-
 
 class TestResultApi:
     def test_assignment_spontaneous_preserved(self, small_tree):
         rates = [1.0, 2.0, 3.0, 4.0, 5.0]
         result = webfold(small_tree, rates)
         assert result.assignment.spontaneous == tuple(rates)
-
-    def test_loads_alias(self, small_tree):
-        result = webfold(small_tree, [1] * 5)
-        assert result.loads() == result.assignment.served
 
     def test_fold_roots_sorted(self):
         result = webfold(star_tree(4), [0, 1, 2, 3])
@@ -150,7 +137,7 @@ class TestResultApi:
     def test_total_conservation(self, small_tree):
         rates = [3.0, 1.0, 4.0, 1.0, 5.0]
         result = webfold(small_tree, rates)
-        assert result.assignment.total_served == pytest.approx(sum(rates))
+        assert sum(result.assignment.served) == pytest.approx(sum(rates))
 
 
 class TestDeterminism:
@@ -159,7 +146,7 @@ class TestDeterminism:
         rates = [float((i * 13) % 23) for i in range(tree.n)]
         a = webfold(tree, rates)
         b = webfold(tree, rates)
-        assert a.loads() == b.loads()
+        assert a.assignment.served == b.assignment.served
         assert a.trace == b.trace
 
     def test_idempotent_on_tlb_loads(self):
@@ -168,5 +155,5 @@ class TestDeterminism:
         tree = kary_tree(2, 3)
         rates = [float((i * 5) % 11) for i in range(tree.n)]
         first = webfold(tree, rates)
-        second = webfold(tree, first.loads())
+        second = webfold(tree, first.assignment.served)
         assert second.assignment.almost_equal(first.assignment)

@@ -8,17 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.constraints import (
-    gle_feasible,
-    is_feasible,
-    is_gle,
-    lex_less,
-)
+from repro.core.constraints import gle_feasible, is_gle
 from repro.core.load import LoadAssignment
 from tests.oracle.pava import tree_waterfill
 from repro.core.webfold import webfold
 
 from tests.helpers import assert_feasible, routing_trees, trees_with_rates
+from tests.oracle.constraints import is_feasible, lex_less
 
 
 @given(trees_with_rates())
@@ -26,7 +22,7 @@ def test_conservation(tree_rates):
     """Total served equals total generated (Constraint 1 aggregate form)."""
     tree, rates = tree_rates
     assignment = webfold(tree, rates).assignment
-    assert assignment.total_served == pytest.approx(sum(rates), abs=1e-6)
+    assert sum(assignment.served) == pytest.approx(sum(rates), abs=1e-6)
 
 
 @given(trees_with_rates())
@@ -67,7 +63,7 @@ def test_equal_load_within_fold(tree_rates):
     result = webfold(tree, rates)
     for fold in result.folds.values():
         for m in fold.members:
-            assert result.assignment.served_of(m) == pytest.approx(fold.load)
+            assert result.assignment.served_of(m) == pytest.approx(fold.spontaneous / fold.capacity)
 
 
 @given(trees_with_rates())
@@ -121,7 +117,7 @@ def test_fold_boundary_loads_strictly_ordered(tree_rates):
         if root == tree.root:
             continue
         parent_fold = result.fold_of(tree.parent_map[root])
-        assert fold.load <= parent_fold.load + 1e-9
+        assert fold.spontaneous / fold.capacity <= parent_fold.spontaneous / parent_fold.capacity + 1e-9
 
 
 @given(trees_with_rates(max_nodes=40))
@@ -187,10 +183,10 @@ def test_capacity_is_a_parameter_of_the_one_fold(tree_rates, c):
     for fold in plain.folds.values():
         assert fold.capacity == len(fold.members)
         for m in fold.members:
-            assert plain.loads()[m] == fold.spontaneous / len(fold.members)
+            assert plain.assignment.served[m] == fold.spontaneous / len(fold.members)
 
     unit = webfold(tree, rates, [1.0] * tree.n)
-    assert unit.loads() == plain.loads()
+    assert unit.assignment.served == plain.assignment.served
     assert unit.folds == plain.folds
     assert unit.trace == plain.trace
 
@@ -201,5 +197,5 @@ def test_capacity_is_a_parameter_of_the_one_fold(tree_rates, c):
     assert [(s.folded, s.into, s.merged_size) for s in scaled.trace] == [
         (s.folded, s.into, s.merged_size) for s in plain.trace
     ]
-    assert scaled.loads() == plain.loads()
-    assert scaled.utilizations() == tuple(l / c for l in plain.loads())
+    assert scaled.assignment.served == plain.assignment.served
+    assert scaled.utilizations() == tuple(l / c for l in plain.assignment.served)

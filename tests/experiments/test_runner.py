@@ -74,6 +74,20 @@ class TestCli:
         assert "tunneling" in err
 
 
+class TestServeTreeSpecs:
+    @pytest.mark.parametrize("spec, n", [("kary:2,2", 7), ("chain:4", 4), ("star:5", 5)])
+    def test_serve_builds_the_named_tree(self, spec, n, monkeypatch, capsys):
+        """A publish with one rate per node is taken: the tree has n nodes."""
+        import io
+        import json
+
+        publish = {"op": "publish", "doc_id": "d", "home": 0, "rates": [1.0] * n}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(publish) + '\n{"op":"shutdown"}\n'))
+        assert main(["serve", "--tree", spec]) == 0
+        replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert replies[0] == {"ok": True, "doc_id": "d"}
+
+
 class TestMisuseIsUniform:
     """Every subcommand's misuse path: usage + registry to stderr, exit 2."""
 

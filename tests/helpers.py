@@ -79,3 +79,53 @@ def connected_region(flat, start: int, size: int) -> List[int]:
                 seen.add(neighbour)
                 queue.append(neighbour)
     return sorted(seen)
+
+
+def run_rounds(engine, rounds: int) -> None:
+    """Advance ``engine`` by ``rounds`` calls of ``step()``."""
+    for _ in range(rounds):
+        engine.step()
+
+
+def snapshot_records(metrics) -> List[dict]:
+    """Every snapshot of a :class:`~repro.cluster.metrics.ClusterMetrics`
+    as its ndjson record."""
+    return [s.to_record() for s in metrics._snapshots]
+
+
+def line_topology(n: int, delay: float = 0.01):
+    """Nodes ``0..n-1`` in a path, every link ``delay`` long."""
+    from repro.net.topology import Link, Topology
+
+    return Topology(n, [Link(i, i + 1, delay=delay) for i in range(n - 1)])
+
+
+def is_connected(topology) -> bool:
+    """True iff every node of ``topology`` reaches every other node."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for v in topology.neighbors(stack.pop()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == topology.n
+
+
+def path_delay(topology, path) -> float:
+    """Sum of one-way link delays along a node path."""
+    return sum(topology.delay(a, b) for a, b in zip(path, path[1:]))
+
+
+def resettle(tree, rates, served) -> List[float]:
+    """Carried-over served rates clamped to the flow new demand supports
+    (:func:`repro.core.kernel.resettle_served` on plain lists)."""
+    import numpy as np
+
+    from repro.core.kernel import flatten, resettle_served
+
+    return resettle_served(
+        flatten(tree),
+        np.asarray(rates, dtype=np.float64),
+        np.asarray(served, dtype=np.float64),
+    ).tolist()

@@ -37,14 +37,10 @@ class TestRateVsDocumentLevel:
         )
         assert rate_result.converged
 
-        demand = DocumentDemand(
-            tree,
-            workload.catalog.doc_ids,
-            {
-                node: {d: workload.rate(node, d) for d in workload.catalog.doc_ids}
-                for node in tree
-            },
-        )
+        per_node = {}
+        for node, d, rate in workload.items():
+            per_node.setdefault(node, {})[d] = rate
+        demand = DocumentDemand(tree, workload.catalog.doc_ids, per_node)
         doc_model = DocumentWebWave(
             demand, config=DocumentWebWaveConfig(max_rounds=2000, tolerance=0.2)
         )

@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.core.constraints import is_feasible
 from repro.core.webfold import webfold
 from repro.core.webwave import WebWaveConfig, run_webwave
 from repro.documents.catalog import Catalog
@@ -15,6 +14,8 @@ from repro.net.routing import extract_forest, shortest_path_tree
 from repro.protocols.scenario import ScenarioConfig
 from repro.protocols.webwave import WebWaveScenario
 from repro.traffic.workload import hot_document_workload
+
+from tests.oracle.constraints import is_feasible
 
 
 class TestTopologyToRateLevel:

@@ -8,13 +8,11 @@ import random
 import networkx as nx
 import pytest
 
-from repro.net.generators import (
-    grid_topology,
-    line_topology,
-    waxman_topology,
-)
-from repro.net.routing import dijkstra, extract_forest, route, shortest_path_tree
+from repro.net.generators import grid_topology, waxman_topology
+from repro.net.routing import dijkstra, extract_forest, shortest_path_tree
 from repro.net.topology import Link, Topology, TopologyError
+
+from tests.helpers import line_topology, path_delay
 
 
 def to_networkx(topology: Topology) -> nx.Graph:
@@ -48,7 +46,7 @@ class TestDijkstra:
         g = to_networkx(topo)
         dist, _ = dijkstra(topo, 0)
         expected = nx.single_source_dijkstra_path_length(g, 0)
-        for node in topo:
+        for node in range(topo.n):
             assert dist[node] == pytest.approx(expected[node])
 
     def test_equal_cost_tie_prefers_smaller_parent(self):
@@ -71,9 +69,9 @@ class TestShortestPathTree:
         g = to_networkx(topo)
         tree = shortest_path_tree(topo, 0)
         expected = nx.single_source_dijkstra_path_length(g, 0)
-        for node in topo:
+        for node in range(topo.n):
             path = tree.path_to_root(node)
-            delay = topo.path_delay(list(path))
+            delay = path_delay(topo, list(path))
             assert delay == pytest.approx(expected[node])
 
     def test_disconnected_rejected(self):
@@ -99,7 +97,3 @@ class TestForest:
     def test_duplicate_roots_rejected(self):
         with pytest.raises(TopologyError, match="duplicate"):
             extract_forest(grid_topology(2, 2), [0, 0])
-
-    def test_route_alias(self):
-        tree = shortest_path_tree(line_topology(4), 0)
-        assert route(tree, 3) == (3, 2, 1, 0)

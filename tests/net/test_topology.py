@@ -13,13 +13,6 @@ class TestLink:
         assert (link.a, link.b) == (1, 3)
         assert link.key == (1, 3)
 
-    def test_other(self):
-        link = Link(0, 1)
-        assert link.other(0) == 1
-        assert link.other(1) == 0
-        with pytest.raises(TopologyError):
-            link.other(5)
-
     def test_self_loop_rejected(self):
         with pytest.raises(TopologyError, match="self-loop"):
             Link(2, 2)
@@ -45,7 +38,7 @@ class TestTopology:
         topo = self.make()
         assert topo.n == 3
         assert topo.neighbors(1) == (0, 2)
-        assert topo.degree(0) == 1
+        assert len(topo.neighbors(0)) == 1
         assert topo.delay(1, 2) == 0.02
         assert topo.delay(2, 1) == 0.02
 
@@ -57,11 +50,6 @@ class TestTopology:
     def test_missing_link(self):
         with pytest.raises(TopologyError, match="no link"):
             self.make().link(0, 2)
-
-    def test_has_link(self):
-        topo = self.make()
-        assert topo.has_link(0, 1)
-        assert not topo.has_link(0, 2)
 
     def test_duplicate_link_rejected(self):
         with pytest.raises(TopologyError, match="duplicate"):
@@ -79,24 +67,10 @@ class TestTopology:
         with pytest.raises(TopologyError):
             NodeSpec(node=0, capacity=0.0)
 
-    def test_connectivity(self):
-        assert self.make().is_connected()
-        assert not Topology(3, [Link(0, 1)]).is_connected()
-
-    def test_path_delay(self):
-        topo = self.make()
-        assert topo.path_delay([0, 1, 2]) == pytest.approx(0.03)
-        assert topo.path_delay([1]) == 0.0
-
     def test_with_capacities(self):
         topo = self.make().with_capacities([1.0, 2.0, 3.0])
-        assert [topo.capacity(i) for i in topo] == [1.0, 2.0, 3.0]
+        assert [topo.capacity(i) for i in range(topo.n)] == [1.0, 2.0, 3.0]
 
     def test_with_capacities_wrong_length(self):
         with pytest.raises(TopologyError):
             self.make().with_capacities([1.0])
-
-    def test_iter_and_repr(self):
-        topo = self.make()
-        assert list(topo) == [0, 1, 2]
-        assert "n=3" in repr(topo)

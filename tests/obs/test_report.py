@@ -57,7 +57,7 @@ class TestRenderDashboard:
 
     def test_renders_real_export(self):
         tel = Telemetry()
-        tel.count("kernel.rounds", 9)
+        tel.counter("kernel.rounds").add(9)
         tel.span("request", req_id=0, outcome="served",
                  response_time=0.5, hops=1, served_by=0)
         text = render_dashboard([tel.snapshot(), *tel.spans])
@@ -70,7 +70,7 @@ class TestCli:
         path = tmp_path / "t.ndjson"
         with NdjsonSink(str(path)) as sink:
             tel = Telemetry(sink)
-            tel.count("kernel.rounds", 3)
+            tel.counter("kernel.rounds").add(3)
             tel.export()
         assert main([str(path)]) == 0
         out = capsys.readouterr().out

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.obs import MemorySink, NdjsonSink, read_ndjson
@@ -14,7 +13,7 @@ from repro.obs.sink import scan_ndjson
 class TestMemorySink:
     def test_round_trips_through_json(self):
         sink = MemorySink()
-        sink.write({"type": "span", "x": np.float64(1.5), "n": np.int64(3)})
+        sink.write({"type": "span", "x": 1.5, "n": 3})
         assert sink.records == [{"type": "span", "x": 1.5, "n": 3}]
 
     def test_surfaces_unserializable(self):
@@ -28,16 +27,10 @@ class TestNdjsonSink:
         path = tmp_path / "t.ndjson"
         with NdjsonSink(str(path)) as sink:
             sink.write({"a": 1})
-            sink.write({"b": np.float64(2.5)})
+            sink.write({"b": 2.5})
         lines = path.read_text().splitlines()
         assert [json.loads(l) for l in lines] == [{"a": 1}, {"b": 2.5}]
         assert sink.records_written == 2
-
-    def test_numpy_arrays_become_lists(self, tmp_path):
-        path = tmp_path / "t.ndjson"
-        with NdjsonSink(str(path)) as sink:
-            sink.write({"totals": np.arange(3, dtype=np.float64)})
-        assert json.loads(path.read_text())["totals"] == [0.0, 1.0, 2.0]
 
     def test_rotation_shifts_parts_and_drops_oldest(self, tmp_path):
         path = tmp_path / "t.ndjson"

@@ -7,25 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.obs import (
+from repro.obs import MemorySink, Telemetry, use
+from repro.obs.telemetry import (
     NULL,
     Histogram,
-    MemorySink,
     NullTelemetry,
     Sampler,
-    Telemetry,
-    current,
     log_bucket_edges,
     resolve,
-    use,
 )
 
 
 class TestCountersAndGauges:
     def test_counter_accumulates(self):
         tel = Telemetry()
-        tel.count("kernel.rounds")
-        tel.count("kernel.rounds", 4)
+        tel.counter("kernel.rounds").add()
+        tel.counter("kernel.rounds").add(4)
         assert tel.counter("kernel.rounds").value == 5
 
     def test_counter_cached_by_name(self):
@@ -104,11 +101,9 @@ class TestSampler:
 class TestPhases:
     def test_nested_paths_accumulate_separately(self):
         tel = Telemetry()
-        with tel.phase("tick"):
-            with tel.phase("merge"):
-                pass
-        with tel.phase("tick"):
-            pass
+        tel.phase_add("tick/merge", 0.1)
+        tel.phase_add("tick", 0.2)
+        tel.phase_add("tick", 0.3)
         phases = tel.snapshot()["phases"]
         assert phases["tick"]["count"] == 2
         assert phases["tick/merge"]["count"] == 1
@@ -120,7 +115,6 @@ class TestPhases:
         p = tel._phases["kernel.round/gather"]
         assert p.count == 2
         assert p.seconds == pytest.approx(1.0)
-        assert p.mean_seconds == pytest.approx(0.5)
 
 
 class TestSpansAndExport:
@@ -137,7 +131,7 @@ class TestSpansAndExport:
     def test_export_writes_snapshot_to_sink(self):
         sink = MemorySink()
         tel = Telemetry(sink)
-        tel.count("a", 3)
+        tel.counter("a").add(3)
         record = tel.export(plane="rate")
         assert record["counters"] == {"a": 3}
         assert record["plane"] == "rate"
@@ -148,47 +142,36 @@ class TestSpansAndExport:
         import json
 
         tel = Telemetry()
-        tel.count("c")
+        tel.counter("c").add()
         tel.gauge_set("g", 1.5)
-        tel.observe("h", 0.01)
+        tel.histogram("h").observe(0.01)
         tel.phase_add("p", 0.1)
         json.dumps(tel.snapshot())  # must not raise
 
 
+class TestClose:
+    def test_close_skips_a_sink_without_close(self):
+        sink = MemorySink()
+        tel = Telemetry(sink)
+        tel.counter("a").add()
+        tel.export()
+        tel.close()
+        assert sink.records[-1]["counters"] == {"a": 1}
+
+
 class TestNullTelemetry:
-    def test_disabled_and_inert(self):
+    def test_disabled_and_holds_nothing(self):
+        """The one off-switch is ``enabled``: no seam may reach past it."""
         tel = NullTelemetry()
-        assert tel.enabled is False
-        tel.count("a")
-        tel.gauge_set("g", 1.0)
-        tel.observe("h", 1.0)
-        tel.span("request", req_id=0)
-        with tel.phase("tick"):
-            pass
-        assert tel.snapshot() == {}
-        assert tel.export() == {}
-
-    def test_instruments_are_shared_noops(self):
-        tel = NullTelemetry()
-        c = tel.counter("a")
-        assert c is tel.counter("b")
-        c.add(5)
-        assert c.value == 0
-        g = tel.gauge("g")
-        g.set(2.0)
-        assert g.value == 0.0
-        assert tel.sampler("s").hit() is False
-
-    def test_null_histogram_ignores_observations(self):
-        tel = NullTelemetry()
-        h = tel.histogram("h")
-        h.observe(1.0)
-        assert h.count == 0
+        assert tel.enabled is False and NULL.enabled is False
+        assert not hasattr(tel, "__dict__")
+        for name in ("counter", "gauge", "histogram", "sampler", "span", "export"):
+            assert not hasattr(tel, name)
 
 
 class TestAmbient:
     def test_default_is_null(self):
-        assert current() is NULL
+        assert resolve(None) is NULL
         assert resolve(None) is NULL
 
     def test_use_installs_and_restores(self):
@@ -196,9 +179,9 @@ class TestAmbient:
         assert resolve(None) is NULL
         with use(tel) as active:
             assert active is tel
-            assert current() is tel
             assert resolve(None) is tel
-        assert current() is NULL
+            assert resolve(None) is tel
+        assert resolve(None) is NULL
 
     def test_explicit_registry_beats_ambient(self):
         ambient, explicit = Telemetry(), Telemetry()
@@ -209,6 +192,6 @@ class TestAmbient:
         a, b = Telemetry(), Telemetry()
         with use(a):
             with use(b):
-                assert current() is b
-            assert current() is a
-        assert current() is NULL
+                assert resolve(None) is b
+            assert resolve(None) is a
+        assert resolve(None) is NULL

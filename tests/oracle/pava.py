@@ -96,7 +96,7 @@ def tree_waterfill(tree: RoutingTree, spontaneous: Sequence[float]) -> Waterfill
     # fully settled and represented by its root fold.
     root_fold_of: Dict[int, _OpenFold] = {}
     for u in tree.bottomup():
-        fold = _OpenFold(u, base.spontaneous_of(u))
+        fold = _OpenFold(u, base.spontaneous[u])
         for c in tree.children(u):
             child_fold = root_fold_of.pop(c)
             heapq.heappush(fold.kids, (-child_fold.load, next(seq), child_fold))

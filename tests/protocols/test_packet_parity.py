@@ -170,7 +170,7 @@ class TestSameSeedDeterminism:
         second = cls(small_workload(), config).run()
         assert metrics_equal(first, second), f"{name} is not deterministic"
 
-    @pytest.mark.parametrize("kind", ["poisson", "constant", "pareto"])
+    @pytest.mark.parametrize("kind", ["poisson", "constant"])
     def test_arrival_kinds_deterministic(self, kind):
         config = ScenarioConfig(
             duration=10.0,
@@ -186,10 +186,11 @@ class TestSameSeedDeterminism:
 
 
 class TestArrivalKindValidation:
-    def test_unknown_kind_rejected_at_config_time(self):
-        with pytest.raises(ValueError, match="known kinds.*constant.*pareto.*poisson"):
-            ScenarioConfig(arrival_kind="fractal")
+    @pytest.mark.parametrize("kind", ["fractal", "pareto"])
+    def test_unknown_kind_rejected_at_config_time(self, kind):
+        with pytest.raises(ValueError, match="known kinds: constant, poisson$"):
+            ScenarioConfig(arrival_kind=kind)
 
     def test_known_kinds_accepted(self):
-        for kind in ("poisson", "constant", "pareto"):
+        for kind in ("poisson", "constant"):
             ScenarioConfig(arrival_kind=kind)

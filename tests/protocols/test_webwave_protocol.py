@@ -115,19 +115,6 @@ class TestLoadSpreading:
             assert webwave.mean_response_time < nocache.mean_response_time
 
 
-class TestEstimates:
-    def test_load_estimates_populated_by_gossip(self):
-        scenario, _ = run_scenario()
-        tree = scenario.tree
-        for i in tree:
-            for j in tree.neighbors(i):
-                assert j in scenario.load_estimates[i]
-        # at least some estimates should be non-zero after a busy run
-        assert any(
-            v > 0 for est in scenario.load_estimates for v in est.values()
-        )
-
-
 class TestTunneling:
     def test_tunnel_counter_consistent(self):
         scenario, metrics = run_scenario()

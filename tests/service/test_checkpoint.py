@@ -35,6 +35,7 @@ from repro.core.kernel import (
     SyncEngine,
     degree_edge_alphas,
     flatten,
+    state_field,
 )
 from repro.core.steppable import Steppable
 from repro.core.tree import kary_tree, tree_from_edges
@@ -135,7 +136,7 @@ def test_cluster_round_trip_with_frozen_cohorts_mid_run(tmp_path):
     runtime = _catalog_runtime(3)
     # demand entirely at its home is already balanced: that cohort goes
     # quiescent on the first tick and freezes out of the active set
-    at_home = [0.0] * runtime.n
+    at_home = [0.0] * runtime.state()["n"]
     at_home[1] = 6.0
     runtime.publish("settled", 1, at_home)
     for _ in range(20):
@@ -257,6 +258,18 @@ def _in_home(field, edit):
     return lambda homes: [{**homes[0], field: edit(homes[0][field])}] + homes[1:]
 
 
+def _in_engine(field, value):
+    """Edit: entry 1 of the first row of a nested engine capture's array
+    field (a one-row engine writes a flat list)."""
+    def edit(engine):
+        rows = engine[field]
+        row = rows[0] if isinstance(rows[0], list) else rows
+        row[1] = value
+        return engine
+
+    return edit
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -303,6 +316,25 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_sync_engine, "adaptive", lambda v: 7, "adaptive", id="sync-adaptive-seven"),
         pytest.param(_sync_engine, "quantum", lambda v: "x", "quantum", id="sync-quantum-text"),
         pytest.param(_sync_engine, "density_threshold", lambda v: "x", "density_threshold", id="sync-density-text"),
+        # np.array(..., float64) read "1.5" as 1.5, true as 1.0 and a list of
+        # strings as numbers; intp truncated a fraction to the id below it
+        pytest.param(_sync_engine, "loads", _set(1, "1.5"), "loads", id="sync-loads-element-text"),
+        pytest.param(_sync_engine, "loads", _set(1, True), "loads", id="sync-loads-element-bool"),
+        pytest.param(_sync_engine, "loads", _set(1, None), "loads", id="sync-loads-element-null"),
+        pytest.param(_sync_engine, "spontaneous", _set(0, True), "spontaneous", id="sync-spontaneous-element-bool"),
+        pytest.param(_sync_engine, "loads", lambda v: [str(x) for x in v], "loads", id="sync-loads-all-text"),
+        pytest.param(_sync_engine, "active", lambda v: [v[0] + 0.5], "active", id="sync-active-element-fraction"),
+        pytest.param(_stale_sync_engine, "history", _set((0, 2), "0"), "history", id="sync-history-element-text"),
+        pytest.param(_stale_sync_engine, "history", _set((1, 3), True), "history", id="sync-history-element-bool"),
+        pytest.param(_stale_sync_engine, "history", _set((0, 0), None), "history", id="sync-history-element-null"),
+        pytest.param(_sync_engine, "edge_alpha", _set(0, "0.25"), "edge_alpha", id="sync-edge_alpha-element-text"),
+        pytest.param(_sync_engine, "fwd", _set(2, False), "fwd", id="sync-fwd-element-bool"),
+        pytest.param(_sync_engine, "loads", _set(1, [1.0]), "loads", id="sync-loads-element-list"),
+        pytest.param(_capacity_sync_engine, "capacities", _set(3, "2.0"), "capacities", id="sync-capacities-element-text"),
+        pytest.param(_sync_engine, "active", _set(0, True), "active", id="sync-active-element-bool"),
+        pytest.param(_sync_engine, "active", _set(0, "0"), "active", id="sync-active-element-text"),
+        # OverflowError escaped the cast
+        pytest.param(_sync_engine, "active", lambda v: [10**30], "active", id="sync-active-element-huge"),
         # batch_engine - same _restore, (D, n) consistency
         pytest.param(_batch_engine, "loads", lambda v: v[:1], "loads", id="batch-loads-one-row-of-two"),
         pytest.param(_batch_engine, "fwd", _set((0, 1), NAN), "fwd", id="batch-fwd-nan"),
@@ -313,6 +345,12 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_batch_engine, "spontaneous", _set((1, 3), INF), "spontaneous", id="batch-spontaneous-inf"),
         pytest.param(_batch_engine, "parent_map", _set(3, 1.5), "parent_map", id="batch-parent-fraction"),
         pytest.param(_batch_engine, "adaptive", lambda v: 1, "adaptive", id="batch-adaptive-one"),
+        pytest.param(_batch_engine, "loads", _set((1, 2), "1.5"), "loads", id="batch-loads-element-text"),
+        pytest.param(_batch_engine, "fwd", _set((0, 4), True), "fwd", id="batch-fwd-element-bool"),
+        pytest.param(_batch_engine, "spontaneous", _set((1, 3), None), "spontaneous", id="batch-spontaneous-element-null"),
+        pytest.param(_batch_engine, "active", _set(1, 4.0), "active", id="batch-active-element-float"),
+        pytest.param(_batch_engine, "loads", _set((0, 5), None), "loads", id="batch-loads-element-null"),
+        pytest.param(_batch_engine, "fwd", _set((1, 1), "0"), "fwd", id="batch-fwd-element-text"),
         # cluster_runtime - the catalog-wide scalars (cohort arrays: test_daemon.py)
         pytest.param(_cluster_runtime, "capacities", _set(3, NAN), "capacities", id="cluster-capacities-nan"),
         pytest.param(_cluster_runtime, "capacities", _set(3, -1.0), "capacities", id="cluster-capacities-negative"),
@@ -357,6 +395,14 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("active", lambda v: 1)), "'active'", id="cluster-cohort-active-one"),
         pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("active", lambda v: "no")), "'active'", id="cluster-cohort-active-text"),
         pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("doc_ids", lambda v: [7])), "doc_ids", id="cluster-cohort-doc-id-number"),
+        # the same element rule inside a cohort's nested engine capture
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("engine", _in_engine("loads", "1.5"))), "loads", id="cluster-cohort-loads-element-text"),
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("engine", _in_engine("loads", True))), "loads", id="cluster-cohort-loads-element-bool"),
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("engine", _in_engine("spontaneous", None))), "spontaneous", id="cluster-cohort-spontaneous-element-null"),
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("engine", _in_engine("fwd", "0.0"))), "fwd", id="cluster-cohort-fwd-element-text"),
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("nodes", _set(1, 1.5))), "nodes", id="cluster-cohort-nodes-element-fraction"),
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("nodes", _set(1, True))), "nodes", id="cluster-cohort-nodes-element-bool"),
+        pytest.param(_cluster_runtime, "capacities", _set(2, True), "capacities", id="cluster-capacities-element-bool"),
     ],
 )
 def test_hostile_state_rejected_and_object_untouched(make, field, edit, match):
@@ -378,6 +424,31 @@ def test_hostile_state_rejected_and_object_untouched(make, field, edit, match):
     # and the untouched object still takes a good capture and runs on
     target.load_state(json_round_trip(make().state()))
     assert json.dumps(target.state()) == before
+
+
+@pytest.mark.parametrize(
+    "value, shape, dtype",
+    [
+        pytest.param(["1.5"], (-1,), np.float64, id="text"),
+        pytest.param([1.0, True], (-1,), np.float64, id="bool-after-a-number"),
+        pytest.param([[1.0, 2.0], [None, 2.0]], (-1, 2), np.float64, id="null-in-a-row"),
+        pytest.param([[1.0], 2.0], (-1, 1), np.float64, id="row-beside-a-number"),
+        pytest.param({"0": 1.0}, (-1,), np.float64, id="object"),
+        pytest.param([0, 2.0], (-1,), np.intp, id="float-id"),
+        pytest.param([False, 1], (-1,), np.intp, id="bool-id"),
+    ],
+)
+def test_state_field_refuses_what_is_not_a_json_number(value, shape, dtype):
+    """One rule for every array a capture holds, whatever its nesting: each
+    element is a JSON number (an integer where ids are stored)."""
+    with pytest.raises(ValueError, match="'x'"):
+        state_field({"x": value}, "x", shape, "probe", dtype)
+
+
+def test_state_field_reads_integers_in_a_float_field():
+    """JSON writes ``2.0`` as ``2.0`` but a hand-edited file may say ``2``."""
+    arr = state_field({"x": [[1, 2.5], [0, 3]]}, "x", (-1, 2), "probe")
+    assert arr.dtype == np.float64 and arr.tolist() == [[1.0, 2.5], [0.0, 3.0]]
 
 
 _CAPTURED = {make: list(make().state()) for make in (_sync_engine, _cluster_runtime)}

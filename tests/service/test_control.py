@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import threading
+import time
 
 import pytest
 
@@ -168,6 +169,71 @@ def test_socket_file_removed_after_shutdown(tmp_path):
     send_command(sock, {"op": "shutdown"})
     server.join(timeout=10)
     assert not os.path.exists(sock)
+
+
+def test_a_stale_socket_is_replaced(tmp_path):
+    """A socket nobody accepts on (its daemon was killed) is removed."""
+    import socket
+
+    sock = str(tmp_path / "svc.sock")
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as dead:
+        dead.bind(sock)
+    server = threading.Thread(target=serve_socket, args=(make_service(), sock))
+    server.start()
+    try:
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                assert send_command(sock, {"op": "ping"}) == {"ok": True, "pong": True}
+                break
+            except ConnectionRefusedError:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+    finally:
+        send_command(sock, {"op": "shutdown"})
+        server.join(timeout=10)
+    assert not server.is_alive()
+
+
+def test_serve_socket_refuses_a_directory_and_a_symlink(tmp_path):
+    """Only a socket can be stale; anything else at the path stays put."""
+    import os
+
+    (tmp_path / "dir").mkdir()
+    os.symlink(tmp_path / "dir", tmp_path / "link")
+    for name in ("dir", "link"):
+        with pytest.raises(FileExistsError, match="not a socket"):
+            serve_socket(make_service(), str(tmp_path / name))
+    assert (tmp_path / "dir").is_dir() and (tmp_path / "link").is_symlink()
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["never-reads", "reads-one-reply"])
+def test_a_client_that_hangs_up_ends_only_its_connection(tmp_path, read_first):
+    """Commands the client sent before hanging up ran; only their replies
+    are lost, and the loop accepts the next client."""
+    import socket
+
+    service = make_service()
+    sock = str(tmp_path / "svc.sock")
+    result = []
+    server = threading.Thread(target=lambda: result.append(serve_socket(service, sock)))
+    server.start()
+    try:
+        _wait_for(sock)
+        publish = {"op": "publish", "doc_id": "d", "home": 0, "rates": [1.0] * N}
+        assert send_command(sock, publish)["ok"]
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+            client.connect(sock)
+            client.sendall(b'{"op":"tick"}\n' + b'{"op":"snapshot"}\n' * 600)
+            if read_first:
+                client.recv(16)
+        assert send_command(sock, {"op": "snapshot"})["snapshot"]["documents"] == 1
+        assert send_command(sock, {"op": "info"})["ok"]
+    finally:
+        send_command(sock, {"op": "shutdown"})
+        server.join(timeout=10)
+    assert not server.is_alive()
+    assert result and result[0] >= 4  # the clean connections' commands
 
 
 def test_send_command_to_dead_socket_raises(tmp_path):

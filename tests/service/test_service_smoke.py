@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -56,6 +57,17 @@ def start_daemon(sock, env, *extra):
             raise TimeoutError("daemon socket never appeared")
         time.sleep(0.02)
     return proc
+
+
+def stop_daemon(proc, sock, env):
+    """Ask for a shutdown; kill the daemon if it does not exit."""
+    subprocess.run(RUNNER + ["ctl", "--socket", sock, '{"op":"shutdown"}'],
+                   capture_output=True, env=env, timeout=60)
+    try:
+        proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
 
 
 def test_kill_restore_matches_uninterrupted_run(tmp_path, env):
@@ -126,6 +138,52 @@ def test_serve_stdio_pipeline(tmp_path, env):
     responses = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [r["ok"] for r in responses] == [True] * 4
     assert responses[2]["snapshot"]["tick"] == 3
+
+
+def test_client_that_hangs_up_does_not_end_the_daemon(tmp_path, env):
+    """A client that sends commands and closes without reading its replies
+    ends its own connection only.  It used to kill the daemon with a
+    ``BrokenPipeError`` from the reply flush, taking the catalog with it."""
+    sock = str(tmp_path / "daemon.sock")
+    daemon = start_daemon(sock, env, "--tree", "kary:2,8")
+    try:
+        ctl(sock, {"op": "publish", "doc_id": "d", "home": 0, "rates": [1.0] * 511}, env)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as client:
+            client.connect(sock)
+            client.sendall(b'{"op":"snapshot"}\n' * 600)
+        assert ctl(sock, {"op": "snapshot"}, env)["snapshot"]["documents"] == 1
+    finally:
+        stop_daemon(daemon, sock, env)
+    assert daemon.returncode == 0, daemon.stderr.read().decode()
+
+
+def test_second_daemon_on_a_live_socket_is_refused(tmp_path, env):
+    """A second ``serve`` on a served path used to unlink the first one's
+    socket and take over, stranding its catalog."""
+    sock = str(tmp_path / "daemon.sock")
+    daemon = start_daemon(sock, env)
+    try:
+        ctl(sock, {"op": "publish", "doc_id": "d", "home": 0, "rates": [1.0] * N}, env)
+        second = subprocess.run(
+            RUNNER + ["serve", "--socket", sock], capture_output=True, text=True,
+            env=env, timeout=30,
+        )
+        assert second.returncode == 2 and sock in second.stderr
+        assert ctl(sock, {"op": "snapshot"}, env)["snapshot"]["documents"] == 1
+    finally:
+        stop_daemon(daemon, sock, env)
+
+
+def test_serve_on_a_file_that_is_not_a_socket_is_refused(tmp_path, env):
+    """A ``--socket`` that names a checkpoint used to delete it."""
+    path = tmp_path / "catalog.ckpt"
+    path.write_bytes(b"precious\n")
+    proc = subprocess.run(
+        RUNNER + ["serve", "--socket", str(path)], capture_output=True, text=True,
+        env=env, timeout=30,
+    )
+    assert proc.returncode == 2 and str(path) in proc.stderr
+    assert path.read_bytes() == b"precious\n"
 
 
 _COLD_START_PROBE = r"""

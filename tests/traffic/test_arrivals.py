@@ -7,11 +7,7 @@ import random
 
 import pytest
 
-from repro.traffic.arrivals import (
-    ConstantArrivals,
-    ParetoOnOffArrivals,
-    PoissonArrivals,
-)
+from repro.traffic.arrivals import ConstantArrivals, PoissonArrivals
 
 
 class TestConstant:
@@ -26,13 +22,6 @@ class TestConstant:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ConstantArrivals(-1.0)
-
-    def test_gaps_iterator_limit(self):
-        gaps = list(ConstantArrivals(2.0).gaps(limit=3))
-        assert gaps == [0.5, 0.5, 0.5]
-
-    def test_gaps_iterator_stops_on_inf(self):
-        assert list(ConstantArrivals(0.0).gaps(limit=5)) == []
 
 
 class TestPoisson:
@@ -57,61 +46,6 @@ class TestPoisson:
 
     def test_mean_rate_property(self):
         assert PoissonArrivals(7.5, random.Random(0)).mean_rate == 7.5
-
-
-class TestParetoOnOff:
-    def test_long_run_rate_close_to_mean(self):
-        # shape 1.9 keeps the tail heavy but lets the sample mean converge
-        # within a feasible horizon (at 1.5 a single giant OFF period can
-        # dominate any test-sized window)
-        process = ParetoOnOffArrivals(
-            burst_rate=20.0,
-            rng=random.Random(4),
-            mean_on=1.0,
-            mean_off=1.0,
-            shape=1.9,
-        )
-        total_time = 0.0
-        count = 0
-        while total_time < 20_000.0:
-            total_time += process.next_gap()
-            count += 1
-        measured = count / total_time
-        assert measured == pytest.approx(process.mean_rate, rel=0.25)
-
-    def test_mean_rate_formula(self):
-        process = ParetoOnOffArrivals(
-            burst_rate=30.0, rng=random.Random(0), mean_on=1.0, mean_off=2.0
-        )
-        assert process.mean_rate == pytest.approx(10.0)
-
-    def test_burstiness_exceeds_poisson(self):
-        # coefficient of variation of gaps should exceed Poisson's 1.0
-        process = ParetoOnOffArrivals(
-            burst_rate=50.0, rng=random.Random(8), mean_on=0.5, mean_off=2.0
-        )
-        gaps = [process.next_gap() for _ in range(30_000)]
-        mean = sum(gaps) / len(gaps)
-        var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
-        cv = math.sqrt(var) / mean
-        assert cv > 1.5
-
-    def test_zero_rate(self):
-        process = ParetoOnOffArrivals(0.0, random.Random(0))
-        assert math.isinf(process.next_gap())
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"burst_rate": -1.0},
-            {"burst_rate": 1.0, "mean_on": 0.0},
-            {"burst_rate": 1.0, "mean_off": -1.0},
-            {"burst_rate": 1.0, "shape": 1.0},
-        ],
-    )
-    def test_invalid_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            ParetoOnOffArrivals(rng=random.Random(0), **kwargs)
 
 
 class TestSampleGaps:
@@ -146,10 +80,19 @@ class TestSampleGaps:
         scalar = [b.next_gap() for _ in range(2005)]
         assert mixed == scalar
 
-    def test_pareto_batch_matches_scalar(self):
-        a = ParetoOnOffArrivals(20.0, random.Random(7))
-        b = ParetoOnOffArrivals(20.0, random.Random(7))
-        assert a.sample_gaps(500).tolist() == [b.next_gap() for _ in range(500)]
-
     def test_zero_rate_poisson_empty(self):
         assert PoissonArrivals(0.0, random.Random(0)).sample_gaps(10).size == 0
+
+    def test_every_process_batches(self):
+        """``sample_gaps`` has no generic loop to fall back on: a process
+        that does not batch cannot be built."""
+        from repro.traffic.arrivals import ArrivalProcess
+
+        class ScalarOnly(ArrivalProcess):
+            mean_rate = 1.0
+
+            def next_gap(self):
+                return 1.0
+
+        with pytest.raises(TypeError, match="sample_gaps"):
+            ScalarOnly()

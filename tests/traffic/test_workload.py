@@ -16,17 +16,20 @@ def make_catalog(home=0, count=3):
     return Catalog.generate(home=home, count=count)
 
 
+def rate(workload, node, doc_id):
+    """Requests/second for ``doc_id`` originating at ``node``."""
+    return {(n, d): r for n, d, r in workload.items()}.get((node, doc_id), 0.0)
+
+
 class TestWorkload:
     def test_rates_and_totals(self):
         tree = chain_tree(3)
         catalog = make_catalog()
         wl = Workload(tree, catalog, {2: {"doc-0": 5.0, "doc-1": 3.0}})
-        assert wl.rate(2, "doc-0") == 5.0
-        assert wl.rate(1, "doc-0") == 0.0
+        assert wl.items() == [(2, "doc-0", 5.0), (2, "doc-1", 3.0)]
         assert wl.node_rate(2) == 8.0
         assert wl.node_rates() == [0.0, 0.0, 8.0]
         assert wl.total_rate == 8.0
-        assert wl.document_rate("doc-0") == 5.0
 
     def test_home_mismatch_rejected(self):
         tree = chain_tree(3)
@@ -48,16 +51,6 @@ class TestWorkload:
     def test_zero_rates_dropped(self):
         wl = Workload(chain_tree(2), make_catalog(), {1: {"doc-0": 0.0}})
         assert wl.items() == []
-
-    def test_per_document_transpose(self):
-        wl = Workload(
-            chain_tree(3),
-            make_catalog(),
-            {1: {"doc-0": 2.0}, 2: {"doc-0": 3.0, "doc-1": 1.0}},
-        )
-        per_doc = wl.per_document()
-        assert per_doc["doc-0"] == {1: 2.0, 2: 3.0}
-        assert per_doc["doc-1"] == {2: 1.0}
 
     def test_items_deterministic_order(self):
         wl = Workload(
@@ -84,6 +77,11 @@ class TestWorkload:
         with pytest.raises(WorkloadError):
             wl.arrival_processes(RngStreams(0), kind="fractal")
 
+    def test_pareto_kind_is_gone(self):
+        wl = Workload(chain_tree(2), make_catalog(), {1: {"doc-0": 4.0}})
+        with pytest.raises(WorkloadError, match="known kinds: constant, poisson$"):
+            wl.arrival_processes(RngStreams(0), kind="pareto")
+
 
 class TestHotDocumentWorkload:
     def test_rates_split_by_popularity(self):
@@ -91,21 +89,21 @@ class TestHotDocumentWorkload:
         catalog = make_catalog(count=4)
         wl = hot_document_workload(tree, catalog, [0.0] * 6 + [10.0], zipf_s=0.0)
         assert wl.node_rate(6) == pytest.approx(10.0)
-        assert wl.rate(6, "doc-0") == pytest.approx(2.5)
+        assert rate(wl, 6, "doc-0") == pytest.approx(2.5)
 
     def test_zipf_skew(self):
         tree = chain_tree(2)
         wl = hot_document_workload(
             tree, make_catalog(count=3), [0.0, 9.0], zipf_s=1.0
         )
-        assert wl.rate(1, "doc-0") > wl.rate(1, "doc-1") > wl.rate(1, "doc-2")
+        assert rate(wl, 1, "doc-0") > rate(wl, 1, "doc-1") > rate(wl, 1, "doc-2")
 
     def test_custom_popularity(self):
         tree = chain_tree(2)
         catalog = make_catalog(count=2)
         pop = ZipfPopularity(("doc-1", "doc-0"), s=1.0)  # doc-1 hottest
         wl = hot_document_workload(tree, catalog, [0.0, 6.0], popularity=pop)
-        assert wl.rate(1, "doc-1") > wl.rate(1, "doc-0")
+        assert rate(wl, 1, "doc-1") > rate(wl, 1, "doc-0")
 
     def test_wrong_rate_count(self):
         with pytest.raises(WorkloadError):
@@ -119,12 +117,12 @@ class TestHotDocumentWorkload:
 class TestRequest:
     def test_lifecycle(self):
         req = Request(req_id=1, doc_id="d", origin=4, created_at=10.0)
-        assert not req.done
+        assert req.completed_at is None
         assert req.hops == 0
         req.path.extend([4, 2, 0])
         assert req.hops == 2
         req.completed_at = 10.5
-        assert req.done
+        assert req.completed_at is not None
         assert req.response_time == pytest.approx(0.5)
 
     def test_response_time_before_completion(self):
