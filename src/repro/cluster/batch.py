@@ -287,7 +287,7 @@ class BatchEngine(DiffusionStack):
         """
         return {
             "kind": self.STATE_KIND,
-            "parent_map": [int(p) for p in self.flat.tree.parent_map],
+            "parent_map": self.flat.tree.parent_array.tolist(),
             "edge_alpha": self._alpha.tolist(),
             "adaptive": bool(self._adaptive),
             "density_threshold": self._density,

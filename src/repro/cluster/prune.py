@@ -110,7 +110,7 @@ def induced_subtree(tree: RoutingTree, mask: np.ndarray) -> PrunedTree:
     nodes = np.concatenate(([tree.root], kept[kept != tree.root]))
     relabel = np.full(tree.n, -1, dtype=np.intp)
     relabel[nodes] = np.arange(nodes.shape[0])
-    parents = relabel[np.asarray(tree.parent_map, dtype=np.intp)[nodes]]
+    parents = relabel[tree.parent_array[nodes]]
     if parents.min() < 0:
         raise ValueError("mask is not ancestor-closed")
     return PrunedTree(tree=RoutingTree(parents.tolist()), nodes=nodes)

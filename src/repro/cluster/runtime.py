@@ -814,7 +814,7 @@ class ClusterRuntime:
             groups.append(
                 {
                     "home": int(home),
-                    "parent_map": [int(p) for p in group.tree.parent_map],
+                    "parent_map": group.tree.parent_array.tolist(),
                     "cohorts": cohorts,
                 }
             )
@@ -875,6 +875,8 @@ class ClusterRuntime:
         untargeted: List[_Cohort] = []
         for g in state_entry(state, "groups", what, list):
             home = state_count(g, "home", what)
+            if home in groups:  # a second entry would orphan the first's documents
+                raise ValueError(f"{what} 'home' {home} is repeated")
             tree = tree_from_parent_map(state_counts(g, "parent_map", what))
             if tree.n != n:
                 raise ValueError(f"{what} 'n' is {n}, but home {home}'s tree has {tree.n} nodes")
@@ -884,9 +886,18 @@ class ClusterRuntime:
                 nodes = state_field(c, "nodes", (-1,), what, np.intp)
                 if nodes.size and nodes.max() >= tree.n:
                     raise ClusterError(f"{what} 'nodes' must be node ids below {tree.n}")
+                # what state() writes: ascending ids, the home, ancestor-closed
+                if not (np.diff(nodes) > 0).all():
+                    raise ValueError(f"{what} 'nodes' must be strictly increasing")
                 mask = np.zeros(tree.n, dtype=bool)
                 mask[nodes] = True
+                if not mask[home]:
+                    raise ValueError(f"{what} 'nodes' must hold home {home}")
+                if not mask[tree.parent_array[nodes]].all():
+                    raise ValueError(f"{what} 'nodes' must be ancestor-closed")
                 key = np.packbits(mask).tobytes()
+                if key in group.cohorts:
+                    raise ValueError(f"{what} 'nodes' repeats a closure of home {home}")
                 cohort = _new_cohort(group, key, mask, no_rows, no_rows, adaptive, self._tel)
                 cohort.engine.load_state(state_entry(c, "engine", what, dict))
                 docs = cohort.engine.docs

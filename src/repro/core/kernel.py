@@ -143,29 +143,26 @@ class FlatTree:
 
     def __init__(self, tree: RoutingTree) -> None:
         n = tree.n
-        parent = np.fromiter(tree.parent_map, dtype=np.intp, count=n)
+        root = tree.root
+        parent = tree.parent_array
         self.tree = tree
         self.n = n
-        self.root = tree.root
+        self.root = root
         self.parent = parent
         ids = np.arange(n, dtype=np.intp)
-        self.edge_child = ids[ids != tree.root]
+        self.edge_child = np.delete(ids, root)
         self.edge_parent = parent[self.edge_child]
-        depth = np.fromiter((tree.depth(i) for i in range(n)), dtype=np.intp, count=n)
+        # One sort by depth (ids ascending within a level: the keys are
+        # unique), split at the level boundaries, deepest level first.
+        depth = tree.depth_array
+        by_depth = np.argsort(depth * n + ids)
+        bounds = np.cumsum(np.bincount(depth)).tolist()
         self.levels = [
-            np.flatnonzero(depth == d) for d in range(int(depth.max()), 0, -1)
+            by_depth[bounds[d - 1] : bounds[d]] for d in range(len(bounds) - 1, 0, -1)
         ]
-        child_counts = np.bincount(self.edge_parent, minlength=n)
-        offsets = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(child_counts, out=offsets[1:])
-        self.child_offsets = offsets
-        # edge_child is ascending, so a stable sort by parent keeps each
-        # node's children in ascending id order (the traversal order the
-        # deterministic simulators rely on).
-        self.child_ids = self.edge_child[
-            np.argsort(self.edge_parent, kind="stable")
-        ]
-        self.degree = child_counts + (ids != tree.root)
+        self.child_offsets = tree.child_offsets
+        self.child_ids = tree.child_ids
+        self.degree = np.diff(self.child_offsets) + (ids != root)
         self._children_lists: Optional[List[List[int]]] = None
 
     def children_lists(self) -> List[List[int]]:
@@ -1113,7 +1110,7 @@ class SyncEngine(DiffusionStack):
         active = self._active
         return {
             "kind": self.STATE_KIND,
-            "parent_map": [int(p) for p in self.flat.tree.parent_map],
+            "parent_map": self.flat.tree.parent_array.tolist(),
             "edge_alpha": self._alpha.tolist(),
             "capacities": None if self._caps is None else self._caps.tolist(),
             "gossip_delay": self._delay,

@@ -19,6 +19,7 @@ algorithms return new assignments rather than mutating inputs.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Optional, Sequence, Tuple
 
 from .tree import RoutingTree
@@ -55,20 +56,25 @@ class LoadAssignment:
         n = tree.n
         if len(spontaneous) != n:
             raise ValueError(f"expected {n} spontaneous rates, got {len(spontaneous)}")
-        e = tuple(float(x) for x in spontaneous)
-        for i, x in enumerate(e):
-            if x < 0 or not math.isfinite(x):
-                raise ValueError(f"spontaneous rate E[{i}]={x} must be finite and >= 0")
+        # Checked by builtins at C speed; ``float`` hands a float back as is.
+        e = tuple(map(float, spontaneous))
+        if not (all(map(math.isfinite, e)) and min(e) >= 0):
+            i, x = next((i, x) for i, x in enumerate(e) if x < 0 or not math.isfinite(x))
+            raise ValueError(f"spontaneous rate E[{i}]={x} must be finite and >= 0")
         if served is None:
             l = e
         else:
             if len(served) != n:
                 raise ValueError(f"expected {n} served rates, got {len(served)}")
-            l = tuple(float(x) for x in served)
-            for i, x in enumerate(l):
-                if x < -_EPS or not math.isfinite(x):
-                    raise ValueError(f"served rate L[{i}]={x} must be finite and >= 0")
-            l = tuple(max(x, 0.0) for x in l)
+            l = tuple(map(float, served))
+            low = min(l)
+            if not (all(map(math.isfinite, l)) and low >= -_EPS):
+                i, x = next(
+                    (i, x) for i, x in enumerate(l) if x < -_EPS or not math.isfinite(x)
+                )
+                raise ValueError(f"served rate L[{i}]={x} must be finite and >= 0")
+            if low < 0:  # round-off below zero clamps; -0.0 is kept as is
+                l = tuple(map(max, l, repeat(0.0)))
         self._tree = tree
         self._e = e
         self._l = l

@@ -19,6 +19,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .steppable import count_tuple, is_count
 
 __all__ = [
@@ -53,9 +55,17 @@ class RoutingTree:
     -----
     Children lists are sorted by node id so that every traversal is
     deterministic; the simulation layers rely on this for reproducibility.
+
+    The structure is built once, as read-only ``intp`` arrays - the parent
+    map, a children CSR index and every node's depth - and
+    :class:`repro.core.kernel.FlatTree` shares them.  The tuple accessors
+    (the BFS order included) materialize on first use, then are cached.
     """
 
-    __slots__ = ("_parent", "_children", "_root", "_depth", "_order", "_hash")
+    __slots__ = (
+        "_parent", "_offsets", "_child_ids", "_depth", "_root",
+        "_parent_t", "_children_t", "_order_t", "_hash",
+    )
 
     def __init__(self, parent: Sequence[int]) -> None:
         n = len(parent)
@@ -65,40 +75,57 @@ class RoutingTree:
         if parent_t is None or max(parent_t) >= n:
             i = next(i for i, p in enumerate(parent) if not (is_count(p) and p < n))
             raise TreeError(f"parent[{i}]={parent[i]!r} is not a node id in 0..{n - 1}")
-        roots = [i for i, p in enumerate(parent_t) if p == i]
-        if len(roots) != 1:
-            raise TreeError(f"expected exactly one root (parent[i]==i), found {roots}")
-        root = roots[0]
+        up = np.array(parent_t, dtype=np.intp)
+        ids = np.arange(n, dtype=np.intp)
+        roots = np.flatnonzero(up == ids)
+        if roots.size != 1:
+            raise TreeError(f"expected exactly one root (parent[i]==i), found {roots.tolist()}")
+        root = int(roots[0])
 
-        children: List[List[int]] = [[] for _ in range(n)]
-        for i, p in enumerate(parent_t):
-            if i != root:
-                children[p].append(i)
-        for c in children:
-            c.sort()
+        # Children CSR, each node's children in ascending id: one sort of
+        # the (parent, child) pairs, keys unique, so the order is total.
+        child = np.delete(ids, root)
+        above = up[child]
+        child_ids = child[np.argsort(above * n + child)]
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(above, minlength=n), out=offsets[1:])
+        depth = _depths(up, root)
 
-        # Breadth-first order from the root; also validates connectivity
-        # (and therefore acyclicity, since there are exactly n-1 child links).
-        depth = [-1] * n
-        order: List[int] = []
-        queue: deque[int] = deque([root])
-        depth[root] = 0
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in children[u]:
-                depth[v] = depth[u] + 1
-                queue.append(v)
-        if len(order) != n:
-            missing = [i for i in range(n) if depth[i] < 0]
-            raise TreeError(f"nodes {missing} are not connected to root {root}")
-
-        self._parent = parent_t
-        self._children = tuple(tuple(c) for c in children)
+        for a in (up, offsets, child_ids, depth):
+            a.flags.writeable = False
+        self._parent = up
+        self._offsets = offsets
+        self._child_ids = child_ids
+        self._depth = depth
         self._root = root
-        self._depth = tuple(depth)
-        self._order = tuple(order)
+        self._parent_t: Optional[Tuple[int, ...]] = None
+        self._children_t: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._order_t: Optional[Tuple[int, ...]] = None
         self._hash: Optional[int] = None
+
+    # ------------------------------------------------------------------
+    # Arrays (read-only, shared with FlatTree)
+    # ------------------------------------------------------------------
+    @property
+    def parent_array(self) -> np.ndarray:
+        """``parent_map`` as an ``intp`` array."""
+        return self._parent
+
+    @property
+    def child_offsets(self) -> np.ndarray:
+        """CSR offsets: the children of ``i`` are
+        ``child_ids[child_offsets[i]:child_offsets[i + 1]]``."""
+        return self._offsets
+
+    @property
+    def child_ids(self) -> np.ndarray:
+        """Every non-root node, grouped by parent, ascending within a group."""
+        return self._child_ids
+
+    @property
+    def depth_array(self) -> np.ndarray:
+        """Every node's depth as an ``intp`` array."""
+        return self._depth
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -106,7 +133,7 @@ class RoutingTree:
     @property
     def n(self) -> int:
         """Number of nodes in the tree."""
-        return len(self._parent)
+        return self._parent.size
 
     @property
     def root(self) -> int:
@@ -116,60 +143,77 @@ class RoutingTree:
     @property
     def parent_map(self) -> Tuple[int, ...]:
         """``parent_map[i]`` is the parent of ``i`` (root maps to itself)."""
-        return self._parent
+        if self._parent_t is None:
+            self._parent_t = tuple(self._parent.tolist())
+        return self._parent_t
 
     def parent(self, i: int) -> Optional[int]:
         """Parent of node ``i``, or ``None`` for the root."""
-        p = self._parent[i]
+        p = self.parent_map[i]
         return None if p == i else p
+
+    def _children(self) -> Tuple[Tuple[int, ...], ...]:
+        if self._children_t is None:
+            ids = self._child_ids.tolist()
+            offsets = self._offsets.tolist()
+            self._children_t = tuple(
+                tuple(ids[a:b]) for a, b in zip(offsets, offsets[1:])
+            )
+        return self._children_t
 
     def children(self, i: int) -> Tuple[int, ...]:
         """Children of node ``i`` in ascending id order."""
-        return self._children[i]
+        return self._children()[i]
 
     def neighbors(self, i: int) -> Tuple[int, ...]:
         """Tree neighbours of ``i``: its parent (if any) followed by children."""
         p = self.parent(i)
         if p is None:
-            return self._children[i]
-        return (p,) + self._children[i]
+            return self.children(i)
+        return (p,) + self.children(i)
 
     def degree(self, i: int) -> int:
         """Number of tree neighbours of ``i``."""
-        return len(self._children[i]) + (0 if i == self._root else 1)
+        return len(self.children(i)) + (0 if i == self._root else 1)
 
     def depth(self, i: int) -> int:
         """Hop distance from the root to ``i`` (root has depth 0)."""
-        return self._depth[i]
+        return int(self._depth[i])
 
     @property
     def height(self) -> int:
         """Maximum node depth."""
-        return max(self._depth)
+        return int(self._depth.max())
 
     def leaves(self) -> Tuple[int, ...]:
         """All leaf nodes, ascending."""
-        return tuple(i for i in range(self.n) if not self._children[i])
+        return tuple(np.flatnonzero(self._offsets[1:] == self._offsets[:-1]).tolist())
 
     # ------------------------------------------------------------------
     # Traversals
     # ------------------------------------------------------------------
     def bfs_order(self) -> Tuple[int, ...]:
         """Nodes in breadth-first order from the root (deterministic)."""
-        return self._order
+        if self._order_t is None:
+            order = _bfs_order(
+                self._parent, self._root, self._offsets, self._child_ids, self._depth
+            )
+            self._order_t = tuple(order.tolist())
+        return self._order_t
 
     def bottomup(self) -> Iterator[int]:
         """Iterate nodes so every child precedes its parent."""
-        return reversed(self._order)
+        return reversed(self.bfs_order())
 
     def subtree(self, i: int) -> Iterator[int]:
         """Iterate the nodes of the subtree rooted at ``i`` (preorder)."""
+        children = self._children()
         stack = [i]
         while stack:
             u = stack.pop()
             yield u
             # Reversed so that the smallest child is yielded first.
-            stack.extend(reversed(self._children[u]))
+            stack.extend(reversed(children[u]))
 
     def path_to_root(self, i: int) -> Tuple[int, ...]:
         """Nodes on the route from ``i`` up to and including the root.
@@ -178,9 +222,10 @@ class RoutingTree:
         directory-free property is that a request may only be served by
         nodes on this path.
         """
+        parent = self.parent_map
         path = [i]
         while path[-1] != self._root:
-            path.append(self._parent[path[-1]])
+            path.append(parent[path[-1]])
         return tuple(path)
 
     # ------------------------------------------------------------------
@@ -195,8 +240,9 @@ class RoutingTree:
         if len(values) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(values)}")
         sums = [float(v) for v in values]
+        parent = self.parent_map
         for u in self.bottomup():
-            p = self._parent[u]
+            p = parent[u]
             if p != u:
                 sums[p] += sums[u]
         return sums
@@ -213,11 +259,11 @@ class RoutingTree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoutingTree):
             return NotImplemented
-        return self._parent == other._parent
+        return self is other or np.array_equal(self._parent, other._parent)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._parent)
+        if self._hash is None:  # the hash of ``parent_map``, without keeping it
+            self._hash = hash(tuple(self._parent.tolist()))
         return self._hash
 
     def render(self, label: Optional[Callable[[int], str]] = None) -> str:
@@ -228,19 +274,86 @@ class RoutingTree:
         """
         label = label or (lambda i: "")
         lines: List[str] = []
+        children = self._children()
 
         def walk(u: int, prefix: str, tail: bool) -> None:
             connector = "" if u == self._root else ("`-- " if tail else "|-- ")
             text = label(u)
             suffix = f"  {text}" if text else ""
             lines.append(f"{prefix}{connector}{u}{suffix}")
-            kids = self._children[u]
+            kids = children[u]
             child_prefix = prefix if u == self._root else prefix + ("    " if tail else "|   ")
             for k, v in enumerate(kids):
                 walk(v, child_prefix, k == len(kids) - 1)
 
         walk(self._root, "", True)
         return "\n".join(lines)
+
+
+def _depths(parent: np.ndarray, root: int) -> np.ndarray:
+    """Every node's depth, or a :class:`TreeError` naming the nodes the
+    root does not reach.
+
+    Pointer jumping: after pass ``k``, ``up[i]`` is the ``2^k``-th ancestor
+    of ``i`` (the root absorbs) and ``depth[i]`` the hops to it, so
+    ``ceil(log2(height))`` array passes suffice, with no loop over nodes
+    or levels.  A node on a cycle never reaches the root; ``log2(n)``
+    passes cover every path that does.
+    """
+    n = parent.size
+    depth = np.ones(n, dtype=np.intp)
+    depth[root] = 0
+    up = parent
+    for _ in range(n.bit_length()):
+        if not (up != root).any():
+            return depth
+        depth += depth[up]
+        up = up[up]
+    missing = np.flatnonzero(up != root).tolist()
+    if missing:
+        raise TreeError(f"nodes {missing} are not connected to root {root}")
+    return depth
+
+
+def _bfs_order(
+    parent: np.ndarray, root: int, offsets: np.ndarray, child_ids: np.ndarray,
+    depth: np.ndarray,
+) -> np.ndarray:
+    """The BFS order of a valid tree: its preorder stably grouped by depth
+    (within one level both follow the root-to-node id paths).
+
+    The preorder comes from ranking the Euler tour of the children CSR by
+    pointer jumping, ~log2(2n) array passes whatever the height.  Tour
+    element ``e < m`` enters ``child_ids[e]``, element ``m + e`` leaves
+    it, and ``2m`` is the end, which maps to itself; a node's preorder
+    rank counts the elements entering a node before its own.
+    """
+    n = parent.size
+    m = n - 1
+    preorder = np.zeros(n, dtype=np.intp)
+    if m:
+        edge = np.arange(m, dtype=np.intp)
+        edge_of = np.zeros(n, dtype=np.intp)
+        edge_of[child_ids] = edge
+        end = 2 * m
+        above = parent[child_ids]
+        succ = np.empty(end + 1, dtype=np.intp)
+        # entering c: on to its first child, else straight back out of c
+        first, stop = offsets[child_ids], offsets[child_ids + 1]
+        succ[:m] = np.where(first < stop, first, edge + m)
+        # leaving c: into its next sibling, else out of its parent (the
+        # end, after the root's last child)
+        out = np.where(above == root, end, edge_of[above] + m)
+        succ[m:end] = np.where(edge + 1 < offsets[above + 1], edge + 1, out)
+        succ[end] = end
+        entering = np.zeros(end + 1, dtype=np.intp)  # from here to the end
+        entering[:m] = 1
+        start = int(offsets[root])
+        while succ[start] != end:
+            entering += entering[succ]
+            succ = succ[succ]
+        preorder[child_ids] = m + 1 - entering[:m]
+    return np.argsort(depth * n + preorder)
 
 
 # ----------------------------------------------------------------------

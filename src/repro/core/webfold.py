@@ -22,8 +22,11 @@ verified property-based in the test suite.
 The implementation keeps a lazy max-heap of foldable candidates, giving
 ``O(n log n)``-ish behaviour on large trees (per-fold loads only ever
 increase over a fold's lifetime, so stale heap entries are always
-underestimates and can be skipped safely).  The fold state is flat lists
-indexed by fold root, and only the load assignment is built eagerly: the
+underestimates and can be skipped safely).  It is seeded with the folds
+whose load is positive: a zero-load fold can never fold, and the merge
+order is that of a heap seeded with every fold.  The fold state is flat
+lists and arrays indexed by fold root, children are read from the tree's
+CSR index, and only the load assignment is built eagerly: the
 :class:`Fold` and :class:`FoldStep` objects are replayed from the recorded
 fold order when first read.
 
@@ -41,14 +44,22 @@ bit-identical to dividing by ``len(members)`` - loads, partition and trace.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .config import positive_capacities
 from .load import LoadAssignment
 from .tree import RoutingTree
 
 __all__ = ["Fold", "FoldStep", "FoldResult", "webfold"]
+
+# The ``array`` typecode of an ``intp`` ("l" or "q"): id arrays shared with
+# NumPy as bytes, read and written as Python ints.
+_INTP = np.dtype(np.intp).char
 
 
 @dataclass(frozen=True)
@@ -118,8 +129,8 @@ class FoldResult:
         tree: RoutingTree,
         assignment: LoadAssignment,
         capacities: Tuple[float, ...],
-        fold_of: List[int],
-        into: List[int],
+        fold_of: Sequence[int],
+        into: Sequence[int],
         order: List[int],
     ) -> None:
         self._tree = tree
@@ -259,22 +270,34 @@ def webfold(
         raise ValueError(f"expected {n} capacities, got {len(caps)}")
 
     # A fold is named by its root; esum/csum hold its spontaneous and
-    # capacity sums.  kids[r] lists r's child folds but may also hold folded
-    # (dead) ids, which are skipped; it is None once r itself is folded.
-    # fold_parent[r] is the root of the fold holding r's tree parent, frozen
-    # when r is folded, so for a dead r it names the fold r went into.
+    # capacity sums.  A fold's child folds are its tree children (the CSR
+    # slice) plus the ones it adopted from folds folded into it; both may
+    # hold dead (folded) ids, which are skipped.  fold_parent[r] is the root
+    # of the fold holding r's tree parent, frozen when r is folded, so for
+    # a dead r it names the fold r went into.
     root = tree.root
     esum = list(base.spontaneous)
     csum = list(caps)
-    kids = [list(tree.children(r)) for r in range(n)]
-    fold_parent = list(tree.parent_map)
+    offsets = memoryview(tree.child_offsets)  # reads give Python ints
+    child_ids = memoryview(tree.child_ids)
+    adopted: Dict[int, List[int]] = {}
+    dead = bytearray(n)
+    fold_parent = array(_INTP, tree.parent_array.tobytes())
     version = [0] * n
     order: List[int] = []
 
     # Lazy max-heap of foldability candidates: (-load, root, version).  A
     # fold's load only increases over its lifetime, so an entry with a stale
-    # version is an underestimate and may simply be skipped.
-    heap = [(-(esum[r] / csum[r]), r, 0) for r in range(n) if r != root]
+    # version is an underestimate and may simply be skipped.  Only positive
+    # loads enter: Foldable(j, i) is a strict ``>`` against a non-negative
+    # load, so a zero-load entry would be popped and dropped, changing
+    # nothing.  The folds, their order and every add are as without them.
+    # (Unit capacities divide and multiply by 1.0, an exact identity: skipped.)
+    cap_array = None if capacities is None else np.asarray(caps)
+    loads = np.array(esum) if cap_array is None else np.asarray(esum) / cap_array
+    loads[root] = 0.0
+    seeds = np.flatnonzero(loads > 0.0)
+    heap = list(zip((-loads[seeds]).tolist(), seeds.tolist(), repeat(0)))
     heapq.heapify(heap)
     pop = heapq.heappop
     push = heapq.heappush
@@ -289,16 +312,22 @@ def webfold(
 
         # ---- Fold(j into i): steps (2.1)-(2.4) of Figure 3 ------------
         version[j] += 1
+        dead[j] = 1
         esum[i] += esum[j]
         csum[i] += csum[j]
-        kids_i = kids[i]
-        for c in kids[j]:
-            if kids[c] is not None:
+        moved = [
+            c
+            for c in chain(child_ids[offsets[j] : offsets[j + 1]], adopted.pop(j, ()))
+            if not dead[c]
+        ]
+        if moved:
+            adopted.setdefault(i, []).extend(moved)
+            for c in moved:
                 fold_parent[c] = i
-                kids_i.append(c)
                 # a new, lower-load parent: c may have become foldable
-                push(heap, (-(esum[c] / csum[c]), c, version[c]))
-        kids[j] = None
+                lc = esum[c] / csum[c]
+                if lc > 0.0:
+                    push(heap, (-lc, c, version[c]))
         version[i] += 1
         order.append(j)
         # i's load increased: i itself may now be foldable into its parent.
@@ -309,8 +338,11 @@ def webfold(
 
     # Every fold j went into was alive then, so walking the folds backwards
     # finds each node's final fold root in one pass.
-    fold_of = list(range(n))
+    fold_of = array(_INTP, np.arange(n, dtype=np.intp).tobytes())
     for j in reversed(order):
         fold_of[j] = fold_of[fold_parent[j]]
-    loads = [esum[r] / csum[r] * c for r, c in zip(fold_of, caps)]
-    return FoldResult(tree, base.with_served(loads), caps, fold_of, fold_parent, order)
+    roots = np.frombuffer(fold_of, dtype=np.intp)
+    loads = np.asarray(esum)[roots] / np.asarray(csum)[roots]
+    if cap_array is not None:
+        loads *= cap_array
+    return FoldResult(tree, base.with_served(loads.tolist()), caps, fold_of, fold_parent, order)

@@ -1,0 +1,67 @@
+"""The per-node Python construction of a routing tree, kept as a test oracle.
+
+A verbatim copy of the ``RoutingTree.__init__`` that ``repro.core.tree``
+ran before the tree structure moved into arrays: one Python list per
+node's children, sorted, then a ``deque`` breadth-first search that
+fills the depth and BFS order and detects nodes not connected to the root.
+``tests/core/test_tree_twin.py`` checks that the array construction gives
+the same accessors and raises the same ``TreeError`` messages.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import List, Sequence, Tuple
+
+from repro.core.steppable import count_tuple, is_count
+from repro.core.tree import TreeError
+
+__all__ = ["OracleTree"]
+
+
+class OracleTree:
+    """The accessors the twin compares, from the per-node BFS."""
+
+    def __init__(self, parent: Sequence[int]) -> None:
+        n = len(parent)
+        if n == 0:
+            raise TreeError("a routing tree must contain at least one node")
+        parent_t = count_tuple(parent)  # 0.9, "0" and True are not node ids
+        if parent_t is None or max(parent_t) >= n:
+            i = next(i for i, p in enumerate(parent) if not (is_count(p) and p < n))
+            raise TreeError(f"parent[{i}]={parent[i]!r} is not a node id in 0..{n - 1}")
+        roots = [i for i, p in enumerate(parent_t) if p == i]
+        if len(roots) != 1:
+            raise TreeError(f"expected exactly one root (parent[i]==i), found {roots}")
+        root = roots[0]
+
+        children: List[List[int]] = [[] for _ in range(n)]
+        for i, p in enumerate(parent_t):
+            if i != root:
+                children[p].append(i)
+        for c in children:
+            c.sort()
+
+        # Breadth-first order from the root; also validates connectivity
+        # (and therefore acyclicity, since there are exactly n-1 child links).
+        depth = [-1] * n
+        order: List[int] = []
+        queue: deque[int] = deque([root])
+        depth[root] = 0
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for v in children[u]:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+        if len(order) != n:
+            missing = [i for i in range(n) if depth[i] < 0]
+            raise TreeError(f"nodes {missing} are not connected to root {root}")
+
+        self.parent_map: Tuple[int, ...] = parent_t
+        self.children: Tuple[Tuple[int, ...], ...] = tuple(tuple(c) for c in children)
+        self.root = root
+        self.depth: Tuple[int, ...] = tuple(depth)
+        self.bfs_order: Tuple[int, ...] = tuple(order)
+        self.leaves = tuple(i for i in range(n) if not self.children[i])
+        self.height = max(self.depth)

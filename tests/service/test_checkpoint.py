@@ -402,6 +402,17 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("engine", _in_engine("fwd", "0.0"))), "fwd", id="cluster-cohort-fwd-element-text"),
         pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("nodes", _set(1, 1.5))), "nodes", id="cluster-cohort-nodes-element-fraction"),
         pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("nodes", _set(1, True))), "nodes", id="cluster-cohort-nodes-element-bool"),
+        # a repeated home or closure loaded, and the later entry orphaned the
+        # earlier one's documents (mass short, retire a bare KeyError)
+        pytest.param(_cluster_runtime, "groups", lambda homes: homes + [{**homes[0], "cohorts": [{**homes[0]["cohorts"][0], "doc_ids": ["z"]}]}], "'home'", id="cluster-home-repeated"),
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", lambda cs: cs + [{**cs[0], "doc_ids": ["z"]}]), "'nodes'", id="cluster-cohort-closure-repeated"),
+        # nodes as state() never writes them: a repeated or reversed list
+        # loaded silently, one without the home or not ancestor-closed failed
+        # without naming the field
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("nodes", lambda v: [v[0]] + v)), "'nodes'", id="cluster-cohort-nodes-repeated"),
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("nodes", lambda v: v[::-1])), "'nodes'", id="cluster-cohort-nodes-reversed"),
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("nodes", lambda v: v[1:])), "'nodes'", id="cluster-cohort-nodes-no-home"),
+        pytest.param(_cluster_runtime, "groups", _in_home("cohorts", _in_home("nodes", lambda v: v[:1] + v[2:])), "'nodes'", id="cluster-cohort-nodes-not-ancestor-closed"),
         pytest.param(_cluster_runtime, "capacities", _set(2, True), "capacities", id="cluster-capacities-element-bool"),
     ],
 )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import json
 
 import pytest
@@ -338,9 +337,9 @@ def test_restore_keeps_live_tree_source(service, tmp_path):
 
 
 def _duplicate_doc(state):
-    # a second cohort under home 0 repeating the first cohort's doc id
-    cohorts = state["groups"][0]["cohorts"]
-    cohorts.append(copy.deepcopy(cohorts[0]))
+    # home 1's cohort naming home 0's document (a copy of home 0's cohort
+    # would repeat its closure too, refused first, naming 'nodes')
+    state["groups"][-1]["cohorts"][0]["doc_ids"] = ["seed"]
 
 
 def _missing_engine(state):
