@@ -29,6 +29,21 @@ __all__ = ["LoadAssignment"]
 _EPS = 1e-9
 
 
+def _served(n: int, served: Sequence[float]) -> Tuple[float, ...]:
+    """``served`` as a tuple of floats, checked: finite and non-negative,
+    round-off down to ``-_EPS`` clamped to ``0.0``."""
+    if len(served) != n:
+        raise ValueError(f"expected {n} served rates, got {len(served)}")
+    l = tuple(map(float, served))
+    low = min(l)
+    if not (all(map(math.isfinite, l)) and low >= -_EPS):
+        i, x = next((i, x) for i, x in enumerate(l) if x < -_EPS or not math.isfinite(x))
+        raise ValueError(f"served rate L[{i}]={x} must be finite and >= 0")
+    if low < 0:  # round-off below zero clamps; -0.0 is kept as is
+        l = tuple(map(max, l, repeat(0.0)))
+    return l
+
+
 class LoadAssignment:
     """Spontaneous rates ``E`` and served rates ``L`` over one routing tree.
 
@@ -61,23 +76,9 @@ class LoadAssignment:
         if not (all(map(math.isfinite, e)) and min(e) >= 0):
             i, x = next((i, x) for i, x in enumerate(e) if x < 0 or not math.isfinite(x))
             raise ValueError(f"spontaneous rate E[{i}]={x} must be finite and >= 0")
-        if served is None:
-            l = e
-        else:
-            if len(served) != n:
-                raise ValueError(f"expected {n} served rates, got {len(served)}")
-            l = tuple(map(float, served))
-            low = min(l)
-            if not (all(map(math.isfinite, l)) and low >= -_EPS):
-                i, x = next(
-                    (i, x) for i, x in enumerate(l) if x < -_EPS or not math.isfinite(x)
-                )
-                raise ValueError(f"served rate L[{i}]={x} must be finite and >= 0")
-            if low < 0:  # round-off below zero clamps; -0.0 is kept as is
-                l = tuple(map(max, l, repeat(0.0)))
         self._tree = tree
         self._e = e
-        self._l = l
+        self._l = e if served is None else _served(n, served)
         self._a: Optional[Tuple[float, ...]] = None
 
     # ------------------------------------------------------------------
@@ -143,8 +144,16 @@ class LoadAssignment:
     # Derived assignments
     # ------------------------------------------------------------------
     def with_served(self, served: Sequence[float]) -> "LoadAssignment":
-        """A new assignment with the same tree and ``E`` but different ``L``."""
-        return LoadAssignment(self._tree, self._e, served)
+        """A new assignment with the same tree and ``E`` but different ``L``.
+
+        ``E`` was validated when ``self`` was built, so only ``L`` is.
+        """
+        new = LoadAssignment.__new__(LoadAssignment)
+        new._tree = self._tree
+        new._e = self._e
+        new._l = _served(self._tree.n, served)
+        new._a = None
+        return new
 
     def distance_to(self, other: "LoadAssignment") -> float:
         """Euclidean distance between the two served-load vectors.

@@ -375,10 +375,20 @@ def tree_from_parent_map(parent: Mapping[int, int] | Sequence[int]) -> RoutingTr
 
 
 def tree_from_edges(n: int, edges: Iterable[Tuple[int, int]], root: int = 0) -> RoutingTree:
-    """Build a tree from undirected edges by orienting them away from ``root``."""
+    """Build a tree from undirected edges by orienting them away from ``root``.
+
+    ``root`` and every edge end must be a node id in ``0..n-1``: anything
+    else is a :class:`TreeError` naming it (a negative id would otherwise
+    index from the end, another node).
+    """
+    if not 0 <= root < n:
+        raise TreeError(f"root {root} is not a node id in 0..{n - 1}")
     adj: List[List[int]] = [[] for _ in range(n)]
     edge_count = 0
     for a, b in edges:
+        if not (0 <= a < n and 0 <= b < n):
+            bad = a if not 0 <= a < n else b
+            raise TreeError(f"edge ({a}, {b}): node id {bad} is not in 0..{n - 1}")
         adj[a].append(b)
         adj[b].append(a)
         edge_count += 1

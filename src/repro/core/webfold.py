@@ -19,14 +19,19 @@ The resulting load assignment is tree load balanced (Theorem 1), satisfies
 monotonically non-increasing from root to leaves (Lemma 1).  All of these are
 verified property-based in the test suite.
 
-The implementation keeps a lazy max-heap of foldable candidates, giving
-``O(n log n)``-ish behaviour on large trees (per-fold loads only ever
-increase over a fold's lifetime, so stale heap entries are always
-underestimates and can be skipped safely).  It is seeded with the folds
-whose load is positive: a zero-load fold can never fold, and the merge
-order is that of a heap seeded with every fold.  The fold state is flat
-lists and arrays indexed by fold root, children are read from the tree's
-CSR index, and only the load assignment is built eagerly: the
+The implementation keeps a max-heap of foldable candidates, giving
+``O(n log n)``-ish behaviour on large trees.  An entry is one Python int
+that orders as ``(-load, root)``: the IEEE-754 bits of the load, inverted,
+above the root.  A fold has at most one live entry, the one whose key is
+the fold's current key; an entry left behind when its fold absorbed
+another, or was folded, is skipped when popped.  The heap is seeded with
+the folds whose load exceeds their parent's, the only ones that can fold
+at once; a child joins when its parent folds or, should rounding lower
+the parent's load, when it has become foldable.  The merge order, and so
+every float add, is that of a heap seeded with every positive-load fold
+that pushes a child again each time it is reparented.  The fold state is
+flat lists and arrays indexed by fold root, children are read from the
+tree's CSR index, and only the load assignment is built eagerly: the
 :class:`Fold` and :class:`FoldStep` objects are replayed from the recorded
 fold order when first read.
 
@@ -44,9 +49,10 @@ bit-identical to dividing by ``len(members)`` - loads, partition and trace.
 from __future__ import annotations
 
 import heapq
+import struct
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +66,12 @@ __all__ = ["Fold", "FoldStep", "FoldResult", "webfold"]
 # The ``array`` typecode of an ``intp`` ("l" or "q"): id arrays shared with
 # NumPy as bytes, read and written as Python ints.
 _INTP = np.dtype(np.intp).char
+
+# Heap keys start with the bits of +inf less a load's bits: higher loads
+# sort first, +inf as 0.
+_INF_BITS = 0x7FF0000000000000
+_pack = struct.Struct("<d").pack
+_bits = int.from_bytes
 
 
 @dataclass(frozen=True)
@@ -283,35 +295,53 @@ def webfold(
     adopted: Dict[int, List[int]] = {}
     dead = bytearray(n)
     fold_parent = array(_INTP, tree.parent_array.tobytes())
-    version = [0] * n
     order: List[int] = []
 
-    # Lazy max-heap of foldability candidates: (-load, root, version).  A
-    # fold's load only increases over its lifetime, so an entry with a stale
-    # version is an underestimate and may simply be skipped.  Only positive
-    # loads enter: Foldable(j, i) is a strict ``>`` against a non-negative
-    # load, so a zero-load entry would be popped and dropped, changing
-    # nothing.  The folds, their order and every add are as without them.
-    # (Unit capacities divide and multiply by 1.0, an exact identity: skipped.)
+    # Max-heap of foldability candidates, one int per entry:
+    # ``(INF_BITS - bits(load)) << shift | root``.  A positive float's bits
+    # sort as the float does, so the ints pop in the order of ``(-load,
+    # root)``: highest load first, ties to the smallest root.  queued[r] is
+    # the key of fold r's live entry, or -1; an entry with another key is
+    # stale.  A popped entry that is stale or not foldable changes nothing,
+    # and pop order depends only on the keys present, so the folds, their
+    # order and every add are those of a heap seeded with every
+    # positive-load fold that pushes a child again each time it is
+    # reparented.  (Unit capacities divide and multiply by 1.0, an exact
+    # identity: skipped.)
     cap_array = None if capacities is None else np.asarray(caps)
     loads = np.array(esum) if cap_array is None else np.asarray(esum) / cap_array
-    loads[root] = 0.0
-    seeds = np.flatnonzero(loads > 0.0)
-    heap = list(zip((-loads[seeds]).tolist(), seeds.tolist(), repeat(0)))
+    shift = n.bit_length()
+    mask = (1 << shift) - 1
+    # Seed only the folds that can fold now.  One at or below its parent's
+    # load can fold once that parent has folded (it is then pushed as a
+    # reparented child), or once rounding lowers the parent's load (the end
+    # of the loop).  The root is its own parent: never seeded.
+    seeds = np.flatnonzero(loads > loads[tree.parent_array])
+    heap = [
+        ((_INF_BITS - b) << shift) | r
+        for b, r in zip(loads[seeds].view(np.int64).tolist(), seeds.tolist())
+    ]
+    queued = [-1] * n
+    for key in heap:
+        queued[key & mask] = key
     heapq.heapify(heap)
     pop = heapq.heappop
     push = heapq.heappush
+    top = -1  # the largest key popped so far
     while heap:
-        neg_load, j, ver = pop(heap)
-        if ver != version[j]:  # stale, or j already folded
+        key = pop(heap)
+        if key > top:
+            top = key
+        j = key & mask
+        if queued[j] != key:  # stale
             continue
         i = fold_parent[j]
-        lj = -neg_load  # exact: j's sums only change with its version
-        if not lj > esum[i] / csum[i]:  # Foldable(j, i) is a strict inequality
+        li = esum[i] / csum[i]
+        if not esum[j] / csum[j] > li:  # Foldable(j, i) is a strict inequality
+            queued[j] = -1
             continue
 
         # ---- Fold(j into i): steps (2.1)-(2.4) of Figure 3 ------------
-        version[j] += 1
         dead[j] = 1
         esum[i] += esum[j]
         csum[i] += csum[j]
@@ -324,17 +354,37 @@ def webfold(
             adopted.setdefault(i, []).extend(moved)
             for c in moved:
                 fold_parent[c] = i
-                # a new, lower-load parent: c may have become foldable
-                lc = esum[c] / csum[c]
-                if lc > 0.0:
-                    push(heap, (-lc, c, version[c]))
-        version[i] += 1
+                # a new, lower-load parent: c may have become foldable.  A
+                # live entry already holds c's key.
+                if queued[c] < 0:
+                    lc = esum[c] / csum[c]
+                    if lc > 0.0:
+                        queued[c] = key = ((_INF_BITS - _bits(_pack(lc), "little")) << shift) | c
+                        push(heap, key)
         order.append(j)
         # i's load increased: i itself may now be foldable into its parent.
-        # (Its surviving children only became *less* foldable, and the
-        # reparented ones were pushed above, so nothing else changes.)
+        # A NaN load - both sums overflowed - has no key order.
+        load = esum[i] / csum[i]
+        if load != load:
+            raise ValueError(f"fold {i}: its rate and capacity sums overflow, its load is NaN")
         if i != root:
-            push(heap, (-(esum[i] / csum[i]), i, version[i]))
+            key = ((_INF_BITS - _bits(_pack(load), "little")) << shift) | i
+            if key != queued[i]:  # equal if rounding kept the load's bits
+                queued[i] = key
+                push(heap, key)
+        # Its surviving children only became less foldable, and the
+        # reparented ones were pushed above - unless rounding made i's load
+        # fall.  Then a tree child now above it folds if the fully seeded
+        # heap still holds its seed: it has no live entry and its key is
+        # above every pop, so it was never pushed.
+        if load < li:
+            for c in child_ids[offsets[i] : offsets[i + 1]]:
+                lc = esum[c] / csum[c]
+                if queued[c] < 0 and lc > load:
+                    key = ((_INF_BITS - _bits(_pack(lc), "little")) << shift) | c
+                    if key > top:
+                        queued[c] = key
+                        push(heap, key)
 
     # Every fold j went into was alive then, so walking the folds backwards
     # finds each node's final fold root in one pass.

@@ -11,7 +11,8 @@ and benchmark children record too):
 
 - ``list``, ``run all`` with and without ``--telemetry``, ``obs-report``;
 - every script in ``examples/``;
-- the paper report builders (``pytest benchmarks --ignore=benchmarks/e2e``);
+- the paper report builders (``pytest benchmarks --ignore=benchmarks/e2e
+  --benchmark-disable``: see ``REPORT_BUILDERS``);
 - ``benchmarks/e2e/run.py --quick``;
 - the service drill: ``serve`` on stdio and on a unix socket, the
   lifecycle ops, hostile lines and a hang-up, the socket-path refusals,
@@ -62,6 +63,13 @@ VERDICTS = ("delete", "move", "entry", "keep")
 _CITES = re.compile(r"\[[a-z0-9-]+\]|golden|tests/oracle")
 
 Def = Tuple[str, int]  # (path under src/repro, co_firstlineno)
+
+# pytest for the paper report builders.  pytest-benchmark's timing pause
+# calls sys.setprofile(None) around every benchmark.pedantic call, which is
+# how benchmarks/conftest.py's run_once builds each report: the recorder
+# would see nothing a build runs.  Disabled, the plugin calls the builder
+# plainly, under the recorder.
+REPORT_BUILDERS = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable"]
 
 
 # ----------------------------------------------------------------------
@@ -303,8 +311,7 @@ def run_entry_points(d: Drill) -> None:
     for example in sorted((REPO / "examples").glob("*.py")):
         d.run([sys.executable, str(example)])
     print("report builders and the benchmark at smoke sizes")
-    d.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-           "benchmarks", "--ignore=benchmarks/e2e"])
+    d.run([sys.executable, *REPORT_BUILDERS, "benchmarks", "--ignore=benchmarks/e2e"])
     d.run([sys.executable, str(REPO / "benchmarks" / "e2e" / "run.py"), "--quick",
            "--out", str(work / "e2e")])
     print("service drill")

@@ -5,6 +5,7 @@ The same inputs are refused with the same messages - NaN, infinities and
 negative rates, first offender named - and the accepted ones are stored
 with the same bits: a served value within round-off below zero clamps to
 ``0.0``, and a ``-0.0`` stays ``-0.0``, as ``max(x, 0.0)`` left it.
+``with_served`` checks only the served vector, against the same oracle.
 """
 
 from __future__ import annotations
@@ -27,21 +28,29 @@ def _bits(values):
     return tuple(x.hex() for x in values)  # "-0x0.0p+0" for -0.0
 
 
+def _outcome(build):
+    """``((E bits, L bits), None)`` of what ``build()`` returns, or
+    ``(None, message)`` of its ``ValueError``."""
+    try:
+        e, l = build()
+    except ValueError as exc:
+        return None, str(exc)
+    assert all(type(x) is float for x in e + l)
+    return (_bits(e), _bits(l)), None
+
+
+def _stored(a):
+    return a.spontaneous, a.served
+
+
 def assert_twin(spontaneous, served=None):
     tree = chain_tree(len(spontaneous))
-    try:
-        expected, expected_error = validated(tree.n, spontaneous, served), None
-    except ValueError as exc:
-        expected, expected_error = None, str(exc)
-    try:
-        a = LoadAssignment(tree, spontaneous, served)
-        got, error = (a.spontaneous, a.served), None
-    except ValueError as exc:
-        got, error = None, str(exc)
-    assert error == expected_error
-    if expected is not None:
-        assert [_bits(v) for v in got] == [_bits(v) for v in expected]
-        assert all(type(x) is float for v in got for x in v)
+    expected = _outcome(lambda: validated(tree.n, spontaneous, served))
+    assert _outcome(lambda: _stored(LoadAssignment(tree, spontaneous, served))) == expected
+    if served is not None and (expected[1] is None or "served" in expected[1]):
+        # with_served checks only L: E was checked when its parent was built
+        parent = LoadAssignment(tree, spontaneous)
+        assert _outcome(lambda: _stored(parent.with_served(served))) == expected
 
 
 _VALUE = st.one_of(st.sampled_from(_ODD), st.floats(0.0, 100.0), st.integers(0, 3))
@@ -81,6 +90,14 @@ def test_round_off_clamps_to_positive_zero_and_negative_zero_is_kept():
     a = LoadAssignment(chain_tree(3), [1.0, 1.0, 1.0], [3.0, -1e-10, -0.0])
     assert [math.copysign(1.0, x) for x in a.served[1:]] == [1.0, -1.0]
     assert a.served[1] == 0.0
+
+
+def test_with_served_reuses_the_validated_rates():
+    """``E`` is the parent's tuple, not a re-validated copy."""
+    parent = LoadAssignment(chain_tree(3), [1.0, 2.0, 3.0])
+    child = parent.with_served([3.0, 2.0, 1.0])
+    assert child.spontaneous is parent.spontaneous and child.tree is parent.tree
+    assert child.served == (3.0, 2.0, 1.0) and parent.served == (1.0, 2.0, 3.0)
 
 
 def test_floats_are_stored_as_given():

@@ -21,6 +21,8 @@ from repro.core.tree import (
     tree_from_parent_map,
 )
 
+from repro.cluster.scenarios import rerooted_trees
+
 from tests.helpers import routing_trees
 
 
@@ -103,6 +105,18 @@ class TestConstruction:
     def test_from_edges_disconnected(self):
         with pytest.raises(TreeError, match="not connected"):
             tree_from_edges(4, [(0, 1), (2, 3), (2, 3)])
+
+    @pytest.mark.parametrize("edges, bad", [([(0, 1), (1, -1)], -1), ([(0, 1), (3, 1)], 3)])
+    def test_from_edges_refuses_an_edge_id_out_of_range(self, edges, bad):
+        """A negative id used to index from the end: ``(1, -1)`` joined 1 to 2."""
+        with pytest.raises(TreeError, match=f"node id {bad} is not in 0..2"):
+            tree_from_edges(3, edges)
+
+    @pytest.mark.parametrize("home", [99, 7, -1])
+    def test_rerooting_refuses_a_home_that_is_no_node(self, home):
+        """The serve tree source's reroot names the home (it was an IndexError)."""
+        with pytest.raises(TreeError, match=f"root {home} is not a node id in 0..6"):
+            rerooted_trees(kary_tree(2, 2), [home])
 
 
 class TestAccessors:

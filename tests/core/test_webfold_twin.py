@@ -6,7 +6,10 @@ reproduce it bit for bit: the served loads (compared as ``float.hex``), the
 partition, the whole trace and every fold's sums.  Because heap pop order
 depends only on the set of keys present, ties - integer rates, all-zero and
 zero-heavy vectors, stars whose leaves share a load - are where a changed
-merge order would show first.
+merge order would show first.  The heap's int keys are the bits of the
+loads, so the examples also reach the ends of that encoding: subnormal
+loads, loads near DBL_MAX or overflowing to inf, an absorb that leaves a
+load's bits unchanged, and one whose rounding lowers it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 import importlib
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.tree import RoutingTree, chain_tree, random_tree, star_tree
@@ -45,10 +49,24 @@ def _fingerprint(result):
     )
 
 
+def _outcome(fold, tree, rates, caps):
+    """The fold's fingerprint, or the message of its ``ValueError``."""
+    try:
+        return _fingerprint(fold(tree, rates, caps))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def assert_twin(tree, rates, caps=None):
-    assert _fingerprint(webfold(tree, rates, caps)) == _fingerprint(
-        webfold_heap(tree, rates, caps)
-    )
+    got = _outcome(webfold, tree, rates, caps)
+    expected = _outcome(webfold_heap, tree, rates, caps)
+    if isinstance(got, str) and got.endswith("its load is NaN"):
+        # Refused by name at the merge.  The oracle heap would order NaN
+        # keys arbitrarily, but a NaN fold never folds on either side and
+        # its members' served NaN is refused in the end.
+        assert expected.startswith("ValueError: served rate L[")
+    else:
+        assert got == expected
 
 
 @st.composite
@@ -69,12 +87,20 @@ def shaped_trees(draw, max_nodes: int = 40):
     return RoutingTree(relabelled)
 
 
+_TINY = 5e-324  # the smallest subnormal
+_HUGE = 1.7976931348623157e308  # DBL_MAX
+
 _RATES = {
     "uniform": st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False),
     "integer": st.integers(0, 4).map(float),
     "zero": st.just(0.0),
     "zero_heavy": st.one_of(st.just(0.0), st.just(0.0), st.just(0.0), st.floats(0.0, 10.0)),
+    # the ends of the key encoding: subnormal loads, loads near DBL_MAX or
+    # overflowing to inf once a capacity or a sum scales them
+    "extreme": st.sampled_from([0.0, _TINY, 1e-310, 2.2250738585072014e-308, 1.0, 1e308, _HUGE]),
 }
+
+_CAPS = st.sampled_from([_TINY, 1e-308, 0.5, 1.0, 1e300, _HUGE])
 
 
 @st.composite
@@ -87,15 +113,51 @@ def fold_inputs(draw):
             st.none(),
             st.lists(st.floats(0.25, 8.0), min_size=tree.n, max_size=tree.n),
             st.lists(st.integers(1, 3).map(float), min_size=tree.n, max_size=tree.n),
+            st.lists(_CAPS, min_size=tree.n, max_size=tree.n),
         )
     )
     return tree, rates, caps
 
 
-@settings(max_examples=250, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
 @given(fold_inputs())
+# equal loads at distinct roots: ties go to the smallest root
+@example((star_tree(6), [0.0, 2.0, 2.0, 2.0, 2.0, 2.0], None))
+@example((RoutingTree([3, 3, 3, 3, 3]), [2.0, 2.0, 2.0, 0.0, 2.0], [1.0, 1.0, 1.0, 1.0, 1.0]))
+# a parent with three children still queued when it folds: reparented,
+# not pushed again
+@example((RoutingTree([0, 0, 1, 1, 1]), [0.0, 10.0, 6.0, 6.0, 6.0], None))
+# the absorb leaves fold 1's load bitwise unchanged ((3 + (1 + 2^-52)) / 4
+# rounds to 1.0), so its re-push key equals its live key
+@example((RoutingTree([0, 0, 1]), [0.0, 3.0, 1.0000000000000002], [1.0, 3.0, 1.0]))
+# rounding lowers a merged load (329 / 35 == 9.4, then 9.399999999999999):
+# fold 3 (9.4) was never foldable into fold 1 until then, and still folds
+@example((RoutingTree([0, 0, 1, 1]), [0.0, 329.0, 9.400000000000004, 9.4], [1.0, 35.0, 1.0, 1.0]))
+# subnormal loads
+@example((chain_tree(4), [0.0, _TINY, 1e-310, 2.2250738585072014e-308], [1.0, 0.5, 1e-5, 1.0]))
+# near DBL_MAX through a small capacity, summing to a finite result
+@example((star_tree(3), [0.0, 1e308, 1.0], [1.0, 0.6, 1e-308]))
+# inf loads (a rate over a subnormal capacity) that tie, fold and end finite
+@example((star_tree(3), [0.0, 1.0, 1.0], [1.0, _TINY, _TINY]))
+@example((chain_tree(3), [1.0, 0.0, 1.0], [1.0, 1.0, _TINY]))
+# the rate sum overflows to inf: refused, as a served inf, by both
+@example((chain_tree(3), [0.0, _HUGE, _HUGE], None))
+# both sums overflow: a NaN load, refused by name
+@example((RoutingTree([0, 0, 1]), [0.0, 1e308, _HUGE], [1.0, 1e308, 1e308]))
 def test_flat_fold_matches_heap_oracle(inputs):
     assert_twin(*inputs)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_nan_load_is_refused_naming_its_fold():
+    """Rate and capacity sums that both overflow make a NaN load, which has
+    no place in the heap's order: the fold refuses it by name."""
+    tree, rates, caps = RoutingTree([0, 0, 1]), [0.0, 1e308, _HUGE], [1.0, 1e308, 1e308]
+    with pytest.raises(ValueError, match=r"^fold 1: its rate and capacity sums overflow"):
+        webfold(tree, rates, caps)
+    with pytest.raises(ValueError, match=r"served rate L\[1\]=nan"):
+        webfold_heap(tree, rates, caps)
 
 
 def test_flat_fold_matches_heap_oracle_at_scale():

@@ -87,6 +87,24 @@ class TestServeTreeSpecs:
         replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert replies[0] == {"ok": True, "doc_id": "d"}
 
+    def test_serve_refuses_a_home_outside_the_tree_by_name(self, monkeypatch, capsys):
+        """Each reply is ``Service.execute``'s; a home that is no node id was
+        an ``IndexError`` naming nothing, and the daemon serves on after it."""
+        import io
+        import json
+
+        lines = [
+            {"op": "publish", "doc_id": "x", "home": home, "rates": [1.0] * 7}
+            for home in (99, 7, 0)
+        ]
+        text = "".join(json.dumps(line) + "\n" for line in lines)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text + '{"op":"shutdown"}\n'))
+        assert main(["serve", "--tree", "kary:2,2"]) == 0
+        replies = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert replies[0] == {"ok": False, "error": "TreeError: root 99 is not a node id in 0..6"}
+        assert replies[1] == {"ok": False, "error": "TreeError: root 7 is not a node id in 0..6"}
+        assert replies[2] == {"ok": True, "doc_id": "x"}
+
 
 class TestMisuseIsUniform:
     """Every subcommand's misuse path: usage + registry to stderr, exit 2."""

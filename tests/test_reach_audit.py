@@ -2,14 +2,17 @@
 are the ones code objects carry, and its allow-list names live defs.
 
 Running the entry points takes minutes and is CI's ``reach`` job; these
-checks read source only.
+checks read source, except one that records a two-line report build.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import pathlib
+import sys
 import types
+
+from repro.core.tree import star_tree
 
 AUDIT = pathlib.Path(__file__).parent / "audit"
 _spec = importlib.util.spec_from_file_location("reach", AUDIT / "reach.py")
@@ -60,3 +63,35 @@ def test_allow_list_names_live_defs_and_no_pending_delete():
     names = {(f, q) for (f, _), (q, _, _) in reach.package_defs().items()}
     assert sorted(key for key in allow if key not in names) == []
     assert [key for key, (verdict, _) in allow.items() if verdict == "delete"] == []
+
+
+_PROBE = """
+import importlib.util
+
+spec = importlib.util.spec_from_file_location("bench_conftest", {conftest!r})
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+
+
+def test_build(benchmark):
+    from repro.core.tree import star_tree
+
+    assert bench.run_once(benchmark, star_tree, 3).n == 3
+"""
+
+
+def test_a_function_called_only_inside_a_report_build_is_recorded(tmp_path):
+    """``run_once`` builds a report inside ``benchmark.pedantic``.  Run as
+    the audit runs the builders, the recorder sees the call; without
+    ``--benchmark-disable`` the plugin's timing pause would hide it."""
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(_PROBE.format(conftest=str(reach.REPO / "benchmarks" / "conftest.py")))
+    key = ("core/tree.py", star_tree.__code__.co_firstlineno)
+    timed = [flag for flag in reach.REPORT_BUILDERS if flag != "--benchmark-disable"]
+    seen = []
+    for k, flags in enumerate([reach.REPORT_BUILDERS, timed]):
+        records = tmp_path / f"records{k}"
+        records.mkdir()
+        reach.Drill(tmp_path, records).run([sys.executable, *flags, str(probe)], cwd=tmp_path)
+        seen.append(key in reach.reached(records))
+    assert seen == [True, False]
