@@ -25,7 +25,6 @@ from repro.core import (
     WebWaveConfig,
     degree_edge_alphas,
     fit_gamma,
-    flatten,
     gle_feasible,
     kary_tree,
     random_tree,
@@ -91,8 +90,7 @@ def main() -> None:
     rng = random.Random(0)
     big = random_tree(10_000, rng)
     big_rates = [rng.uniform(0.0, 100.0) for _ in range(big.n)]
-    flat = flatten(big)
-    engine = SyncEngine(flat, big_rates, big_rates, degree_edge_alphas(flat))
+    engine = SyncEngine(big, big_rates, big_rates, degree_edge_alphas(big))
     start = time.perf_counter()
     for _ in range(500):
         engine.step()

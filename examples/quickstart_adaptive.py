@@ -28,7 +28,6 @@ from repro.core.config import EngineConfig
 from repro.core.kernel import (
     SyncEngine,
     degree_edge_alphas,
-    flatten,
     subtree_accumulate,
 )
 from repro.core.tree import kary_tree, random_tree
@@ -37,12 +36,11 @@ from repro.core.tree import kary_tree, random_tree
 def regional_demand(tree, hot_fraction: float, seed: int) -> np.ndarray:
     """Uniform random rates over the one subtree closest to ``hot_fraction * n``
     nodes - the shape where diffusion provably never touches the rest."""
-    flat = flatten(tree)
-    sizes = subtree_accumulate(flat, np.ones(tree.n))
+    sizes = subtree_accumulate(tree, np.ones(tree.n))
     hot = np.zeros(tree.n, dtype=bool)
     hot[int(np.argmin(np.abs(sizes - hot_fraction * tree.n)))] = True
-    for level in reversed(flat.levels):  # shallowest first: mark descendants
-        hot[level] |= hot[flat.parent[level]]
+    for level in reversed(tree.levels):  # shallowest first: mark descendants
+        hot[level] |= hot[tree.parent[level]]
     rates = np.zeros(tree.n)
     rates[hot] = np.random.default_rng(seed).uniform(0.0, 100.0, int(hot.sum()))
     return rates
@@ -54,11 +52,10 @@ def rate_plane() -> None:
     tree = random_tree(n, random.Random(7))
     rates = regional_demand(tree, hot_fraction=0.02, seed=7)
     hot = int(np.count_nonzero(rates))
-    flat = flatten(tree)
-    alphas = degree_edge_alphas(flat)
+    alphas = degree_edge_alphas(tree)
     print(f"Skewed demand: {hot:,} hot servers ({hot / n:.1%} of the tree)\n")
 
-    sparse = SyncEngine(flat, rates, rates, alphas)  # adaptive by default
+    sparse = SyncEngine(tree, rates, rates, alphas)  # adaptive by default
     rounds = 600
     start = time.perf_counter()
     checkpoints = {1, 10, 100, rounds}
@@ -72,7 +69,7 @@ def rate_plane() -> None:
     sparse_s = time.perf_counter() - start
 
     dense = SyncEngine(
-        flat, rates, rates, alphas, config=EngineConfig(adaptive=False)
+        tree, rates, rates, alphas, config=EngineConfig(adaptive=False)
     )
     start = time.perf_counter()
     for _ in range(rounds):

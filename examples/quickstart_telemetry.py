@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.kernel import SyncEngine, degree_edge_alphas, flatten
+from repro.core.kernel import SyncEngine, degree_edge_alphas
 from repro.core.tree import random_tree
 from repro.documents.catalog import Catalog
 from repro.obs import NdjsonSink, Telemetry, read_ndjson, use
@@ -37,13 +37,12 @@ from repro.core.tree import kary_tree
 def instrumented_kernel_run() -> None:
     """Explicit registry: rate kernel with parity check."""
     tree = random_tree(500, random.Random(11))
-    flat = flatten(tree)
     rates = [1.0 if i % 50 == 0 else 0.01 for i in range(tree.n)]
-    alphas = degree_edge_alphas(flat)
+    alphas = degree_edge_alphas(tree)
 
     tel = Telemetry()
-    plain = SyncEngine(flat, rates, rates, alphas)
-    instrumented = SyncEngine(flat, rates, rates, alphas, telemetry=tel)
+    plain = SyncEngine(tree, rates, rates, alphas)
+    instrumented = SyncEngine(tree, rates, rates, alphas, telemetry=tel)
     for _ in range(200):
         plain.step()
         instrumented.step()

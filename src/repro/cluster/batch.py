@@ -35,7 +35,6 @@ import numpy as np
 from ..core.config import EngineConfig
 from ..core.kernel import (
     DiffusionStack,
-    FlatTree,
     _NO_EDGES,
     _as_matrix,
     degree_edge_alphas,
@@ -43,6 +42,7 @@ from ..core.kernel import (
     resettle_served,
 )
 from ..core.steppable import require_kind
+from ..core.tree import RoutingTree
 
 __all__ = ["BatchEngine"]
 
@@ -53,7 +53,7 @@ class BatchEngine(DiffusionStack):
     Parameters
     ----------
     flat:
-        The shared flattened routing tree (all documents have the same
+        The shared routing tree (all documents have the same
         home, hence the same tree).
     spontaneous:
         ``(D, n)`` per-document spontaneous request rates.
@@ -87,7 +87,7 @@ class BatchEngine(DiffusionStack):
 
     def __init__(
         self,
-        flat: FlatTree,
+        flat: RoutingTree,
         spontaneous,
         initial_served=None,
         edge_alpha: Optional[np.ndarray] = None,
@@ -287,7 +287,7 @@ class BatchEngine(DiffusionStack):
         """
         return {
             "kind": self.STATE_KIND,
-            "parent_map": self.flat.tree.parent_array.tolist(),
+            "parent_map": self.flat.parent.tolist(),
             "edge_alpha": self._alpha.tolist(),
             "adaptive": bool(self._adaptive),
             "density_threshold": self._density,

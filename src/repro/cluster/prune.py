@@ -35,13 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.kernel import FlatTree, degree_edge_alphas, flatten, subtree_accumulate
+from ..core.kernel import degree_edge_alphas, subtree_accumulate
 from ..core.tree import RoutingTree
 
 __all__ = ["PrunedTree", "demand_closure", "induced_subtree", "pruned_edge_alphas"]
 
 
-def demand_closure(flat: FlatTree, rates: np.ndarray) -> np.ndarray:
+def demand_closure(tree: RoutingTree, rates: np.ndarray) -> np.ndarray:
     """Boolean mask of nodes whose subtree generates any demand.
 
     ``rates`` is one ``(n,)`` vector or a ``(D, n)`` stack (the closure of
@@ -52,10 +52,10 @@ def demand_closure(flat: FlatTree, rates: np.ndarray) -> np.ndarray:
     arr = np.asarray(rates, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr.sum(axis=0)
-    if arr.shape != (flat.n,):
-        raise ValueError(f"expected {flat.n} rates, got shape {arr.shape}")
-    mask = subtree_accumulate(flat, arr) > 0.0
-    mask[flat.root] = True
+    if arr.shape != (tree.n,):
+        raise ValueError(f"expected {tree.n} rates, got shape {arr.shape}")
+    mask = subtree_accumulate(tree, arr) > 0.0
+    mask[tree.root] = True
     return mask
 
 
@@ -110,14 +110,14 @@ def induced_subtree(tree: RoutingTree, mask: np.ndarray) -> PrunedTree:
     nodes = np.concatenate(([tree.root], kept[kept != tree.root]))
     relabel = np.full(tree.n, -1, dtype=np.intp)
     relabel[nodes] = np.arange(nodes.shape[0])
-    parents = relabel[tree.parent_array[nodes]]
+    parents = relabel[tree.parent[nodes]]
     if parents.min() < 0:
         raise ValueError("mask is not ancestor-closed")
-    return PrunedTree(tree=RoutingTree(parents.tolist()), nodes=nodes)
+    return PrunedTree(tree=RoutingTree(parents), nodes=nodes)
 
 
 def pruned_edge_alphas(
-    full: FlatTree, pruned: PrunedTree, edge_alpha: np.ndarray = None
+    full: RoutingTree, pruned: PrunedTree, edge_alpha: np.ndarray = None
 ) -> np.ndarray:
     """Full-tree edge coefficients mapped onto the pruned tree's edges.
 
@@ -130,5 +130,4 @@ def pruned_edge_alphas(
         edge_alpha = degree_edge_alphas(full)
     alpha_of_child = np.zeros(full.n, dtype=np.float64)
     alpha_of_child[full.edge_child] = np.asarray(edge_alpha, dtype=np.float64)
-    pflat = flatten(pruned.tree)
-    return alpha_of_child[pruned.nodes[pflat.edge_child]]
+    return alpha_of_child[pruned.nodes[pruned.tree.edge_child]]

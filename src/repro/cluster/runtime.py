@@ -6,7 +6,7 @@ PR 1 every engine in the repo still balanced exactly one document;
 :class:`ClusterRuntime` owns the missing plane:
 
 * **catalog -> tree grouping** - documents are grouped by home server
-  (one shared :class:`~repro.core.kernel.FlatTree` per distinct home) and,
+  (one shared :class:`~repro.core.tree.RoutingTree` per distinct home) and,
   within a home, into *cohorts* by demand closure
   (:mod:`repro.cluster.prune`), each cohort one
   :class:`~repro.cluster.batch.BatchEngine` over its pruned tree;
@@ -46,7 +46,6 @@ from ..core.config import EngineConfig
 from ..core.kernel import (
     check_rates,
     edge_alphas,
-    flatten,
     resettle_served,
     state_field,
 )
@@ -214,15 +213,14 @@ class _Cohort:
 class _HomeGroup:
     """All cohorts rooted at one home server."""
 
-    __slots__ = ("home", "tree", "flat", "edge_alpha", "cohorts")
+    __slots__ = ("home", "tree", "edge_alpha", "cohorts")
 
     def __init__(self, home: int, tree: RoutingTree, alpha: Optional[float]) -> None:
         if tree.root != home:
             raise ClusterError(f"tree for home {home} is rooted at {tree.root}")
         self.home = home
         self.tree = tree
-        self.flat = flatten(tree)
-        self.edge_alpha = edge_alphas(self.flat, alpha)
+        self.edge_alpha = edge_alphas(tree, alpha)
         self.cohorts: Dict[bytes, _Cohort] = {}
 
 
@@ -247,10 +245,10 @@ def _new_cohort(
     ``(D, n)`` rows ``rates`` / ``served``."""
     pruned = induced_subtree(group.tree, mask)
     engine = BatchEngine(
-        flatten(pruned.tree),
+        pruned.tree,
         pruned.restrict(rates),
         pruned.restrict(served),
-        pruned_edge_alphas(group.flat, pruned, group.edge_alpha),
+        pruned_edge_alphas(group.tree, pruned, group.edge_alpha),
         config=EngineConfig(adaptive=adaptive),
         telemetry=telemetry,
     )
@@ -520,7 +518,7 @@ class ClusterRuntime:
                         )
                     n = tree.n
             rates_arr = self._as_rates(rates, n)
-            closure = demand_closure(group.flat, rates_arr)
+            closure = demand_closure(group.tree, rates_arr)
             if served is None:
                 served_arr = rates_arr.copy()
             else:
@@ -530,7 +528,7 @@ class ClusterRuntime:
                 # silently dropped.
                 served_arr = self._as_rates(served, n, "served rates")
                 if float(served_arr[~closure].sum()) > 0.0:
-                    served_arr = resettle_served(group.flat, rates_arr, served_arr)
+                    served_arr = resettle_served(group.tree, rates_arr, served_arr)
             key = np.packbits(closure).tobytes()
             prepared.append((doc_id, home, key, closure, rates_arr, served_arr))
         self._groups.update(new_groups)
@@ -605,7 +603,7 @@ class ClusterRuntime:
         """
         group, cohort, row = self._cohort_of(doc_id)
         rates_arr = self._as_rates(rates, self._n)
-        key = np.packbits(demand_closure(group.flat, rates_arr)).tobytes()
+        key = np.packbits(demand_closure(group.tree, rates_arr)).tobytes()
         if key == self._doc_cohort[doc_id]:
             cohort.engine.resettle_rows([row], cohort.pruned.restrict(rates_arr)[None, :])
             self._wake(group.home, key, cohort)
@@ -615,7 +613,7 @@ class ClusterRuntime:
         # outside the new closure must flow up through it), then move the
         # document to its new cohort.
         served = cohort.pruned.expand(cohort.engine.loads_of(row), self._n)
-        resettled = resettle_served(group.flat, rates_arr, served)
+        resettled = resettle_served(group.tree, rates_arr, served)
         home = self._doc_home[doc_id]
         self.retire(doc_id)
         self.publish_many([(doc_id, home, rates_arr, resettled)])
@@ -789,7 +787,7 @@ class ClusterRuntime:
             cohorts = []
             for key, cohort in group.cohorts.items():
                 mask = np.unpackbits(
-                    np.frombuffer(key, dtype=np.uint8), count=group.flat.n
+                    np.frombuffer(key, dtype=np.uint8), count=group.tree.n
                 ).astype(bool)
                 cohorts.append(
                     {
@@ -814,7 +812,7 @@ class ClusterRuntime:
             groups.append(
                 {
                     "home": int(home),
-                    "parent_map": group.tree.parent_array.tolist(),
+                    "parent_map": group.tree.parent.tolist(),
                     "cohorts": cohorts,
                 }
             )
@@ -893,7 +891,7 @@ class ClusterRuntime:
                 mask[nodes] = True
                 if not mask[home]:
                     raise ValueError(f"{what} 'nodes' must hold home {home}")
-                if not mask[tree.parent_array[nodes]].all():
+                if not mask[tree.parent[nodes]].all():
                     raise ValueError(f"{what} 'nodes' must be ancestor-closed")
                 key = np.packbits(mask).tobytes()
                 if key in group.cohorts:

@@ -34,7 +34,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.tree import RoutingTree, kary_tree, tree_from_edges
+from ..core.tree import RoutingTree, kary_tree
 from ..documents.catalog import Catalog
 from ..documents.document import Document
 from ..documents.popularity import ZipfPopularity
@@ -128,14 +128,7 @@ def rerooted_trees(
     on the route to the home); rerooting the one underlying tree gives the
     forest a multi-home catalog diffuses over.
     """
-    edges = [
-        (node, parent)
-        for node, parent in enumerate(tree.parent_map)
-        if node != parent
-    ]
-    return {
-        int(home): tree_from_edges(tree.n, edges, root=int(home)) for home in homes
-    }
+    return {int(home): tree.rerooted(int(home)) for home in homes}
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ This package contains everything Sections 2-5 of the paper define:
 from .barriers import DocumentWebWave, DocumentWebWaveConfig, find_potential_barriers
 from .constraints import gle_feasible
 from .convergence import fit_gamma
-from .kernel import SyncEngine, degree_edge_alphas, flatten
+from .kernel import SyncEngine, degree_edge_alphas
 from .tree import kary_tree, random_tree
 from .webfold import webfold
 from .webwave import WebWaveConfig, run_webwave
@@ -34,7 +34,6 @@ __all__ = [
     "degree_edge_alphas",
     "find_potential_barriers",
     "fit_gamma",
-    "flatten",
     "gle_feasible",
     "kary_tree",
     "random_tree",

@@ -14,8 +14,8 @@ bounded by the child's forwarded rate, sheds up by the node's own served
 rate.
 
 :class:`AsyncWebWave` is a facade over
-:class:`repro.core.kernel.AsyncEngine`, which shares the flattened tree
-arrays, edge coefficients, and incremental forwarded-rate bookkeeping with
+:class:`repro.core.kernel.AsyncEngine`, which shares the tree's arrays,
+edge coefficients, and incremental forwarded-rate bookkeeping with
 the synchronous engines.
 """
 
@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .kernel import AsyncEngine, edge_alphas, flatten
+from .kernel import AsyncEngine, edge_alphas
 from .load import LoadAssignment
 from .tree import RoutingTree
 from .webfold import webfold
@@ -65,12 +65,11 @@ class AsyncWebWave:
             raise ValueError("max_staleness must be >= 0")
         self._tree = tree
         self._base = LoadAssignment(tree, spontaneous, initial_served)
-        flat = flatten(tree)
         self._engine = AsyncEngine(
-            flat,
+            tree,
             self._base.spontaneous,
             self._base.served,
-            edge_alphas(flat, alpha, safe=False),
+            edge_alphas(tree, alpha, safe=False),
             rng,
             max_staleness=max_staleness,
         )

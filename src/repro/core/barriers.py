@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .kernel import edge_alpha_map, edge_alphas, flatten
+from .kernel import edge_alpha_map, edge_alphas
 from .load import LoadAssignment
 from .policy import greedy_delegate, greedy_pull, greedy_shed
 from .tree import RoutingTree
@@ -175,8 +175,7 @@ class DocumentWebWave:
         self._round = 0
         self._tunnel_events: List[TunnelEvent] = []
         self._stagnant: List[int] = [0] * tree.n
-        flat = flatten(tree)
-        self._alpha = edge_alpha_map(flat, edge_alphas(flat, self._cfg.alpha, safe=False))
+        self._alpha = edge_alpha_map(tree, edge_alphas(tree, self._cfg.alpha, safe=False))
         # settled state, refreshed by _settle()
         self._served: List[Dict[str, float]] = [dict() for _ in tree]
         self._forwarded: List[Dict[str, float]] = [dict() for _ in tree]
@@ -307,7 +306,7 @@ class DocumentWebWave:
     def _detect_and_tunnel(self, loads: Sequence[float], gained: Sequence[bool]) -> None:
         tree = self._w.tree
         for node in tree:
-            parent = tree.parent(node)
+            parent = tree.parent_of(node)
             if parent is None:
                 continue
             underloaded = loads[node] + self._cfg.tolerance < loads[parent]
@@ -356,11 +355,11 @@ class DocumentWebWave:
 
     def _nearest_ancestor_with(self, node: int, doc: str) -> Optional[int]:
         tree = self._w.tree
-        u = tree.parent(node)
+        u = tree.parent_of(node)
         while u is not None:
             if doc in self._cached[u]:
                 return u
-            u = tree.parent(u)
+            u = tree.parent_of(u)
         return None
 
     # ------------------------------------------------------------------
@@ -410,7 +409,7 @@ def find_potential_barriers(model: DocumentWebWave) -> List[int]:
     loads = model.loads()
     barriers: List[int] = []
     for j in tree:
-        parent = tree.parent(j)
+        parent = tree.parent_of(j)
         kids = tree.children(j)
         if parent is None or len(kids) < 2:
             continue

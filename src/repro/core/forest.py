@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .kernel import ForestEngine, edge_alphas, flatten
+from .kernel import ForestEngine, edge_alphas
 from .load import LoadAssignment
 from .tree import RoutingTree
 from .webfold import webfold
@@ -86,7 +86,6 @@ class ForestWebWave:
         self._homes = tuple(sorted(trees))
         self._trees = {h: trees[h] for h in self._homes}
         self._base: Dict[int, LoadAssignment] = {}
-        flats = {}
         alphas = {}
         for home in self._homes:
             tree = self._trees[home]
@@ -94,11 +93,9 @@ class ForestWebWave:
                 raise ValueError(f"tree for home {home} is rooted at {tree.root}")
             # validates the demand vector (length, non-negativity)
             self._base[home] = LoadAssignment(tree, demands[home])
-            flat = flatten(tree)
-            flats[home] = flat
-            alphas[home] = edge_alphas(flat, alpha, safe=False)
+            alphas[home] = edge_alphas(tree, alpha, safe=False)
         self._engine = ForestEngine(
-            flats,
+            self._trees,
             {h: self._base[h].spontaneous for h in self._homes},
             alphas,
         )

@@ -31,7 +31,9 @@ slot numbering.  The frontier is kept up in slot space: an active pair
 stays iff its transfer is nonzero or an endpoint's load changed bitwise,
 and a pair that is *not* active can only enter through a changed node that
 holds fewer active pairs than tree edges.  Only those nodes go through the
-node -> incident-edge CSR index (:func:`incident_edges_of`, or
+node -> incident-edge CSR index
+(:attr:`~repro.core.tree.RoutingTree.incident_edge_csr`, through
+:func:`incident_edges_of`, or
 :func:`batch_incident_edges` for the flattened ``document * edge`` ids of
 a ``D``-document stack), and only such a round re-sorts the frontier
 (:func:`sorted_unique`); otherwise the surviving pairs keep their order.
@@ -39,14 +41,12 @@ a ``D``-document stack), and only such a round re-sorts the frontier
 
 from __future__ import annotations
 
-import weakref
 from typing import Tuple
 
 import numpy as np
 
 __all__ = [
     "node_slots",
-    "incident_edge_csr",
     "csr_gather",
     "incident_edges_of",
     "batch_incident_edges",
@@ -96,35 +96,6 @@ def node_slots(
     return np.concatenate([children, extra]), scratch[parents]
 
 
-# Weak-keyed like kernel._FLAT_CACHE: the CSR lives as long as the tree.
-_INCIDENT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def incident_edge_csr(flat) -> Tuple[np.ndarray, np.ndarray]:
-    """The (offsets, edge_ids) CSR of edges incident to each node.
-
-    ``edge_ids[offsets[i]:offsets[i + 1]]`` are the edge indices touching
-    node ``i`` - its own parent edge (unless it is the root) and one edge
-    per child - in ascending edge order.  Cached per :class:`FlatTree`.
-    """
-    cached = _INCIDENT_CACHE.get(flat)
-    if cached is not None:
-        return cached
-    n = flat.n
-    m = flat.edge_child.shape[0]
-    endpoints = np.concatenate([flat.edge_parent, flat.edge_child])
-    edge_ids = np.concatenate([np.arange(m, dtype=np.intp)] * 2) if m else (
-        np.zeros(0, dtype=np.intp)
-    )
-    order = np.argsort(endpoints, kind="stable")
-    ids = edge_ids[order]
-    offsets = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(endpoints, minlength=n), out=offsets[1:])
-    result = (offsets, ids)
-    _INCIDENT_CACHE[flat] = result
-    return result
-
-
 def csr_gather(
     offsets: np.ndarray, ids: np.ndarray, nodes: np.ndarray
 ) -> np.ndarray:
@@ -140,13 +111,13 @@ def csr_gather(
     return ids[idx]
 
 
-def incident_edges_of(flat, nodes: np.ndarray) -> np.ndarray:
+def incident_edges_of(tree, nodes: np.ndarray) -> np.ndarray:
     """Edge indices incident to any of ``nodes`` (with repetitions)."""
-    offsets, ids = incident_edge_csr(flat)
+    offsets, ids = tree.incident_edge_csr
     return csr_gather(offsets, ids, nodes)
 
 
-def batch_incident_edges(flat, flat_nodes: np.ndarray) -> np.ndarray:
+def batch_incident_edges(tree, flat_nodes: np.ndarray) -> np.ndarray:
     """Flat ``doc * m + edge`` indices incident to flat ``doc * n + node`` ids.
 
     A :class:`~repro.core.kernel.DiffusionStack` of ``D`` documents
@@ -156,9 +127,9 @@ def batch_incident_edges(flat, flat_nodes: np.ndarray) -> np.ndarray:
     """
     if flat_nodes.size == 0:
         return np.zeros(0, dtype=np.intp)
-    n = flat.n
-    m = flat.edge_child.shape[0]
-    offsets, ids = incident_edge_csr(flat)
+    n = tree.n
+    m = tree.edge_child.shape[0]
+    offsets, ids = tree.incident_edge_csr
     docs = flat_nodes // n
     nodes = flat_nodes - docs * n
     counts = offsets[nodes + 1] - offsets[nodes]

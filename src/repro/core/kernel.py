@@ -13,9 +13,9 @@ the capacity-weighted variant, the forest of overlapping trees, and the
 asynchronous single-node version - each as its own pure-Python dict loop.
 This module is the single array-based engine they all delegate to now:
 
-* :class:`FlatTree` flattens a :class:`~repro.core.tree.RoutingTree` into
-  CSR-style NumPy arrays (parent pointers, one edge per non-root node in
-  ascending child order, depth levels, a children index);
+* every engine steps a :class:`~repro.core.tree.RoutingTree` directly:
+  its parent pointers, one edge per non-root node in ascending child
+  order, depth levels and children index are NumPy arrays already;
 * :class:`DiffusionStack` is the one array implementation of the
   synchronous round: ``D`` load vectors over one tree, one dense and one
   sparse pass, the per-edge transfer rule as its parameter;
@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import itertools
 import numbers
-import weakref
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,7 +84,6 @@ from .tree import RoutingTree, tree_from_parent_map
 
 __all__ = [
     "EngineConfig",
-    "FlatTree",
     "flatten",
     "degree_edge_alphas",
     "fixed_edge_alphas",
@@ -103,105 +101,16 @@ __all__ = [
 _EPS = 1e-12
 
 
-class FlatTree:
-    """CSR-style array view of one :class:`RoutingTree`.
-
-    Everything the engines touch per round lives in dense NumPy arrays:
-
-    ``parent``
-        ``parent[i]`` is the parent of ``i`` (the root maps to itself).
-    ``edge_child`` / ``edge_parent``
-        One entry per tree edge, in ascending child id - the same edge
-        order the seed loops iterated in.  ``edge_child`` is every
-        non-root node; ``edge_parent`` its parent.
-    ``levels``
-        Node ids grouped by depth, deepest level first; bottom-up
-        aggregates (subtree sums, the forwarded rates ``A``) are one
-        scatter-add per level.
-    ``child_offsets`` / ``child_ids``
-        CSR children index: the children of ``i`` are
-        ``child_ids[child_offsets[i]:child_offsets[i+1]]``, ascending.
-    ``degree``
-        Tree degree (parent + children count), the paper's default
-        step-size denominator ``alpha_i = 1/(deg_i + 1)``.
-    """
-
-    __slots__ = (
-        "tree",
-        "n",
-        "root",
-        "parent",
-        "edge_child",
-        "edge_parent",
-        "levels",
-        "child_offsets",
-        "child_ids",
-        "degree",
-        "_children_lists",
-        "__weakref__",
-    )
-
-    def __init__(self, tree: RoutingTree) -> None:
-        n = tree.n
-        root = tree.root
-        parent = tree.parent_array
-        self.tree = tree
-        self.n = n
-        self.root = root
-        self.parent = parent
-        ids = np.arange(n, dtype=np.intp)
-        self.edge_child = np.delete(ids, root)
-        self.edge_parent = parent[self.edge_child]
-        # One sort by depth (ids ascending within a level: the keys are
-        # unique), split at the level boundaries, deepest level first.
-        depth = tree.depth_array
-        by_depth = np.argsort(depth * n + ids)
-        bounds = np.cumsum(np.bincount(depth)).tolist()
-        self.levels = [
-            by_depth[bounds[d - 1] : bounds[d]] for d in range(len(bounds) - 1, 0, -1)
-        ]
-        self.child_offsets = tree.child_offsets
-        self.child_ids = tree.child_ids
-        self.degree = np.diff(self.child_offsets) + (ids != root)
-        self._children_lists: Optional[List[List[int]]] = None
-
-    def children_lists(self) -> List[List[int]]:
-        """Per-node children as plain lists (built once, shared).
-
-        The asynchronous engine and the packet protocol loop over one
-        node's children in Python per activation; materializing the lists
-        once keeps ``ndarray.tolist`` off those hot paths.
-        """
-        lists = self._children_lists
-        if lists is None:
-            lists = [
-                self.child_ids[self.child_offsets[i] : self.child_offsets[i + 1]].tolist()
-                for i in range(self.n)
-            ]
-            self._children_lists = lists
-        return lists
-
-
-# Weak-valued so a tree's arrays live exactly as long as something (an
-# engine, a facade) still holds the FlatTree; no process-lifetime pinning.
-_FLAT_CACHE: "weakref.WeakValueDictionary[RoutingTree, FlatTree]" = (
-    weakref.WeakValueDictionary()
-)
-
-
-def flatten(tree: RoutingTree) -> FlatTree:
-    """The (cached) :class:`FlatTree` for an immutable routing tree."""
-    flat = _FLAT_CACHE.get(tree)
-    if flat is None:
-        flat = FlatTree(tree)
-        _FLAT_CACHE[tree] = flat
-    return flat
+def flatten(tree: RoutingTree) -> RoutingTree:
+    """The tree itself.  Kept only for the benchmark scripts under
+    ``benchmarks/e2e``, which still call it; the engines take the tree."""
+    return tree
 
 
 # ----------------------------------------------------------------------
 # Bottom-up aggregates
 # ----------------------------------------------------------------------
-def subtree_accumulate(flat: FlatTree, values: np.ndarray) -> np.ndarray:
+def subtree_accumulate(tree: RoutingTree, values: np.ndarray) -> np.ndarray:
     """For each node, the sum of ``values`` over its subtree (vectorized).
 
     One ``np.add.at`` scatter per level, deepest first: every node's
@@ -211,14 +120,14 @@ def subtree_accumulate(flat: FlatTree, values: np.ndarray) -> np.ndarray:
     accumulation runs along the last axis for every row at once.
     """
     acc = np.array(values, dtype=np.float64, copy=True)
-    parent = flat.parent
-    for level in flat.levels:
+    parent = tree.parent
+    for level in tree.levels:
         np.add.at(acc, (Ellipsis, parent[level]), acc[..., level])
     return acc
 
 
 def forwarded_rates(
-    flat: FlatTree, spontaneous: np.ndarray, served: np.ndarray
+    tree: RoutingTree, spontaneous: np.ndarray, served: np.ndarray
 ) -> np.ndarray:
     """``A_i = E_i + sum_{j in C_i} A_j - L_i`` for every node.
 
@@ -226,11 +135,11 @@ def forwarded_rates(
     negative value flags an infeasible assignment (NSS violated).
     Accepts leading batch axes like :func:`subtree_accumulate`.
     """
-    return subtree_accumulate(flat, spontaneous - served)
+    return subtree_accumulate(tree, spontaneous - served)
 
 
 def resettle_served(
-    flat: FlatTree, rates: np.ndarray, served: np.ndarray
+    tree: RoutingTree, rates: np.ndarray, served: np.ndarray
 ) -> np.ndarray:
     """Clamp carried-over served rates to the flow a new demand supports.
 
@@ -243,26 +152,26 @@ def resettle_served(
     """
     arriving = np.array(rates, dtype=np.float64, copy=True)
     loads = np.zeros_like(arriving)
-    parent = flat.parent
-    for level in flat.levels:
+    parent = tree.parent
+    for level in tree.levels:
         kept = np.minimum(served[..., level], arriving[..., level])
         loads[..., level] = kept
         np.add.at(arriving, (Ellipsis, parent[level]), arriving[..., level] - kept)
-    loads[..., flat.root] = arriving[..., flat.root]
+    loads[..., tree.root] = arriving[..., tree.root]
     return loads
 
 
 # ----------------------------------------------------------------------
 # Edge-coefficient policies
 # ----------------------------------------------------------------------
-def degree_edge_alphas(flat: FlatTree) -> np.ndarray:
+def degree_edge_alphas(tree: RoutingTree) -> np.ndarray:
     """The paper's default ``min(1/(deg_i + 1), 1/(deg_j + 1))`` per edge."""
-    inv = 1.0 / (flat.degree.astype(np.float64) + 1.0)
-    return np.minimum(inv[flat.edge_parent], inv[flat.edge_child])
+    inv = 1.0 / (tree.degree.astype(np.float64) + 1.0)
+    return np.minimum(inv[tree.edge_parent], inv[tree.edge_child])
 
 
 def fixed_edge_alphas(
-    flat: FlatTree, alpha: float, safe: bool = True
+    tree: RoutingTree, alpha: float, safe: bool = True
 ) -> np.ndarray:
     """One diffusion coefficient for every edge.
 
@@ -270,19 +179,19 @@ def fixed_edge_alphas(
     ``1/(max_deg_endpoint + 1)`` so loads stay non-negative; ``safe=False``
     reproduces the ablation study's unguarded setting.
     """
-    m = flat.edge_child.shape[0]
+    m = tree.edge_child.shape[0]
     if not safe:
         return np.full(m, float(alpha))
-    deg = flat.degree
+    deg = tree.degree
     cap = 1.0 / (
-        np.maximum(deg[flat.edge_parent], deg[flat.edge_child]).astype(np.float64)
+        np.maximum(deg[tree.edge_parent], deg[tree.edge_child]).astype(np.float64)
         + 1.0
     )
     return np.minimum(float(alpha), cap)
 
 
 def edge_alphas(
-    flat: FlatTree, alpha: Optional[float] = None, safe: bool = True
+    tree: RoutingTree, alpha: Optional[float] = None, safe: bool = True
 ) -> np.ndarray:
     """The coefficient policy every facade shares.
 
@@ -290,18 +199,18 @@ def edge_alphas(
     applies one value per edge, safety-capped unless ``safe=False``.
     """
     if alpha is None:
-        return degree_edge_alphas(flat)
-    return fixed_edge_alphas(flat, alpha, safe=safe)
+        return degree_edge_alphas(tree)
+    return fixed_edge_alphas(tree, alpha, safe=safe)
 
 
 def edge_alpha_map(
-    flat: FlatTree, alphas: np.ndarray
+    tree: RoutingTree, alphas: np.ndarray
 ) -> Dict[Tuple[int, int], float]:
     """Per-edge alphas as a ``(parent, child)``-keyed dict (the per-document
     simulator's edge order and the round oracle's input)."""
     return {
         (int(p), int(c)): float(a)
-        for p, c, a in zip(flat.edge_parent, flat.edge_child, alphas)
+        for p, c, a in zip(tree.edge_parent, tree.edge_child, alphas)
     }
 
 
@@ -400,7 +309,7 @@ _NO_EDGES = np.zeros(0, dtype=np.intp)
 # The one array round: D load vectors over one tree
 # ----------------------------------------------------------------------
 class DiffusionStack:
-    """``D`` load vectors over one :class:`FlatTree` and the array round
+    """``D`` load vectors over one :class:`RoutingTree` and the array round
     that advances them - the single implementation of Figure 5 in arrays.
 
     State is ``(D, n)``: spontaneous rates, served loads and the
@@ -454,7 +363,7 @@ class DiffusionStack:
 
     def __init__(
         self,
-        flat: FlatTree,
+        flat: RoutingTree,
         spontaneous: np.ndarray,
         served: np.ndarray,
         edge_alpha: np.ndarray,
@@ -799,7 +708,7 @@ class DiffusionStack:
         capture that raises leaves the stack untouched.
         """
         what = self.STATE_KIND
-        if state_counts(state, "parent_map", what) != self.flat.tree.parent_map:
+        if state_counts(state, "parent_map", what) != self.flat.parent_map:
             raise ValueError(f"{what} state was captured on a different tree")
         n = self.flat.n
         m = n - 1
@@ -840,7 +749,7 @@ class DiffusionStack:
 # Synchronous engine (single tree): WebWave + weighted variant
 # ----------------------------------------------------------------------
 class SyncEngine(DiffusionStack):
-    """Synchronous rounds of the Figure 5 update on one flattened tree.
+    """Synchronous rounds of the Figure 5 update on one tree.
 
     The engine is a :class:`DiffusionStack` with ``D = 1`` (vectors in
     and out, one row inside) plus the single-document policies; every
@@ -911,7 +820,7 @@ class SyncEngine(DiffusionStack):
 
     def __init__(
         self,
-        flat: FlatTree,
+        flat: RoutingTree,
         spontaneous: Sequence[float],
         initial_served: Sequence[float],
         edge_alpha: np.ndarray,
@@ -1110,7 +1019,7 @@ class SyncEngine(DiffusionStack):
         active = self._active
         return {
             "kind": self.STATE_KIND,
-            "parent_map": self.flat.tree.parent_array.tolist(),
+            "parent_map": self.flat.parent.tolist(),
             "edge_alpha": self._alpha.tolist(),
             "capacities": None if self._caps is None else self._caps.tolist(),
             "gossip_delay": self._delay,
@@ -1160,10 +1069,10 @@ class SyncEngine(DiffusionStack):
         """Rebuild an engine from nothing but a :meth:`state` dict."""
         require_kind(cls, state)
         parent = state_counts(state, "parent_map", cls.STATE_KIND)
-        flat = flatten(tree_from_parent_map(parent))
-        blank = np.zeros(flat.n)
+        tree = tree_from_parent_map(parent)
+        blank = np.zeros(tree.n)
         engine = cls(
-            flat, blank, blank, np.zeros(flat.n - 1), telemetry=telemetry
+            tree, blank, blank, np.zeros(tree.n - 1), telemetry=telemetry
         )
         engine.load_state(state)
         return engine
@@ -1187,7 +1096,7 @@ class ForestEngine:
 
     def __init__(
         self,
-        flats: Mapping[int, FlatTree],
+        flats: Mapping[int, RoutingTree],
         demands: Mapping[int, Sequence[float]],
         edge_alphas: Mapping[int, np.ndarray],
         *,
@@ -1282,7 +1191,7 @@ class AsyncEngine:
 
     def __init__(
         self,
-        flat: FlatTree,
+        flat: RoutingTree,
         spontaneous: Sequence[float],
         initial_served: Sequence[float],
         edge_alpha: np.ndarray,
@@ -1303,7 +1212,7 @@ class AsyncEngine:
         self._history: List[np.ndarray] = [self._loads.copy()]
         self._fwd = forwarded_rates(flat, self._e, self._loads)
         self._activations = 0
-        self._children = flat.children_lists()
+        self._children = flat.children_map
         self._served_cache: Optional[Tuple[int, Tuple[float, ...]]] = None
         self._tel = tel = _resolve_telemetry(telemetry)
         self._tel_activations = (

@@ -16,8 +16,7 @@ allows results to be stored in flat arrays.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "RoutingTree",
     "TreeError",
     "tree_from_parent_map",
-    "tree_from_edges",
     "chain_tree",
     "star_tree",
     "kary_tree",
@@ -46,8 +44,9 @@ class RoutingTree:
     Parameters
     ----------
     parent:
-        Sequence of length ``n`` where ``parent[i]`` is the parent of node
-        ``i``, and ``parent[root] == root`` marks the root.  Exactly one such
+        Sequence of length ``n`` (a list of ints or an integer ``ndarray``)
+        where ``parent[i]`` is the parent of node ``i``, and
+        ``parent[root] == root`` marks the root.  Exactly one such
         self-loop must exist, every node must reach the root, and no cycles
         are permitted.
 
@@ -56,26 +55,49 @@ class RoutingTree:
     Children lists are sorted by node id so that every traversal is
     deterministic; the simulation layers rely on this for reproducibility.
 
-    The structure is built once, as read-only ``intp`` arrays - the parent
-    map, a children CSR index and every node's depth - and
-    :class:`repro.core.kernel.FlatTree` shares them.  The tuple accessors
-    (the BFS order included) materialize on first use, then are cached.
+    The structure is built once as ``intp`` arrays, which the diffusion
+    kernels index directly (all read-only but the two edge arrays):
+
+    ``parent``
+        ``parent[i]`` is the parent of ``i`` (the root maps to itself).
+    ``edge_child`` / ``edge_parent``
+        One entry per tree edge, in ascending child id: ``edge_child`` is
+        every non-root node, ``edge_parent`` its parent.
+    ``child_offsets`` / ``child_ids``
+        CSR children index: the children of ``i`` are
+        ``child_ids[child_offsets[i]:child_offsets[i + 1]]``, ascending.
+    ``depth_array`` / ``degree``
+        Every node's depth, and its tree degree (parent + children), the
+        paper's default step-size denominator ``alpha_i = 1/(deg_i + 1)``.
+
+    What needs a sort or a Python loop - :attr:`levels`,
+    :attr:`children_map`, :attr:`incident_edge_csr` and the tuple
+    accessors (the BFS order included) - materializes on first use and is
+    then cached on the tree.
     """
 
     __slots__ = (
-        "_parent", "_offsets", "_child_ids", "_depth", "_root",
-        "_parent_t", "_children_t", "_order_t", "_hash",
+        "n", "root", "parent", "edge_child", "edge_parent", "child_offsets",
+        "child_ids", "depth_array", "degree",
+        "_levels", "_children_t", "_incident", "_parent_t", "_order_t", "_hash",
     )
 
     def __init__(self, parent: Sequence[int]) -> None:
         n = len(parent)
         if n == 0:
             raise TreeError("a routing tree must contain at least one node")
-        parent_t = count_tuple(parent)  # 0.9, "0" and True are not node ids
-        if parent_t is None or max(parent_t) >= n:
-            i = next(i for i, p in enumerate(parent) if not (is_count(p) and p < n))
-            raise TreeError(f"parent[{i}]={parent[i]!r} is not a node id in 0..{n - 1}")
-        up = np.array(parent_t, dtype=np.intp)
+        if isinstance(parent, np.ndarray) and parent.ndim == 1 and parent.dtype.kind in "iu":
+            bad = np.flatnonzero((parent < 0) | (parent >= n))
+            if bad.size:
+                i = int(bad[0])
+                raise TreeError(f"parent[{i}]={int(parent[i])} is not a node id in 0..{n - 1}")
+            up = parent.astype(np.intp)  # a copy: the caller's array stays theirs
+        else:
+            parent_t = count_tuple(parent)  # 0.9, "0" and True are not node ids
+            if parent_t is None or max(parent_t) >= n:
+                i = next(i for i, p in enumerate(parent) if not (is_count(p) and p < n))
+                raise TreeError(f"parent[{i}]={parent[i]!r} is not a node id in 0..{n - 1}")
+            up = np.array(parent_t, dtype=np.intp)
         ids = np.arange(n, dtype=np.intp)
         roots = np.flatnonzero(up == ids)
         if roots.size != 1:
@@ -90,104 +112,141 @@ class RoutingTree:
         offsets = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(above, minlength=n), out=offsets[1:])
         depth = _depths(up, root)
+        degree = np.diff(offsets) + (ids != root)
 
-        for a in (up, offsets, child_ids, depth):
+        # The edge arrays stay writeable (nothing writes them): ``np.take``
+        # copies a read-only index array on every call, and every dense
+        # round takes by ``edge_parent``.
+        for a in (up, offsets, child_ids, depth, degree):
             a.flags.writeable = False
-        self._parent = up
-        self._offsets = offsets
-        self._child_ids = child_ids
-        self._depth = depth
-        self._root = root
-        self._parent_t: Optional[Tuple[int, ...]] = None
+        self.n = n
+        self.root = root
+        self.parent = up
+        self.edge_child = child
+        self.edge_parent = above
+        self.child_offsets = offsets
+        self.child_ids = child_ids
+        self.depth_array = depth
+        self.degree = degree
+        self._levels: Optional[Tuple[np.ndarray, ...]] = None
         self._children_t: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._incident: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._parent_t: Optional[Tuple[int, ...]] = None
         self._order_t: Optional[Tuple[int, ...]] = None
         self._hash: Optional[int] = None
 
-    # ------------------------------------------------------------------
-    # Arrays (read-only, shared with FlatTree)
-    # ------------------------------------------------------------------
-    @property
-    def parent_array(self) -> np.ndarray:
-        """``parent_map`` as an ``intp`` array."""
-        return self._parent
-
-    @property
-    def child_offsets(self) -> np.ndarray:
-        """CSR offsets: the children of ``i`` are
-        ``child_ids[child_offsets[i]:child_offsets[i + 1]]``."""
-        return self._offsets
-
-    @property
-    def child_ids(self) -> np.ndarray:
-        """Every non-root node, grouped by parent, ascending within a group."""
-        return self._child_ids
-
-    @property
-    def depth_array(self) -> np.ndarray:
-        """Every node's depth as an ``intp`` array."""
-        return self._depth
+    def __setattr__(self, name: str, value: object) -> None:
+        # Each public field is bound once, in ``__init__``, and the cached
+        # structure is derived from them: rebinding one is refused.
+        if name[0] != "_" and hasattr(self, name):
+            raise AttributeError(f"RoutingTree.{name} is read-only")
+        object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
-    # Basic accessors
+    # Derived structure (built on first use, then cached)
     # ------------------------------------------------------------------
     @property
-    def n(self) -> int:
-        """Number of nodes in the tree."""
-        return self._parent.size
+    def levels(self) -> Tuple[np.ndarray, ...]:
+        """Non-root node ids grouped by depth, deepest level first, ids
+        ascending within a level: bottom-up aggregates (subtree sums, the
+        forwarded rates ``A``) are one scatter-add per level."""
+        if self._levels is None:
+            # One sort by depth (the keys are unique), split at the level
+            # boundaries.
+            n, depth = self.n, self.depth_array
+            by_depth = np.argsort(depth * n + np.arange(n, dtype=np.intp))
+            bounds = np.cumsum(np.bincount(depth)).tolist()
+            self._levels = tuple(
+                by_depth[bounds[d - 1] : bounds[d]] for d in range(len(bounds) - 1, 0, -1)
+            )
+        return self._levels
 
     @property
-    def root(self) -> int:
-        """The home server: root of the routing tree."""
-        return self._root
-
-    @property
-    def parent_map(self) -> Tuple[int, ...]:
-        """``parent_map[i]`` is the parent of ``i`` (root maps to itself)."""
-        if self._parent_t is None:
-            self._parent_t = tuple(self._parent.tolist())
-        return self._parent_t
-
-    def parent(self, i: int) -> Optional[int]:
-        """Parent of node ``i``, or ``None`` for the root."""
-        p = self.parent_map[i]
-        return None if p == i else p
-
-    def _children(self) -> Tuple[Tuple[int, ...], ...]:
+    def children_map(self) -> Tuple[Tuple[int, ...], ...]:
+        """``children_map[i]`` is :meth:`children` of ``i``: the per-node
+        loops (the asynchronous engine, the packet protocol) iterate these
+        tuples instead of slicing the CSR arrays."""
         if self._children_t is None:
-            ids = self._child_ids.tolist()
-            offsets = self._offsets.tolist()
+            ids = self.child_ids.tolist()
+            offsets = self.child_offsets.tolist()
             self._children_t = tuple(
                 tuple(ids[a:b]) for a, b in zip(offsets, offsets[1:])
             )
         return self._children_t
 
+    @property
+    def incident_edge_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(offsets, edge_ids)`` CSR of edges incident to each node.
+
+        ``edge_ids[offsets[i]:offsets[i + 1]]`` are the edge indices
+        touching node ``i`` - its own parent edge (unless it is the root)
+        and one edge per child - in ascending edge order.
+        """
+        if self._incident is None:
+            m = self.n - 1
+            endpoints = np.concatenate([self.edge_parent, self.edge_child])
+            edge_ids = np.concatenate([np.arange(m, dtype=np.intp)] * 2)
+            ids = edge_ids[np.argsort(endpoints, kind="stable")]
+            offsets = np.zeros(self.n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(endpoints, minlength=self.n), out=offsets[1:])
+            self._incident = (offsets, ids)
+        return self._incident
+
+    # ------------------------------------------------------------------
+    # Basic accessors
+    # ------------------------------------------------------------------
+    @property
+    def parent_map(self) -> Tuple[int, ...]:
+        """``parent_map[i]`` is the parent of ``i`` (root maps to itself)."""
+        if self._parent_t is None:
+            self._parent_t = tuple(self.parent.tolist())
+        return self._parent_t
+
+    def parent_of(self, i: int) -> Optional[int]:
+        """Parent of node ``i``, or ``None`` for the root."""
+        p = self.parent_map[i]
+        return None if p == i else p
+
     def children(self, i: int) -> Tuple[int, ...]:
         """Children of node ``i`` in ascending id order."""
-        return self._children()[i]
+        return self.children_map[i]
 
     def neighbors(self, i: int) -> Tuple[int, ...]:
         """Tree neighbours of ``i``: its parent (if any) followed by children."""
-        p = self.parent(i)
+        p = self.parent_of(i)
         if p is None:
             return self.children(i)
         return (p,) + self.children(i)
 
-    def degree(self, i: int) -> int:
-        """Number of tree neighbours of ``i``."""
-        return len(self.children(i)) + (0 if i == self._root else 1)
-
     def depth(self, i: int) -> int:
         """Hop distance from the root to ``i`` (root has depth 0)."""
-        return int(self._depth[i])
+        return int(self.depth_array[i])
 
     @property
     def height(self) -> int:
         """Maximum node depth."""
-        return int(self._depth.max())
+        return int(self.depth_array.max())
 
     def leaves(self) -> Tuple[int, ...]:
         """All leaf nodes, ascending."""
-        return tuple(np.flatnonzero(self._offsets[1:] == self._offsets[:-1]).tolist())
+        offsets = self.child_offsets
+        return tuple(np.flatnonzero(offsets[1:] == offsets[:-1]).tolist())
+
+    def rerooted(self, home: int) -> "RoutingTree":
+        """The same undirected tree rooted at ``home``.
+
+        Only the parent pointers on the path from ``home`` up to the old
+        root change: each is reversed, and ``home`` becomes the root.
+        """
+        if not (is_count(home) and home < self.n):
+            raise TreeError(f"root {home} is not a node id in 0..{self.n - 1}")
+        if home == self.root:
+            return self
+        path = np.array(self.path_to_root(home), dtype=np.intp)
+        parent = self.parent.copy()
+        parent[path[1:]] = path[:-1]
+        parent[home] = home
+        return RoutingTree(parent)
 
     # ------------------------------------------------------------------
     # Traversals
@@ -196,7 +255,7 @@ class RoutingTree:
         """Nodes in breadth-first order from the root (deterministic)."""
         if self._order_t is None:
             order = _bfs_order(
-                self._parent, self._root, self._offsets, self._child_ids, self._depth
+                self.parent, self.root, self.child_offsets, self.child_ids, self.depth_array
             )
             self._order_t = tuple(order.tolist())
         return self._order_t
@@ -207,7 +266,7 @@ class RoutingTree:
 
     def subtree(self, i: int) -> Iterator[int]:
         """Iterate the nodes of the subtree rooted at ``i`` (preorder)."""
-        children = self._children()
+        children = self.children_map
         stack = [i]
         while stack:
             u = stack.pop()
@@ -224,7 +283,7 @@ class RoutingTree:
         """
         parent = self.parent_map
         path = [i]
-        while path[-1] != self._root:
+        while path[-1] != self.root:
             path.append(parent[path[-1]])
         return tuple(path)
 
@@ -259,11 +318,11 @@ class RoutingTree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RoutingTree):
             return NotImplemented
-        return self is other or np.array_equal(self._parent, other._parent)
+        return self is other or np.array_equal(self.parent, other.parent)
 
     def __hash__(self) -> int:
         if self._hash is None:  # the hash of ``parent_map``, without keeping it
-            self._hash = hash(tuple(self._parent.tolist()))
+            self._hash = hash(tuple(self.parent.tolist()))
         return self._hash
 
     def render(self, label: Optional[Callable[[int], str]] = None) -> str:
@@ -274,19 +333,19 @@ class RoutingTree:
         """
         label = label or (lambda i: "")
         lines: List[str] = []
-        children = self._children()
+        children = self.children_map
 
         def walk(u: int, prefix: str, tail: bool) -> None:
-            connector = "" if u == self._root else ("`-- " if tail else "|-- ")
+            connector = "" if u == self.root else ("`-- " if tail else "|-- ")
             text = label(u)
             suffix = f"  {text}" if text else ""
             lines.append(f"{prefix}{connector}{u}{suffix}")
             kids = children[u]
-            child_prefix = prefix if u == self._root else prefix + ("    " if tail else "|   ")
+            child_prefix = prefix if u == self.root else prefix + ("    " if tail else "|   ")
             for k, v in enumerate(kids):
                 walk(v, child_prefix, k == len(kids) - 1)
 
-        walk(self._root, "", True)
+        walk(self.root, "", True)
         return "\n".join(lines)
 
 
@@ -371,42 +430,6 @@ def tree_from_parent_map(parent: Mapping[int, int] | Sequence[int]) -> RoutingTr
             raise TreeError("parent mapping keys must be exactly 0..n-1")
         seq = [parent[i] for i in range(n)]
         return RoutingTree(seq)
-    return RoutingTree(parent)
-
-
-def tree_from_edges(n: int, edges: Iterable[Tuple[int, int]], root: int = 0) -> RoutingTree:
-    """Build a tree from undirected edges by orienting them away from ``root``.
-
-    ``root`` and every edge end must be a node id in ``0..n-1``: anything
-    else is a :class:`TreeError` naming it (a negative id would otherwise
-    index from the end, another node).
-    """
-    if not 0 <= root < n:
-        raise TreeError(f"root {root} is not a node id in 0..{n - 1}")
-    adj: List[List[int]] = [[] for _ in range(n)]
-    edge_count = 0
-    for a, b in edges:
-        if not (0 <= a < n and 0 <= b < n):
-            bad = a if not 0 <= a < n else b
-            raise TreeError(f"edge ({a}, {b}): node id {bad} is not in 0..{n - 1}")
-        adj[a].append(b)
-        adj[b].append(a)
-        edge_count += 1
-    if edge_count != n - 1:
-        raise TreeError(f"a tree on {n} nodes needs {n - 1} edges, got {edge_count}")
-    parent = [-1] * n
-    parent[root] = root
-    queue: deque[int] = deque([root])
-    seen = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if parent[v] == -1:
-                parent[v] = u
-                seen += 1
-                queue.append(v)
-    if seen != n:
-        raise TreeError("edge list is not connected")
     return RoutingTree(parent)
 
 

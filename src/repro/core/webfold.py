@@ -294,7 +294,7 @@ def webfold(
     child_ids = memoryview(tree.child_ids)
     adopted: Dict[int, List[int]] = {}
     dead = bytearray(n)
-    fold_parent = array(_INTP, tree.parent_array.tobytes())
+    fold_parent = array(_INTP, tree.parent.tobytes())
     order: List[int] = []
 
     # Max-heap of foldability candidates, one int per entry:
@@ -307,16 +307,21 @@ def webfold(
     # order and every add are those of a heap seeded with every
     # positive-load fold that pushes a child again each time it is
     # reparented.  (Unit capacities divide and multiply by 1.0, an exact
-    # identity: skipped.)
+    # identity: skipped.)  A rate over a subnormal capacity is an inf load,
+    # which sorts first by design: no overflow warning.
     cap_array = None if capacities is None else np.asarray(caps)
-    loads = np.array(esum) if cap_array is None else np.asarray(esum) / cap_array
+    if cap_array is None:
+        loads = np.array(esum)
+    else:
+        with np.errstate(over="ignore"):
+            loads = np.asarray(esum) / cap_array
     shift = n.bit_length()
     mask = (1 << shift) - 1
     # Seed only the folds that can fold now.  One at or below its parent's
     # load can fold once that parent has folded (it is then pushed as a
     # reparented child), or once rounding lowers the parent's load (the end
     # of the loop).  The root is its own parent: never seeded.
-    seeds = np.flatnonzero(loads > loads[tree.parent_array])
+    seeds = np.flatnonzero(loads > loads[tree.parent])
     heap = [
         ((_INF_BITS - b) << shift) | r
         for b, r in zip(loads[seeds].view(np.int64).tolist(), seeds.tolist())
@@ -392,7 +397,12 @@ def webfold(
     for j in reversed(order):
         fold_of[j] = fold_of[fold_parent[j]]
     roots = np.frombuffer(fold_of, dtype=np.intp)
-    loads = np.asarray(esum)[roots] / np.asarray(csum)[roots]
+    sums = np.asarray(esum)[roots]
+    if sums.max() == np.inf:
+        r = int(roots[np.argmax(sums)])
+        raise ValueError(f"fold {r}: the spontaneous rates of its members sum past the largest float")
+    with np.errstate(over="ignore"):
+        loads = sums / np.asarray(csum)[roots]
     if cap_array is not None:
         loads *= cap_array
     return FoldResult(tree, base.with_served(loads.tolist()), caps, fold_of, fold_parent, order)

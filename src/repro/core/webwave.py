@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernel import EngineConfig, SyncEngine, edge_alphas, flatten
+from .kernel import EngineConfig, SyncEngine, edge_alphas
 from .load import LoadAssignment
 from .tree import RoutingTree
 from .webfold import webfold
@@ -105,12 +105,11 @@ class WebWaveConfig:
 
     def engine(self, tree: RoutingTree, base: LoadAssignment) -> SyncEngine:
         """The engine this config describes, started from ``base`` on ``tree``."""
-        flat = flatten(tree)
         return SyncEngine(
-            flat,
+            tree,
             base.spontaneous,
             base.served,
-            edge_alphas(flat, self.alpha, safe=not self.unsafe_alpha),
+            edge_alphas(tree, self.alpha, safe=not self.unsafe_alpha),
             config=self.engine_config(),
         )
 
@@ -152,9 +151,8 @@ class WebWaveSimulator:
     """Synchronous rate-level WebWave on one routing tree.
 
     A thin facade over :class:`repro.core.kernel.SyncEngine`: construction
-    flattens the tree into edge arrays and picks the edge-coefficient
-    policy; :meth:`step` is one vectorized round.  Constructing a simulator
-    never mutates its inputs.
+    picks the edge-coefficient policy; :meth:`step` is one vectorized
+    round.  Constructing a simulator never mutates its inputs.
     """
 
     def __init__(

@@ -89,6 +89,28 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+# The most nodes a ``serve --tree`` spec may ask for.  The count is taken
+# from the spec before any list is built: ``kary:10,12`` alone would be
+# ~1.1e12 parent entries.
+MAX_TREE_NODES = 1_000_000
+
+
+def _kary_nodes(k: int, h: int) -> int:
+    """Nodes of ``kary_tree(k, h)``, counted only until they pass the cap
+    (0 for a ``k`` or ``h`` it refuses, so its own error names the fault)."""
+    if k < 1 or h < 0:
+        return 0
+    if k == 1:
+        return h + 1
+    nodes = level = 1
+    for _ in range(h):
+        if nodes > MAX_TREE_NODES:
+            break
+        level *= k
+        nodes += level
+    return nodes
+
+
 def _parse_tree_spec(spec: str):
     """``kary:K,H`` / ``chain:N`` / ``star:N`` -> a RoutingTree (or raise)."""
     from ..core.tree import chain_tree, kary_tree, star_tree
@@ -97,16 +119,17 @@ def _parse_tree_spec(spec: str):
     try:
         if shape == "kary":
             k, h = (int(p) for p in params.split(","))
-            return kary_tree(k, h)
-        if shape == "chain":
-            return chain_tree(int(params))
-        if shape == "star":
-            return star_tree(int(params))
+            nodes, build, args = _kary_nodes(k, h), kary_tree, (k, h)
+        elif shape in ("chain", "star"):
+            nodes = int(params)
+            build, args = (chain_tree if shape == "chain" else star_tree), (nodes,)
+        else:
+            raise ValueError("expected kary:K,H, chain:N, or star:N")
+        if nodes > MAX_TREE_NODES:
+            raise ValueError(f"more than {MAX_TREE_NODES} nodes, the most serve builds")
+        return build(*args)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad tree spec {spec!r}: {exc}") from None
-    raise ValueError(
-        f"bad tree spec {spec!r}: expected kary:K,H, chain:N, or star:N"
-    )
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -223,7 +246,6 @@ def _serve(args) -> int:
     """``serve``: a resident ClusterRuntime behind stdio or a unix socket."""
     from ..cluster.config import ClusterConfig
     from ..cluster.runtime import ClusterRuntime
-    from ..core.tree import tree_from_edges
     from ..obs.sink import NdjsonSink
     from ..service import Service, restore_checkpoint, serve_loop, serve_socket
 
@@ -240,17 +262,8 @@ def _serve(args) -> int:
             base = _parse_tree_spec(args.tree)
         except ValueError as exc:
             return _usage_error(str(exc))
-        edges = [
-            (node, parent)
-            for node, parent in enumerate(base.parent_map)
-            if node != parent
-        ]
-
-        def tree_source(home: int):
-            return tree_from_edges(base.n, edges, root=home)
-
         runtime = ClusterRuntime(
-            tree_source, config=ClusterConfig(alpha=args.alpha, track_tlb=True)
+            base.rerooted, config=ClusterConfig(alpha=args.alpha, track_tlb=True)
         )
 
     service = Service(runtime, export_every=args.export_every)

@@ -69,7 +69,7 @@ class NoCacheScenario(Scenario):
         if node == self.tree.root:
             self._serve(request, node)
         else:
-            self._forward(request, node, self.tree.parent(node), extra=0.0)
+            self._forward(request, node, self.tree.parent_of(node), extra=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +238,7 @@ class IcpScenario(Scenario):
             self._serve_and_fill(request, node)
             return
         # Probe tree neighbours (parent + siblings), paying one probe RTT.
-        parent = self.tree.parent(node)
+        parent = self.tree.parent_of(node)
         peers = [parent] + [c for c in self.tree.children(parent) if c != node]
         for peer in peers:
             self.count_message("icp_probe")

@@ -48,7 +48,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.kernel import flatten
 from ..core.load import LoadAssignment
 from ..core.tree import RoutingTree
 from ..core.webfold import webfold
@@ -274,7 +273,6 @@ class Scenario:
         self.config = config or ScenarioConfig()
         self.topology = topology
         self.tree: RoutingTree = workload.tree
-        self.flat = flatten(self.tree)
         self.sim = Simulator()
         self.streams = RngStreams(self.config.seed)
         self._parent: List[int] = list(self.tree.parent_map)
@@ -358,12 +356,12 @@ class Scenario:
         total = 0.0
         u = a
         while u not in path_b:
-            p = self.tree.parent(u)
+            p = self.tree.parent_of(u)
             total += self.edge_delay(u, p)
             u = p
         v = b
         while v != u:
-            p = self.tree.parent(v)
+            p = self.tree.parent_of(v)
             total += self.edge_delay(v, p)
             v = p
         self._path_delay_cache[(a, b)] = total

@@ -3,8 +3,9 @@
 The original packet simulator kept protocol state in one dict-of-dicts
 object graph per node (``CacheServer`` with per-document ``RateMeter``
 instances, ``serve_targets`` dicts; preserved under ``tests/oracle/`` as
-the parity oracle).  This module holds that state as dense NumPy arrays aligned with :class:`~repro.core.kernel.FlatTree` node
-indexing and catalog document indexing:
+the parity oracle).  This module holds that state as dense NumPy arrays
+aligned with :class:`~repro.core.tree.RoutingTree` node indexing and
+catalog document indexing:
 
 * :class:`MeterBank` - the windowed-EWMA rate meters as parallel arrays
   (``counts`` / ``window_start`` / ``estimate`` / ``seeded``), with scalar
@@ -163,7 +164,7 @@ class MeterBank:
 class PacketState:
     """All per-server protocol state of one packet scenario, as arrays.
 
-    Node axis follows the routing tree's node ids (= FlatTree indexing);
+    Node axis follows the routing tree's node ids;
     document axis follows the catalog's sorted ``doc_ids``.  Per-document
     meters live in flat banks of size ``n * D`` indexed ``node * D + doc``.
     """

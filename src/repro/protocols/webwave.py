@@ -52,7 +52,7 @@ and probe storms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -106,30 +106,30 @@ class WebWaveScenario(Scenario):
     ) -> None:
         super().__init__(workload, config, topology, telemetry=telemetry)
         self.protocol = protocol or WebWaveProtocolConfig()
-        flat = self.flat
-        n = flat.n
-        # Gossip views, FlatTree-aligned: _view_parent[i] is i's latest
+        tree = self.tree
+        n = tree.n
+        # Gossip views, in the tree's edge order: _view_parent[i] is i's latest
         # estimate of its parent's load; _view_child[k] is edge k's parent's
         # estimate of that edge's child.
         self._view_parent = np.zeros(n, dtype=np.float64)
-        self._view_child = np.zeros(flat.edge_child.shape[0], dtype=np.float64)
+        self._view_child = np.zeros(tree.edge_child.shape[0], dtype=np.float64)
         self._edge_of_child = np.zeros(n, dtype=np.intp)
-        self._edge_of_child[flat.edge_child] = np.arange(
-            flat.edge_child.shape[0], dtype=np.intp
+        self._edge_of_child[tree.edge_child] = np.arange(
+            tree.edge_child.shape[0], dtype=np.intp
         )
-        self._children: List[List[int]] = flat.children_lists()
+        self._children: Tuple[Tuple[int, ...], ...] = tree.children_map
         self._bfs = list(self.tree.bfs_order())
         self._bfs_rank = np.zeros(n, dtype=np.intp)
         self._bfs_rank[self._bfs] = np.arange(n, dtype=np.intp)
         # Per-edge diffusion coefficients, stated once: the vectorized
         # action gate and the per-branch budgets below read the same floats.
-        self._alpha_edge = edge_alphas(flat, self.protocol.alpha, safe=False)
+        self._alpha_edge = edge_alphas(tree, self.protocol.alpha, safe=False)
         # alpha of each node's own parent edge (root entry unused)
         self._alpha_up = np.zeros(n, dtype=np.float64)
-        self._alpha_up[flat.edge_child] = self._alpha_edge
+        self._alpha_up[tree.edge_child] = self._alpha_edge
         self._alpha_of: List[float] = self._alpha_up.tolist()  # scalar reads
         self._nonroot = np.ones(n, dtype=bool)
-        self._nonroot[flat.root] = False
+        self._nonroot[tree.root] = False
         # Meter values as of the previous gossip tick; NaN compares
         # unequal to everything, so the first gossip always delivers.
         self._last_gossip = np.full(n, np.nan)
@@ -137,7 +137,7 @@ class WebWaveScenario(Scenario):
         # (delay, direction) group per gossip tick instead of 2E closures.
         down_groups: Dict[float, List[int]] = {}
         up_groups: Dict[float, List[int]] = {}
-        for k, (p, c) in enumerate(zip(flat.edge_parent, flat.edge_child)):
+        for k, (p, c) in enumerate(zip(tree.edge_parent, tree.edge_child)):
             down_groups.setdefault(self.edge_delay(int(p), int(c)), []).append(k)
             up_groups.setdefault(self.edge_delay(int(c), int(p)), []).append(k)
         self._gossip_down = [
@@ -189,10 +189,10 @@ class WebWaveScenario(Scenario):
         sends every message (the overhead accounting is unchanged); only
         the simulator's no-op work is elided.
         """
-        flat = self.flat
+        tree = self.tree
         loads = self.state.served_total.rates_all(self.sim.now)
-        self.count_message("gossip", 2 * flat.edge_child.shape[0])
-        ep, ec = flat.edge_parent, flat.edge_child
+        self.count_message("gossip", 2 * tree.edge_child.shape[0])
+        ep, ec = tree.edge_parent, tree.edge_child
         changed = loads != self._last_gossip
         self._last_gossip = loads
         delivered = 0
@@ -237,13 +237,13 @@ class WebWaveScenario(Scenario):
         """
         now = self.sim.now
         loads = self.state.served_total.rates_all(now)
-        flat = self.flat
-        self._delegated_to = [False] * flat.n
+        tree = self.tree
+        self._delegated_to = [False] * tree.n
         mt = self.protocol.min_transfer_rate
-        ep = flat.edge_parent
+        ep = tree.edge_parent
         # delegate: parent i, child j act iff gap > eps and budget >= mt
         gap_down = loads[ep] - self._view_child
-        act = np.zeros(flat.n, dtype=bool)
+        act = np.zeros(tree.n, dtype=bool)
         act[ep[(gap_down > _EPS) & (self._alpha_edge * gap_down >= mt)]] = True
         # pull / shed: each non-root node against its parent view
         gap_pull = self._view_parent - loads

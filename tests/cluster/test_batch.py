@@ -18,7 +18,6 @@ from repro.core.kernel import (
     SyncEngine,
     degree_edge_alphas,
     fixed_edge_alphas,
-    flatten,
     forwarded_rates,
     resettle_served,
     subtree_accumulate,
@@ -59,29 +58,26 @@ def _assert_parity(batch, engines):
 class TestBatchedHelpers:
     def test_subtree_accumulate_matches_per_doc(self):
         tree = random_tree(40, random.Random(1))
-        flat = flatten(tree)
         values, _ = _catalog(tree, 5, 2)
-        batched = subtree_accumulate(flat, values)
+        batched = subtree_accumulate(tree, values)
         for d in range(5):
-            single = subtree_accumulate(flat, values[d])
+            single = subtree_accumulate(tree, values[d])
             assert np.abs(batched[d] - single).max() < TOL
 
     def test_forwarded_matches_per_doc(self):
         tree = random_tree(35, random.Random(3))
-        flat = flatten(tree)
         rates, served = _catalog(tree, 4, 4, with_served=True)
-        batched = forwarded_rates(flat, rates, served)
+        batched = forwarded_rates(tree, rates, served)
         for d in range(4):
-            single = forwarded_rates(flat, rates[d], served[d])
+            single = forwarded_rates(tree, rates[d], served[d])
             assert np.abs(batched[d] - single).max() < TOL
 
     def test_resettle_matches_per_doc(self):
         tree = random_tree(30, random.Random(5))
-        flat = flatten(tree)
         rates, served = _catalog(tree, 6, 6, with_served=True)
-        batched = resettle_served(flat, rates, served)
+        batched = resettle_served(tree, rates, served)
         for d in range(6):
-            single = resettle_served(flat, rates[d], served[d])
+            single = resettle_served(tree, rates[d], served[d])
             assert np.abs(batched[d] - single).max() < TOL
         # each document's mass becomes exactly its offered rate
         assert batched.sum(axis=1) == pytest.approx(
@@ -93,11 +89,10 @@ class TestBatchParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_tree_trajectories(self, seed):
         tree = random_tree(50 + 10 * seed, random.Random(seed))
-        flat = flatten(tree)
-        alphas = degree_edge_alphas(flat)
+        alphas = degree_edge_alphas(tree)
         rates, served = _catalog(tree, 8, seed, with_served=True)
-        batch = BatchEngine(flat, rates, served, alphas)
-        engines = _sync_engines(flat, rates, served, alphas)
+        batch = BatchEngine(tree, rates, served, alphas)
+        engines = _sync_engines(tree, rates, served, alphas)
         for _ in range(150):
             batch.step()
             for engine in engines:
@@ -109,11 +104,10 @@ class TestBatchParity:
     )
     def test_special_topologies(self, builder):
         tree = builder()
-        flat = flatten(tree)
-        alphas = degree_edge_alphas(flat)
+        alphas = degree_edge_alphas(tree)
         rates, served = _catalog(tree, 5, 7)
-        batch = BatchEngine(flat, rates, served, alphas)
-        engines = _sync_engines(flat, rates, served, alphas)
+        batch = BatchEngine(tree, rates, served, alphas)
+        engines = _sync_engines(tree, rates, served, alphas)
         for _ in range(100):
             batch.step()
             for engine in engines:
@@ -123,11 +117,10 @@ class TestBatchParity:
     def test_unsafe_alpha_clamp_path(self):
         """Unsafe alphas force the clamp-and-recompute branch per row."""
         tree = kary_tree(2, 4)
-        flat = flatten(tree)
-        alphas = fixed_edge_alphas(flat, 0.9, safe=False)
+        alphas = fixed_edge_alphas(tree, 0.9, safe=False)
         rates, served = _catalog(tree, 6, 11, with_served=True)
-        batch = BatchEngine(flat, rates, served, alphas)
-        engines = _sync_engines(flat, rates, served, alphas)
+        batch = BatchEngine(tree, rates, served, alphas)
+        engines = _sync_engines(tree, rates, served, alphas)
         for _ in range(80):
             batch.step()
             for engine in engines:
@@ -137,11 +130,10 @@ class TestBatchParity:
 
     def test_resettle_parity(self):
         tree = random_tree(40, random.Random(13))
-        flat = flatten(tree)
-        alphas = degree_edge_alphas(flat)
+        alphas = degree_edge_alphas(tree)
         rates, _ = _catalog(tree, 5, 13)
-        batch = BatchEngine(flat, rates, None, alphas)
-        engines = _sync_engines(flat, rates, rates, alphas)
+        batch = BatchEngine(tree, rates, None, alphas)
+        engines = _sync_engines(tree, rates, rates, alphas)
         for _ in range(40):
             batch.step()
             for engine in engines:
@@ -158,9 +150,8 @@ class TestBatchParity:
 
     def test_resettle_rows_only_touches_rows(self):
         tree = kary_tree(2, 4)
-        flat = flatten(tree)
         rates, _ = _catalog(tree, 4, 19)
-        batch = BatchEngine(flat, rates)
+        batch = BatchEngine(tree, rates)
         run_rounds(batch, 10)
         before = batch.loads.copy()
         new_rates, _ = _catalog(tree, 1, 23)
@@ -172,7 +163,7 @@ class TestBatchParity:
 
     def test_single_node_tree(self):
         tree = chain_tree(1)
-        batch = BatchEngine(flatten(tree), [[5.0], [2.0]])
+        batch = BatchEngine(tree, [[5.0], [2.0]])
         batch.step()
         assert batch.round == 1
         assert batch.loads.tolist() == [[5.0], [2.0]]
@@ -185,7 +176,7 @@ class TestBatchParity:
         tree = kary_tree(2, 3)
         tel = Telemetry(sample_interval=1)
         rates, _ = _catalog(tree, 2, 41)
-        batch = BatchEngine(flatten(tree), rates, telemetry=tel)
+        batch = BatchEngine(tree, rates, telemetry=tel)
         run_rounds(batch, 3)
         snap = tel.snapshot()
         counted = {
@@ -200,16 +191,15 @@ class TestBatchParity:
 class TestDocumentLifecycle:
     def test_add_documents_matches_fresh_engines(self):
         tree = random_tree(30, random.Random(29))
-        flat = flatten(tree)
-        alphas = degree_edge_alphas(flat)
+        alphas = degree_edge_alphas(tree)
         rates, _ = _catalog(tree, 3, 29)
-        batch = BatchEngine(flat, rates, None, alphas)
+        batch = BatchEngine(tree, rates, None, alphas)
         run_rounds(batch, 25)
         extra, _ = _catalog(tree, 2, 31)
         added = batch.add_documents(extra)
         assert list(added) == [3, 4]
-        fresh = _sync_engines(flat, extra, extra, alphas)
-        survivors = _sync_engines(flat, rates, rates, alphas)
+        fresh = _sync_engines(tree, extra, extra, alphas)
+        survivors = _sync_engines(tree, rates, rates, alphas)
         for engine in survivors:
             for _ in range(25):
                 engine.step()
@@ -224,9 +214,8 @@ class TestDocumentLifecycle:
 
     def test_remove_documents_returns_mass_and_keeps_rest(self):
         tree = kary_tree(2, 4)
-        flat = flatten(tree)
         rates, _ = _catalog(tree, 5, 37)
-        batch = BatchEngine(flat, rates)
+        batch = BatchEngine(tree, rates)
         run_rounds(batch, 15)
         keep = [batch.loads[d].copy() for d in (0, 2, 4)]
         masses = batch.remove_documents([1, 3])
@@ -240,12 +229,11 @@ class TestDocumentLifecycle:
 
     def test_shape_validation(self):
         tree = kary_tree(2, 2)
-        flat = flatten(tree)
         with pytest.raises(ValueError, match="matrix"):
-            BatchEngine(flat, [1.0] * tree.n)
+            BatchEngine(tree, [1.0] * tree.n)
         with pytest.raises(ValueError, match="edge alphas"):
-            BatchEngine(flat, [[1.0] * tree.n], edge_alpha=np.ones(3))
-        batch = BatchEngine(flat, [[1.0] * tree.n] * 2)
+            BatchEngine(tree, [[1.0] * tree.n], edge_alpha=np.ones(3))
+        batch = BatchEngine(tree, [[1.0] * tree.n] * 2)
         with pytest.raises(ValueError, match="rates: expected 2 rows"):
             batch.resettle_rows(range(2), [[1.0] * tree.n])
 
@@ -253,15 +241,14 @@ class TestDocumentLifecycle:
     def test_value_validation(self, bad):
         """Non-finite / negative entries are refused wherever rows enter."""
         tree = kary_tree(2, 2)
-        flat = flatten(tree)
         good = [1.0] * tree.n
         poisoned = list(good)
         poisoned[4] = bad
         with pytest.raises(ValueError, match="spontaneous rates must be finite"):
-            BatchEngine(flat, [good, poisoned])
+            BatchEngine(tree, [good, poisoned])
         with pytest.raises(ValueError, match="served rates must be finite"):
-            BatchEngine(flat, [good], [poisoned])
-        batch = BatchEngine(flat, [good, good])
+            BatchEngine(tree, [good], [poisoned])
+        batch = BatchEngine(tree, [good, good])
         run_rounds(batch, 2)
         before = batch.loads.tobytes()
         with pytest.raises(ValueError, match="spontaneous rates must be finite"):
@@ -288,7 +275,7 @@ class TestDocumentLifecycle:
         ],
     )
     def test_resettle_rows_validates_then_writes(self, rows, rates, error):
-        batch = BatchEngine(flatten(kary_tree(2, 2)), [[7.0] * 7] * 3)
+        batch = BatchEngine(kary_tree(2, 2), [[7.0] * 7] * 3)
         run_rounds(batch, 2)
         before = (batch.spontaneous.tobytes(), batch.loads.tobytes(), batch.forwarded.tobytes())
         with pytest.raises(ValueError, match=error):

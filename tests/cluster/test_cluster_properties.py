@@ -24,7 +24,6 @@ from repro.cluster.runtime import ClusterRuntime
 from repro.core.kernel import (
     degree_edge_alphas,
     edge_alpha_map,
-    flatten,
     forwarded_rates,
 )
 
@@ -41,8 +40,7 @@ class TestBatchAgainstOracle:
     @settings(max_examples=40, deadline=None)
     def test_batch_rounds_equal_reference(self, tree_rates, docs, rounds):
         tree, base = tree_rates
-        flat = flatten(tree)
-        alphas = degree_edge_alphas(flat)
+        alphas = degree_edge_alphas(tree)
         rng = random.Random(docs * 31 + rounds)
         rates = np.array(
             [
@@ -50,8 +48,8 @@ class TestBatchAgainstOracle:
                 for _ in range(docs)
             ]
         )
-        batch = BatchEngine(flat, rates, None, alphas)
-        amap = edge_alpha_map(flat, alphas)
+        batch = BatchEngine(tree, rates, None, alphas)
+        amap = edge_alpha_map(tree, alphas)
         expected = [list(map(float, rates[d])) for d in range(docs)]
         for _ in range(rounds):
             batch.step()
@@ -68,12 +66,11 @@ class TestBatchAgainstOracle:
     @settings(max_examples=40, deadline=None)
     def test_batch_mass_nonnegativity_nss(self, tree_rates):
         tree, base = tree_rates
-        flat = flatten(tree)
         rng = random.Random(tree.n)
         rates = np.array(
             [[x * rng.uniform(0.2, 2.0) for x in base] for _ in range(4)]
         )
-        batch = BatchEngine(flat, rates)
+        batch = BatchEngine(tree, rates)
         masses = rates.sum(axis=1)
         for _ in range(20):
             batch.step()
@@ -82,7 +79,7 @@ class TestBatchAgainstOracle:
             )
             assert batch.loads.min() >= -1e-9
             for d in range(4):
-                fwd = forwarded_rates(flat, rates[d], batch.loads[d])
+                fwd = forwarded_rates(tree, rates[d], batch.loads[d])
                 assert fwd.min() >= -1e-7
 
 
@@ -104,7 +101,6 @@ class TestChurnInvariants:
     def test_mass_and_nss_under_publish_retire_churn(self, tree_rates, steps):
         tree, base = tree_rates
         runtime = ClusterRuntime({tree.root: tree})
-        flat = flatten(tree)
         published = 0
 
         def fresh_rates(seed: int) -> list:
@@ -123,7 +119,7 @@ class TestChurnInvariants:
                 loads = runtime.document_loads(doc_id)
                 assert loads.min() >= -1e-9
                 fwd = forwarded_rates(
-                    flat, runtime.document_rates(doc_id), loads
+                    tree, runtime.document_rates(doc_id), loads
                 )
                 assert fwd.min() >= -1e-7
 

@@ -17,7 +17,7 @@ from repro.cluster.batch import BatchEngine
 from repro.cluster.config import ClusterConfig
 from repro.cluster.runtime import ClusterEvent, ClusterRuntime
 from repro.core.config import EngineConfig
-from repro.core.kernel import degree_edge_alphas, flatten
+from repro.core.kernel import degree_edge_alphas
 from repro.core.tree import kary_tree
 
 
@@ -91,9 +91,9 @@ class TestFreezing:
         assert dense.active_cohort_count == dense.cohort_count
 
     def test_engine_quiescent_only_when_adaptive(self):
-        flat = flatten(kary_tree(2, 2))
-        rates = np.zeros((1, flat.n))
-        engine = BatchEngine(flat, rates, config=EngineConfig(adaptive=False))
+        tree = kary_tree(2, 2)
+        rates = np.zeros((1, tree.n))
+        engine = BatchEngine(tree, rates, config=EngineConfig(adaptive=False))
         for _ in range(5):
             engine.step()
         assert not engine.quiescent

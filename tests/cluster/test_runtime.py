@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.cluster.config import ClusterConfig
 from repro.cluster.runtime import ClusterError, ClusterEvent, ClusterRuntime
 from repro.cluster.scenarios import rerooted_trees
-from repro.core.kernel import SyncEngine, degree_edge_alphas, flatten
+from repro.core.kernel import SyncEngine, degree_edge_alphas
 from repro.core.tree import kary_tree
 
 from tests.helpers import snapshot_records
@@ -223,8 +223,7 @@ class TestTrajectoryFidelity:
     def test_runtime_matches_per_document_engines(self, tree):
         """Full-stack parity: pruned cohorts vs plain SyncEngines, 1e-12."""
         runtime = ClusterRuntime({0: tree})
-        flat = flatten(tree)
-        alphas = degree_edge_alphas(flat)
+        alphas = degree_edge_alphas(tree)
         rng = random.Random(5)
         engines = {}
         for k in range(12):
@@ -234,7 +233,7 @@ class TestTrajectoryFidelity:
             )
             doc = f"d{k}"
             runtime.publish(doc, 0, rates)
-            engines[doc] = SyncEngine(flat, rates, rates, alphas)
+            engines[doc] = SyncEngine(tree, rates, rates, alphas)
         for _ in range(100):
             runtime.tick()
             for engine in engines.values():

@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 from repro.core.frontier import (
     batch_incident_edges,
     csr_gather,
-    incident_edge_csr,
     incident_edges_of,
     node_slots,
     sorted_unique,
@@ -42,7 +41,6 @@ from repro.core.kernel import (
     AsyncEngine,
     SyncEngine,
     degree_edge_alphas,
-    flatten,
 )
 from repro.core.tree import RoutingTree, chain_tree, kary_tree, random_tree
 
@@ -75,7 +73,7 @@ class TestSparseDenseParity:
     @settings(max_examples=40, deadline=None)
     def test_bit_identical_trajectories(self, tree_rates):
         tree, rates = tree_rates
-        sparse, dense = _engine_pair(flatten(tree), rates)
+        sparse, dense = _engine_pair(tree, rates)
         _assert_parity(sparse, dense, 60)
 
     @given(
@@ -90,7 +88,7 @@ class TestSparseDenseParity:
     def test_mid_run_demand_flip(self, tree_rates, flip_rates):
         """resettle (a demand flip) resets the frontier; parity survives."""
         tree, rates = tree_rates
-        sparse, dense = _engine_pair(flatten(tree), rates)
+        sparse, dense = _engine_pair(tree, rates)
         _assert_parity(sparse, dense, 20)
         new_rates = flip_rates[: tree.n]
         sparse.resettle(new_rates)
@@ -103,7 +101,7 @@ class TestSparseDenseParity:
     def test_reset_state_parity(self, tree_rates):
         """A reset_state swap (set_rates at the rate level) stays exact."""
         tree, rates = tree_rates
-        sparse, dense = _engine_pair(flatten(tree), rates)
+        sparse, dense = _engine_pair(tree, rates)
         _assert_parity(sparse, dense, 15)
         doubled = [2.0 * r for r in rates]
         sparse.reset_state(doubled, rates)
@@ -115,15 +113,14 @@ class TestSparseDenseParity:
         tree = random_tree(60, rng)
         rates = [rng.uniform(0.0, 30.0) for _ in range(60)]
         caps = [rng.uniform(1.0, 10.0) for _ in range(60)]
-        flat = flatten(tree)
-        sparse, dense = _engine_pair(flat, rates, capacities=caps)
+        sparse, dense = _engine_pair(tree, rates, capacities=caps)
         _assert_parity(sparse, dense, 120)
 
     def test_quantized_variant_parity(self):
         rng = random.Random(13)
         tree = random_tree(40, rng)
         rates = [float(rng.randrange(0, 40)) for _ in range(40)]
-        sparse, dense = _engine_pair(flatten(tree), rates, quantum=0.25)
+        sparse, dense = _engine_pair(tree, rates, quantum=0.25)
         _assert_parity(sparse, dense, 120)
 
     def test_gossip_delay_forces_dense(self):
@@ -131,7 +128,7 @@ class TestSparseDenseParity:
         rng = random.Random(5)
         tree = random_tree(25, rng)
         rates = [rng.uniform(0.0, 10.0) for _ in range(25)]
-        sparse, dense = _engine_pair(flatten(tree), rates, gossip_delay=2)
+        sparse, dense = _engine_pair(tree, rates, gossip_delay=2)
         assert sparse.state()["adaptive"] is False
         _assert_parity(sparse, dense, 60)
 
@@ -145,7 +142,7 @@ class TestSparseDenseParity:
         target = np.asarray(
             webfold(tree, rates).assignment.served, dtype=np.float64
         )
-        sparse, dense = _engine_pair(flatten(tree), rates)
+        sparse, dense = _engine_pair(tree, rates)
         threshold = sparse.distance_to(target) * 1e-3
 
         def rounds_to(engine):
@@ -164,8 +161,7 @@ class TestFrontierInvariants:
     def test_empty_frontier_is_fixed_point(self):
         """frontier empty => stepping changes nothing, frontier stays empty."""
         tree = chain_tree(2)
-        flat = flatten(tree)
-        engine = SyncEngine(flat, [0.0, 4.0], [0.0, 4.0], degree_edge_alphas(flat))
+        engine = SyncEngine(tree, [0.0, 4.0], [0.0, 4.0], degree_edge_alphas(tree))
         while not engine.converged and engine.round < 100:
             engine.step()
         assert engine.converged  # dyadic equalization reaches exact zero
@@ -179,22 +175,20 @@ class TestFrontierInvariants:
     def test_nss_blocked_demand_freezes_immediately(self):
         """All demand at the root: NSS caps every edge, frontier empties."""
         tree = kary_tree(2, 3)
-        flat = flatten(tree)
         rates = np.zeros(tree.n)
         rates[tree.root] = 8.0
-        engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+        engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
         engine.step()  # the tracked dense round discovers nothing can move
         assert engine.converged
 
     def test_general_fixed_point_reached_and_exact(self):
         """Plain diffusion reaches the floating-point fixed point."""
         tree = kary_tree(2, 4)
-        flat = flatten(tree)
         leaves = tree.leaves()
         rates = np.zeros(tree.n)
         rates[leaves[0]] = 8.0
         rates[leaves[1]] = 4.0
-        sparse, dense = _engine_pair(flat, rates)
+        sparse, dense = _engine_pair(tree, rates)
         while not sparse.converged and sparse.round < 5000:
             sparse.step()
         assert sparse.converged
@@ -211,9 +205,8 @@ class TestFrontierInvariants:
         """converged <=> frontier empty: not converged while loads change."""
         rng = random.Random(2)
         tree = random_tree(30, rng)
-        flat = flatten(tree)
         rates = [rng.uniform(1.0, 20.0) for _ in range(30)]
-        engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+        engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
         for _ in range(25):
             before = engine.loads.copy()
             engine.step()
@@ -224,13 +217,12 @@ class TestFrontierInvariants:
     def test_frontier_shrinks_on_skewed_demand(self):
         """Zero-demand regions drop out of the frontier immediately."""
         tree = kary_tree(2, 6)  # n = 127
-        flat = flatten(tree)
         leaves = tree.leaves()
         rates = np.zeros(tree.n)
         # demand confined to the leftmost subtree's leaves
         for leaf in leaves[:8]:
             rates[leaf] = 5.0 + leaf % 3
-        engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+        engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
         for _ in range(10):
             engine.step()
         # the frontier holds a small neighbourhood of the demand closure,
@@ -244,7 +236,7 @@ class TestFrontierInvariants:
         rates = np.zeros(tree.n)
         for leaf in tree.leaves()[:80]:  # neighbouring access networks
             rates[leaf] = 5.0 + leaf % 7
-        sparse, dense = _engine_pair(flatten(tree), rates)
+        sparse, dense = _engine_pair(tree, rates)
         _assert_parity(sparse, dense, 200)
         stats = sparse.step_stats
         assert stats["dense_rounds"] == 1  # the discovery round
@@ -264,9 +256,8 @@ class TestSparseRoundStructure:
         """
         rng = random.Random(0)
         tree = random_tree(3000, rng)
-        flat = flatten(tree)
         rates = np.zeros(tree.n)
-        hot = connected_region(flat, rng.randrange(tree.n), 150)
+        hot = connected_region(tree, rng.randrange(tree.n), 150)
         rates[hot] = [rng.uniform(0.0, 100.0) for _ in hot]
         calls = []  # (name, size of the array handed over)
 
@@ -281,7 +272,7 @@ class TestSparseRoundStructure:
 
         for name in ("incident_edges_of", "batch_incident_edges", "sorted_unique"):
             counted(name)
-        engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+        engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
         engine.step()  # the dense discovery round
         moved = expanded = quiet_rounds = growing_rounds = 0
         for _ in range(300):
@@ -310,19 +301,18 @@ class TestDenseFallback:
         """Demand on >50% of nodes keeps the engine on the dense path."""
         rng = random.Random(21)
         tree = random_tree(200, rng)
-        flat = flatten(tree)
         rates = [rng.uniform(1.0, 100.0) for _ in range(200)]  # all nodes hot
-        engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+        engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
         for _ in range(20):
             engine.step()
         stats = engine.step_stats
         # every round fell back to the tracked dense path automatically
         assert stats["dense_rounds"] == 20
         assert stats["sparse_rounds"] == 0
-        assert engine.frontier_size > 0.5 * flat.edge_child.shape[0]
+        assert engine.frontier_size > 0.5 * tree.edge_child.shape[0]
         # and it stays exact
         dense = SyncEngine(
-            flat, rates, rates, degree_edge_alphas(flat),
+            tree, rates, rates, degree_edge_alphas(tree),
             config=EngineConfig(adaptive=False),
         )
         for _ in range(20):
@@ -332,10 +322,9 @@ class TestDenseFallback:
     def test_density_threshold_zero_forces_dense_forever(self):
         rng = random.Random(22)
         tree = random_tree(30, rng)
-        flat = flatten(tree)
         rates = [rng.uniform(0.0, 10.0) for _ in range(30)]
         engine = SyncEngine(
-            flat, rates, rates, degree_edge_alphas(flat),
+            tree, rates, rates, degree_edge_alphas(tree),
             config=EngineConfig(density_threshold=-1.0),
         )
         for _ in range(30):
@@ -344,10 +333,9 @@ class TestDenseFallback:
 
     def test_sparse_engages_below_threshold(self):
         tree = kary_tree(2, 5)
-        flat = flatten(tree)
         rates = np.zeros(tree.n)
         rates[tree.leaves()[0]] = 16.0
-        engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+        engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
         engine.step()  # dense discovery round
         engine.step()
         assert engine.step_stats["sparse_rounds"] >= 1
@@ -360,9 +348,8 @@ class TestMonitoringPaths:
     def test_sync_served_tuple_cached_per_round(self):
         rng = random.Random(4)
         tree = random_tree(20, rng)
-        flat = flatten(tree)
         rates = [rng.uniform(0.0, 10.0) for _ in range(20)]
-        engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+        engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
         first = engine.served_tuple()
         assert engine.served_tuple() is first  # cached within the round
         engine.step()
@@ -372,9 +359,8 @@ class TestMonitoringPaths:
 
     def test_sync_served_tuple_invalidated_by_resettle(self):
         tree = chain_tree(4)
-        flat = flatten(tree)
         engine = SyncEngine(
-            flat, [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], degree_edge_alphas(flat)
+            tree, [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], degree_edge_alphas(tree)
         )
         engine.served_tuple()
         engine.resettle([4.0, 3.0, 2.0, 1.0])
@@ -383,23 +369,21 @@ class TestMonitoringPaths:
     def test_async_served_tuple_cached_per_activation(self):
         rng = random.Random(6)
         tree = random_tree(15, rng)
-        flat = flatten(tree)
         rates = [rng.uniform(0.0, 10.0) for _ in range(15)]
         engine = AsyncEngine(
-            flat, rates, rates, degree_edge_alphas(flat), random.Random(0)
+            tree, rates, rates, degree_edge_alphas(tree), random.Random(0)
         )
         first = engine.served_tuple()
         assert engine.served_tuple() is first
         engine.activate(3)
         assert engine.served_tuple() == tuple(engine.loads.tolist())
 
-    def test_children_lists_cached_on_flat_tree(self):
+    def test_children_map_cached_on_the_tree(self):
         tree = kary_tree(3, 3)
-        flat = flatten(tree)
-        lists = flat.children_lists()
-        assert flat.children_lists() is lists
+        lists = tree.children_map
+        assert tree.children_map is lists
         for i in range(tree.n):
-            assert lists[i] == list(tree.children(i))
+            assert lists[i] == tree.children(i)
 
 
 # ----------------------------------------------------------------------
@@ -409,44 +393,43 @@ class TestFrontierHelpers:
     def test_incident_edge_csr_matches_tree(self):
         rng = random.Random(8)
         tree = random_tree(30, rng)
-        flat = flatten(tree)
-        offsets, ids = incident_edge_csr(flat)
+        offsets, ids = tree.incident_edge_csr
         for i in range(tree.n):
             edges = set(ids[offsets[i] : offsets[i + 1]].tolist())
             expected = set()
-            for e, (p, c) in enumerate(zip(flat.edge_parent, flat.edge_child)):
+            for e, (p, c) in enumerate(zip(tree.edge_parent, tree.edge_child)):
                 if i in (p, c):
                     expected.add(e)
             assert edges == expected
 
     def test_incident_edge_csr_is_cached(self):
-        flat = flatten(kary_tree(2, 3))
-        assert incident_edge_csr(flat) is incident_edge_csr(flat)
+        tree = kary_tree(2, 3)
+        assert tree.incident_edge_csr is tree.incident_edge_csr
 
     def test_csr_gather_empty(self):
-        flat = flatten(chain_tree(3))
-        offsets, ids = incident_edge_csr(flat)
+        tree = chain_tree(3)
+        offsets, ids = tree.incident_edge_csr
         assert csr_gather(offsets, ids, np.zeros(0, dtype=np.intp)).size == 0
 
     def test_incident_edges_of_single_node(self):
-        flat = flatten(kary_tree(2, 2))
+        tree = kary_tree(2, 2)
         got = sorted(
-            incident_edges_of(flat, np.asarray([0], dtype=np.intp)).tolist()
+            incident_edges_of(tree, np.asarray([0], dtype=np.intp)).tolist()
         )
         # the root's incident edges are exactly its child edges
         expected = sorted(
             e
-            for e, p in enumerate(flat.edge_parent.tolist())
+            for e, p in enumerate(tree.edge_parent.tolist())
             if p == 0
         )
         assert got == expected
 
     def test_batch_incident_edges_offsets_by_document(self):
-        flat = flatten(chain_tree(4))  # n=4, m=3
+        tree = chain_tree(4)  # n=4, m=3
         n, m = 4, 3
         # node 2 of document 1 -> edges {1, 2} offset by 1 * m
         flat_nodes = np.asarray([1 * n + 2], dtype=np.intp)
-        got = sorted(batch_incident_edges(flat, flat_nodes).tolist())
+        got = sorted(batch_incident_edges(tree, flat_nodes).tolist())
         assert got == [m + 1, m + 2]
 
     @given(st.data(), trees_with_rates(min_nodes=2, max_nodes=40))
@@ -454,7 +437,7 @@ class TestFrontierHelpers:
     def test_node_slots_number_each_touched_node_once(self, data, tree_rates):
         """Children first in edge order, every other parent once, and the
         parent slots point back at the parents - from a dirty scratch."""
-        flat = flatten(tree_rates[0])
+        flat = tree_rates[0]
         m = flat.n - 1
         edges = np.asarray(
             sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1))), dtype=np.intp

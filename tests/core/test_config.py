@@ -8,7 +8,7 @@ from repro.cluster.batch import BatchEngine
 from repro.cluster.config import ClusterConfig
 from repro.cluster.runtime import ClusterRuntime
 from repro.core.config import EngineConfig
-from repro.core.kernel import SyncEngine, degree_edge_alphas, flatten
+from repro.core.kernel import SyncEngine, degree_edge_alphas
 from repro.core.tree import kary_tree
 from repro.protocols.scenario import ScenarioConfig
 from repro.protocols.webwave import WebWaveProtocolConfig
@@ -19,8 +19,7 @@ N = TREE.n
 
 
 def make_engine(**kwargs):
-    flat = flatten(TREE)
-    return SyncEngine(flat, [1.0] * N, [1.0] * N, degree_edge_alphas(flat), **kwargs)
+    return SyncEngine(TREE, [1.0] * N, [1.0] * N, degree_edge_alphas(TREE), **kwargs)
 
 
 class TestEngineConfigValidation:
@@ -117,7 +116,7 @@ class TestOneConstructionPath:
 
     def test_batch_keyword_is_a_type_error(self):
         with pytest.raises(TypeError, match="adaptive"):
-            BatchEngine(flatten(TREE), [[1.0] * N], adaptive=False)
+            BatchEngine(TREE, [[1.0] * N], adaptive=False)
 
     @pytest.mark.parametrize("field", ["adaptive", "track_tlb", "alpha", "bogus"])
     def test_runtime_keyword_is_a_type_error(self, field):
@@ -149,12 +148,11 @@ class TestBatchEngineRejectsUnsupportedFields:
         ],
     )
     def test_unsupported_config_fields_named_in_error(self, field, value):
-        flat = flatten(TREE)
         with pytest.raises(ValueError, match=field):
             BatchEngine(
-                flat,
+                TREE,
                 [[1.0] * N],
                 None,
-                degree_edge_alphas(flat),
+                degree_edge_alphas(TREE),
                 config=EngineConfig(**{field: value}),
             )

@@ -8,8 +8,8 @@ Invariants checked across randomized trees and rate patterns:
 * served loads stay non-negative;
 * the NSS cap: a parent never relegates more than the child's subtree
   forwards, i.e. every forwarded rate ``A_i`` stays non-negative;
-* the flattening helpers agree with the RoutingTree reference
-  implementations (subtree sums, forwarded rates, resettle).
+* the tree's arrays and the array helpers agree with the RoutingTree
+  reference implementations (subtree sums, forwarded rates, resettle).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.core.config import EngineConfig
 from repro.core.kernel import (
     AsyncEngine,
-    FlatTree,
     SyncEngine,
     degree_edge_alphas,
     edge_alpha_map,
@@ -41,37 +40,41 @@ from tests.helpers import resettle, trees_with_rates
 from tests.oracle.reference_round import reference_round
 
 
-class TestFlatTree:
+class TestTreeArrays:
     def test_edges_cover_non_root_nodes(self):
         tree = random_tree(30, random.Random(3))
-        flat = flatten(tree)
-        assert sorted(flat.edge_child.tolist()) == [
+        assert sorted(tree.edge_child.tolist()) == [
             i for i in range(tree.n) if i != tree.root
         ]
-        for p, c in zip(flat.edge_parent, flat.edge_child):
-            assert tree.parent(int(c)) == int(p)
+        for p, c in zip(tree.edge_parent, tree.edge_child):
+            assert tree.parent_of(int(c)) == int(p)
 
     def test_children_index_matches_tree(self):
         tree = random_tree(25, random.Random(9))
-        flat = flatten(tree)
         for i in range(tree.n):
-            assert tuple(flat.child_ids[flat.child_offsets[i] : flat.child_offsets[i + 1]].tolist()) == tree.children(i)
+            assert tuple(tree.child_ids[tree.child_offsets[i] : tree.child_offsets[i + 1]].tolist()) == tree.children(i)
 
     def test_degree_matches_tree(self):
         tree = random_tree(20, random.Random(4))
-        flat = flatten(tree)
-        assert flat.degree.tolist() == [tree.degree(i) for i in range(tree.n)]
+        assert tree.degree.tolist() == [len(tree.neighbors(i)) for i in range(tree.n)]
 
-    def test_flatten_cached(self):
+    def test_the_round_indexes_writeable_edge_arrays(self):
+        """``np.take`` copies a read-only index array on every call: the
+        dense round takes by ``edge_parent`` once per round."""
+        tree = random_tree(20, random.Random(4))
+        assert tree.edge_parent.flags.writeable and tree.edge_child.flags.writeable
+        assert not tree.parent.flags.writeable
+
+    def test_flatten_is_the_tree(self):
+        """Kept for the benchmark scripts only: no second view to build."""
         tree = chain_tree(5)
-        assert flatten(tree) is flatten(chain_tree(5))
+        assert flatten(tree) is tree
 
     @given(trees_with_rates(min_nodes=1, max_nodes=25))
     @settings(max_examples=40, deadline=None)
     def test_subtree_accumulate_matches_tree_sums(self, tree_rates):
         tree, rates = tree_rates
-        flat = FlatTree(tree)
-        got = subtree_accumulate(flat, np.asarray(rates))
+        got = subtree_accumulate(tree, np.asarray(rates))
         want = tree.subtree_sums(rates)
         assert got.tolist() == pytest.approx(want, abs=1e-9)
 
@@ -79,10 +82,9 @@ class TestFlatTree:
     @settings(max_examples=40, deadline=None)
     def test_forwarded_matches_load_assignment(self, tree_rates):
         tree, rates = tree_rates
-        flat = FlatTree(tree)
         rng = random.Random(11)
         served = [rng.uniform(0.0, 50.0) for _ in range(tree.n)]
-        got = forwarded_rates(flat, np.asarray(rates), np.asarray(served))
+        got = forwarded_rates(tree, np.asarray(rates), np.asarray(served))
         want = LoadAssignment(tree, rates, served).forwarded
         assert got.tolist() == pytest.approx(list(want), abs=1e-9)
 
@@ -92,7 +94,7 @@ class TestFlatTree:
         tree, rates = tree_rates
         rng = random.Random(13)
         served = np.asarray([rng.uniform(0.0, 30.0) for _ in range(tree.n)])
-        got = resettle_served(flatten(tree), np.asarray(rates), served)
+        got = resettle_served(tree, np.asarray(rates), served)
         # the python reference the seed used, inlined
         loads = [0.0] * tree.n
         fwd = [0.0] * tree.n
@@ -118,14 +120,13 @@ class TestRoundMatchesReference:
     @settings(max_examples=50, deadline=None)
     def test_sync_round_equals_reference(self, tree_rates, alpha, rounds):
         tree, rates = tree_rates
-        flat = flatten(tree)
         alphas = (
-            degree_edge_alphas(flat)
+            degree_edge_alphas(tree)
             if alpha is None
-            else fixed_edge_alphas(flat, alpha)
+            else fixed_edge_alphas(tree, alpha)
         )
-        engine = SyncEngine(flat, rates, rates, alphas)
-        amap = edge_alpha_map(flat, alphas)
+        engine = SyncEngine(tree, rates, rates, alphas)
+        amap = edge_alpha_map(tree, alphas)
         expected = list(map(float, rates))
         for _ in range(rounds):
             engine.step()
@@ -136,12 +137,11 @@ class TestRoundMatchesReference:
         tree = kary_tree(2, 3)
         rng = random.Random(21)
         rates = [rng.uniform(0.0, 60.0) for _ in range(tree.n)]
-        flat = flatten(tree)
-        alphas = degree_edge_alphas(flat)
+        alphas = degree_edge_alphas(tree)
         engine = SyncEngine(
-            flat, rates, rates, alphas, config=EngineConfig(quantum=0.5)
+            tree, rates, rates, alphas, config=EngineConfig(quantum=0.5)
         )
-        amap = edge_alpha_map(flat, alphas)
+        amap = edge_alpha_map(tree, alphas)
         expected = list(map(float, rates))
         for _ in range(20):
             engine.step()
@@ -157,13 +157,12 @@ class TestKernelInvariants:
     @settings(max_examples=60, deadline=None)
     def test_sync_mass_nonnegativity_nss(self, tree_rates, weighted):
         tree, rates = tree_rates
-        flat = flatten(tree)
         rng = random.Random(tree.n)
         caps = (
             [rng.uniform(0.5, 8.0) for _ in range(tree.n)] if weighted else None
         )
         engine = SyncEngine(
-            flat, rates, rates, degree_edge_alphas(flat),
+            tree, rates, rates, degree_edge_alphas(tree),
             config=EngineConfig(capacities=caps),
         )
         total = float(np.sum(engine.loads))
@@ -175,19 +174,18 @@ class TestKernelInvariants:
             # non-negative served loads
             assert float(loads.min()) >= -1e-9
             # NSS: no subtree serves more than it spontaneously generates
-            fwd = forwarded_rates(flat, engine.spontaneous, loads)
+            fwd = forwarded_rates(tree, engine.spontaneous, loads)
             assert float(fwd.min()) >= -1e-7
 
     @given(trees_with_rates(min_nodes=2, max_nodes=20))
     @settings(max_examples=30, deadline=None)
     def test_async_mass_nonnegativity_nss(self, tree_rates):
         tree, rates = tree_rates
-        flat = flatten(tree)
         engine = AsyncEngine(
-            flat,
+            tree,
             rates,
             rates,
-            degree_edge_alphas(flat),
+            degree_edge_alphas(tree),
             random.Random(7),
             max_staleness=3,
         )
@@ -197,23 +195,22 @@ class TestKernelInvariants:
             loads = engine.loads
             assert float(np.sum(loads)) == pytest.approx(total, abs=1e-7)
             assert float(loads.min()) >= -1e-9
-            fwd = forwarded_rates(flat, np.asarray(rates, dtype=float), loads)
+            fwd = forwarded_rates(tree, np.asarray(rates, dtype=float), loads)
             assert float(fwd.min()) >= -1e-7
 
     def test_gossip_delay_conserves_and_respects_nss(self):
         tree = kary_tree(3, 3)
         rng = random.Random(17)
         rates = [rng.uniform(0.0, 50.0) for _ in range(tree.n)]
-        flat = flatten(tree)
         engine = SyncEngine(
-            flat, rates, rates, degree_edge_alphas(flat),
+            tree, rates, rates, degree_edge_alphas(tree),
             config=EngineConfig(gossip_delay=3),
         )
         total = float(np.sum(engine.loads))
         for _ in range(60):
             engine.step()
             assert float(np.sum(engine.loads)) == pytest.approx(total, abs=1e-7)
-            fwd = forwarded_rates(flat, engine.spontaneous, engine.loads)
+            fwd = forwarded_rates(tree, engine.spontaneous, engine.loads)
             assert float(fwd.min()) >= -1e-7
 
     def test_incremental_forwarded_stays_exact(self):
@@ -221,11 +218,10 @@ class TestKernelInvariants:
         tree = random_tree(60, random.Random(23))
         rng = random.Random(29)
         rates = [rng.uniform(0.0, 40.0) for _ in range(tree.n)]
-        flat = flatten(tree)
-        engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+        engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
         for _ in range(200):
             engine.step()
-        fresh = forwarded_rates(flat, engine.spontaneous, engine.loads)
+        fresh = forwarded_rates(tree, engine.spontaneous, engine.loads)
         assert engine.forwarded.tolist() == pytest.approx(fresh.tolist(), abs=1e-8)
 
     def test_rate_swap_keeps_invariants(self):
@@ -233,8 +229,7 @@ class TestKernelInvariants:
         tree = kary_tree(2, 3)
         rng = random.Random(31)
         rates = [rng.uniform(0.0, 20.0) for _ in range(tree.n)]
-        flat = flatten(tree)
-        engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+        engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
         for _ in range(30):
             engine.step()
         new_rates = [rng.uniform(0.0, 20.0) for _ in range(tree.n)]
@@ -242,16 +237,15 @@ class TestKernelInvariants:
         assert float(np.sum(engine.loads)) == pytest.approx(sum(new_rates), abs=1e-7)
         for _ in range(30):
             engine.step()
-            fwd = forwarded_rates(flat, engine.spontaneous, engine.loads)
+            fwd = forwarded_rates(tree, engine.spontaneous, engine.loads)
             assert float(fwd.min()) >= -1e-7
             assert float(engine.loads.min()) >= -1e-9
 
     def test_loads_is_a_read_only_view_of_the_current_round(self):
         """``loads`` is valid until the next step and cannot be written."""
         tree = kary_tree(2, 3)
-        flat = flatten(tree)
         rates = [float(i) for i in range(tree.n)]
-        engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+        engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
         held = engine.loads
         with pytest.raises(ValueError, match="read-only"):
             held[0] = 1.0
@@ -271,16 +265,15 @@ class TestRateValidation:
     @pytest.mark.parametrize("bad", BAD_VALUES)
     def test_sync_engine_rejects_bad_rates_and_loads(self, bad):
         tree = kary_tree(2, 2)
-        flat = flatten(tree)
-        alphas = degree_edge_alphas(flat)
+        alphas = degree_edge_alphas(tree)
         good = [1.0] * tree.n
         poisoned = list(good)
         poisoned[3] = bad
         with pytest.raises(ValueError, match="spontaneous rates must be finite"):
-            SyncEngine(flat, poisoned, good, alphas)
+            SyncEngine(tree, poisoned, good, alphas)
         with pytest.raises(ValueError, match="served rates must be finite"):
-            SyncEngine(flat, good, poisoned, alphas)
-        engine = SyncEngine(flat, good, good, alphas)
+            SyncEngine(tree, good, poisoned, alphas)
+        engine = SyncEngine(tree, good, good, alphas)
         engine.step()
         before = engine.loads.tobytes()
         with pytest.raises(ValueError, match="spontaneous rates must be finite"):
@@ -294,26 +287,24 @@ class TestRateValidation:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_sync_engine_rejects_non_finite_capacities(self, bad):
         tree = kary_tree(2, 2)
-        flat = flatten(tree)
         caps = [1.0] * tree.n
         caps[2] = bad
         with pytest.raises(ValueError, match="capacities must be finite"):
             SyncEngine(
-                flat,
+                tree,
                 [1.0] * tree.n,
                 [1.0] * tree.n,
-                degree_edge_alphas(flat),
+                degree_edge_alphas(tree),
                 config=EngineConfig(capacities=tuple(caps)),
             )
 
     @pytest.mark.parametrize("bad", BAD_VALUES)
     def test_async_engine_rejects_bad_rates(self, bad):
         tree = kary_tree(2, 2)
-        flat = flatten(tree)
         poisoned = [1.0] * tree.n
         poisoned[0] = bad
         with pytest.raises(ValueError, match="must be finite"):
             AsyncEngine(
-                flat, poisoned, [1.0] * tree.n, degree_edge_alphas(flat), random.Random(0)
+                tree, poisoned, [1.0] * tree.n, degree_edge_alphas(tree), random.Random(0)
             )
 

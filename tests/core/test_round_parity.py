@@ -38,9 +38,8 @@ from repro.core.kernel import (
     degree_edge_alphas,
     edge_alpha_map,
     fixed_edge_alphas,
-    flatten,
 )
-from repro.core.tree import random_tree, tree_from_edges
+from repro.core.tree import RoutingTree, random_tree
 
 from tests.helpers import connected_region, routing_trees
 from tests.oracle.reference_round import reference_round
@@ -53,9 +52,8 @@ from tests.oracle.reference_round import reference_round
 def rerooted_trees(draw, min_nodes: int = 2, max_nodes: int = 18):
     """A random tree re-rooted at a drawn node (not node 0 most of the time)."""
     base = draw(routing_trees(min_nodes=min_nodes, max_nodes=max_nodes))
-    edges = [(c, p) for c, p in enumerate(base.parent_map) if c != p]
     root = draw(st.integers(min_value=0, max_value=base.n - 1))
-    return tree_from_edges(base.n, edges, root=root)
+    return base.rerooted(root)
 
 
 def dyadic_rates(n: int):
@@ -112,18 +110,17 @@ class TestSingleDocument:
     )
     @settings(max_examples=150, deadline=None)
     def test_sync_batch_and_reference_agree(self, data, tree, alpha, density, rounds):
-        flat = flatten(tree)
         rates = data.draw(dyadic_rates(tree.n))
-        alphas = _alphas(flat, alpha)
+        alphas = _alphas(tree, alpha)
         config = EngineConfig(density_threshold=density)
         served = rates
         if data.draw(st.booleans()):  # everything served at the home instead
             served = [0.0] * tree.n
             served[tree.root] = sum(rates)
-        sync = SyncEngine(flat, rates, served, alphas, config=config)
-        batch = BatchEngine(flat, [rates], [served], alphas, config=config)
+        sync = SyncEngine(tree, rates, served, alphas, config=config)
+        batch = BatchEngine(tree, [rates], [served], alphas, config=config)
         exact = alpha is not None
-        amap = edge_alpha_map(flat, alphas)
+        amap = edge_alpha_map(tree, alphas)
         expected = [float(r) for r in served]
         resettle_at = data.draw(st.integers(min_value=0, max_value=rounds))
         for r in range(rounds):
@@ -162,16 +159,15 @@ class TestSingleDocument:
         for seed in range(12):
             rng = random.Random(seed)
             tree = random_tree(8, rng)
-            flat = flatten(tree)
             rates = [rng.randrange(0, 64) / 4.0 for _ in range(tree.n)]
             served = [0.0] * tree.n
             served[tree.root] = sum(rates)
-            alphas = fixed_edge_alphas(flat, 0.5, safe=False)
-            amap = edge_alpha_map(flat, alphas)
+            alphas = fixed_edge_alphas(tree, 0.5, safe=False)
+            amap = edge_alpha_map(tree, alphas)
             for density in (0.0, 1.0):  # always dense / sparse whenever tracked
                 config = EngineConfig(density_threshold=density)
-                sync = SyncEngine(flat, rates, served, alphas, config=config)
-                batch = BatchEngine(flat, [rates], [served], alphas, config=config)
+                sync = SyncEngine(tree, rates, served, alphas, config=config)
+                batch = BatchEngine(tree, [rates], [served], alphas, config=config)
                 expected = served
                 for _ in range(8):
                     sparse_before = sync.step_stats["sparse_rounds"]
@@ -193,15 +189,14 @@ class TestSingleDocument:
         platform's ``maximum``/``clip`` loops; whichever it is, both engines
         compute it with the same code and no load may move.
         """
-        tree = tree_from_edges(3, [(1, 0), (2, 1)], root=0)
-        flat = flatten(tree)
-        alphas = fixed_edge_alphas(flat, 0.25, safe=False)
+        tree = RoutingTree([0, 0, 1])
+        alphas = fixed_edge_alphas(tree, 0.25, safe=False)
         rates = [4.0, -0.0, -0.0]
-        sync = SyncEngine(flat, rates, [4.0, 0.0, 0.0], alphas)
-        batch = BatchEngine(flat, [rates], [[4.0, 0.0, 0.0]], alphas)
+        sync = SyncEngine(tree, rates, [4.0, 0.0, 0.0], alphas)
+        batch = BatchEngine(tree, [rates], [[4.0, 0.0, 0.0]], alphas)
         assert np.signbit(sync.forwarded[1]) and np.signbit(sync.forwarded[2])
         expected = [4.0, 0.0, 0.0]
-        amap = edge_alpha_map(flat, alphas)
+        amap = edge_alpha_map(tree, alphas)
         for _ in range(3):
             sync.step()
             batch.step()
@@ -223,7 +218,6 @@ class TestDenseSparseFlips:
     )
     @settings(max_examples=100, deadline=None)
     def test_threshold_never_changes_the_trajectory(self, data, tree, alpha, rounds):
-        flat = flatten(tree)
         m = tree.n - 1
         hot = data.draw(
             st.lists(st.integers(0, tree.n - 1), min_size=1, max_size=3, unique=True)
@@ -231,15 +225,15 @@ class TestDenseSparseFlips:
         rates = [0.0] * tree.n
         for node in hot:
             rates[node] = data.draw(st.floats(min_value=0.5, max_value=50.0))
-        alphas = _alphas(flat, alpha)
+        alphas = _alphas(tree, alpha)
         # thresholds one edge either side of what the frontier holds
         fractions = sorted({0.0, 1.0, 0.5, *(k / m for k in range(1, m + 1, 2))})
         threshold = data.draw(st.sampled_from(fractions))
         engines = [
-            SyncEngine(flat, rates, rates, alphas, config=EngineConfig(density_threshold=t))
+            SyncEngine(tree, rates, rates, alphas, config=EngineConfig(density_threshold=t))
             for t in (0.5, threshold)
         ]
-        dense = SyncEngine(flat, rates, rates, alphas, config=EngineConfig(adaptive=False))
+        dense = SyncEngine(tree, rates, rates, alphas, config=EngineConfig(adaptive=False))
         for _ in range(rounds):
             for engine in (*engines, dense):
                 engine.step()
@@ -265,17 +259,16 @@ class TestStackedDocuments:
     )
     @settings(max_examples=100, deadline=None)
     def test_rows_match_their_own_sync_engine(self, data, tree, alpha, density, rounds):
-        flat = flatten(tree)
         n, m = tree.n, tree.n - 1
-        alphas = _alphas(flat, alpha)
+        alphas = _alphas(tree, alpha)
         # a busy row, a one-node row (small frontier) and a dead row
         busy = data.draw(dyadic_rates(n))
         lone = [0.0] * n
         lone[data.draw(st.integers(0, n - 1))] = 16.0
         docs = [busy, lone, [0.0] * n]
         config = EngineConfig(density_threshold=density)
-        batch = BatchEngine(flat, docs, None, alphas, config=config)
-        syncs = [SyncEngine(flat, r, r, alphas, config=config) for r in docs]
+        batch = BatchEngine(tree, docs, None, alphas, config=config)
+        syncs = [SyncEngine(tree, r, r, alphas, config=config) for r in docs]
         resettle_at = data.draw(st.integers(min_value=0, max_value=rounds))
         for r in range(rounds):
             if r == resettle_at:
@@ -298,12 +291,11 @@ class TestStackedDocuments:
         old ``D``.  Every row still matches its own ``SyncEngine``."""
         rng = random.Random(5)
         tree = random_tree(120, rng)
-        flat = flatten(tree)
-        alphas = degree_edge_alphas(flat)
+        alphas = degree_edge_alphas(tree)
         config = EngineConfig(density_threshold=1.0)  # sparse whenever tracked
-        docs = [_patch(flat, rng, 12) for _ in range(5)]
-        batch = BatchEngine(flat, docs[:2], None, alphas, config=config)
-        syncs = [SyncEngine(flat, r, r, alphas, config=config) for r in docs]
+        docs = [_patch(tree, rng, 12) for _ in range(5)]
+        batch = BatchEngine(tree, docs[:2], None, alphas, config=config)
+        syncs = [SyncEngine(tree, r, r, alphas, config=config) for r in docs]
 
         def run_sparse(live):
             before = batch.step_stats["sparse_rounds"]
@@ -319,7 +311,7 @@ class TestStackedDocuments:
         run_sparse(syncs)
         assert batch.remove_documents([0, 3]).shape == (2,)  # D 5 -> 3
         run_sparse([syncs[1], syncs[2], syncs[4]])
-        other = BatchEngine(flat, docs, None, alphas, config=config)
+        other = BatchEngine(tree, docs, None, alphas, config=config)
         for _ in range(4):
             other.step()
         batch.load_state(other.state())  # D 3 -> 5, in place
@@ -338,10 +330,9 @@ def _patchy_stack(seed: int, n: int, docs: int, alpha, at_home: bool):
     on ``docs`` connected patches of dyadic demand over one random tree."""
     rng = random.Random(seed)
     tree = random_tree(n, rng)
-    flat = flatten(tree)
 
     def patch():
-        return _patch(flat, rng, rng.randint(1, n // 3))
+        return _patch(tree, rng, rng.randint(1, n // 3))
 
     rates = [patch() for _ in range(docs)]
     served = None
@@ -351,7 +342,7 @@ def _patchy_stack(seed: int, n: int, docs: int, alpha, at_home: bool):
             row[tree.root] = sum(doc)
     stacks = [
         BatchEngine(
-            flat, rates, served, _alphas(flat, alpha),
+            tree, rates, served, _alphas(tree, alpha),
             config=EngineConfig(density_threshold=density),
         )
         for density in (1.0, 0.0)

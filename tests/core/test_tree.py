@@ -17,7 +17,6 @@ from repro.core.tree import (
     random_tree,
     random_tree_with_depth,
     star_tree,
-    tree_from_edges,
     tree_from_parent_map,
 )
 
@@ -31,12 +30,12 @@ class TestConstruction:
         tree = RoutingTree([0])
         assert tree.n == 1
         assert tree.root == 0
-        assert tree.parent(0) is None
+        assert tree.parent_of(0) is None
 
     def test_simple_chain(self):
         tree = RoutingTree([0, 0, 1])
         assert tree.root == 0
-        assert tree.parent(2) == 1
+        assert tree.parent_of(2) == 1
         assert tree.children(0) == (1,)
         assert tree.children(1) == (2,)
 
@@ -75,6 +74,34 @@ class TestConstruction:
         assert tree.parent_map == (0, 0, 1)
         assert all(type(p) is int for p in tree.parent_map)
 
+    def test_an_integer_array_is_copied_not_kept(self):
+        parent = np.array([0, 0, 1], dtype=np.int32)
+        tree = RoutingTree(parent)
+        parent[2] = 0
+        assert tree.parent_map == (0, 0, 1)
+        assert tree.parent.dtype == np.intp and not tree.parent.flags.writeable
+
+    @pytest.mark.parametrize(
+        "parent", [np.array([0.0, 0.0]), np.array([True, False]), np.array([0, 0.5])]
+    )
+    def test_a_bool_or_float_array_is_refused(self, parent):
+        with pytest.raises(TreeError, match=r"parent\[0\]=.* is not a node id in 0..1"):
+            RoutingTree(parent)
+
+    @pytest.mark.parametrize(
+        "parent, message",
+        [
+            (np.array([0, 2]), r"parent\[1\]=2 is not a node id in 0..1"),
+            (np.array([0, -1], dtype=np.int8), r"parent\[1\]=-1 is not a node id in 0..1"),
+            (np.array([0, 2**63], dtype=np.uint64), rf"parent\[1\]={2**63} is not a node id"),
+            (np.array([0, 1]), "exactly one root"),
+            (np.array([0, 2, 1]), "not connected"),
+        ],
+    )
+    def test_an_integer_array_is_checked_like_a_list(self, parent, message):
+        with pytest.raises(TreeError, match=message):
+            RoutingTree(parent)
+
     def test_disconnected_cycle_rejected(self):
         # 0 is root; 1 and 2 form a 2-cycle unreachable from the root
         with pytest.raises(TreeError, match="not connected"):
@@ -88,29 +115,19 @@ class TestConstruction:
         with pytest.raises(TreeError, match="keys"):
             tree_from_parent_map({0: 0, 2: 0})
 
-    def test_from_edges(self):
-        tree = tree_from_edges(4, [(0, 1), (1, 2), (1, 3)], root=0)
-        assert tree.parent(2) == 1
-        assert tree.parent(1) == 0
+    def test_rerooted_flips_the_path_to_the_old_root(self):
+        tree = RoutingTree([0, 0, 1, 1]).rerooted(3)
+        assert tree.root == 3
+        assert tree.parent_map == (1, 3, 1, 3)
 
-    def test_from_edges_rerooted(self):
-        tree = tree_from_edges(3, [(0, 1), (1, 2)], root=2)
-        assert tree.root == 2
-        assert tree.parent(0) == 1
+    def test_rerooted_at_the_root_is_the_tree(self):
+        tree = kary_tree(2, 2)
+        assert tree.rerooted(0) is tree
 
-    def test_from_edges_wrong_count(self):
-        with pytest.raises(TreeError, match="needs"):
-            tree_from_edges(3, [(0, 1)])
-
-    def test_from_edges_disconnected(self):
-        with pytest.raises(TreeError, match="not connected"):
-            tree_from_edges(4, [(0, 1), (2, 3), (2, 3)])
-
-    @pytest.mark.parametrize("edges, bad", [([(0, 1), (1, -1)], -1), ([(0, 1), (3, 1)], 3)])
-    def test_from_edges_refuses_an_edge_id_out_of_range(self, edges, bad):
-        """A negative id used to index from the end: ``(1, -1)`` joined 1 to 2."""
-        with pytest.raises(TreeError, match=f"node id {bad} is not in 0..2"):
-            tree_from_edges(3, edges)
+    @pytest.mark.parametrize("home", [True, 1.0, "1"])
+    def test_rerooted_refuses_a_home_that_is_no_integer(self, home):
+        with pytest.raises(TreeError, match="is not a node id in 0..6"):
+            kary_tree(2, 2).rerooted(home)
 
     @pytest.mark.parametrize("home", [99, 7, -1])
     def test_rerooting_refuses_a_home_that_is_no_node(self, home):
@@ -130,9 +147,9 @@ class TestAccessors:
         assert small_tree.neighbors(3) == (1,)
 
     def test_degree(self, small_tree):
-        assert small_tree.degree(0) == 2
-        assert small_tree.degree(1) == 3
-        assert small_tree.degree(4) == 1
+        assert small_tree.degree[0] == 2
+        assert small_tree.degree[1] == 3
+        assert small_tree.degree[4] == 1
 
     def test_depth_and_height(self, small_tree):
         assert small_tree.depth(0) == 0
@@ -156,13 +173,20 @@ class TestAccessors:
         assert a != c
         assert a != "not a tree"
 
+    @pytest.mark.parametrize("field", ["n", "root", "parent", "edge_parent", "degree", "levels"])
+    def test_a_field_cannot_be_rebound(self, small_tree, field):
+        """The cached levels, children and incident edges derive from the
+        fields: rebinding one would leave them stale, so it is refused."""
+        with pytest.raises(AttributeError, match=f"RoutingTree.{field} is read-only"):
+            setattr(small_tree, field, getattr(small_tree, field))
+
 
 class TestTraversals:
     def test_bfs_order_parents_first(self, small_tree):
         order = small_tree.bfs_order()
         position = {node: i for i, node in enumerate(order)}
         for node in small_tree:
-            parent = small_tree.parent(node)
+            parent = small_tree.parent_of(node)
             if parent is not None:
                 assert position[parent] < position[node]
 

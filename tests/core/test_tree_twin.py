@@ -3,9 +3,12 @@
 ``tests/oracle/routing_tree.py`` is the constructor as it ran with Python
 children lists and a ``deque`` BFS.  The array construction must expose the
 same parent map, children, depths, BFS order, leaves and height on every
-valid parent array, and refuse every invalid one with the same
-``TreeError`` message.  ``FlatTree.levels`` (one sort by depth, split at the
-level boundaries) must equal the per-depth ``flatnonzero`` scans it replaced.
+valid parent array, given as a list or as an integer ``ndarray``, and refuse
+every invalid one with the same ``TreeError`` message.  ``RoutingTree.levels``
+(one sort by depth, split at the level boundaries) must equal the per-depth
+``flatnonzero`` scans it replaced.  ``RoutingTree.rerooted`` (one path's
+pointers flipped) must give the parent map of the oracle's adjacency-list
+BFS, ``tree_from_edges``, for every home.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernel import FlatTree
 from repro.core.tree import (
     RoutingTree,
     TreeError,
@@ -26,7 +28,7 @@ from repro.core.tree import (
     random_tree,
     star_tree,
 )
-from tests.oracle.routing_tree import OracleTree
+from tests.oracle.routing_tree import OracleTree, tree_from_edges
 
 
 def _outcome(build, parent):
@@ -40,6 +42,11 @@ def assert_twin(parent):
     tree, error = _outcome(RoutingTree, parent)
     oracle, oracle_error = _outcome(OracleTree, parent)
     assert error == oracle_error
+    if all(type(p) is int and -(2**63) <= p < 2**63 for p in parent):
+        from_array, array_error = _outcome(RoutingTree, np.array(parent, dtype=np.int64))
+        assert array_error == oracle_error
+        if tree is not None:
+            assert from_array.parent_map == tree.parent_map
     if oracle is None:
         return
     n = len(parent)
@@ -168,9 +175,48 @@ def _old_levels(tree):
     ],
     ids=["chain-1", "chain-2", "chain-500", "star", "kary", "random", "random-relabelled"],
 )
-def test_flat_levels_equal_the_per_depth_scans(tree):
-    levels, old = FlatTree(tree).levels, _old_levels(tree)
+def test_levels_equal_the_per_depth_scans(tree):
+    levels, old = tree.levels, _old_levels(tree)
     assert len(levels) == len(old)
     for new_level, old_level in zip(levels, old):
         assert new_level.dtype == old_level.dtype
         assert np.array_equal(new_level, old_level)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_parents())
+def test_rerooted_matches_the_bfs_for_every_home(parent):
+    tree = RoutingTree(parent)
+    edges = [(c, p) for c, p in enumerate(tree.parent_map) if c != p]
+    for home in range(tree.n):
+        assert tree.rerooted(home).parent_map == tree_from_edges(tree.n, edges, root=home).parent_map
+
+
+# The oracle's own refusals: edge ids, edge count and connectivity.
+def test_oracle_from_edges():
+    tree = tree_from_edges(4, [(0, 1), (1, 2), (1, 3)], root=0)
+    assert tree.parent_of(2) == 1
+    assert tree.parent_of(1) == 0
+
+
+def test_oracle_from_edges_rerooted():
+    tree = tree_from_edges(3, [(0, 1), (1, 2)], root=2)
+    assert tree.root == 2
+    assert tree.parent_of(0) == 1
+
+
+def test_oracle_from_edges_wrong_count():
+    with pytest.raises(TreeError, match="needs"):
+        tree_from_edges(3, [(0, 1)])
+
+
+def test_oracle_from_edges_disconnected():
+    with pytest.raises(TreeError, match="not connected"):
+        tree_from_edges(4, [(0, 1), (2, 3), (2, 3)])
+
+
+@pytest.mark.parametrize("edges, bad", [([(0, 1), (1, -1)], -1), ([(0, 1), (3, 1)], 3)])
+def test_oracle_from_edges_refuses_an_edge_id_out_of_range(edges, bad):
+    """A negative id used to index from the end: ``(1, -1)`` joined 1 to 2."""
+    with pytest.raises(TreeError, match=f"node id {bad} is not in 0..2"):
+        tree_from_edges(3, edges)

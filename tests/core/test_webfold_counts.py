@@ -22,26 +22,25 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core.kernel import flatten
 from repro.core.tree import RoutingTree, random_tree
 from repro.core.webfold import webfold
 
 
-def _hot_region(flat, hot_nodes):
+def _hot_region(tree, hot_nodes):
     """The shallowest ``hot_nodes`` of the smallest subtree holding at least
     that many nodes (the benchmark's connected demand region)."""
-    n, parent = flat.n, flat.parent
+    n, parent = tree.n, tree.parent
     sizes = np.ones(n, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
-    for level in flat.levels:
+    for level in tree.levels:
         np.add.at(sizes, parent[level], sizes[level])
-    for level in reversed(flat.levels):
+    for level in reversed(tree.levels):
         depth[level] = depth[parent[level]] + 1
     big_enough = np.flatnonzero(sizes >= hot_nodes)
     top = int(big_enough[np.argmin(sizes[big_enough])])
     inside = np.zeros(n, dtype=bool)
     inside[top] = True
-    for level in reversed(flat.levels):
+    for level in reversed(tree.levels):
         inside[level] |= inside[parent[level]]
     members = np.flatnonzero(inside)
     keep = members[np.argsort(depth[members], kind="stable")[:hot_nodes]]
@@ -88,7 +87,7 @@ def _counted_fold(monkeypatch, tree, rates, caps=None):
 
 def test_skewed_fold_pops_only_foldable_entries(monkeypatch):
     tree = random_tree(100_000, random.Random(0))
-    mask = _hot_region(flatten(tree), 2_000)
+    mask = _hot_region(tree, 2_000)
     rates = np.zeros(tree.n)
     rates[mask] = np.random.default_rng(0).uniform(0.0, 100.0, int(mask.sum()))
 

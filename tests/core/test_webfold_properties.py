@@ -38,7 +38,7 @@ def test_lemma1_monotone_root_to_leaf(tree_rates):
     tree, rates = tree_rates
     loads = webfold(tree, rates).assignment.served
     for i in tree:
-        parent = tree.parent(i)
+        parent = tree.parent_of(i)
         if parent is not None:
             assert loads[parent] >= loads[i] - 1e-9
 

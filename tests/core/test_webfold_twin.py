@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import importlib
 import random
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -64,6 +65,10 @@ def assert_twin(tree, rates, caps=None):
         # Refused by name at the merge.  The oracle heap would order NaN
         # keys arbitrarily, but a NaN fold never folds on either side and
         # its members' served NaN is refused in the end.
+        assert expected.startswith("ValueError: served rate L[")
+    elif isinstance(got, str) and "spontaneous rates" in got:
+        # A fold's rate sum overflowed: refused naming the rates the caller
+        # passed, where the oracle refuses the served inf it computed.
         assert expected.startswith("ValueError: served rate L[")
     else:
         assert got == expected
@@ -119,7 +124,6 @@ def fold_inputs(draw):
     return tree, rates, caps
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(fold_inputs())
 # equal loads at distinct roots: ties go to the smallest root
@@ -141,7 +145,7 @@ def fold_inputs(draw):
 # inf loads (a rate over a subnormal capacity) that tie, fold and end finite
 @example((star_tree(3), [0.0, 1.0, 1.0], [1.0, _TINY, _TINY]))
 @example((chain_tree(3), [1.0, 0.0, 1.0], [1.0, 1.0, _TINY]))
-# the rate sum overflows to inf: refused, as a served inf, by both
+# the rate sum overflows to inf: refused by both, naming the rates here
 @example((chain_tree(3), [0.0, _HUGE, _HUGE], None))
 # both sums overflow: a NaN load, refused by name
 @example((RoutingTree([0, 0, 1]), [0.0, 1e308, _HUGE], [1.0, 1e308, 1e308]))
@@ -149,7 +153,6 @@ def test_flat_fold_matches_heap_oracle(inputs):
     assert_twin(*inputs)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_nan_load_is_refused_naming_its_fold():
     """Rate and capacity sums that both overflow make a NaN load, which has
     no place in the heap's order: the fold refuses it by name."""
@@ -158,6 +161,22 @@ def test_a_nan_load_is_refused_naming_its_fold():
         webfold(tree, rates, caps)
     with pytest.raises(ValueError, match=r"served rate L\[1\]=nan"):
         webfold_heap(tree, rates, caps)
+
+
+def test_a_rate_sum_that_overflows_is_refused_naming_the_rates():
+    """Two DBL_MAX rates fold into an inf rate sum: refused as the caller's
+    spontaneous rates, not as a served rate ``L[0]`` it never passed."""
+    with pytest.raises(ValueError, match=r"^fold 0: the spontaneous rates of its members sum"):
+        webfold(chain_tree(3), [0.0, _HUGE, _HUGE])
+
+
+def test_an_inf_load_that_folds_finite_raises_no_warning():
+    """A rate over a subnormal capacity is an inf load, which sorts first by
+    design; the fold ends finite and NumPy must not warn on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = webfold(star_tree(3), [0.0, 1.0, 1.0], [1.0, _TINY, _TINY])
+    assert result.assignment.served == (2.0, 1e-323, 1e-323)
 
 
 def test_flat_fold_matches_heap_oracle_at_scale():

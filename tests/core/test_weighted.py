@@ -68,7 +68,7 @@ class TestWeightedWebfold:
         caps = [rng.uniform(1, 9) for _ in range(tree.n)]
         utils = webfold(tree, rates, caps).utilizations()
         for i in tree:
-            parent = tree.parent(i)
+            parent = tree.parent_of(i)
             if parent is not None:
                 assert utils[parent] >= utils[i] - 1e-9
 

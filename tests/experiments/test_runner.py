@@ -106,6 +106,50 @@ class TestServeTreeSpecs:
         assert replies[2] == {"ok": True, "doc_id": "x"}
 
 
+class TestServeTreeSpecBound:
+    """``serve --tree`` counts a spec's nodes before building anything and
+    refuses one above ``MAX_TREE_NODES`` on the misuse path, naming it."""
+
+    @pytest.fixture
+    def never_built(self, monkeypatch):
+        import repro.core.tree as trees
+
+        def refuse(*args):
+            raise AssertionError(f"a tree was built for {args}")
+
+        for name in ("kary_tree", "chain_tree", "star_tree"):
+            monkeypatch.setattr(trees, name, refuse)
+
+    @pytest.mark.parametrize("spec", ["kary:2,2", "kary:1,6", "chain:7", "star:7"])
+    def test_a_spec_above_the_bound_is_refused_by_name(self, spec, monkeypatch, capsys, never_built):
+        monkeypatch.setattr("repro.experiments.runner.MAX_TREE_NODES", 6)
+        assert main(["serve", "--tree", spec]) == 2
+        err = capsys.readouterr().err
+        assert f"bad tree spec {spec!r}: more than 6 nodes" in err
+        assert "registered experiments:" in err
+
+    def test_a_spec_at_the_bound_is_served(self, monkeypatch, capsys):
+        import io
+
+        monkeypatch.setattr("repro.experiments.runner.MAX_TREE_NODES", 7)
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"op":"shutdown"}\n'))
+        assert main(["serve", "--tree", "kary:2,2"]) == 0
+
+    def test_a_huge_kary_spec_is_counted_not_built(self, capsys, never_built):
+        """``kary:10,12`` is ~1.1e12 nodes: the count stops at the bound."""
+        assert main(["serve", "--tree", "kary:10,12"]) == 2
+        assert "bad tree spec 'kary:10,12': more than" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, fault", [("kary:-3,20", "k >= 1"), ("kary:0,5", "k >= 1"), ("kary:2,-1", "height >= 0")]
+    )
+    def test_a_kary_spec_the_builder_refuses_is_named_for_its_fault(self, spec, fault, capsys):
+        """A negative ``k`` alternates the level sizes' sign; the count
+        must not pass the bound and hide ``kary_tree``'s own error."""
+        assert main(["serve", "--tree", spec]) == 2
+        assert f"bad tree spec {spec!r}: kary_tree requires {fault}" in capsys.readouterr().err
+
+
 class TestMisuseIsUniform:
     """Every subcommand's misuse path: usage + registry to stderr, exit 2."""
 
@@ -199,15 +243,14 @@ class TestTelemetryCli:
 
     def test_ambient_telemetry_reaches_engines(self, tmp_path):
         from repro.obs import Telemetry, use
-        from repro.core.kernel import SyncEngine, degree_edge_alphas, flatten
+        from repro.core.kernel import SyncEngine, degree_edge_alphas
         from repro.core.tree import kary_tree
 
         tree = kary_tree(2, 3)
-        flat = flatten(tree)
         rates = [1.0] * tree.n
         tel = Telemetry()
         with use(tel):
-            engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+            engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
             engine.step()
         counters = tel.snapshot()["counters"]
         assert (

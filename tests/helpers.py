@@ -67,14 +67,14 @@ def count_steps(runtime, monkeypatch, limit: int) -> List[int]:
     return steps
 
 
-def connected_region(flat, start: int, size: int) -> List[int]:
+def connected_region(tree, start: int, size: int) -> List[int]:
     """The first ``size`` nodes of a breadth-first walk from ``start`` over
     tree neighbours (parent, then children), ascending: one connected patch
-    of demand on a ``FlatTree``, the shape a sparse round is built for."""
-    children = flat.children_lists()
+    of demand on a tree, the shape a sparse round is built for."""
+    children = tree.children_map
     seen, queue = {start}, [start]
     for node in queue:  # grows while it is walked
-        for neighbour in (int(flat.parent[node]), *children[node]):
+        for neighbour in (int(tree.parent[node]), *children[node]):
             if len(seen) < size and neighbour not in seen:
                 seen.add(neighbour)
                 queue.append(neighbour)
@@ -122,10 +122,10 @@ def resettle(tree, rates, served) -> List[float]:
     (:func:`repro.core.kernel.resettle_served` on plain lists)."""
     import numpy as np
 
-    from repro.core.kernel import flatten, resettle_served
+    from repro.core.kernel import resettle_served
 
     return resettle_served(
-        flatten(tree),
+        tree,
         np.asarray(rates, dtype=np.float64),
         np.asarray(served, dtype=np.float64),
     ).tolist()

@@ -34,7 +34,7 @@ def test_tree_edges_are_topology_links(seed, n):
     topo = waxman_topology(n, random.Random(seed))
     tree = shortest_path_tree(topo, 0)
     for node in range(topo.n):
-        parent = tree.parent(node)
+        parent = tree.parent_of(node)
         if parent is not None:
             assert parent in topo.neighbors(node)
 
@@ -47,6 +47,6 @@ def test_distances_monotone_toward_root(seed):
     dist, _ = dijkstra(topo, 0)
     tree = shortest_path_tree(topo, 0)
     for node in range(topo.n):
-        parent = tree.parent(node)
+        parent = tree.parent_of(node)
         if parent is not None:
             assert dist[parent] < dist[node] + 1e-12

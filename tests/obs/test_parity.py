@@ -24,7 +24,6 @@ from repro.core.kernel import (
     ForestEngine,
     SyncEngine,
     degree_edge_alphas,
-    flatten,
 )
 from repro.core.tree import kary_tree
 from repro.experiments.overhead import filter_sizes
@@ -44,12 +43,11 @@ class TestRatePlaneParity:
     @settings(max_examples=25, deadline=None)
     def test_sync_engine_bit_identical(self, tree_rates, rounds):
         tree, rates = tree_rates
-        flat = flatten(tree)
-        alphas = degree_edge_alphas(flat)
+        alphas = degree_edge_alphas(tree)
         tel = Telemetry(sample_interval=1)  # sample every round: worst case
 
-        plain = SyncEngine(flat, rates, rates, alphas)
-        instrumented = SyncEngine(flat, rates, rates, alphas, telemetry=tel)
+        plain = SyncEngine(tree, rates, rates, alphas)
+        instrumented = SyncEngine(tree, rates, rates, alphas, telemetry=tel)
         for _ in range(rounds):
             plain.step()
             instrumented.step()
@@ -68,15 +66,14 @@ class TestRatePlaneParity:
     @settings(max_examples=15, deadline=None)
     def test_dense_engine_bit_identical(self, tree_rates, rounds):
         tree, rates = tree_rates
-        flat = flatten(tree)
-        alphas = degree_edge_alphas(flat)
+        alphas = degree_edge_alphas(tree)
         tel = Telemetry(sample_interval=1)
 
         plain = SyncEngine(
-            flat, rates, rates, alphas, config=EngineConfig(adaptive=False)
+            tree, rates, rates, alphas, config=EngineConfig(adaptive=False)
         )
         instrumented = SyncEngine(
-            flat, rates, rates, alphas,
+            tree, rates, rates, alphas,
             telemetry=tel,
             config=EngineConfig(adaptive=False),
         )
@@ -89,15 +86,14 @@ class TestRatePlaneParity:
 
     def test_async_engine_bit_identical(self):
         tree = kary_tree(2, 4)
-        flat = flatten(tree)
         rates = [float(i % 7) for i in range(tree.n)]
-        alphas = degree_edge_alphas(flat)
+        alphas = degree_edge_alphas(tree)
         tel = Telemetry()
         order = [(i * 13 + 5) % tree.n for i in range(200)]
 
-        plain = AsyncEngine(flat, rates, rates, alphas, random.Random(3))
+        plain = AsyncEngine(tree, rates, rates, alphas, random.Random(3))
         instrumented = AsyncEngine(
-            flat, rates, rates, alphas, random.Random(3), telemetry=tel
+            tree, rates, rates, alphas, random.Random(3), telemetry=tel
         )
         for node in order:
             plain.activate(node)
@@ -109,7 +105,7 @@ class TestRatePlaneParity:
     def test_forest_engine_bit_identical(self):
         base = kary_tree(2, 3)
         trees = rerooted_trees(base, [base.root, 3])
-        flats = {h: flatten(t) for h, t in trees.items()}
+        flats = {h: t for h, t in trees.items()}
         demands = {
             h: [float((i * 3 + h) % 5) for i in range(base.n)] for h in trees
         }

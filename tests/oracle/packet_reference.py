@@ -90,7 +90,7 @@ class ReferenceScenario:
                     server.install_copy(doc.doc_id, pinned=True)
             self.servers.append(server)
             router = Router(
-                node=node, server=server, parent=self.tree.parent(node)
+                node=node, server=server, parent=self.tree.parent_of(node)
             )
             router.sync_filter()
             self.routers.append(router)
@@ -105,12 +105,12 @@ class ReferenceScenario:
         total = 0.0
         u = a
         while u not in path_b:
-            p = self.tree.parent(u)
+            p = self.tree.parent_of(u)
             total += self.edge_delay(u, p)
             u = p
         v = b
         while v != u:
-            p = self.tree.parent(v)
+            p = self.tree.parent_of(v)
             total += self.edge_delay(v, p)
             v = p
         return total
@@ -259,8 +259,8 @@ class ReferenceWebWaveScenario(ReferenceScenario):
         if self.protocol.alpha is not None:
             return self.protocol.alpha
         return min(
-            1.0 / (self.tree.degree(a) + 1),
-            1.0 / (self.tree.degree(b) + 1),
+            1.0 / (int(self.tree.degree[a]) + 1),
+            1.0 / (int(self.tree.degree[b]) + 1),
         )
 
     def _gossip(self) -> None:
@@ -299,7 +299,7 @@ class ReferenceWebWaveScenario(ReferenceScenario):
             if budget < self.protocol.min_transfer_rate:
                 continue
             self._delegate(i, j, budget, now)
-        parent = self.tree.parent(i)
+        parent = self.tree.parent_of(i)
         if parent is None:
             return
         parent_load = self.load_estimates[i].get(parent, 0.0)
@@ -391,7 +391,7 @@ class ReferenceWebWaveScenario(ReferenceScenario):
     # ------------------------------------------------------------------
     def _update_stagnation(self, now: float) -> None:
         for node in self.tree:
-            parent = self.tree.parent(node)
+            parent = self.tree.parent_of(node)
             if parent is None:
                 continue
             my_load = self.servers[node].served_rate(now)
@@ -426,7 +426,7 @@ class ReferenceWebWaveScenario(ReferenceScenario):
                 bws = []
                 u = node
                 while u != source:
-                    p = self.tree.parent(u)
+                    p = self.tree.parent_of(u)
                     bw = self.topology.link(u, p).bandwidth
                     if bw:
                         bws.append(bw)
@@ -448,9 +448,9 @@ class ReferenceWebWaveScenario(ReferenceScenario):
         return False
 
     def _nearest_ancestor_with(self, node: int, doc_id: str) -> Optional[int]:
-        u = self.tree.parent(node)
+        u = self.tree.parent_of(node)
         while u is not None:
             if self.servers[u].caches(doc_id):
                 return u
-            u = self.tree.parent(u)
+            u = self.tree.parent_of(u)
         return None

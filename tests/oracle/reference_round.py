@@ -37,7 +37,7 @@ def reference_round(
     # forwarded rates from flow conservation, one bottom-up pass
     fwd = [float(e) - l for e, l in zip(spontaneous, loads)]
     for u in tree.bottomup():
-        p = tree.parent(u)
+        p = tree.parent_of(u)
         if p is not None:
             fwd[p] += fwd[u]
 
@@ -48,7 +48,7 @@ def reference_round(
 
     delta = [0.0] * n
     for child in tree:
-        parent = tree.parent(child)
+        parent = tree.parent_of(child)
         if parent is None:
             continue
         alpha = edge_alpha[(parent, child)]

@@ -6,17 +6,22 @@ node's children, sorted, then a ``deque`` breadth-first search that
 fills the depth and BFS order and detects nodes not connected to the root.
 ``tests/core/test_tree_twin.py`` checks that the array construction gives
 the same accessors and raises the same ``TreeError`` messages.
+
+:func:`tree_from_edges` is, verbatim, the adjacency-list BFS that
+``repro.core.tree`` rerooted a tree with before ``RoutingTree.rerooted``
+flipped the parent pointers on one path; the twin checks both give the
+same parent map for every home.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.steppable import count_tuple, is_count
-from repro.core.tree import TreeError
+from repro.core.tree import RoutingTree, TreeError
 
-__all__ = ["OracleTree"]
+__all__ = ["OracleTree", "tree_from_edges"]
 
 
 class OracleTree:
@@ -65,3 +70,39 @@ class OracleTree:
         self.bfs_order: Tuple[int, ...] = tuple(order)
         self.leaves = tuple(i for i in range(n) if not self.children[i])
         self.height = max(self.depth)
+
+
+def tree_from_edges(n: int, edges: Iterable[Tuple[int, int]], root: int = 0) -> RoutingTree:
+    """Build a tree from undirected edges by orienting them away from ``root``.
+
+    ``root`` and every edge end must be a node id in ``0..n-1``: anything
+    else is a :class:`TreeError` naming it (a negative id would otherwise
+    index from the end, another node).
+    """
+    if not 0 <= root < n:
+        raise TreeError(f"root {root} is not a node id in 0..{n - 1}")
+    adj: List[List[int]] = [[] for _ in range(n)]
+    edge_count = 0
+    for a, b in edges:
+        if not (0 <= a < n and 0 <= b < n):
+            bad = a if not 0 <= a < n else b
+            raise TreeError(f"edge ({a}, {b}): node id {bad} is not in 0..{n - 1}")
+        adj[a].append(b)
+        adj[b].append(a)
+        edge_count += 1
+    if edge_count != n - 1:
+        raise TreeError(f"a tree on {n} nodes needs {n - 1} edges, got {edge_count}")
+    parent = [-1] * n
+    parent[root] = root
+    queue: deque[int] = deque([root])
+    seen = 1
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if parent[v] == -1:
+                parent[v] = u
+                seen += 1
+                queue.append(v)
+    if seen != n:
+        raise TreeError("edge list is not connected")
+    return RoutingTree(parent)

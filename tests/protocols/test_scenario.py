@@ -65,7 +65,7 @@ class TestBaseDatapath:
         for request in scenario._finished[:200]:
             path = request.path
             for a, b in zip(path, path[1:]):
-                assert scenario.tree.parent(a) == b
+                assert scenario.tree.parent_of(a) == b
 
     def test_response_time_at_least_route_delay(self):
         scenario = Scenario(make_workload(), small_config())

@@ -19,8 +19,8 @@ import json
 import pathlib
 import random
 
-from repro.core.kernel import EngineConfig, SyncEngine, degree_edge_alphas, flatten
-from repro.core.tree import random_tree, tree_from_edges
+from repro.core.kernel import EngineConfig, SyncEngine, degree_edge_alphas
+from repro.core.tree import random_tree
 from repro.service.checkpoint import write_checkpoint
 
 HERE = pathlib.Path(__file__).parent
@@ -38,13 +38,11 @@ CASES = {
 
 def build(config: EngineConfig) -> SyncEngine:
     base = random_tree(60, random.Random(5))
-    edges = [(c, p) for c, p in enumerate(base.parent_map) if c != p]
-    tree = tree_from_edges(base.n, edges, root=4)
-    flat = flatten(tree)
+    tree = base.rerooted(4)
     rng = random.Random(11)
     # demand in one corner of the tree, so the frontier is a proper subset
     rates = [rng.uniform(1.0, 20.0) if i in (41, 52, 57) else 0.0 for i in range(tree.n)]
-    return SyncEngine(flat, rates, rates, degree_edge_alphas(flat), config=config)
+    return SyncEngine(tree, rates, rates, degree_edge_alphas(tree), config=config)
 
 
 def main() -> None:

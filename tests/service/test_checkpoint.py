@@ -34,11 +34,10 @@ from repro.core.kernel import (
     ForestEngine,
     SyncEngine,
     degree_edge_alphas,
-    flatten,
     state_field,
 )
 from repro.core.steppable import Steppable
-from repro.core.tree import kary_tree, tree_from_edges
+from repro.core.tree import kary_tree
 from repro.protocols.state import MeterBank, PacketState
 from repro.service.checkpoint import (
     CheckpointError,
@@ -68,8 +67,7 @@ def json_round_trip(state):
 @given(trees_with_rates(min_nodes=2, max_nodes=20), st.integers(0, 10), st.integers(1, 10))
 def test_sync_engine_round_trip_bit_identical(tree_rates, warmup, extra):
     tree, rates = tree_rates
-    flat = flatten(tree)
-    engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+    engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
     for _ in range(warmup):
         engine.step()
 
@@ -90,13 +88,12 @@ def test_sync_engine_round_trip_bit_identical(tree_rates, warmup, extra):
 def test_batch_engine_round_trip_bit_identical(tree_rates, warmup, extra):
     """The cohort's nested capture, loaded in place as a restore does."""
     tree, rates = tree_rates
-    flat = flatten(tree)
     stacked = np.stack([rates, [r * 0.5 for r in rates]])
-    engine = BatchEngine(flat, stacked, None, degree_edge_alphas(flat))
+    engine = BatchEngine(tree, stacked, None, degree_edge_alphas(tree))
     for _ in range(warmup):
         engine.step()
 
-    twin = BatchEngine(flat, np.zeros((0, flat.n)), None, degree_edge_alphas(flat))
+    twin = BatchEngine(tree, np.zeros((0, tree.n)), None, degree_edge_alphas(tree))
     twin.load_state(json_round_trip(engine.state()))
     for _ in range(extra):
         engine.step()
@@ -107,8 +104,7 @@ def test_batch_engine_round_trip_bit_identical(tree_rates, warmup, extra):
 
 def _catalog_runtime(seed: int = 0) -> ClusterRuntime:
     base = kary_tree(2, 3)
-    edges = [(c, p) for c, p in enumerate(base.parent_map) if c != p]
-    trees = {h: tree_from_edges(base.n, edges, root=h) for h in (0, 1, 5)}
+    trees = {h: base.rerooted(h) for h in (0, 1, 5)}
     runtime = ClusterRuntime(trees, config=ClusterConfig(track_tlb=True))
     rng = np.random.default_rng(seed)
     for d, home in enumerate((0, 0, 1, 5)):
@@ -161,18 +157,17 @@ def test_cluster_round_trip_with_frozen_cohorts_mid_run(tmp_path):
 def test_sync_round_trip_with_nonempty_frontier():
     """Checkpoint taken while the adaptive frontier is mid-collapse."""
     tree = kary_tree(3, 4)
-    flat = flatten(tree)
-    rates = np.zeros(flat.n)
-    rates[flat.n - 1] = 100.0  # hot leaf: load climbs toward the root
-    engine = SyncEngine(flat, rates, rates, degree_edge_alphas(flat))
+    rates = np.zeros(tree.n)
+    rates[tree.n - 1] = 100.0  # hot leaf: load climbs toward the root
+    engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
     for _ in range(5):
         engine.step()
     state = engine.state()
-    assert state["active"] is not None and 0 < len(state["active"]) < flat.n
+    assert state["active"] is not None and 0 < len(state["active"]) < tree.n
 
     # taken between two sparse rounds: the round's scratch is no state
     assert engine.step_stats["sparse_rounds"] == 4
-    assert set(state) == set(SyncEngine(flat, rates, rates, degree_edge_alphas(flat)).state())
+    assert set(state) == set(SyncEngine(tree, rates, rates, degree_edge_alphas(tree)).state())
 
     twin = SyncEngine.from_state(json_round_trip(state))
     for _ in range(50):
@@ -198,11 +193,11 @@ def _corrupt(state, field, edit):
 
 
 def _sync_engine(**config):
-    flat = flatten(kary_tree(2, 3))
-    rates = np.zeros(flat.n)
-    rates[flat.n - 1] = 40.0
+    tree = kary_tree(2, 3)
+    rates = np.zeros(tree.n)
+    rates[tree.n - 1] = 40.0
     engine = SyncEngine(
-        flat, rates, rates, degree_edge_alphas(flat), config=EngineConfig(**config)
+        tree, rates, rates, degree_edge_alphas(tree), config=EngineConfig(**config)
     )
     for _ in range(4):
         engine.step()
@@ -218,11 +213,11 @@ def _capacity_sync_engine():
 
 
 def _batch_engine():
-    flat = flatten(kary_tree(2, 3))
-    rates = np.zeros((2, flat.n))
-    rates[0, flat.n - 1] = 40.0
+    tree = kary_tree(2, 3)
+    rates = np.zeros((2, tree.n))
+    rates[0, tree.n - 1] = 40.0
     rates[1, 7] = 10.0
-    engine = BatchEngine(flat, rates, None, degree_edge_alphas(flat))
+    engine = BatchEngine(tree, rates, None, degree_edge_alphas(tree))
     for _ in range(4):
         engine.step()
     return engine
@@ -686,10 +681,9 @@ def test_uncheckpointed_classes_carry_no_capture(cls, attr):
 
 def test_wrong_kind_rejected_by_engine_load_state():
     tree = kary_tree(2, 2)
-    flat = flatten(tree)
-    engine = SyncEngine(flat, [1.0] * flat.n, [1.0] * flat.n, degree_edge_alphas(flat))
+    engine = SyncEngine(tree, [1.0] * tree.n, [1.0] * tree.n, degree_edge_alphas(tree))
     state = engine.state()
     state["kind"] = "batch_engine"
-    fresh = SyncEngine(flat, [1.0] * flat.n, [1.0] * flat.n, degree_edge_alphas(flat))
+    fresh = SyncEngine(tree, [1.0] * tree.n, [1.0] * tree.n, degree_edge_alphas(tree))
     with pytest.raises(ValueError, match="batch_engine"):
         fresh.load_state(state)

@@ -186,7 +186,9 @@ def test_a_stale_socket_is_replaced(tmp_path):
             try:
                 assert send_command(sock, {"op": "ping"}) == {"ok": True, "pong": True}
                 break
-            except ConnectionRefusedError:
+            except (ConnectionRefusedError, FileNotFoundError):
+                # Not up yet: the stale socket refuses, and between its
+                # removal and the new bind there is no file at the path.
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
     finally:

@@ -14,8 +14,8 @@ from repro.cluster.scenarios import (
     flash_crowd_scenario,
     run_scenario,
 )
-from repro.core.kernel import SyncEngine, degree_edge_alphas, flatten
-from repro.core.tree import kary_tree, tree_from_edges
+from repro.core.kernel import SyncEngine, degree_edge_alphas
+from repro.core.tree import kary_tree
 from repro.obs.sink import MemorySink
 from repro.protocols.state import MeterBank
 from repro.service import Service, write_checkpoint
@@ -30,8 +30,7 @@ N = kary_tree(2, 2).n
 @pytest.fixture
 def catalog():
     base = kary_tree(2, 2)
-    edges = [(c, p) for c, p in enumerate(base.parent_map) if c != p]
-    trees = {h: tree_from_edges(base.n, edges, root=h) for h in (0, 1, 2)}
+    trees = {h: base.rerooted(h) for h in (0, 1, 2)}
     runtime = ClusterRuntime(trees, config=ClusterConfig(track_tlb=True))
     runtime.publish("seed", 0, [3.0] + [1.0] * (N - 1))
     return runtime
@@ -292,8 +291,8 @@ def test_unknown_op_lists_known_ops(service):
 
 
 def test_catalog_ops_rejected_on_kernel_engines():
-    flat = flatten(kary_tree(2, 2))
-    engine = SyncEngine(flat, [1.0] * N, [1.0] * N, degree_edge_alphas(flat))
+    tree = kary_tree(2, 2)
+    engine = SyncEngine(tree, [1.0] * N, [1.0] * N, degree_edge_alphas(tree))
     service = Service(engine)
     for command in (
         {"op": "publish", "doc_id": "d", "home": 0, "rates": []},
@@ -433,8 +432,8 @@ def test_rejected_restore_leaves_the_catalog_untouched(
 
 
 def test_restore_of_another_kind_swaps_the_runtime(service, tmp_path):
-    flat = flatten(kary_tree(2, 2))
-    engine = SyncEngine(flat, [1.0] * N, [1.0] * N, degree_edge_alphas(flat))
+    tree = kary_tree(2, 2)
+    engine = SyncEngine(tree, [1.0] * N, [1.0] * N, degree_edge_alphas(tree))
     engine.step()
     path = str(tmp_path / "engine.ckpt")
     write_checkpoint(engine, path)
@@ -446,8 +445,8 @@ def test_restore_of_another_kind_swaps_the_runtime(service, tmp_path):
 def test_hostile_restore_of_another_kind_keeps_the_resident_runtime(
     service, catalog, tmp_path
 ):
-    flat = flatten(kary_tree(2, 2))
-    engine = SyncEngine(flat, [1.0] * N, [1.0] * N, degree_edge_alphas(flat))
+    tree = kary_tree(2, 2)
+    engine = SyncEngine(tree, [1.0] * N, [1.0] * N, degree_edge_alphas(tree))
     state = engine.state()
     state["active"] = [1000000]
     path = str(tmp_path / "engine.ckpt")

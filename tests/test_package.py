@@ -45,7 +45,7 @@ PUBLIC = {
     "repro.cluster": ["ClusterEvent", "flash_crowd_scenario", "run_scenario"],
     "repro.core": [
         "DocumentWebWave", "DocumentWebWaveConfig", "SyncEngine", "WebWaveConfig",
-        "degree_edge_alphas", "find_potential_barriers", "fit_gamma", "flatten",
+        "degree_edge_alphas", "find_potential_barriers", "fit_gamma",
         "gle_feasible", "kary_tree", "random_tree", "run_webwave", "webfold",
     ],
     "repro.documents": [],
