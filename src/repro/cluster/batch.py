@@ -32,7 +32,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.config import EngineConfig
+from ..core import kernel
 from ..core.kernel import (
     DiffusionStack,
     _NO_EDGES,
@@ -73,8 +73,8 @@ class BatchEngine(DiffusionStack):
     configuration every catalog-scale run uses.  The weighted / stale /
     quantized variants remain per-document concerns.
 
-    Adaptive stepping (``adaptive=True``, the default) keeps the stack's
-    frontier in the flattened ``document * edge`` index space.  It empties
+    Its rule reads current state only, so the stack keeps its frontier,
+    in the flattened ``document * edge`` index space.  It empties
     exactly when every document sits at its floating-point fixed point -
     the engine is then *quiescent* and the cluster runtime drops the whole
     cohort from the tick loop until a lifecycle event (which resets the
@@ -92,25 +92,8 @@ class BatchEngine(DiffusionStack):
         initial_served=None,
         edge_alpha: Optional[np.ndarray] = None,
         *,
-        config: Optional[EngineConfig] = None,
         telemetry=None,
     ) -> None:
-        cfg = config if config is not None else EngineConfig()
-        # The batched engine is the uniform-capacity, zero-delay,
-        # continuous-transfer configuration only; reject the per-document
-        # variants up front with the offending field named.
-        if cfg.capacities is not None:
-            raise ValueError(
-                "capacities: BatchEngine only runs the uniform-capacity update"
-            )
-        if cfg.gossip_delay != 0:
-            raise ValueError(
-                "gossip_delay: BatchEngine only runs the zero-delay update"
-            )
-        if cfg.quantum != 0.0:
-            raise ValueError(
-                "quantum: BatchEngine only runs continuous transfers"
-            )
         e, served = self._as_documents(flat.n, spontaneous, initial_served)
         alpha = np.asarray(
             degree_edge_alphas(flat) if edge_alpha is None else edge_alpha,
@@ -126,8 +109,6 @@ class BatchEngine(DiffusionStack):
             e,
             served,
             alpha,
-            adaptive=cfg.adaptive,
-            density_threshold=cfg.density_threshold,
             telemetry=telemetry,
         )
         tel = self._tel
@@ -267,8 +248,7 @@ class BatchEngine(DiffusionStack):
         """
         if self.flat.n <= 1 or self._loads.shape[0] == 0:
             # Nothing can ever move (no edges / no documents): quiesce.
-            if self._adaptive:
-                self._active = _NO_EDGES
+            self._active = _NO_EDGES
             self._round += 1
             return
         ran, pairs = self.advance()
@@ -289,8 +269,9 @@ class BatchEngine(DiffusionStack):
             "kind": self.STATE_KIND,
             "parent_map": self.flat.parent.tolist(),
             "edge_alpha": self._alpha.tolist(),
-            "adaptive": bool(self._adaptive),
-            "density_threshold": self._density,
+            # v1 format fields with one value each (see SyncEngine.state).
+            "adaptive": True,
+            "density_threshold": kernel.SPARSE_FRACTION,
             "round": self._round,
             "spontaneous": self._e.tolist(),
             "loads": self._loads.tolist(),
@@ -306,4 +287,4 @@ class BatchEngine(DiffusionStack):
     def load_state(self, state: Mapping[str, object]) -> None:
         """Restore a :meth:`state` capture in place: validate, then swap."""
         require_kind(self, state)
-        self._restore(state, "op_count")
+        self._restore(state, "op_count", True, "in a cohort")

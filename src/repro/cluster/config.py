@@ -36,16 +36,15 @@ class ClusterConfig:
         and report TLB gap / converged fraction per tick.
     tolerance:
         Relative distance below which a document counts as converged.
-    adaptive:
-        Active-set cohort engines plus cohort freezing (bit-identical to
-        dense stepping).
+
+    Stepping is not a knob: cohort engines always keep their frontier, and
+    the runtime freezes a cohort whose engine goes quiescent.
     """
 
     alpha: Optional[float] = None
     capacities: Optional[Tuple[float, ...]] = None
     track_tlb: bool = False
     tolerance: float = 1e-3
-    adaptive: bool = True
 
     def __post_init__(self) -> None:
         if self.alpha is not None:

@@ -47,7 +47,7 @@ class ClusterSnapshot:
         TLB optimum (``None`` when tracking is off).
     frozen_fraction:
         Fraction of documents in *frozen* cohorts (quiescent engines the
-        adaptive tick loop skips; always 0.0 with ``adaptive=False``).
+        tick loop skips).
     """
 
     tick: int

@@ -42,7 +42,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from ..core.config import EngineConfig
 from ..core.kernel import (
     check_rates,
     edge_alphas,
@@ -238,7 +237,7 @@ def _new_group(
 
 
 def _new_cohort(
-    group: _HomeGroup, key: bytes, mask: np.ndarray, rates, served, adaptive, telemetry
+    group: _HomeGroup, key: bytes, mask: np.ndarray, rates, served, telemetry
 ) -> _Cohort:
     """A cohort over the ancestor-closed node ``mask`` (packed: ``key``),
     registered in ``group``, its engine started on the full-width
@@ -249,7 +248,6 @@ def _new_cohort(
         pruned.restrict(rates),
         pruned.restrict(served),
         pruned_edge_alphas(group.tree, pruned, group.edge_alpha),
-        config=EngineConfig(adaptive=adaptive),
         telemetry=telemetry,
     )
     cohort = group.cohorts[key] = _Cohort(pruned, engine)
@@ -269,14 +267,7 @@ class ClusterRuntime:
         A :class:`~repro.cluster.config.ClusterConfig` (defaults when
         omitted).  ``track_tlb`` costs one ``O(s log s)`` WebFold per
         document lifecycle change and nothing per tick beyond a distance
-        evaluation; with ``adaptive`` the cohort
-        engines step over their active sets and the runtime *freezes*
-        cohorts whose engines go quiescent (empty frontier): a frozen
-        cohort is dropped from the tick loop - its arrays are not touched
-        at all - and re-activated only by a lifecycle event (publish /
-        retire / set_rates / scale / resettle) that mutates it.
-        Trajectories are bit-identical to ``adaptive=False``; steady-state
-        ticks cost O(active cohorts).
+        evaluation.
     telemetry:
         An :class:`repro.obs.Telemetry` registry shared with every cohort
         engine, or ``None`` for the ambient default (normally the no-op
@@ -285,6 +276,14 @@ class ClusterRuntime:
         histogram, tracks active-cohort and frozen-fraction gauges, and
         streams every :meth:`snapshot` as a ``cluster_snapshot`` record.
         Purely observational: trajectories are bit-identical either way.
+
+    The cohort engines step over their active sets and the runtime
+    *freezes* cohorts whose engines go quiescent (empty frontier): a frozen
+    cohort is dropped from the tick loop - its arrays are not touched at
+    all - and re-activated only by a lifecycle event (publish / retire /
+    set_rates / scale / resettle) that mutates it.  Trajectories are
+    bit-identical to stepping every cohort densely every tick; steady-state
+    ticks cost O(active cohorts).
     """
 
     STATE_KIND = "cluster_runtime"
@@ -317,7 +316,6 @@ class ClusterRuntime:
         )
         self._track_tlb = bool(cfg.track_tlb)
         self._tolerance = float(cfg.tolerance)
-        self._adaptive = bool(cfg.adaptive)
         self._groups: Dict[int, _HomeGroup] = {}
         self._doc_home: Dict[str, int] = {}
         self._doc_cohort: Dict[str, bytes] = {}
@@ -544,7 +542,7 @@ class ClusterRuntime:
             cohort = group.cohorts.get(key)
             if cohort is None:
                 cohort = _new_cohort(
-                    group, key, entries[0][3], rates, served, self._adaptive, self._tel
+                    group, key, entries[0][3], rates, served, self._tel
                 )
             else:
                 cohort.engine.add_documents(
@@ -829,7 +827,8 @@ class ClusterRuntime:
             # A v1 format field with one value: every cohort runs on its
             # demand closure.  Kept so checkpoints stay byte-compatible.
             "prune": True,
-            "adaptive": self._adaptive,
+            # Likewise: every cohort engine keeps its frontier.
+            "adaptive": True,
             "groups": groups,
         }
 
@@ -855,16 +854,18 @@ class ClusterRuntime:
             alpha=state_entry(state, "alpha", what, type(None), numbers.Real),
             track_tlb=state_entry(state, "track_tlb", what, bool),
             tolerance=state_entry(state, "tolerance", what, numbers.Real),
-            adaptive=state_entry(state, "adaptive", what, bool),
         )
         try:  # the constructor's contract, not a copy of it
             config = ClusterConfig(**knobs)
         except ValueError as exc:
             raise ValueError(f"{what} {exc}") from None
-        alpha, adaptive = config.alpha, config.adaptive
-        # A full-width catalog: no config builds one.
+        alpha = config.alpha
+        # A full-width catalog or a cohort stepped without its frontier:
+        # no config builds either.
         if state_entry(state, "prune", what) is not True:
             raise ValueError(f"{what} 'prune' must be true")
+        if state_entry(state, "adaptive", what, bool) is not True:
+            raise ValueError(f"{what} 'adaptive' must be true")
         tick = state_count(state, "tick", what)
         groups: Dict[int, _HomeGroup] = {}
         doc_home: Dict[str, int] = {}
@@ -896,7 +897,7 @@ class ClusterRuntime:
                 key = np.packbits(mask).tobytes()
                 if key in group.cohorts:
                     raise ValueError(f"{what} 'nodes' repeats a closure of home {home}")
-                cohort = _new_cohort(group, key, mask, no_rows, no_rows, adaptive, self._tel)
+                cohort = _new_cohort(group, key, mask, no_rows, no_rows, self._tel)
                 cohort.engine.load_state(state_entry(c, "engine", what, dict))
                 docs = cohort.engine.docs
                 doc_ids = _string_tuple(state_entry(c, "doc_ids", what))
@@ -936,7 +937,6 @@ class ClusterRuntime:
         self._capacities = capacities
         self._track_tlb = config.track_tlb
         self._tolerance = float(config.tolerance)
-        self._adaptive = adaptive
         self._n = n
         self._tick = tick
         self._groups = groups

@@ -1,12 +1,14 @@
 """Frozen, validated construction configs for the diffusion engines.
 
 Every engine used to grow its own loose keyword surface (``capacities=``,
-``gossip_delay=``, ``quantum=``, ``adaptive=``, ``density_threshold=``
-sprinkled across call sites).  :class:`EngineConfig` is the one canonical
-construction contract: a frozen dataclass validated at construction, so a
-bad value fails *at the config*, with the offending field named, instead
-of deep inside a round.  The engines take ``config=EngineConfig(...)`` or
-nothing (the defaults).
+``gossip_delay=``, ``quantum=`` sprinkled across call sites).
+:class:`EngineConfig` is the one canonical construction contract: a frozen
+dataclass validated at construction, so a bad value fails *at the config*,
+with the offending field named, instead of deep inside a round.
+:class:`~repro.core.kernel.SyncEngine` takes ``config=EngineConfig(...)``
+or nothing (the defaults).  How a round is stepped is not a policy: sparse
+and dense rounds give the same bits, and the engine picks between them
+from the size of its frontier (:data:`repro.core.kernel.SPARSE_FRACTION`).
 """
 
 from __future__ import annotations
@@ -50,19 +52,11 @@ class EngineConfig:
         paper's instantaneous exchange).
     quantum:
         If positive, transfers round down to multiples of this value.
-    adaptive:
-        Keep the active-edge frontier and run sparse rounds while it pays
-        for itself (bit-identical to dense stepping).
-    density_threshold:
-        Frontier fraction above which a round falls back to the dense
-        vectorized path.
     """
 
     capacities: Optional[Tuple[float, ...]] = None
     gossip_delay: int = 0
     quantum: float = 0.0
-    adaptive: bool = True
-    density_threshold: float = 0.5
 
     def __post_init__(self) -> None:
         if self.capacities is not None:
@@ -83,11 +77,3 @@ class EngineConfig:
                 "capacities cannot be combined with gossip_delay / quantum (got "
                 f"{self.gossip_delay!r} / {self.quantum!r}): its rule would ignore them"
             )
-        density = float(self.density_threshold)
-        # <= 0 is a legitimate setting (forces the dense path forever);
-        # above 1 the fallback could never fire, which is always a typo.
-        if not density <= 1.0:
-            raise ValueError(
-                f"density_threshold must be <= 1, got {self.density_threshold!r}"
-            )
-        object.__setattr__(self, "density_threshold", density)

@@ -3,7 +3,7 @@
 The paper's central locality claim is that diffusion work concentrates
 where the load gradient is non-flat: once a region of the tree has
 settled, its servers take no Figure 5 action until demand shifts again.
-The adaptive engines exploit that by keeping an explicit *frontier* - the
+The engines exploit that by keeping an explicit *frontier* - the
 set of edges that could possibly move mass this round - and evaluating the
 Figure 5 update only on that slice.
 

@@ -54,17 +54,20 @@ plain store) and a ping-ponged load buffer.  The per-node forwarded rates
 or the spontaneous rates change.  ``benchmarks/e2e`` (workloads
 ``rate_uniform`` / ``rate_skewed``) is the evidence.
 
-Adaptive (active-set) stepping.  With ``adaptive=True`` (the default) the
-stack additionally keeps the edge *frontier* of :mod:`repro.core.frontier`:
-the set of ``(doc, edge)`` pairs that could move mass this round.  A sparse
-round gathers only the frontier's rows of the CSR arrays, applies the same
-transfer rule to that slice, scatters the deltas back, and re-derives the
-frontier from where state actually changed bitwise - falling back to the
-tracked dense round whenever the frontier exceeds ``density_threshold`` of
-the pairs.  The sparse path is bit-identical to the dense one (a pair
-leaves the frontier only once its transfer is exactly zero and its inputs
-stopped changing), so per-round cost scales with *activity* - on skewed
-demand a round touches the demand closure, not the topology.
+Sparse (active-set) stepping.  A stack whose transfer rule is a
+fixed-point rule (it reads current state only: every rule but gossip
+staleness and the forest's shared signal) keeps the edge *frontier* of
+:mod:`repro.core.frontier`: the set of ``(doc, edge)`` pairs that could
+move mass this round.  A sparse round gathers only the frontier's rows of
+the CSR arrays, applies the same transfer rule to that slice, scatters the
+deltas back, and re-derives the frontier from where state actually changed
+bitwise - running the tracked dense round instead whenever the frontier
+holds more than :data:`SPARSE_FRACTION` of the pairs.  The sparse path is
+bit-identical to the dense one (a pair leaves the frontier only once its
+transfer is exactly zero and its inputs stopped changing), so per-round
+cost scales with *activity* - on skewed demand a round touches the demand
+closure, not the topology.  There is no switch: which pass runs is a
+matter of speed, never of result.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ from .tree import RoutingTree, tree_from_parent_map
 
 __all__ = [
     "EngineConfig",
+    "SPARSE_FRACTION",
     "flatten",
     "degree_edge_alphas",
     "fixed_edge_alphas",
@@ -99,6 +103,11 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+
+# The frontier fraction of ``(doc, edge)`` pairs above which a round runs
+# dense: past it the sparse gathers stop paying for themselves.  Read per
+# round, so it is the one place the switch point lives.
+SPARSE_FRACTION = 0.5
 
 
 def flatten(tree: RoutingTree) -> RoutingTree:
@@ -143,8 +152,7 @@ def resettle_served(
 ) -> np.ndarray:
     """Clamp carried-over served rates to the flow a new demand supports.
 
-    The vectorized counterpart of :func:`repro.core.dynamics.resettle`:
-    one bottom-up pass where every non-root node keeps
+    One bottom-up pass where every non-root node keeps
     ``min(served, arriving)`` and forwards the rest, and the home server
     absorbs whatever reaches it (Constraint 1).  Accepts leading batch
     axes like :func:`subtree_accumulate`; each row's mass ends up exactly
@@ -343,8 +351,6 @@ class DiffusionStack:
         "_fwd",
         "_alpha",
         "_round",
-        "_adaptive",
-        "_density",
         "_active",
         "_op_count",
         "_dense_rounds",
@@ -368,8 +374,6 @@ class DiffusionStack:
         served: np.ndarray,
         edge_alpha: np.ndarray,
         *,
-        adaptive: bool,
-        density_threshold: float,
         telemetry=None,
     ) -> None:
         self.flat = flat
@@ -379,8 +383,6 @@ class DiffusionStack:
         # place updates) instead of an index array (gathers).
         self._child = slice(1, None) if flat.root == 0 else flat.edge_child
         self._round = 0
-        self._adaptive = bool(adaptive)
-        self._density = float(density_threshold)
         self._op_count = 0
         self._dense_rounds = 0
         self._sparse_rounds = 0
@@ -430,7 +432,8 @@ class DiffusionStack:
         """Sorted flat ``doc * m + edge`` ids of the active pairs.
 
         ``None`` means every pair is potentially active (before the first
-        tracked round and after any wholesale state change).
+        tracked round, after any wholesale state change, and always under
+        a rule that reads stale views).
         """
         return self._active
 
@@ -445,8 +448,8 @@ class DiffusionStack:
     def quiescent(self) -> bool:
         """True when the frontier is empty: another round is a bitwise no-op.
 
-        Only an adaptive stack ever becomes quiescent; every wholesale
-        state change resets the frontier.
+        Only a stack stepped with a fixed-point rule ever becomes
+        quiescent; every wholesale state change resets the frontier.
         """
         return self._active is not None and self._active.size == 0
 
@@ -455,11 +458,11 @@ class DiffusionStack:
         """One synchronous Figure 5 round for every row at once (``D >= 1``).
 
         Sparse over the frontier when it holds at most
-        ``density_threshold`` of the ``(doc, edge)`` pairs, dense otherwise
-        (and always when adaptive stepping is off) - bit-identical either
-        way.  Returns the pass that ran - ``"sparse"``, ``"dense"``, or
-        ``"fallback"`` for the dense round of an adaptive stack whose
-        frontier was above the threshold - and the pairs it evaluated.
+        :data:`SPARSE_FRACTION` of the ``(doc, edge)`` pairs, dense
+        otherwise (and always while there is no frontier) - bit-identical
+        either way.  Returns the pass that ran - ``"sparse"``, ``"dense"``,
+        or ``"fallback"`` for the dense round of a stack whose frontier was
+        above the switch point - and the pairs it evaluated.
 
         ``transfer`` is the per-edge rule.  ``None`` selects the clip form
         evaluated in place on the stack's scratch (uniform capacities,
@@ -474,19 +477,17 @@ class DiffusionStack:
 
         ``fixed_point`` says a load-static round is a fixed point of the
         rule, which holds for every rule that reads current state only;
-        such a round skips the ``A`` update (pure bookkeeping drift) and
-        empties the frontier.  A rule reading stale views passes False.
+        such a round skips the ``A`` update (pure bookkeeping drift), and
+        its dense rounds keep the frontier.  A rule reading stale views
+        passes False: its stack never has a frontier, so it runs dense.
         """
         d, n = self._loads.shape
-        ran = "dense"
-        if self._adaptive and self._active is not None:
-            active = self._active
-            if active.size <= self._density * d * (n - 1):
-                self._round_sparse(active, transfer)
-                return "sparse", int(active.size)
-            ran = "fallback"
+        active = self._active
+        if active is not None and active.size <= SPARSE_FRACTION * d * (n - 1):
+            self._round_sparse(active, transfer)
+            return "sparse", int(active.size)
         self._round_dense(transfer, fixed_point)
-        return ran, d * (n - 1)
+        return "dense" if active is None else "fallback", d * (n - 1)
 
     def _phase_sample(self, t0: float, t1: float, t2: float) -> None:
         """Record one sampled round's gather/apply/scatter wall times."""
@@ -497,7 +498,7 @@ class DiffusionStack:
         tel.phase_add("kernel.round/scatter", t3 - t2)
 
     def _round_dense(self, transfer, fixed_point: bool) -> None:
-        """The full-width round; an adaptive stack re-derives the frontier."""
+        """The full-width round; a fixed-point rule re-derives the frontier."""
         timing = self._tel_phases is not None and self._tel_phases.hit()
         t0 = t1 = t2 = 0.0
         if timing:
@@ -507,7 +508,6 @@ class DiffusionStack:
         ep, cs = flat.edge_parent, self._child
         loads, fwd = self._loads, self._fwd
         d, n = loads.shape
-        track = self._adaptive
         lec = loads[:, cs]
         fec = fwd[:, cs]
         # mode="clip" only skips take's bounds-check buffering of ``out``;
@@ -538,7 +538,7 @@ class DiffusionStack:
             # recomputed from scratch below.
             rows = np.flatnonzero(row_min < 0.0)
             new[rows] = np.maximum(new[rows], 0.0)
-        moved = new != loads if fixed_point or track else None
+        moved = new != loads if fixed_point else None
         # ping-pong: the old loads buffer becomes next round's scratch
         self._loads, self._l2 = new, loads
         if fixed_point and rows is None and not moved.any():
@@ -549,15 +549,14 @@ class DiffusionStack:
             # it: the stack is at its floating-point fixed point - once
             # static, every remaining transfer is sub-ulp and can only
             # shrink, so loads never move again on either path.
-            if track:
-                self._active = _NO_EDGES
+            self._active = _NO_EDGES
         else:
             # A transfer on edge (p, c) only moves load across the subtree
             # boundary of c: A_c falls by the net downward transfer.
             fwd[:, cs] -= t
             if rows is not None:
                 fwd[rows] = forwarded_rates(flat, self._e[rows], new[rows])
-            if track:
+            if fixed_point:
                 if rows is not None and rows.size == d:
                     self._active = None  # A rebuilt wholesale: re-scan everything
                 else:
@@ -699,13 +698,20 @@ class DiffusionStack:
         if timing:
             self._phase_sample(t0, t1, t2)
 
-    def _restore(self, state: Mapping[str, object], ops_key: str) -> None:
+    def _restore(
+        self, state: Mapping[str, object], ops_key: str, tracked: bool, rule: str
+    ) -> None:
         """Load the round's own fields from the ``state()`` dict of an engine
         class (one naming a ``STATE_KIND``).  Everything is parsed and checked
         first - one ``(D, n)`` across ``spontaneous`` / ``loads`` / ``fwd``
         (``fwd`` may be negative, right after a demand drop), one alpha per
         edge, a frontier of strictly increasing ``doc * m + edge`` ids - so a
         capture that raises leaves the stack untouched.
+
+        ``tracked`` says whether the engine's rule keeps a frontier (``rule``
+        names what decides it).  The capture's ``adaptive`` must agree, an
+        untracked one holds no frontier, and ``density_threshold`` must be
+        :data:`SPARSE_FRACTION`: no engine holds anything else.
         """
         what = self.STATE_KIND
         if state_counts(state, "parent_map", what) != self.flat.parent_map:
@@ -721,11 +727,14 @@ class DiffusionStack:
                 f"the shape of 'spontaneous', {e.shape}"
             )
         alpha = state_field(state, "edge_alpha", (m,), what)
-        density = float(state_entry(state, "density_threshold", what, numbers.Real))
-        if not density <= 1.0:
-            raise ValueError(f"{what} 'density_threshold' must be <= 1")
+        if state_entry(state, "density_threshold", what, numbers.Real) != SPARSE_FRACTION:
+            raise ValueError(f"{what} 'density_threshold' must be {SPARSE_FRACTION}")
+        if state_entry(state, "adaptive", what, bool) is not tracked:
+            raise ValueError(f"{what} 'adaptive' must be {str(tracked).lower()} {rule}")
         active = None
         if state_entry(state, "active", what) is not None:
+            if not tracked:
+                raise ValueError(f"{what} 'active' must be null {rule}")
             active = state_field(state, "active", (-1,), what, np.intp)
             pairs = e.shape[0] * m
             if active.size and not (active[-1] < pairs and (np.diff(active) > 0).all()):
@@ -736,10 +745,7 @@ class DiffusionStack:
             state_count(state, field, what)
             for field in ("round", ops_key, "dense_rounds", "sparse_rounds")
         ]
-        adaptive = state_entry(state, "adaptive", what, bool)
         self._e, self._loads, self._fwd, self._alpha = e, loads, fwd, alpha
-        self._adaptive = adaptive
-        self._density = density
         self._active = active
         self._round, self._op_count, self._dense_rounds, self._sparse_rounds = counts
         self._alloc_scratch()
@@ -776,15 +782,6 @@ class SyncEngine(DiffusionStack):
         If positive, transfers round down to multiples of this value
         (uniform update only: :class:`EngineConfig` refuses either with
         ``capacities``, whose rule would silently ignore them).
-    adaptive:
-        Keep an active-edge frontier and run sparse rounds while it is
-        below ``density_threshold`` of the edges (bit-identical to the
-        dense rounds; see :mod:`repro.core.frontier`).  Gossip staleness
-        forces the dense path (historical views shift without any load
-        moving), so ``gossip_delay > 0`` disables the frontier.
-    density_threshold:
-        Fraction of edges above which a round falls back to the dense
-        vectorized path (the sparse gathers stop paying for themselves).
     telemetry:
         An :class:`repro.obs.Telemetry` registry, or ``None`` for the
         ambient default (:func:`repro.obs.current`, normally the no-op
@@ -799,6 +796,13 @@ class SyncEngine(DiffusionStack):
     :func:`repro.core.policy.capacity_edge_transfers` /
     :func:`repro.core.policy.sync_edge_transfers` into the same round
     (:meth:`_variant_transfers`).
+
+    Every rule but gossip staleness reads current state only, so the
+    engine keeps an active-edge frontier and runs sparse rounds while it
+    is small (bit-identical to the dense rounds; see
+    :mod:`repro.core.frontier`).  Under ``gossip_delay > 0`` historical
+    views shift without any load moving: the engine keeps no frontier and
+    every round is dense.
 
     The engine owns mutable state (loads, the gossip ring, the incremental
     forwarded vector); facades expose it read-only.
@@ -841,8 +845,6 @@ class SyncEngine(DiffusionStack):
             _as_vector(spontaneous, flat.n, "spontaneous rates")[None, :],
             _as_vector(initial_served, flat.n, "served rates")[None, :],
             edge_alpha,
-            adaptive=bool(cfg.adaptive) and self._delay == 0,
-            density_threshold=cfg.density_threshold,
             telemetry=telemetry,
         )
         self._history: List[np.ndarray] = [self.loads.copy()]
@@ -937,8 +939,8 @@ class SyncEngine(DiffusionStack):
 
         The dense and sparse paths produce bit-identical trajectories; the
         sparse path runs whenever the frontier holds at most
-        ``density_threshold`` of the edges, the dense path otherwise (and
-        always when adaptive stepping is off).
+        :data:`SPARSE_FRACTION` of the edges, the dense path otherwise (and
+        always under gossip staleness, which keeps no frontier).
         """
         delay = self._delay
         uniform = self._caps is None and delay == 0 and self._quantum <= 0.0
@@ -951,8 +953,8 @@ class SyncEngine(DiffusionStack):
                 self._tel_sparse.add(1)
             else:
                 if ran == "fallback":
-                    # Adaptive stepping wanted a sparse round but the
-                    # frontier was too dense to pay for itself.
+                    # The engine had a frontier, but it was too dense
+                    # for a sparse round to pay for itself.
                     self._tel_fallback.add(1)
                 self._tel_dense.add(1)
             self._tel_frontier.set(self.frontier_size)
@@ -1024,8 +1026,9 @@ class SyncEngine(DiffusionStack):
             "capacities": None if self._caps is None else self._caps.tolist(),
             "gossip_delay": self._delay,
             "quantum": self._quantum,
-            "adaptive": self._adaptive,
-            "density_threshold": self._density,
+            # v1 format fields, derived: kept so checkpoints stay byte-compatible
+            "adaptive": self._delay == 0,
+            "density_threshold": SPARSE_FRACTION,
             "round": self._round,
             "spontaneous": self.spontaneous.tolist(),
             "loads": self.loads.tolist(),
@@ -1059,7 +1062,9 @@ class SyncEngine(DiffusionStack):
             raise ValueError(
                 f"{what} 'history': expected 1..{delay + 1} rows, got {history.shape[0]}"
             )
-        self._restore(state, "edges_processed")
+        self._restore(
+            state, "edges_processed", delay == 0, f"with 'gossip_delay' {delay}"
+        )
         self._caps, self._delay, self._quantum = caps, delay, quantum
         self._history = list(history)
         self._served_cache = None
@@ -1112,8 +1117,6 @@ class ForestEngine:
                 demand,
                 demand.copy(),
                 edge_alphas[h],
-                adaptive=False,
-                density_threshold=0.0,
                 telemetry=telemetry,
             )
         self._scale = 1.0 / len(self.homes)

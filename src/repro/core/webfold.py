@@ -401,8 +401,16 @@ def webfold(
     if sums.max() == np.inf:
         r = int(roots[np.argmax(sums)])
         raise ValueError(f"fold {r}: the spontaneous rates of its members sum past the largest float")
+    csums = np.asarray(csum)[roots]
     with np.errstate(over="ignore"):
-        loads = sums / np.asarray(csum)[roots]
-    if cap_array is not None:
-        loads *= cap_array
+        loads = sums / csums
+        if cap_array is not None:
+            loads *= cap_array
+    # A capacity sum small enough that the load overflows before the
+    # member's capacity scales it back down: the member's share of the
+    # finite rate sum is finite.  Only those entries are recomputed, so
+    # every finite load keeps its bits.
+    over = np.isinf(loads)
+    if over.any():
+        loads[over] = sums[over] * (cap_array[over] / csums[over])
     return FoldResult(tree, base.with_served(loads.tolist()), caps, fold_of, fold_parent, order)

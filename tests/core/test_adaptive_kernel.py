@@ -1,4 +1,4 @@
-"""Active-set (adaptive) stepping: bit-exact parity and frontier invariants.
+"""Active-set (sparse) stepping: bit-exact parity and frontier invariants.
 
 The sparse round path of :class:`repro.core.kernel.SyncEngine` must be
 **bit-identical** to the dense path - not close, identical - because the
@@ -13,9 +13,12 @@ whose inputs stopped changing.  These tests pin that contract:
   no-op forever (the floating-point fixed point), and fixed points are
   actually *reached* - by NSS-blocked demand, by dyadic equalization,
   and by plain long-running diffusion;
-* the automatic dense fallback: demand touching more than the density
-  threshold's worth of the tree keeps the engine on the tracked dense
-  path, with no behavioural difference.
+* the automatic dense fallback: demand touching more than
+  ``kernel.SPARSE_FRACTION`` of the tree keeps the engine on the tracked
+  dense path, with no behavioural difference.
+
+The dense twins are the same engines stepped with the switch point below
+zero (``tests.helpers.stepping_twin``): every round runs dense.
 """
 
 from __future__ import annotations
@@ -44,18 +47,18 @@ from repro.core.kernel import (
 )
 from repro.core.tree import RoutingTree, chain_tree, kary_tree, random_tree
 
-from tests.helpers import connected_region, trees_with_rates
+from tests.helpers import connected_region, stepping_twin, trees_with_rates
 
 
 def _engine_pair(flat, rates, served=None, **fields):
-    """An adaptive engine and its dense twin, both with config ``fields``."""
+    """An engine and its dense twin, both with config ``fields``."""
     served = rates if served is None else served
     alphas = degree_edge_alphas(flat)
-    sparse = SyncEngine(flat, rates, served, alphas, config=EngineConfig(**fields))
-    dense = SyncEngine(
-        flat, rates, served, alphas, config=EngineConfig(adaptive=False, **fields)
+    sparse, dense = (
+        SyncEngine(flat, rates, served, alphas, config=EngineConfig(**fields))
+        for _ in range(2)
     )
-    return sparse, dense
+    return sparse, stepping_twin(dense)
 
 
 def _assert_parity(sparse, dense, rounds):
@@ -311,25 +314,28 @@ class TestDenseFallback:
         assert stats["sparse_rounds"] == 0
         assert engine.frontier_size > 0.5 * tree.edge_child.shape[0]
         # and it stays exact
-        dense = SyncEngine(
-            tree, rates, rates, degree_edge_alphas(tree),
-            config=EngineConfig(adaptive=False),
+        dense = stepping_twin(
+            SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
         )
         for _ in range(20):
             dense.step()
         assert np.array_equal(engine.loads, dense.loads)
 
-    def test_density_threshold_zero_forces_dense_forever(self):
-        rng = random.Random(22)
-        tree = random_tree(30, rng)
-        rates = [rng.uniform(0.0, 10.0) for _ in range(30)]
-        engine = SyncEngine(
-            tree, rates, rates, degree_edge_alphas(tree),
-            config=EngineConfig(density_threshold=-1.0),
-        )
+    def test_sparse_fraction_is_read_per_round(self, monkeypatch):
+        """Below zero the switch point forces dense rounds; put back, the
+        same engine goes sparse on its next round."""
+        tree = kary_tree(2, 5)
+        rates = np.zeros(tree.n)
+        rates[tree.leaves()[0]] = 16.0
+        engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
+        monkeypatch.setattr(kernel, "SPARSE_FRACTION", -1.0)
         for _ in range(30):
             engine.step()
         assert engine.step_stats["sparse_rounds"] == 0
+        assert 0 < engine.frontier_size < tree.n // 2  # tracked all along
+        monkeypatch.undo()
+        engine.step()
+        assert engine.step_stats["sparse_rounds"] == 1
 
     def test_sparse_engages_below_threshold(self):
         tree = kary_tree(2, 5)

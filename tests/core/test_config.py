@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.cluster.batch import BatchEngine
 from repro.cluster.config import ClusterConfig
 from repro.cluster.runtime import ClusterRuntime
 from repro.core.config import EngineConfig
-from repro.core.kernel import SyncEngine, degree_edge_alphas
+from repro.core.kernel import DiffusionStack, SyncEngine, degree_edge_alphas
 from repro.core.tree import kary_tree
 from repro.protocols.scenario import ScenarioConfig
 from repro.protocols.webwave import WebWaveProtocolConfig
@@ -27,7 +30,6 @@ class TestEngineConfigValidation:
         config = EngineConfig()
         assert config.capacities is None
         assert config.gossip_delay == 0
-        assert config.adaptive is True
 
     @pytest.mark.parametrize(
         "field,value",
@@ -38,23 +40,17 @@ class TestEngineConfigValidation:
             ("gossip_delay", -1),
             ("gossip_delay", 1.5),
             ("quantum", -0.25),
-            ("density_threshold", 1.5),
             # nan < 0.0 is false: quantum=nan used to pass, and every load
             # was nan after two rounds (floor(x / q) * q)
             ("quantum", float("nan")),
             ("quantum", float("inf")),
             ("capacities", (1.0, float("nan"))),
             ("capacities", (float("inf"), 1.0)),
-            ("density_threshold", float("nan")),
         ],
     )
     def test_bad_values_raise_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             EngineConfig(**{field: value})
-
-    def test_nonpositive_density_threshold_is_legal(self):
-        # forces the dense path forever — an existing, supported setting
-        assert EngineConfig(density_threshold=-1.0).density_threshold == -1.0
 
     @pytest.mark.parametrize("field,value", [("gossip_delay", 3), ("quantum", 0.5)])
     def test_capacities_exclude_delay_and_quantum(self, field, value):
@@ -97,7 +93,7 @@ class TestClusterConfigValidation:
 
     def test_defaults_are_valid(self):
         config = ClusterConfig()
-        assert config.alpha is None and config.adaptive is True
+        assert config.alpha is None
 
 
 class TestOneConstructionPath:
@@ -127,32 +123,52 @@ class TestOneConstructionPath:
         "config, field",
         [
             (ClusterConfig, "prune"),
+            (ClusterConfig, "adaptive"),
+            (EngineConfig, "adaptive"),
+            (EngineConfig, "density_threshold"),
             (ScenarioConfig, "filter_match_cost"),
             (WebWaveProtocolConfig, "copy_message_delay"),
         ],
     )
     def test_retired_knob_is_a_type_error(self, config, field):
         """Knobs nothing set to a non-default value are constants now:
-        pruned cohorts, ``DPF_MATCH_COST`` and no extra copy delay."""
+        pruned cohorts, ``DPF_MATCH_COST``, no extra copy delay, and
+        sparse stepping at ``kernel.SPARSE_FRACTION``."""
         with pytest.raises(TypeError, match=field):
             config(**{field: 0})
 
 
-class TestBatchEngineRejectsUnsupportedFields:
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("capacities", (1.0,) * N),
-            ("gossip_delay", 1),
-            ("quantum", 0.5),
-        ],
-    )
-    def test_unsupported_config_fields_named_in_error(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            BatchEngine(
-                TREE,
-                [[1.0] * N],
-                None,
-                degree_edge_alphas(TREE),
-                config=EngineConfig(**{field: value}),
-            )
+class TestFieldCounts:
+    """Structure guarded by counts: the configs hold policies only, and
+    no engine takes a stepping knob."""
+
+    def test_config_fields(self):
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "capacities",
+            "gossip_delay",
+            "quantum",
+        ]
+        assert [f.name for f in dataclasses.fields(ClusterConfig)] == [
+            "alpha",
+            "capacities",
+            "track_tlb",
+            "tolerance",
+        ]
+
+    def test_stack_and_batch_take_no_config(self):
+        assert list(inspect.signature(DiffusionStack).parameters) == [
+            "flat",
+            "spontaneous",
+            "served",
+            "edge_alpha",
+            "telemetry",
+        ]
+        assert list(inspect.signature(BatchEngine).parameters) == [
+            "flat",
+            "spontaneous",
+            "initial_served",
+            "edge_alpha",
+            "telemetry",
+        ]
+        with pytest.raises(TypeError, match="config"):
+            BatchEngine(TREE, [[1.0] * N], config=EngineConfig())

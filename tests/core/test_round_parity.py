@@ -9,10 +9,11 @@ over the awkward inputs: a root that is not node 0 (the child side of the
 round is then an index array instead of a slice), all-zero demand, ``-0.0``
 rates (hence signed-zero caps and transfers), unsafe alphas (a load clamps at zero and
 ``A`` is rebuilt), a mid-run ``resettle``, and frontiers hovering at the
-density threshold - and, for the sparse round's own frontier rule (stay by
-slot masks, grow only through changed nodes with an inactive edge), on
-connected patches of demand in trees of up to 400 nodes against a twin that
-always runs the tracked dense round.
+sparse/dense switch point - and, for the sparse round's own frontier rule
+(stay by slot masks, grow only through changed nodes with an inactive
+edge), on connected patches of demand in trees of up to 400 nodes against a
+twin that always runs the tracked dense round.  Engines stepped at another
+switch point than ``kernel.SPARSE_FRACTION`` are ``tests.helpers.stepping_twin``s.
 
 :func:`reference_round` - the seed's per-edge Python loop - is the third
 reading.  It sums a node's delta in a different association order, so it
@@ -33,7 +34,6 @@ from hypothesis import strategies as st
 
 from repro.cluster.batch import BatchEngine
 from repro.core.kernel import (
-    EngineConfig,
     SyncEngine,
     degree_edge_alphas,
     edge_alpha_map,
@@ -41,7 +41,7 @@ from repro.core.kernel import (
 )
 from repro.core.tree import RoutingTree, random_tree
 
-from tests.helpers import connected_region, routing_trees
+from tests.helpers import connected_region, routing_trees, stepping_twin
 from tests.oracle.reference_round import reference_round
 
 
@@ -112,13 +112,12 @@ class TestSingleDocument:
     def test_sync_batch_and_reference_agree(self, data, tree, alpha, density, rounds):
         rates = data.draw(dyadic_rates(tree.n))
         alphas = _alphas(tree, alpha)
-        config = EngineConfig(density_threshold=density)
         served = rates
         if data.draw(st.booleans()):  # everything served at the home instead
             served = [0.0] * tree.n
             served[tree.root] = sum(rates)
-        sync = SyncEngine(tree, rates, served, alphas, config=config)
-        batch = BatchEngine(tree, [rates], [served], alphas, config=config)
+        sync = stepping_twin(SyncEngine(tree, rates, served, alphas), density)
+        batch = stepping_twin(BatchEngine(tree, [rates], [served], alphas), density)
         exact = alpha is not None
         amap = edge_alpha_map(tree, alphas)
         expected = [float(r) for r in served]
@@ -165,9 +164,10 @@ class TestSingleDocument:
             alphas = fixed_edge_alphas(tree, 0.5, safe=False)
             amap = edge_alpha_map(tree, alphas)
             for density in (0.0, 1.0):  # always dense / sparse whenever tracked
-                config = EngineConfig(density_threshold=density)
-                sync = SyncEngine(tree, rates, served, alphas, config=config)
-                batch = BatchEngine(tree, [rates], [served], alphas, config=config)
+                sync = stepping_twin(SyncEngine(tree, rates, served, alphas), density)
+                batch = stepping_twin(
+                    BatchEngine(tree, [rates], [served], alphas), density
+                )
                 expected = served
                 for _ in range(8):
                     sparse_before = sync.step_stats["sparse_rounds"]
@@ -230,10 +230,10 @@ class TestDenseSparseFlips:
         fractions = sorted({0.0, 1.0, 0.5, *(k / m for k in range(1, m + 1, 2))})
         threshold = data.draw(st.sampled_from(fractions))
         engines = [
-            SyncEngine(tree, rates, rates, alphas, config=EngineConfig(density_threshold=t))
+            stepping_twin(SyncEngine(tree, rates, rates, alphas), t)
             for t in (0.5, threshold)
         ]
-        dense = SyncEngine(tree, rates, rates, alphas, config=EngineConfig(adaptive=False))
+        dense = stepping_twin(SyncEngine(tree, rates, rates, alphas))
         for _ in range(rounds):
             for engine in (*engines, dense):
                 engine.step()
@@ -266,9 +266,8 @@ class TestStackedDocuments:
         lone = [0.0] * n
         lone[data.draw(st.integers(0, n - 1))] = 16.0
         docs = [busy, lone, [0.0] * n]
-        config = EngineConfig(density_threshold=density)
-        batch = BatchEngine(tree, docs, None, alphas, config=config)
-        syncs = [SyncEngine(tree, r, r, alphas, config=config) for r in docs]
+        batch = stepping_twin(BatchEngine(tree, docs, None, alphas), density)
+        syncs = [stepping_twin(SyncEngine(tree, r, r, alphas), density) for r in docs]
         resettle_at = data.draw(st.integers(min_value=0, max_value=rounds))
         for r in range(rounds):
             if r == resettle_at:
@@ -292,10 +291,10 @@ class TestStackedDocuments:
         rng = random.Random(5)
         tree = random_tree(120, rng)
         alphas = degree_edge_alphas(tree)
-        config = EngineConfig(density_threshold=1.0)  # sparse whenever tracked
         docs = [_patch(tree, rng, 12) for _ in range(5)]
-        batch = BatchEngine(tree, docs[:2], None, alphas, config=config)
-        syncs = [SyncEngine(tree, r, r, alphas, config=config) for r in docs]
+        # every engine steps at switch point 1: sparse whenever tracked
+        batch = stepping_twin(BatchEngine(tree, docs[:2], None, alphas), 1.0)
+        syncs = [stepping_twin(SyncEngine(tree, r, r, alphas), 1.0) for r in docs]
 
         def run_sparse(live):
             before = batch.step_stats["sparse_rounds"]
@@ -311,7 +310,7 @@ class TestStackedDocuments:
         run_sparse(syncs)
         assert batch.remove_documents([0, 3]).shape == (2,)  # D 5 -> 3
         run_sparse([syncs[1], syncs[2], syncs[4]])
-        other = BatchEngine(tree, docs, None, alphas, config=config)
+        other = stepping_twin(BatchEngine(tree, docs, None, alphas), 1.0)
         for _ in range(4):
             other.step()
         batch.load_state(other.state())  # D 3 -> 5, in place
@@ -325,8 +324,8 @@ class TestStackedDocuments:
 # The sparse round's frontier rule == the dense round's mask arithmetic
 # ----------------------------------------------------------------------
 def _patchy_stack(seed: int, n: int, docs: int, alpha, at_home: bool):
-    """An adaptive stack that runs sparse whenever it can and a twin that
-    never does (``density_threshold=0.0``: always the tracked dense round),
+    """A stack that runs sparse whenever it can (switch point 1) and a twin
+    that never does (switch point 0: always the tracked dense round),
     on ``docs`` connected patches of dyadic demand over one random tree."""
     rng = random.Random(seed)
     tree = random_tree(n, rng)
@@ -341,10 +340,7 @@ def _patchy_stack(seed: int, n: int, docs: int, alpha, at_home: bool):
         for row, doc in zip(served, rates):
             row[tree.root] = sum(doc)
     stacks = [
-        BatchEngine(
-            tree, rates, served, _alphas(tree, alpha),
-            config=EngineConfig(density_threshold=density),
-        )
+        stepping_twin(BatchEngine(tree, rates, served, _alphas(tree, alpha)), density)
         for density in (1.0, 0.0)
     ]
     return stacks, patch

@@ -70,6 +70,18 @@ def assert_twin(tree, rates, caps=None):
         # A fold's rate sum overflowed: refused naming the rates the caller
         # passed, where the oracle refuses the served inf it computed.
         assert expected.startswith("ValueError: served rate L[")
+    elif not isinstance(got, str) and "]=inf" in expected:
+        # A finite rate sum over a tiny capacity sum: the load overflowed
+        # before a member's capacity scaled it back down.  The oracle
+        # refuses the inf it computed; the fold serves each such member
+        # its share and every other member the oracle's formula, bit for bit.
+        served, fold_of, folds = got[0], got[1], {f[0]: f for f in got[3]}
+        for i, root in enumerate(fold_of):
+            esum, csum = (float.fromhex(x) for x in folds[root][2:])
+            load = esum / csum * caps[i]
+            if load == float("inf"):
+                load = esum * (caps[i] / csum)
+            assert served[i] == load.hex()
     else:
         assert got == expected
 
@@ -145,6 +157,9 @@ def fold_inputs(draw):
 # inf loads (a rate over a subnormal capacity) that tie, fold and end finite
 @example((star_tree(3), [0.0, 1.0, 1.0], [1.0, _TINY, _TINY]))
 @example((chain_tree(3), [1.0, 0.0, 1.0], [1.0, 1.0, _TINY]))
+# an inf load that stays unfolded: served as its share of the finite rate
+@example((star_tree(1), [1.0], [_TINY]))
+@example((chain_tree(2), [1.0, 0.0], [_TINY, 1.0]))
 # the rate sum overflows to inf: refused by both, naming the rates here
 @example((chain_tree(3), [0.0, _HUGE, _HUGE], None))
 # both sums overflow: a NaN load, refused by name
@@ -177,6 +192,18 @@ def test_an_inf_load_that_folds_finite_raises_no_warning():
         warnings.simplefilter("error")
         result = webfold(star_tree(3), [0.0, 1.0, 1.0], [1.0, _TINY, _TINY])
     assert result.assignment.served == (2.0, 1e-323, 1e-323)
+
+
+def test_an_inf_load_that_stays_unfolded_is_served_its_rate():
+    """A rate over a subnormal capacity whose fold never merges into a
+    finite one: the load overflows, the node serves a finite rate.  Both
+    used to be refused as ``served rate L[0]=inf``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = webfold(star_tree(1), [1.0], [_TINY])
+        below = webfold(chain_tree(2), [1.0, 0.0], [_TINY, 1.0])
+    assert alone.assignment.served == (1.0,)
+    assert below.assignment.served == (1.0, 0.0)
 
 
 def test_flat_fold_matches_heap_oracle_at_scale():

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 from hypothesis import strategies as st
 
+from repro.cluster.batch import BatchEngine
+from repro.cluster.runtime import ClusterRuntime
+from repro.core import kernel
 from repro.core.tree import RoutingTree
 
 
@@ -129,3 +133,47 @@ def resettle(tree, rates, served) -> List[float]:
         np.asarray(rates, dtype=np.float64),
         np.asarray(served, dtype=np.float64),
     ).tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _twin_class(cls, fraction: float, never_quiescent: bool):
+    """``cls`` whose rounds read ``kernel.SPARSE_FRACTION`` as ``fraction``
+    (same slots, so an instance can be re-classed in place)."""
+
+    def advance(self, transfer=None, fixed_point=True):
+        saved, kernel.SPARSE_FRACTION = kernel.SPARSE_FRACTION, fraction
+        try:
+            return cls.advance(self, transfer, fixed_point)
+        finally:
+            kernel.SPARSE_FRACTION = saved
+
+    body = {"__slots__": (), "advance": advance}
+    if never_quiescent:
+        body["quiescent"] = property(lambda self: False)
+    return type(f"{cls.__name__}Twin", (cls,), body)
+
+
+def stepping_twin(target, fraction: float = -1.0):
+    """``target`` (a stack or a ``ClusterRuntime``), changed in place to step
+    as if ``kernel.SPARSE_FRACTION`` were ``fraction``, and returned.
+
+    The default, ``-1``, never runs a sparse round: the dense twin a sparse
+    engine is compared with bit for bit.  A runtime's cohort engines, those
+    it has and those it builds later, are changed so at each tick and also
+    never report ``quiescent``: the runtime never freezes a cohort and
+    steps every document every tick.
+    """
+    if not isinstance(target, ClusterRuntime):
+        target.__class__ = _twin_class(type(target), fraction, False)
+        return target
+    twin = _twin_class(BatchEngine, fraction, True)
+    tick = target.tick
+
+    def twin_tick():
+        for group in target._groups.values():
+            for cohort in group.cohorts.values():
+                cohort.engine.__class__ = twin
+        tick()
+
+    target.tick = twin_tick
+    return target

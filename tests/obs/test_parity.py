@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import random
 
 from repro.cluster.runtime import ClusterRuntime
-from repro.core.config import EngineConfig
 from repro.cluster.scenarios import rerooted_trees
 from repro.core.kernel import (
     AsyncEngine,
@@ -34,7 +33,7 @@ from repro.protocols.webwave import WebWaveScenario
 from repro.traffic.workload import hot_document_workload
 from repro.documents.catalog import Catalog
 
-from tests.helpers import trees_with_rates
+from tests.helpers import stepping_twin, trees_with_rates
 
 
 class TestRatePlaneParity:
@@ -69,13 +68,9 @@ class TestRatePlaneParity:
         alphas = degree_edge_alphas(tree)
         tel = Telemetry(sample_interval=1)
 
-        plain = SyncEngine(
-            tree, rates, rates, alphas, config=EngineConfig(adaptive=False)
-        )
-        instrumented = SyncEngine(
-            tree, rates, rates, alphas,
-            telemetry=tel,
-            config=EngineConfig(adaptive=False),
+        plain = stepping_twin(SyncEngine(tree, rates, rates, alphas))
+        instrumented = stepping_twin(
+            SyncEngine(tree, rates, rates, alphas, telemetry=tel)
         )
         for _ in range(rounds):
             plain.step()

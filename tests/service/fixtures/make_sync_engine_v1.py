@@ -28,7 +28,7 @@ WARMUP_ROUNDS = 7
 FUTURE_ROUNDS = 9
 
 CASES = {
-    # default engine: adaptive, so the capture holds a non-empty frontier
+    # default engine: zero delay keeps a frontier, so the capture holds one
     # and both dense and sparse rounds have run; the root is not node 0
     "sync_engine_v1": EngineConfig(),
     # the stale-view ring (three history vectors) and a quantum
