@@ -1,4 +1,4 @@
-"""Cache substrate: stores and replacement policies.
+"""Cache substrate: the document store and its LRU replacement.
 
 The cache *server* (serve targets, rate meters, service queue) is one node's
 row of :class:`repro.protocols.state.PacketState`, and its serve-or-forward

@@ -33,6 +33,10 @@ from .webfold import webfold
 
 __all__ = ["AsyncWebWave", "AsyncResult"]
 
+# AsyncWebWave.run records the distance to the target once per this many
+# activations (and once more at the end).
+SAMPLE_EVERY = 25
+
 
 @dataclass(frozen=True)
 class AsyncResult:
@@ -88,7 +92,6 @@ class AsyncWebWave:
         max_activations: int = 200_000,
         tolerance: float = 1e-5,
         target: Optional[LoadAssignment] = None,
-        sample_every: int = 25,
     ) -> AsyncResult:
         """Activate random nodes until within tolerance of the TLB target."""
         engine = self._engine
@@ -98,7 +101,7 @@ class AsyncWebWave:
         distances = [engine.distance_to(target_arr)]
         while distances[-1] > tolerance and engine.activations < max_activations:
             engine.activate(None)
-            if engine.activations % sample_every == 0:
+            if engine.activations % SAMPLE_EVERY == 0:
                 distances.append(engine.distance_to(target_arr))
         distances.append(engine.distance_to(target_arr))
         return AsyncResult(

@@ -94,22 +94,19 @@ class DocumentWebWaveConfig:
 
     ``patience`` is the paper's barrier-detection threshold: a node that
     stays underloaded relative to its parent for strictly more than this
-    many consecutive periods, while receiving no load, tunnels.
+    many consecutive periods, while receiving no load, tunnels - fetching
+    one document.  A copy whose chosen rate is shed to zero is dropped.
     """
 
     alpha: Optional[float] = None
     patience: int = 2
     tunneling: bool = True
-    evict_on_zero: bool = True
-    max_tunnel_docs: int = 1
     tolerance: float = 1e-6
     max_rounds: int = 10_000
 
     def __post_init__(self) -> None:
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
-        if self.max_tunnel_docs < 1:
-            raise ValueError("max_tunnel_docs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -292,7 +289,7 @@ class DocumentWebWave:
                 by_rate = sorted(self._served[child].items(), key=lambda kv: kv[1], reverse=True)
                 for d, x, _ in greedy_shed(alpha * (lc - lp), by_rate):
                     left = max(chosen[child].get(d, 0.0) - x, 0.0)
-                    if self._cfg.evict_on_zero and left <= _EPS:
+                    if left <= _EPS:
                         chosen[child].pop(d, None)
                         cached[child].discard(d)
                     else:
@@ -322,19 +319,16 @@ class DocumentWebWave:
                     self._stagnant[node] = 0
 
     def _tunnel(self, node: int, barrier: int) -> bool:
-        """Fetch copies of the node's hottest forwarded documents directly.
+        """Fetch a copy of the node's hottest forwarded document directly.
 
         The copy comes from the nearest ancestor that holds the document -
-        the request "tunnels across" the barrier parent.  Returns True if at
-        least one copy was obtained.
+        the request "tunnels across" the barrier parent.  Returns True if a
+        copy was obtained.
         """
         hot = sorted(
             self._forwarded[node].items(), key=lambda kv: kv[1], reverse=True
         )
-        fetched = 0
         for d, rate in hot:
-            if fetched >= self._cfg.max_tunnel_docs:
-                break
             if d in self._cached[node] or rate <= _EPS:
                 continue
             source = self._nearest_ancestor_with(node, d)
@@ -350,8 +344,8 @@ class DocumentWebWave:
                     source=source,
                 )
             )
-            fetched += 1
-        return fetched > 0
+            return True
+        return False
 
     def _nearest_ancestor_with(self, node: int, doc: str) -> Optional[int]:
         tree = self._w.tree

@@ -16,8 +16,8 @@ its pre-change value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,11 +28,16 @@ from .webwave import WebWaveConfig
 
 __all__ = [
     "RateSchedule",
-    "step_change_schedule",
     "flash_crowd_schedule",
     "TrackingResult",
     "run_tracking",
 ]
+
+# A change point has recovered once the distance falls back to at most
+# RECOVERY_FACTOR times its pre-change value, which is floored at
+# RECOVERY_FLOOR so that a converged run's near-zero distance stays reachable.
+RECOVERY_FACTOR = 1.5
+RECOVERY_FLOOR = 1e-3
 
 
 class RateSchedule:
@@ -75,13 +80,6 @@ class RateSchedule:
         return current
 
 
-def step_change_schedule(
-    base: Sequence[float], changed: Sequence[float], change_at: int
-) -> RateSchedule:
-    """One abrupt change from ``base`` to ``changed`` at ``change_at``."""
-    return RateSchedule([(0, base), (change_at, changed)])
-
-
 def flash_crowd_schedule(
     tree: RoutingTree,
     calm_rate: float,
@@ -108,8 +106,8 @@ class TrackingResult:
     ``distances[t]`` is the distance after round ``t`` to the TLB optimum
     of the rates in force at round ``t``; ``recovery_rounds`` maps each
     change point to the number of rounds until the distance dropped back
-    below ``recovery_factor`` times the pre-change steady value (or ``None``
-    if it never did within the run).
+    below :data:`RECOVERY_FACTOR` times the pre-change steady value (or
+    ``None`` if it never did within the run).
     """
 
     rounds: int
@@ -124,8 +122,6 @@ def run_tracking(
     schedule: RateSchedule,
     rounds: int,
     config: Optional[WebWaveConfig] = None,
-    recovery_factor: float = 1.5,
-    recovery_floor: float = 1e-3,
 ) -> TrackingResult:
     """Run WebWave while the spontaneous rates follow ``schedule``.
 
@@ -167,8 +163,8 @@ def run_tracking(
             # demand moved: carry the current served rates over, clamped to
             # what the new demand can actually supply (and with the home
             # absorbing any new remainder), then keep diffusing
-            pre_change = max(distances[-1], recovery_floor)
-            pending_recovery[t] = pre_change * recovery_factor
+            pre_change = max(distances[-1], RECOVERY_FLOOR)
+            pending_recovery[t] = pre_change * RECOVERY_FACTOR
             rates = new_rates
             engine.resettle(rates)
         engine.step()

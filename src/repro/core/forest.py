@@ -35,6 +35,10 @@ from .webfold import webfold
 
 __all__ = ["ForestWebWave", "ForestResult"]
 
+# ForestWebWave.run stops once the max total load has moved by at most this
+# fraction (of itself, or absolutely below 1.0) for 25 rounds in a row.
+STALL_TOLERANCE = 1e-7
+
 
 @dataclass(frozen=True)
 class ForestResult:
@@ -144,9 +148,7 @@ class ForestWebWave:
         """
         self._engine.step()
 
-    def run(
-        self, max_rounds: int = 5000, stall_tolerance: float = 1e-7
-    ) -> ForestResult:
+    def run(self, max_rounds: int = 5000) -> ForestResult:
         """Iterate until the max total load stops improving (or cap).
 
         Convergence here means a fixed point of the coupled dynamics, not a
@@ -160,7 +162,7 @@ class ForestWebWave:
             self.step()
             now = self.max_total()
             history.append(now)
-            if abs(before - now) <= stall_tolerance * max(before, 1.0):
+            if abs(before - now) <= STALL_TOLERANCE * max(before, 1.0):
                 stalled += 1
             else:
                 stalled = 0

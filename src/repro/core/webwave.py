@@ -131,8 +131,6 @@ class WebWaveResult:
     distances:
         Euclidean distance to the target after every round (index 0 is the
         distance *before* the first round), the series plotted in Figure 6b.
-    history:
-        Optional per-round served-load vectors (only if recorded).
     """
 
     converged: bool
@@ -140,7 +138,6 @@ class WebWaveResult:
     final: LoadAssignment
     target: LoadAssignment
     distances: List[float]
-    history: Optional[List[Tuple[float, ...]]] = None
 
     @property
     def final_distance(self) -> float:
@@ -187,7 +184,6 @@ class WebWaveSimulator:
     def run(
         self,
         target: Optional[LoadAssignment] = None,
-        record_history: bool = False,
         max_rounds: Optional[int] = None,
     ) -> WebWaveResult:
         """Iterate until the distance to ``target`` falls below tolerance.
@@ -206,15 +202,10 @@ class WebWaveSimulator:
         target_arr = np.asarray(target.served, dtype=np.float64)
 
         distances = [engine.distance_to(target_arr)]
-        history: Optional[List[Tuple[float, ...]]] = (
-            [engine.served_tuple()] if record_history else None
-        )
         converged = distances[-1] <= cfg.tolerance
         while not converged and engine.round < limit:
             engine.step()
             distances.append(engine.distance_to(target_arr))
-            if history is not None:
-                history.append(engine.served_tuple())
             converged = distances[-1] <= cfg.tolerance
 
         return WebWaveResult(
@@ -223,7 +214,6 @@ class WebWaveSimulator:
             final=self.assignment(),
             target=target,
             distances=distances,
-            history=history,
         )
 
 
@@ -232,8 +222,6 @@ def run_webwave(
     spontaneous: Sequence[float],
     config: Optional[WebWaveConfig] = None,
     initial_served: Optional[Sequence[float]] = None,
-    record_history: bool = False,
 ) -> WebWaveResult:
     """One-call driver: build a simulator and run it to convergence."""
-    sim = WebWaveSimulator(tree, spontaneous, config, initial_served)
-    return sim.run(record_history=record_history)
+    return WebWaveSimulator(tree, spontaneous, config, initial_served).run()

@@ -21,28 +21,20 @@ the benches can reproduce the qualitative comparison:
 
 All four index the scenario's :class:`~repro.protocols.state.PacketState`
 by node and document.  A crashed server never serves, is never redirected
-to, and never receives a fill, replica or push.
+to, and never receives a fill, replica or push.  Each mechanism runs in one
+configuration, its module constants below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from .scenario import Scenario, ScenarioConfig
 from ..traffic.requests import Request
 from ..traffic.workload import Workload
 
-__all__ = [
-    "NoCacheScenario",
-    "DirectoryScenario",
-    "DirectoryConfig",
-    "IcpScenario",
-    "IcpConfig",
-    "PushScenario",
-    "PushConfig",
-]
+__all__ = ["NoCacheScenario", "DirectoryScenario", "IcpScenario", "PushScenario"]
 
 _EPS = 1e-9
 
@@ -75,20 +67,16 @@ class NoCacheScenario(Scenario):
 # ----------------------------------------------------------------------
 # Central cache directory
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DirectoryConfig:
-    """Knobs of the directory baseline.
-
-    ``query_capacity`` is the directory service's lookup throughput
-    (queries/second) - the funnel the paper identifies.  ``replicate_period``
-    controls how often the directory reacts to load, replicating the
-    globally hottest document onto the least-loaded server.
-    """
-
-    query_capacity: float = 2000.0
-    replicate_period: float = 2.0
-    max_replicas_per_doc: int = 8
-    overload_threshold: float = 0.7
+# The directory service's lookup throughput (queries/second): the funnel
+# the paper identifies.
+DIRECTORY_QUERY_CAPACITY = 2000.0
+# Every this many seconds the directory reacts to load: if the home serves
+# more than DIRECTORY_OVERLOAD_THRESHOLD of its capacity, the globally
+# hottest document with fewer than DIRECTORY_MAX_REPLICAS holders gains a
+# replica on the least-loaded server.
+DIRECTORY_REPLICATE_PERIOD = 2.0
+DIRECTORY_OVERLOAD_THRESHOLD = 0.7
+DIRECTORY_MAX_REPLICAS = 8
 
 
 class DirectoryScenario(Scenario):
@@ -102,10 +90,8 @@ class DirectoryScenario(Scenario):
         workload: Workload,
         config: Optional[ScenarioConfig] = None,
         topology=None,
-        directory: Optional[DirectoryConfig] = None,
     ) -> None:
         super().__init__(workload, config, topology)
-        self.directory = directory or DirectoryConfig()
         # replica map lives at the home node: doc -> holders
         self.replicas: Dict[str, Set[int]] = {
             doc.doc_id: {self.tree.root} for doc in workload.catalog
@@ -114,7 +100,7 @@ class DirectoryScenario(Scenario):
         self.directory_queries = 0
 
     def on_start(self) -> None:
-        self.sim.every(self.directory.replicate_period, self._replicate_step)
+        self.sim.every(DIRECTORY_REPLICATE_PERIOD, self._replicate_step)
 
     # -- datapath ------------------------------------------------------
     def handle_arrival(self, request: Request, node: int) -> None:
@@ -126,7 +112,7 @@ class DirectoryScenario(Scenario):
         # queues behind other lookups; the reply returns to the origin.
         to_dir = self.path_delay(node, self.tree.root)
         arrival = self.sim.now + to_dir
-        service = 1.0 / self.directory.query_capacity
+        service = 1.0 / DIRECTORY_QUERY_CAPACITY
         start = max(arrival, self._dir_busy_until)
         self._dir_busy_until = start + service
         reply_at = self._dir_busy_until + to_dir
@@ -163,14 +149,14 @@ class DirectoryScenario(Scenario):
     def _replicate_step(self) -> None:
         """Replicate the hottest doc of the most loaded holder if saturated."""
         now, state, root = self.sim.now, self.state, self.tree.root
-        threshold = self.directory.overload_threshold * float(state.capacity[root])
+        threshold = DIRECTORY_OVERLOAD_THRESHOLD * float(state.capacity[root])
         if state.served_total.rate(root, now) < threshold:
             return
         # hottest document system-wide by measured served rate at holders
         best_doc, best_rate = None, 0.0
         for doc_id in self.replicas:
             holders = self._holders(doc_id)
-            if len(holders) >= self.directory.max_replicas_per_doc:
+            if len(holders) >= DIRECTORY_MAX_REPLICAS:
                 continue
             d = state.doc_index[doc_id]
             rate = sum(state.served_doc_rate(h, d, now) for h in holders)
@@ -198,12 +184,8 @@ class DirectoryScenario(Scenario):
 # ----------------------------------------------------------------------
 # ICP-style sibling probing
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class IcpConfig:
-    """ICP probing knobs: per-probe timeout and demand-caching toggle."""
-
-    probe_timeout: float = 0.05
-    demand_fill: bool = True
+# A neighbour probe's round trip never waits longer than this (seconds).
+ICP_PROBE_TIMEOUT = 0.05
 
 
 class IcpScenario(Scenario):
@@ -218,16 +200,6 @@ class IcpScenario(Scenario):
     """
 
     name = "icp"
-
-    def __init__(
-        self,
-        workload: Workload,
-        config: Optional[ScenarioConfig] = None,
-        topology=None,
-        icp: Optional[IcpConfig] = None,
-    ) -> None:
-        super().__init__(workload, config, topology)
-        self.icp = icp or IcpConfig()
 
     def handle_arrival(self, request: Request, node: int) -> None:
         request.path.append(node)
@@ -244,7 +216,7 @@ class IcpScenario(Scenario):
             self.count_message("icp_probe")
         hit = next((p for p in peers if d in cached[p]), None)
         probe_rtt = min(
-            self.icp.probe_timeout,
+            ICP_PROBE_TIMEOUT,
             2 * max((self.edge_delay(node, parent)), 1e-4),
         )
         if hit is not None:
@@ -261,27 +233,23 @@ class IcpScenario(Scenario):
 
     def _serve_and_fill(self, request: Request, node: int) -> None:
         self._serve(request, node)
-        if self.icp.demand_fill:
-            state = self.state
-            origin_path = self.tree.path_to_root(request.origin)
-            for hop in origin_path:
-                if hop == node or hop == self.tree.root:
-                    break
-                if state.failed[hop]:
-                    continue
-                state.install_copy(hop, request.doc_id)
+        state = self.state
+        for hop in self.tree.path_to_root(request.origin):
+            if hop == node or hop == self.tree.root:
+                break
+            if state.failed[hop]:
+                continue
+            state.install_copy(hop, request.doc_id)
 
 
 # ----------------------------------------------------------------------
 # Popularity push caching
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PushConfig:
-    """Push-caching knobs: how many hot docs, how often, how deep."""
-
-    push_period: float = 5.0
-    top_k: int = 3
-    depth: int = 1
+# Every PUSH_PERIOD seconds the home pushes its PUSH_TOP_K hottest
+# documents to every server at most PUSH_DEPTH hops below it.
+PUSH_PERIOD = 5.0
+PUSH_TOP_K = 3
+PUSH_DEPTH = 1
 
 
 class PushScenario(Scenario):
@@ -293,20 +261,10 @@ class PushScenario(Scenario):
 
     name = "push"
 
-    def __init__(
-        self,
-        workload: Workload,
-        config: Optional[ScenarioConfig] = None,
-        topology=None,
-        push: Optional[PushConfig] = None,
-    ) -> None:
-        super().__init__(workload, config, topology)
-        self.push = push or PushConfig()
-
     def on_start(self) -> None:
         # Installs mutate datapath state, so the timer and the transfers
         # must be control events the default walker respects.
-        self._control_every(self.push.push_period, self._push_step)
+        self._control_every(PUSH_PERIOD, self._push_step)
 
     def _push_step(self) -> None:
         now, state, root = self.sim.now, self.state, self.tree.root
@@ -317,12 +275,8 @@ class PushScenario(Scenario):
             ),
             reverse=True,
         )
-        hot = [doc_id for rate, doc_id in ranked[: self.push.top_k] if rate > _EPS]
-        targets = [
-            i
-            for i in self.tree
-            if 0 < self.tree.depth(i) <= self.push.depth
-        ]
+        hot = [doc_id for rate, doc_id in ranked[:PUSH_TOP_K] if rate > _EPS]
+        targets = [i for i in self.tree if 0 < self.tree.depth(i) <= PUSH_DEPTH]
         for doc_id in hot:
             d = state.doc_index[doc_id]
             for target in targets:

@@ -29,13 +29,14 @@ the packet realization of the cluster plane's mass-conserving retire.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..cluster.scenarios import ClusterScenario
 from ..documents.catalog import Catalog
 from ..documents.document import Document
-from ..traffic.workload import ARRIVAL_KINDS, Workload
-from .scenario import Scenario, ScenarioConfig, _ArrivalSource
+from ..traffic.arrivals import PoissonArrivals
+from ..traffic.workload import Workload
+from .scenario import ScenarioConfig, _ArrivalSource
 from .webwave import WebWaveProtocolConfig, WebWaveScenario
 
 __all__ = ["ClusterPacketScenario", "packet_scenario_from_cluster"]
@@ -124,9 +125,7 @@ class ClusterPacketScenario(WebWaveScenario):
 
     # ------------------------------------------------------------------
     def _schedule_arrivals(self) -> None:
-        processes = self.workload.arrival_processes(
-            self.streams, kind=self.config.arrival_kind
-        )
+        processes = self.workload.arrival_processes(self.streams)
         self._source_map: Dict[Tuple[int, str], _DynamicArrivalSource] = {}
         self._sources = []
         for (node, doc_id), process in sorted(processes.items()):
@@ -146,8 +145,11 @@ class ClusterPacketScenario(WebWaveScenario):
 
     # ------------------------------------------------------------------
     def _set_source_rate(self, node: int, doc_id: str, rate: float) -> None:
-        build = ARRIVAL_KINDS[self.config.arrival_kind]
-        process = build(rate, self.streams, node, doc_id)
+        # the stream Workload.arrival_processes gave this source: one
+        # continuous stream across rate changes
+        process = PoissonArrivals(
+            rate, self.streams.get("arrivals", node=node, doc=doc_id)
+        )
         source = self._source_map.get((node, doc_id))
         if source is None:
             if rate <= 0:

@@ -15,7 +15,7 @@ observable float (pinned by ``tests/golden/packet_goldens.json`` and the
 live reference comparison):
 
 * **Batched arrival timelines** - each (node, document) source pre-samples
-  a chunk of inter-arrival gaps (:meth:`ArrivalProcess.sample_gaps`, RNG
+  a chunk of inter-arrival gaps (:meth:`PoissonArrivals.sample_gaps`, RNG
   stream-exact) and steps through the cumulative times with one slim
   non-cancellable event per arrival, instead of a closure chain.
 * **The inline path walker** - the default ``handle_arrival`` walks a
@@ -56,7 +56,7 @@ from ..obs.telemetry import resolve as _resolve_telemetry
 from ..sim.engine import Simulator
 from ..sim.rng import RngStreams
 from ..traffic.requests import Request
-from ..traffic.workload import ARRIVAL_KINDS, Workload
+from ..traffic.workload import Workload
 from .state import PacketState
 
 __all__ = ["Scenario", "ScenarioConfig", "ScenarioMetrics", "DPF_MATCH_COST"]
@@ -84,10 +84,8 @@ class ScenarioConfig:
     transient from response-time and throughput statistics.  ``hop_delay``
     is used for tree edges when no topology provides per-link delays.
     ``cache_capacity`` bounds the number of cached documents per non-home
-    server (``None`` reproduces the paper's unlimited-storage assumption);
-    ``cache_policy`` selects the replacement policy for bounded stores.
-    ``arrival_kind`` must name a registered arrival process
-    (:data:`repro.traffic.workload.ARRIVAL_KINDS`).
+    server with LRU replacement (``None`` reproduces the paper's
+    unlimited-storage assumption).  Every source draws Poisson arrivals.
     """
 
     duration: float = 60.0
@@ -95,25 +93,29 @@ class ScenarioConfig:
     seed: int = 0
     hop_delay: float = 0.01
     default_capacity: float = 100.0
-    arrival_kind: str = "poisson"
     cache_capacity: Optional[int] = None
-    cache_policy: str = "lru"
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if not 0 <= self.warmup < self.duration:
-            raise ValueError("warmup must lie in [0, duration)")
-        if self.hop_delay < 0 or self.default_capacity <= 0:
-            raise ValueError("invalid hop_delay or capacity")
+        # Each range test is false for NaN, so NaN is refused with the rest.
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(
+                f"duration must be finite and positive, got {self.duration!r}"
+            )
+        if not 0.0 <= self.warmup < self.duration:
+            raise ValueError(
+                f"warmup must lie in [0, duration), got {self.warmup!r}"
+            )
+        if not 0.0 <= self.hop_delay < math.inf:
+            raise ValueError(
+                f"hop_delay must be finite and >= 0, got {self.hop_delay!r}"
+            )
+        if not 0.0 < self.default_capacity < math.inf:
+            raise ValueError(
+                "default_capacity must be finite and positive, "
+                f"got {self.default_capacity!r}"
+            )
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1 or None")
-        if self.arrival_kind not in ARRIVAL_KINDS:
-            known = ", ".join(sorted(ARRIVAL_KINDS))
-            raise ValueError(
-                f"unknown arrival_kind {self.arrival_kind!r}; "
-                f"known kinds: {known}"
-            )
 
 
 @dataclass
@@ -331,7 +333,6 @@ class Scenario:
             capacities=capacities,
             home=tree.root,
             cache_capacity=cfg.cache_capacity,
-            cache_policy=cfg.cache_policy,
         )
         for doc in self.workload.catalog:
             state.install_copy(tree.root, doc.doc_id, pinned=True)
@@ -377,19 +378,15 @@ class Scenario:
     def _register_barrier(self, time: float) -> None:
         heapq.heappush(self._barriers, time)
 
-    def _schedule_control(
-        self, delay: float, callback: Callable[[], None], priority: int = 0
-    ) -> None:
+    def _schedule_control(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule an event that may mutate datapath-visible state."""
         time = self.sim.now + delay
         self._register_barrier(time)
-        self.sim.at(time, callback, priority)
+        self.sim.at(time, callback)
 
-    def _control_at(
-        self, time: float, callback: Callable[[], None], priority: int = 0
-    ) -> None:
+    def _control_at(self, time: float, callback: Callable[[], None]) -> None:
         self._register_barrier(time)
-        self.sim.at(time, callback, priority)
+        self.sim.at(time, callback)
 
     def _control_every(
         self,
@@ -429,9 +426,7 @@ class Scenario:
     # Request lifecycle
     # ------------------------------------------------------------------
     def _schedule_arrivals(self) -> None:
-        processes = self.workload.arrival_processes(
-            self.streams, kind=self.config.arrival_kind
-        )
+        processes = self.workload.arrival_processes(self.streams)
         self._sources = [
             _ArrivalSource(self, node, doc_id, process)
             for (node, doc_id), process in sorted(processes.items())

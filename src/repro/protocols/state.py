@@ -176,7 +176,6 @@ class PacketState:
         capacities: Sequence[float],
         home: int,
         cache_capacity: Optional[int] = None,
-        cache_policy: str = "lru",
         meter_window: float = 1.0,
     ) -> None:
         self.n = n
@@ -207,7 +206,7 @@ class PacketState:
         self.stores: List[CacheStore] = [
             CacheStore()
             if cache_capacity is None or node == home
-            else CacheStore(capacity=cache_capacity, policy=cache_policy)
+            else CacheStore(capacity=cache_capacity)
             for node in range(n)
         ]
         # Document-index mirror of each store's contents: the datapath's

@@ -3,9 +3,9 @@
 A small, deterministic event-driven kernel used by the packet-level WebWave
 simulations (:mod:`repro.protocols`).  Design points:
 
-* Events are ``(time, priority, seq)``-ordered; ``seq`` is a monotonically
-  increasing tie-breaker, so runs are fully deterministic for a fixed seed
-  and schedule order.
+* Events are ``(time, seq)``-ordered; ``seq`` is a monotonically
+  increasing tie-breaker, so same-time events fire in scheduling order and
+  runs are fully deterministic for a fixed seed and schedule order.
 * No event is ever cancelled (no protocol needs it), so the heap holds
   bare callables and :meth:`Simulator.at` / :meth:`Simulator.post` push
   them without allocating a handle - the packet datapath schedules
@@ -43,9 +43,9 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = itertools.count()
-        # Heap entries are (time, priority, seq, callback); seq is unique,
-        # so a callback is never compared.
-        self._heap: List[Tuple[float, int, int, Callable[[], None]]] = []
+        # Heap entries are (time, seq, callback); seq is unique, so a
+        # callback is never compared.
+        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._events_executed = 0
         self._running = False
 
@@ -86,37 +86,34 @@ class Simulator:
             raise SimulationError(f"non-finite event time {time}")
         return max(time, self._now)
 
-    def at(self, time: float, callback: Callable[[], None], priority: int = 0) -> None:
-        """Schedule ``callback`` at absolute virtual time ``time``.
-
-        Lower ``priority`` fires first among same-time events; equal
-        priorities fire in scheduling order.
-        """
+    def at(self, time: float, callback: Callable[[], None]) -> None:
+        """Schedule ``callback`` at absolute virtual time ``time``;
+        same-time events fire in scheduling order."""
         time = self._check_time(time)
-        heapq.heappush(self._heap, (time, priority, next(self._seq), callback))
+        heapq.heappush(self._heap, (time, next(self._seq), callback))
 
-    def after(self, delay: float, callback: Callable[[], None], priority: int = 0) -> None:
+    def after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` after a relative ``delay`` (>= 0) seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self.at(self._now + delay, callback, priority)
+        self.at(self._now + delay, callback)
 
-    def post(self, time: float, callback: Callable[[], None], priority: int = 0) -> None:
+    def post(self, time: float, callback: Callable[[], None]) -> None:
         """:meth:`at` with the range check inlined - the hot path for the
         packet datapath's per-request events (same seq counter, same
         tie-breaking)."""
         now = self._now
         if time >= now and time < math.inf:  # excludes NaN and +inf
-            heapq.heappush(self._heap, (time, priority, next(self._seq), callback))
+            heapq.heappush(self._heap, (time, next(self._seq), callback))
             return
         time = self._check_time(time)  # raises, or clamps the epsilon-past case
-        heapq.heappush(self._heap, (time, priority, next(self._seq), callback))
+        heapq.heappush(self._heap, (time, next(self._seq), callback))
 
     def claim_seq(self) -> int:
         """Consume and return the next event sequence number.
 
         For callers that replace a heap event with deferred batch
-        processing but must preserve the exact (time, priority, seq)
+        processing but must preserve the exact (time, seq)
         ordering the event would have had - e.g. the packet scenario's
         completion records.
         """
@@ -127,7 +124,6 @@ class Simulator:
         period: float,
         callback: Callable[[], None],
         start: Optional[float] = None,
-        priority: int = 0,
     ) -> None:
         """Fire ``callback`` every ``period`` seconds for the rest of the run.
 
@@ -139,41 +135,36 @@ class Simulator:
 
         def fire() -> None:
             callback()
-            self.at(self._now + period, fire, priority)
+            self.at(self._now + period, fire)
 
-        self.at(self._now + period if start is None else start, fire, priority)
+        self.at(self._now + period if start is None else start, fire)
 
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the single next event; False if the queue is empty."""
         if not self._heap:
             return False
-        time, _, _, callback = heapq.heappop(self._heap)
+        time, _, callback = heapq.heappop(self._heap)
         self._now = time
         callback()
         self._events_executed += 1
         return True
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events in order until the queue drains or limits are hit.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run events in order until the queue drains or ``until`` is hit.
 
         ``until`` stops the clock at that virtual time (events scheduled
-        later stay queued and ``now`` advances exactly to ``until``);
-        ``max_events`` bounds the number of events executed by this call.
+        later stay queued and ``now`` advances exactly to ``until``).
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
         heap = self._heap
-        executed = 0
         try:
             while heap:
-                if max_events is not None and executed >= max_events:
-                    return
                 if until is not None and heap[0][0] > until:
                     break
                 self.step()
-                executed += 1
             if until is not None and until > self._now:
                 self._now = until
         finally:

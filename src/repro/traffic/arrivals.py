@@ -1,12 +1,12 @@
-"""Request arrival processes.
+"""Request arrivals: one Poisson process per packet-level source.
 
 The rate-level simulations assume a constant spontaneous request rate per
-node (Section 5.1).  The packet-level simulations draw Poisson arrivals by
-default; constant arrivals reproduce the rate model's deterministic load.
+node (Section 5.1); the packet-level simulations draw Poisson arrivals at
+that rate.
 
-An arrival process yields successive inter-arrival gaps via
-:meth:`ArrivalProcess.next_gap`; generators are driven by the simulation's
-seeded RNG streams so runs are reproducible.  :meth:`ArrivalProcess.sample_gaps`
+:class:`PoissonArrivals` yields successive inter-arrival gaps via
+:meth:`PoissonArrivals.next_gap`; it is driven by the simulation's seeded
+RNG streams so runs are reproducible.  :meth:`PoissonArrivals.sample_gaps`
 is the batched form the packet simulator's per-source arrival timelines
 consume: it returns the *same* gap sequence the scalar path would produce
 (the Poisson fast path draws its uniforms through NumPy by transplanting
@@ -17,15 +17,10 @@ amortizing per-request RNG and call overhead across a whole chunk.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 
 import numpy as np
 
-__all__ = [
-    "ArrivalProcess",
-    "ConstantArrivals",
-    "PoissonArrivals",
-]
+__all__ = ["PoissonArrivals"]
 
 
 def _numpy_mirror(rng) -> "np.random.RandomState":
@@ -55,50 +50,7 @@ def _writeback_mirror(rng, mirror: "np.random.RandomState") -> None:
 _MIRROR_MIN_DRAWS = 1024
 
 
-class ArrivalProcess(ABC):
-    """Produces inter-arrival gaps (seconds) for one request source."""
-
-    @abstractmethod
-    def next_gap(self) -> float:
-        """Time until the next arrival; ``inf`` means no more arrivals."""
-
-    @property
-    @abstractmethod
-    def mean_rate(self) -> float:
-        """Long-run average arrivals per second."""
-
-    @abstractmethod
-    def sample_gaps(self, n: int) -> np.ndarray:
-        """The next ``n`` gaps as an array (shorter if arrivals run out).
-
-        Contract: consumes the process exactly as ``n`` scalar
-        :meth:`next_gap` calls would, producing bit-identical values - a
-        source may freely interleave batched and scalar draws.
-        """
-
-
-class ConstantArrivals(ArrivalProcess):
-    """Deterministic arrivals, exactly ``rate`` per second."""
-
-    def __init__(self, rate: float) -> None:
-        if rate < 0:
-            raise ValueError("rate must be >= 0")
-        self._rate = float(rate)
-
-    def next_gap(self) -> float:
-        return 1.0 / self._rate if self._rate > 0 else math.inf
-
-    def sample_gaps(self, n: int) -> np.ndarray:
-        if self._rate <= 0:
-            return np.empty(0, dtype=np.float64)
-        return np.full(n, 1.0 / self._rate, dtype=np.float64)
-
-    @property
-    def mean_rate(self) -> float:
-        return self._rate
-
-
-class PoissonArrivals(ArrivalProcess):
+class PoissonArrivals:
     """Memoryless arrivals at ``rate`` per second (exponential gaps)."""
 
     def __init__(self, rate: float, rng) -> None:

@@ -4,37 +4,20 @@ A :class:`Workload` binds together a routing tree, a document catalog, and
 per-node request generation: each node has an aggregate spontaneous rate
 (the ``E_i`` of the model) split across documents by a popularity model.
 The rate-level simulators consume the per-(node, document) rate matrix; the
-packet-level simulator asks the workload for one arrival process per
-source, of one of the two :data:`ARRIVAL_KINDS` (Poisson or constant).
+packet-level simulator asks the workload for one Poisson arrival process
+per source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.tree import RoutingTree
 from ..documents.catalog import Catalog
 from ..documents.popularity import ZipfPopularity
-from .arrivals import ArrivalProcess, ConstantArrivals, PoissonArrivals
+from .arrivals import PoissonArrivals
 
-__all__ = ["Workload", "WorkloadError", "hot_document_workload", "ARRIVAL_KINDS"]
-
-
-def _poisson_process(rate: float, streams, node: int, doc_id: str) -> ArrivalProcess:
-    return PoissonArrivals(rate, streams.get("arrivals", node=node, doc=doc_id))
-
-
-def _constant_process(rate: float, streams, node: int, doc_id: str) -> ArrivalProcess:
-    return ConstantArrivals(rate)
-
-
-# kind -> builder(rate, streams, node, doc_id); ScenarioConfig validates its
-# arrival_kind against this registry at construction time.
-ARRIVAL_KINDS = {
-    "poisson": _poisson_process,
-    "constant": _constant_process,
-}
+__all__ = ["Workload", "WorkloadError", "hot_document_workload"]
 
 
 class WorkloadError(ValueError):
@@ -113,26 +96,14 @@ class Workload:
         return out
 
     # ------------------------------------------------------------------
-    def arrival_processes(
-        self,
-        streams,
-        kind: str = "poisson",
-    ) -> Dict[Tuple[int, str], ArrivalProcess]:
-        """One arrival process per (node, document) source.
-
-        ``kind`` selects an entry of :data:`ARRIVAL_KINDS` (``"poisson"`` or
-        ``"constant"``); each source gets its own RNG stream so workloads
-        are reproducible and sources independent.
-        """
-        try:
-            build = ARRIVAL_KINDS[kind]
-        except KeyError:
-            known = ", ".join(sorted(ARRIVAL_KINDS))
-            raise WorkloadError(
-                f"unknown arrival kind {kind!r}; known kinds: {known}"
-            ) from None
+    def arrival_processes(self, streams) -> Dict[Tuple[int, str], PoissonArrivals]:
+        """One Poisson arrival process per (node, document) source; each
+        source gets its own RNG stream so workloads are reproducible and
+        sources independent."""
         return {
-            (node, doc_id): build(rate, streams, node, doc_id)
+            (node, doc_id): PoissonArrivals(
+                rate, streams.get("arrivals", node=node, doc=doc_id)
+            )
             for node, doc_id, rate in self.items()
         }
 

@@ -1,4 +1,4 @@
-"""Tests for the cache store and replacement policies."""
+"""Tests for the cache store and its LRU replacement."""
 
 from __future__ import annotations
 
@@ -24,17 +24,8 @@ class TestUnbounded:
     def test_reinsert_no_duplicate(self):
         store = CacheStore()
         store.insert("a")
-        store.insert("a")
+        assert store.insert("a") is None
         assert len(store) == 1
-        assert store.insertions == 1
-
-    def test_touch_hit_miss_stats(self):
-        store = CacheStore()
-        store.insert("a")
-        assert store.touch("a") is True
-        assert store.touch("b") is False
-        assert store.hits == 1
-        assert store.misses == 1
 
     def test_evict_and_discard(self):
         store = CacheStore()
@@ -69,7 +60,7 @@ class TestPinning:
 
 class TestLru:
     def test_evicts_least_recent(self):
-        store = CacheStore(capacity=2, policy="lru")
+        store = CacheStore(capacity=2)
         store.insert("a")
         store.insert("b")
         store.touch("a")  # b is now oldest
@@ -78,41 +69,20 @@ class TestLru:
         assert set(store.doc_ids) == {"a", "c"}
 
     def test_insertion_order_without_touches(self):
-        store = CacheStore(capacity=2, policy="lru")
+        store = CacheStore(capacity=2)
         store.insert("a")
         store.insert("b")
         assert store.insert("c") == "a"
 
     def test_pinned_skipped(self):
-        store = CacheStore(capacity=2, policy="lru")
+        store = CacheStore(capacity=2)
         store.insert("home", pinned=True)
         store.insert("a")
         assert store.insert("b") == "a"
         assert "home" in store
 
 
-class TestLfu:
-    def test_evicts_least_frequent(self):
-        store = CacheStore(capacity=2, policy="lfu")
-        store.insert("a")
-        store.insert("b")
-        store.touch("a")
-        store.touch("a")
-        store.touch("b")
-        assert store.insert("c") == "b"
-
-    def test_tie_broken_by_doc_id(self):
-        store = CacheStore(capacity=2, policy="lfu")
-        store.insert("z")
-        store.insert("a")
-        assert store.insert("m") == "a"
-
-
 class TestValidation:
     def test_bad_capacity(self):
         with pytest.raises(CacheError):
             CacheStore(capacity=0)
-
-    def test_bad_policy(self):
-        with pytest.raises(CacheError, match="unknown policy"):
-            CacheStore(policy="random")

@@ -1,8 +1,9 @@
-"""Model-based property tests for CacheStore's LRU policy."""
+"""Model-based property tests for CacheStore's LRU replacement."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,14 +25,18 @@ class _ReferenceLru:
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self.entries: "OrderedDict[str, None]" = OrderedDict()
+        self.evictions = 0
 
-    def insert(self, doc: str) -> None:
+    def insert(self, doc: str) -> Optional[str]:
         if doc in self.entries:
             self.entries.move_to_end(doc)
-            return
+            return None
+        evicted = None
         if len(self.entries) >= self.capacity:
-            self.entries.popitem(last=False)
+            evicted, _ = self.entries.popitem(last=False)
+            self.evictions += 1
         self.entries[doc] = None
+        return evicted
 
     def touch(self, doc: str) -> None:
         if doc in self.entries:
@@ -41,41 +46,16 @@ class _ReferenceLru:
 @given(ops=_ops, capacity=st.integers(min_value=1, max_value=5))
 @settings(max_examples=150)
 def test_lru_matches_reference_model(ops, capacity):
-    store = CacheStore(capacity=capacity, policy="lru")
+    """Same victims, same recency order, same eviction count - and the
+    capacity is never exceeded."""
+    store = CacheStore(capacity=capacity)
     model = _ReferenceLru(capacity)
     for op, doc in ops:
         if op == "insert":
-            store.insert(doc)
-            model.insert(doc)
+            assert store.insert(doc) == model.insert(doc)
         else:
             store.touch(doc)
             model.touch(doc)
-        assert set(store.doc_ids) == set(model.entries)
+        assert list(store._entries) == list(model.entries)
         assert len(store) <= capacity
-
-
-@given(ops=_ops, capacity=st.integers(min_value=1, max_value=5))
-@settings(max_examples=100)
-def test_capacity_never_exceeded_any_policy(ops, capacity):
-    for policy in ("lru", "lfu"):
-        store = CacheStore(capacity=capacity, policy=policy)
-        for op, doc in ops:
-            if op == "insert":
-                store.insert(doc)
-            else:
-                store.touch(doc)
-            assert len(store) <= capacity
-
-
-@given(ops=_ops)
-@settings(max_examples=60)
-def test_stats_consistent(ops):
-    store = CacheStore(capacity=3, policy="lru")
-    for op, doc in ops:
-        if op == "insert":
-            store.insert(doc)
-        else:
-            store.touch(doc)
-    assert store.hits + store.misses >= 0
-    assert store.insertions >= len(store)
-    assert store.evictions == store.insertions - len(store)
+    assert store.evictions == model.evictions

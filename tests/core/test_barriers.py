@@ -195,20 +195,6 @@ class TestProtocolMechanics:
         assert result.converged
         assert model.served_rate(0) == pytest.approx(5.0, abs=0.3)
 
-    def test_no_evict_keeps_copy(self):
-        tree = chain_tree(2)
-        demand = DocumentDemand(tree, ("a",), {1: {"a": 10.0}})
-        model = DocumentWebWave(
-            demand,
-            initial_cache={1: ["a"]},
-            initial_served={1: {"a": 10.0}},
-            config=DocumentWebWaveConfig(
-                evict_on_zero=False, max_rounds=100, tolerance=0.2
-            ),
-        )
-        model.run()
-        assert "a" in model.cached_documents(1)
-
     def test_total_flow_conserved_every_round(self):
         demand = fig7_demand()
         model = DocumentWebWave(
@@ -223,8 +209,6 @@ class TestProtocolMechanics:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DocumentWebWaveConfig(patience=-1)
-        with pytest.raises(ValueError):
-            DocumentWebWaveConfig(max_tunnel_docs=0)
 
     def test_assignment_consistency(self):
         model = DocumentWebWave(fig7_demand())

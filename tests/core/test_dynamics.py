@@ -10,7 +10,6 @@ from repro.core.dynamics import (
     RateSchedule,
     flash_crowd_schedule,
     run_tracking,
-    step_change_schedule,
 )
 from repro.core.load import LoadAssignment
 from repro.core.tree import chain_tree, kary_tree
@@ -47,7 +46,7 @@ class TestRateSchedule:
 
     def test_builders(self):
         tree = chain_tree(3)
-        s1 = step_change_schedule([1, 1, 1], [9, 0, 0], change_at=5)
+        s1 = RateSchedule([(0, [1, 1, 1]), (5, [9, 0, 0])])
         assert s1.change_points == (5,)
         s2 = flash_crowd_schedule(tree, 2.0, crowd_node=2, crowd_rate=50.0, start=10, end=40)
         assert s2.rates_at(20)[2] == 50.0
@@ -97,7 +96,7 @@ class TestTracking:
         base = [4.0] * tree.n
         changed = [0.0] * tree.n
         changed[5] = 60.0
-        schedule = step_change_schedule(base, changed, change_at=80)
+        schedule = RateSchedule([(0, base), (80, changed)])
         result = run_tracking(tree, schedule, rounds=400)
         assert result.final_distance < 1e-3
         assert result.recovery_rounds[80] is not None
@@ -115,9 +114,7 @@ class TestTracking:
 
     def test_distances_spike_at_change(self):
         tree = chain_tree(4)
-        schedule = step_change_schedule(
-            [2.0] * 4, [0.0, 0.0, 0.0, 50.0], change_at=100
-        )
+        schedule = RateSchedule([(0, [2.0] * 4), (100, [0.0, 0.0, 0.0, 50.0])])
         result = run_tracking(tree, schedule, rounds=300)
         before = result.distances[99]
         after = result.distances[101]

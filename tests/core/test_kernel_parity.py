@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.core.async_webwave import AsyncWebWave
-from repro.core.dynamics import run_tracking, step_change_schedule
+from repro.core.dynamics import RateSchedule, run_tracking
 from repro.core.forest import ForestWebWave
 from repro.core.tree import RoutingTree
 from repro.core.webwave import WebWaveConfig, WebWaveSimulator
@@ -117,8 +117,8 @@ def test_async_parity(goldens, case):
 def test_tracking_parity(goldens):
     data = goldens["tracking_step_change"]
     tree = RoutingTree(data["parent"])
-    schedule = step_change_schedule(
-        data["base"], data["changed"], change_at=data["change_at"]
+    schedule = RateSchedule(
+        [(0, data["base"]), (data["change_at"], data["changed"])]
     )
     result = run_tracking(tree, schedule, rounds=data["rounds"])
     assert list(result.distances) == pytest.approx(data["distances"], abs=TOL)

@@ -111,16 +111,6 @@ class TestConvergence:
         assert result.rounds == 3
         assert not result.converged
 
-    def test_record_history(self):
-        result = run_webwave(chain_tree(3), [0, 0, 30], record_history=True)
-        assert result.history is not None
-        assert len(result.history) == len(result.distances)
-        assert result.history[-1] == result.final.served
-
-    def test_no_history_by_default(self):
-        result = run_webwave(chain_tree(3), [0, 0, 30])
-        assert result.history is None
-
     def test_explicit_target(self):
         tree = chain_tree(3)
         rates = [0.0, 0.0, 30.0]

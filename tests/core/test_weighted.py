@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynamics import run_tracking, step_change_schedule
+from repro.core.dynamics import RateSchedule, run_tracking
 from repro.core.tree import chain_tree, kary_tree, star_tree
 from repro.core.webfold import webfold
 from repro.core.webwave import WebWaveConfig, WebWaveSimulator
@@ -162,7 +162,7 @@ class TestWeightedDiffusion:
         caps = [rng.uniform(1, 8) for _ in range(tree.n)]
         before = [rng.uniform(0, 40) for _ in range(tree.n)]
         after = [rng.uniform(0, 40) for _ in range(tree.n)]
-        schedule = step_change_schedule(before, after, change_at=4000)
+        schedule = RateSchedule([(0, before), (4000, after)])
         tracked = run_tracking(tree, schedule, 8000, WebWaveConfig(capacities=caps))
         assert tracked.distances[3999] < 1e-4 and tracked.final_distance < 1e-4
         assert tracked.distances[4000] > 1.0

@@ -23,7 +23,7 @@ import pathlib
 import random
 
 from repro.core.async_webwave import AsyncWebWave
-from repro.core.dynamics import run_tracking, step_change_schedule
+from repro.core.dynamics import RateSchedule, run_tracking
 from repro.core.forest import ForestWebWave
 from repro.core.tree import RoutingTree, kary_tree, random_tree
 from repro.core.webwave import WebWaveConfig, WebWaveSimulator
@@ -179,7 +179,7 @@ def build_goldens():
     base = [3.0] * tree.n
     changed = [0.0] * tree.n
     changed[tree.n - 1] = 45.0
-    schedule = step_change_schedule(base, changed, change_at=40)
+    schedule = RateSchedule([(0, base), (40, changed)])
     result = run_tracking(tree, schedule, rounds=120)
     cases["tracking_step_change"] = {
         "parent": list(tree.parent_map),

@@ -164,7 +164,7 @@ def _packet_fields(state):
     """Every per-server field of a packet run as plain comparable values:
     targets, the three meter banks, queue and tally vectors, failure
     flags, the roll stamps, and each store's entry order (which the
-    filter-table sizes derive from), pins and counters."""
+    filter-table sizes derive from), pins and eviction count."""
     banks = [
         (bank.counts, bank.wstart, bank.est.tolist(), bank.seeded)
         for bank in (state.served_total, state.served_doc, state.fwd_doc)
@@ -173,7 +173,7 @@ def _packet_fields(state):
         (
             list(store._entries.items()),
             sorted(store._pinned),
-            (store.insertions, store.evictions, store.hits, store.misses),
+            store.evictions,
         )
         for store in state.stores
     ]
@@ -226,8 +226,7 @@ def _mutate(field, edit):
         _mutate("fwd_row_stamp", lambda s: s._fwd_row_stamp.__setitem__(1, 9.0)),
         _mutate("store-entry-order", lambda s: s.stores[1]._entries.move_to_end("b")),
         _mutate("store-pins", lambda s: s.stores[1]._pinned.add("b")),
-        _mutate("store-hits", lambda s: setattr(s.stores[1], "hits", s.stores[1].hits + 1)),
-        _mutate("store-misses", lambda s: setattr(s.stores[2], "misses", 1)),
+        _mutate("store-evictions", lambda s: setattr(s.stores[2], "evictions", 1)),
     ],
 )
 def test_packet_fields_see_every_per_server_field(edit):

@@ -79,9 +79,7 @@ class ReferenceScenario:
             is_home = node == self.tree.root
             store = None
             if cfg.cache_capacity is not None and not is_home:
-                store = CacheStore(
-                    capacity=cfg.cache_capacity, policy=cfg.cache_policy
-                )
+                store = CacheStore(capacity=cfg.cache_capacity)
             server = CacheServer(
                 node=node, capacity=capacity, is_home=is_home, store=store
             )
@@ -120,9 +118,7 @@ class ReferenceScenario:
 
     # ------------------------------------------------------------------
     def _schedule_arrivals(self) -> None:
-        processes = self.workload.arrival_processes(
-            self.streams, kind=self.config.arrival_kind
-        )
+        processes = self.workload.arrival_processes(self.streams)
 
         def launch(node: int, doc_id: str, process) -> None:
             gap = process.next_gap()

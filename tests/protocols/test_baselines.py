@@ -7,13 +7,11 @@ import pytest
 from repro.core.tree import kary_tree
 from repro.documents.catalog import Catalog
 from repro.experiments.overhead import filter_sizes
+from repro.protocols import baselines
 from repro.protocols.baselines import (
-    DirectoryConfig,
     DirectoryScenario,
-    IcpConfig,
     IcpScenario,
     NoCacheScenario,
-    PushConfig,
     PushScenario,
 )
 from repro.protocols.scenario import Scenario, ScenarioConfig
@@ -62,41 +60,31 @@ class TestDirectory:
         assert metrics.messages["directory_query"] == scenario.directory_queries
         assert scenario.directory_queries >= metrics.completed
 
-    def test_replication_spreads_hot_docs(self):
+    def test_replication_spreads_hot_docs(self, monkeypatch):
+        monkeypatch.setattr(baselines, "DIRECTORY_REPLICATE_PERIOD", 1.0)
         wl = make_workload(rate=20.0)
-        scenario = DirectoryScenario(
-            wl,
-            config(default_capacity=40.0),
-            directory=DirectoryConfig(replicate_period=1.0),
-        )
+        scenario = DirectoryScenario(wl, config(default_capacity=40.0))
         scenario.run()
         replicated = [d for d, holders in scenario.replicas.items() if len(holders) > 1]
         assert replicated
 
-    def test_query_capacity_bottleneck(self):
+    def test_query_capacity_bottleneck(self, monkeypatch):
         wl = make_workload(rate=20.0)
-        slow = DirectoryScenario(
-            wl,
-            config(default_capacity=40.0),
-            directory=DirectoryConfig(query_capacity=30.0),
-        ).run()
-        fast = DirectoryScenario(
-            wl,
-            config(default_capacity=40.0),
-            directory=DirectoryConfig(query_capacity=100000.0),
-        ).run()
+        monkeypatch.setattr(baselines, "DIRECTORY_QUERY_CAPACITY", 30.0)
+        slow = DirectoryScenario(wl, config(default_capacity=40.0)).run()
+        monkeypatch.setattr(baselines, "DIRECTORY_QUERY_CAPACITY", 100000.0)
+        fast = DirectoryScenario(wl, config(default_capacity=40.0)).run()
         # the directory lookup queue throttles completion within the window
         assert slow.completed < fast.completed
         assert slow.mean_response_time > fast.mean_response_time
 
-    def test_filter_counts_only_home_documents(self):
+    def test_filter_counts_only_home_documents(self, monkeypatch):
         # the directory redirects rather than diverts: a replica never
         # injects a router filter, so only the home's pinned catalog is in
         # one (overhead.txt's directory filter columns read this)
+        monkeypatch.setattr(baselines, "DIRECTORY_REPLICATE_PERIOD", 1.0)
         scenario = DirectoryScenario(
-            make_workload(rate=20.0),
-            config(default_capacity=40.0),
-            directory=DirectoryConfig(replicate_period=1.0),
+            make_workload(rate=20.0), config(default_capacity=40.0)
         )
         scenario.run()
         state, root = scenario.state, scenario.tree.root
@@ -119,7 +107,9 @@ class TestDirectory:
         assert scenario._pick_replica(second, origin=3) == 3
         assert scenario.replicas[first] == {scenario.tree.root}
 
-    def test_redirects_under_eviction_reach_a_holder(self):
+    def test_redirects_under_eviction_reach_a_holder(self, monkeypatch):
+        monkeypatch.setattr(baselines, "DIRECTORY_REPLICATE_PERIOD", 1.0)
+        monkeypatch.setattr(baselines, "DIRECTORY_MAX_REPLICAS", 2)
         picks = []
 
         class Checked(DirectoryScenario):
@@ -131,7 +121,6 @@ class TestDirectory:
         scenario = Checked(
             make_workload(height=1, rate=20.0),
             config(default_capacity=20.0, cache_capacity=1),
-            directory=DirectoryConfig(replicate_period=1.0, max_replicas_per_doc=2),
         )
         scenario.run()
         assert sum(store.evictions for store in scenario.state.stores) > 0
@@ -158,13 +147,6 @@ class TestIcp:
         metrics = scenario.run()
         assert metrics.messages.get("icp_probe", 0) > 0
 
-    def test_no_demand_fill_keeps_caches_empty(self):
-        scenario = IcpScenario(
-            make_workload(), config(), icp=IcpConfig(demand_fill=False)
-        )
-        metrics = scenario.run()
-        assert metrics.home_share == 1.0
-
     def test_hit_serves_locally_after_warmup(self):
         scenario = IcpScenario(make_workload(), config())
         metrics = scenario.run()
@@ -173,10 +155,10 @@ class TestIcp:
 
 
 class TestPush:
-    def test_pushed_copies_installed(self):
-        scenario = PushScenario(
-            make_workload(), config(), push=PushConfig(push_period=2.0, top_k=2)
-        )
+    def test_pushed_copies_installed(self, monkeypatch):
+        monkeypatch.setattr(baselines, "PUSH_PERIOD", 2.0)
+        monkeypatch.setattr(baselines, "PUSH_TOP_K", 2)
+        scenario = PushScenario(make_workload(), config())
         metrics = scenario.run()
         pushed = [
             i
@@ -187,19 +169,17 @@ class TestPush:
         assert metrics.messages.get("copy_transfer", 0) > 0
 
     def test_depth_respected(self):
-        scenario = PushScenario(
-            make_workload(height=3), config(), push=PushConfig(depth=1, top_k=3)
-        )
+        scenario = PushScenario(make_workload(height=3), config())
         scenario.run()
         for node in scenario.tree:
             if scenario.tree.depth(node) > 1 and node != scenario.tree.root:
                 assert len(scenario.state.stores[node]) == 0
 
-    def test_offloads_home_somewhat(self):
+    def test_offloads_home_somewhat(self, monkeypatch):
+        monkeypatch.setattr(baselines, "PUSH_PERIOD", 1.0)
+        monkeypatch.setattr(baselines, "PUSH_TOP_K", 5)
         wl = make_workload(rate=10.0)
-        push = PushScenario(
-            wl, config(), push=PushConfig(push_period=1.0, top_k=5)
-        ).run()
+        push = PushScenario(wl, config()).run()
         nocache = NoCacheScenario(wl, config()).run()
         assert push.home_share < nocache.home_share
 

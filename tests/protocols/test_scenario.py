@@ -91,13 +91,6 @@ class TestBaseDatapath:
         total = len(scenario.requests)
         assert 0 < metrics.generated < total
 
-    def test_constant_arrivals(self):
-        scenario = Scenario(
-            make_workload(), small_config(arrival_kind="constant")
-        )
-        metrics = scenario.run()
-        assert metrics.completed > 0
-
 
 class TestDelaysAndTopology:
     def test_default_hop_delay(self):

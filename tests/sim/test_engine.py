@@ -25,14 +25,6 @@ class TestScheduling:
         sim.run()
         assert log == [0, 1, 2, 3, 4]
 
-    def test_priority_breaks_ties(self):
-        sim = Simulator()
-        log = []
-        sim.at(1.0, lambda: log.append("low"), priority=5)
-        sim.at(1.0, lambda: log.append("high"), priority=0)
-        sim.run()
-        assert log == ["high", "low"]
-
     def test_after_relative(self):
         sim = Simulator()
         times = []
@@ -89,14 +81,6 @@ class TestRunLimits:
         assert sim.now == 5.0
         sim.run()  # resume drains the rest
         assert fired == [1, 10]
-
-    def test_max_events(self):
-        sim = Simulator()
-        log = []
-        for t in range(10):
-            sim.at(float(t + 1), lambda t=t: log.append(t))
-        sim.run(max_events=4)
-        assert log == [0, 1, 2, 3]
 
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False

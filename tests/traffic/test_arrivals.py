@@ -1,4 +1,4 @@
-"""Tests for arrival processes."""
+"""Tests for the Poisson arrival process."""
 
 from __future__ import annotations
 
@@ -7,21 +7,7 @@ import random
 
 import pytest
 
-from repro.traffic.arrivals import ConstantArrivals, PoissonArrivals
-
-
-class TestConstant:
-    def test_gap_is_inverse_rate(self):
-        process = ConstantArrivals(4.0)
-        assert process.next_gap() == 0.25
-        assert process.mean_rate == 4.0
-
-    def test_zero_rate_never_arrives(self):
-        assert math.isinf(ConstantArrivals(0.0).next_gap())
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantArrivals(-1.0)
+from repro.traffic.arrivals import PoissonArrivals
 
 
 class TestPoisson:
@@ -51,16 +37,6 @@ class TestPoisson:
 class TestSampleGaps:
     """Batched sampling is bit-identical to the scalar stream."""
 
-    def test_constant_batch_matches_scalar(self):
-        a = ConstantArrivals(4.0)
-        b = ConstantArrivals(4.0)
-        batched = a.sample_gaps(10)
-        scalar = [b.next_gap() for _ in range(10)]
-        assert batched.tolist() == scalar
-
-    def test_constant_zero_rate_empty(self):
-        assert ConstantArrivals(0.0).sample_gaps(5).size == 0
-
     @pytest.mark.parametrize("n", [1, 7, 1023, 1024, 5000])
     def test_poisson_batch_matches_scalar_exactly(self, n):
         # both sides of the mirror threshold: the scalar loop and the
@@ -82,17 +58,3 @@ class TestSampleGaps:
 
     def test_zero_rate_poisson_empty(self):
         assert PoissonArrivals(0.0, random.Random(0)).sample_gaps(10).size == 0
-
-    def test_every_process_batches(self):
-        """``sample_gaps`` has no generic loop to fall back on: a process
-        that does not batch cannot be built."""
-        from repro.traffic.arrivals import ArrivalProcess
-
-        class ScalarOnly(ArrivalProcess):
-            mean_rate = 1.0
-
-            def next_gap(self):
-                return 1.0
-
-        with pytest.raises(TypeError, match="sample_gaps"):
-            ScalarOnly()

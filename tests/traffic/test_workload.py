@@ -63,24 +63,9 @@ class TestWorkload:
 
     def test_arrival_processes_poisson(self):
         wl = Workload(chain_tree(2), make_catalog(), {1: {"doc-0": 4.0}})
-        procs = wl.arrival_processes(RngStreams(0), kind="poisson")
+        procs = wl.arrival_processes(RngStreams(0))
         assert set(procs) == {(1, "doc-0")}
         assert procs[(1, "doc-0")].mean_rate == 4.0
-
-    def test_arrival_processes_constant(self):
-        wl = Workload(chain_tree(2), make_catalog(), {1: {"doc-0": 4.0}})
-        procs = wl.arrival_processes(RngStreams(0), kind="constant")
-        assert procs[(1, "doc-0")].next_gap() == 0.25
-
-    def test_arrival_processes_unknown_kind(self):
-        wl = Workload(chain_tree(2), make_catalog(), {1: {"doc-0": 4.0}})
-        with pytest.raises(WorkloadError):
-            wl.arrival_processes(RngStreams(0), kind="fractal")
-
-    def test_pareto_kind_is_gone(self):
-        wl = Workload(chain_tree(2), make_catalog(), {1: {"doc-0": 4.0}})
-        with pytest.raises(WorkloadError, match="known kinds: constant, poisson$"):
-            wl.arrival_processes(RngStreams(0), kind="pareto")
 
 
 class TestHotDocumentWorkload:
