@@ -42,7 +42,7 @@ from repro.experiments.gamma import run_gamma_study
 from repro.experiments.overhead import run_overhead
 from repro.experiments.scalability import run_scalability
 from repro.experiments.tunneling import run_patience_sweep, run_skew_study
-from repro.protocols.cluster_packet import packet_scenario_from_cluster
+from repro.protocols.cluster_packet import ClusterPacketScenario
 from repro.protocols.scenario import ScenarioConfig
 from repro.protocols.webwave import WebWaveScenario
 from repro.traffic.workload import hot_document_workload
@@ -336,7 +336,7 @@ def _packet_build():
         end=18,
         ticks=30,
     )
-    scenario = packet_scenario_from_cluster(
+    scenario = ClusterPacketScenario(
         cluster,
         config=ScenarioConfig(duration=30.0, warmup=4.0, default_capacity=60.0),
     )

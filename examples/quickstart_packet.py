@@ -23,11 +23,7 @@ import time
 from repro.cluster.scenarios import flash_crowd_scenario
 from repro.core.tree import kary_tree
 from repro.documents.catalog import Catalog
-from repro.protocols import (
-    ScenarioConfig,
-    WebWaveScenario,
-    packet_scenario_from_cluster,
-)
+from repro.protocols import ClusterPacketScenario, ScenarioConfig, WebWaveScenario
 from repro.traffic.workload import hot_document_workload
 
 
@@ -88,7 +84,7 @@ def main() -> None:
         end=15,
         ticks=25,
     )
-    packet = packet_scenario_from_cluster(
+    packet = ClusterPacketScenario(
         cluster,
         config=ScenarioConfig(duration=25.0, warmup=2.0, default_capacity=50.0),
     )

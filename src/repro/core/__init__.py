@@ -11,8 +11,9 @@ This package contains everything Sections 2-5 of the paper define:
 * :mod:`repro.core.diffusion` - Cybenko-style diffusion on general graphs;
 * :mod:`repro.core.policy` - the Figure 5 decision arithmetic itself, in
   every shape its consumers need (sync/clip/capacity/scalar/greedy);
-* :mod:`repro.core.kernel` - the vectorized array engine every rate-level
-  simulator (webwave / forest / async / dynamics) delegates to;
+* :mod:`repro.core.kernel` - the vectorized array round and the shared
+  helpers every rate-level simulator builds on: webwave and dynamics wrap
+  its :class:`SyncEngine`, while forest and async are their own engines;
 * :mod:`repro.core.webwave` - the distributed rate-level protocol (Figure 5);
 * :mod:`repro.core.barriers` - per-document protocol, barriers, tunneling;
 * :mod:`repro.core.convergence` - distance traces and the gamma regression.

@@ -19,8 +19,9 @@ start, and (c) comparison with the *uncoupled* lower bound of running
 WebFold per tree independently (which ignores cross-tree contention and is
 therefore optimistic about the max total load only when demands align).
 
-:class:`ForestWebWave` is a facade over
-:class:`repro.core.kernel.ForestEngine`, the vectorized coupled round.
+:class:`ForestWebWave` builds one dense ``D = 1``
+:class:`~repro.core.kernel.DiffusionStack` per home server and steps them
+with the coupled rule :func:`repro.core.policy.signed_gap_transfers`.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .kernel import ForestEngine, edge_alphas
-from .load import LoadAssignment
+import numpy as np
+
+from . import policy
+from ..obs.telemetry import resolve as _resolve_telemetry
+from .kernel import DiffusionStack, _as_vector, edge_alphas
 from .tree import RoutingTree
 from .webfold import webfold
 
@@ -63,6 +67,14 @@ class ForestResult:
 class ForestWebWave:
     """Coupled rate-level diffusion over several overlapping trees.
 
+    One :class:`DiffusionStack` (``D = 1``, dense) per home server, all
+    advanced with the same per-edge rule: per-tree transfer caps are
+    unchanged (NSS within each tree), but the imbalance signal is each
+    node's *total* load across trees as it stood when the round began, and
+    the step size divides by the tree count since a node participates in
+    one overlay edge per tree.  Rounds are counted on the ambient
+    telemetry registry (``kernel.forest_rounds``).
+
     Parameters
     ----------
     trees:
@@ -86,41 +98,41 @@ class ForestWebWave:
         sizes = {tree.n for tree in trees.values()}
         if len(sizes) != 1:
             raise ValueError("all trees must span the same node set")
-        self._n = sizes.pop()
-        self._homes = tuple(sorted(trees))
-        self._trees = {h: trees[h] for h in self._homes}
-        self._base: Dict[int, LoadAssignment] = {}
-        alphas = {}
-        for home in self._homes:
-            tree = self._trees[home]
+        n = sizes.pop()
+        self.homes: Tuple[int, ...] = tuple(sorted(trees))
+        scale = 1.0 / len(self.homes)
+        self._stacks: Dict[int, DiffusionStack] = {}
+        for home in self.homes:
+            tree = trees[home]
             if tree.root != home:
                 raise ValueError(f"tree for home {home} is rooted at {tree.root}")
-            # validates the demand vector (length, non-negativity)
-            self._base[home] = LoadAssignment(tree, demands[home])
-            alphas[home] = edge_alphas(tree, alpha, safe=False)
-        self._engine = ForestEngine(
-            self._trees,
-            {h: self._base[h].spontaneous for h in self._homes},
-            alphas,
-        )
+            demand = _as_vector(demands[home], n, "demand rates")[None, :]
+            self._stacks[home] = DiffusionStack(
+                tree,
+                demand,
+                demand.copy(),
+                edge_alphas(tree, alpha, safe=False) * scale,
+            )
+        tel = _resolve_telemetry(None)
+        self._tel_rounds = tel.counter("kernel.forest_rounds") if tel.enabled else None
 
     # ------------------------------------------------------------------
-    @property
-    def homes(self) -> Tuple[int, ...]:
-        return self._homes
+    def loads_of(self, home: int) -> np.ndarray:
+        """One tree's served loads (valid until the next :meth:`step`)."""
+        return self._stacks[home]._loads[0]
 
-    def tree_assignment(self, home: int) -> LoadAssignment:
-        """The current per-tree load assignment."""
-        return self._base[home].with_served(
-            tuple(self._engine.loads_of(home).tolist())
-        )
+    def _totals(self) -> np.ndarray:
+        totals = self.loads_of(self.homes[0]).copy()
+        for home in self.homes[1:]:
+            totals += self.loads_of(home)
+        return totals
 
     def total_loads(self) -> List[float]:
         """Per-node load summed over all trees."""
-        return self._engine.total_loads().tolist()
+        return self._totals().tolist()
 
     def max_total(self) -> float:
-        return float(self._engine.total_loads().max())
+        return float(self._totals().max())
 
     def per_tree_tlb_max_total(self) -> float:
         """Max node-total if every tree independently sat at its own TLB.
@@ -129,12 +141,11 @@ class ForestWebWave:
         protocol may do better (it can skew individual trees away from
         their solo optima to relieve doubly-loaded servers).
         """
-        totals = [0.0] * self._n
-        for home in self._homes:
-            solo = webfold(self._trees[home], self._base[home].spontaneous)
-            for i, l in enumerate(solo.assignment.served):
-                totals[i] += l
-        return max(totals)
+        totals = sum(
+            np.asarray(webfold(stack.flat, stack._e[0]).assignment.served)
+            for stack in self._stacks.values()
+        )
+        return float(totals.max())
 
     # ------------------------------------------------------------------
     def step(self) -> None:
@@ -143,10 +154,24 @@ class ForestWebWave:
         The per-tree transfer caps are unchanged (NSS within each tree:
         pushes bounded by that tree's forwarded rate, sheds by that tree's
         served rate), but the imbalance signal is the nodes' total load.
-        A node participates in as many overlay edges as there are trees, so
-        the stable step size divides by the tree count.
+        Every tree's rule reads the totals snapshot taken before any tree
+        moved, and its own loads and forwarded rates only, so advancing the
+        stacks one after the other is the simultaneous update.  The signal
+        is not a function of the tree's own loads, hence
+        ``fixed_point=False``.
         """
-        self._engine.step()
+        totals = self._totals()
+        for stack in self._stacks.values():
+            flat, alpha = stack.flat, stack._alpha
+            gap = totals[flat.edge_parent] - totals[flat.edge_child]
+            stack.advance(
+                lambda lp, lc, fc, edges: policy.signed_gap_transfers(
+                    gap, lc, fc, alpha
+                ),
+                fixed_point=False,
+            )
+        if self._tel_rounds is not None:
+            self._tel_rounds.add(1)
 
     def run(self, max_rounds: int = 5000) -> ForestResult:
         """Iterate until the max total load stops improving (or cap).
@@ -154,10 +179,11 @@ class ForestWebWave:
         Convergence here means a fixed point of the coupled dynamics, not a
         provable optimum - the paper leaves the forest objective open.
         """
+        first = self._stacks[self.homes[0]]
         initial = self.max_total()
         history = [initial]
         stalled = 0
-        while self._engine.round < max_rounds and stalled < 25:
+        while first.round < max_rounds and stalled < 25:
             before = history[-1]
             self.step()
             now = self.max_total()
@@ -167,7 +193,7 @@ class ForestWebWave:
             else:
                 stalled = 0
         return ForestResult(
-            rounds=self._engine.round,
+            rounds=first.round,
             converged=stalled >= 25,
             initial_max_total=initial,
             final_max_total=history[-1],

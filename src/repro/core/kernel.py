@@ -11,7 +11,7 @@ server compares its load against each tree neighbour and shifts at most
 The seed implemented that update four separate times - synchronous WebWave,
 the capacity-weighted variant, the forest of overlapping trees, and the
 asynchronous single-node version - each as its own pure-Python dict loop.
-This module is the single array-based engine they all delegate to now:
+This module holds what more than one of them shares:
 
 * every engine steps a :class:`~repro.core.tree.RoutingTree` directly:
   its parent pointers, one edge per non-root node in ascending child
@@ -26,18 +26,19 @@ This module is the single array-based engine they all delegate to now:
   :mod:`repro.core.dynamics` schedules);
   :class:`repro.cluster.batch.BatchEngine` is the same stack at ``D``
   documents plus document lifecycle;
-* :class:`ForestEngine` is one dense ``D = 1`` stack per home server,
-  coupled through the nodes' *total* loads;
-* :class:`AsyncEngine` wakes one seeded node at a time with
-  bounded-staleness views.
+* the shared helpers: edge coefficients, subtree sums, the forwarded
+  rates ``A`` and the rate checks.
 
-Facade classes (:class:`~repro.core.webwave.WebWaveSimulator` - the
-capacity-weighted variant is its ``WebWaveConfig(capacities=...)``, not a
-class of its own - :class:`~repro.core.forest.ForestWebWave`,
-:class:`~repro.core.async_webwave.AsyncWebWave`, and
-:func:`~repro.core.dynamics.run_tracking`) keep their public APIs and wrap
-these engines; ``tests/core/test_kernel_parity.py`` pins their trajectories
-to goldens recorded from the pre-kernel loops.
+:class:`~repro.core.webwave.WebWaveSimulator` (the capacity-weighted
+variant is its ``WebWaveConfig(capacities=...)``, not a class of its own)
+and :func:`~repro.core.dynamics.run_tracking` wrap :class:`SyncEngine`.
+The two variants with one caller each are their own engines:
+:class:`~repro.core.forest.ForestWebWave` steps one dense ``D = 1`` stack
+per home server, coupled through the nodes' *total* loads, and
+:class:`~repro.core.async_webwave.AsyncWebWave` wakes one seeded node at a
+time with bounded-staleness views.  ``tests/core/test_kernel_parity.py``
+pins all of their trajectories to goldens recorded from the pre-kernel
+loops.
 
 The readable pure-Python copy of the Figure 5 round the property tests
 check this module against lives outside the package, in
@@ -98,11 +99,7 @@ __all__ = [
     "resettle_served",
     "DiffusionStack",
     "SyncEngine",
-    "ForestEngine",
-    "AsyncEngine",
 ]
-
-_EPS = 1e-12
 
 # The frontier fraction of ``(doc, edge)`` pairs above which a round runs
 # dense: past it the sparse gathers stop paying for themselves.  Read per
@@ -1081,208 +1078,3 @@ class SyncEngine(DiffusionStack):
         )
         engine.load_state(state)
         return engine
-
-
-# ----------------------------------------------------------------------
-# Forest engine: one tree per home server, coupled through total loads
-# ----------------------------------------------------------------------
-class ForestEngine:
-    """Synchronous rounds over overlapping trees sharing one node set.
-
-    One :class:`DiffusionStack` (``D = 1``, dense) per home server, all
-    advanced with the same per-edge rule: per-tree transfer caps are
-    unchanged (NSS within each tree), but the imbalance signal is each
-    node's *total* load across trees as it stood when the round began, and
-    the step size divides by the tree count since a node participates in
-    one overlay edge per tree.
-    """
-
-    __slots__ = ("homes", "_stacks", "_scale", "_tel", "_tel_rounds")
-
-    def __init__(
-        self,
-        flats: Mapping[int, RoutingTree],
-        demands: Mapping[int, Sequence[float]],
-        edge_alphas: Mapping[int, np.ndarray],
-        *,
-        telemetry=None,
-    ) -> None:
-        self.homes: Tuple[int, ...] = tuple(sorted(flats))
-        n = flats[self.homes[0]].n
-        self._stacks: Dict[int, DiffusionStack] = {}
-        for h in self.homes:
-            demand = _as_vector(demands[h], n, "demand rates")[None, :]
-            self._stacks[h] = DiffusionStack(
-                flats[h],
-                demand,
-                demand.copy(),
-                edge_alphas[h],
-                telemetry=telemetry,
-            )
-        self._scale = 1.0 / len(self.homes)
-        self._tel = tel = _resolve_telemetry(telemetry)
-        self._tel_rounds = tel.counter("kernel.forest_rounds") if tel.enabled else None
-
-    @property
-    def round(self) -> int:
-        return self._stacks[self.homes[0]].round
-
-    def loads_of(self, home: int) -> np.ndarray:
-        """One tree's served loads (valid until the next :meth:`step`)."""
-        return self._stacks[home]._loads[0]
-
-    def total_loads(self) -> np.ndarray:
-        """Per-node load summed over every tree."""
-        totals = self.loads_of(self.homes[0]).copy()
-        for home in self.homes[1:]:
-            totals += self.loads_of(home)
-        return totals
-
-    def step(self) -> None:
-        """One synchronous round over every tree, comparing total loads.
-
-        Every tree's rule reads the totals snapshot taken before any tree
-        moved, and its own loads and forwarded rates only, so advancing the
-        stacks one after the other is the simultaneous update.  The signal
-        is not a function of the tree's own loads, hence
-        ``fixed_point=False``.
-        """
-        totals = self.total_loads()
-        for stack in self._stacks.values():
-            flat = stack.flat
-            gap = totals[flat.edge_parent] - totals[flat.edge_child]
-            alpha = stack._alpha * self._scale
-            stack.advance(
-                lambda lp, lc, fc, edges: policy.signed_gap_transfers(
-                    gap, lc, fc, alpha, eps=_EPS
-                ),
-                fixed_point=False,
-            )
-        if self._tel.enabled:
-            self._tel_rounds.add(1)
-
-
-# ----------------------------------------------------------------------
-# Asynchronous engine: seeded single-node activations
-# ----------------------------------------------------------------------
-class AsyncEngine:
-    """Event-driven single-node activations with bounded-staleness views.
-
-    Each activation wakes one node (drawn from ``rng`` unless specified),
-    which balances against its children in ascending order and then its
-    parent, exactly as the seed's ``AsyncWebWave`` did: the node's own
-    load is re-read after every child transfer, and each neighbour view is
-    sampled with a uniformly random staleness of up to ``max_staleness``
-    past activations.
-    """
-
-    __slots__ = (
-        "flat",
-        "_e",
-        "_loads",
-        "_alpha_of_child",
-        "_rng",
-        "_staleness",
-        "_history",
-        "_fwd",
-        "_activations",
-        "_children",
-        "_served_cache",
-        "_tel",
-        "_tel_activations",
-    )
-
-    def __init__(
-        self,
-        flat: RoutingTree,
-        spontaneous: Sequence[float],
-        initial_served: Sequence[float],
-        edge_alpha: np.ndarray,
-        rng,
-        max_staleness: int = 0,
-        *,
-        telemetry=None,
-    ) -> None:
-        self.flat = flat
-        self._e = _as_vector(spontaneous, flat.n, "spontaneous rates")
-        self._loads = _as_vector(initial_served, flat.n, "served rates")
-        # alpha indexed by the child endpoint of each edge
-        alpha_of_child = np.zeros(flat.n, dtype=np.float64)
-        alpha_of_child[flat.edge_child] = np.asarray(edge_alpha, dtype=np.float64)
-        self._alpha_of_child = alpha_of_child
-        self._rng = rng
-        self._staleness = int(max_staleness)
-        self._history: List[np.ndarray] = [self._loads.copy()]
-        self._fwd = forwarded_rates(flat, self._e, self._loads)
-        self._activations = 0
-        self._children = flat.children_map
-        self._served_cache: Optional[Tuple[int, Tuple[float, ...]]] = None
-        self._tel = tel = _resolve_telemetry(telemetry)
-        self._tel_activations = (
-            tel.counter("kernel.async_activations") if tel.enabled else None
-        )
-
-    @property
-    def activations(self) -> int:
-        return self._activations
-
-    @property
-    def loads(self) -> np.ndarray:
-        return self._loads
-
-    def served_tuple(self) -> Tuple[float, ...]:
-        cached = self._served_cache
-        if cached is not None and cached[0] == self._activations:
-            return cached[1]
-        served = tuple(self._loads.tolist())
-        self._served_cache = (self._activations, served)
-        return served
-
-    def distance_to(self, target: np.ndarray) -> float:
-        return float(np.linalg.norm(self._loads - target))
-
-    def _stale_view(self, node: int) -> float:
-        if self._staleness == 0:
-            return float(self._loads[node])
-        lag = self._rng.randrange(self._staleness + 1)
-        vector = self._history[max(len(self._history) - 1 - lag, 0)]
-        return float(vector[node])
-
-    def activate(self, node: Optional[int] = None) -> None:
-        """Wake one node and let it balance against its neighbourhood."""
-        flat = self.flat
-        loads = self._loads
-        fwd = self._fwd
-        if node is None:
-            node = self._rng.randrange(flat.n)
-        my_load = float(loads[node])
-
-        # The node observes its children's forwarded rates directly (they
-        # are its own arrival stream), so the NSS caps are exact even under
-        # gossip staleness.
-        alpha = self._alpha_of_child
-        for child in self._children[node]:
-            gap = my_load - self._stale_view(child)
-            if gap > _EPS:
-                transfer = policy.push_down_amount(
-                    float(fwd[child]), float(alpha[child]), gap
-                )
-                loads[node] -= transfer
-                loads[child] += transfer
-                fwd[child] -= transfer
-                my_load = float(loads[node])
-        parent = int(flat.parent[node])
-        if parent != node:
-            gap = my_load - self._stale_view(parent)
-            if gap > _EPS:
-                shed = policy.shed_up_amount(my_load, float(alpha[node]), gap)
-                loads[node] -= shed
-                loads[parent] += shed
-                fwd[node] += shed
-
-        self._history.append(loads.copy())
-        if len(self._history) > self._staleness + 1:
-            self._history.pop(0)
-        self._activations += 1
-        if self._tel.enabled:
-            self._tel_activations.add(1)

@@ -204,7 +204,7 @@ class WebWaveSimulator:
         distances = [engine.distance_to(target_arr)]
         converged = distances[-1] <= cfg.tolerance
         while not converged and engine.round < limit:
-            engine.step()
+            self.step()
             distances.append(engine.distance_to(target_arr))
             converged = distances[-1] <= cfg.tolerance
 

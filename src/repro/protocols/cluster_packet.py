@@ -39,7 +39,7 @@ from ..traffic.workload import Workload
 from .scenario import ScenarioConfig, _ArrivalSource
 from .webwave import WebWaveProtocolConfig, WebWaveScenario
 
-__all__ = ["ClusterPacketScenario", "packet_scenario_from_cluster"]
+__all__ = ["ClusterPacketScenario"]
 
 
 class _DynamicArrivalSource(_ArrivalSource):
@@ -86,7 +86,6 @@ class ClusterPacketScenario(WebWaveScenario):
         topology=None,
         protocol: Optional[WebWaveProtocolConfig] = None,
         tick_duration: float = 1.0,
-        rate_scale: float = 1.0,
     ) -> None:
         if len(cluster.trees) != 1:
             raise ValueError(
@@ -98,7 +97,6 @@ class ClusterPacketScenario(WebWaveScenario):
         ((home, tree),) = cluster.trees.items()
         self.cluster = cluster
         self.tick_duration = float(tick_duration)
-        self.rate_scale = float(rate_scale)
         workload = self._build_workload(cluster, home, tree)
         if config is None:
             duration = max(cluster.ticks * self.tick_duration, 2.0 * self.tick_duration)
@@ -120,7 +118,7 @@ class ClusterPacketScenario(WebWaveScenario):
         for doc_id, _, doc_rates in cluster.documents:
             for node, rate in enumerate(doc_rates):
                 if rate > 0:
-                    rates.setdefault(node, {})[doc_id] = rate * self.rate_scale
+                    rates.setdefault(node, {})[doc_id] = rate
         return Workload(tree, catalog, rates)
 
     # ------------------------------------------------------------------
@@ -165,7 +163,7 @@ class ClusterPacketScenario(WebWaveScenario):
         action = event.action
         if action in ("set_rates", "publish"):
             for node, rate in enumerate(event.rates):
-                self._set_source_rate(node, event.doc_id, rate * self.rate_scale)
+                self._set_source_rate(node, event.doc_id, rate)
         elif action == "retire":
             for (node, doc_id), source in self._source_map.items():
                 if doc_id == event.doc_id:
@@ -185,26 +183,3 @@ class ClusterPacketScenario(WebWaveScenario):
         self.count_message("cluster_event")
         self.events_applied += 1
 
-
-def packet_scenario_from_cluster(
-    cluster: ClusterScenario,
-    config: Optional[ScenarioConfig] = None,
-    topology=None,
-    protocol: Optional[WebWaveProtocolConfig] = None,
-    tick_duration: float = 1.0,
-    rate_scale: float = 1.0,
-) -> ClusterPacketScenario:
-    """Build a packet-level WebWave run from a cluster scenario.
-
-    ``rate_scale`` shrinks (or grows) every demand rate so the cluster
-    drivers' catalog-scale offered loads can be replayed at packet
-    fidelity in reasonable wall time.
-    """
-    return ClusterPacketScenario(
-        cluster,
-        config=config,
-        topology=topology,
-        protocol=protocol,
-        tick_duration=tick_duration,
-        rate_scale=rate_scale,
-    )

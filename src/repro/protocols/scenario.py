@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -114,8 +115,14 @@ class ScenarioConfig:
                 "default_capacity must be finite and positive, "
                 f"got {self.default_capacity!r}"
             )
-        if self.cache_capacity is not None and self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1 or None")
+        # bool is an Integral too, but True is no seed or store size
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        cap = self.cache_capacity
+        if cap is not None and (
+            isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1
+        ):
+            raise ValueError(f"cache_capacity must be an integer >= 1 or None, got {cap!r}")
 
 
 @dataclass

@@ -107,10 +107,22 @@ def serve_socket(service: Service, path: str) -> int:
     """
     _claim_socket_path(path)
     total = 0
+    # Bind and listen under a private name, then link it into place: a
+    # client that sees a file at ``path`` can connect at once, and a
+    # second daemon's claim never takes a bound socket nobody listens on
+    # yet for a stale one.  The link fails, as bind would, if ``path``
+    # was taken meanwhile.
+    staging = f"{path}.{os.getpid()}"
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
-        listener.bind(path)
+        listener.bind(staging)
         try:
             listener.listen(1)
+            os.link(staging, path)
+        except FileExistsError:
+            raise FileExistsError(errno.EEXIST, "a daemon is serving this socket", path) from None
+        finally:
+            os.remove(staging)
+        try:
             while not service.closed:
                 conn, _ = listener.accept()
                 with conn:

@@ -54,8 +54,9 @@ class PoissonArrivals:
     """Memoryless arrivals at ``rate`` per second (exponential gaps)."""
 
     def __init__(self, rate: float, rng) -> None:
-        if rate < 0:
-            raise ValueError("rate must be >= 0")
+        # false for NaN too: a NaN rate would draw NaN gaps
+        if not 0.0 <= rate < math.inf:
+            raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
         self._rate = float(rate)
         self._rng = rng
 

@@ -40,11 +40,7 @@ from repro.core.frontier import (
 )
 from repro.core import kernel
 from repro.core.config import EngineConfig
-from repro.core.kernel import (
-    AsyncEngine,
-    SyncEngine,
-    degree_edge_alphas,
-)
+from repro.core.kernel import SyncEngine, degree_edge_alphas
 from repro.core.tree import RoutingTree, chain_tree, kary_tree, random_tree
 
 from tests.helpers import connected_region, stepping_twin, trees_with_rates
@@ -370,18 +366,6 @@ class TestMonitoringPaths:
         )
         engine.served_tuple()
         engine.resettle([4.0, 3.0, 2.0, 1.0])
-        assert engine.served_tuple() == tuple(engine.loads.tolist())
-
-    def test_async_served_tuple_cached_per_activation(self):
-        rng = random.Random(6)
-        tree = random_tree(15, rng)
-        rates = [rng.uniform(0.0, 10.0) for _ in range(15)]
-        engine = AsyncEngine(
-            tree, rates, rates, degree_edge_alphas(tree), random.Random(0)
-        )
-        first = engine.served_tuple()
-        assert engine.served_tuple() is first
-        engine.activate(3)
         assert engine.served_tuple() == tuple(engine.loads.tolist())
 
     def test_children_map_cached_on_the_tree(self):

@@ -174,6 +174,14 @@ class TestScenarioConfigValidation:
             ("default_capacity", float("nan")),
             ("default_capacity", float("inf")),
             ("default_capacity", 0.0),
+            # seed=1.5 ran as seed 1, and cache_capacity=1.5 let a store
+            # hold 2 copies
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", "1"),
+            ("cache_capacity", 1.5),
+            ("cache_capacity", True),
+            ("cache_capacity", 0),
         ],
     )
     def test_bad_numbers_raise_naming_the_field(self, field, value):
@@ -329,3 +337,20 @@ class TestFieldCounts:
         ]
         with pytest.raises(TypeError, match="config"):
             BatchEngine(TREE, [[1.0] * N], config=EngineConfig())
+
+    def test_rate_variants_take_their_inputs_only(self):
+        """The forest and async variants are their own engines: no config,
+        no telemetry argument (they count on the ambient registry)."""
+        assert list(inspect.signature(ForestWebWave).parameters) == [
+            "trees",
+            "demands",
+            "alpha",
+        ]
+        assert list(inspect.signature(AsyncWebWave).parameters) == [
+            "tree",
+            "spontaneous",
+            "rng",
+            "alpha",
+            "max_staleness",
+            "initial_served",
+        ]

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.core.forest import ForestWebWave
+from repro.core.load import LoadAssignment
 from repro.core.tree import RoutingTree, chain_tree
 from repro.net.generators import grid_topology, waxman_topology
 from repro.net.routing import extract_forest
@@ -58,7 +59,9 @@ class TestDynamics:
         for _ in range(60):
             forest.step()
             for home in forest.homes:
-                assignment = forest.tree_assignment(home)
+                assignment = LoadAssignment(
+                    trees[home], demands[home], forest.loads_of(home)
+                )
                 assert sum(assignment.served) == pytest.approx(24.0)
                 assert satisfies_nss(assignment, tol=1e-6)
 
@@ -91,7 +94,7 @@ class TestDynamics:
         totals = forest.total_loads()
         for i in range(4):
             expected = sum(
-                forest.tree_assignment(h).served_of(i) for h in forest.homes
+                forest.loads_of(h)[i] for h in forest.homes
             )
             assert totals[i] == pytest.approx(expected)
 

@@ -21,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.async_webwave import AsyncWebWave
 from repro.core.config import EngineConfig
 from repro.core.kernel import (
-    AsyncEngine,
     SyncEngine,
     degree_edge_alphas,
     edge_alpha_map,
@@ -181,18 +181,11 @@ class TestKernelInvariants:
     @settings(max_examples=30, deadline=None)
     def test_async_mass_nonnegativity_nss(self, tree_rates):
         tree, rates = tree_rates
-        engine = AsyncEngine(
-            tree,
-            rates,
-            rates,
-            degree_edge_alphas(tree),
-            random.Random(7),
-            max_staleness=3,
-        )
-        total = float(np.sum(engine.loads))
+        sim = AsyncWebWave(tree, rates, random.Random(7), max_staleness=3)
+        total = float(np.sum(sim.assignment().served))
         for _ in range(80):
-            engine.activate()
-            loads = engine.loads
+            sim.activate()
+            loads = np.asarray(sim.assignment().served)
             assert float(np.sum(loads)) == pytest.approx(total, abs=1e-7)
             assert float(loads.min()) >= -1e-9
             fwd = forwarded_rates(tree, np.asarray(rates, dtype=float), loads)
@@ -299,12 +292,10 @@ class TestRateValidation:
             )
 
     @pytest.mark.parametrize("bad", BAD_VALUES)
-    def test_async_engine_rejects_bad_rates(self, bad):
+    def test_async_webwave_rejects_bad_rates(self, bad):
         tree = kary_tree(2, 2)
         poisoned = [1.0] * tree.n
         poisoned[0] = bad
         with pytest.raises(ValueError, match="must be finite"):
-            AsyncEngine(
-                tree, poisoned, [1.0] * tree.n, degree_edge_alphas(tree), random.Random(0)
-            )
+            AsyncWebWave(tree, poisoned, random.Random(0), initial_served=[1.0] * tree.n)
 

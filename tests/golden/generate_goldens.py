@@ -5,8 +5,9 @@ The goldens pin the exact per-round served-load trajectories of the
 rate-level simulators on fixed seeds.  They were first generated from the
 seed implementation (the four independent dict-based round loops, before
 ``repro.core.kernel`` existed) and act as the contract the vectorized
-kernel must honour: ``tests/core/test_kernel_parity.py`` asserts every
-adapter reproduces these trajectories within 1e-9 per node per round.
+kernel must honour: ``tests/core/test_kernel_parity.py`` runs
+:func:`build_goldens` and asserts it records the same inputs exactly and
+every trajectory within 1e-9 per node per round.
 
 Run from the repository root:
 
@@ -127,11 +128,11 @@ def build_goldens():
         n - 1: [rng.uniform(0.0, 25.0) for _ in range(n)],
     }
     forest = ForestWebWave({0: down, n - 1: up}, demands)
-    trajectories = {str(h): [list(forest.tree_assignment(h).served)] for h in forest.homes}
+    trajectories = {str(h): [forest.loads_of(h).tolist()] for h in forest.homes}
     for _ in range(60):
         forest.step()
         for h in forest.homes:
-            trajectories[str(h)].append(list(forest.tree_assignment(h).served))
+            trajectories[str(h)].append(forest.loads_of(h).tolist())
     cases["forest_two_homes"] = {
         "parents": {"0": list(down.parent_map), str(n - 1): list(up.parent_map)},
         "demands": {str(h): list(map(float, demands[h])) for h in demands},

@@ -18,15 +18,12 @@ import random
 
 from repro.cluster.runtime import ClusterRuntime
 from repro.cluster.scenarios import rerooted_trees
-from repro.core.kernel import (
-    AsyncEngine,
-    ForestEngine,
-    SyncEngine,
-    degree_edge_alphas,
-)
+from repro.core.async_webwave import AsyncWebWave
+from repro.core.forest import ForestWebWave
+from repro.core.kernel import SyncEngine, degree_edge_alphas
 from repro.core.tree import kary_tree
 from repro.experiments.overhead import filter_sizes
-from repro.obs import MemorySink, Telemetry
+from repro.obs import MemorySink, Telemetry, use
 from repro.protocols.scenario import ScenarioConfig
 from repro.protocols.state import PacketState
 from repro.protocols.webwave import WebWaveScenario
@@ -79,41 +76,38 @@ class TestRatePlaneParity:
         assert np.array_equal(plain.loads, instrumented.loads)
         assert tel.snapshot()["counters"]["kernel.dense_rounds"] == rounds
 
-    def test_async_engine_bit_identical(self):
+    def test_async_webwave_bit_identical(self):
         tree = kary_tree(2, 4)
         rates = [float(i % 7) for i in range(tree.n)]
-        alphas = degree_edge_alphas(tree)
         tel = Telemetry()
         order = [(i * 13 + 5) % tree.n for i in range(200)]
 
-        plain = AsyncEngine(tree, rates, rates, alphas, random.Random(3))
-        instrumented = AsyncEngine(
-            tree, rates, rates, alphas, random.Random(3), telemetry=tel
-        )
+        plain = AsyncWebWave(tree, rates, random.Random(3))
+        with use(tel):
+            instrumented = AsyncWebWave(tree, rates, random.Random(3))
         for node in order:
             plain.activate(node)
             instrumented.activate(node)
 
-        assert np.array_equal(plain.loads, instrumented.loads)
+        assert plain.assignment().served == instrumented.assignment().served
         assert tel.snapshot()["counters"]["kernel.async_activations"] == 200
 
-    def test_forest_engine_bit_identical(self):
+    def test_forest_webwave_bit_identical(self):
         base = kary_tree(2, 3)
         trees = rerooted_trees(base, [base.root, 3])
-        flats = {h: t for h, t in trees.items()}
         demands = {
             h: [float((i * 3 + h) % 5) for i in range(base.n)] for h in trees
         }
-        alphas = {h: degree_edge_alphas(flats[h]) for h in trees}
         tel = Telemetry()
 
-        plain = ForestEngine(flats, demands, alphas)
-        instrumented = ForestEngine(flats, demands, alphas, telemetry=tel)
+        plain = ForestWebWave(trees, demands)
+        with use(tel):
+            instrumented = ForestWebWave(trees, demands)
         for _ in range(40):
             plain.step()
             instrumented.step()
 
-        assert np.array_equal(plain.total_loads(), instrumented.total_loads())
+        assert plain.total_loads() == instrumented.total_loads()
         assert tel.snapshot()["counters"]["kernel.forest_rounds"] == 40
 
 

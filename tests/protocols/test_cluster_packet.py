@@ -6,10 +6,7 @@ import pytest
 
 from repro.cluster.scenarios import churn_scenario, flash_crowd_scenario
 from repro.core.tree import kary_tree
-from repro.protocols.cluster_packet import (
-    ClusterPacketScenario,
-    packet_scenario_from_cluster,
-)
+from repro.protocols.cluster_packet import ClusterPacketScenario
 from repro.protocols.scenario import ScenarioConfig
 
 
@@ -28,7 +25,7 @@ def small_flash(ticks=20, start=4, end=12):
 
 class TestFlashCrowdPacket:
     def test_runs_and_applies_events(self):
-        scenario = packet_scenario_from_cluster(small_flash())
+        scenario = ClusterPacketScenario(small_flash())
         metrics = scenario.run()
         assert metrics.completed > 0
         assert scenario.events_applied == 2
@@ -37,7 +34,7 @@ class TestFlashCrowdPacket:
     def test_spike_multiplies_hot_document_traffic(self):
         cluster = small_flash()
         hot_id = cluster.documents[0][0]
-        scenario = packet_scenario_from_cluster(cluster)
+        scenario = ClusterPacketScenario(cluster)
         scenario.run()
         before = sum(
             1
@@ -53,14 +50,14 @@ class TestFlashCrowdPacket:
         assert during > 5 * max(before, 1)
 
     def test_same_seed_determinism(self):
-        a = packet_scenario_from_cluster(small_flash()).run()
-        b = packet_scenario_from_cluster(small_flash()).run()
+        a = ClusterPacketScenario(small_flash()).run()
+        b = ClusterPacketScenario(small_flash()).run()
         assert a.completed == b.completed
         assert a.response_times == b.response_times
         assert a.messages == b.messages
 
     def test_protocol_still_spreads_load(self):
-        scenario = packet_scenario_from_cluster(
+        scenario = ClusterPacketScenario(
             small_flash(),
             config=ScenarioConfig(duration=20.0, warmup=4.0, default_capacity=40.0),
         )
@@ -80,7 +77,7 @@ class TestChurnPacket:
             ticks=18,
             churn_every=6,
         )
-        scenario = packet_scenario_from_cluster(cluster)
+        scenario = ClusterPacketScenario(cluster)
         scenario.run()
         retire_events = [e for e in cluster.events if e.action == "retire"]
         publish_events = [e for e in cluster.events if e.action == "publish"]
@@ -117,7 +114,7 @@ class TestScaleEvents:
             ),
             ticks=cluster.ticks,
         )
-        scenario = packet_scenario_from_cluster(scaled)
+        scenario = ClusterPacketScenario(scaled)
         scenario.run()
 
         def rate(doc_id, lo, hi):

@@ -28,10 +28,10 @@ from repro.cache.store import CacheStore
 from repro.cluster.batch import BatchEngine
 from repro.cluster.config import ClusterConfig
 from repro.cluster.runtime import ClusterRuntime
+from repro.core.async_webwave import AsyncWebWave
+from repro.core.forest import ForestWebWave
 from repro.core.kernel import (
-    AsyncEngine,
     EngineConfig,
-    ForestEngine,
     SyncEngine,
     degree_edge_alphas,
     state_field,
@@ -678,13 +678,13 @@ _CAPTURE = ("STATE_KIND", "state", "load_state", "from_state")
 @pytest.mark.parametrize(
     "cls, attr",
     [(cls, attr) for cls in (MeterBank, PacketState, RngStreams, CacheStore) for attr in _CAPTURE]
-    + [(cls, attr) for cls in (ForestEngine, AsyncEngine) for attr in _CAPTURE + ("snapshot",)]
+    + [(cls, attr) for cls in (ForestWebWave, AsyncWebWave) for attr in _CAPTURE + ("snapshot",)]
     + [(BatchEngine, "from_state"), (BatchEngine, "snapshot")],
     ids=lambda v: v if isinstance(v, str) else v.__name__,
 )
 def test_uncheckpointed_classes_carry_no_capture(cls, attr):
     """Only a registered kind is captured: the packet plane's classes and
-    the async and forest engines have no ``state`` to write and no parser
+    the async and forest variants have no ``state`` to write and no parser
     to feed a file to, and a cohort's ``BatchEngine`` is rebuilt only
     inside its catalog, never from a file of its own."""
     assert not hasattr(cls, attr)

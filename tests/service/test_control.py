@@ -84,7 +84,7 @@ def test_undecodable_bytes_on_the_socket_get_a_reply(tmp_path):
 
     service = make_service()
     sock = str(tmp_path / "svc.sock")
-    server = threading.Thread(target=serve_socket, args=(service, sock))
+    server = threading.Thread(target=serve_socket, args=(service, sock), daemon=True)
     server.start()
     try:
         _wait_for(sock)
@@ -141,7 +141,7 @@ def test_serve_loop_stops_after_shutdown():
 def test_socket_round_trip(tmp_path):
     service = make_service()
     sock = str(tmp_path / "svc.sock")
-    server = threading.Thread(target=serve_socket, args=(service, sock))
+    server = threading.Thread(target=serve_socket, args=(service, sock), daemon=True)
     server.start()
     try:
         _wait_for(sock)
@@ -163,12 +163,38 @@ def test_socket_file_removed_after_shutdown(tmp_path):
 
     service = make_service()
     sock = str(tmp_path / "svc.sock")
-    server = threading.Thread(target=serve_socket, args=(service, sock))
+    server = threading.Thread(target=serve_socket, args=(service, sock), daemon=True)
     server.start()
     _wait_for(sock)
     send_command(sock, {"op": "shutdown"})
     server.join(timeout=10)
     assert not os.path.exists(sock)
+
+
+def test_the_socket_file_appears_only_once_it_accepts(tmp_path, monkeypatch):
+    """A client that sees the file can connect: the file used to appear at
+    bind, before listen, and a connect in between was refused."""
+    import socket
+
+    class SlowListen(socket.socket):
+        def listen(self, *args):
+            time.sleep(0.2)
+            super().listen(*args)
+
+    monkeypatch.setattr(socket, "socket", SlowListen)
+    service = make_service()
+    sock = str(tmp_path / "svc.sock")
+    server = threading.Thread(target=serve_socket, args=(service, sock), daemon=True)
+    server.start()
+    try:
+        _wait_for(sock)
+        assert send_command(sock, {"op": "ping"}) == {"ok": True, "pong": True}
+    finally:
+        if server.is_alive():
+            send_command(sock, {"op": "shutdown"})
+        server.join(timeout=10)
+    assert not server.is_alive()
+    assert list(tmp_path.iterdir()) == []  # no staging name left behind
 
 
 def test_a_stale_socket_is_replaced(tmp_path):
@@ -178,7 +204,7 @@ def test_a_stale_socket_is_replaced(tmp_path):
     sock = str(tmp_path / "svc.sock")
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as dead:
         dead.bind(sock)
-    server = threading.Thread(target=serve_socket, args=(make_service(), sock))
+    server = threading.Thread(target=serve_socket, args=(make_service(), sock), daemon=True)
     server.start()
     try:
         deadline = time.monotonic() + 5
@@ -218,7 +244,7 @@ def test_a_client_that_hangs_up_ends_only_its_connection(tmp_path, read_first):
     service = make_service()
     sock = str(tmp_path / "svc.sock")
     result = []
-    server = threading.Thread(target=lambda: result.append(serve_socket(service, sock)))
+    server = threading.Thread(target=lambda: result.append(serve_socket(service, sock)), daemon=True)
     server.start()
     try:
         _wait_for(sock)

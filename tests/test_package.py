@@ -52,7 +52,7 @@ PUBLIC = {
     "repro.experiments": [],
     "repro.net": [],
     "repro.obs": ["MemorySink", "NdjsonSink", "Telemetry", "read_ndjson", "use"],
-    "repro.protocols": ["ScenarioConfig", "WebWaveScenario", "packet_scenario_from_cluster"],
+    "repro.protocols": ["ClusterPacketScenario", "ScenarioConfig", "WebWaveScenario"],
     "repro.service": [
         "Service", "read_checkpoint", "restore_checkpoint", "send_command",
         "serve_loop", "serve_socket", "write_checkpoint",

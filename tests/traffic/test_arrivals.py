@@ -23,6 +23,11 @@ class TestPoisson:
         with pytest.raises(ValueError):
             PoissonArrivals(-2.0, random.Random(0))
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rejected_naming_rate(self, rate):
+        with pytest.raises(ValueError, match="^rate must be finite"):
+            PoissonArrivals(rate, random.Random(0))
+
     def test_deterministic_for_seed(self):
         a = PoissonArrivals(5.0, random.Random(9))
         b = PoissonArrivals(5.0, random.Random(9))
