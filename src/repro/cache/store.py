@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional, Set, Tuple
 
+from ..fields import check_fields, count, optional
+
 __all__ = ["CacheStore", "CacheError"]
 
 
@@ -32,9 +34,10 @@ class CacheStore:
         never evicted.
     """
 
+    FIELD_KINDS = {"capacity": optional(count(1))}
+
     def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise CacheError("capacity must be >= 1 (or None for unlimited)")
+        check_fields(self, locals(), CacheError)
         self._capacity = capacity
         # recency order, oldest first
         self._entries: "OrderedDict[str, None]" = OrderedDict()

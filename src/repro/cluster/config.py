@@ -10,11 +10,11 @@ keyword arguments, validated at construction so a bad value raises
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core.config import positive_capacities
+from ..fields import check_fields, optional, positive, unit_interval
 
 __all__ = ["ClusterConfig"]
 
@@ -46,17 +46,13 @@ class ClusterConfig:
     track_tlb: bool = False
     tolerance: float = 1e-3
 
+    FIELD_KINDS = {"alpha": optional(unit_interval), "tolerance": positive}
+
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.alpha is not None:
-            alpha = float(self.alpha)
-            if not 0.0 < alpha <= 1.0:
-                raise ValueError(f"alpha must be in (0, 1], got {self.alpha!r}")
-            object.__setattr__(self, "alpha", alpha)
+            object.__setattr__(self, "alpha", float(self.alpha))
         if self.capacities is not None:
             object.__setattr__(
                 self, "capacities", positive_capacities(self.capacities)
-            )
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError(
-                f"tolerance must be finite and > 0, got {self.tolerance!r}"
             )

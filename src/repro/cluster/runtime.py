@@ -36,7 +36,7 @@ non-negative forwarded rates (NSS), and 1e-12 agreement with per-document
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -48,10 +48,11 @@ from ..core.kernel import (
     resettle_served,
     state_field,
 )
-from ..core.steppable import is_count, require_kind, state_count, state_counts, state_entry
+from ..core.steppable import require_kind, state_count, state_counts, state_entry
 from ..core.tree import RoutingTree, tree_from_parent_map
 from ..analysis.metrics import jain_fairness
 from ..core.webfold import webfold
+from ..fields import count, nonnegative
 from ..obs.telemetry import resolve as _resolve_telemetry
 from .batch import BatchEngine
 from .config import ClusterConfig
@@ -71,47 +72,56 @@ class ClusterError(ValueError):
     """Raised for inconsistent cluster operations."""
 
 
-# Field normalisers: the normal form of a value, or None to refuse it.
-def _count(value) -> Optional[int]:
-    return int(value) if is_count(value) else None
+# Field normalisers: ``(name, value) ->`` the value's normal form, or a
+# ClusterError naming ``name``.  Numbers are checked by their field kind,
+# the rule the runtime applies them under.
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ClusterError(f"{name} must be a string, got {value!r:.60}")
+    return value
 
 
-def _number(value) -> Optional[float]:
-    # By type: a bool is an int, and "2" is not a number.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return None
-    return float(value)
+_COUNT = count()
 
 
-def _rate_tuple(value) -> Optional[Tuple[float, ...]]:
+def _count(name: str, value) -> int:
+    return operator.index(_COUNT(name, value, ClusterError))
+
+
+def _factor(name: str, value) -> float:
+    return float(nonnegative(name, value, ClusterError))
+
+
+def _rate_tuple(name: str, value) -> Tuple[float, ...]:
     # By dtype: a dict, a string, all-bools or nesting refuse.  numpy reads
     # [1.0, true] as float64, so a list is also scanned once for a bool.
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nesting
-        return None
-    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        return None
-    if arr is not value and bool in map(type, value):
-        return None
+        arr = None
+    if (
+        arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf"
+        or (arr is not value and bool in map(type, value))
+    ):
+        raise ClusterError(f"{name} must be a list of numbers, got {value!r:.60}")
+    check_rates(arr, name, ClusterError)
     return tuple(arr.astype(np.float64).tolist())
 
 
-def _string_tuple(value) -> Optional[Tuple[str, ...]]:
+def _string_tuple(name: str, value) -> Tuple[str, ...]:
     # A str is iterable, but "ax" is not ["a", "x"].
     if not isinstance(value, (list, tuple)) or not all(type(d) is str for d in value):
-        return None
+        raise ClusterError(f"{name} must be a list of strings, got {value!r:.60}")
     return tuple(value)
 
 
-# {field: (normaliser, the rule a refusal names)}
-_FIELD_RULES: Dict[str, Tuple[Callable, str]] = {
-    "doc_id": (lambda v: v if isinstance(v, str) else None, "a string"),
-    "home": (_count, "a non-negative integer"),
-    "rates": (_rate_tuple, "a list of numbers"),
-    "factor": (_number, "a number"),
-    "doc_ids": (_string_tuple, "a list of strings"),
-    "tick": (_count, "a non-negative integer"),
+_FIELD_RULES: Dict[str, Callable] = {
+    "doc_id": _string,
+    "home": _count,
+    "rates": _rate_tuple,
+    "factor": _factor,
+    "doc_ids": _string_tuple,
+    "tick": _count,
 }
 
 # {action: (fields it needs, fields it may carry)}, besides the ``tick``
@@ -151,16 +161,13 @@ class ClusterEvent:
         missing = [name for name in needs if getattr(self, name) is None]
         if missing:
             raise ClusterError(f"{self.action} events need {', '.join(missing)}")
-        for name, (normalise, rule) in _FIELD_RULES.items():
+        for name, normalise in _FIELD_RULES.items():
             value = getattr(self, name)
             if value is None:
                 continue
             if name not in needs + may:
                 raise ClusterError(f"{self.action} takes no {name!r}")
-            normal = normalise(value)
-            if normal is None:
-                raise ClusterError(f"{self.action} {name} must be {rule}, got {value!r:.60}")
-            object.__setattr__(self, name, normal)
+            object.__setattr__(self, name, normalise(f"{self.action} {name}", value))
 
     @classmethod
     def from_wire(cls, command: Mapping[str, object], tick: int) -> "ClusterEvent":
@@ -629,8 +636,7 @@ class ClusterRuntime:
         that overflows, raises :class:`ClusterError` before any document
         changes.
         """
-        if not 0.0 <= factor < np.inf:
-            raise ClusterError("scale factor must be finite and non-negative")
+        nonnegative("scale factor", factor, ClusterError)
         # The touched rows of each cohort, cohorts in order of first appearance.
         touched: Dict[Tuple[int, bytes], Tuple[_Cohort, List[int]]] = {}
         if doc_ids is None:
@@ -851,9 +857,9 @@ class ClusterRuntime:
         # catalog untouched.
         n = None if state_entry(state, "n", what) is None else state_count(state, "n", what)
         knobs = dict(
-            alpha=state_entry(state, "alpha", what, type(None), numbers.Real),
+            alpha=state_entry(state, "alpha", what),
             track_tlb=state_entry(state, "track_tlb", what, bool),
-            tolerance=state_entry(state, "tolerance", what, numbers.Real),
+            tolerance=state_entry(state, "tolerance", what),
         )
         try:  # the constructor's contract, not a copy of it
             config = ClusterConfig(**knobs)
@@ -900,9 +906,7 @@ class ClusterRuntime:
                 cohort = _new_cohort(group, key, mask, no_rows, no_rows, self._tel)
                 cohort.engine.load_state(state_entry(c, "engine", what, dict))
                 docs = cohort.engine.docs
-                doc_ids = _string_tuple(state_entry(c, "doc_ids", what))
-                if doc_ids is None:
-                    raise ValueError(f"{what} 'doc_ids' must be a list of strings")
+                doc_ids = _string_tuple(f"{what} 'doc_ids'", state_entry(c, "doc_ids", what))
                 if len(doc_ids) != docs:
                     raise ClusterError(
                         f"{what} 'doc_ids' names {len(doc_ids)} documents "
@@ -983,10 +987,8 @@ class ClusterRuntime:
         snapshot is taken at every ``snapshot_every``-th tick and at the
         last one.
         """
-        if ticks < 0:
-            raise ClusterError("ticks must be >= 0")
-        if snapshot_every < 1:
-            raise ClusterError("snapshot_every must be >= 1")
+        _COUNT("ticks", ticks, ClusterError)
+        count(1)("snapshot_every", snapshot_every, ClusterError)
         pending = sorted(events, key=lambda e: e.tick)
         for event in pending:
             if event.tick < self._tick or event.tick >= self._tick + ticks:

@@ -20,12 +20,14 @@ the synchronous engines.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import policy
+from ..fields import check_fields, count, optional, unit_interval
 from ..obs.telemetry import resolve as _resolve_telemetry
 from .kernel import edge_alphas, forwarded_rates
 from .load import LoadAssignment
@@ -69,6 +71,8 @@ class AsyncWebWave:
     registry (``kernel.async_activations``).
     """
 
+    FIELD_KINDS = {"alpha": optional(unit_interval), "max_staleness": count()}
+
     def __init__(
         self,
         tree: RoutingTree,
@@ -78,8 +82,7 @@ class AsyncWebWave:
         max_staleness: int = 0,
         initial_served: Optional[Sequence[float]] = None,
     ) -> None:
-        if max_staleness < 0:
-            raise ValueError("max_staleness must be >= 0")
+        check_fields(self, locals())
         self._tree = tree
         self._base = LoadAssignment(tree, spontaneous, initial_served)
         self._loads = np.array(self._base.served, dtype=np.float64)
@@ -90,7 +93,7 @@ class AsyncWebWave:
         self._alpha_of_child = np.zeros(tree.n, dtype=np.float64)
         self._alpha_of_child[tree.edge_child] = edge_alphas(tree, alpha, safe=False)
         self._rng = rng
-        self._staleness = int(max_staleness)
+        self._staleness = operator.index(max_staleness)
         self._history: List[np.ndarray] = [self._loads.copy()]
         self._activations = 0
         tel = _resolve_telemetry(None)

@@ -29,7 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .kernel import edge_alpha_map, edge_alphas
+import numpy as np
+
+from ..fields import check_fields, count, is_count, nonnegative, optional, unit_interval
+from .kernel import check_rates, edge_alpha_map, edge_alphas
 from .load import LoadAssignment
 from .policy import greedy_delegate, greedy_pull, greedy_shed
 from .tree import RoutingTree
@@ -70,13 +73,13 @@ class DocumentDemand:
         if len(docs) != len(self.documents):
             raise ValueError("duplicate document names")
         for node, per_doc in self.demand.items():
-            if not 0 <= node < self.tree.n:
-                raise ValueError(f"demand for unknown node {node}")
-            for doc, rate in per_doc.items():
+            if not (is_count(node) and node < self.tree.n):
+                raise ValueError(f"demand for unknown node {node!r}")
+            for doc in per_doc:
                 if doc not in docs:
                     raise ValueError(f"demand for unknown document {doc!r}")
-                if rate < 0:
-                    raise ValueError(f"negative demand {rate} at node {node}")
+            values = np.fromiter(per_doc.values(), np.float64, len(per_doc))
+            check_rates(values, f"demand at node {node}")
 
     def rate(self, node: int, doc: str) -> float:
         """Spontaneous rate for ``doc`` at ``node`` (0 if absent)."""
@@ -104,9 +107,13 @@ class DocumentWebWaveConfig:
     tolerance: float = 1e-6
     max_rounds: int = 10_000
 
+    FIELD_KINDS = {
+        "alpha": optional(unit_interval), "patience": count(),
+        "tolerance": nonnegative, "max_rounds": count(1),
+    }
+
     def __post_init__(self) -> None:
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

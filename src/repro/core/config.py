@@ -14,8 +14,11 @@ from the size of its frontier (:data:`repro.core.kernel.SPARSE_FRACTION`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+from ..fields import check_fields, count, nonnegative
 
 __all__ = ["EngineConfig", "positive_capacities"]
 
@@ -58,20 +61,15 @@ class EngineConfig:
     gossip_delay: int = 0
     quantum: float = 0.0
 
+    FIELD_KINDS = {"gossip_delay": count(), "quantum": nonnegative}
+
     def __post_init__(self) -> None:
         if self.capacities is not None:
             object.__setattr__(
                 self, "capacities", positive_capacities(self.capacities)
             )
-        if int(self.gossip_delay) != self.gossip_delay or self.gossip_delay < 0:
-            raise ValueError(
-                f"gossip_delay must be a non-negative integer, got {self.gossip_delay!r}"
-            )
-        object.__setattr__(self, "gossip_delay", int(self.gossip_delay))
-        if not 0.0 <= self.quantum < math.inf:
-            raise ValueError(
-                f"quantum must be finite and >= 0, got {self.quantum!r}"
-            )
+        check_fields(self)
+        object.__setattr__(self, "gossip_delay", operator.index(self.gossip_delay))
         if self.capacities is not None and (self.gossip_delay or self.quantum):
             raise ValueError(
                 "capacities cannot be combined with gossip_delay / quantum (got "

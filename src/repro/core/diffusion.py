@@ -28,6 +28,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..fields import check_fields, count
+
 __all__ = [
     "Graph",
     "metropolis_weights",
@@ -47,9 +49,10 @@ class Graph:
 
     __slots__ = ("_n", "_adj", "_edges")
 
+    FIELD_KINDS = {"n": count(1)}
+
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]) -> None:
-        if n < 1:
-            raise ValueError("graph needs at least one node")
+        check_fields(self, locals())
         adj: List[List[int]] = [[] for _ in range(n)]
         seen = set()
         for a, b in edges:

@@ -16,11 +16,14 @@ its pre-change value).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..fields import count
+from .kernel import check_rates
 from .load import LoadAssignment
 from .tree import RoutingTree
 from .webfold import webfold
@@ -50,15 +53,18 @@ class RateSchedule:
     def __init__(self, segments: Sequence[Tuple[int, Sequence[float]]]) -> None:
         if not segments:
             raise ValueError("schedule needs at least one segment")
-        ordered = sorted((int(t), tuple(map(float, r))) for t, r in segments)
+        start = count()
+        ordered = sorted(
+            (operator.index(start(f"segment {k} start", t)), tuple(map(float, r)))
+            for k, (t, r) in enumerate(segments)
+        )
         if ordered[0][0] != 0:
             raise ValueError("first segment must start at round 0")
         n = len(ordered[0][1])
         for t, rates in ordered:
             if len(rates) != n:
                 raise ValueError("all segments must have equal length")
-            if any(x < 0 for x in rates):
-                raise ValueError("rates must be non-negative")
+            check_rates(np.array(rates), f"rates of the segment starting at round {t}")
         self._segments = ordered
 
     @property

@@ -32,6 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import policy
+from ..fields import check_fields, optional, unit_interval
 from ..obs.telemetry import resolve as _resolve_telemetry
 from .kernel import DiffusionStack, _as_vector, edge_alphas
 from .tree import RoutingTree
@@ -85,12 +86,15 @@ class ForestWebWave:
         Diffusion parameter (``None`` = ``1/(deg+1)`` per tree edge).
     """
 
+    FIELD_KINDS = {"alpha": optional(unit_interval)}
+
     def __init__(
         self,
         trees: Mapping[int, RoutingTree],
         demands: Mapping[int, Sequence[float]],
         alpha: Optional[float] = None,
     ) -> None:
+        check_fields(self, locals())
         if not trees:
             raise ValueError("need at least one tree")
         if set(trees) != set(demands):

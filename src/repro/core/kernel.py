@@ -80,6 +80,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import policy
+from ..fields import nonnegative
 from ..obs.telemetry import resolve as _resolve_telemetry
 from .config import EngineConfig
 from .frontier import batch_incident_edges, incident_edges_of, node_slots, sorted_unique
@@ -1047,9 +1048,7 @@ class SyncEngine(DiffusionStack):
             if caps.min() <= 0.0:
                 raise ValueError(f"{what} 'capacities' must be positive")
         delay = state_count(state, "gossip_delay", what)
-        quantum = float(state_entry(state, "quantum", what, numbers.Real))
-        if not 0.0 <= quantum < np.inf:
-            raise ValueError(f"{what} 'quantum' must be finite and >= 0")
+        quantum = float(nonnegative(f"{what} 'quantum'", state_entry(state, "quantum", what)))
         if caps is not None and (delay or quantum):
             raise ValueError(
                 f"{what} 'capacities' cannot be combined with 'gossip_delay' / 'quantum'"

@@ -47,8 +47,10 @@ from __future__ import annotations
 import numbers
 from typing import Any, Dict, Iterable, Mapping, Optional, Protocol, Tuple, runtime_checkable
 
+from ..fields import count, is_count
+
 __all__ = [
-    "Steppable", "count_tuple", "is_count", "require_kind", "snapshot_record",
+    "Steppable", "count_tuple", "require_kind", "snapshot_record",
     "state_count", "state_counts", "state_entry",
 ]
 
@@ -100,12 +102,6 @@ def require_kind(target: Any, state: Mapping[str, Any]) -> None:
         )
 
 
-def is_count(value: Any) -> bool:
-    """Whether ``value`` is a non-negative integer: ``2.5``, ``true``,
-    ``"3"``, NaN and infinities are not (never truncated or coerced)."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 0
-
-
 def count_tuple(values: Iterable[Any]) -> Optional[Tuple[int, ...]]:
     """``values`` as a tuple of ints if every one :func:`is_count`, else
     ``None``.  A list of plain non-negative ints is checked at C speed."""
@@ -139,10 +135,7 @@ def state_entry(state: Any, field: str, what: str, *types: type) -> Any:
 def state_count(state: Mapping[str, Any], field: str, what: str) -> int:
     """``state[field]`` as a non-negative int (:func:`is_count`), or a
     ``ValueError`` naming it."""
-    value = state_entry(state, field, what)
-    if not is_count(value):
-        raise ValueError(f"{what} {field!r} must be a non-negative integer")
-    return int(value)
+    return int(count()(f"{what} {field!r}", state_entry(state, field, what)))
 
 
 def state_counts(state: Mapping[str, Any], field: str, what: str) -> Tuple[int, ...]:

@@ -20,7 +20,8 @@ from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .steppable import count_tuple, is_count
+from ..fields import is_count
+from .steppable import count_tuple
 
 __all__ = [
     "RoutingTree",
@@ -87,7 +88,7 @@ class RoutingTree:
         if n == 0:
             raise TreeError("a routing tree must contain at least one node")
         if isinstance(parent, np.ndarray) and parent.ndim == 1 and parent.dtype.kind in "iu":
-            bad = np.flatnonzero((parent < 0) | (parent >= n))
+            bad = np.flatnonzero(parent.astype(np.uintp) >= n)  # a negative id wraps past n
             if bad.size:
                 i = int(bad[0])
                 raise TreeError(f"parent[{i}]={int(parent[i])} is not a node id in 0..{n - 1}")

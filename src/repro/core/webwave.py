@@ -38,6 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..fields import check_fields, count, nonnegative, optional, unit_interval
 from .kernel import EngineConfig, SyncEngine, edge_alphas
 from .load import LoadAssignment
 from .tree import RoutingTree
@@ -87,11 +88,10 @@ class WebWaveConfig:
     unsafe_alpha: bool = False
     capacities: Optional[Tuple[float, ...]] = None
 
+    FIELD_KINDS = {"alpha": optional(unit_interval), "max_rounds": count(1), "tolerance": nonnegative}
+
     def __post_init__(self) -> None:
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+        check_fields(self)
         # the EngineConfig validates the kernel's fields, naming them
         object.__setattr__(self, "capacities", self.engine_config().capacities)
 

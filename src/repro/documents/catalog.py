@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..fields import check_fields, count
 from .document import Document, DocumentError
 
 __all__ = ["Catalog"]
@@ -18,9 +19,10 @@ class Catalog:
     of documents" (Section 3).
     """
 
+    FIELD_KINDS = {"home": count()}
+
     def __init__(self, home: int, documents: Iterable[Document] = ()) -> None:
-        if home < 0:
-            raise DocumentError("home must be a node id")
+        check_fields(self, locals(), DocumentError)
         self._home = home
         self._docs: Dict[str, Document] = {}
         for doc in documents:

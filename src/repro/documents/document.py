@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..fields import check_fields, count, positive
+
 __all__ = ["Document", "DocumentError"]
 
 
@@ -38,10 +40,9 @@ class Document:
     home: int
     size: int = 16_384
 
+    FIELD_KINDS = {"home": count(), "size": positive}
+
     def __post_init__(self) -> None:
         if not self.doc_id:
             raise DocumentError("doc_id must be non-empty")
-        if self.home < 0:
-            raise DocumentError(f"home must be a node id, got {self.home}")
-        if self.size <= 0:
-            raise DocumentError(f"size must be positive, got {self.size}")
+        check_fields(self, error=DocumentError)

@@ -18,20 +18,20 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..fields import check_fields, count, nonnegative
+
 __all__ = ["zipf_weights", "ZipfPopularity"]
 
 
 def _zipf_weight_array(n: int, s: float) -> np.ndarray:
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if s < 0:
-        raise ValueError("Zipf exponent must be >= 0")
     raw = np.arange(1, n + 1, dtype=np.float64) ** -float(s)
     return raw / raw.sum()
 
 
 def zipf_weights(n: int, s: float = 1.0) -> List[float]:
     """Normalized Zipf weights for ranks ``1..n`` with exponent ``s``."""
+    count(1)("n", n)
+    nonnegative("s", s)
     return _zipf_weight_array(n, s).tolist()
 
 
@@ -46,7 +46,10 @@ class ZipfPopularity:
         Zipf exponent; web measurements typically find ``0.6 - 1.0``.
     """
 
+    FIELD_KINDS = {"s": nonnegative}
+
     def __init__(self, doc_ids: Sequence[str], s: float = 1.0) -> None:
+        check_fields(self, locals())
         if not doc_ids:
             raise ValueError("need at least one document")
         if len(set(doc_ids)) != len(doc_ids):
@@ -60,7 +63,6 @@ class ZipfPopularity:
 
     def split_rate(self, total_rate: float) -> List[Tuple[str, float]]:
         """Split an aggregate request rate into per-document rates."""
-        if total_rate < 0:
-            raise ValueError("rate must be >= 0")
+        nonnegative("total_rate", total_rate)
         rates = (self._weights * float(total_rate)).tolist()
         return list(zip(self._ids, rates))

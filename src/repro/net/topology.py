@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..fields import check_fields, count, nonnegative, optional, positive
+
 __all__ = ["Link", "NodeSpec", "Topology", "TopologyError"]
 
 
@@ -43,6 +45,8 @@ class Link:
     delay: float = 0.01
     bandwidth: Optional[float] = None
 
+    FIELD_KINDS = {"delay": nonnegative, "bandwidth": optional(positive)}
+
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise TopologyError(f"self-loop on node {self.a}")
@@ -50,10 +54,7 @@ class Link:
             lo, hi = self.b, self.a
             object.__setattr__(self, "a", lo)
             object.__setattr__(self, "b", hi)
-        if self.delay < 0:
-            raise TopologyError(f"negative delay on link ({self.a},{self.b})")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise TopologyError("bandwidth must be positive when given")
+        check_fields(self, error=TopologyError)
 
     @property
     def key(self) -> Tuple[int, int]:
@@ -73,9 +74,10 @@ class NodeSpec:
     capacity: float = 100.0
     label: str = ""
 
+    FIELD_KINDS = {"capacity": positive}
+
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise TopologyError(f"node {self.node} capacity must be positive")
+        check_fields(self, error=TopologyError)
 
 
 class Topology:
@@ -87,14 +89,15 @@ class Topology:
 
     __slots__ = ("_n", "_links", "_adj", "_specs")
 
+    FIELD_KINDS = {"n": count(1)}
+
     def __init__(
         self,
         n: int,
         links: Iterable[Link],
         specs: Optional[Sequence[NodeSpec]] = None,
     ) -> None:
-        if n < 1:
-            raise TopologyError("topology needs at least one node")
+        check_fields(self, locals(), TopologyError)
         link_map: Dict[Tuple[int, int], Link] = {}
         adj: List[List[int]] = [[] for _ in range(n)]
         for link in links:

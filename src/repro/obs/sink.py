@@ -16,6 +16,8 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..fields import check_fields, count, optional
+
 __all__ = ["NdjsonSink", "MemorySink", "read_ndjson", "scan_ndjson"]
 
 
@@ -48,6 +50,8 @@ class NdjsonSink:
         Records between explicit flushes (1 = flush every record).
     """
 
+    FIELD_KINDS = {"rotate_bytes": optional(count(1)), "max_parts": count(1)}
+
     def __init__(
         self,
         path: str,
@@ -56,10 +60,7 @@ class NdjsonSink:
         max_parts: int = 4,
         flush_every: int = 64,
     ) -> None:
-        if rotate_bytes is not None and rotate_bytes < 1:
-            raise ValueError(f"rotate_bytes must be >= 1, got {rotate_bytes}")
-        if max_parts < 1:
-            raise ValueError(f"max_parts must be >= 1, got {max_parts}")
+        check_fields(self, locals())
         self.path = path
         self.rotate_bytes = rotate_bytes
         self.max_parts = max_parts

@@ -33,6 +33,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..fields import check_fields, count
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -158,9 +160,10 @@ class Sampler:
 
     __slots__ = ("interval", "_n")
 
+    FIELD_KINDS = {"interval": count(1)}
+
     def __init__(self, interval: int) -> None:
-        if interval < 1:
-            raise ValueError(f"sampler interval must be >= 1, got {interval}")
+        check_fields(self, locals())
         self.interval = interval
         self._n = 0
 
@@ -207,6 +210,8 @@ class Telemetry:
 
     enabled = True
 
+    FIELD_KINDS = {"sample_interval": count(1)}
+
     def __init__(
         self,
         sink: Optional[Any] = None,
@@ -215,10 +220,7 @@ class Telemetry:
         max_spans: int = 4096,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
-        if sample_interval < 1:
-            raise ValueError(
-                f"sample_interval must be >= 1, got {sample_interval}"
-            )
+        check_fields(self, locals())
         self.sink = sink
         self.sample_interval = sample_interval
         self.max_spans = max_spans

@@ -34,6 +34,7 @@ from typing import Dict, Optional, Tuple
 from ..cluster.scenarios import ClusterScenario
 from ..documents.catalog import Catalog
 from ..documents.document import Document
+from ..fields import check_fields, positive
 from ..traffic.arrivals import PoissonArrivals
 from ..traffic.workload import Workload
 from .scenario import ScenarioConfig, _ArrivalSource
@@ -79,6 +80,8 @@ class ClusterPacketScenario(WebWaveScenario):
 
     name = "cluster_packet"
 
+    FIELD_KINDS = {"tick_duration": positive}
+
     def __init__(
         self,
         cluster: ClusterScenario,
@@ -92,8 +95,7 @@ class ClusterPacketScenario(WebWaveScenario):
                 "the packet plane runs one routing tree (single-home catalog); "
                 f"got {len(cluster.trees)} homes"
             )
-        if tick_duration <= 0:
-            raise ValueError("tick_duration must be positive")
+        check_fields(self, locals())
         ((home, tree),) = cluster.trees.items()
         self.cluster = cluster
         self.tick_duration = float(tick_duration)

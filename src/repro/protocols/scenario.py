@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.load import LoadAssignment
 from ..core.tree import RoutingTree
 from ..core.webfold import webfold
+from ..fields import check_fields, count, nonnegative, optional, positive
 from ..net.topology import Topology
 from ..obs.telemetry import resolve as _resolve_telemetry
 from ..sim.engine import Simulator
@@ -96,33 +96,18 @@ class ScenarioConfig:
     default_capacity: float = 100.0
     cache_capacity: Optional[int] = None
 
+    FIELD_KINDS = {
+        "duration": positive, "warmup": nonnegative, "seed": count(None),
+        "hop_delay": nonnegative, "default_capacity": positive,
+        "cache_capacity": optional(count(1)),
+    }
+
     def __post_init__(self) -> None:
-        # Each range test is false for NaN, so NaN is refused with the rest.
-        if not 0.0 < self.duration < math.inf:
-            raise ValueError(
-                f"duration must be finite and positive, got {self.duration!r}"
-            )
-        if not 0.0 <= self.warmup < self.duration:
+        check_fields(self)
+        if not self.warmup < self.duration:
             raise ValueError(
                 f"warmup must lie in [0, duration), got {self.warmup!r}"
             )
-        if not 0.0 <= self.hop_delay < math.inf:
-            raise ValueError(
-                f"hop_delay must be finite and >= 0, got {self.hop_delay!r}"
-            )
-        if not 0.0 < self.default_capacity < math.inf:
-            raise ValueError(
-                "default_capacity must be finite and positive, "
-                f"got {self.default_capacity!r}"
-            )
-        # bool is an Integral too, but True is no seed or store size
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        cap = self.cache_capacity
-        if cap is not None and (
-            isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1
-        ):
-            raise ValueError(f"cache_capacity must be an integer >= 1 or None, got {cap!r}")
 
 
 @dataclass

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cache.store import CacheStore
+from ..fields import check_fields, count, positive, unit_interval
 
 __all__ = ["MeterBank", "PacketState"]
 
@@ -84,11 +85,10 @@ class MeterBank:
 
     __slots__ = ("size", "window", "alpha", "counts", "wstart", "est", "seeded", "live")
 
+    FIELD_KINDS = {"size": count(), "window": positive, "alpha": unit_interval}
+
     def __init__(self, size: int, window: float = 1.0, alpha: float = 0.5) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
+        check_fields(self, locals())
         self.size = size
         self.window = window
         self.alpha = alpha

@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.kernel import edge_alphas
+from ..fields import check_fields, count, nonnegative, optional, positive, unit_interval
 from ..core.policy import diffusion_budget, greedy_delegate, greedy_pull, greedy_shed
 from .scenario import Scenario, ScenarioConfig
 from ..traffic.workload import Workload
@@ -81,13 +82,14 @@ class WebWaveProtocolConfig:
     tunneling: bool = True
     min_transfer_rate: float = 0.1
 
+    FIELD_KINDS = {
+        "gossip_period": positive, "diffusion_period": positive,
+        "alpha": optional(unit_interval), "patience": count(),
+        "min_transfer_rate": nonnegative,
+    }
+
     def __post_init__(self) -> None:
-        if self.gossip_period <= 0 or self.diffusion_period <= 0:
-            raise ValueError("periods must be positive")
-        if self.alpha is not None and not 0 < self.alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
+        check_fields(self)
 
 
 class WebWaveScenario(Scenario):

@@ -36,10 +36,12 @@ not a non-empty string.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..cluster.runtime import EVENT_FIELDS, ClusterEvent, ClusterRuntime
 from ..core.steppable import Steppable, snapshot_record
+from ..fields import check_fields, count
 from .checkpoint import checkpoint_kind, read_checkpoint, restore_state, write_checkpoint
 
 __all__ = ["MAX_TICKS", "Service", "ServiceError"]
@@ -47,6 +49,7 @@ __all__ = ["MAX_TICKS", "Service", "ServiceError"]
 #: The most rounds one ``tick`` command may run: the daemon is
 #: single-threaded, so a command's work bounds how long it stops answering.
 MAX_TICKS = 10_000
+_TICK_COUNT = count(1, MAX_TICKS)
 
 # {op: the fields it may carry besides "op"} for every op that is not a
 # lifecycle event (those take EVENT_FIELDS): the table dispatch reads.
@@ -81,6 +84,8 @@ class Service:
         Ticks between streamed snapshots (1 = every tick).
     """
 
+    FIELD_KINDS = {"export_every": count(1)}
+
     def __init__(
         self,
         runtime: Any,
@@ -88,11 +93,10 @@ class Service:
         sink: Optional[Any] = None,
         export_every: int = 1,
     ) -> None:
-        if export_every < 1:
-            raise ValueError(f"export_every must be >= 1, got {export_every}")
+        check_fields(self, locals())
         self.runtime = runtime
         self.sink = sink
-        self.export_every = int(export_every)
+        self.export_every = operator.index(export_every)
         self.closed = False
         self._ticks = 0
 
@@ -150,10 +154,8 @@ class Service:
 
     # -- driving -------------------------------------------------------
     def _op_tick(self, command: Mapping[str, Any]) -> Dict[str, Any]:
-        count = command.get("count", 1)
-        if type(count) is not int or not 1 <= count <= MAX_TICKS:
-            raise ServiceError(f"tick count must be an integer in [1, {MAX_TICKS}], got {count!r}")
-        for _ in range(count):
+        ticks = _TICK_COUNT("tick count", command.get("count", 1), ServiceError)
+        for _ in range(ticks):
             self.runtime.step()
             self._ticks += 1
             if self.sink is not None and self._ticks % self.export_every == 0:

@@ -17,6 +17,8 @@ import hashlib
 import random
 from typing import Dict, Tuple, Union
 
+from ..fields import check_fields, count
+
 __all__ = ["RngStreams", "derive_seed"]
 
 _Key = Union[str, int, Tuple[Union[str, int], ...]]
@@ -39,8 +41,11 @@ class RngStreams:
         topology = streams.get("topology")
     """
 
+    FIELD_KINDS = {"seed": count(None)}
+
     def __init__(self, seed: int = 0) -> None:
-        self._seed = int(seed)
+        check_fields(self, locals())
+        self._seed = seed
         self._streams: Dict[Tuple, random.Random] = {}
 
     def get(self, name: str, **scope: Union[str, int]) -> random.Random:

@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from ..fields import check_fields, nonnegative
+
 __all__ = ["PoissonArrivals"]
 
 
@@ -53,10 +55,10 @@ _MIRROR_MIN_DRAWS = 1024
 class PoissonArrivals:
     """Memoryless arrivals at ``rate`` per second (exponential gaps)."""
 
+    FIELD_KINDS = {"rate": nonnegative}
+
     def __init__(self, rate: float, rng) -> None:
-        # false for NaN too: a NaN rate would draw NaN gaps
-        if not 0.0 <= rate < math.inf:
-            raise ValueError(f"rate must be finite and >= 0, got {rate!r}")
+        check_fields(self, locals())
         self._rate = float(rate)
         self._rng = rng
 

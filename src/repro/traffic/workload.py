@@ -12,9 +12,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..core.kernel import check_rates
 from ..core.tree import RoutingTree
 from ..documents.catalog import Catalog
 from ..documents.popularity import ZipfPopularity
+from ..fields import is_count
 from .arrivals import PoissonArrivals
 
 __all__ = ["Workload", "WorkloadError", "hot_document_workload"]
@@ -51,13 +55,13 @@ class Workload:
                 f"catalog home {catalog.home} != tree root {tree.root}"
             )
         for node, per_doc in rates.items():
-            if not 0 <= node < tree.n:
-                raise WorkloadError(f"rates for unknown node {node}")
-            for doc_id, rate in per_doc.items():
+            if not (is_count(node) and node < tree.n):
+                raise WorkloadError(f"rates for unknown node {node!r}")
+            for doc_id in per_doc:
                 if doc_id not in catalog:
                     raise WorkloadError(f"rates for unknown document {doc_id!r}")
-                if rate < 0:
-                    raise WorkloadError(f"negative rate at node {node}")
+            values = np.fromiter(per_doc.values(), np.float64, len(per_doc))
+            check_rates(values, f"rates at node {node}", WorkloadError)
         self._tree = tree
         self._catalog = catalog
         self._rates: Dict[int, Dict[str, float]] = {

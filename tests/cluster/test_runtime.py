@@ -476,7 +476,7 @@ _EVENTS = st.one_of(
         ClusterEvent,
         _COUNTS,
         st.just("scale"),
-        factor=st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10, 10),
+        factor=st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, 10),
         doc_ids=st.none() | st.lists(_IDS, max_size=4),
     ),
 )
@@ -521,6 +521,14 @@ class TestEventValidation:
             pytest.param(dict(action="set_rates", doc_id="a", rates=((1.0,), (2.0,))), "rates", id="rates-2d"),
             pytest.param(dict(action="scale", factor="2"), "factor", id="factor-text"),
             pytest.param(dict(action="scale", factor=True), "factor", id="factor-bool"),
+            # refused only when applied, so a scheduled run failed at its tick
+            pytest.param(dict(action="scale", factor=float("nan")), "^scale factor must be finite", id="factor-nan"),
+            pytest.param(dict(action="scale", factor=float("inf")), "^scale factor must be finite", id="factor-inf"),
+            pytest.param(dict(action="scale", factor=-1), "^scale factor must be finite", id="factor-negative"),
+            pytest.param(
+                dict(action="set_rates", doc_id="a", rates=(1.0, float("nan"))),
+                "^set_rates rates must be finite", id="rates-nan",
+            ),
             pytest.param(dict(action="scale", factor=2.0, doc_ids="ax"), "doc_ids", id="doc_ids-text"),
             pytest.param(dict(action="scale", factor=2.0, doc_ids=["a", 7]), "doc_ids", id="doc_ids-number"),
         ],

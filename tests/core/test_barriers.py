@@ -48,6 +48,11 @@ class TestDocumentDemand:
         with pytest.raises(ValueError, match="negative"):
             DocumentDemand(chain_tree(2), ("d",), {0: {"d": -1.0}})
 
+    def test_nan_rate_rejected_naming_the_node(self):
+        # ``NaN < 0`` is false: the NaN demand was accepted
+        with pytest.raises(ValueError, match="^demand at node 1 must be finite"):
+            DocumentDemand(chain_tree(2), ("d",), {1: {"d": float("nan")}})
+
     def test_duplicate_documents_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             DocumentDemand(chain_tree(2), ("d", "d"), {})

@@ -44,6 +44,20 @@ class TestRateSchedule:
         with pytest.raises(ValueError):
             RateSchedule([])
 
+    @pytest.mark.parametrize(
+        "segments, named",
+        [
+            # ``NaN < 0`` is false: the NaN was scheduled and run
+            pytest.param([(0, [1.0]), (5, [float("nan")])], "^rates of the segment starting at round 5 must", id="nan-rate"),
+            # int(1.5) ran the segment from round 1
+            pytest.param([(0, [1.0]), (1.5, [2.0])], "^segment 1 start must be a non-negative integer", id="fractional-start"),
+            pytest.param([(0, [1.0]), (True, [2.0])], "^segment 1 start must", id="bool-start"),
+        ],
+    )
+    def test_a_bad_segment_is_refused_by_name(self, segments, named):
+        with pytest.raises(ValueError, match=named):
+            RateSchedule(segments)
+
     def test_builders(self):
         tree = chain_tree(3)
         s1 = RateSchedule([(0, [1, 1, 1]), (5, [9, 0, 0])])

@@ -18,7 +18,7 @@ class TestLink:
             Link(2, 2)
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(TopologyError, match="negative delay"):
+        with pytest.raises(TopologyError, match="^delay must"):
             Link(0, 1, delay=-1.0)
 
     def test_bad_bandwidth_rejected(self):

@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.core.steppable import count_tuple, is_count
+from repro.core.steppable import count_tuple
+from repro.fields import is_count
 from repro.core.tree import RoutingTree, TreeError
 
 __all__ = ["OracleTree", "tree_from_edges"]

@@ -48,6 +48,11 @@ class TestWorkload:
         with pytest.raises(WorkloadError, match="negative"):
             Workload(chain_tree(2), make_catalog(), {0: {"doc-0": -1.0}})
 
+    def test_nan_rate_rejected_naming_the_node(self):
+        # ``NaN < 0`` is false: the NaN rate was accepted
+        with pytest.raises(WorkloadError, match="^rates at node 1 must be finite"):
+            Workload(chain_tree(2), make_catalog(), {1: {"doc-0": float("nan")}})
+
     def test_zero_rates_dropped(self):
         wl = Workload(chain_tree(2), make_catalog(), {1: {"doc-0": 0.0}})
         assert wl.items() == []
