@@ -20,6 +20,9 @@ from ..fields import check_fields, count, optional
 
 __all__ = ["NdjsonSink", "MemorySink", "read_ndjson", "scan_ndjson"]
 
+# Records an NdjsonSink writes between explicit flushes.
+FLUSH_EVERY = 64
+
 
 class MemorySink:
     """Keeps records in a list — for tests and in-process inspection."""
@@ -46,8 +49,8 @@ class NdjsonSink:
         new ``path`` is started.  ``None`` disables rotation.
     max_parts:
         Rotated parts kept; the oldest beyond this is deleted.
-    flush_every:
-        Records between explicit flushes (1 = flush every record).
+
+    The file is flushed every :data:`FLUSH_EVERY` records and on close.
     """
 
     FIELD_KINDS = {"rotate_bytes": optional(count(1)), "max_parts": count(1)}
@@ -58,13 +61,11 @@ class NdjsonSink:
         *,
         rotate_bytes: Optional[int] = None,
         max_parts: int = 4,
-        flush_every: int = 64,
     ) -> None:
         check_fields(self, locals())
         self.path = path
         self.rotate_bytes = rotate_bytes
         self.max_parts = max_parts
-        self.flush_every = max(flush_every, 1)
         self.records_written = 0
         self.rotations = 0
         self._bytes = 0
@@ -79,7 +80,7 @@ class NdjsonSink:
         self._bytes += len(line) + 1
         self.records_written += 1
         self._unflushed += 1
-        if self._unflushed >= self.flush_every:
+        if self._unflushed >= FLUSH_EVERY:
             self._fh.flush()
             self._unflushed = 0
         if self.rotate_bytes is not None and self._bytes >= self.rotate_bytes:

@@ -403,6 +403,8 @@ class Scenario:
 
         The minimum of the next registered control event and the next
         meter-window boundary (estimates are constant within a window).
+        The boundary also keeps each meter bank's one window clock exact:
+        a walk never touches a meter past the window of ``now``.
         """
         barriers = self._barriers
         while barriers and barriers[0] < now:
@@ -468,8 +470,9 @@ class Scenario:
         root = self._root
         path = request.path
         fwd_bank = state.fwd_doc
-        fwd_wstart = fwd_bank.wstart
         fwd_counts = fwd_bank.counts
+        fwd_joined = fwd_bank.joined
+        fwd_pending = fwd_bank.pending
         window = fwd_bank.window
         docs = state.docs
         while True:
@@ -500,13 +503,15 @@ class Scenario:
                 return
             next_hop = parent[node]
             # inline record_forwarded(node, d, t); the per-node forwarded
-            # tally is derived as seen - diverted when the run ends.  A
-            # meter's first event always takes the _roll branch (its wstart
-            # is -inf until then) and joins the bank's live set there, so
-            # the bump cannot land on a meter the bulk reads do not know.
+            # tally is derived as seen - diverted when the run ends.  The
+            # bank clock may roll at t: t is before the barrier, so in the
+            # window of `now`, and no later access lies in an earlier one.
             k = node * docs + d
-            if t - fwd_wstart[k] >= window:
-                fwd_bank._roll(k, t)
+            if t - fwd_bank.ws >= window:
+                fwd_bank.roll(t)
+            if not fwd_joined[k]:
+                fwd_joined[k] = 1
+                fwd_pending.append(k)
             fwd_counts[k] += 1.0
             # parenthesized like the original per-hop `after(delay + cost)`
             t_next = t + hop_cost[node]
@@ -666,11 +671,15 @@ class Scenario:
         tel.gauge_set("packet.requests_completed", metrics.completed)
         for kind, count in sorted(self.messages.items()):
             tel.gauge_set(f"packet.messages.{kind}", count)
-        # Is control-plane cost following activity?  Bulk meter reads walk
-        # the live meters only.
+        # Is control-plane cost following activity?  A bank roll touches
+        # the meters that ever recorded an event: the live ones and those
+        # that joined since the last roll.
         state = self.state
         banks = (state.served_total, state.served_doc, state.fwd_doc)
-        tel.gauge_set("packet.meters_live", sum(len(bank.live) for bank in banks))
+        tel.gauge_set(
+            "packet.meters_live",
+            sum(len(bank.live) + len(bank.pending) for bank in banks),
+        )
         tel.gauge_set("packet.meters_total", sum(bank.size for bank in banks))
         tel.export(plane="packet", scenario=self.name)
 

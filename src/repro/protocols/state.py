@@ -8,11 +8,11 @@ aligned with :class:`~repro.core.tree.RoutingTree` node indexing and
 catalog document indexing:
 
 * :class:`MeterBank` - the windowed-EWMA rate meters as parallel arrays
-  (``counts`` / ``window_start`` / ``estimate`` / ``seeded``), with scalar
-  record/rate operations that are arithmetic-for-arithmetic identical to
-  the original per-object ``RateMeter``, plus vectorized
-  roll-and-read for the control plane (one gossip snapshot = one array op
-  instead of ``n`` object traversals);
+  (``counts`` / ``est``) under one window clock (``ws`` / ``seeded``):
+  the first access in a new window rolls every live meter of the bank in
+  one array step, with the same arithmetic, window for window, as the
+  original per-object ``RateMeter``, so a gossip snapshot or a diffusion
+  row read is an array read instead of ``n`` object traversals;
 * :class:`PacketState` - serve targets as an ``(n, D)`` matrix, three
   meter banks (total served per node, served and forwarded per
   ``(node, document)``), queue/busy bookkeeping, failure flags, the
@@ -36,6 +36,7 @@ of :mod:`repro.service.checkpoint`.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,44 +47,35 @@ from ..fields import check_fields, count, positive, unit_interval
 __all__ = ["MeterBank", "PacketState"]
 
 
-# ``wstart`` of a meter that has never recorded an event.  ``now - _NEVER``
-# is +inf, so the first ``record`` (and the walker's inlined count bump in
-# ``protocols/scenario.py``) always takes the ``_roll`` branch, which is
-# where a meter joins the live set: no event can be counted on a meter the
-# bulk reads do not know about, and the per-hop path pays nothing for it.
-_NEVER = float("-inf")
-
-
 class MeterBank:
-    """A bank of windowed-EWMA rate meters over one shared estimate array.
+    """A bank of windowed-EWMA rate meters with one shared window clock.
 
     Semantics per meter are exactly the oracle ``RateMeter``
     (``tests/oracle/cache_server.py``): events are counted into fixed
     windows anchored at t=0; crossing a boundary folds the finished
-    window's rate into the estimate.  Rolls are lazy and idempotent, so
-    scalar and bulk access orders cannot change any value.
+    window's rate into the estimate.  Since all meters share their window
+    boundaries, the bank keeps one window start ``ws`` and one ``seeded``
+    flag, and the first access at or past ``ws + window`` rolls every live
+    meter at once (:meth:`roll`).  That is exact against lazy per-meter
+    rolls: each meter runs the same IEEE operations for the same windows
+    in the same order (zero counts after the first window of a catch-up);
+    a meter that joins after the first roll keeps 0.0 and counts as
+    seeded, which is what a per-meter catch-up from t=0 leaves; and no
+    caller reads a meter past the window of the current virtual time (the
+    packet walker stops at the next window boundary), so the clock never
+    runs ahead of an access still to come.
 
-    Layout: the *estimates* - what gossip snapshots and the diffusion
-    plane consume in bulk - live in one NumPy array (``est``); the
-    per-event bookkeeping (``counts``/``wstart``/``seeded``) lives in
-    plain lists, whose scalar read-modify-write is ~3x cheaper than NumPy
-    item access on the per-hop datapath.  A meter rolls at most once per
-    window, so the array writes stay off the hot path.
-
-    The live set: ``live`` lists the meters that have ever recorded an
-    event; every other meter has ``wstart == _NEVER`` and
-    is never rolled by anyone - not by the bulk reads, which walk ``live``
-    and so cost O(meters with traffic) rather than O(size), and not by a
-    scalar :meth:`rate`.  That is value-exact: an unrecorded meter's
-    estimate is 0.0 whether it is rolled every window or not at all, and
-    its first event runs the same anchored-at-zero catch-up
-    (``ws += window`` from 0.0) the dict-based plane's lazily created
-    meters ran on first touch, so only the ``seeded``/``wstart``
-    bookkeeping of meters that never counted anything differs, and no
-    estimate reads it.
+    Layout: estimates in one NumPy array (``est``) for the bulk reads;
+    ``counts`` in an ``array('d')``, whose per-hop read-modify-write costs
+    what a list's does (a roll views it with ``np.frombuffer`` and does
+    not keep the view, which ``copy.deepcopy`` would split from it).
+    ``live`` holds the meters that had recorded an event by the last roll
+    and ``pending`` those that joined since (``joined`` flags both), so a
+    roll costs O(meters with traffic), not O(size).
     """
 
-    __slots__ = ("size", "window", "alpha", "counts", "wstart", "est", "seeded", "live")
+    __slots__ = ("size", "window", "alpha", "counts", "est", "ws", "seeded", "live",
+                 "pending", "joined")
 
     FIELD_KINDS = {"size": count(), "window": positive, "alpha": unit_interval}
 
@@ -92,73 +84,66 @@ class MeterBank:
         self.size = size
         self.window = window
         self.alpha = alpha
-        self.counts = [0.0] * size
-        self.wstart = [_NEVER] * size
+        self.counts = array("d", bytes(8 * size))
         self.est = np.zeros(size, dtype=np.float64)
-        self.seeded = [False] * size
-        self.live: List[int] = []
+        self.ws = 0.0
+        self.seeded = False
+        self.live = np.zeros(0, dtype=np.intp)
+        self.pending: List[int] = []
+        self.joined = bytearray(size)
+
+    def roll(self, now: float) -> None:
+        """Roll every live meter to the window holding ``now``."""
+        window = self.window
+        alpha = self.alpha
+        ws = self.ws
+        pending = self.pending
+        if pending:
+            self.live = np.concatenate((self.live, np.array(pending, dtype=np.intp)))
+            pending.clear()  # in place: the walker holds this list
+        live = self.live
+        counts = np.frombuffer(self.counts, dtype=np.float64)
+        window_rate = counts[live] / window
+        if self.seeded:
+            est = self.est[live]
+            est += alpha * (window_rate - est)
+        else:
+            est = window_rate
+        counts[live] = 0.0
+        ws += window
+        while now - ws >= window:
+            est += alpha * (0.0 - est)
+            ws += window
+        self.est[live] = est
+        self.ws = ws
+        self.seeded = True
 
     # -- scalar hot path -------------------------------------------------
-    def _roll(self, k: int, now: float) -> None:
-        window = self.window
-        ws = self.wstart[k]
-        if ws == _NEVER:
-            # first event on this meter: it goes live, anchored at t=0
-            self.live.append(k)
-            self.wstart[k] = ws = 0.0
-        if now - ws < window:
-            return
-        alpha = self.alpha
-        count = self.counts[k]
-        est = float(self.est[k])
-        seeded = self.seeded[k]
-        while now - ws >= window:
-            window_rate = count / window
-            if seeded:
-                est += alpha * (window_rate - est)
-            else:
-                est = window_rate
-                seeded = True
-            count = 0.0
-            ws += window
-        self.counts[k] = count
-        self.wstart[k] = ws
-        self.est[k] = est
-        self.seeded[k] = seeded
-
-    def record(self, k: int, now: float, weight: float = 1.0) -> None:
-        """Count ``weight`` events on meter ``k`` at time ``now``."""
-        if now - self.wstart[k] >= self.window:
-            self._roll(k, now)
-        self.counts[k] += weight
+    def record(self, k: int, now: float) -> None:
+        """Count one event on meter ``k`` at time ``now``."""
+        if now - self.ws >= self.window:
+            self.roll(now)
+        if not self.joined[k]:
+            self.joined[k] = 1
+            self.pending.append(k)
+        self.counts[k] += 1.0
 
     def rate(self, k: int, now: float) -> float:
         """Meter ``k``'s events/second estimate at time ``now``."""
-        ws = self.wstart[k]
-        if now - ws >= self.window and ws != _NEVER:
-            self._roll(k, now)
+        if now - self.ws >= self.window:
+            self.roll(now)
         return float(self.est[k])
 
     # -- bulk control plane ----------------------------------------------
-    def roll_range(self, now: float, lo: int, hi: int) -> None:
-        """Roll the live meters among ``lo:hi`` up to ``now``: one node's
-        per-document row (a dozen meters; :meth:`rates_all` is the
-        whole-bank read)."""
-        window = self.window
-        wstart = self.wstart
-        for k in range(lo, hi):
-            ws = wstart[k]
-            if now - ws >= window and ws != _NEVER:
-                self._roll(k, now)
+    def row(self, lo: int, hi: int, now: float) -> np.ndarray:
+        """The estimates of meters ``lo:hi`` at ``now`` (a view)."""
+        if now - self.ws >= self.window:
+            self.roll(now)
+        return self.est[lo:hi]
 
     def rates_all(self, now: float) -> np.ndarray:
-        """Every meter's estimate at ``now`` (live ones rolled, copied out)."""
-        window = self.window
-        wstart = self.wstart
-        for k in self.live:
-            if now - wstart[k] >= window:
-                self._roll(k, now)
-        return self.est.copy()
+        """Every meter's estimate at ``now`` (copied out)."""
+        return self.row(0, self.size, now).copy()
 
 
 class PacketState:
@@ -212,9 +197,6 @@ class PacketState:
         # Document-index mirror of each store's contents: the datapath's
         # membership test (kept in sync by install/drop below).
         self.cached: List[set] = [set() for _ in range(n)]
-        # Last virtual time each node's forwarded-rate row was bulk-rolled;
-        # diffusion reads the same rows several times per tick.
-        self._fwd_row_stamp: List[float] = [-1.0] * n
         # forwarded_documents() memo per node: (instant, min_rate, pairs).
         self._fwd_docs: List[Optional[Tuple[float, float, list]]] = [None] * n
 
@@ -254,17 +236,8 @@ class PacketState:
         return self.served_doc.rate(node * self.docs + d, now)
 
     def _fwd_row(self, node: int, now: float) -> np.ndarray:
-        """The forwarded-rate row, with the bulk roll memoized per time.
-
-        Safe because estimates at a fixed time are unique: every record
-        self-rolls its meter, so a row rolled once at ``now`` stays
-        rolled-to-``now`` for the rest of the instant.
-        """
         lo = node * self.docs
-        if self._fwd_row_stamp[node] != now:
-            self.fwd_doc.roll_range(now, lo, lo + self.docs)
-            self._fwd_row_stamp[node] = now
-        return self.fwd_doc.est[lo : lo + self.docs]
+        return self.fwd_doc.row(lo, lo + self.docs, now)
 
     def forwarded_documents(
         self, node: int, now: float, min_rate: float = 1e-9
@@ -273,8 +246,9 @@ class PacketState:
 
         Computed once per ``(node, instant)`` - a diffusion pass asks for
         the same row as the delegating parent's child and as the puller
-        itself - under the argument :meth:`_fwd_row` makes: estimates at a
-        fixed instant are unique.  The list is shared; do not mutate it.
+        itself: estimates at a fixed instant are unique, as every access
+        rolls the bank to its window first.  The list is shared; do not
+        mutate it.
         """
         memo = self._fwd_docs[node]
         if memo is not None and memo[0] == now and memo[1] == min_rate:

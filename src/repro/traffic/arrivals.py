@@ -4,14 +4,15 @@ The rate-level simulations assume a constant spontaneous request rate per
 node (Section 5.1); the packet-level simulations draw Poisson arrivals at
 that rate.
 
-:class:`PoissonArrivals` yields successive inter-arrival gaps via
-:meth:`PoissonArrivals.next_gap`; it is driven by the simulation's seeded
-RNG streams so runs are reproducible.  :meth:`PoissonArrivals.sample_gaps`
-is the batched form the packet simulator's per-source arrival timelines
-consume: it returns the *same* gap sequence the scalar path would produce
-(the Poisson fast path draws its uniforms through NumPy by transplanting
-the MT19937 state back and forth, so the stream stays bit-identical),
-amortizing per-request RNG and call overhead across a whole chunk.
+:class:`PoissonArrivals` is driven by the simulation's seeded RNG
+streams so runs are reproducible.  :meth:`PoissonArrivals.sample_gaps`
+draws a whole chunk of inter-arrival gaps for the packet simulator's
+per-source arrival timelines: the *same* gap sequence as one
+``rng.expovariate(rate)`` call per gap (the Poisson fast path draws its
+uniforms through NumPy by transplanting the MT19937 state back and forth,
+so the stream stays bit-identical), amortizing per-request RNG and call
+overhead.  The scalar draw lives in the test tree, as the oracle of this
+one (``tests/oracle/arrivals.py``).
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ class PoissonArrivals:
         check_fields(self, locals())
         self._rate = float(rate)
         self._rng = rng
-
-    def next_gap(self) -> float:
-        if self._rate <= 0:
-            return math.inf
-        return self._rng.expovariate(self._rate)
 
     def sample_gaps(self, n: int) -> np.ndarray:
         """``n`` exponential gaps drawing uniforms through NumPy in bulk.

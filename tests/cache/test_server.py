@@ -27,8 +27,8 @@ class BankMeter:
     def __init__(self, **kwargs):
         self.bank = MeterBank(3, **kwargs)
 
-    def record(self, now, weight=1.0):
-        self.bank.record(1, now, weight)
+    def record(self, now):
+        self.bank.record(1, now)
 
     def rate(self, now):
         return self.bank.rate(1, now)
@@ -62,10 +62,11 @@ class MeterCases:
         idle = meter.rate(6.0)  # five empty windows
         assert idle < busy / 4
 
-    def test_weighted_events(self):
+    def test_events_at_one_instant(self):
         meter = self.RateMeter(window=1.0)
-        meter.record(0.0, weight=7.0)
-        assert meter.rate(1.0) == pytest.approx(7.0)
+        for _ in range(7):
+            meter.record(0.0)
+        assert meter.rate(1.0) == 7.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,22 +90,36 @@ class TestMeterBank(MeterCases):
 
 
 class _SpyBank(MeterBank):
-    """A bank that notes every meter handed to ``_roll``."""
+    """A bank that notes every meter a bank roll touches."""
 
     __slots__ = ()
-    rolled = set()  # shared by every instance, copies included
+    rolls = 0  # shared by every instance, copies included
+    rolled = set()
 
-    def _roll(self, k, now):
-        self.rolled.add(k)
-        super()._roll(k, now)
+    def roll(self, now):
+        super().roll(now)
+        type(self).rolls += 1
+        self.rolled.update(self.live.tolist())
 
 
 _METER_OPS = st.tuples(
-    st.sampled_from(["record", "rate", "bump", "bulk"]),
+    st.sampled_from(["record", "rate", "bump", "row", "bulk"]),
     st.integers(0, 5),  # meter
     st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 1.75, 6.0]),  # time step
-    st.sampled_from([1.0, 0.5, 3.0]),  # record weight
 )
+
+
+def _bump(bank, held, k, now):
+    """The packet walker's inlined record (``protocols/scenario.py``),
+    on the bank's ``counts`` / ``joined`` / ``pending`` as the walker
+    ``held`` them before the bank rolled."""
+    counts, joined, pending = held
+    if now - bank.ws >= bank.window:
+        bank.roll(now)
+    if not joined[k]:
+        joined[k] = 1
+        pending.append(k)
+    counts[k] += 1.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -114,38 +129,66 @@ _METER_OPS = st.tuples(
     st.sampled_from([0.3, 0.5, 1.0]),
 )
 def test_bank_bulk_read_equals_per_meter_oracle(ops, window, alpha):
-    """Any interleaving of scalar, walker-inline and bulk access:
-    the bank's bulk read is the oracle's per-object meters bit for bit, and
-    a meter that never recorded an event is never rolled by anyone."""
+    """Any interleaving of scalar, walker-inline, row and bulk access:
+    the bank's bulk read is the oracle's per-object meters bit for bit, a
+    bank roll touches only meters that recorded an event, and the bank
+    clock rolls at most once per window crossed."""
+    _SpyBank.rolls = 0
     _SpyBank.rolled = set()
     bank = _SpyBank(6, window=window, alpha=alpha)
+    held = (bank.counts, bank.joined, bank.pending)
     oracle = [OracleRateMeter(window=window, alpha=alpha) for _ in range(6)]
     recorded = set()
     now = 0.0
-    for op, k, step, weight in ops:
+    for op, k, step in ops:
         now += step
         if op == "record":
             recorded.add(k)
-            bank.record(k, now, weight)
-            oracle[k].record(now, weight)
+            bank.record(k, now)
+            oracle[k].record(now)
         elif op == "bump":
-            # the packet walker's inlined record (protocols/scenario.py)
             recorded.add(k)
-            if now - bank.wstart[k] >= bank.window:
-                bank._roll(k, now)
-            bank.counts[k] += 1.0
+            _bump(bank, held, k, now)
             oracle[k].record(now)
         elif op == "rate":
             assert bank.rate(k, now) == oracle[k].rate(now)
+        elif op == "row":
+            expected = np.array([meter.rate(now) for meter in oracle[k:]])
+            assert bank.row(k, 6, now).tobytes() == expected.tobytes()
         else:
             expected = np.array([meter.rate(now) for meter in oracle])
             assert bank.rates_all(now).tobytes() == expected.tobytes()
         # the bulk read after every step, on copies so that the check does
         # not roll anything for the steps that follow
+        rolls = _SpyBank.rolls
         expected = np.array([meter.rate(now) for meter in copy.deepcopy(oracle)])
         assert copy.deepcopy(bank).rates_all(now).tobytes() == expected.tobytes()
+        _SpyBank.rolls = rolls
         assert _SpyBank.rolled <= recorded
-        assert sorted(bank.live) == sorted(recorded)
+        assert sorted(bank.live.tolist() + bank.pending) == sorted(recorded)
+    assert _SpyBank.rolls <= now // window
+
+
+def test_deep_copied_bank_rolls_on_its_own():
+    """A copy shares no buffer with its original: rolling or recording on
+    one leaves the other's counts, estimates and clock as they were."""
+    bank = MeterBank(4, window=1.0, alpha=0.5)
+    for t in (0.1, 0.2, 0.6):
+        bank.record(1, t)
+        bank.record(3, t)
+    twin = copy.deepcopy(bank)
+    bank.record(2, 1.5)  # rolls the original past window 0
+    assert bank.ws == 1.0 and bank.seeded
+    assert twin.ws == 0.0 and not twin.seeded and twin.live.size == 0
+    assert twin.counts.tolist() == [0.0, 3.0, 0.0, 3.0]
+    assert twin.est.tolist() == [0.0] * 4
+    assert twin.pending == [1, 3] and twin.joined == bytearray([0, 1, 0, 1])
+    twin.record(0, 2.5)  # the copy rolls two windows of its own
+    assert twin.est.tolist() == [0.0, 1.5, 0.0, 1.5]
+    assert twin.counts.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert bank.est.tolist() == [0.0, 3.0, 0.0, 3.0]
+    assert bank.counts.tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert bank.pending == [2] and twin.pending == [0]
 
 
 class TestCacheServer:

@@ -157,10 +157,19 @@ class TestClusterPlaneParity:
 def _packet_fields(state):
     """Every per-server field of a packet run as plain comparable values:
     targets, the three meter banks, queue and tally vectors, failure
-    flags, the roll stamps, and each store's entry order (which the
-    filter-table sizes derive from), pins and eviction count."""
+    flags, and each store's entry order (which the filter-table sizes
+    derive from), pins and eviction count.  A bank is its counts and
+    estimates, its clock (``ws``, ``seeded``) and its live set."""
     banks = [
-        (bank.counts, bank.wstart, bank.est.tolist(), bank.seeded)
+        (
+            bank.counts.tolist(),
+            bank.est.tolist(),
+            bank.ws,
+            bank.seeded,
+            bank.live.tolist(),
+            bank.pending,
+            bytes(bank.joined),
+        )
         for bank in (state.served_total, state.served_doc, state.fwd_doc)
     ]
     stores = [
@@ -180,7 +189,6 @@ def _packet_fields(state):
         state.requests_served,
         state.requests_forwarded,
         state.failed.tolist(),
-        state._fwd_row_stamp,
         stores,
     )
 
@@ -209,15 +217,17 @@ def _mutate(field, edit):
         _mutate("targets", lambda s: s.targets.__setitem__((2, 1), 0.5)),
         _mutate("has_target", lambda s: s.has_target.__setitem__((2, 1), True)),
         _mutate("served_total-counts", lambda s: s.served_total.counts.__setitem__(3, 1.0)),
-        _mutate("served_total-wstart", lambda s: s.served_total.wstart.__setitem__(1, 0.0)),
+        _mutate("served_total-ws", lambda s: setattr(s.served_total, "ws", 0.0)),
         _mutate("served_doc-est", lambda s: s.served_doc.est.__setitem__(3, s.served_doc.est[3] + 1e-12)),
-        _mutate("fwd_doc-seeded", lambda s: s.fwd_doc.seeded.__setitem__(0, True)),
+        _mutate("fwd_doc-seeded", lambda s: setattr(s.fwd_doc, "seeded", False)),
+        _mutate("served_doc-live", lambda s: setattr(s.served_doc, "live", s.served_doc.live[:0])),
+        _mutate("fwd_doc-pending", lambda s: s.fwd_doc.pending.append(0)),
+        _mutate("served_total-joined", lambda s: s.served_total.joined.__setitem__(2, 1)),
         _mutate("busy_until", lambda s: s.busy_until.__setitem__(3, 0.25)),
         _mutate("busy_time", lambda s: s.busy_time.__setitem__(3, 0.25)),
         _mutate("requests_served", lambda s: s.requests_served.__setitem__(2, 1)),
         _mutate("requests_forwarded", lambda s: s.requests_forwarded.__setitem__(1, 1)),
         _mutate("failed", lambda s: s.failed.__setitem__(3, True)),
-        _mutate("fwd_row_stamp", lambda s: s._fwd_row_stamp.__setitem__(1, 9.0)),
         _mutate("store-entry-order", lambda s: s.stores[1]._entries.move_to_end("b")),
         _mutate("store-pins", lambda s: s.stores[1]._pinned.add("b")),
         _mutate("store-evictions", lambda s: setattr(s.stores[2], "evictions", 1)),

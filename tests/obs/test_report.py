@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.obs import NdjsonSink, Telemetry
+from repro.obs import sink as sink_module
 from repro.obs.report import main, render_dashboard
 
 
@@ -82,9 +83,10 @@ class TestCli:
         err = capsys.readouterr().err
         assert "cannot read telemetry stream" in err
 
-    def test_no_rotated_flag(self, tmp_path, capsys):
+    def test_no_rotated_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sink_module, "FLUSH_EVERY", 1)
         path = tmp_path / "t.ndjson"
-        sink = NdjsonSink(str(path), rotate_bytes=1, flush_every=1)
+        sink = NdjsonSink(str(path), rotate_bytes=1)
         sink.write({"type": "span", "kind": "request"})
         sink.close()
         assert main([str(path), "--no-rotated"]) == 0

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.obs import MemorySink, NdjsonSink, read_ndjson
+from repro.obs import sink as sink_module
 from repro.obs.sink import scan_ndjson
 
 
@@ -32,9 +33,10 @@ class TestNdjsonSink:
         assert [json.loads(l) for l in lines] == [{"a": 1}, {"b": 2.5}]
         assert sink.records_written == 2
 
-    def test_rotation_shifts_parts_and_drops_oldest(self, tmp_path):
+    def test_rotation_shifts_parts_and_drops_oldest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sink_module, "FLUSH_EVERY", 1)
         path = tmp_path / "t.ndjson"
-        sink = NdjsonSink(str(path), rotate_bytes=1, max_parts=2, flush_every=1)
+        sink = NdjsonSink(str(path), rotate_bytes=1, max_parts=2)
         for i in range(5):  # every record triggers a rotation
             sink.write({"i": i})
         sink.close()
@@ -46,6 +48,23 @@ class TestNdjsonSink:
         assert json.loads((tmp_path / "t.ndjson.1").read_text())["i"] == 4
         assert json.loads((tmp_path / "t.ndjson.2").read_text())["i"] == 3
 
+    def test_flushes_every_flush_every_records(self, tmp_path):
+        """The flush cadence is the module constant: records reach the disk
+        before ``close()``, ``FLUSH_EVERY`` at a time."""
+        path = tmp_path / "t.ndjson"
+        sink = NdjsonSink(str(path))
+        for i in range(sink_module.FLUSH_EVERY - 1):
+            sink.write({"i": i})
+        assert path.read_text() == ""
+        sink.write({"i": sink_module.FLUSH_EVERY - 1})
+        lines = path.read_text().splitlines()
+        assert len(lines) == sink.records_written == sink_module.FLUSH_EVERY
+        sink.close()
+
+    def test_flush_cadence_is_not_a_parameter(self, tmp_path):
+        with pytest.raises(TypeError, match="flush_every"):
+            NdjsonSink(str(tmp_path / "t.ndjson"), flush_every=float("nan"))
+
     def test_rejects_bad_parameters(self, tmp_path):
         path = str(tmp_path / "t.ndjson")
         with pytest.raises(ValueError):
@@ -55,18 +74,20 @@ class TestNdjsonSink:
 
 
 class TestReadNdjson:
-    def test_reads_rotated_parts_oldest_first(self, tmp_path):
+    def test_reads_rotated_parts_oldest_first(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sink_module, "FLUSH_EVERY", 1)
         path = tmp_path / "t.ndjson"
-        sink = NdjsonSink(str(path), rotate_bytes=1, max_parts=4, flush_every=1)
+        sink = NdjsonSink(str(path), rotate_bytes=1, max_parts=4)
         for i in range(3):
             sink.write({"i": i})
         sink.close()
         records = read_ndjson(str(path))
         assert [r["i"] for r in records] == [0, 1, 2]
 
-    def test_without_rotated_reads_live_only(self, tmp_path):
+    def test_without_rotated_reads_live_only(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sink_module, "FLUSH_EVERY", 1)
         path = tmp_path / "t.ndjson"
-        sink = NdjsonSink(str(path), rotate_bytes=1, max_parts=4, flush_every=1)
+        sink = NdjsonSink(str(path), rotate_bytes=1, max_parts=4)
         sink.write({"i": 0})
         sink.close()
         with NdjsonSink(str(path)) as live:  # fresh live file, no rotation

@@ -31,6 +31,7 @@ from repro.sim.rng import RngStreams
 from repro.traffic.requests import Request
 from repro.traffic.workload import Workload
 
+from tests.oracle.arrivals import next_gap
 from tests.oracle.cache_server import CacheServer
 from tests.oracle.router import Router
 
@@ -121,7 +122,7 @@ class ReferenceScenario:
         processes = self.workload.arrival_processes(self.streams)
 
         def launch(node: int, doc_id: str, process) -> None:
-            gap = process.next_gap()
+            gap = next_gap(process)
             if math.isinf(gap):
                 return
 

@@ -10,6 +10,7 @@ import pytest
 from repro.core.tree import chain_tree, kary_tree
 from repro.documents.catalog import Catalog
 from repro.experiments.overhead import filter_sizes
+from repro.obs import Telemetry
 from repro.protocols.scenario import ScenarioConfig
 from repro.protocols.state import MeterBank
 from repro.protocols.webwave import WebWaveProtocolConfig, WebWaveScenario
@@ -149,12 +150,19 @@ class TestTunneling:
 
 
 class TestControlPlaneFollowsActivity:
-    """A count, not a clock: meter rolling costs what has traffic."""
+    """A count, not a clock: meter rolling costs one array step per bank
+    and window, over the meters that have traffic."""
 
     HOT_LEAVES = 8
     HEIGHT = 11
+    # meters that ever recorded an event in this run, per bank (served
+    # total, served per document, forwarded per document), and the
+    # `packet.meters_live` gauge: the values of the per-meter roll this
+    # bank clock replaced, on the same run
+    LIVE = [24, 59, 468]
+    METERS_LIVE = 551
 
-    def scenario(self):
+    def scenario(self, telemetry=None):
         tree = kary_tree(2, self.HEIGHT)
         leaves = list(tree.leaves())
         rates = [0.0] * tree.n
@@ -163,29 +171,40 @@ class TestControlPlaneFollowsActivity:
         catalog = Catalog.generate(home=tree.root, count=6)
         workload = hot_document_workload(tree, catalog, rates, zipf_s=0.9)
         config = ScenarioConfig(duration=6.0, warmup=1.5, seed=4, default_capacity=60.0)
-        return WebWaveScenario(workload, config)
+        return WebWaveScenario(workload, config, telemetry=telemetry)
 
-    def test_rolls_bounded_by_live_meters_times_windows(self, monkeypatch):
+    def test_one_bank_roll_per_window(self, monkeypatch):
         plain = self.scenario().run()
 
         calls = collections.Counter()
-        roll = MeterBank._roll
+        roll = MeterBank.roll
 
-        def counting_roll(bank, k, now):
+        def counting_roll(bank, now):
             calls[id(bank)] += 1
-            roll(bank, k, now)
+            roll(bank, now)
 
-        monkeypatch.setattr(MeterBank, "_roll", counting_roll)
+        monkeypatch.setattr(MeterBank, "roll", counting_roll)
         scenario = self.scenario()
         metrics = scenario.run()
 
-        bank = scenario.state.served_total
-        assert bank.size == 4095
-        # only servers on a hot leaf's path to the root ever serve, and a
-        # meter is handed to _roll at most once per window it lives through
-        on_paths = self.HOT_LEAVES * (self.HEIGHT + 1)
-        windows = math.floor(scenario.sim.now / bank.window) + 1
-        assert 0 < calls[id(bank)] <= on_paths * windows
-        assert 0 < len(bank.live) <= on_paths
-        assert calls[id(bank)] <= len(bank.live) * windows
+        # no meter rolls on its own: the bank roll is the only one
+        assert [name for name in vars(MeterBank) if "roll" in name] == ["roll"]
+        state = scenario.state
+        banks = (state.served_total, state.served_doc, state.fwd_doc)
+        windows = math.floor(scenario.sim.now / state.meter_window)
+        for bank in banks:
+            assert 0 < calls[id(bank)] <= windows
+        assert [len(bank.live) + len(bank.pending) for bank in banks] == self.LIVE
+        # only servers on a hot leaf's path to the root ever serve
+        assert state.served_total.size == 4095
+        assert self.LIVE[0] <= self.HOT_LEAVES * (self.HEIGHT + 1)
         assert metrics == plain
+
+    def test_meters_live_gauge_counts_unrolled_joins(self):
+        tel = Telemetry()
+        scenario = self.scenario(telemetry=tel)
+        scenario.run()
+        # a meter that joined in the last window is still pending here
+        assert scenario.state.served_doc.pending
+        gauges = tel.snapshot()["gauges"]
+        assert gauges["packet.meters_live"] == self.METERS_LIVE
