@@ -21,7 +21,16 @@ copy - ultimately the home server), then caches and serves them normally.
 
 :class:`DocumentWebWave` implements the per-document protocol of Figure 5
 plus this recovery rule, and reproduces Figure 7 (see the ``fig7`` case
-of ``benchmarks/test_bench_paper.py``).
+of ``benchmarks/test_bench_paper.py``).  It spends each edge's budget
+through the scalar greedy forms of :mod:`repro.core.policy`
+(``greedy_delegate`` / ``greedy_pull`` / ``greedy_shed``), one edge at a
+time; the packet plane spends a whole diffusion pass with their array
+form, ``greedy_spend``, which ``tests/core/test_greedy_spend.py`` pins to
+them bit for bit.  The array form does not pay here: a round's edges read
+each other's writes (an edge that copies a document to a node comes before
+the edges where that node delegates it), so the spends cannot batch per
+round, and one ``greedy_spend`` row per edge runs ``run tunneling`` and
+``run fig7`` about twice as slowly, with identical results.
 """
 
 from __future__ import annotations
@@ -256,8 +265,8 @@ class DocumentWebWave:
     def step(self) -> None:
         """Run one synchronous round of the per-document protocol.
 
-        The ``alpha * gap`` budgets are spent by the packet plane's greedy
-        (:mod:`repro.core.policy`); only the candidate order is local.
+        The ``alpha * gap`` budgets are spent by the scalar greedy forms of
+        :mod:`repro.core.policy`; only the candidate order is local.
         """
         loads = self.loads()  # gossip snapshot (exact, per Section 5.1)
         gained = [False] * self._w.tree.n
@@ -268,7 +277,7 @@ class DocumentWebWave:
             if lp > lc + _EPS:
                 # The child's forwarded documents, hottest first; equal
                 # rates go to the larger name (the packet plane's
-                # forwarded_documents breaks ties by ascending id).
+                # ranking breaks ties by ascending id).
                 budget = alpha * (lp - lc)
                 hot = sorted(
                     self._forwarded[child].items(), key=lambda kv: (kv[1], kv[0]), reverse=True

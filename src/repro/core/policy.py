@@ -32,10 +32,16 @@ in the shapes its consumers need - all algebraically the same rule:
   forest engine applies per overlay tree against *total* loads;
 * :func:`push_down_amount` / :func:`shed_up_amount` - the scalar
   single-edge form for asynchronous activations;
-* :func:`diffusion_budget`, :func:`greedy_delegate`, :func:`greedy_pull`,
-  :func:`greedy_shed` - the packet-level realization, where the budget
-  ``alpha * gap`` is spent greedily across *measured per-document* rates
-  (hottest first) instead of one aggregate rate.
+* :func:`greedy_delegate`, :func:`greedy_pull`, :func:`greedy_shed` - the
+  per-document realization, where the budget ``alpha * gap`` is spent
+  greedily across per-document rates (hottest first) instead of one
+  aggregate rate, one edge at a time.  The per-document rate-level model
+  (:class:`~repro.core.barriers.DocumentWebWave`) is their caller;
+* :func:`greedy_spend` - the same three spends for many rows at once,
+  column by column with the same float operations, so one call spends
+  every budget of a packet diffusion pass
+  (:mod:`repro.protocols.webwave`).  ``tests/core/test_greedy_spend.py``
+  pins it bit for bit against the scalar forms.
 
 Everything here is pure: no engine state, no simulator state.  The kernel
 parity goldens and the packet-plane goldens both pin that moving the
@@ -51,7 +57,6 @@ import numpy as np
 
 __all__ = [
     "quantize",
-    "diffusion_budget",
     "push_down_amount",
     "shed_up_amount",
     "sync_edge_transfers",
@@ -61,6 +66,7 @@ __all__ = [
     "greedy_delegate",
     "greedy_pull",
     "greedy_shed",
+    "greedy_spend",
 ]
 
 _EPS = 1e-9
@@ -74,15 +80,6 @@ def quantize(values: np.ndarray, quantum: float) -> np.ndarray:
     if quantum <= 0.0:
         return values
     return np.floor(values / quantum) * quantum
-
-
-def diffusion_budget(my_load: float, neighbour_view: float, alpha: float) -> float:
-    """The signed per-edge budget ``alpha * (L_i - L_view)`` of Figure 5.
-
-    Positive when this node is hotter than the (possibly stale) view of the
-    neighbour; the caller decides direction and caps.
-    """
-    return alpha * (my_load - neighbour_view)
 
 
 def push_down_amount(fwd_child: float, alpha: float, gap: float) -> float:
@@ -204,7 +201,7 @@ def signed_gap_transfers(
 
 
 # ----------------------------------------------------------------------
-# Packet-level greedy realization (Section 5's realistic protocol)
+# Per-document greedy realization (Section 5's realistic protocol)
 # ----------------------------------------------------------------------
 def greedy_delegate(
     budget: float,
@@ -280,3 +277,40 @@ def greedy_shed(
         shed += x
         picks.append((doc, x, target - x))
     return picks
+
+
+def greedy_spend(
+    budget: np.ndarray,
+    values: np.ndarray,
+    ok: np.ndarray,
+    min_take: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Many greedy spends at once: row ``r`` is one scalar greedy call.
+
+    ``values[r]`` are row ``r``'s candidates ranked largest first and
+    ``ok[r]`` says which it may take (the ``can_ship`` / ``caches`` gate;
+    all true for a shed).  Row ``r`` spends ``budget[r]`` exactly as
+    :func:`greedy_delegate` with ``min_transfer = min_take`` does, and as
+    :func:`greedy_pull` / :func:`greedy_shed` do for ``min_take = 0.0``
+    (non-negative values): the loop runs over columns, each step the
+    scalar loop's ``min`` / compare / add on every row at once.  Returns
+    ``(picked, take)``, both shaped like ``values``; a shed's remaining
+    target is ``values - take`` where picked.
+    """
+    rows, width = values.shape
+    moved = np.zeros(rows, dtype=np.float64)
+    limit = budget - _EPS
+    picked = np.zeros((rows, width), dtype=bool)
+    take = np.zeros((rows, width), dtype=np.float64)
+    for c in range(width):
+        live = moved < limit
+        if not live.any():
+            break
+        rest = budget - moved
+        rate = values[:, c]
+        x = np.where(rest < rate, rest, rate)  # min(rate, rest), ties to rate
+        pick = live & ok[:, c] & ~(x < min_take)
+        moved = np.where(pick, moved + x, moved)
+        picked[:, c] = pick
+        take[:, c] = x
+    return picked, take

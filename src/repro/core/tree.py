@@ -212,13 +212,6 @@ class RoutingTree:
         """Children of node ``i`` in ascending id order."""
         return self.children_map[i]
 
-    def neighbors(self, i: int) -> Tuple[int, ...]:
-        """Tree neighbours of ``i``: its parent (if any) followed by children."""
-        p = self.parent_of(i)
-        if p is None:
-            return self.children(i)
-        return (p,) + self.children(i)
-
     def depth(self, i: int) -> int:
         """Hop distance from the root to ``i`` (root has depth 0)."""
         return int(self.depth_array[i])

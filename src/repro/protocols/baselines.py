@@ -44,7 +44,7 @@ def _serve_or_climb(scenario: Scenario, request: Request, node: int, serve) -> N
     crash or a bounded store's eviction took its copy meanwhile, its router
     passes the request on to the home."""
     state, root = scenario.state, scenario.tree.root
-    if state.doc_index[request.doc_id] in state.cached[node]:
+    if state.cached[node * state.docs + state.doc_index[request.doc_id]]:
         serve(request, node)
     else:
         request.path.append(root)
@@ -133,7 +133,8 @@ class DirectoryScenario(Scenario):
         state = self.state
         d = state.doc_index[doc_id]
         holders = self.replicas[doc_id]
-        holders -= {h for h in holders if d not in state.cached[h]}
+        docs, cached = state.docs, state.cached
+        holders -= {h for h in holders if not cached[h * docs + d]}
         return holders
 
     def _pick_replica(self, doc_id: str, origin: int) -> int:
@@ -204,9 +205,9 @@ class IcpScenario(Scenario):
     def handle_arrival(self, request: Request, node: int) -> None:
         request.path.append(node)
         state = self.state
-        cached, d = state.cached, state.doc_index[request.doc_id]
+        cached, docs, d = state.cached, state.docs, state.doc_index[request.doc_id]
         # a crashed server holds nothing (no fill reaches it): no serve, no hit
-        if node == self.tree.root or d in cached[node]:
+        if node == self.tree.root or cached[node * docs + d]:
             self._serve_and_fill(request, node)
             return
         # Probe tree neighbours (parent + siblings), paying one probe RTT.
@@ -214,7 +215,7 @@ class IcpScenario(Scenario):
         peers = [parent] + [c for c in self.tree.children(parent) if c != node]
         for peer in peers:
             self.count_message("icp_probe")
-        hit = next((p for p in peers if d in cached[p]), None)
+        hit = next((p for p in peers if cached[p * docs + d]), None)
         probe_rtt = min(
             ICP_PROBE_TIMEOUT,
             2 * max((self.edge_delay(node, parent)), 1e-4),
@@ -280,7 +281,7 @@ class PushScenario(Scenario):
         for doc_id in hot:
             d = state.doc_index[doc_id]
             for target in targets:
-                if d in state.cached[target]:
+                if state.cached[target * state.docs + d]:
                     continue
                 self.count_message("copy_transfer")
                 delay = self.path_delay(root, target)

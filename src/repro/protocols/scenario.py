@@ -58,7 +58,7 @@ from ..sim.engine import Simulator
 from ..sim.rng import RngStreams
 from ..traffic.requests import Request
 from ..traffic.workload import Workload
-from .state import PacketState
+from .state import METER_WINDOW, PacketState, window_end
 
 __all__ = ["Scenario", "ScenarioConfig", "ScenarioMetrics", "DPF_MATCH_COST"]
 
@@ -409,9 +409,7 @@ class Scenario:
         barriers = self._barriers
         while barriers and barriers[0] < now:
             heapq.heappop(barriers)
-        boundary = (math.floor(now / self.state.meter_window) + 1.0) * (
-            self.state.meter_window
-        )
+        boundary = window_end(now)
         if barriers and barriers[0] < boundary:
             return barriers[0]
         return boundary
@@ -450,9 +448,9 @@ class Scenario:
         Decision-equivalent to one heap event per hop (see the module
         docstring); the serve is always a real event at the serve time so
         per-server queueing order stays globally time-ordered.  Each hop's
-        router counts the packet (``seen``) and matches it against the
-        cache mirror ``state.cached`` (which default-datapath protocols keep
-        filter-synced); a match is diverted (``diverted``) if the server is
+        router counts the packet (``seen``) and matches it against its
+        filter bit ``state.cached[node * D + d]`` (which default-datapath
+        protocols keep synced with the store); a match is diverted (``diverted``) if the server is
         up and below its serve target.  The home serves whatever reaches it.
         """
         sim = self.sim
@@ -473,14 +471,15 @@ class Scenario:
         fwd_counts = fwd_bank.counts
         fwd_joined = fwd_bank.joined
         fwd_pending = fwd_bank.pending
-        window = fwd_bank.window
+        window = METER_WINDOW
         docs = state.docs
         while True:
             path.append(node)
             seen[node] += 1
+            k = node * docs + d
             if node == root:
                 serve = True
-            elif d in cached[node]:
+            elif cached[k]:
                 serve = (
                     not failed[node]
                     and targets[node, d] > 0.0
@@ -506,7 +505,6 @@ class Scenario:
             # tally is derived as seen - diverted when the run ends.  The
             # bank clock may roll at t: t is before the barrier, so in the
             # window of `now`, and no later access lies in an earlier one.
-            k = node * docs + d
             if t - fwd_bank.ws >= window:
                 fwd_bank.roll(t)
             if not fwd_joined[k]:

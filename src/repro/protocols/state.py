@@ -16,9 +16,12 @@ catalog document indexing:
 * :class:`PacketState` - serve targets as an ``(n, D)`` matrix, three
   meter banks (total served per node, served and forwarded per
   ``(node, document)``), queue/busy bookkeeping, failure flags, the
-  per-node cache stores with a document-*index* set mirror for the
-  datapath's membership tests (a router's packet filter is that mirror;
-  :func:`repro.experiments.overhead.filter_sizes` derives its size).
+  per-node cache stores and one flag per ``(node, document)`` mirroring
+  them (``cached``, a ``bytearray`` indexed ``node * D + doc``): the
+  routers' packet filter bits, which the walker tests per hop and the
+  diffusion pass reads as an ``(n, D)`` mask
+  (:func:`repro.experiments.overhead.filter_sizes` derives a filter's
+  size from the store).
 
 It is the only server and router state of the packet plane: the walker,
 WebWave, the baselines, failure injection and the experiments all index
@@ -36,15 +39,27 @@ of :mod:`repro.service.checkpoint`.
 
 from __future__ import annotations
 
+import math
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cache.store import CacheStore
-from ..fields import check_fields, count, positive, unit_interval
+from ..fields import check_fields, count, unit_interval
 
-__all__ = ["MeterBank", "PacketState"]
+__all__ = ["METER_WINDOW", "MeterBank", "PacketState", "window_end"]
+
+# Width of every packet meter window, in virtual seconds, and the only
+# source of it: the banks' clocks step by it from t=0 (``ws += window``),
+# and the walker's roll check and :func:`window_end` read it too; 1.0 is
+# exact in binary, so the clocks and the boundaries agree.
+METER_WINDOW = 1.0
+
+
+def window_end(now: float) -> float:
+    """The first meter-window boundary after ``now``."""
+    return (math.floor(now / METER_WINDOW) + 1.0) * METER_WINDOW
 
 
 class MeterBank:
@@ -55,8 +70,8 @@ class MeterBank:
     windows anchored at t=0; crossing a boundary folds the finished
     window's rate into the estimate.  Since all meters share their window
     boundaries, the bank keeps one window start ``ws`` and one ``seeded``
-    flag, and the first access at or past ``ws + window`` rolls every live
-    meter at once (:meth:`roll`).  That is exact against lazy per-meter
+    flag, and the first access at or past ``ws + METER_WINDOW`` rolls every
+    live meter at once (:meth:`roll`).  That is exact against lazy per-meter
     rolls: each meter runs the same IEEE operations for the same windows
     in the same order (zero counts after the first window of a catch-up);
     a meter that joins after the first roll keeps 0.0 and counts as
@@ -74,15 +89,14 @@ class MeterBank:
     roll costs O(meters with traffic), not O(size).
     """
 
-    __slots__ = ("size", "window", "alpha", "counts", "est", "ws", "seeded", "live",
-                 "pending", "joined")
+    __slots__ = ("size", "alpha", "counts", "est", "ws", "seeded", "live", "pending",
+                 "joined")
 
-    FIELD_KINDS = {"size": count(), "window": positive, "alpha": unit_interval}
+    FIELD_KINDS = {"size": count(), "alpha": unit_interval}
 
-    def __init__(self, size: int, window: float = 1.0, alpha: float = 0.5) -> None:
+    def __init__(self, size: int, alpha: float = 0.5) -> None:
         check_fields(self, locals())
         self.size = size
-        self.window = window
         self.alpha = alpha
         self.counts = array("d", bytes(8 * size))
         self.est = np.zeros(size, dtype=np.float64)
@@ -94,7 +108,7 @@ class MeterBank:
 
     def roll(self, now: float) -> None:
         """Roll every live meter to the window holding ``now``."""
-        window = self.window
+        window = METER_WINDOW
         alpha = self.alpha
         ws = self.ws
         pending = self.pending
@@ -121,7 +135,7 @@ class MeterBank:
     # -- scalar hot path -------------------------------------------------
     def record(self, k: int, now: float) -> None:
         """Count one event on meter ``k`` at time ``now``."""
-        if now - self.ws >= self.window:
+        if now - self.ws >= METER_WINDOW:
             self.roll(now)
         if not self.joined[k]:
             self.joined[k] = 1
@@ -130,14 +144,14 @@ class MeterBank:
 
     def rate(self, k: int, now: float) -> float:
         """Meter ``k``'s events/second estimate at time ``now``."""
-        if now - self.ws >= self.window:
+        if now - self.ws >= METER_WINDOW:
             self.roll(now)
         return float(self.est[k])
 
     # -- bulk control plane ----------------------------------------------
     def row(self, lo: int, hi: int, now: float) -> np.ndarray:
         """The estimates of meters ``lo:hi`` at ``now`` (a view)."""
-        if now - self.ws >= self.window:
+        if now - self.ws >= METER_WINDOW:
             self.roll(now)
         return self.est[lo:hi]
 
@@ -161,7 +175,6 @@ class PacketState:
         capacities: Sequence[float],
         home: int,
         cache_capacity: Optional[int] = None,
-        meter_window: float = 1.0,
     ) -> None:
         self.n = n
         self.doc_ids: Tuple[str, ...] = tuple(doc_ids)
@@ -173,14 +186,13 @@ class PacketState:
         self.capacity = np.asarray(capacities, dtype=np.float64)
         if self.capacity.shape != (n,):
             raise ValueError(f"expected {n} capacities")
-        self.meter_window = meter_window
 
         d = self.docs
         self.targets = np.zeros((n, d), dtype=np.float64)
         self.has_target = np.zeros((n, d), dtype=bool)
-        self.served_total = MeterBank(n, meter_window)
-        self.served_doc = MeterBank(n * d, meter_window)
-        self.fwd_doc = MeterBank(n * d, meter_window)
+        self.served_total = MeterBank(n)
+        self.served_doc = MeterBank(n * d)
+        self.fwd_doc = MeterBank(n * d)
         self.busy_until = np.zeros(n, dtype=np.float64)
         self.busy_time = np.zeros(n, dtype=np.float64)
         # Plain-int tallies (no arithmetic coupling): list RMW is ~3x
@@ -194,20 +206,19 @@ class PacketState:
             else CacheStore(capacity=cache_capacity)
             for node in range(n)
         ]
-        # Document-index mirror of each store's contents: the datapath's
-        # membership test (kept in sync by install/drop below).
-        self.cached: List[set] = [set() for _ in range(n)]
-        # forwarded_documents() memo per node: (instant, min_rate, pairs).
-        self._fwd_docs: List[Optional[Tuple[float, float, list]]] = [None] * n
+        # The router filter bits, cached[node * D + doc]: the stores'
+        # contents (kept in sync by install/drop below).
+        self.cached = bytearray(n * d)
 
     # ------------------------------------------------------------------
     # Cache content (store is the authority; ``cached`` mirrors it)
     # ------------------------------------------------------------------
     def install_copy(self, node: int, doc_id: str, pinned: bool = False) -> Optional[str]:
         evicted = self.stores[node].insert(doc_id, pinned=pinned)
-        self.cached[node].add(self.doc_index[doc_id])
+        row = node * self.docs
+        self.cached[row + self.doc_index[doc_id]] = 1
         if evicted is not None:
-            self.cached[node].discard(self.doc_index[evicted])
+            self.cached[row + self.doc_index[evicted]] = 0
         return evicted
 
     def drop_copy(self, node: int, doc_id: str) -> None:
@@ -215,7 +226,7 @@ class PacketState:
         store.discard(doc_id)
         d = self.doc_index[doc_id]
         if doc_id not in store:
-            self.cached[node].discard(d)
+            self.cached[node * self.docs + d] = 0
         self.targets[node, d] = 0.0
         self.has_target[node, d] = False
 
@@ -234,37 +245,6 @@ class PacketState:
 
     def served_doc_rate(self, node: int, d: int, now: float) -> float:
         return self.served_doc.rate(node * self.docs + d, now)
-
-    def _fwd_row(self, node: int, now: float) -> np.ndarray:
-        lo = node * self.docs
-        return self.fwd_doc.row(lo, lo + self.docs, now)
-
-    def forwarded_documents(
-        self, node: int, now: float, min_rate: float = 1e-9
-    ) -> List[Tuple[str, float]]:
-        """Documents ``node`` is forwarding, hottest first (ties: doc id).
-
-        Computed once per ``(node, instant)`` - a diffusion pass asks for
-        the same row as the delegating parent's child and as the puller
-        itself: estimates at a fixed instant are unique, as every access
-        rolls the bank to its window first.  The list is shared; do not
-        mutate it.
-        """
-        memo = self._fwd_docs[node]
-        if memo is not None and memo[0] == now and memo[1] == min_rate:
-            return memo[2]
-        doc_ids = self.doc_ids
-        pairs = [
-            (doc_ids[d], rate)
-            for d, rate in enumerate(self._fwd_row(node, now).tolist())
-            if rate > min_rate
-        ]
-        pairs.sort(key=lambda dr: (-dr[1], dr[0]))
-        self._fwd_docs[node] = (now, min_rate, pairs)
-        return pairs
-
-    def forwarded_rate(self, node: int, now: float) -> float:
-        return float(sum(self._fwd_row(node, now).tolist()))
 
     # ------------------------------------------------------------------
     # Service queue (deterministic single-server, 1/capacity per request)

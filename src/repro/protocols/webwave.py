@@ -14,29 +14,34 @@ estimates:
 * a child hotter than its parent **sheds**: it lowers targets, dropping
   copies whose target reaches zero (the router filter follows the cache).
 
-The delegate/pull/shed arithmetic itself lives in
-:mod:`repro.core.policy` (:func:`~repro.core.policy.diffusion_budget` for
-the per-edge budget, the greedy allocators for spending it against
-measured per-document rates) - the same Figure 5 decision core the kernel
-engines iterate, so the packet protocol and the rate-level simulators can
-never drift apart.
+A diffusion pass is array steps, not a per-node loop.  The gates pick
+the exact action frontier - the delegate edges, pullers and shedders whose
+Figure 5 branch will fire (gap above ``1e-9`` and budget ``alpha * gap`` at
+least ``min_transfer_rate``).  Outside the per-pick replay, a pass is a
+fixed number of NumPy calls whatever its frontier size (the spends' column
+loops stop at the longest candidate row): a few dozen even when the
+frontier is empty
+(the gates, one read of the whole forwarded-rate matrix, the sorts and
+spends over zero rows, the stagnation update), where a per-node loop paid
+a few gate comparisons for an idle pass and Python work per frontier node
+for a busy one.  One stable sort ranks the forwarded-rate rows of every
+delegate child and puller (ties to the ascending document id), and one
+:func:`~repro.core.policy.greedy_spend` per branch spends all their budgets:
+the Figure 5 greedy of :mod:`repro.core.policy`, which the per-document
+rate-level model runs one edge at a time through the scalar forms it is
+pinned against.  The side effects then replay in the order a per-node loop
+in BFS order made them (copy ships by parent BFS rank, child id, rank), so
+the install events keep their heap sequence numbers and every trajectory
+is bit-identical to that loop's (``tests/golden/packet_goldens.json``).
 
 State is array-backed (:class:`~repro.protocols.state.PacketState`):
 gossip views are two arrays (each node's view of its parent; each edge's
 parent-side view of the child), one snapshot of every server's measured
 load is taken per gossip tick with a vectorized meter roll, and deliveries
-are batched per distinct link delay instead of two closures per edge.
-
-Adaptive stepping (the packet plane's slice of the active-set work): a
-server that is *meter-quiescent* - its EWMA load estimate is bitwise
-unchanged since the previous gossip window - schedules no view deliveries
-(the in-flight or landed value is already identical), and the diffusion
-pass visits only the exact action frontier: the nodes for which some
-Figure 5 branch will actually fire (a delegate edge, a pull, or a shed
-whose budget clears ``min_transfer_rate``).  Both filters are value-exact,
-so trajectories, message counts, and goldens are bit-identical to the
-dense pass; in steady state the per-tick cost scales with the servers
-whose meters still move, not with the tree.
+are batched per distinct link delay instead of two closures per edge.  A
+server that is *meter-quiescent* - its load estimate bitwise unchanged
+since the previous gossip tick - schedules no view deliveries (the
+in-flight or landed value is already identical), which is value-exact too.
 
 Barrier recovery per Section 5.2: a node underloaded relative to its parent
 for more than ``patience`` consecutive diffusion periods with no delegation
@@ -58,7 +63,7 @@ import numpy as np
 
 from ..core.kernel import edge_alphas
 from ..fields import check_fields, count, nonnegative, optional, positive, unit_interval
-from ..core.policy import diffusion_budget, greedy_delegate, greedy_pull, greedy_shed
+from ..core.policy import greedy_spend
 from .scenario import Scenario, ScenarioConfig
 from ..traffic.workload import Workload
 
@@ -115,21 +120,18 @@ class WebWaveScenario(Scenario):
         # estimate of that edge's child.
         self._view_parent = np.zeros(n, dtype=np.float64)
         self._view_child = np.zeros(tree.edge_child.shape[0], dtype=np.float64)
-        self._edge_of_child = np.zeros(n, dtype=np.intp)
-        self._edge_of_child[tree.edge_child] = np.arange(
-            tree.edge_child.shape[0], dtype=np.intp
-        )
-        self._children: Tuple[Tuple[int, ...], ...] = tree.children_map
-        self._bfs = list(self.tree.bfs_order())
-        self._bfs_rank = np.zeros(n, dtype=np.intp)
-        self._bfs_rank[self._bfs] = np.arange(n, dtype=np.intp)
-        # Per-edge diffusion coefficients, stated once: the vectorized
-        # action gate and the per-branch budgets below read the same floats.
+        # Per-edge diffusion coefficients, stated once: the action gates
+        # and the budgets below read the same floats.
         self._alpha_edge = edge_alphas(tree, self.protocol.alpha, safe=False)
         # alpha of each node's own parent edge (root entry unused)
         self._alpha_up = np.zeros(n, dtype=np.float64)
         self._alpha_up[tree.edge_child] = self._alpha_edge
-        self._alpha_of: List[float] = self._alpha_up.tolist()  # scalar reads
+        # The edges in the order the per-node Figure 5 loop delegates along
+        # them - parents in BFS order, each parent's children ascending -
+        # which is the order copy ships replay in.
+        bfs_rank = np.zeros(n, dtype=np.intp)
+        bfs_rank[list(tree.bfs_order())] = np.arange(n, dtype=np.intp)
+        self._down = np.lexsort((tree.edge_child, bfs_rank[tree.edge_parent]))
         self._nonroot = np.ones(n, dtype=bool)
         self._nonroot[tree.root] = False
         # Meter values as of the previous gossip tick; NaN compares
@@ -150,9 +152,7 @@ class WebWaveScenario(Scenario):
             (delay, np.asarray(ks, dtype=np.intp))
             for delay, ks in sorted(up_groups.items())
         ]
-        self._stagnant: List[int] = [0] * n
-        self._stagnant_nodes: set = set()
-        self._delegated_to: List[bool] = [False] * n
+        self._stagnant = np.zeros(n, dtype=np.intp)
         self.tunnel_count = 0
         # Protocol-plane telemetry (base Scenario already owns spans).
         tel = self._tel
@@ -228,109 +228,96 @@ class WebWaveScenario(Scenario):
     def _diffuse(self) -> None:
         """One diffusion period: every node runs Figure 5 on its estimates.
 
-        Only the exact *action frontier* is visited, in BFS order: the
-        vectorized gate below evaluates, per edge and per node, precisely
-        the gap/budget tests the scalar branches in :meth:`_diffuse_node`
-        apply (same operands, same float ops), so a skipped node provably
-        takes no Figure 5 action and the pass is bit-identical to visiting
-        everyone.  In steady state - loads balanced within
-        ``min_transfer_rate`` of every view - the frontier is empty and a
-        diffusion tick costs a handful of array comparisons.
+        Array steps over the action frontier (see the module docstring).
+        All delegates replay before any pull or shed: within a pass a node
+        writes only its own row of targets and filter bits, and a shipped
+        copy lands by a later event, so this order leaves the state a
+        per-node loop leaves; a shed ranks the targets its node's own
+        delegates have just lowered, as in that loop.
         """
         now = self.sim.now
-        loads = self.state.served_total.rates_all(now)
-        tree = self.tree
-        self._delegated_to = [False] * tree.n
+        state = self.state
+        n, docs = self.tree.n, state.docs
         mt = self.protocol.min_transfer_rate
-        ep = tree.edge_parent
-        # delegate: parent i, child j act iff gap > eps and budget >= mt
-        gap_down = loads[ep] - self._view_child
-        act = np.zeros(tree.n, dtype=bool)
-        act[ep[(gap_down > _EPS) & (self._alpha_edge * gap_down >= mt)]] = True
-        # pull / shed: each non-root node against its parent view
-        gap_pull = self._view_parent - loads
-        np.logical_or(
-            act,
-            self._nonroot
-            & (gap_pull > _EPS)
-            & (self._alpha_up * gap_pull >= mt),
-            out=act,
-        )
-        gap_shed = loads - self._view_parent
-        np.logical_or(
-            act,
-            self._nonroot
-            & (gap_shed > _EPS)
-            & (self._alpha_up * gap_shed >= mt),
-            out=act,
-        )
-        active = np.flatnonzero(act)
+        loads = state.served_total.rates_all(now)
+        # delegate along edge k iff gap > eps and budget >= mt (same for
+        # pull and shed against the parent view)
+        down = self._down
+        gap = loads[self.tree.edge_parent[down]] - self._view_child[down]
+        budget = self._alpha_edge[down] * gap
+        act = (gap > _EPS) & (budget >= mt)
+        down, down_budget = down[act], budget[act]
+        parents, children = self.tree.edge_parent[down], self.tree.edge_child[down]
+        gap = self._view_parent - loads
+        budget = self._alpha_up * gap
+        pull = np.flatnonzero(self._nonroot & (gap > _EPS) & (budget >= mt))
+        pull_budget = budget[pull]
+        gap = loads - self._view_parent
+        budget = self._alpha_up * gap
+        shed = np.flatnonzero(self._nonroot & (gap > _EPS) & (budget >= mt))
+        shed_budget = budget[shed]
         if self._tel.enabled:
             self._tel_diffusions.add(1)
-            self._tel_frontier.set(int(active.size))
-        order = active[np.argsort(self._bfs_rank[active], kind="stable")]
-        for i in order.tolist():
-            self._diffuse_node(i, loads, now)
-        if self.protocol.tunneling:
-            self._check_barriers(loads, now)
-        else:
-            # keep the stagnation counters honest even when recovery is off
-            self._update_stagnation(loads, now)
+            self._tel_frontier.set(int(np.union1d(np.union1d(parents, pull), shed).size))
 
-    def _diffuse_node(self, i: int, loads: np.ndarray, now: float) -> None:
-        p = self.protocol
-        my_load = float(loads[i])
-        edge_of = self._edge_of_child
+        fwd = state.fwd_doc.row(0, n * docs, now).reshape(n, docs)
+        cached = np.frombuffer(state.cached, dtype=bool).reshape(n, docs)
+        targets, has = state.targets, state.has_target
+        # A delegate child's candidates are the documents it forwards that
+        # its parent caches; a puller's, those it forwards and caches.
+        rows = fwd[np.concatenate((children, pull))]
+        ok = (rows > _EPS) & cached[np.concatenate((parents, pull))]
+        order, ranked, lengths = _rank(rows, ok)
+        m = children.size
+
         # -- toward children: delegate copies down (Figure 5, step 2.1) --
-        for j in self._children[i]:
-            gap = my_load - float(self._view_child[edge_of[j]])
-            if gap <= _EPS:
-                continue
-            budget = diffusion_budget(my_load, float(self._view_child[edge_of[j]]), self._alpha_of[j])
-            if budget < p.min_transfer_rate:
-                continue
-            self._delegate(i, j, budget, now)
-        # -- toward parent (Figure 5, step 2.2) ---------------------------
-        if i == self._root:
-            return
-        parent_load = float(self._view_parent[i])
-        gap = parent_load - my_load
-        if gap > _EPS:
-            budget = diffusion_budget(parent_load, my_load, self._alpha_of[i])
-            if budget >= p.min_transfer_rate:
-                self._pull(i, budget, now)
-        elif -gap > _EPS:
-            budget = diffusion_budget(my_load, parent_load, self._alpha_of[i])
-            if budget >= p.min_transfer_rate:
-                self._shed(i, budget, now)
+        r, ds, xs, _ = _spend(down_budget, order[:m], ranked[:m], lengths[:m], mt)
+        delegated = np.zeros(n, dtype=bool)
+        delegated[children[r]] = True
+        parents = parents[r]
+        for p, c, d, x in zip(parents.tolist(), children[r].tolist(), ds.tolist(), xs.tolist()):
+            self._ship_copy(p, c, d, x)
+        # each parent expects its children to take over these slices of
+        # work: it lowers its own targets correspondingly, pick by pick (a
+        # parent may hand one document to several children)
+        lower = (parents != self._root) & has[parents, ds] & (targets[parents, ds] > _EPS)
+        for p, d, x in zip(parents[lower].tolist(), ds[lower].tolist(), xs[lower].tolist()):
+            own = targets[p, d]
+            if own > _EPS:
+                targets[p, d] = max(own - x, 0.0)
 
-    def _delegate(self, parent: int, child: int, budget: float, now: float) -> None:
-        """Ship copies + targets for the child's hottest forwarded docs."""
-        state = self.state
-        parent_caches = state.cached[parent]
-        doc_index = state.doc_index
-        picks = greedy_delegate(
-            budget,
-            state.forwarded_documents(child, now),
-            self.protocol.min_transfer_rate,
-            can_ship=lambda doc_id: doc_index[doc_id] in parent_caches,
-        )
-        is_home = parent == self._root
-        for doc_id, x in picks:
-            self._ship_copy(parent, child, doc_id, x, now)
-            # the parent expects the child to take over this slice of work:
-            # lower its own target for the document correspondingly
-            d = doc_index[doc_id]
-            own = state.targets[parent, d] if state.has_target[parent, d] else 0.0
-            if own > _EPS and not is_home:
-                state.targets[parent, d] = max(own - x, 0.0)
-                state.has_target[parent, d] = True
-        if picks:
-            self._delegated_to[child] = True
+        # -- toward parent (Figure 5, step 2.2): pull ... ------------------
+        r, ds, xs, _ = _spend(pull_budget, order[m:], ranked[m:], lengths[m:], 0.0)
+        nodes = pull[r]
+        targets[nodes, ds] = np.where(has[nodes, ds], targets[nodes, ds], 0.0) + xs
+        has[nodes, ds] = True
 
-    def _ship_copy(self, src: int, dst: int, doc_id: str, target_add: float, now: float) -> None:
+        # -- ... or shed, biggest target first; zero-target copies drop ---
+        order, ranked, lengths = _rank(targets[shed], has[shed])
+        r, ds, xs, values = _spend(shed_budget, order, ranked, lengths, 0.0)
+        nodes, left = shed[r], values - xs
+        keep = left > _EPS
+        targets[nodes[keep], ds[keep]] = left[keep]
+        doc_ids = state.doc_ids
+        for node, d, x in zip(nodes[~keep].tolist(), ds[~keep].tolist(), left[~keep].tolist()):
+            if state.stores[node].is_pinned(doc_ids[d]):
+                targets[node, d] = x
+            else:
+                state.drop_copy(node, doc_ids[d])
+
+        self._update_stagnation(loads, fwd, delegated)
+        if self.protocol.tunneling:
+            stuck = np.flatnonzero(self._stagnant > self.protocol.patience)
+            rows = fwd[stuck]
+            order, _, lengths = _rank(rows, (rows > _EPS) & ~cached[stuck])
+            for k, node in enumerate(stuck.tolist()):
+                if self._tunnel(node, order[k, : lengths[k]].tolist(), fwd[node]):
+                    self._stagnant[node] = 0
+
+    def _ship_copy(self, src: int, dst: int, d: int, target_add: float) -> None:
         """Send a cache copy down one edge; install on arrival."""
         self.count_message("copy_transfer")
+        doc_id = self.state.doc_ids[d]
         doc = self.workload.catalog.get(doc_id)
         delay = self.edge_delay(src, dst)
         link_bw = None
@@ -344,102 +331,54 @@ class WebWaveScenario(Scenario):
             if state.failed[dst]:
                 return  # the copy is lost with the crashed server
             state.install_copy(dst, doc_id)
-            d = state.doc_index[doc_id]
             base = state.targets[dst, d] if state.has_target[dst, d] else 0.0
             state.targets[dst, d] = base + target_add
             state.has_target[dst, d] = True
 
         self._schedule_control(delay, install)
 
-    def _pull(self, node: int, budget: float, now: float) -> None:
-        """Underloaded node raises targets on documents it already caches."""
-        state = self.state
-        cached = state.cached[node]
-        doc_index = state.doc_index
-        picks = greedy_pull(
-            budget,
-            state.forwarded_documents(node, now),
-            caches=lambda doc_id: doc_index[doc_id] in cached,
-        )
-        for doc_id, x in picks:
-            d = doc_index[doc_id]
-            base = state.targets[node, d] if state.has_target[node, d] else 0.0
-            state.targets[node, d] = base + x
-            state.has_target[node, d] = True
-
-    def _shed(self, node: int, budget: float, now: float) -> None:
-        """Overloaded node lowers targets; zero-target copies are dropped."""
-        state = self.state
-        store = state.stores[node]
-        row, has = state.targets[node], state.has_target[node]
-        targets = sorted(
-            [(state.doc_ids[d], float(row[d])) for d in np.flatnonzero(has).tolist()],
-            key=lambda kv: kv[1],
-            reverse=True,
-        )
-        for doc_id, x, remaining in greedy_shed(budget, targets):
-            if remaining <= _EPS and not store.is_pinned(doc_id):
-                state.drop_copy(node, doc_id)
-            else:
-                d = state.doc_index[doc_id]
-                state.targets[node, d] = remaining
-                state.has_target[node, d] = True
-
     # ------------------------------------------------------------------
     # Barriers and tunneling (Section 5.2)
     # ------------------------------------------------------------------
-    def _update_stagnation(self, loads: np.ndarray, now: float) -> None:
+    def _update_stagnation(
+        self, loads: np.ndarray, fwd: np.ndarray, delegated: np.ndarray
+    ) -> None:
         """Advance the per-node stagnation counters (Section 5.2).
 
-        Vectorized candidate selection: a node's counter can only change
-        if it is underloaded relative to its parent view (counter may
-        rise) or its counter is already non-zero (it may reset), so only
-        that union is visited; the per-document forwarded-rate check runs
-        only for nodes that pass the cheap tests.
+        A node's counter rises while it is underloaded relative to its
+        parent view, received no delegation this pass and still forwards
+        something; otherwise it resets.  The forwarded total is summed
+        column by column, left to right - a plain ``sum`` over the row;
+        Python 3.12's compensated ``sum`` differs from it only in the last
+        bits - and only for the nodes that pass the other two tests.
+        """
+        rise = self._view_parent > loads + self.protocol.min_transfer_rate
+        rise &= self._nonroot & ~delegated
+        idx = np.flatnonzero(rise)
+        if idx.size:
+            rows = fwd[idx]
+            total = np.zeros(idx.size, dtype=np.float64)
+            for c in range(rows.shape[1]):
+                total += rows[:, c]
+            rise[idx] = total > _EPS
+        self._stagnant = np.where(rise, self._stagnant + 1, 0)
+
+    def _tunnel(self, node: int, ranked: List[int], fwd_row: np.ndarray) -> bool:
+        """Fetch the hottest forwarded document from across the barrier.
+
+        ``ranked`` are the documents ``node`` forwards and does not cache,
+        hottest first; ``fwd_row`` its forwarded rates.
         """
         state = self.state
-        stagnant = self._stagnant
-        delegated = self._delegated_to
-        min_transfer = self.protocol.min_transfer_rate
-        underloaded = self._view_parent > loads + min_transfer
-        underloaded[self._root] = False
-        candidates = set(np.flatnonzero(underloaded).tolist())
-        candidates.update(self._stagnant_nodes)
-        for node in sorted(candidates):
-            if (
-                underloaded[node]
-                and not delegated[node]
-                and state.forwarded_rate(node, now) > _EPS
-            ):
-                stagnant[node] += 1
-                self._stagnant_nodes.add(node)
-            else:
-                stagnant[node] = 0
-                self._stagnant_nodes.discard(node)
-
-    def _check_barriers(self, loads: np.ndarray, now: float) -> None:
-        self._update_stagnation(loads, now)
-        patience = self.protocol.patience
-        for node in sorted(self._stagnant_nodes):
-            if self._stagnant[node] > patience:
-                if self._tunnel(node, now):
-                    self._stagnant[node] = 0
-                    self._stagnant_nodes.discard(node)
-
-    def _tunnel(self, node: int, now: float) -> bool:
-        """Fetch the hottest forwarded document from across the barrier."""
-        state = self.state
-        cached = state.cached[node]
-        doc_index = state.doc_index
-        for doc_id, rate in state.forwarded_documents(node, now):
-            if doc_index[doc_id] in cached:
-                continue
-            source = self._nearest_ancestor_with(node, doc_id)
+        for d in ranked:
+            source = self._nearest_ancestor_with(node, d)
             if source is None:
                 continue
             self.count_message("tunnel_fetch")
             self.tunnel_count += 1
+            doc_id = state.doc_ids[d]
             doc = self.workload.catalog.get(doc_id)
+            rate = float(fwd_row[d])
             delay = 2 * self.path_delay(node, source)
             if self.topology is not None:
                 # charge the transfer over the slowest link on the path
@@ -454,11 +393,10 @@ class WebWaveScenario(Scenario):
                 if bws:
                     delay += doc.size / min(bws)
 
-            def install(doc_id=doc_id, rate=rate, node=node) -> None:
+            def install() -> None:
                 if state.failed[node]:
                     return
                 state.install_copy(node, doc_id)
-                d = state.doc_index[doc_id]
                 base = state.targets[node, d] if state.has_target[node, d] else 0.0
                 state.targets[node, d] = base + rate
                 state.has_target[node, d] = True
@@ -467,13 +405,38 @@ class WebWaveScenario(Scenario):
             return True
         return False
 
-    def _nearest_ancestor_with(self, node: int, doc_id: str) -> Optional[int]:
-        d = self.state.doc_index[doc_id]
-        cached = self.state.cached
+    def _nearest_ancestor_with(self, node: int, d: int) -> Optional[int]:
+        cached, docs = self.state.cached, self.state.docs
         u = self._parent[node]
         while True:
-            if d in cached[u]:
+            if cached[u * docs + d]:
                 return u
             if u == self._root:
                 return None
             u = self._parent[u]
+
+
+def _rank(values: np.ndarray, ok: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank each row's ``ok`` entries largest first, ties by ascending
+    document index (which is ascending document id: ``doc_ids`` are
+    sorted).  Returns the column order, the values in that order and the
+    number of ``ok`` entries per row, which lead each ranked row."""
+    order = np.argsort(np.where(ok, -values, np.inf), axis=1, kind="stable")
+    return order, np.take_along_axis(values, order, axis=1), np.count_nonzero(ok, axis=1)
+
+
+def _spend(
+    budget: np.ndarray,
+    order: np.ndarray,
+    ranked: np.ndarray,
+    lengths: np.ndarray,
+    min_take: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One :func:`~repro.core.policy.greedy_spend` over ranked rows, its
+    columns cut at the longest candidate list.  Returns the picks in row,
+    then rank order: their rows, document indices, takes and values."""
+    width = int(lengths.max(initial=0))
+    ranked = ranked[:, :width]
+    picked, take = greedy_spend(budget, ranked, np.arange(width) < lengths[:, None], min_take)
+    r, c = np.nonzero(picked)
+    return r, order[r, c], take[r, c], ranked[r, c]

@@ -9,22 +9,29 @@ against.  The server cases drive one node's row of the shipped
 from __future__ import annotations
 
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocols.state import MeterBank, PacketState
+from repro.protocols import state as state_module
+from repro.protocols.state import METER_WINDOW, MeterBank, PacketState
+from repro.protocols.webwave import _rank
 
 from tests.oracle.cache_server import CacheServer as OracleCacheServer
 from tests.oracle.cache_server import RateMeter as OracleRateMeter
 
 
 class BankMeter:
-    """Meter 1 of a three-meter :class:`MeterBank`, single-meter call shape."""
+    """Meter 1 of a three-meter :class:`MeterBank`, single-meter call shape.
 
-    def __init__(self, **kwargs):
+    The bank's window is the module constant ``METER_WINDOW``, not a
+    parameter; a case that names the width must name that one."""
+
+    def __init__(self, window=METER_WINDOW, **kwargs):
+        assert window == METER_WINDOW
         self.bank = MeterBank(3, **kwargs)
 
     def record(self, now):
@@ -70,8 +77,6 @@ class MeterCases:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            self.RateMeter(window=0.0)
-        with pytest.raises(ValueError):
             self.RateMeter(alpha=0.0)
         with pytest.raises(ValueError):
             self.RateMeter(alpha=1.5)
@@ -82,11 +87,21 @@ class TestRateMeter(MeterCases):
 
     RateMeter = OracleRateMeter
 
+    def test_window_validation(self):
+        with pytest.raises(ValueError):
+            self.RateMeter(window=0.0)
+
 
 class TestMeterBank(MeterCases):
     """The shipped meter bank."""
 
     RateMeter = BankMeter
+
+    def test_window_is_not_a_parameter(self):
+        """One width for every bank, the walker and ``window_end``."""
+        with pytest.raises(TypeError):
+            MeterBank(3, window=0.5)
+        assert "window" not in MeterBank.__slots__
 
 
 class _SpyBank(MeterBank):
@@ -114,7 +129,7 @@ def _bump(bank, held, k, now):
     on the bank's ``counts`` / ``joined`` / ``pending`` as the walker
     ``held`` them before the bank rolled."""
     counts, joined, pending = held
-    if now - bank.ws >= bank.window:
+    if now - bank.ws >= state_module.METER_WINDOW:
         bank.roll(now)
     if not joined[k]:
         joined[k] = 1
@@ -135,7 +150,12 @@ def test_bank_bulk_read_equals_per_meter_oracle(ops, window, alpha):
     clock rolls at most once per window crossed."""
     _SpyBank.rolls = 0
     _SpyBank.rolled = set()
-    bank = _SpyBank(6, window=window, alpha=alpha)
+    with mock.patch.object(state_module, "METER_WINDOW", window):
+        _bulk_read_equals_oracle(ops, window, alpha)
+
+
+def _bulk_read_equals_oracle(ops, window, alpha):
+    bank = _SpyBank(6, alpha=alpha)
     held = (bank.counts, bank.joined, bank.pending)
     oracle = [OracleRateMeter(window=window, alpha=alpha) for _ in range(6)]
     recorded = set()
@@ -172,7 +192,7 @@ def test_bank_bulk_read_equals_per_meter_oracle(ops, window, alpha):
 def test_deep_copied_bank_rolls_on_its_own():
     """A copy shares no buffer with its original: rolling or recording on
     one leaves the other's counts, estimates and clock as they were."""
-    bank = MeterBank(4, window=1.0, alpha=0.5)
+    bank = MeterBank(4, alpha=0.5)
     for t in (0.1, 0.2, 0.6):
         bank.record(1, t)
         bank.record(3, t)
@@ -232,20 +252,29 @@ class TestPacketStateServer:
         assert state.served_total.rate(1, 1.0) == oracle.served_rate(1.0)
         forwarded_e = state.fwd_doc.rate(1 * state.docs + e, 1.0)
         assert forwarded_e == oracle.forwarded_rate(1.0, "e")
-        assert state.forwarded_rate(1, 1.0) == oracle.forwarded_rate(1.0)
+        row = state.fwd_doc.row(state.docs, 2 * state.docs, 1.0)
+        assert sum(row.tolist()) == oracle.forwarded_rate(1.0)
         assert oracle.forwarded_rate(1.0, "e") == pytest.approx(10.0)
         assert state.requests_served[1] == oracle.requests_served == 10
         assert state.requests_forwarded[1] == oracle.requests_forwarded == 10
 
-    def test_forwarded_documents_sorted(self):
+    def test_forwarded_row_ranks_as_oracle(self):
+        """The diffusion pass ranks a forwarded row as the oracle's
+        ``forwarded_documents`` does: hottest first, ties by document id,
+        nothing at or below 1e-9."""
         state, oracle = _pair()
-        for doc_id, count in (("cold", 2), ("hot", 8)):
+        for doc_id, count in (("cold", 2), ("hot", 8), ("e", 2)):
             for k in range(count):
                 state.record_forwarded(1, state.doc_index[doc_id], k * 0.1)
                 oracle.record_forwarded(k * 0.1, doc_id)
-        docs = state.forwarded_documents(1, 1.0)
+        row = state.fwd_doc.row(state.docs, 2 * state.docs, 1.0)
+        order, ranked, lengths = _rank(row[None, :], (row > 1e-9)[None, :])
+        docs = list(zip(
+            [state.doc_ids[d] for d in order[0, : lengths[0]].tolist()],
+            ranked[0, : lengths[0]].tolist(),
+        ))
         assert docs == oracle.forwarded_documents(1.0)
-        assert [doc_id for doc_id, _ in docs] == ["hot", "cold"]
+        assert [doc_id for doc_id, _ in docs] == ["hot", "cold", "e"]
 
     def test_drop_copy_clears_target(self):
         state, oracle = _pair()
@@ -257,7 +286,7 @@ class TestPacketStateServer:
         oracle.serve_targets["d"] = 3.0
         state.drop_copy(1, "d")
         oracle.drop_copy("d")
-        assert d not in state.cached[1] and "d" not in state.stores[1]
+        assert not state.cached[state.docs + d] and "d" not in state.stores[1]
         assert not oracle.caches("d")
         assert not state.has_target[1, d] and state.targets[1, d] == 0.0
         assert "d" not in oracle.serve_targets

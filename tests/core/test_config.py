@@ -224,6 +224,7 @@ class TestOneConstructionPath:
             ("ScenarioConfig", "arrival_kind"),
             ("ScenarioConfig", "cache_policy"),
             ("PacketState", "cache_policy"),
+            ("PacketState", "meter_window"),
             ("CacheStore", "policy"),
             ("Workload.arrival_processes", "kind"),
             ("DocumentWebWaveConfig", "evict_on_zero"),
@@ -250,7 +251,7 @@ class TestOneConstructionPath:
         """Knobs nothing set to a non-default value are constants now:
         pruned cohorts, ``DPF_MATCH_COST``, no extra copy delay, sparse
         stepping at ``kernel.SPARSE_FRACTION``, Poisson sources, LRU
-        stores, one-document tunnels, copies dropped at zero, the
+        stores, one meter window (``state.METER_WINDOW``), one-document tunnels, copies dropped at zero, the
         baselines' module constants, one event order, no run history, and
         the run loops' sampling / stall / recovery constants."""
         with pytest.raises(TypeError, match=field):

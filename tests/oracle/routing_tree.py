@@ -11,6 +11,10 @@ the same accessors and raises the same ``TreeError`` messages.
 ``repro.core.tree`` rerooted a tree with before ``RoutingTree.rerooted``
 flipped the parent pointers on one path; the twin checks both give the
 same parent map for every home.
+
+:func:`neighbors` is the per-node neighbour list the pre-refactor packet
+plane (:mod:`tests.oracle.packet_reference`) gossips along; the shipped
+plane reads the tree's edge arrays instead.
 """
 
 from __future__ import annotations
@@ -22,7 +26,15 @@ from repro.core.steppable import count_tuple
 from repro.fields import is_count
 from repro.core.tree import RoutingTree, TreeError
 
-__all__ = ["OracleTree", "tree_from_edges"]
+__all__ = ["OracleTree", "neighbors", "tree_from_edges"]
+
+
+def neighbors(tree: RoutingTree, i: int) -> Tuple[int, ...]:
+    """Tree neighbours of ``i``: its parent (if any) followed by children."""
+    p = tree.parent_of(i)
+    if p is None:
+        return tree.children(i)
+    return (p,) + tree.children(i)
 
 
 class OracleTree:

@@ -51,7 +51,8 @@ class TestScheduleFailure:
         scenario.run()
         assert scenario.state.failed[1]
         assert len(scenario.state.stores[1]) == 0
-        assert not scenario.state.cached[1]
+        docs = scenario.state.docs
+        assert not any(scenario.state.cached[docs : 2 * docs])
         assert filter_sizes(scenario)[1] == 0
         assert scenario.messages.get("node_failure") == 1
 

@@ -23,6 +23,8 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.tree import kary_tree
 from repro.documents.catalog import Catalog
@@ -34,7 +36,7 @@ from repro.protocols.baselines import (
     PushScenario,
 )
 from repro.protocols.scenario import Scenario, ScenarioConfig
-from repro.protocols.webwave import WebWaveScenario
+from repro.protocols.webwave import WebWaveProtocolConfig, WebWaveScenario
 from repro.traffic.workload import hot_document_workload
 
 from tests.oracle.packet_reference import ReferenceWebWaveScenario
@@ -150,6 +152,65 @@ class TestLiveReferenceParity:
             assert router.filters.consultations == refactored.seen[node]
             assert len(router.filters) == filter_sizes(refactored)[node]
         assert 0 < sum(refactored.diverted) <= len(refactored.requests)
+
+
+@st.composite
+def packet_runs(draw):
+    """A drawn WebWave run: a k-ary tree of height 2-5, 1-20 documents (so
+    a ranked row can run past 12 columns), a set of hot leaves, and the
+    protocol and cache settings the diffusion pass branches on."""
+    k = draw(st.integers(2, 3))
+    height = draw(st.integers(2, 5))
+    tree = kary_tree(k, height)
+    leaves = list(tree.leaves())
+    hot = draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=6, unique=True))
+    rates = [0.0] * tree.n
+    for leaf in hot:
+        rates[leaf] = draw(st.sampled_from([6.0, 12.0, 24.0]))
+    catalog = Catalog.generate(home=tree.root, count=draw(st.integers(1, 20)))
+    workload = hot_document_workload(tree, catalog, rates, zipf_s=0.9)
+    config = ScenarioConfig(
+        duration=10.0,
+        warmup=2.5,
+        seed=draw(st.integers(0, 3)),
+        default_capacity=draw(st.sampled_from([10.0, 20.0, 40.0])),
+        cache_capacity=draw(st.sampled_from([None, 1, 2, 4])),
+    )
+    protocol = WebWaveProtocolConfig(
+        min_transfer_rate=draw(st.sampled_from([0.0, 0.05, 0.1, 0.5])),
+        tunneling=draw(st.booleans()),
+        patience=draw(st.integers(1, 2)),
+    )
+    return workload, config, protocol
+
+
+def _tied_shed_run():
+    """Node 14 sheds two equal targets at t=7: they go in document-id
+    order (a drawn case; the reference once took dict insertion order)."""
+    tree = kary_tree(3, 3)
+    rates = [0.0] * tree.n
+    rates[14], rates[22] = 6.0, 12.0
+    catalog = Catalog.generate(home=tree.root, count=7)
+    return (
+        hot_document_workload(tree, catalog, rates, zipf_s=0.9),
+        ScenarioConfig(duration=10.0, warmup=2.5, seed=0, default_capacity=10.0),
+        WebWaveProtocolConfig(min_transfer_rate=0.0, tunneling=False, patience=1),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(packet_runs())
+@example(_tied_shed_run())
+def test_generated_runs_match_reference(run):
+    """Drawn workloads, not only the fixed ones above: the shipped plane and
+    the frozen reference give identical metrics and router counters."""
+    workload, config, protocol = run
+    reference = ReferenceWebWaveScenario(workload, config, protocol=protocol)
+    shipped = WebWaveScenario(workload, config, protocol=protocol)
+    assert metrics_equal(reference.run(), shipped.run())
+    assert [r.packets_seen for r in reference.routers] == shipped.seen
+    assert [r.packets_diverted for r in reference.routers] == shipped.diverted
+    assert reference.tunnel_count == shipped.tunnel_count
 
 
 PROTOCOLS = {

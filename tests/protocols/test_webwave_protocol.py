@@ -12,7 +12,9 @@ from repro.documents.catalog import Catalog
 from repro.experiments.overhead import filter_sizes
 from repro.obs import Telemetry
 from repro.protocols.scenario import ScenarioConfig
-from repro.protocols.state import MeterBank
+from repro.core.policy import greedy_spend
+from repro.protocols import webwave
+from repro.protocols.state import METER_WINDOW, MeterBank, window_end
 from repro.protocols.webwave import WebWaveProtocolConfig, WebWaveScenario
 from repro.traffic.workload import hot_document_workload
 
@@ -78,10 +80,11 @@ class TestLoadSpreading:
     def test_filters_synced_with_caches(self):
         scenario, _ = run_scenario()
         state = scenario.state
+        docs = state.docs
         for node in scenario.tree:
-            # the walker's filter match is the cache mirror, and the
+            # the walker's filter bits are the cache mirror, and the
             # filter table holds what the cache holds
-            assert state.cached[node] == {
+            assert {d for d in range(docs) if state.cached[node * docs + d]} == {
                 state.doc_index[doc_id] for doc_id in state.stores[node].doc_ids
             }
             assert filter_sizes(scenario)[node] == len(state.stores[node])
@@ -191,7 +194,7 @@ class TestControlPlaneFollowsActivity:
         assert [name for name in vars(MeterBank) if "roll" in name] == ["roll"]
         state = scenario.state
         banks = (state.served_total, state.served_doc, state.fwd_doc)
-        windows = math.floor(scenario.sim.now / state.meter_window)
+        windows = math.floor(scenario.sim.now / METER_WINDOW)
         for bank in banks:
             assert 0 < calls[id(bank)] <= windows
         assert [len(bank.live) + len(bank.pending) for bank in banks] == self.LIVE
@@ -199,6 +202,65 @@ class TestControlPlaneFollowsActivity:
         assert state.served_total.size == 4095
         assert self.LIVE[0] <= self.HOT_LEAVES * (self.HEIGHT + 1)
         assert metrics == plain
+
+    def test_bank_clocks_meet_the_walker_boundary(self, monkeypatch):
+        """One window width: after every roll, each bank's window ends where
+        the walker's next window boundary for that instant lies."""
+        seen = []
+        roll = MeterBank.roll
+
+        def checking_roll(bank, now):
+            roll(bank, now)
+            seen.append((id(bank), bank.ws, now))
+
+        monkeypatch.setattr(MeterBank, "roll", checking_roll)
+        scenario = self.scenario()
+        scenario.run()
+        state = scenario.state
+        banks = {id(b) for b in (state.served_total, state.served_doc, state.fwd_doc)}
+        assert {key for key, *_ in seen} == banks
+        for _, ws, now in seen:
+            assert ws <= now < ws + METER_WINDOW == window_end(now)
+
+    def test_diffusion_pass_is_three_spends(self, monkeypatch):
+        """A count, not a clock: each diffusion pass spends every budget of
+        its frontier in at most three ``greedy_spend`` calls (delegate,
+        pull, shed), each walking no more columns than its longest
+        candidate row, and ships one copy per ``copy_transfer`` message."""
+        plain = self.scenario().run()
+        spends = []
+        passes = []
+        ships = []
+        diffuse, ship = WebWaveScenario._diffuse, WebWaveScenario._ship_copy
+
+        def counting_diffuse(scenario):
+            passes.append(scenario.sim.now)
+            diffuse(scenario)
+
+        def counting_spend(budget, values, ok, min_take):
+            spends.append((len(passes), budget.size, values.shape[1], ok.sum(axis=1)))
+            return greedy_spend(budget, values, ok, min_take)
+
+        def counting_ship(scenario, *args):
+            ships.append(args)
+            ship(scenario, *args)
+
+        monkeypatch.setattr(WebWaveScenario, "_diffuse", counting_diffuse)
+        monkeypatch.setattr(webwave, "greedy_spend", counting_spend)
+        monkeypatch.setattr(WebWaveScenario, "_ship_copy", counting_ship)
+        scenario = self.scenario()
+        metrics = scenario.run()
+
+        assert metrics == plain
+        for name in ("_diffuse_node", "_delegate", "_pull", "_shed"):
+            assert not hasattr(WebWaveScenario, name)
+        per_pass = collections.Counter(k for k, *_ in spends)
+        assert len(passes) >= 6 and max(per_pass.values()) <= 3
+        # the frontier is wide: one call spends many rows at once
+        assert max(rows for _, rows, _, _ in spends) >= 8
+        for _, rows, width, lengths in spends:
+            assert width == max(lengths.tolist(), default=0) <= scenario.state.docs
+        assert len(ships) == metrics.messages["copy_transfer"] > 0
 
     def test_meters_live_gauge_counts_unrolled_joins(self):
         tel = Telemetry()
