@@ -258,16 +258,6 @@ class RoutingTree:
         """Iterate nodes so every child precedes its parent."""
         return reversed(self.bfs_order())
 
-    def subtree(self, i: int) -> Iterator[int]:
-        """Iterate the nodes of the subtree rooted at ``i`` (preorder)."""
-        children = self.children_map
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            yield u
-            # Reversed so that the smallest child is yielded first.
-            stack.extend(reversed(children[u]))
-
     def path_to_root(self, i: int) -> Tuple[int, ...]:
         """Nodes on the route from ``i`` up to and including the root.
 

@@ -29,6 +29,7 @@ the packet realization of the cluster plane's mass-conserving retire.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from ..cluster.scenarios import ClusterScenario
@@ -37,7 +38,7 @@ from ..documents.document import Document
 from ..fields import check_fields, positive
 from ..traffic.arrivals import PoissonArrivals
 from ..traffic.workload import Workload
-from .scenario import ScenarioConfig, _ArrivalSource
+from .scenario import _DRAIN_FACTOR, ScenarioConfig, _ArrivalSource
 from .webwave import WebWaveProtocolConfig, WebWaveScenario
 
 __all__ = ["ClusterPacketScenario"]
@@ -53,13 +54,14 @@ class _DynamicArrivalSource(_ArrivalSource):
 
     __slots__ = ("generation",)
 
+    # A swapped process resumes the shared stream where the drawn chunks
+    # left it, so the first chunk keeps the size every recorded run drew.
+    horizon = _DRAIN_FACTOR
+
     def __init__(self, scenario, node, doc_id, process) -> None:
         super().__init__(scenario, node, doc_id, process)
         self.generation = 0
-
-    def _posted(self):
-        generation = self.generation
-        return lambda: self.fire_if(generation)
+        self.posted = partial(self.fire_if, 0)
 
     def fire_if(self, generation: int) -> None:
         if generation == self.generation:
@@ -68,6 +70,7 @@ class _DynamicArrivalSource(_ArrivalSource):
     def set_process(self, process) -> None:
         """Swap the arrival process; future arrivals resample from now."""
         self.generation += 1
+        self.posted = partial(self.fire_if, self.generation)
         self.process = process
         self.idx = -1
         self.times = []
@@ -134,6 +137,10 @@ class ClusterPacketScenario(WebWaveScenario):
             self._sources.append(source)
         for source in self._sources:
             source.start()
+
+    def _release(self) -> None:
+        super()._release()
+        self._source_map = {}
 
     def on_start(self) -> None:
         super().on_start()

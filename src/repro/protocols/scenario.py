@@ -26,8 +26,9 @@ live reference comparison):
   - and defers to a normal heap event - at the next window boundary or
   control-event time, and the serve itself is always a real heap event at
   the serve timestamp so queueing order at each server matches the
-  event-per-hop execution exactly.  Per request this costs ~3 heap events
-  instead of ``2 + depth``.
+  event-per-hop execution exactly.  Completions are pending records, so a
+  request costs about two heap events instead of ``2 + depth`` (1.92 on
+  ``packet_datapath``, 2.54 on ``packet_control`` with its control timers).
 
 Protocols customize behaviour by overriding hooks:
 
@@ -43,9 +44,12 @@ Metrics are collected uniformly so baselines are comparable.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate, islice
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.load import LoadAssignment
@@ -72,8 +76,8 @@ _ARRIVAL_CHUNK = 1024
 
 
 # In-flight requests drain for this fraction of the run past the arrival
-# horizon; run(), completion realization, and arrival pre-sampling must all
-# agree on it or the bit-parity contract breaks.
+# horizon; run() and completion realization must agree on it or the
+# bit-parity contract breaks.
 _DRAIN_FACTOR = 1.25
 
 
@@ -168,7 +172,11 @@ class _ArrivalSource:
     arrival is scheduled after the current one is fully handled).
     """
 
-    __slots__ = ("scenario", "node", "doc_id", "process", "times", "idx", "duration")
+    __slots__ = ("scenario", "node", "doc_id", "process", "times", "idx", "duration", "posted")
+
+    # The first chunk covers this many run durations: no arrival fires
+    # after ``duration``, and a short chunk refills from the same stream.
+    horizon = 1.0
 
     def __init__(self, scenario: "Scenario", node: int, doc_id: str, process) -> None:
         self.scenario = scenario
@@ -178,6 +186,7 @@ class _ArrivalSource:
         self.times: List[float] = []
         self.idx = -1
         self.duration = scenario.config.duration
+        self.posted = self.fire  # the arrival events' callback, bound once
 
     def start(self) -> None:
         self._refill(self.scenario.sim.now)
@@ -189,18 +198,12 @@ class _ArrivalSource:
         # are sequential sums, so they equal the original one-gap-at-a-time
         # absolute times.
         if self.idx < 0:
-            horizon = self.scenario.config.duration * _DRAIN_FACTOR
-            expect = self.process.mean_rate * horizon
+            expect = self.process.mean_rate * (self.duration * self.horizon)
             chunk = min(int(expect + 4.0 * math.sqrt(expect + 1.0) + 2.0), 1 << 17)
         else:
             chunk = _ARRIVAL_CHUNK
-        gaps = self.process.sample_gaps(chunk)
-        times: List[float] = []
-        t = base
-        for gap in gaps.tolist():
-            t = t + gap
-            times.append(t)
-        self.times = times
+        gaps = self.process.sample_gaps(chunk).tolist()
+        self.times = list(islice(accumulate(gaps, initial=base), 1, None))
         self.idx = -1
 
     def _advance(self) -> None:
@@ -213,11 +216,7 @@ class _ArrivalSource:
             if not self.times:
                 return
         self.idx = i
-        self.scenario.sim.post(self.times[i], self._posted())
-
-    def _posted(self):
-        """The callback the next arrival event runs (a subclass may guard it)."""
-        return self.fire
+        self.scenario.sim.post(self.times[i], self.posted)
 
     def fire(self) -> None:
         scenario = self.scenario
@@ -278,6 +277,7 @@ class Scenario:
         self._completed_after_warmup = 0
         self._generated_after_warmup = 0
         self._finished: List[Request] = []
+        self._sources: List[_ArrivalSource] = []
         self._pending_completions: List[Tuple[float, int, Request]] = []
         self._measured_snapshot: Optional[List[float]] = None
         self._path_delay_cache: Dict[Tuple[int, int], float] = {}
@@ -380,23 +380,13 @@ class Scenario:
         self._register_barrier(time)
         self.sim.at(time, callback)
 
-    def _control_every(
-        self,
-        period: float,
-        callback: Callable[[], None],
-        start: Optional[float] = None,
-    ) -> None:
-        """A periodic control timer (same firing pattern as ``sim.every``)."""
+    def _control_every(self, period: float, callback: Callable[[], None]) -> None:
+        """A periodic control timer, firing first one period from now."""
+        self._control_at(self.sim.now + period, partial(self._control_repeat, period, callback))
 
-        def fire() -> None:
-            callback()
-            next_time = self.sim.now + period
-            self._register_barrier(next_time)
-            self.sim.at(next_time, fire)
-
-        first = self.sim.now + period if start is None else start
-        self._register_barrier(first)
-        self.sim.at(first, fire)
+    def _control_repeat(self, period: float, callback: Callable[[], None]) -> None:
+        callback()
+        self._control_every(period, callback)
 
     def _next_barrier(self, now: float) -> float:
         """First time > now at which datapath-visible state may change.
@@ -449,9 +439,10 @@ class Scenario:
         docstring); the serve is always a real event at the serve time so
         per-server queueing order stays globally time-ordered.  Each hop's
         router counts the packet (``seen``) and matches it against its
-        filter bit ``state.cached[node * D + d]`` (which default-datapath
-        protocols keep synced with the store); a match is diverted (``diverted``) if the server is
-        up and below its serve target.  The home serves whatever reaches it.
+        filter bit ``state.cached[k]``, ``k = node * D + d`` (which
+        default-datapath protocols keep synced with the store); a match is
+        diverted (``diverted``) if the server is up and below its serve
+        target.  The home serves whatever reaches it.
         """
         sim = self.sim
         now = sim.now
@@ -461,6 +452,7 @@ class Scenario:
         d = state.doc_index[request.doc_id]
         cached = state.cached
         targets = state.targets
+        served_rate = state.served_doc.rate
         failed = state.failed
         seen = self.seen
         parent = self._parent
@@ -480,10 +472,10 @@ class Scenario:
             if node == root:
                 serve = True
             elif cached[k]:
+                # plain floats; rate() may roll the bank, so it runs last
+                target = targets.item(k)
                 serve = (
-                    not failed[node]
-                    and targets[node, d] > 0.0
-                    and state.served_doc_rate(node, d, t) < targets[node, d]
+                    not failed[node] and target > 0.0 and served_rate(k, t) < target
                 )
             else:
                 serve = False
@@ -556,7 +548,8 @@ class Scenario:
         """
         horizon = self.config.duration * _DRAIN_FACTOR
         warmup = self.config.warmup
-        self._pending_completions.sort(key=lambda rec: (rec[0], rec[1]))
+        # (time, seq, request): seq is unique, so no Request is compared
+        self._pending_completions.sort()
         for time, _seq, request in self._pending_completions:
             if time > horizon:
                 continue
@@ -609,28 +602,44 @@ class Scenario:
     # Driving and metrics
     # ------------------------------------------------------------------
     def run(self) -> ScenarioMetrics:
-        """Execute the scenario and collect metrics."""
-        self.on_start()
-        self._schedule_arrivals()
-        self.sim.run(until=self.config.duration)
-        # Snapshot measured rates while traffic is still flowing; the rate
-        # meters decay during the drain phase below.
-        self._measured_snapshot = self.state.served_total.rates_all(
-            self.sim.now
-        ).tolist()
-        # Allow in-flight requests to drain briefly past the arrival horizon.
-        self.sim.run(until=self.config.duration * _DRAIN_FACTOR)
-        self._realize_completions()
-        # Walker forwards are seen - diverted per node (each visit forwards
-        # or serves); baselines that bypass the walker count theirs live.
-        forwarded = self.state.requests_forwarded
-        for node, (seen, diverted) in enumerate(zip(self.seen, self.diverted)):
-            forwarded[node] += seen - diverted
-        metrics = self._collect()
-        tel = self._tel
-        if tel.enabled:
-            self._emit_telemetry(metrics)
-        return metrics
+        """Execute the scenario and collect metrics, automatic cyclic GC
+        paused (the caller's setting restored): a run makes no cyclic
+        garbage, and a finished scenario is none either (:meth:`_release`)."""
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.on_start()
+            self._schedule_arrivals()
+            self.sim.run(until=self.config.duration)
+            # Snapshot measured rates while traffic is still flowing; the rate
+            # meters decay during the drain phase below.
+            self._measured_snapshot = self.state.served_total.rates_all(
+                self.sim.now
+            ).tolist()
+            # Allow in-flight requests to drain briefly past the arrival horizon.
+            self.sim.run(until=self.config.duration * _DRAIN_FACTOR)
+            self._realize_completions()
+            # Walker forwards are seen - diverted per node (each visit forwards
+            # or serves); baselines that bypass the walker count theirs live.
+            forwarded = self.state.requests_forwarded
+            for node, (seen, diverted) in enumerate(zip(self.seen, self.diverted)):
+                forwarded[node] += seen - diverted
+            metrics = self._collect()
+            tel = self._tel
+            if tel.enabled:
+                self._emit_telemetry(metrics)
+            return metrics
+        finally:
+            self._release()
+            if gc_was_enabled:
+                gc.enable()
+
+    def _release(self) -> None:
+        """Drop the run's pending events and sources, its only reference cycles."""
+        self.sim.clear()
+        for source in self._sources:
+            source.posted = None
+        self._sources = []
 
     def _emit_telemetry(self, metrics: ScenarioMetrics) -> None:
         """Emit sampled request spans and one end-of-run snapshot."""

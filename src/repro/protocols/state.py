@@ -146,7 +146,7 @@ class MeterBank:
         """Meter ``k``'s events/second estimate at time ``now``."""
         if now - self.ws >= METER_WINDOW:
             self.roll(now)
-        return float(self.est[k])
+        return self.est.item(k)
 
     # -- bulk control plane ----------------------------------------------
     def row(self, lo: int, hi: int, now: float) -> np.ndarray:
@@ -193,8 +193,10 @@ class PacketState:
         self.served_total = MeterBank(n)
         self.served_doc = MeterBank(n * d)
         self.fwd_doc = MeterBank(n * d)
-        self.busy_until = np.zeros(n, dtype=np.float64)
-        self.busy_time = np.zeros(n, dtype=np.float64)
+        # The service queue as plain floats; 1/capacity computed once.
+        self.service_time = array("d", [1.0 / c for c in self.capacity.tolist()])
+        self.busy_until = array("d", bytes(8 * n))
+        self.busy_time = array("d", bytes(8 * n))
         # Plain-int tallies (no arithmetic coupling): list RMW is ~3x
         # cheaper than NumPy scalar RMW on the per-hop path.
         self.requests_served = [0] * n
@@ -252,8 +254,8 @@ class PacketState:
     def service_completion(self, node: int, now: float) -> float:
         # Plain-float arithmetic: completion times flow into event
         # timestamps, and the parity contract is bit-exact.
-        service_time = 1.0 / float(self.capacity[node])
-        start = max(now, float(self.busy_until[node]))
+        service_time = self.service_time[node]
+        start = max(now, self.busy_until[node])
         completion = start + service_time
         self.busy_until[node] = completion
         self.busy_time[node] += service_time

@@ -174,7 +174,7 @@ class WebWaveScenario(Scenario):
         # schedules view-array deliveries the datapath never reads, so it
         # is NOT a walker barrier; diffusion mutates targets and caches.
         self.sim.every(p.gossip_period, self._gossip, start=p.gossip_period / 2)
-        self._control_every(p.diffusion_period, self._diffuse, start=p.diffusion_period)
+        self._control_every(p.diffusion_period, self._diffuse)
 
     # ------------------------------------------------------------------
     def _gossip(self) -> None:

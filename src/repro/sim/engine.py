@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 __all__ = ["Simulator", "SimulationError"]
@@ -41,35 +42,22 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        # Virtual clock (seconds) and events fired so far: plain attributes
+        # (read per request on the packet datapath), advanced only by run().
+        self.now = 0.0
+        self.events_executed = 0
         self._seq = itertools.count()
         # Heap entries are (time, seq, callback); seq is unique, so a
         # callback is never compared.
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
-        self._events_executed = 0
         self._running = False
 
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
-    @property
-    def events_executed(self) -> int:
-        """Number of events that have fired so far."""
-        return self._events_executed
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return len(self._heap)
-
     def stats(self) -> dict:
         """Heap/event counters for telemetry snapshots."""
         return {
-            "events_executed": self._events_executed,
-            "pending": self.pending,
+            "events_executed": self.events_executed,
+            "pending": len(self._heap),
             # No event is cancelled, so the heap is never compacted; the
             # benchmark's frozen sim.engine.compactions row reads this key
             # until [ledger-v2] drops it.
@@ -78,13 +66,13 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def _check_time(self, time: float) -> float:
-        if time < self._now - 1e-12:
+        if time < self.now - 1e-12:
             raise SimulationError(
-                f"cannot schedule at t={time:.6f} before now={self._now:.6f}"
+                f"cannot schedule at t={time:.6f} before now={self.now:.6f}"
             )
         if not math.isfinite(time):
             raise SimulationError(f"non-finite event time {time}")
-        return max(time, self._now)
+        return max(time, self.now)
 
     def at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute virtual time ``time``;
@@ -96,13 +84,13 @@ class Simulator:
         """Schedule ``callback`` after a relative ``delay`` (>= 0) seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self.at(self._now + delay, callback)
+        self.at(self.now + delay, callback)
 
     def post(self, time: float, callback: Callable[[], None]) -> None:
         """:meth:`at` with the range check inlined - the hot path for the
         packet datapath's per-request events (same seq counter, same
         tie-breaking)."""
-        now = self._now
+        now = self.now
         if time >= now and time < math.inf:  # excludes NaN and +inf
             heapq.heappush(self._heap, (time, next(self._seq), callback))
             return
@@ -132,24 +120,20 @@ class Simulator:
         """
         if period <= 0:
             raise SimulationError(f"period must be positive, got {period}")
+        first = self.now + period if start is None else start
+        self.at(first, partial(self._repeat, period, callback))
 
-        def fire() -> None:
-            callback()
-            self.at(self._now + period, fire)
+    def _repeat(self, period: float, callback: Callable[[], None]) -> None:
+        # A fresh partial per firing, not a closure naming itself, so a
+        # pending timer is no reference cycle once clear() drops it.
+        callback()
+        self.at(self.now + period, partial(self._repeat, period, callback))
 
-        self.at(self._now + period if start is None else start, fire)
+    def clear(self) -> None:
+        """Drop every pending event."""
+        self._heap.clear()
 
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next event; False if the queue is empty."""
-        if not self._heap:
-            return False
-        time, _, callback = heapq.heappop(self._heap)
-        self._now = time
-        callback()
-        self._events_executed += 1
-        return True
-
     def run(self, until: Optional[float] = None) -> None:
         """Run events in order until the queue drains or ``until`` is hit.
 
@@ -160,12 +144,17 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         heap = self._heap
+        pop = heapq.heappop
+        stop = math.inf if until is None else until
         try:
             while heap:
-                if until is not None and heap[0][0] > until:
+                if heap[0][0] > stop:
                     break
-                self.step()
-            if until is not None and until > self._now:
-                self._now = until
+                time, _, callback = pop(heap)
+                self.now = time
+                callback()
+                self.events_executed += 1
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False

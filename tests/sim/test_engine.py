@@ -82,16 +82,35 @@ class TestRunLimits:
         sim.run()  # resume drains the rest
         assert fired == [1, 10]
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
+    def test_run_on_empty_queue_executes_nothing(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        assert sim.events_executed == 0
 
-    def test_step_executes_one(self):
+    def test_run_until_executes_one(self):
         sim = Simulator()
         log = []
         sim.at(1.0, lambda: log.append(1))
         sim.at(2.0, lambda: log.append(2))
-        assert sim.step() is True
+        sim.run(until=1.0)
+        assert sim.events_executed == 1
         assert log == [1]
+
+    def test_raising_event_is_not_counted_and_run_can_resume(self):
+        sim = Simulator()
+        log = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.at(1.0, lambda: log.append(1))
+        sim.at(2.0, boom)
+        sim.at(3.0, lambda: log.append(3))
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert sim.events_executed == 1 and sim.now == 2.0
+        sim.run()
+        assert log == [1, 3] and sim.events_executed == 2
 
     def test_not_reentrant(self):
         sim = Simulator()
