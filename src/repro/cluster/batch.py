@@ -188,8 +188,8 @@ class BatchEngine(DiffusionStack):
         self._fwd = np.concatenate(
             [self._fwd, forwarded_rates(self.flat, e, served)]
         )
-        self._active = None
         self._alloc_scratch()
+        self._set_frontier(None)
         return range(first, first + e.shape[0])
 
     def remove_documents(self, rows: Sequence[int]) -> np.ndarray:
@@ -202,8 +202,8 @@ class BatchEngine(DiffusionStack):
         self._e = np.delete(self._e, rows, axis=0)
         self._loads = np.delete(self._loads, rows, axis=0)
         self._fwd = np.delete(self._fwd, rows, axis=0)
-        self._active = None
         self._alloc_scratch()
+        self._set_frontier(None)
         return removed
 
     # -- rate schedule -----------------------------------------------------
@@ -236,7 +236,7 @@ class BatchEngine(DiffusionStack):
         self._fwd[rows] = forwarded_rates(
             self.flat, rates_arr, self._loads[rows]
         )
-        self._active = None
+        self._set_frontier(None)
 
     # -- the round ---------------------------------------------------------
     def step(self) -> None:
@@ -248,7 +248,7 @@ class BatchEngine(DiffusionStack):
         """
         if self.flat.n <= 1 or self._loads.shape[0] == 0:
             # Nothing can ever move (no edges / no documents): quiesce.
-            self._active = _NO_EDGES
+            self._set_frontier(_NO_EDGES)
             self._round += 1
             return
         ran, pairs = self.advance()
@@ -265,6 +265,7 @@ class BatchEngine(DiffusionStack):
         could differ in the low bits from the incremental bookkeeping and
         break the bit-identical round-trip law.
         """
+        active = self.frontier
         return {
             "kind": self.STATE_KIND,
             "parent_map": self.flat.parent.tolist(),
@@ -276,9 +277,7 @@ class BatchEngine(DiffusionStack):
             "spontaneous": self._e.tolist(),
             "loads": self._loads.tolist(),
             "fwd": self._fwd.tolist(),
-            "active": (
-                None if self._active is None else [int(i) for i in self._active]
-            ),
+            "active": None if active is None else [int(i) for i in active],
             "op_count": self._op_count,
             "dense_rounds": self._dense_rounds,
             "sparse_rounds": self._sparse_rounds,

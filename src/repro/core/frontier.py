@@ -5,7 +5,7 @@ where the load gradient is non-flat: once a region of the tree has
 settled, its servers take no Figure 5 action until demand shifts again.
 The engines exploit that by keeping an explicit *frontier* - the
 set of edges that could possibly move mass this round - and evaluating the
-Figure 5 update only on that slice.
+Figure 5 update only on a compact region around it.
 
 The frontier invariant that makes the sparse path **bit-identical** to the
 dense one is purely floating-point: an edge may be dropped from the
@@ -20,33 +20,39 @@ its floating-point fixed point - ``frontier empty <=> another round would
 be a bitwise no-op`` - which the kernel property tests pin.
 
 This module owns the shared geometry, none of which sorts or searches on
-the per-round path.  :func:`node_slots` numbers the nodes the active pairs
-touch by *scatter*: every node is the child of at most one edge, so the
-pairs' children are already distinct and take slots ``0..k-1`` in edge
-order, and the parents that are no active pair's child are deduplicated
-through a node-sized scratch and take the slots after them.  The parent
-side of the delta stays one ``bincount`` over the pairs in ascending edge
-order, so every partial sum associates as in the dense round whatever the
-slot numbering.  The frontier is kept up in slot space: an active pair
-stays iff its transfer is nonzero or an endpoint's load changed bitwise,
-and a pair that is *not* active can only enter through a changed node that
-holds fewer active pairs than tree edges.  Only those nodes go through the
-node -> incident-edge CSR index
+the per-round path.  A sparse round steps an :class:`EdgeRegion`: a sorted
+set of pairs that holds the frontier, with the nodes they touch numbered
+once by :func:`edge_region` - by *scatter*, not by sorting: every node is
+the child of at most one edge, so the pairs' children are already distinct
+and take slots ``0..k-1`` in pair order, and the parents that are no pair's
+child are deduplicated through a node-sized scratch and take the slots
+after them.  The parent side of the delta stays one ``bincount`` over the
+pairs in ascending pair order, so every partial sum associates as in the
+dense round whatever the slot numbering.  The frontier is the dense
+round's mask over the region (an active pair stays iff its transfer is
+nonzero or an endpoint's load changed bitwise); a pair *outside* the region
+can only become active through a changed node on the region's *border* -
+one with tree edges outside it.  Only those nodes go through the node ->
+incident-edge CSR index
 (:attr:`~repro.core.tree.RoutingTree.incident_edge_csr`, through
-:func:`incident_edges_of`, or
-:func:`batch_incident_edges` for the flattened ``document * edge`` ids of
-a ``D``-document stack), and only such a round re-sorts the frontier
-(:func:`sorted_unique`); otherwise the surviving pairs keep their order.
+:func:`incident_edges_of`, or :func:`batch_incident_edges` for the
+flattened ``document * edge`` ids of a ``D``-document stack), and only such
+a round sorts (:func:`sorted_unique`) and grows the region.  The region
+never shrinks: a pair that joins it stays, so a run builds it at most once
+per pair that ever turns active, while a region rebuilt tight to the
+frontier at every growth can be rebuilt every round by a frontier that
+wobbles across its border.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "node_slots",
+    "EdgeRegion",
+    "edge_region",
     "csr_gather",
     "incident_edges_of",
     "batch_incident_edges",
@@ -57,7 +63,7 @@ __all__ = [
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """Sort ``values`` in place and drop duplicates.
 
-    A sparse round whose frontier grows merges a few new pairs into a
+    A sparse round whose region grows merges a few new pairs into a
     small index array; a plain sort-and-mask is several times faster there
     than :func:`numpy.unique`'s hash path.  The input must be a freshly
     allocated array (it is sorted in place).
@@ -71,29 +77,62 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def node_slots(
-    scratch: np.ndarray, parents: np.ndarray, children: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Number the nodes ``k`` active pairs touch, without sorting.
+class EdgeRegion(NamedTuple):
+    """The compact edge region a sparse round steps: a superset of the
+    frontier, in sorted pair order, with its node geometry numbered once.
 
-    ``parents`` / ``children`` are the pairs' endpoint node ids in edge
-    order.  Returns ``(nodes, parent_slots)``: ``nodes[:k]`` is
-    ``children``, the rest the distinct parents that are no pair's child,
-    and ``nodes[parent_slots]`` is ``parents``.  ``scratch`` is an ``intp``
-    array indexed by node id; every entry read was written in this call,
-    so it is never cleared.
+    ``nodes[:k]`` are the children of the ``k`` pairs (in pair order), the
+    rest the distinct parents that are no pair's child; ``nodes[parent_slots]``
+    are the pairs' parents.  ``border`` flags the nodes that have tree edges
+    outside the region.
     """
-    k = children.size
+
+    pairs: np.ndarray  # sorted flat ``doc * m + edge`` ids
+    edges: np.ndarray  # their edge ids
+    nodes: np.ndarray  # flat ``doc * n + node`` ids, the pairs' children first
+    parent_slots: np.ndarray
+    alpha: np.ndarray
+    border: np.ndarray
+
+
+def edge_region(tree, pairs: np.ndarray, docs: int, alpha: np.ndarray) -> EdgeRegion:
+    """The :class:`EdgeRegion` over sorted flat pair ids of a ``docs``-row stack.
+
+    Nodes are numbered by scatter, not by sorting: every node is the child
+    of at most one edge, so the pairs' children are already distinct and
+    take slots ``0..k-1``, and the parents that are no pair's child are
+    deduplicated through a node-sized scratch (one write per distinct
+    parent survives) and take the slots after them.
+    """
+    n = tree.n
+    k = pairs.size
+    if docs == 1:  # flat ids are the edge / node ids: no index arithmetic
+        edges = pairs
+        parents = tree.edge_parent[edges]
+        children = tree.edge_child[edges]
+    else:
+        m = n - 1
+        base = pairs // m
+        edges = pairs - base * m
+        base *= n
+        parents = base + tree.edge_parent[edges]
+        children = base + tree.edge_child[edges]
+    slot = np.empty(docs * n, dtype=np.intp)
     own = np.arange(k, dtype=np.intp)
     rep = own + k
     # One write per distinct parent survives (whichever) and marks that
-    # pair as its representative - unless the parent is an active child.
-    scratch[parents] = rep
-    scratch[children] = own
-    first = np.flatnonzero(scratch[parents] == rep)
+    # pair as its representative - unless the parent is a pair's child.
+    slot[parents] = rep
+    slot[children] = own
+    first = np.flatnonzero(slot[parents] == rep)
     extra = parents[first]
-    scratch[extra] = rep[: first.size]
-    return np.concatenate([children, extra]), scratch[parents]
+    slot[extra] = rep[: first.size]
+    nodes = np.concatenate([children, extra])
+    parent_slots = slot[parents]
+    held = np.bincount(parent_slots, minlength=nodes.size)
+    held[:k] += 1  # a child's own parent edge is in the region
+    border = held < tree.degree[nodes if docs == 1 else nodes % n]
+    return EdgeRegion(pairs, edges, nodes, parent_slots, alpha[edges], border)
 
 
 def csr_gather(

@@ -59,16 +59,22 @@ Sparse (active-set) stepping.  A stack whose transfer rule is a
 fixed-point rule (it reads current state only: every rule but gossip
 staleness and the forest's shared signal) keeps the edge *frontier* of
 :mod:`repro.core.frontier`: the set of ``(doc, edge)`` pairs that could
-move mass this round.  A sparse round gathers only the frontier's rows of
-the CSR arrays, applies the same transfer rule to that slice, scatters the
-deltas back, and re-derives the frontier from where state actually changed
-bitwise - running the tracked dense round instead whenever the frontier
-holds more than :data:`SPARSE_FRACTION` of the pairs.  The sparse path is
-bit-identical to the dense one (a pair leaves the frontier only once its
-transfer is exactly zero and its inputs stopped changing), so per-round
-cost scales with *activity* - on skewed demand a round touches the demand
-closure, not the topology.  There is no switch: which pass runs is a
-matter of speed, never of result.
+move mass this round.  A sparse round is the dense round over a compact
+*edge region* that holds the frontier: the region's pairs, the nodes they
+touch (numbered once, by scatter), their slots and alphas, built from the
+frontier by the first sparse round that finds none and grown only when a
+node on its border changes.  Each round is one gather of the region's
+loads, the transfer rule on every region pair, one child store and one
+parent ``bincount``, the write-back, and the dense round's frontier mask
+over the region - running the tracked dense round instead whenever the
+frontier holds more than :data:`SPARSE_FRACTION` of the pairs.  The sparse
+path is bit-identical to the dense one (a pair leaves the frontier only
+once its transfer is exactly zero and its inputs stopped changing, so a
+region pair off the frontier recomputes that zero), and per-round cost
+scales with *activity* - on skewed demand a round touches the demand
+closure, not the topology.  ``edges_processed`` counts the frontier, not
+the region.  There is no switch: which pass runs is a matter of speed,
+never of result.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ from . import policy
 from ..fields import nonnegative
 from ..obs.telemetry import resolve as _resolve_telemetry
 from .config import EngineConfig
-from .frontier import batch_incident_edges, incident_edges_of, node_slots, sorted_unique
+from .frontier import batch_incident_edges, edge_region, incident_edges_of, sorted_unique
 from .steppable import require_kind, state_count, state_counts, state_entry
 from .tree import RoutingTree, tree_from_parent_map
 
@@ -320,8 +326,9 @@ class DiffusionStack:
 
     State is ``(D, n)``: spontaneous rates, served loads and the
     incrementally maintained forwarded rates ``A`` (the NSS caps), plus the
-    active frontier as sorted flat ``doc * m + edge`` indices (``None`` =
-    every pair is potentially active).  Both engines are subclasses:
+    active frontier of flat ``doc * m + edge`` pairs (:attr:`frontier`;
+    ``None`` = every pair is potentially active), held as the mask the last
+    round left, and the sparse round's edge region.  Both engines are subclasses:
     :class:`SyncEngine` is one with ``D = 1`` plus the single-document
     policies, :class:`repro.cluster.batch.BatchEngine` one with ``D``
     documents plus their lifecycle.
@@ -335,8 +342,9 @@ class DiffusionStack:
     frontier from what changed bitwise.  The dense pass works on
     preallocated ``(D, n)`` / ``(D, m)`` scratch, ping-pongs the load
     buffer, and reads the child side through views when the root is node 0
-    (``edge_child == 1..n-1``); the sparse pass evaluates the frontier
-    only and is bit-identical to it (see :mod:`repro.core.frontier`).
+    (``edge_child == 1..n-1``); the sparse pass is the same round over the
+    edge region around the frontier and is bit-identical to it (see
+    :mod:`repro.core.frontier`).
 
     The transfer rule is the round's one parameter (:meth:`advance`); the
     default is the clip form of :func:`repro.core.policy.clip_edge_transfers`.
@@ -350,6 +358,9 @@ class DiffusionStack:
         "_alpha",
         "_round",
         "_active",
+        "_active_mask",
+        "_active_size",
+        "_region",
         "_op_count",
         "_dense_rounds",
         "_sparse_rounds",
@@ -360,7 +371,6 @@ class DiffusionStack:
         "_hi",
         "_d1",
         "_l2",
-        "_slot",
         "_tel",
         "_tel_phases",
     )
@@ -400,7 +410,7 @@ class DiffusionStack:
         self._e = spontaneous
         self._loads = served
         self._fwd = forwarded_rates(self.flat, spontaneous, served)
-        self._active: Optional[np.ndarray] = None
+        self._set_frontier(None)
 
     def _alloc_scratch(self) -> None:
         d, n = self._loads.shape
@@ -416,9 +426,24 @@ class DiffusionStack:
         self._hi = np.empty((d, m))
         self._d1 = np.empty((d, n))
         self._l2 = np.empty((d, n))  # ping-pong buffer for the new loads
-        # The sparse round's (d * n,) node -> slot scratch, allocated by the
-        # first sparse round: a stack that only runs dense never pays for it.
-        self._slot: Optional[np.ndarray] = None
+        self._region = None  # its node ids are sized for the old shape
+
+    def _set_frontier(self, active: Optional[np.ndarray], mask=None) -> None:
+        """Set the frontier and drop the region: every write but the region
+        pass's own goes through here (see :meth:`_hold_frontier`)."""
+        self._region = None
+        self._hold_frontier(active, mask)
+
+    def _hold_frontier(self, active: Optional[np.ndarray], mask=None) -> None:
+        """The frontier is ``active`` (sorted pair ids; ``None``: every
+        pair) or, with a ``mask``, the pairs it marks - of ``active``, or of
+        the ``(D, m)`` pairs when that is ``None``.  Only the count is taken
+        here; :attr:`frontier` draws the ids on read."""
+        self._active, self._active_mask = active, mask
+        if mask is not None:
+            self._active_size = int(np.count_nonzero(mask))
+        else:
+            self._active_size = None if active is None else int(active.size)
 
     # -- read-only views -------------------------------------------------
     @property
@@ -431,16 +456,20 @@ class DiffusionStack:
 
         ``None`` means every pair is potentially active (before the first
         tracked round, after any wholesale state change, and always under
-        a rule that reads stale views).
+        a rule that reads stale views).  A round keeps its frontier as a
+        mask; the ids are drawn from it here, on read.
         """
-        return self._active
+        mask, active = self._active_mask, self._active
+        if mask is None:
+            return active
+        return np.flatnonzero(mask) if active is None else active[mask]
 
     @property
     def frontier_size(self) -> int:
         """Active ``(doc, edge)`` pairs (everything before the first round)."""
-        if self._active is None:
+        if self._active_size is None:
             return self._loads.shape[0] * int(self.flat.edge_child.shape[0])
-        return int(self._active.size)
+        return self._active_size
 
     @property
     def quiescent(self) -> bool:
@@ -449,7 +478,7 @@ class DiffusionStack:
         Only a stack stepped with a fixed-point rule ever becomes
         quiescent; every wholesale state change resets the frontier.
         """
-        return self._active is not None and self._active.size == 0
+        return self._active_size == 0
 
     # -- the round ---------------------------------------------------------
     def advance(self, transfer=None, fixed_point: bool = True) -> Tuple[str, int]:
@@ -460,7 +489,10 @@ class DiffusionStack:
         otherwise (and always while there is no frontier) - bit-identical
         either way.  Returns the pass that ran - ``"sparse"``, ``"dense"``,
         or ``"fallback"`` for the dense round of a stack whose frontier was
-        above the switch point - and the pairs it evaluated.
+        above the switch point - and the pairs it counts: every pair on a
+        dense round, the frontier on a sparse one (the region's extra
+        pairs, all exact zeros, are not counted; ``edges_processed`` sums
+        the same numbers).
 
         ``transfer`` is the per-edge rule.  ``None`` selects the clip form
         evaluated in place on the stack's scratch (uniform capacities,
@@ -468,8 +500,8 @@ class DiffusionStack:
         ``transfer(lp, lc, fc, edges)`` with the parent loads, child loads
         and child forwarded rates of the evaluated pairs - ``(D, m)``
         arrays over every edge in order with ``edges=None`` on a dense
-        round, 1-D arrays aligned with the edge-index array ``edges`` on a
-        sparse one - and returns the transfers (positive = parent to
+        round, 1-D arrays aligned with the region's edge-index array
+        ``edges`` on a sparse one - and returns the transfers (positive = parent to
         child) in the same shape; it may overwrite ``lp`` but must leave
         ``lc`` and ``fc`` alone (they can be views of the state).
 
@@ -480,12 +512,12 @@ class DiffusionStack:
         passes False: its stack never has a frontier, so it runs dense.
         """
         d, n = self._loads.shape
-        active = self._active
-        if active is not None and active.size <= SPARSE_FRACTION * d * (n - 1):
-            self._round_sparse(active, transfer)
-            return "sparse", int(active.size)
+        size = self._active_size
+        if size is not None and size <= SPARSE_FRACTION * d * (n - 1):
+            self._round_sparse(size, transfer)
+            return "sparse", size
         self._round_dense(transfer, fixed_point)
-        return "dense" if active is None else "fallback", d * (n - 1)
+        return "dense" if size is None else "fallback", d * (n - 1)
 
     def _phase_sample(self, t0: float, t1: float, t2: float) -> None:
         """Record one sampled round's gather/apply/scatter wall times."""
@@ -547,7 +579,7 @@ class DiffusionStack:
             # it: the stack is at its floating-point fixed point - once
             # static, every remaining transfer is sub-ulp and can only
             # shrink, so loads never move again on either path.
-            self._active = _NO_EDGES
+            self._set_frontier(_NO_EDGES)
         else:
             # A transfer on edge (p, c) only moves load across the subtree
             # boundary of c: A_c falls by the net downward transfer.
@@ -556,41 +588,48 @@ class DiffusionStack:
                 fwd[rows] = forwarded_rates(flat, self._e[rows], new[rows])
             if fixed_point:
                 if rows is not None and rows.size == d:
-                    self._active = None  # A rebuilt wholesale: re-scan everything
+                    self._set_frontier(None)  # A rebuilt wholesale: re-scan everything
                 else:
                     # A pair may leave the frontier only once its transfer
                     # is exactly zero (a zero contributes nothing to any
                     # partial sum) and its inputs stopped changing: keep
                     # nonzero transfers, (re)activate every edge incident
                     # to a node whose load changed bitwise, and whole rows
-                    # whose caps were rebuilt.  Mask arithmetic, not
-                    # sorting: flatnonzero of the (D, m) mask is the
-                    # sorted flat index array the sparse pass needs.
+                    # whose caps were rebuilt.  The (D, m) mask is kept as
+                    # it is: its sorted flat ids are drawn only by a sparse
+                    # round that seeds its region, or by a read.
                     edge_mask = t != 0.0
                     np.logical_or(edge_mask, np.take(moved, ep, axis=1), out=edge_mask)
                     np.logical_or(edge_mask, moved[:, cs], out=edge_mask)
                     if rows is not None:
                         edge_mask[rows] = True
-                    self._active = np.flatnonzero(edge_mask)
+                    self._set_frontier(None, edge_mask)
         self._round += 1
         self._dense_rounds += 1
         self._op_count += d * int(ep.shape[0])
         if timing:
             self._phase_sample(t0, t1, t2)
 
-    def _round_sparse(self, act: np.ndarray, transfer) -> None:
-        """One round over the active ``(doc, edge)`` pairs only.
+    def _round_sparse(self, k: int, transfer) -> None:
+        """One round over the stack's edge region, which holds the ``k``
+        active pairs and more.
 
-        Mirrors :meth:`_round_dense` element for element on the active
-        slice; omitted pairs carry an exactly-zero transfer by the frontier
-        invariant, and IEEE addition of ``+0.0`` leaves every partial sum
+        The region (:func:`repro.core.frontier.edge_region`) is built from
+        the frontier by the first sparse round that finds none, dropped
+        whenever the frontier is set by anything else, and otherwise only
+        grows.  A round is the dense round on it: one gather of the
+        region's loads, the transfer rule on every region pair, a child
+        store and one parent ``bincount`` in ascending pair order, and the
+        write-back.  A region pair off the frontier left it with an
+        exactly-zero transfer and unchanged inputs, so it recomputes that
+        zero, as the dense round does; pairs outside the region carry such
+        zeros too, and IEEE addition of ``+0.0`` leaves every partial sum
         unchanged, so every load and forwarded rate comes out bit-identical
-        to the dense round.  The touched nodes are numbered by scatter
-        (:func:`repro.core.frontier.node_slots`: the pairs' children take
-        slots ``0..k-1`` in edge order) and the frontier is kept up in that
-        slot space; the round sorts only when the frontier gains an edge.
+        to the dense round.  The frontier is the dense round's mask over the
+        region; a pair outside it can only enter through a changed node on
+        the region's border, and only such a round expands through the CSR,
+        sorts, and grows the region.
         """
-        k = int(act.size)
         self._round += 1
         self._sparse_rounds += 1
         self._op_count += k
@@ -603,45 +642,32 @@ class DiffusionStack:
             t0 = clock()
         flat = self.flat
         d, n = self._loads.shape
-        m = n - 1
-        if d == 1:  # flat ids are the edge / node ids: no index arithmetic
-            ev = act
-            pflat = flat.edge_parent[ev]
-            cflat = flat.edge_child[ev]
-        else:
-            dv = act // m
-            ev = act - dv * m
-            dv *= n
-            pflat = dv + flat.edge_parent[ev]
-            cflat = dv + flat.edge_child[ev]
+        region = self._region
+        if region is None:
+            region = self._region = edge_region(flat, self.frontier, d, self._alpha)
+        pairs, edges, nodes, ps, alpha, border = region
+        r = pairs.size
         lr = self._loads.reshape(-1)
         fr = self._fwd.reshape(-1)
-        t = lr[pflat]
-        lc = lr[cflat]
-        fc = fr[cflat]
+        old = lr[nodes]
+        children = nodes[:r]
+        t = old[ps]
+        lc = old[:r]
+        fc = fr[children]
         if transfer is None:
             policy.clip_edge_transfers(
-                t,
-                lc,
-                fc,
-                self._alpha[ev],
-                self._lo.reshape(-1)[:k],
-                self._hi.reshape(-1)[:k],
+                t, lc, fc, alpha, self._lo.reshape(-1)[:r], self._hi.reshape(-1)[:r]
             )
         else:
-            t = transfer(t, lc, fc, ev)
+            t = transfer(t, lc, fc, edges)
         if timing:
             t1 = clock()
 
-        # delta over the touched nodes, in dense association order:
+        # delta over the region's nodes, in dense association order:
         # (child store) - (parent bincount), then loads + delta.
-        if self._slot is None:
-            self._slot = np.empty(d * n, dtype=np.intp)
-        nodes, ps = node_slots(self._slot, pflat, cflat)
-        delta = np.zeros(nodes.size, dtype=np.float64)
-        delta[:k] = t
+        delta = np.zeros(nodes.size)
+        delta[:r] = t
         delta -= np.bincount(ps, weights=t, minlength=nodes.size)
-        old = lr[nodes]
         new = old + delta
         if timing:
             t2 = clock()
@@ -651,48 +677,41 @@ class DiffusionStack:
             # Globally load-static round (so nothing went negative
             # either): skip the A update (see _round_dense) - the
             # floating-point fixed point.
-            self._active = _NO_EDGES
+            self._hold_frontier(_NO_EDGES)
         else:
-            fr[cflat] = fc - t
-            rebuilt = None
-            neg = new < 0.0
-            if neg.any():
+            fr[children] = fc - t
+            mask = t != 0.0
+            mask |= changed[:r]
+            mask |= changed[ps]
+            changed &= border
+            fresh = None
+            if changed.any():
+                expand = incident_edges_of if d == 1 else batch_incident_edges
+                fresh = expand(flat, nodes[changed])
+            if new.min() < 0.0:
                 # Clamp at zero (unsafe alphas only) and rebuild those
-                # rows' A from scratch, exactly as the dense round does.
-                rebuilt = np.unique(nodes[neg] // n)
+                # rows' A from scratch, exactly as the dense round does;
+                # the rows rejoin the frontier whole.
+                rebuilt = np.unique(nodes[new < 0.0] // n)
                 self._loads[rebuilt] = np.maximum(self._loads[rebuilt], 0.0)
                 self._fwd[rebuilt] = forwarded_rates(
                     flat, self._e[rebuilt], self._loads[rebuilt]
                 )
-            if rebuilt is not None and rebuilt.size == d:
-                self._active = None
+                if rebuilt.size == d:
+                    self._set_frontier(None)
+                else:
+                    m = n - 1
+                    parts = [pairs[mask], (rebuilt[:, None] * m + np.arange(m)).ravel()]
+                    if fresh is not None:
+                        parts.append(fresh)
+                    self._set_frontier(sorted_unique(np.concatenate(parts)))
+            elif fresh is None:
+                self._hold_frontier(pairs, mask)
             else:
-                # The dense round's frontier rule in slot space: an
-                # active pair stays iff its transfer is nonzero or an
-                # endpoint changed bitwise, and a pair that is not active
-                # can only enter through a changed node with fewer active
-                # pairs than tree edges - those alone are expanded.
-                stay = t != 0.0
-                stay |= changed[:k]
-                stay |= changed[ps]
-                parts = [act[stay]]
-                held = np.bincount(ps, minlength=nodes.size)
-                held[:k] += 1  # a child slot's own parent edge is active
-                changed &= held < flat.degree[nodes if d == 1 else nodes % n]
-                if changed.any():
-                    expand = incident_edges_of if d == 1 else batch_incident_edges
-                    parts.append(expand(flat, nodes[changed]))
-                if rebuilt is not None:
-                    parts.append(
-                        (
-                            rebuilt[:, None] * m + np.arange(m, dtype=np.intp)[None, :]
-                        ).ravel()
-                    )
-                self._active = (
-                    parts[0]
-                    if len(parts) == 1
-                    else sorted_unique(np.concatenate(parts))
+                self._region = edge_region(
+                    flat, sorted_unique(np.concatenate([pairs, fresh])), d, self._alpha
                 )
+                self._hold_frontier(sorted_unique(np.concatenate([pairs[mask], fresh])))
         if timing:
             self._phase_sample(t0, t1, t2)
 
@@ -744,9 +763,9 @@ class DiffusionStack:
             for field in ("round", ops_key, "dense_rounds", "sparse_rounds")
         ]
         self._e, self._loads, self._fwd, self._alpha = e, loads, fwd, alpha
-        self._active = active
         self._round, self._op_count, self._dense_rounds, self._sparse_rounds = counts
         self._alloc_scratch()
+        self._set_frontier(active)
 
 
 # ----------------------------------------------------------------------
@@ -1016,7 +1035,7 @@ class SyncEngine(DiffusionStack):
         Python floats round-trip bit-exactly through JSON (shortest-repr),
         so ``tolist()`` is lossless here.
         """
-        active = self._active
+        active = self.frontier
         return {
             "kind": self.STATE_KIND,
             "parent_map": self.flat.parent.tolist(),

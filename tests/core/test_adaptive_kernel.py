@@ -34,8 +34,8 @@ from hypothesis import strategies as st
 from repro.core.frontier import (
     batch_incident_edges,
     csr_gather,
+    edge_region,
     incident_edges_of,
-    node_slots,
     sorted_unique,
 )
 from repro.core import kernel
@@ -242,16 +242,19 @@ class TestFrontierInvariants:
         assert stats["edges_processed"] / sparse.round < 0.2 * tree.n
 
 class TestSparseRoundStructure:
-    def test_upkeep_expands_and_sorts_only_where_the_frontier_grows(self, monkeypatch):
+    def test_region_grows_only_through_its_border(self, monkeypatch):
         """A sparse round re-derives no index geometry it already has.
 
         Counted through the names ``core.kernel`` imports from
         ``core.frontier``, over 300 sparse rounds of demand on a connected
-        5% of a 3000-node tree: (i) a round whose frontier gains no edge
-        calls neither the CSR expansion nor ``sorted_unique``; (ii) the
-        nodes expanded over the run are at most a tenth of the nodes that
-        moved (every moved node was expanded every round before); (iii)
-        nothing in ``core/kernel.py`` binary-searches.
+        5% of a 3000-node tree: (i) a round whose changed nodes are all
+        interior to the region calls neither the CSR expansion nor
+        ``sorted_unique`` and keeps its region; (ii) one that changes a
+        border node expands exactly those nodes and rebuilds the region
+        once, and the nodes expanded over the run are at most a tenth of
+        the nodes that moved; (iii) the region is built a handful of times
+        in the run; (iv) nothing in ``core/kernel.py`` binary-searches, so
+        the region's nodes are numbered by scatter.
         """
         rng = random.Random(0)
         tree = random_tree(3000, rng)
@@ -264,31 +267,42 @@ class TestSparseRoundStructure:
             inner = getattr(kernel, name)
 
             def shim(*args):
-                calls.append((name, int(args[-1].size)))
+                calls.append((name, int(args[1 if name == "edge_region" else -1].size)))
                 return inner(*args)
 
             monkeypatch.setattr(kernel, name, shim)
 
-        for name in ("incident_edges_of", "batch_incident_edges", "sorted_unique"):
+        for name in ("incident_edges_of", "batch_incident_edges", "sorted_unique", "edge_region"):
             counted(name)
         engine = SyncEngine(tree, rates, rates, degree_edge_alphas(tree))
         engine.step()  # the dense discovery round
-        moved = expanded = quiet_rounds = growing_rounds = 0
-        for _ in range(300):
-            frontier, loads = engine.frontier, engine.loads.copy()
+        del calls[:]
+        engine.step()  # the first sparse round seeds the region from the frontier
+        assert calls[0] == ("edge_region", engine.step_stats["edges_processed"] - tree.n + 1)
+        builds = sum(name == "edge_region" for name, _ in calls)
+        interior_rounds = border_rounds = moved_nodes = expanded = 0
+        for _ in range(299):
+            region, loads = engine._region, engine.loads.copy()
             del calls[:]
             engine.step()
-            moved += int((engine.loads != loads).sum())
-            if np.setdiff1d(engine.frontier, frontier).size:
-                growing_rounds += 1
-                assert [name for name, _ in calls] == ["incident_edges_of", "sorted_unique"]
-                expanded += calls[0][1]
+            moved = np.flatnonzero(engine.loads != loads)
+            moved_nodes += moved.size
+            on_border = moved[np.isin(moved, region.nodes[region.border])]
+            if on_border.size:
+                border_rounds += 1
+                assert sorted(name for name, _ in calls) == [
+                    "edge_region", "incident_edges_of", "sorted_unique", "sorted_unique"
+                ]
+                assert ("incident_edges_of", on_border.size) in calls
+                expanded += on_border.size
+                builds += 1
             else:
-                quiet_rounds += 1
-                assert calls == []
+                interior_rounds += 1
+                assert calls == [] and engine._region is region
         assert engine.step_stats["sparse_rounds"] == 300
-        assert quiet_rounds and growing_rounds  # both branches were counted
-        assert 0 < expanded <= 0.1 * moved, (expanded, moved)
+        assert interior_rounds and border_rounds  # both branches were counted
+        assert 0 < expanded <= 0.1 * moved_nodes, (expanded, moved_nodes)
+        assert builds <= 5, builds  # this tree and seed build it 3 times
         assert "searchsorted" not in inspect.getsource(kernel)
 
 
@@ -422,24 +436,30 @@ class TestFrontierHelpers:
         got = sorted(batch_incident_edges(tree, flat_nodes).tolist())
         assert got == [m + 1, m + 2]
 
-    @given(st.data(), trees_with_rates(min_nodes=2, max_nodes=40))
+    @given(st.data(), trees_with_rates(min_nodes=2, max_nodes=40), st.sampled_from([1, 2]))
     @settings(max_examples=60, deadline=None)
-    def test_node_slots_number_each_touched_node_once(self, data, tree_rates):
-        """Children first in edge order, every other parent once, and the
-        parent slots point back at the parents - from a dirty scratch."""
+    def test_edge_region_numbers_each_touched_node_once(self, data, tree_rates, docs):
+        """Children first in pair order, every other parent once, parent
+        slots that point back at the parents, and a border flag exactly on
+        the nodes with an incident edge outside the region."""
         flat = tree_rates[0]
-        m = flat.n - 1
-        edges = np.asarray(
-            sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1))), dtype=np.intp
+        n, m = flat.n, flat.n - 1
+        pairs = np.asarray(
+            sorted(data.draw(st.sets(st.integers(0, docs * m - 1), min_size=1))), dtype=np.intp
         )
-        parents, children = flat.edge_parent[edges], flat.edge_child[edges]
-        dirt = st.lists(st.integers(-5, 3 * flat.n), min_size=flat.n, max_size=flat.n)
-        scratch = np.asarray(data.draw(dirt), dtype=np.intp)
-        nodes, parent_slots = node_slots(scratch, parents, children)
-        assert nodes[: edges.size].tolist() == children.tolist()
-        assert nodes[parent_slots].tolist() == parents.tolist()
+        region = edge_region(flat, pairs, docs, np.arange(m, dtype=np.float64))
+        doc, edge = pairs // m, pairs % m
+        parents, children = doc * n + flat.edge_parent[edge], doc * n + flat.edge_child[edge]
+        assert region.edges.tolist() == edge.tolist()
+        assert region.alpha.tolist() == edge.tolist()
+        assert region.nodes[: pairs.size].tolist() == children.tolist()
+        assert region.nodes[region.parent_slots].tolist() == parents.tolist()
         touched = set(parents.tolist()) | set(children.tolist())
-        assert sorted(nodes.tolist()) == sorted(touched)
+        assert sorted(region.nodes.tolist()) == sorted(touched)
+        inside = set(pairs.tolist())
+        for node, border in zip(region.nodes.tolist(), region.border.tolist()):
+            incident = batch_incident_edges(flat, np.asarray([node])).tolist()
+            assert border == any(e not in inside for e in incident), node
 
     @given(
         st.lists(

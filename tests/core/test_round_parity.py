@@ -9,11 +9,14 @@ over the awkward inputs: a root that is not node 0 (the child side of the
 round is then an index array instead of a slice), all-zero demand, ``-0.0``
 rates (hence signed-zero caps and transfers), unsafe alphas (a load clamps at zero and
 ``A`` is rebuilt), a mid-run ``resettle``, and frontiers hovering at the
-sparse/dense switch point - and, for the sparse round's own frontier rule
-(stay by slot masks, grow only through changed nodes with an inactive
-edge), on connected patches of demand in trees of up to 400 nodes against a
-twin that always runs the tracked dense round.  Engines stepped at another
-switch point than ``kernel.SPARSE_FRACTION`` are ``tests.helpers.stepping_twin``s.
+sparse/dense switch point - and, for the sparse round's edge region (the
+dense round over a superset of the frontier that grows only through a
+changed node on its border), on connected patches of demand in trees of up
+to 400 nodes against a twin that always runs the tracked dense round:
+growth in several rows at once, the clamp path, the capacity and quantum
+rules, lifecycle writes between sparse rounds and a ``state()`` round trip
+mid-run.  Engines stepped at another switch point than
+``kernel.SPARSE_FRACTION`` are ``tests.helpers.stepping_twin``s.
 
 :func:`reference_round` - the seed's per-edge Python loop - is the third
 reading.  It sums a node's delta in a different association order, so it
@@ -33,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.batch import BatchEngine
+from repro.core.config import EngineConfig
 from repro.core.kernel import (
     SyncEngine,
     degree_edge_alphas,
@@ -283,11 +287,11 @@ class TestStackedDocuments:
                 assert own == _frontier_set(sync.frontier, m)
         assert batch.round == rounds
 
-    def test_lifecycle_between_sparse_rounds_resizes_the_slot_scratch(self):
-        """The sparse round's node -> slot scratch is ``(D * n,)``: adding,
-        removing and restoring documents *between* sparse rounds has to drop
-        it, or the next sparse round indexes past a scratch sized for the
-        old ``D``.  Every row still matches its own ``SyncEngine``."""
+    def test_lifecycle_between_sparse_rounds_drops_the_region(self):
+        """The sparse round's region numbers flat ``doc * n + node`` ids:
+        adding, removing and restoring documents *between* sparse rounds has
+        to drop it, or the next sparse round steps rows that moved or went.
+        Every row still matches its own ``SyncEngine``."""
         rng = random.Random(5)
         tree = random_tree(120, rng)
         alphas = degree_edge_alphas(tree)
@@ -321,7 +325,7 @@ class TestStackedDocuments:
 
 
 # ----------------------------------------------------------------------
-# The sparse round's frontier rule == the dense round's mask arithmetic
+# The sparse round's region == the dense round's mask arithmetic
 # ----------------------------------------------------------------------
 def _patchy_stack(seed: int, n: int, docs: int, alpha, at_home: bool):
     """A stack that runs sparse whenever it can (switch point 1) and a twin
@@ -346,20 +350,26 @@ def _patchy_stack(seed: int, n: int, docs: int, alpha, at_home: bool):
     return stacks, patch
 
 
-def _step_twins(sparse: BatchEngine, dense: BatchEngine) -> str:
+def _assert_twins(a, b) -> None:
+    """Loads, forwarded rates and frontier of two stacks, in bytes."""
+    assert a.loads.tobytes() == b.loads.tobytes()
+    assert a.forwarded.tobytes() == b.forwarded.tobytes()
+    fa, fb = a.frontier, b.frontier
+    if fa is None:
+        assert fb is None
+    else:
+        assert fa.dtype == fb.dtype
+        assert fa.tobytes() == fb.tobytes()
+
+
+def _step_twins(sparse, dense) -> str:
     """One round on both, compared in bytes; says what the sparse round's
     frontier did (``""`` when the round was not a sparse one)."""
     before = sparse.frontier
     sparse.step()
     dense.step()
-    assert sparse.loads.tobytes() == dense.loads.tobytes()
-    assert sparse.forwarded.tobytes() == dense.forwarded.tobytes()
+    _assert_twins(sparse, dense)
     after = sparse.frontier
-    if after is None:
-        assert dense.frontier is None
-    else:
-        assert after.dtype == dense.frontier.dtype
-        assert after.tobytes() == dense.frontier.tobytes()
     if before is None or before.size == 0:
         return ""
     if after is None:
@@ -371,6 +381,17 @@ def _step_twins(sparse: BatchEngine, dense: BatchEngine) -> str:
     if after.size == 0:
         return "emptied"
     return "grew" if np.setdiff1d(after, before).size else "held or shrank"
+
+
+def _grown_rows(sparse, region) -> set:
+    """The rows whose pairs the last round added to the region ``region``
+    (empty unless that round grew it)."""
+    grown = sparse._region
+    if region is None or grown is None or grown is region:
+        return set()
+    fresh = np.setdiff1d(grown.pairs, region.pairs)
+    assert fresh.size and np.isin(region.pairs, grown.pairs).all()  # grows only
+    return set((fresh // (sparse.flat.n - 1)).tolist())
 
 
 class TestFrontierRule:
@@ -400,13 +421,151 @@ class TestFrontierRule:
     def test_the_rule_is_exercised_on_every_branch(self):
         """The property above, on fixed seeds, counting what the sparse
         rounds did: the frontier grew, emptied, and lost rows to the
-        clamp-at-zero rebuild of ``A`` (one row of three, and all of them)."""
+        clamp-at-zero rebuild of ``A`` (one row of three, and all of them);
+        the region grew across its border at ``D = 1`` and ``D = 3``, and
+        in one round of a three-row stack in more than one row."""
         seen = {}
+        grown = {1: 0, 3: 0}
+        rows_at_once = 0
         for seed in range(24):
             docs, alpha = (1, 3)[seed % 2], (None, 0.5, 0.25)[seed % 3]
             (sparse, dense), _ = _patchy_stack(seed, 24 + 2 * seed, docs, alpha, seed % 4 < 2)
             for _ in range(150):
+                region = sparse._region
                 what = _step_twins(sparse, dense)
                 seen[what] = seen.get(what, 0) + 1
+                rows = _grown_rows(sparse, region)
+                grown[docs] += bool(rows)
+                rows_at_once = max(rows_at_once, len(rows))
         for what in ("grew", "emptied", "row rebuilt", "every row rebuilt", "held or shrank"):
             assert seen.get(what), seen
+        assert grown[1] and grown[3] and rows_at_once > 1, (grown, rows_at_once)
+
+
+# ----------------------------------------------------------------------
+# What the region adds: rules, lifecycle writes and restores around it
+# ----------------------------------------------------------------------
+class TestRegion:
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=20, max_value=200),
+        st.sampled_from(["capacities", "quantum"]),
+        st.integers(min_value=5, max_value=40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_capacity_and_quantum_rules_step_the_region(self, seed, n, rule, rounds):
+        """The two fixed-point variants read the region's edge ids: their
+        sparse rounds match the dense twin's in bytes."""
+        rng = random.Random(seed)
+        tree = random_tree(n, rng)
+        rates = _patch(tree, rng, rng.randint(1, n // 3))
+        if rule == "capacities":
+            config = EngineConfig(capacities=[rng.choice([0.5, 1.0, 2.0, 4.0]) for _ in range(n)])
+        else:
+            config = EngineConfig(quantum=0.125)
+        sparse, dense = (
+            stepping_twin(
+                SyncEngine(tree, rates, rates, degree_edge_alphas(tree), config=config), density
+            )
+            for density in (1.0, -1.0)
+        )
+        for _ in range(rounds):
+            sparse.step()
+            dense.step()
+            _assert_twins(sparse, dense)
+        assert dense.step_stats["sparse_rounds"] == 0
+
+    def test_capacity_and_quantum_rules_grow_the_region(self):
+        """The property above on fixed seeds runs region rounds that grow."""
+        for rule in ("capacities", "quantum"):
+            grew = 0
+            for seed in range(6):
+                rng = random.Random(seed)
+                tree = random_tree(120, rng)
+                rates = _patch(tree, rng, 30)
+                if rule == "capacities":
+                    config = EngineConfig(capacities=[rng.choice([0.5, 2.0]) for _ in range(120)])
+                else:
+                    config = EngineConfig(quantum=0.125)
+                sparse, dense = (
+                    stepping_twin(
+                        SyncEngine(tree, rates, rates, degree_edge_alphas(tree), config=config),
+                        density,
+                    )
+                    for density in (1.0, -1.0)
+                )
+                for _ in range(60):
+                    region = sparse._region
+                    sparse.step()
+                    dense.step()
+                    _assert_twins(sparse, dense)
+                    grew += bool(_grown_rows(sparse, region))
+            assert grew, rule
+
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.lists(st.sampled_from(["resettle", "add", "remove"]), min_size=1, max_size=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lifecycle_writes_between_region_rounds(self, seed, script):
+        """``resettle_rows`` / ``add_documents`` / ``remove_documents``
+        between sparse rounds drop the region; the next sparse round builds
+        one for the new rows, and every round matches the dense twin."""
+        rng = random.Random(seed)
+        (sparse, dense), patch = _patchy_stack(seed, rng.randint(20, 150), 3, None, False)
+        for op in script:
+            for _ in range(4):
+                _step_twins(sparse, dense)
+            if op == "remove" and sparse.docs == 1:
+                op = "add"  # a stack keeps one row at least
+            if op == "resettle":
+                rows = rng.sample(range(sparse.docs), rng.randint(1, sparse.docs))
+                rates = [patch() for _ in rows]
+                for stack in (sparse, dense):
+                    stack.resettle_rows(rows, rates)
+            elif op == "add":
+                rates = [patch() for _ in range(rng.randint(1, 2))]
+                for stack in (sparse, dense):
+                    stack.add_documents(rates)
+            else:
+                rows = rng.sample(range(sparse.docs), rng.randint(1, sparse.docs - 1))
+                for stack in (sparse, dense):
+                    stack.remove_documents(rows)
+            assert sparse._region is None
+            _assert_twins(sparse, dense)
+        for _ in range(6):
+            _step_twins(sparse, dense)
+        assert sparse.step_stats["sparse_rounds"] > 0
+
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([1, 3]),
+        st.sampled_from([None, 0.25]),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=30),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_restored_stack_builds_its_region_from_active(self, seed, docs, alpha, before, after):
+        """A ``state()`` -> ``load_state`` round trip mid-run: the restored
+        stack holds no region and builds one from the captured ``active``;
+        it then matches the uninterrupted stack round for round."""
+        rng = random.Random(seed)
+        tree = random_tree(rng.randint(20, 200), rng)
+        rates = [_patch(tree, rng, rng.randint(1, tree.n // 3)) for _ in range(docs)]
+        alphas = _alphas(tree, alpha)
+        if docs == 1 and seed % 2:
+            going = SyncEngine(tree, rates[0], rates[0], alphas)
+            restored = SyncEngine(tree, rates[0], rates[0], alphas)
+        else:
+            going = BatchEngine(tree, rates, None, alphas)
+            restored = BatchEngine(tree, [[0.0] * tree.n], None, alphas)
+        going, restored = stepping_twin(going, 1.0), stepping_twin(restored, 1.0)
+        for _ in range(before):
+            going.step()
+        restored.load_state(going.state())
+        assert restored._region is None
+        for _ in range(after):
+            going.step()
+            restored.step()
+            _assert_twins(restored, going)
+        assert restored.state() == going.state()
